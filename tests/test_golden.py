@@ -1,0 +1,84 @@
+"""Report bytes pinned against committed golden fixtures.
+
+Each case runs one command line and compares its exit code, its text report
+and its JSON report byte for byte with the files in tests/golden/.  The
+cases cover full-report on every shipped input and on the ordered r=0, s=0
+limit, and every theta-gated section (plus full-report) on a dim-2 input
+whose raw twisting tensor fails validation.
+
+The fixtures change only together with an intended report change.  To
+regenerate them, run this file as a script from the repository root:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from ncorep.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CORRUPT = "corrupt_theta.alg"
+EXITS = "exit_codes.json"
+
+GATED = (
+    "relations",
+    "compare-ideals",
+    "det",
+    "normal-form",
+    "confluence",
+    "pbw-count",
+    "d-commutations",
+    "antipode",
+    "gamma-table",
+    "integrability",
+)
+
+CASES = {
+    "qplane_qprs": ["--input", "qplane_qprs", "full-report"],
+    "qplane_qp": ["--input", "qplane_qp", "full-report"],
+    "qplane_frt": ["--input", "qplane_frt", "full-report"],
+    "spectral_demo": ["--input", "spectral_demo", "full-report"],
+    "qplane_qprs_limit": [
+        "--input", "qplane_qprs", "full-report", "--subst", "r=0", "--subst", "s=0",
+    ],
+}
+for _name in GATED + ("full-report",):
+    CASES["corrupt_" + _name.replace("-", "_")] = ["--input", str(GOLDEN / CORRUPT), _name]
+
+
+def run_case(name, json_path, capsys=None):
+    """(exit code, text report, JSON report) of one case."""
+    code = main(CASES[name] + ["--json", str(json_path)])
+    text = capsys.readouterr().out if capsys is not None else None
+    return code, text, Path(json_path).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name, tmp_path, capsys):
+    code, text, blob = run_case(name, tmp_path / "report.json", capsys)
+    exits = json.loads((GOLDEN / EXITS).read_text(encoding="utf-8"))
+    assert code == exits[name]
+    assert text.encode("utf-8") == (GOLDEN / (name + ".txt")).read_bytes()
+    assert blob == (GOLDEN / (name + ".json")).read_bytes()
+
+
+def regenerate():
+    import contextlib
+    import io
+
+    exits = {}
+    for name in sorted(CASES):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code, _, _ = run_case(name, GOLDEN / (name + ".json"))
+        (GOLDEN / (name + ".txt")).write_bytes(out.getvalue().encode("utf-8"))
+        exits[name] = code
+    (GOLDEN / EXITS).write_text(json.dumps(exits, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())
