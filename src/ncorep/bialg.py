@@ -29,7 +29,7 @@ from .errors import (
     PresentationMismatch,
     UnknownGenerator,
 )
-from .freealg import Generator, NCPoly, PairPoly, T, apply_hom
+from .freealg import NCPoly, PairPoly, T, apply_hom
 from .tensors import Tensor, compose, identity4, invert4
 
 
@@ -168,10 +168,6 @@ class LinearForm:
         return acc
 
 
-def form_from_tensor(pres, base, rule="bicharacter", parts=None) -> LinearForm:
-    return LinearForm(pres, base, rule, parts)
-
-
 def braid_form(pres, braid: Tensor) -> LinearForm:
     """The form whose generator-pair table is the R-matrix of a braid tensor."""
     from .tensors import swap_lower
@@ -200,11 +196,7 @@ def bichar_eval(f: LinearForm, x: NCPoly, y: NCPoly):
     """f(x (x) y) by the bicharacter splitting laws, bilinearly in x and y."""
     if f.rule != "bicharacter":
         raise NonBicharacter("form has extension rule %r" % f.rule)
-    acc = f.pres.ctx.zero
-    for u, cu in x.terms.items():
-        for v, cv in y.terms.items():
-            acc = acc + cu * cv * f.word_value(u, v)
-    return acc
+    return form_eval(f, x, y)
 
 
 def form_eval(f: LinearForm, x: NCPoly, y: NCPoly):

@@ -17,28 +17,21 @@ at least one failed, 2 for unusable input.
 """
 
 import argparse
+import collections
+import functools
 import math
 import os
 import re
 import sys
 from importlib import resources
 
-from .bialg import (
-    Presentation,
-    braid_form,
-    character_pair_form,
-    cocycle_check,
-    twist_R,
-    twisted_product_relations,
-)
+from .bialg import braid_form, twist_R, twisted_product_relations
 from .corep import (
     QuadraticSpace,
     ThetaMap,
-    build_M,
     check_grouplike,
     coideal_check,
     factorized_theta,
-    generate_ideal,
     homomorphism_check,
 )
 from .errors import (
@@ -54,7 +47,6 @@ from .integrable import SpectralFamily
 from .qplane import (
     QPlaneContext,
     _pair_reduction_factor,
-    derive_relations,
     determinant,
     relation_report,
     verify_D_commutations,
@@ -68,7 +60,6 @@ from .rewrite import (
     count_irreducible,
     matrix_order,
     normal_form,
-    orient,
 )
 from .scalars import Context
 from .tensors import Tensor, invert2, swap_lower, ybe_residual
@@ -298,7 +289,11 @@ def _dropzeros(entries):
 
 
 class Workspace:
-    """One configuration with the requested substitutions already applied."""
+    """One configuration with the requested substitutions already applied.
+
+    Everything derived from it is owned by ``qp``, its one QPlaneContext,
+    which computes each derivation on first use.
+    """
 
     def __init__(self, af, bindings=()):
         self.af = af
@@ -339,28 +334,69 @@ class Workspace:
     def term_order(self):
         return self.order or matrix_order(self.ctx, self.dim)
 
+    @functools.cached_property
     def qp(self):
         bos = QuadraticSpace(self.ctx, self.dim, braid=self.B)
         return QPlaneContext(self.ctx, self.B, self.Bprime, self.theta, bos, self.space)
 
 
-def _need(cond, message):
-    if not cond:
-        raise InputFormat(message)
+# A section's preconditions: (test on the Workspace, what the input must give).
+DIM2 = (lambda ws: ws.dim == 2, "a 2-dimensional algebra file")
+SPACE = (lambda ws: ws.space is not None, "a [space] section")
+CHARACTERS = (lambda ws: ws.theta.rho is not None, "a character table in [theta]")
+LABELS = (lambda ws: len(ws.labels) >= 2, "spectral labels in [algebra]")
+
+Section = collections.namedtuple("Section", "name title needs gated body")
+SECTIONS = []
 
 
-def _theta_gate(rep, th):
-    res = th.validate()
-    if res["valid"]:
-        return True
+def section(name, title, needs=(), gated=False):
+    """Declare the decorated body(ws, ns, rep) as the report section `name`.
+
+    A command whose preconditions `needs` fail exits 2, and full-report
+    skips it.  A gated section whose twisting tensor fails validation
+    reports only that failure, under `title`, instead of running its body.
+    """
+
+    def declare(body):
+        SECTIONS.append(Section(name, title, needs, gated, body))
+        return body
+
+    return declare
+
+
+def _unmet(sec, ws):
+    """What the input lacks for sec, or None when every precondition holds."""
+    return next((what for test, what in sec.needs if not test(ws)), None)
+
+
+def _twist_record(rep, res):
     rep.add(
         "twist-valid",
         "structural identities of the twisting tensor",
-        "fail",
+        passfail(res["valid"]),
         residuals=["%s at %s: %s" % v for v in res["violations"][:6]],
         artifacts={"violations": len(res["violations"])},
     )
-    return False
+
+
+def _cocycle_record(rep, out):
+    rep.add(
+        "cocycle-identity",
+        "the induced pair form satisfies the twisting identity",
+        passfail(out["holds"]),
+        residuals=["%s: %s" % kv for kv in sorted(out["residuals"].items())][:8],
+    )
+
+
+def _group_coefficient_failure(rep, err):
+    rep.add(
+        "group-coefficient",
+        "coaction of the top form closes on the top word",
+        "fail",
+        residuals=[str(err)],
+    )
+    return rep
 
 
 def _nonzero(tensor):
@@ -375,17 +411,18 @@ def _rule_strings(rs):
     return ["%s -> %s" % (_word(lhs), rhs) for lhs, rhs in rs.rule_list()]
 
 
-def cmd_validate_theta(ws, ns):
-    rep = Report("twist validity")
+def _merge(rep, prefix, sub):
+    for it in sub.items:
+        d = dict(it)
+        d["name"] = "%s.%s" % (prefix, it["name"])
+        rep.add(d)
+
+
+@section("validate-theta", "twist validity")
+def _validate_theta(ws, ns, rep):
     res = ws.theta.validate()
-    rep.add(
-        "twist-valid",
-        "structural identities of the twisting tensor",
-        passfail(res["valid"]),
-        residuals=["%s at %s: %s" % v for v in res["violations"][:6]],
-        artifacts={"violations": len(res["violations"])},
-    )
-    grp = check_grouplike(build_M(ws.theta, check=False))
+    _twist_record(rep, res)
+    grp = check_grouplike(ws.qp.M)
     rep.add(
         "matrix-grouplike",
         "coproduct splits the matrix entrywise and the counit gives the identity",
@@ -399,8 +436,8 @@ def cmd_validate_theta(ws, ns):
     return rep
 
 
-def cmd_ybe(ws, ns):
-    rep = Report("exchange braiding")
+@section("ybe", "exchange braiding")
+def _ybe(ws, ns, rep):
     r = ybe_residual(ws.B)
     rep.add(
         "braid-identity",
@@ -419,22 +456,19 @@ def cmd_ybe(ws, ns):
     return rep
 
 
-def cmd_relations(ws, ns):
-    rep = Report("product relations")
-    if not _theta_gate(rep, ws.theta):
-        return rep
-    M = build_M(ws.theta)
-    ideal = generate_ideal(ws.B, M)
+@section("relations", "product relations", gated=True)
+def _relations(ws, ns, rep):
+    qp = ws.qp
+    ideal = qp.relations()
     rep.add(
         "coideal",
         "the relation ideal regenerates under the coproduct",
-        passfail(coideal_check(ws.B, M)),
+        passfail(coideal_check(ws.B, qp.M)),
     )
-    bos = QuadraticSpace(ws.ctx, ws.dim, braid=ws.B)
     rep.add(
         "comodule-algebra",
         "coacting on the coordinate relations stays inside the ideal",
-        passfail(homomorphism_check(bos, ws.theta, ideal)),
+        passfail(homomorphism_check(qp.bosonic, ws.theta, ideal)),
     )
     rep.add(
         "rank",
@@ -443,7 +477,7 @@ def cmd_relations(ws, ns):
         artifacts={"rank": ideal.rank(), "entries": len(ideal)},
     )
     try:
-        rs = orient(ideal, ws.term_order())
+        rs = qp.rewrite_system(ws.term_order())
         rep.add(
             "oriented-rules",
             "reduced rewriting presentation of the ideal",
@@ -455,31 +489,18 @@ def cmd_relations(ws, ns):
     return rep
 
 
-def cmd_compare_ideals(ws, ns):
-    _need(ws.dim == 2, "compare-ideals needs a 2-dimensional algebra file")
-    rep = Report("ideal comparison")
-    if not _theta_gate(rep, ws.theta):
-        return rep
-    return relation_report(ws.qp())
+@section("compare-ideals", "ideal comparison", needs=(DIM2,), gated=True)
+def _compare_ideals(ws, ns, rep):
+    return relation_report(ws.qp)
 
 
-def cmd_det(ws, ns):
-    _need(ws.dim == 2, "det needs a 2-dimensional algebra file")
-    _need(ws.space is not None, "det needs a [space] section")
-    rep = Report("determinant coefficient")
-    if not _theta_gate(rep, ws.theta):
-        return rep
-    qp = ws.qp()
+@section("det", "determinant coefficient", needs=(DIM2, SPACE), gated=True)
+def _det(ws, ns, rep):
+    qp = ws.qp
     try:
         det = determinant(qp)
     except NotGroupCoefficient as err:
-        rep.add(
-            "group-coefficient",
-            "coaction of the top form closes on the top word",
-            "fail",
-            residuals=[str(err)],
-        )
-        return rep
+        return _group_coefficient_failure(rep, err)
     rep.add(
         "group-coefficient",
         "coaction of the top form closes on the top word",
@@ -494,7 +515,7 @@ def cmd_det(ws, ns):
         passfail(ok),
     )
     try:
-        rs = orient(derive_relations(qp), ws.term_order())
+        rs = qp.rewrite_system(ws.term_order())
         rep.add(
             "reduced-form",
             "normal form of the coefficient in the oriented system",
@@ -506,12 +527,9 @@ def cmd_det(ws, ns):
     return rep
 
 
-def cmd_normal_form(ws, ns):
-    rep = Report("rewriting soundness")
-    if not _theta_gate(rep, ws.theta):
-        return rep
-    ideal = generate_ideal(ws.B, build_M(ws.theta))
-    rs = orient(ideal, ws.term_order())
+@section("normal-form", "rewriting soundness", gated=True)
+def _normal_form(ws, ns, rep):
+    rs = ws.qp.rewrite_system(ws.term_order())
     rep.add(
         "oriented-rules",
         "reduced rewriting presentation of the ideal",
@@ -519,7 +537,7 @@ def cmd_normal_form(ws, ns):
         artifacts={"rules": _rule_strings(rs)},
     )
     bad = []
-    for p in ideal:
+    for p in ws.qp.relations():
         nf = normal_form(p, rs)
         if not nf.is_zero():
             bad.append(str(nf))
@@ -532,11 +550,9 @@ def cmd_normal_form(ws, ns):
     return rep
 
 
-def cmd_confluence(ws, ns):
-    rep = Report("overlap resolution")
-    if not _theta_gate(rep, ws.theta):
-        return rep
-    rs = orient(generate_ideal(ws.B, build_M(ws.theta)), ws.term_order())
+@section("confluence", "overlap resolution", gated=True)
+def _confluence(ws, ns, rep):
+    rs = ws.qp.rewrite_system(ws.term_order())
     out = confluence_check(rs, maxdeg=ns.max_degree)
     rep.add(
         "confluent",
@@ -548,11 +564,9 @@ def cmd_confluence(ws, ns):
     return rep
 
 
-def cmd_pbw_count(ws, ns):
-    rep = Report("monomial growth")
-    if not _theta_gate(rep, ws.theta):
-        return rep
-    rs = orient(generate_ideal(ws.B, build_M(ws.theta)), ws.term_order())
+@section("pbw-count", "monomial growth", gated=True)
+def _pbw_count(ws, ns, rep):
+    rs = ws.qp.rewrite_system(ws.term_order())
     counts = [count_irreducible(rs, d) for d in range(ns.max_degree + 1)]
     n2 = ws.dim * ws.dim
     expected = [math.comb(n2 + d - 1, d) for d in range(ns.max_degree + 1)]
@@ -565,32 +579,18 @@ def cmd_pbw_count(ws, ns):
     return rep
 
 
-def cmd_d_commutations(ws, ns):
-    _need(ws.dim == 2, "d-commutations needs a 2-dimensional algebra file")
-    _need(ws.space is not None, "d-commutations needs a [space] section")
-    rep = Report("determinant commutations")
-    if not _theta_gate(rep, ws.theta):
-        return rep
+@section("d-commutations", "determinant commutations", needs=(DIM2, SPACE), gated=True)
+def _d_commutations(ws, ns, rep):
     try:
-        return verify_D_commutations(ws.qp())
+        return verify_D_commutations(ws.qp)
     except NotGroupCoefficient as err:
-        rep.add(
-            "group-coefficient",
-            "coaction of the top form closes on the top word",
-            "fail",
-            residuals=[str(err)],
-        )
-        return rep
+        return _group_coefficient_failure(rep, err)
 
 
-def cmd_antipode(ws, ns):
-    _need(ws.dim == 2, "antipode needs a 2-dimensional algebra file")
-    _need(ws.space is not None, "antipode needs a [space] section")
-    rep = Report("antipode identities")
-    if not _theta_gate(rep, ws.theta):
-        return rep
+@section("antipode", "antipode identities", needs=(DIM2, SPACE), gated=True)
+def _antipode(ws, ns, rep):
     try:
-        return verify_antipode(ws.qp())
+        return verify_antipode(ws.qp)
     except (CommutationUnverified, NotGroupCoefficient) as err:
         rep.add(
             "extended-system",
@@ -601,54 +601,34 @@ def cmd_antipode(ws, ns):
         return rep
 
 
-def cmd_gamma_table(ws, ns):
-    _need(ws.dim == 2, "gamma-table needs a 2-dimensional algebra file")
-    rep = Report("exchange action table")
-    if not _theta_gate(rep, ws.theta):
-        return rep
-    return verify_gamma_action_table(ws.qp())
+@section("gamma-table", "exchange action table", needs=(DIM2,), gated=True)
+def _gamma_table(ws, ns, rep):
+    return verify_gamma_action_table(ws.qp)
 
 
-def cmd_cocycle(ws, ns):
-    _need(ws.theta.rho is not None, "cocycle needs a character table in [theta]")
-    pres = Presentation(ws.ctx, ws.dim)
-    out = cocycle_check(character_pair_form(pres, ws.theta.rho))
-    rep = Report("cocycle identity")
-    rep.add(
-        "cocycle-identity",
-        "the induced pair form satisfies the twisting identity",
-        passfail(out["holds"]),
-        residuals=["%s: %s" % kv for kv in sorted(out["residuals"].items())][:8],
-    )
+@section("cocycle", "cocycle identity", needs=(CHARACTERS,))
+def _cocycle(ws, ns, rep):
+    _cocycle_record(rep, ws.qp.cocycle())
     return rep
 
 
-def cmd_twist_r(ws, ns):
-    _need(ws.theta.rho is not None, "twist-r needs a character table in [theta]")
-    rep = Report("twisted exchange")
-    pres = Presentation(ws.ctx, ws.dim)
-    phi = character_pair_form(pres, ws.theta.rho)
-    out = cocycle_check(phi)
-    rep.add(
-        "cocycle-identity",
-        "the induced pair form satisfies the twisting identity",
-        passfail(out["holds"]),
-        residuals=["%s: %s" % kv for kv in sorted(out["residuals"].items())][:8],
-    )
-    R = braid_form(pres, ws.B)
-    tw = twist_R(R, phi)
-    res = ybe_residual(swap_lower(tw))
+# A character table always gives a valid factorized theta, so this gate
+# never fires; it stands for the relation ideal that the body reads.
+@section("twist-r", "twisted exchange", needs=(CHARACTERS,), gated=True)
+def _twist_r(ws, ns, rep):
+    qp = ws.qp
+    _cocycle_record(rep, qp.cocycle())
+    phi = qp.pair_form()
+    R = braid_form(phi.pres, ws.B)
+    res = ybe_residual(swap_lower(twist_R(R, phi)))
     rep.add(
         "twisted-braiding",
         "the conjugated exchange tensor satisfies the degree-3 identity",
         passfail(res.is_zero()),
         artifacts={"nonzero": _nonzero(res)},
     )
-    if not _theta_gate(rep, ws.theta):
-        return rep
-    rel = twisted_product_relations(pres, R, ws.theta.tensor)
-    ideal = generate_ideal(ws.B, build_M(ws.theta))
-    cmp = row_space_compare(rel, ideal)
+    rel = twisted_product_relations(phi.pres, R, ws.theta.tensor)
+    cmp = row_space_compare(rel, qp.relations())
     rep.add(
         "product-relations",
         "opposite-product relations span the commutation ideal",
@@ -658,11 +638,8 @@ def cmd_twist_r(ws, ns):
     return rep
 
 
-def cmd_integrability(ws, ns):
-    _need(len(ws.labels) >= 2, "integrability needs spectral labels in [algebra]")
-    rep = Report("spectral integrability")
-    if not _theta_gate(rep, ws.theta):
-        return rep
+@section("integrability", "spectral integrability", needs=(LABELS,), gated=True)
+def _integrability(ws, ns, rep):
     fam = SpectralFamily(ws.ctx, ws.labels, ws.B, ws.theta)
     lam, mu = ws.labels[0], ws.labels[1]
     _merge(rep, "first", fam.first_report(lam, mu))
@@ -670,68 +647,33 @@ def cmd_integrability(ws, ns):
     return rep
 
 
-def _merge(rep, prefix, sub):
-    for it in sub.items:
-        d = dict(it)
-        d["name"] = "%s.%s" % (prefix, it["name"])
-        rep.add(d)
+def _command(sec):
+    """The (ws, ns) callable of one section: preconditions, gate, body."""
+
+    def run(ws, ns):
+        unmet = _unmet(sec, ws)
+        if unmet is not None:
+            raise InputFormat("%s needs %s" % (sec.name, unmet))
+        rep = Report(sec.title)
+        if sec.gated and not ws.theta.validate()["valid"]:
+            _twist_record(rep, ws.theta.validate())
+            return rep
+        return sec.body(ws, ns, rep)
+
+    return run
 
 
-SECTION_ORDER = (
-    "validate-theta",
-    "ybe",
-    "relations",
-    "compare-ideals",
-    "det",
-    "normal-form",
-    "confluence",
-    "pbw-count",
-    "d-commutations",
-    "antipode",
-    "gamma-table",
-    "cocycle",
-    "twist-r",
-    "integrability",
-)
-
-
-def _applicable(ws, name):
-    if name in ("compare-ideals", "gamma-table"):
-        return ws.dim == 2
-    if name in ("det", "d-commutations", "antipode"):
-        return ws.dim == 2 and ws.space is not None
-    if name in ("cocycle", "twist-r"):
-        return ws.theta.rho is not None
-    if name == "integrability":
-        return len(ws.labels) >= 2
-    return True
-
-
-def cmd_full_report(ws, ns):
+def _full_report(ws, ns):
     rep = Report("full verification suite")
-    for name in SECTION_ORDER:
-        if _applicable(ws, name):
-            _merge(rep, name, COMMANDS[name](ws, ns))
+    for sec in SECTIONS:
+        if _unmet(sec, ws) is None:
+            _merge(rep, sec.name, COMMANDS[sec.name](ws, ns))
     return rep
 
 
-COMMANDS = {
-    "validate-theta": cmd_validate_theta,
-    "ybe": cmd_ybe,
-    "relations": cmd_relations,
-    "compare-ideals": cmd_compare_ideals,
-    "det": cmd_det,
-    "normal-form": cmd_normal_form,
-    "confluence": cmd_confluence,
-    "pbw-count": cmd_pbw_count,
-    "d-commutations": cmd_d_commutations,
-    "antipode": cmd_antipode,
-    "gamma-table": cmd_gamma_table,
-    "cocycle": cmd_cocycle,
-    "twist-r": cmd_twist_r,
-    "integrability": cmd_integrability,
-    "full-report": cmd_full_report,
-}
+SECTION_ORDER = tuple(sec.name for sec in SECTIONS)
+COMMANDS = {sec.name: _command(sec) for sec in SECTIONS}
+COMMANDS["full-report"] = _full_report
 
 
 def _run_suite(ws, ns, names):

@@ -15,6 +15,8 @@ a group-like matrix, and the span of (B M - M B) a coideal whose quotient
 coacts on the underlying quadratic algebra.
 """
 
+import itertools
+
 from .bialg import Presentation, tilde_images
 from .errors import InvalidTheta, ShapeMismatch
 from .freealg import (
@@ -33,8 +35,6 @@ from .tensors import Tensor, invert2
 
 
 def _theta_tensor(theta):
-    if isinstance(theta, GammaMap):
-        theta = theta.theta
     if isinstance(theta, ThetaMap):
         return theta.tensor
     return theta
@@ -74,15 +74,20 @@ class ThetaMap:
         return self._validation
 
 
-class GammaMap:
-    """Coaction twist on coordinate-crossing; carried entirely by its theta."""
+def as_theta(theta) -> ThetaMap:
+    """A twisting tensor given as a ThetaMap or as a bare 4-index Tensor."""
+    return theta if isinstance(theta, ThetaMap) else ThetaMap(theta)
 
-    def __init__(self, theta):
-        self.theta = theta if isinstance(theta, ThetaMap) else ThetaMap(theta)
 
-    @property
-    def dim(self):
-        return self.theta.dim
+def require_valid(theta) -> ThetaMap:
+    """The twisting tensor as a ThetaMap; InvalidTheta when an identity fails."""
+    th = as_theta(theta)
+    res = th.validate()
+    if not res["valid"]:
+        raise InvalidTheta(
+            "twisting tensor fails %d validity identities" % len(res["violations"])
+        )
+    return th
 
 
 def factorized_theta(ctx, rho: Tensor) -> ThetaMap:
@@ -167,11 +172,7 @@ def build_M(theta, labels=None, check=True) -> MMatrix:
     """M_ij^kl = T_i^k theta_jn^lm T_m^n, optionally with a spectral label pair."""
     t = _theta_tensor(theta)
     if check:
-        res = theta.validate() if isinstance(theta, ThetaMap) else validate_theta(t)
-        if not res["valid"]:
-            raise InvalidTheta(
-                "twisting tensor fails %d validity identities" % len(res["violations"])
-            )
+        require_valid(theta)
     ctx = t.ctx
     n = t.dim
     lab1, lab2 = labels if labels is not None else (None, None)
@@ -215,18 +216,19 @@ def check_grouplike(M: MMatrix) -> bool:
     return True
 
 
-def generate_ideal(B: Tensor, M: MMatrix) -> RelationSet:
-    """Entries of B M - M B as degree-2 relations (identity parts cancel)."""
+def relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
+    """The entries (B M - M_second B)_ij^kl keyed by (i, j, k, l) in lexicographic order.
+
+    M_second defaults to M; the spectral variant passes the label-swapped matrix.
+    """
     if B.dim != M.dim or B.nlower != 2 or B.nupper != 2:
         raise ShapeMismatch("braid tensor shape does not match the matrix")
+    if M_second is None:
+        M_second = M
     ctx = M.ctx
-    n = M.dim
-    rng = range(1, n + 1)
-    polys = []
-    for i in rng:
-     for j in rng:
-      for k in rng:
-       for l in rng:
+    rng = range(1, M.dim + 1)
+    entries = {}
+    for i, j, k, l in itertools.product(rng, repeat=4):
         acc = NCPoly.zero(ctx)
         for m in rng:
             for nn in rng:
@@ -235,10 +237,14 @@ def generate_ideal(B: Tensor, M: MMatrix) -> RelationSet:
                     acc = acc + c1 * M.get(m, nn, k, l)
                 c2 = B.get(m, nn, k, l)
                 if not c2.is_zero():
-                    acc = acc - c2 * M.get(i, j, m, nn)
-        if not acc.is_zero():
-            polys.append(acc)
-    return RelationSet(ctx, M.family(), polys)
+                    acc = acc - c2 * M_second.get(i, j, m, nn)
+        entries[(i, j, k, l)] = acc
+    return entries
+
+
+def generate_ideal(B: Tensor, M: MMatrix) -> RelationSet:
+    """Entries of B M - M B as degree-2 relations (identity parts cancel)."""
+    return RelationSet(M.ctx, M.family(), relation_entries(B, M).values())
 
 
 def coideal_check(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> bool:
@@ -254,33 +260,16 @@ def coideal_check(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> bool:
     if M_second is None:
         M_second = M
     ctx = M.ctx
-    n = M.dim
-    pres = Presentation(ctx, n)
-    rng = range(1, n + 1)
-
-    def rel(i, j, k, l):
-        acc = NCPoly.zero(ctx)
-        for a in rng:
-            for b in rng:
-                c1 = B.get(i, j, a, b)
-                if not c1.is_zero():
-                    acc = acc + c1 * M.get(a, b, k, l)
-                c2 = B.get(a, b, k, l)
-                if not c2.is_zero():
-                    acc = acc - c2 * M_second.get(i, j, a, b)
-        return acc
-
-    for i in rng:
-     for j in rng:
-      for k in rng:
-       for l in rng:
-        r = rel(i, j, k, l)
+    pres = Presentation(ctx, M.dim)
+    rng = range(1, M.dim + 1)
+    rel = relation_entries(B, M, M_second)
+    for (i, j, k, l), r in rel.items():
         lhs = pres.coproduct(r)
         rhs = PairPoly.zero(ctx)
         for a in rng:
             for b in rng:
-                rhs = rhs + PairPoly.tensor(rel(i, j, a, b), M.get(a, b, k, l))
-                rhs = rhs + PairPoly.tensor(M_second.get(i, j, a, b), rel(a, b, k, l))
+                rhs = rhs + PairPoly.tensor(rel[(i, j, a, b)], M.get(a, b, k, l))
+                rhs = rhs + PairPoly.tensor(M_second.get(i, j, a, b), rel[(a, b, k, l)])
         if lhs != rhs:
             return False
         if not pres.counit(r).is_zero():
@@ -294,11 +283,10 @@ def coaction_word(gamma, indices, kind="e", label=None):
     Returns {output index tuple: NCPoly coefficient}; the j-th coordinate
     contributes a generator twisted j-1 times.
     """
-    gm = gamma if isinstance(gamma, GammaMap) else GammaMap(gamma)
-    res = gm.theta.validate()
-    if not res["valid"]:
+    th = as_theta(gamma)
+    if not th.validate()["valid"]:
         raise InvalidTheta("coaction requires a valid twisting tensor")
-    t = gm.theta.tensor
+    t = th.tensor
     ctx = t.ctx
     n = t.dim
     images = tilde_images(ctx, t, label)
@@ -389,12 +377,12 @@ def homomorphism_check(space: QuadraticSpace, gamma, relations: RelationSet) -> 
     every surviving matrix-coefficient must lie in the Scalar span of the
     given degree-2 relations.
     """
-    gm = gamma if isinstance(gamma, GammaMap) else GammaMap(gamma)
+    th = as_theta(gamma)
     basis = relations.basis()
     for p in space.relations:
         vec = {}
         for w, c in p.terms.items():
-            co = coaction_word(gm, tuple(g.index[0] for g in w), kind=space.kind)
+            co = coaction_word(th, tuple(g.index[0] for g in w), kind=space.kind)
             for outidx, coef in co.items():
                 word = tuple(space.coord(i) for i in outidx)
                 acc = vec.get(word, NCPoly.zero(space.ctx)) + coef * c

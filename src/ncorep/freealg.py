@@ -111,12 +111,6 @@ class NCPoly:
     def coeff(self, word):
         return self.terms.get(tuple(word), self.ctx.zero)
 
-    def support_generators(self):
-        out = set()
-        for w in self.terms:
-            out.update(w)
-        return out
-
     # -- arithmetic ------------------------------------------------------
 
     def _coerce_scalar(self, other):

@@ -11,29 +11,16 @@ tensor.  Everything here is exact free-algebra arithmetic; no analytic
 structure is attached to the labels.
 """
 
-from .corep import MMatrix, ThetaMap, build_M
-from .errors import AnsatzFailed, InvalidTheta, MixedFamilies
+from .corep import MMatrix, ThetaMap, as_theta, build_M, relation_entries, require_valid
+from .errors import AnsatzFailed, MixedFamilies
 from .freealg import NCPoly, RelationSet, T, poly_vector
 from .report import Report, passfail
 from .tensors import Tensor, delta, invert4
 
 
-def _theta_map(theta):
-    return theta if isinstance(theta, ThetaMap) else ThetaMap(theta)
-
-
-def _require_valid(th):
-    res = th.validate()
-    if not res["valid"]:
-        raise InvalidTheta(
-            "twisting tensor fails %d validity identities" % len(res["violations"])
-        )
-    return th
-
-
 def weighted_trace(theta) -> Tensor:
     """The first-slot contraction w_j^l = sum_s theta_sj^sl."""
-    th = _theta_map(theta)
+    th = as_theta(theta)
     t = th.tensor
     n = t.dim
     entries = {}
@@ -68,7 +55,7 @@ def plain_trace(ctx, dim, label=None) -> NCPoly:
 
 def check_trace_ansatz(theta) -> bool:
     """Whether the twisting tensor contracts to the identity on its first slot."""
-    th = _require_valid(_theta_map(theta))
+    th = require_valid(theta)
     return weighted_trace(th) == delta(th.tensor.ctx, th.dim)
 
 
@@ -97,35 +84,15 @@ def spectral_relations(B: Tensor, theta, labels, theta_swapped=None):
     relation span; the swapped matrix may carry its own twisting tensor.
     """
     lam, mu = labels
-    th = _require_valid(_theta_map(theta))
-    ths = th if theta_swapped is None else _require_valid(_theta_map(theta_swapped))
+    th = require_valid(theta)
+    ths = th if theta_swapped is None else require_valid(theta_swapped)
     M1 = build_M(th, labels=(lam, mu), check=False)
     M2 = build_M(ths, labels=(mu, lam), check=False)
-    ctx = M1.ctx
-    n = M1.dim
-    rng = range(1, n + 1)
-    entries = {}
-    polys = []
-    for i in rng:
-     for j in rng:
-      for k in rng:
-       for l in rng:
-        acc = NCPoly.zero(ctx)
-        for m in rng:
-            for nn in rng:
-                c1 = B.get(i, j, m, nn)
-                if not c1.is_zero():
-                    acc = acc + c1 * M1.get(m, nn, k, l)
-                c2 = B.get(m, nn, k, l)
-                if not c2.is_zero():
-                    acc = acc - c2 * M2.get(i, j, m, nn)
-        entries[(i, j, k, l)] = acc
-        if not acc.is_zero():
-            polys.append(acc)
+    entries = relation_entries(B, M1, M2)
     fam = list(dict.fromkeys(M1.family() + M2.family()))
     return {
         "entries": entries,
-        "relations": RelationSet(ctx, fam, polys),
+        "relations": RelationSet(M1.ctx, fam, entries.values()),
         "M": M1,
         "M_swapped": M2,
     }
@@ -139,8 +106,8 @@ def first_integrability(B: Tensor, theta, labels, theta_swapped=None) -> Report:
     the relation entries with the inverse exchange tensor collapses to
     tr(first) tr(second) - tr(second) tr(first) identically.
     """
-    th = _require_valid(_theta_map(theta))
-    ths = th if theta_swapped is None else _require_valid(_theta_map(theta_swapped))
+    th = require_valid(theta)
+    ths = th if theta_swapped is None else require_valid(theta_swapped)
     for cand in (th, ths):
         if weighted_trace(cand) != delta(cand.tensor.ctx, cand.dim):
             raise AnsatzFailed("twisting tensor fails the first-slot trace condition")
@@ -194,8 +161,8 @@ def second_integrability(B: Tensor, theta, labels, theta_swapped=None) -> Report
     traces.  A factorized twisting tensor has identity weight, collapsing
     this route to the plain one.
     """
-    th = _require_valid(_theta_map(theta))
-    ths = th if theta_swapped is None else _require_valid(_theta_map(theta_swapped))
+    th = require_valid(theta)
+    ths = th if theta_swapped is None else require_valid(theta_swapped)
     Binv = invert4(B)
     ctx = B.ctx
     n = B.dim
@@ -287,7 +254,7 @@ class SpectralFamily:
             item = raw.get(pair) if isinstance(raw, dict) else raw
             if item is None:
                 raise MixedFamilies("no twisting tensor for label pair %r" % (pair,))
-            self._theta[pair] = _require_valid(_theta_map(item))
+            self._theta[pair] = require_valid(item)
 
     def pairs(self):
         return [(a, b) for a in self.labels for b in self.labels if a != b]

@@ -9,30 +9,31 @@ the determinant commutations, the antipode, the coordinate exchange scalars
 and the master-relation cross-checks, reporting every identity exactly.
 """
 
-from .bialg import tilde_images
+from .bialg import Presentation, character_pair_form, cocycle_check, tilde_images
 from .corep import (
     QuadraticSpace,
     ThetaMap,
+    as_theta,
     build_M,
     coaction_word,
     factorized_theta,
     flip_theta,
     generate_ideal,
     poly_vector,
+    require_valid,
 )
 from .errors import (
     DenominatorVanishes,
     InvariantViolated,
+    NCorepError,
     NotGroupCoefficient,
     NotInvertible,
 )
 from .freealg import NCPoly, RelationSet, T, apply_hom, row_space_compare, xi
 from .report import Report, passfail
 from .rewrite import (
-    DET,
     DETBAR,
     confluence_check,
-    count_irreducible,
     extend_with_determinant,
     matrix_order,
     normal_form,
@@ -40,7 +41,6 @@ from .rewrite import (
 )
 from .scalars import Context
 from .tensors import (
-    Tensor,
     compose,
     from_matrix,
     identity4,
@@ -89,7 +89,13 @@ def limit_theta_expected(ctx):
 
 
 class QPlaneContext:
-    """Immutable bundle of the tensors, spaces and matrix of one configuration."""
+    """Immutable bundle of the tensors and spaces of one configuration.
+
+    It also owns what is derived from them: the matrix M, the relation
+    ideal, the oriented system for each term order, the character pair
+    form and its cocycle check.  Each is computed on first use and kept;
+    a derivation that raised raises the same error at every later use.
+    """
 
     def __init__(self, ctx, B, Bprime, theta, bosonic, grassmann):
         self.ctx = ctx
@@ -98,12 +104,53 @@ class QPlaneContext:
         self.theta = theta
         self.bosonic = bosonic
         self.grassmann = grassmann
-        self.M = build_M(theta)
-        self.gens = tuple(T(i, j) for i in (1, 2) for j in (1, 2))
+        rng = range(1, B.dim + 1)
+        self.gens = tuple(T(i, j) for i in rng for j in rng)
+        self._derived = {}
 
     @property
     def dim(self):
         return self.B.dim
+
+    def _once(self, key, make):
+        if key not in self._derived:
+            try:
+                self._derived[key] = (True, make())
+            except NCorepError as err:
+                self._derived[key] = (False, err)
+        ok, value = self._derived[key]
+        if not ok:
+            raise value
+        return value
+
+    @property
+    def M(self):
+        """The coefficient matrix, built whether or not theta is valid."""
+        return self._once("M", lambda: build_M(self.theta, check=False))
+
+    def relations(self) -> RelationSet:
+        """The ideal spanned by B M - M B; InvalidTheta for an invalid theta."""
+
+        def make():
+            require_valid(self.theta)
+            return generate_ideal(self.B, self.M)
+
+        return self._once("relations", make)
+
+    def rewrite_system(self, order):
+        """The relation ideal oriented under one term order."""
+        return self._once(("rewrite", order.precedence), lambda: orient(self.relations(), order))
+
+    def pair_form(self):
+        """The form counit (x) rho of the character table."""
+        return self._once(
+            "pair_form",
+            lambda: character_pair_form(Presentation(self.ctx, self.dim), self.theta.rho),
+        )
+
+    def cocycle(self):
+        """cocycle_check of the character pair form."""
+        return self._once("cocycle", lambda: cocycle_check(self.pair_form()))
 
 
 def build_context(ctx=None, rho=None, theta=None):
@@ -127,7 +174,7 @@ def build_context(ctx=None, rho=None, theta=None):
         except NotInvertible:
             raise InvariantViolated("character table is singular")
     else:
-        th = theta if isinstance(theta, ThetaMap) else ThetaMap(theta)
+        th = as_theta(theta)
     res = th.validate()
     if not res["valid"]:
         raise InvariantViolated(
@@ -149,7 +196,7 @@ def flip_context(ctx=None):
 
 
 def derive_relations(qp) -> RelationSet:
-    return generate_ideal(qp.B, qp.M)
+    return qp.relations()
 
 
 def _tilde(qp):
@@ -386,9 +433,7 @@ def determinant_report(qp) -> Report:
 
 
 def limit_rewrite_system(qp_limit, order=None):
-    rels = derive_relations(qp_limit)
-    order = order or matrix_order(qp_limit.ctx, 2)
-    return orient(rels, order)
+    return qp_limit.rewrite_system(order or matrix_order(qp_limit.ctx, 2))
 
 
 def verify_D_commutations(qp_limit) -> Report:

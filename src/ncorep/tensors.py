@@ -166,9 +166,6 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.ctx, a.dim, a.nlower, b.nupper, out)
 
 
-compose4 = compose
-
-
 def swap_lower(a: Tensor) -> Tensor:
     """Exchange the two lower indices of a 4-index tensor.
 

@@ -141,14 +141,70 @@ def test_reversed_substitution_exits_two():
     assert code == 2
 
 
-def test_flag_errors_exit_two():
+DIM3 = """\
+[algebra]
+dim = 3
+params = q
+
+[B]
+1 1 1 1 = "1"
+2 2 2 2 = "1"
+3 3 3 3 = "1"
+
+[theta]
+rho 1 1 = "1"
+rho 2 2 = "1"
+rho 3 3 = "1"
+"""
+
+
+def test_flag_errors_exit_two(tmp_path, capsys):
     assert main(["ybe", "--input", "qplane_qp", "--subst", "z=1"]) == 2
     assert main(["confluence", "--input", "qplane_qp", "--order", "T[1,1]<T[1,2]"]) == 2
     assert main(["ybe", "--input", "nosuch"]) == 2
-    assert main(["det", "--input", "qplane_frt"]) == 2
-    assert main(["twist-r", "--input", "qplane_frt"]) == 2
-    assert main(["integrability", "--input", "qplane_qp"]) == 2
     assert main(["compare-ideals", "--input", "qplane_qp", "--max-degree", "-1"]) == 2
+    capsys.readouterr()
+    dim3 = write(tmp_path, DIM3, "dim3.alg")
+    # qplane_frt has no [space] and a raw theta; qplane_qp has no labels
+    unmet = [
+        ("compare-ideals", dim3, "a 2-dimensional algebra file"),
+        ("gamma-table", dim3, "a 2-dimensional algebra file"),
+        ("det", "qplane_frt", "a [space] section"),
+        ("d-commutations", "qplane_frt", "a [space] section"),
+        ("antipode", "qplane_frt", "a [space] section"),
+        ("cocycle", "qplane_frt", "a character table in [theta]"),
+        ("twist-r", "qplane_frt", "a character table in [theta]"),
+        ("integrability", "qplane_qp", "spectral labels in [algebra]"),
+    ]
+    for command, name, what in unmet:
+        assert main([command, "--input", name]) == 2
+        assert capsys.readouterr().err == "ncorep: %s needs %s\n" % (command, what)
+
+
+def test_full_report_derives_each_once(monkeypatch):
+    # every ncorep module that binds a name gets the counting wrapper, so the
+    # count does not depend on which module makes the call
+    import sys
+
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("generate_ideal", "orient", "cocycle_check"):
+        counts[name] = 0
+        modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("ncorep.")]
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+        wrapper = counting(name, original)
+        for m in modules:
+            if getattr(m, name, None) is original:
+                monkeypatch.setattr(m, name, wrapper)
+    assert main(["full-report", "--input", "qplane_qp"]) == 0
+    assert counts == {"generate_ideal": 1, "orient": 1, "cocycle_check": 1}
 
 
 def test_argparse_errors_exit_two(capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from ncorep.bialg import Presentation, tilde_apply
 from ncorep.corep import (
-    GammaMap,
     MMatrix,
     QuadraticSpace,
     ThetaMap,

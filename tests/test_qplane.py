@@ -5,6 +5,7 @@ import pytest
 from ncorep.corep import QuadraticSpace, ThetaMap, poly_vector
 from ncorep.errors import (
     DenominatorVanishes,
+    InvalidTheta,
     InvariantViolated,
     NotGroupCoefficient,
 )
@@ -29,8 +30,9 @@ from ncorep.qplane import (
     verify_D_commutations,
     verify_gamma_action_table,
 )
+from ncorep.rewrite import matrix_order
 from ncorep.scalars import Context
-from ncorep.tensors import tensor_from_entries
+from ncorep.tensors import Tensor, tensor_from_entries
 
 
 def statuses(rep):
@@ -121,6 +123,23 @@ def test_determinant_flip_classical():
     dflip = determinant(fc).poly
     assert dflip == a * d - ctx.gen("q") * (b * c)
     assert dflip.substitute([("q", "1"), ("p", "1")]) == (a * d - b * c)
+
+
+def test_context_keeps_each_derivation():
+    fc = flip_context()
+    assert fc.relations() is derive_relations(fc)
+    order = matrix_order(fc.ctx, 2)
+    assert fc.rewrite_system(order) is fc.rewrite_system(matrix_order(fc.ctx, 2))
+    entries = dict(fc.theta.tensor.entries)
+    entries[(2, 1, 1, 2)] = fc.ctx.gen("q")
+    theta = ThetaMap(Tensor(fc.ctx, 2, 2, 2, entries))
+    bad = QPlaneContext(fc.ctx, fc.B, fc.Bprime, theta, fc.bosonic, fc.grassmann)
+    assert bad.M is bad.M
+    with pytest.raises(InvalidTheta) as first:
+        bad.rewrite_system(order)
+    with pytest.raises(InvalidTheta) as again:
+        bad.relations()
+    assert again.value is first.value
 
 
 def test_determinant_needs_exchange_relation():
