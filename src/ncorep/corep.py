@@ -34,12 +34,6 @@ from .freealg import (
 from .tensors import Tensor, invert2
 
 
-def _theta_tensor(theta):
-    if isinstance(theta, ThetaMap):
-        return theta.tensor
-    return theta
-
-
 class ThetaMap:
     """A twisting tensor, optionally remembered together with a factorization."""
 
@@ -117,7 +111,7 @@ def validate_theta(theta):
     coassociativity:  sum_p theta_ij^pl theta_pk^rs - delta_j^s theta_ik^rl = 0
     counit:           sum_n theta_jn^kn - delta_j^k = 0
     """
-    t = _theta_tensor(theta)
+    t = as_theta(theta).tensor
     ctx = t.ctx
     n = t.dim
     rng = range(1, n + 1)
@@ -170,9 +164,7 @@ class MMatrix:
 
 def build_M(theta, labels=None, check=True) -> MMatrix:
     """M_ij^kl = T_i^k theta_jn^lm T_m^n, optionally with a spectral label pair."""
-    t = _theta_tensor(theta)
-    if check:
-        require_valid(theta)
+    t = (require_valid(theta) if check else as_theta(theta)).tensor
     ctx = t.ctx
     n = t.dim
     lab1, lab2 = labels if labels is not None else (None, None)
@@ -402,7 +394,7 @@ def factorization_heuristic(theta):
     Rank-1 test on the reshape by (i,l) x (j,k); the counit identity pins
     the normalization, so any successful split has rhobar = rho^{-1}.
     """
-    t = _theta_tensor(theta)
+    t = as_theta(theta).tensor
     ctx = t.ctx
     n = t.dim
     rng = range(1, n + 1)
