@@ -300,20 +300,22 @@ def tilde_apply(ctx, theta: Tensor, x: NCPoly, label=None) -> NCPoly:
     return apply_hom(x, tilde_images(ctx, theta, label))
 
 
-def theta_product(theta: Tensor, x: NCPoly, y: NCPoly, check=True, label=None) -> NCPoly:
+def _theta_tensor(theta, check):
+    # a ThetaMap keeps its validation, so a checked twist is validated once
+    from .corep import as_theta, require_valid  # deferred, corep builds on this module
+
+    return (require_valid(theta) if check else as_theta(theta)).tensor
+
+
+def theta_product(theta, x: NCPoly, y: NCPoly, check=True, label=None) -> NCPoly:
     """The deformed product: each left factor pushes one twist onto the right.
 
-    On homogeneous x of degree d the value is x * twist^d(y); on words this
-    makes the j-th factor of a left-nested product carry j-1 twists.
+    theta is a ThetaMap or a bare 4-index Tensor.  On homogeneous x of
+    degree d the value is x * twist^d(y); on words this makes the j-th
+    factor of a left-nested product carry j-1 twists.
     """
-    if check:
-        from .corep import validate_theta  # deferred, corep builds on this module
-        from .errors import InvalidTheta
-
-        if not validate_theta(theta)["valid"]:
-            raise InvalidTheta("deformed product needs a valid twisting tensor")
     ctx = x.ctx
-    images = tilde_images(ctx, theta, label)
+    images = tilde_images(ctx, _theta_tensor(theta, check), label)
     out = NCPoly.zero(ctx)
     by_degree = {}
     for w, c in x.terms.items():
@@ -329,7 +331,7 @@ def theta_product(theta: Tensor, x: NCPoly, y: NCPoly, check=True, label=None) -
     return out
 
 
-def twisted_product_relations(pres, R: LinearForm, theta: Tensor, check=True):
+def twisted_product_relations(pres, R: LinearForm, theta, check=True):
     """Relations forcing the opposite deformed product to agree with R-conjugation.
 
     For each generator pair the element
@@ -338,19 +340,14 @@ def twisted_product_relations(pres, R: LinearForm, theta: Tensor, check=True):
           - sum_{a,b,c,d} R(T_i^a (x) T_j^c) m_theta(T_a^b (x) T_c^d) Rbar(T_b^k (x) T_d^l)
 
     is returned; their span is the defining ideal of the twisted algebra.
+    theta is a ThetaMap or a bare 4-index Tensor.
     """
     from .freealg import RelationSet
 
     ctx = pres.ctx
     n = pres.dim
     rbar = invert4(R.base)
-    images = tilde_images(ctx, theta)
-    if check:
-        from .corep import validate_theta
-        from .errors import InvalidTheta
-
-        if not validate_theta(theta)["valid"]:
-            raise InvalidTheta("deformed product needs a valid twisting tensor")
+    images = tilde_images(ctx, _theta_tensor(theta, check))
 
     def mtheta(g1, g2):
         return NCPoly.gen(ctx, g1) * apply_hom(NCPoly.gen(ctx, g2), images)

@@ -47,7 +47,6 @@ from .integrable import SpectralFamily
 from .qplane import (
     QPlaneContext,
     _pair_reduction_factor,
-    determinant,
     relation_report,
     verify_D_commutations,
     verify_antipode,
@@ -498,7 +497,7 @@ def _compare_ideals(ws, ns, rep):
 def _det(ws, ns, rep):
     qp = ws.qp
     try:
-        det = determinant(qp)
+        det = qp.determinant()
     except NotGroupCoefficient as err:
         return _group_coefficient_failure(rep, err)
     rep.add(
@@ -627,7 +626,7 @@ def _twist_r(ws, ns, rep):
         passfail(res.is_zero()),
         artifacts={"nonzero": _nonzero(res)},
     )
-    rel = twisted_product_relations(phi.pres, R, ws.theta.tensor)
+    rel = twisted_product_relations(phi.pres, R, ws.theta)
     cmp = row_space_compare(rel, qp.relations())
     rep.add(
         "product-relations",
@@ -728,7 +727,9 @@ def _resolve_input(name):
     raise InputFormat("no input file or shipped example named %r" % name)
 
 
+@functools.cache
 def build_parser():
+    # parse_args leaves the parser unchanged, so one serves every main() call
     ap = argparse.ArgumentParser(
         prog="ncorep",
         description="verification suites for twisted matrix coactions",

@@ -92,8 +92,8 @@ class QPlaneContext:
     """Immutable bundle of the tensors and spaces of one configuration.
 
     It also owns what is derived from them: the matrix M, the relation
-    ideal, the oriented system for each term order, the character pair
-    form and its cocycle check.  Each is computed on first use and kept;
+    ideal, the oriented system for each term order, the determinant, the
+    character pair form and its cocycle check.  Each is computed on first use and kept;
     a derivation that raised raises the same error at every later use.
     """
 
@@ -140,6 +140,10 @@ class QPlaneContext:
     def rewrite_system(self, order):
         """The relation ideal oriented under one term order."""
         return self._once(("rewrite", order.precedence), lambda: orient(self.relations(), order))
+
+    def determinant(self) -> "DeterminantElement":
+        """The top-form coefficient; NotGroupCoefficient when it does not close."""
+        return self._once("determinant", lambda: determinant(self))
 
     def pair_form(self):
         """The form counit (x) rho of the character table."""
@@ -394,7 +398,7 @@ def determinant(qp) -> DeterminantElement:
 def determinant_report(qp) -> Report:
     ctx = qp.ctx
     rep = Report("determinant")
-    det = determinant(qp)
+    det = qp.determinant()
     mform = qp.M.get(1, 2, 1, 2) - ctx.gen("q") * qp.M.get(1, 2, 2, 1)
     rep.add(
         "determinant-matrix-form",
@@ -421,7 +425,7 @@ def determinant_report(qp) -> Report:
         artifacts={"expanded": expanded},
     )
     lim = sequential_limit(qp)
-    dlim = determinant(lim)
+    dlim = lim.determinant()
     two_term = a * d - ctx.parse("q/p") * (b * c)
     rep.add(
         "determinant-limit",
@@ -448,7 +452,7 @@ def verify_D_commutations(qp_limit) -> Report:
         passfail(conf["confluent"]),
         residuals=[str(p) for _, p in conf["ambiguities"]],
     )
-    D = determinant(qp_limit).poly
+    D = qp_limit.determinant().poly
     factors = [("1", 0), ("1/p^2", 1), ("p^2", 2), ("1", 3)]
     names = ("a", "b", "c", "d")
     for expr, pos in factors:
@@ -501,7 +505,7 @@ def verify_antipode(qp_limit) -> Report:
     ctx = qp_limit.ctx
     rep = Report("antipode")
     rs = limit_rewrite_system(qp_limit)
-    D = determinant(qp_limit).poly
+    D = qp_limit.determinant().poly
     comm = [
         (qp_limit.gens[0], ctx.one),
         (qp_limit.gens[1], ctx.parse("1/p^2")),

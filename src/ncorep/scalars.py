@@ -2,10 +2,16 @@
 
 Every coefficient in the package is a Scalar: a rational function over the
 rationals in a declared list of commuting parameters.  Internally a Scalar
-wraps a sympy sparse FracElement (numerator and denominator kept coprime by
-sympy's gcd), but the canonical *observable* form is ours: parameters sorted
-alphabetically, graded-lex monomial order, denominator normalized monic at
-the serialization boundary.  No floating point exists anywhere.
+wraps a sympy sparse FracElement built over ZZ, so that sympy's gcd never
+converts coefficients between QQ and ZZ.  Every stored element is canonical:
+numerator and denominator are coprime in ZZ[params] (integer content
+included) and the denominator's leading coefficient, in graded-lex order, is
+positive.  Each element of QQ(params) has exactly one such form, so equal
+scalars have equal numerators and denominators, and an operation may hand
+back an operand unchanged (multiplying by one does) without re-cancelling.
+The canonical *observable* form divides by the denominator's leading
+coefficient, making it monic, at the serialization boundary; parameters are
+sorted alphabetically.  No floating point exists anywhere.
 
 The expression grammar accepted by parse() is deliberately small:
 
@@ -24,7 +30,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from sympy import QQ, Symbol, cancel
+from sympy import ZZ
 from sympy.polys.fields import field as _sympy_field
 
 from .errors import (
@@ -44,7 +50,7 @@ _FIELD_CACHE: dict[tuple[str, ...], object] = {}
 
 def _build_field(params: tuple[str, ...]):
     if params not in _FIELD_CACHE:
-        created = _sympy_field(",".join(params), QQ, order="grlex")
+        created = _sympy_field(",".join(params), ZZ, order="grlex")
         _FIELD_CACHE[params] = created[0]
     return _FIELD_CACHE[params]
 
@@ -95,10 +101,11 @@ class Context:
             return value.in_context(self)
         if isinstance(value, str):
             return self.parse(value)
-        if isinstance(value, int):
-            return Scalar(self, self.field.ground_new(QQ(value)))
-        if isinstance(value, Fraction):
-            return Scalar(self, self.field.ground_new(QQ(value.numerator, value.denominator)))
+        if isinstance(value, (int, Fraction)):
+            # already coprime with a positive denominator, so no cancel
+            ring = self.field.ring
+            num, den = ring.ground_new(value.numerator), ring.ground_new(value.denominator)
+            return Scalar(self, self.field.raw_new(num, den))
         raise TypeError("cannot make a Scalar from %r" % (value,))
 
     def parse(self, text: str) -> "Scalar":
@@ -121,7 +128,7 @@ class Scalar:
         return not self.fe.numer
 
     def is_one(self) -> bool:
-        return self.fe == self.ctx.field.one
+        return self.fe.denom == 1 and self.fe.numer == 1
 
     # -- coercion helpers ------------------------------------------------
 
@@ -172,6 +179,11 @@ class Scalar:
             return NotImplemented
         if o is None:
             return other.__rmul__(self)
+        # stored elements are canonical, so a unit factor needs no cancel
+        if self.is_one():
+            return o
+        if o.is_one():
+            return self
         return Scalar(self.ctx, self.fe * o.fe)
 
     __rmul__ = __mul__
@@ -192,8 +204,14 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("scalar exponents must be integers")
+        if n == 0:
+            return self.ctx.one  # 0^0 = 1, as for int and Fraction
         if n < 0 and self.is_zero():
             raise DivisionByZero("zero scalar to a negative power")
+        if n < 0:
+            # sympy inverts by swapping numerator and denominator, which can
+            # leave a negative leading coefficient below; dividing re-signs it
+            return Scalar(self.ctx, self.ctx.field.one / self.fe ** -n)
         return Scalar(self.ctx, self.fe ** n)
 
     def inv(self) -> "Scalar":
@@ -245,16 +263,15 @@ class Scalar:
             raise UnknownParameter(
                 "scalar uses %s not declared in %s" % (sorted(missing), list(ctx.params))
             )
-        return Scalar(ctx, ctx.field.from_expr(self.fe.as_expr()))
+        ring = ctx.field.ring
+        numer, denom = self.fe.numer.set_ring(ring), self.fe.denom.set_ring(ring)
+        return Scalar(ctx, ctx.field.new(numer, denom))
 
     def as_fraction(self) -> Fraction:
         """The value as an exact rational, if no parameters occur."""
         if self.used_params():
             raise ValueError("scalar %s is not constant" % self)
-        num = self.fe.numer.LC if self.fe.numer else QQ(0)
-        den = self.fe.denom.LC
-        c = QQ(num) / QQ(den)
-        return Fraction(int(c.numerator), int(c.denominator))
+        return Fraction(int(self.fe.numer.LC), int(self.fe.denom.LC))
 
     def substitute(self, bindings) -> "Scalar":
         """Apply parameter bindings one at a time, in the given order.
@@ -276,38 +293,50 @@ class Scalar:
                 "cannot substitute %r: not a parameter of %s" % (name, list(self.ctx.params))
             )
         val = self.ctx.scalar(value)
-        sym = Symbol(name)
-        num_expr = self.fe.numer.as_expr().subs(sym, val.fe.as_expr())
-        den_expr = self.fe.denom.as_expr().subs(sym, val.fe.as_expr())
-        if cancel(den_expr) == 0:
+        i = self.ctx.params.index(name)
+        numer, denom = self.fe.numer, self.fe.denom
+        # P(a/b) / Q(a/b) = P~ / Q~ with X~ = b^d X(a/b), d the larger degree
+        d = max(exps[i] for poly in (numer, denom) for exps in poly.itermonoms())
+        a_pows = _powers(val.fe.numer, d)
+        b_pows = _powers(val.fe.denom, d)
+        num, den = (_compose(poly, i, a_pows, b_pows) for poly in (numer, denom))
+        if not den:
             raise DenominatorVanishes(
                 "substituting %s = %s makes a denominator vanish" % (name, val), param=name
             )
-        field = self.ctx.field
-        try:
-            new = field.from_expr(num_expr) / field.from_expr(den_expr)
-        except ZeroDivisionError:  # pragma: no cover - guarded above
-            raise DenominatorVanishes(
-                "substituting %s = %s makes a denominator vanish" % (name, val), param=name
-            )
-        return Scalar(self.ctx, new)
+        return Scalar(self.ctx, self.ctx.field.new(num, den))
 
     # -- canonical text --------------------------------------------------
 
     def __str__(self):
-        names = self.ctx.params
-        num = _poly_key(self.fe.numer, names)
-        den = _poly_key(self.fe.denom, names)
-        if den and den[0][1] != 1:
-            lead = den[0][1]
-            num = tuple((m, c / lead) for m, c in num)
-            den = tuple((m, c / lead) for m, c in den)
+        num, den = self._key()
         if _is_key_one(den):
             return _key_str(num)
         return "(%s)/(%s)" % (_key_str(num), _key_str(den))
 
     def __repr__(self):
         return "Scalar(%s)" % self
+
+
+def _powers(poly, d):
+    out = [poly.ring.one]
+    for _ in range(d):
+        out.append(out[-1] * poly)
+    return out
+
+
+def _compose(poly, i, a_pows, b_pows):
+    """sum c * rest * a^e * b^(d - e) over the terms c * rest * x_i^e of poly."""
+    ring = poly.ring
+    d = len(a_pows) - 1
+    by_exp = {}
+    for exps, coeff in poly.items():
+        by_exp.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = coeff
+    out = ring.zero
+    for e, part in by_exp.items():
+        if a_pows[e]:
+            out += ring.dtype(part) * a_pows[e] * b_pows[d - e]
+    return out
 
 
 def _poly_key(poly, names):

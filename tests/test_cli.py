@@ -195,7 +195,8 @@ def test_full_report_derives_each_once(monkeypatch):
 
         return wrapper
 
-    for name in ("generate_ideal", "orient", "cocycle_check"):
+    names = ("generate_ideal", "orient", "cocycle_check", "determinant", "validate_theta")
+    for name in names:
         counts[name] = 0
         modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("ncorep.")]
         original = next(getattr(m, name) for m in modules if hasattr(m, name))
@@ -204,7 +205,7 @@ def test_full_report_derives_each_once(monkeypatch):
             if getattr(m, name, None) is original:
                 monkeypatch.setattr(m, name, wrapper)
     assert main(["full-report", "--input", "qplane_qp"]) == 0
-    assert counts == {"generate_ideal": 1, "orient": 1, "cocycle_check": 1}
+    assert counts == dict.fromkeys(names, 1)
 
 
 def test_argparse_errors_exit_two(capsys):

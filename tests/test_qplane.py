@@ -130,6 +130,7 @@ def test_context_keeps_each_derivation():
     assert fc.relations() is derive_relations(fc)
     order = matrix_order(fc.ctx, 2)
     assert fc.rewrite_system(order) is fc.rewrite_system(matrix_order(fc.ctx, 2))
+    assert fc.determinant() is fc.determinant()
     entries = dict(fc.theta.tensor.entries)
     entries[(2, 1, 1, 2)] = fc.ctx.gen("q")
     theta = ThetaMap(Tensor(fc.ctx, 2, 2, 2, entries))
@@ -148,6 +149,11 @@ def test_determinant_needs_exchange_relation():
     stripped = QPlaneContext(qp.ctx, qp.B, qp.Bprime, qp.theta, qp.bosonic, bare)
     with pytest.raises(NotGroupCoefficient):
         determinant(stripped)
+    with pytest.raises(NotGroupCoefficient) as first:
+        stripped.determinant()
+    with pytest.raises(NotGroupCoefficient) as again:
+        stripped.determinant()
+    assert again.value is first.value
 
 
 def test_limit_report():

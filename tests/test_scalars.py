@@ -114,6 +114,7 @@ def test_power():
     ctx = Context(["q"])
     q = ctx.gen("q")
     assert q ** 0 == ctx.one
+    assert ctx.parse("0^0") == 1
     assert q ** 3 == q * q * q
     assert q ** -2 == (q * q).inv()
     assert (q + ctx.one) ** 2 == q * q + 2 * q + ctx.one
@@ -191,3 +192,14 @@ def test_as_fraction():
     assert ctx.parse("q - q").as_fraction() == Fraction(0)
     with pytest.raises(ValueError):
         ctx.parse("q").as_fraction()
+
+
+def test_negative_powers_are_canonical():
+    # a negative power must carry the positive-leading denominator that
+    # every other operation produces, or equal scalars compare unequal
+    ctx = Context(["q", "p"])
+    assert ctx.parse("(-1)^-1") == -1
+    assert ctx.parse("(-q)^-1") == ctx.parse("-1/q")
+    assert ctx.parse("-q/p").inv() == ctx.parse("-p/q")
+    assert ctx.parse("(1 - q)^-2") == ctx.parse("1/(q - 1)^2")
+    assert len({ctx.parse("(-q)^-1"), ctx.parse("-1/q")}) == 1
