@@ -1,4 +1,4 @@
-"""Matrix-bialgebra structure and the convolution algebra of linear forms.
+"""Matrix-bialgebra structure and bicharacter forms.
 
 The coordinate bialgebra of n x n quantum matrices carries
 
@@ -10,27 +10,19 @@ elements are stored through their generator-pair table, a 4-index tensor
 
     base[(i, j, k, l)] = f(T_i^k (x) T_j^l),
 
-and extended to longer words either by the bicharacter splitting laws
+and extended to longer words by the bicharacter splitting laws
 
     f(xy (x) z) = sum f(x (x) z_(1)) f(y (x) z_(2))
     f(x (x) yz) = sum f(x_(1) (x) z) f(x_(2) (x) y)
 
-(note the flip in the second slot) or as an explicit convolution of two
-previously defined forms.  Convolution of forms restricted to the
-generator-pair tables is plain tensor composition, which makes twisting
-by an invertible form a finite computation.
+(note the flip in the second slot).  Convolution of forms restricted to
+the generator-pair tables is plain tensor composition, which makes
+twisting by an invertible form a finite computation.
 """
 
-import threading
-
-from .errors import (
-    NonBicharacter,
-    NotInvertible,
-    PresentationMismatch,
-    UnknownGenerator,
-)
-from .freealg import NCPoly, PairPoly, T, apply_hom
-from .tensors import Tensor, compose, identity4, invert4
+from .errors import PresentationMismatch, UnknownGenerator
+from .freealg import NCPoly, PairPoly, RelationSet, T, apply_hom
+from .tensors import Tensor, compose, invert4
 
 
 class Presentation:
@@ -96,40 +88,24 @@ class Presentation:
 
 
 class LinearForm:
-    """Scalar form on pairs, determined by its generator-pair table.
+    """Scalar bicharacter form on pairs, determined by its generator-pair table.
 
-    rule is one of "bicharacter" (split long words by the two laws),
-    "composite" (convolution of the two forms in parts), or "counit"
-    (the convolution unit, f = counit x counit).  Word-pair values are
-    memoized; the cache is shared safely between threads.
+    Long words are split by the two bicharacter laws; word-pair values are
+    memoized.
     """
 
-    def __init__(self, pres: Presentation, base: Tensor, rule="bicharacter", parts=None):
-        if rule not in ("bicharacter", "composite", "counit"):
-            raise ValueError("unknown extension rule %r" % rule)
-        if rule == "composite" and (parts is None or len(parts) != 2):
-            raise ValueError("composite form needs exactly two parts")
+    def __init__(self, pres: Presentation, base: Tensor):
         self.pres = pres
         self.base = base
-        self.rule = rule
-        self.parts = parts
         self._memo = {}
-        self._lock = threading.Lock()
-
-    def on_generators(self, i, j, k, l):
-        return self.base.get(i, j, k, l)
 
     def word_value(self, u, v):
         """f(u (x) v) for words u, v."""
         key = (u, v)
-        with self._lock:
-            hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        val = self._word_value(u, v)
-        with self._lock:
-            self._memo[key] = val
-        return val
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = self._word_value(u, v)
+        return hit
 
     def _word_value(self, u, v):
         pres = self.pres
@@ -137,18 +113,6 @@ class LinearForm:
             return pres.counit_word(v)
         if not v:
             return pres.counit_word(u)
-        if self.rule == "counit":
-            return pres.counit_word(u) * pres.counit_word(v)
-        if self.rule == "composite":
-            f, g = self.parts
-            acc = pres.ctx.zero
-            du = pres.coproduct_word(u)
-            dv = pres.coproduct_word(v)
-            for (u1, u2), cu in du.terms.items():
-                for (v1, v2), cv in dv.terms.items():
-                    acc = acc + cu * cv * f.word_value(u1, v1) * g.word_value(u2, v2)
-            return acc
-        # bicharacter splitting
         if len(u) == 1 and len(v) == 1:
             gu, gv = u[0], v[0]
             pres._check_gen(gu)
@@ -175,10 +139,6 @@ def braid_form(pres, braid: Tensor) -> LinearForm:
     return LinearForm(pres, swap_lower(braid))
 
 
-def epsilon_form(pres) -> LinearForm:
-    return LinearForm(pres, identity4(pres.ctx, pres.dim), rule="counit")
-
-
 def character_pair_form(pres, rho: Tensor) -> LinearForm:
     """The form  counit (x) rho  for a 2-index character table rho."""
     n = pres.dim
@@ -190,41 +150,6 @@ def character_pair_form(pres, rho: Tensor) -> LinearForm:
                 if not c.is_zero():
                     entries[(i, j, i, l)] = c
     return LinearForm(pres, Tensor(pres.ctx, n, 2, 2, entries))
-
-
-def bichar_eval(f: LinearForm, x: NCPoly, y: NCPoly):
-    """f(x (x) y) by the bicharacter splitting laws, bilinearly in x and y."""
-    if f.rule != "bicharacter":
-        raise NonBicharacter("form has extension rule %r" % f.rule)
-    return form_eval(f, x, y)
-
-
-def form_eval(f: LinearForm, x: NCPoly, y: NCPoly):
-    """f(x (x) y) under whatever extension rule f declares."""
-    acc = f.pres.ctx.zero
-    for u, cu in x.terms.items():
-        for v, cv in y.terms.items():
-            acc = acc + cu * cv * f.word_value(u, v)
-    return acc
-
-
-def convolve(f: LinearForm, g: LinearForm) -> LinearForm:
-    """(f*g)(x (x) y) = sum f(x1 (x) y1) g(x2 (x) y2).
-
-    On generator pairs this is composition of the two tables.
-    """
-    if f.pres != g.pres:
-        raise PresentationMismatch("forms live on different presentations")
-    return LinearForm(f.pres, compose(f.base, g.base), rule="composite", parts=(f, g))
-
-
-def form_inverse(f: LinearForm) -> LinearForm:
-    """Convolution inverse, materialized through the inverse table."""
-    try:
-        inv = invert4(f.base)
-    except NotInvertible:
-        raise NotInvertible("form has no convolution inverse on generator pairs")
-    return LinearForm(f.pres, inv, rule=f.rule if f.rule == "bicharacter" else "bicharacter")
 
 
 def cocycle_check(phi: LinearForm):
@@ -296,42 +221,7 @@ def tilde_images(ctx, theta: Tensor, label=None):
     return images
 
 
-def tilde_apply(ctx, theta: Tensor, x: NCPoly, label=None) -> NCPoly:
-    return apply_hom(x, tilde_images(ctx, theta, label))
-
-
-def _theta_tensor(theta, check):
-    # a ThetaMap keeps its validation, so a checked twist is validated once
-    from .corep import as_theta, require_valid  # deferred, corep builds on this module
-
-    return (require_valid(theta) if check else as_theta(theta)).tensor
-
-
-def theta_product(theta, x: NCPoly, y: NCPoly, check=True, label=None) -> NCPoly:
-    """The deformed product: each left factor pushes one twist onto the right.
-
-    theta is a ThetaMap or a bare 4-index Tensor.  On homogeneous x of
-    degree d the value is x * twist^d(y); on words this makes the j-th
-    factor of a left-nested product carry j-1 twists.
-    """
-    ctx = x.ctx
-    images = tilde_images(ctx, _theta_tensor(theta, check), label)
-    out = NCPoly.zero(ctx)
-    by_degree = {}
-    for w, c in x.terms.items():
-        by_degree.setdefault(len(w), []).append((w, c))
-    for d, terms in by_degree.items():
-        ty = y
-        for _ in range(d):
-            ty = apply_hom(ty, images)
-        part = NCPoly.zero(ctx)
-        for w, c in terms:
-            part = part + NCPoly.term(ctx, w, c)
-        out = out + part * ty
-    return out
-
-
-def twisted_product_relations(pres, R: LinearForm, theta, check=True):
+def twisted_product_relations(pres, R: LinearForm, theta):
     """Relations forcing the opposite deformed product to agree with R-conjugation.
 
     For each generator pair the element
@@ -340,14 +230,15 @@ def twisted_product_relations(pres, R: LinearForm, theta, check=True):
           - sum_{a,b,c,d} R(T_i^a (x) T_j^c) m_theta(T_a^b (x) T_c^d) Rbar(T_b^k (x) T_d^l)
 
     is returned; their span is the defining ideal of the twisted algebra.
-    theta is a ThetaMap or a bare 4-index Tensor.
+    theta is a ThetaMap or a bare 4-index Tensor; InvalidTheta when it is
+    not valid.  A ThetaMap keeps its validation, so it is validated once.
     """
-    from .freealg import RelationSet
+    from .corep import require_valid  # deferred, corep builds on this module
 
     ctx = pres.ctx
     n = pres.dim
     rbar = invert4(R.base)
-    images = tilde_images(ctx, _theta_tensor(theta, check))
+    images = tilde_images(ctx, require_valid(theta).tensor)
 
     def mtheta(g1, g2):
         return NCPoly.gen(ctx, g1) * apply_hom(NCPoly.gen(ctx, g2), images)

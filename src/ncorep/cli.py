@@ -310,8 +310,8 @@ class Workspace:
                 raise InputFormat("[theta] character table is not invertible")
         else:
             th = ThetaMap(af.theta_entries)
-        # applied one at a time so that order-sensitive limits behave exactly
-        # like the library's own sequential substitution
+        # applied one at a time and in the given order: a limit that exists
+        # only in one order (r then s) hits a vanishing denominator in the other
         for b in bindings:
             B = B.substitute([b])
             if Bp is not None:
@@ -336,7 +336,7 @@ class Workspace:
     @functools.cached_property
     def qp(self):
         bos = QuadraticSpace(self.ctx, self.dim, braid=self.B)
-        return QPlaneContext(self.ctx, self.B, self.Bprime, self.theta, bos, self.space)
+        return QPlaneContext(self.ctx, self.B, self.theta, bos, self.space)
 
 
 # A section's preconditions: (test on the Workspace, what the input must give).
@@ -504,10 +504,10 @@ def _det(ws, ns, rep):
         "group-coefficient",
         "coaction of the top form closes on the top word",
         "pass",
-        artifacts={"determinant": det.poly},
+        artifacts={"determinant": det},
     )
     f = _pair_reduction_factor(ws.space, 2, 1)
-    ok = f is not None and det.poly == qp.M.get(1, 2, 1, 2) + f * qp.M.get(1, 2, 2, 1)
+    ok = f is not None and det == qp.M.get(1, 2, 1, 2) + f * qp.M.get(1, 2, 2, 1)
     rep.add(
         "matrix-form",
         "coefficient equals the exchange-weighted matrix pair",
@@ -519,7 +519,7 @@ def _det(ws, ns, rep):
             "reduced-form",
             "normal form of the coefficient in the oriented system",
             "info",
-            artifacts={"reduced": normal_form(det.poly, rs)},
+            artifacts={"reduced": normal_form(det, rs)},
         )
     except ZeroLeadingCoefficient:
         pass

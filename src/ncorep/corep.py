@@ -346,20 +346,7 @@ class QuadraticSpace:
 
     def reduce_vector(self, vec):
         """Eliminate relation pivots from {coordinate word: NCPoly} exactly."""
-        span = self.relation_span()
-        vec = dict(vec)
-        for pivot, row, _ in span.rows:
-            f = vec.get(pivot)
-            if f is None or f.is_zero():
-                vec.pop(pivot, None)
-                continue
-            for col, c in row.items():
-                acc = vec.get(col, NCPoly.zero(self.ctx)) - f * c
-                if acc.is_zero():
-                    vec.pop(col, None)
-                else:
-                    vec[col] = acc
-        return {w: p for w, p in vec.items() if not p.is_zero()}
+        return self.relation_span()._reduce(vec)
 
 
 def homomorphism_check(space: QuadraticSpace, gamma, relations: RelationSet) -> bool:
@@ -386,55 +373,3 @@ def homomorphism_check(space: QuadraticSpace, gamma, relations: RelationSet) -> 
             if not basis.contains(poly_vector(residual)):
                 return False
     return True
-
-
-def factorization_heuristic(theta):
-    """Try to split theta_ij^kl as rho_i^l rhobar_j^k; returns (rho, rhobar) or None.
-
-    Rank-1 test on the reshape by (i,l) x (j,k); the counit identity pins
-    the normalization, so any successful split has rhobar = rho^{-1}.
-    """
-    t = as_theta(theta).tensor
-    ctx = t.ctx
-    n = t.dim
-    rng = range(1, n + 1)
-    pick = None
-    for key in sorted(t.entries):
-        if not t.entries[key].is_zero():
-            pick = key
-            break
-    if pick is None:
-        return None
-    i0, j0, k0, l0 = pick
-    base = t.get(i0, j0, k0, l0)
-    u = {}
-    v = {}
-    for i in rng:
-        for l in rng:
-            c = t.get(i, j0, k0, l)
-            if not c.is_zero():
-                u[(i, l)] = c
-    for j in rng:
-        for k in rng:
-            c = t.get(i0, j, k, l0)
-            if not c.is_zero():
-                v[(j, k)] = c / base
-    for i in rng:
-     for j in rng:
-      for k in rng:
-       for l in rng:
-        lhs = t.get(i, j, k, l)
-        rhs = u.get((i, l), ctx.zero) * v.get((j, k), ctx.zero)
-        if lhs != rhs:
-            return None
-    rho = Tensor(ctx, n, 1, 1, u)
-    rhobar = Tensor(ctx, n, 1, 1, v)
-    # the split is a factorization only when the two tables are inverse
-    for i in rng:
-        for j in rng:
-            acc = ctx.zero
-            for k in rng:
-                acc = acc + rho.get(i, k) * rhobar.get(k, j)
-            if acc != (ctx.one if i == j else ctx.zero):
-                return None
-    return rho, rhobar

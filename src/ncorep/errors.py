@@ -45,10 +45,6 @@ class UnknownGenerator(NCorepError):
     """Coalgebra operation hit a generator outside the matrix family."""
 
 
-class NonBicharacter(NCorepError):
-    """A linear form without the bicharacter extension rule was split."""
-
-
 class PresentationMismatch(NCorepError):
     """Linear forms over different presentations cannot be combined."""
 
@@ -75,10 +71,6 @@ class ZeroLeadingCoefficient(NCorepError):
 
 class CommutationUnverified(NCorepError):
     """A claimed determinant commutation does not reduce to zero."""
-
-
-class InvariantViolated(NCorepError):
-    """A context invariant failed while assembling a verification suite."""
 
 
 class AnsatzFailed(NCorepError):

@@ -336,65 +336,46 @@ class SpanBasis:
     def __init__(self, ctx: Context, colkey=None):
         self.ctx = ctx
         self.colkey = colkey or _column_key
-        self.rows = []  # (pivot, rowdict, combo) sorted by pivot key
+        self.rows = []  # (pivot, rowdict) sorted by pivot key
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _reduce(self, vec, combo):
+    def _reduce(self, vec):
+        """vec minus its components along the rows; a missing column is zero.
+
+        The entries of vec may be Scalars or anything a Scalar multiplies,
+        such as NCPoly coefficients.
+        """
         vec = dict(vec)
-        for pivot, row, rcombo in self.rows:
+        for pivot, row in self.rows:
             f = vec.get(pivot)
             if f is None or f.is_zero():
                 vec.pop(pivot, None)
                 continue
             for col, c in row.items():
-                acc = vec.get(col, self.ctx.zero) - f * c
+                acc = vec[col] - f * c if col in vec else -(f * c)
                 if acc.is_zero():
                     vec.pop(col, None)
                 else:
                     vec[col] = acc
-            if combo is not None:
-                for tag, c in rcombo.items():
-                    acc = combo.get(tag, self.ctx.zero) + f * c
-                    if acc.is_zero():
-                        combo.pop(tag, None)
-                    else:
-                        combo[tag] = acc
         return {c: v for c, v in vec.items() if not v.is_zero()}
 
-    def add(self, vec, tag=None):
+    def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
-        combo = {} if tag is not None else None
-        res = self._reduce(vec, combo)
+        res = self._reduce(vec)
         if not res:
             return False
         pivot = min(res, key=self.colkey)
         pv = res[pivot]
         row = {c: v / pv for c, v in res.items()}
-        if tag is not None:
-            # res = vec - sum(combo);  normalized row = res / pv
-            rcombo = {t: -c / pv for t, c in combo.items()}
-            acc = rcombo.get(tag, self.ctx.zero) + self.ctx.one / pv
-            if not acc.is_zero():
-                rcombo[tag] = acc
-        else:
-            rcombo = {}
-        self.rows.append((pivot, row, rcombo))
+        self.rows.append((pivot, row))
         self.rows.sort(key=lambda r: self.colkey(r[0]))
         return True
 
     def contains(self, vec):
-        return not self._reduce(vec, None)
-
-    def express(self, vec):
-        """Write vec as a combination of the tagged input vectors, or None."""
-        combo = {}
-        res = self._reduce(vec, combo)
-        if res:
-            return None
-        return combo
+        return not self._reduce(vec)
 
 
 def poly_vector(x: NCPoly):

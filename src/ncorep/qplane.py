@@ -1,35 +1,18 @@
 """End-to-end verification of the twisted 2x2 matrix deformation.
 
-The configuration is the quantum plane e1 e2 = q e2 e1 together with a
-factorized twisting tensor built from an invertible 2x2 character table in
-three further parameters.  The suite derives the six quadratic relations of
-the deformed matrix algebra, extracts the quantum determinant from the
-Grassmann top form, takes the sequential two-parameter limit, and verifies
-the determinant commutations, the antipode, the coordinate exchange scalars
-and the master-relation cross-checks, reporting every identity exactly.
+A configuration is read from an algebra file (see ``cli.Workspace``): an
+exchange tensor, a twisting tensor and the even and odd coordinate
+spaces.  ``QPlaneContext`` owns what is derived from it.  The reports
+below compare the relation ideal with its twisted cross-relation form,
+extract the quantum determinant from the Grassmann top form, and verify
+the determinant commutations, the antipode and the coordinate exchange
+scalars, reporting every identity exactly.
 """
 
 from .bialg import Presentation, character_pair_form, cocycle_check, tilde_images
-from .corep import (
-    QuadraticSpace,
-    ThetaMap,
-    as_theta,
-    build_M,
-    coaction_word,
-    factorized_theta,
-    flip_theta,
-    generate_ideal,
-    poly_vector,
-    require_valid,
-)
-from .errors import (
-    DenominatorVanishes,
-    InvariantViolated,
-    NCorepError,
-    NotGroupCoefficient,
-    NotInvertible,
-)
-from .freealg import NCPoly, RelationSet, T, apply_hom, row_space_compare, xi
+from .corep import build_M, coaction_word, generate_ideal, require_valid
+from .errors import NCorepError, NotGroupCoefficient
+from .freealg import NCPoly, RelationSet, T, apply_hom, row_space_compare
 from .report import Report, passfail
 from .rewrite import (
     DETBAR,
@@ -39,53 +22,6 @@ from .rewrite import (
     normal_form,
     orient,
 )
-from .scalars import Context
-from .tensors import (
-    compose,
-    from_matrix,
-    identity4,
-    invert2,
-    tensor_from_entries,
-    ybe_residual,
-)
-
-
-def standard_braid(ctx):
-    """Quadratic form of the quantum plane on the ordered pair basis."""
-    return from_matrix(ctx, 2, [
-        ["1", "0", "0", "0"],
-        ["0", "0", "q", "0"],
-        ["0", "q", "1 - q^2", "0"],
-        ["0", "0", "0", "1"],
-    ])
-
-
-def symmetric_braid(ctx):
-    """The symmetric alternative form; an involution, not a braid."""
-    d = "q + q^-1"
-    return from_matrix(ctx, 2, [
-        ["1", "0", "0", "0"],
-        ["0", "(q - q^-1)/(%s)" % d, "2/(%s)" % d, "0"],
-        ["0", "2/(%s)" % d, "(q^-1 - q)/(%s)" % d, "0"],
-        ["0", "0", "0", "1"],
-    ])
-
-
-def standard_rho(ctx):
-    return tensor_from_entries(ctx, 2, 1, 1, [
-        ((1, 1), "1"), ((1, 2), "r/s"), ((2, 1), "-s/p"), ((2, 2), "(1 - r)/p"),
-    ])
-
-
-def limit_rho_expected(ctx):
-    return tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "1"), ((2, 2), "1/p")])
-
-
-def limit_theta_expected(ctx):
-    return tensor_from_entries(ctx, 2, 2, 2, [
-        ((1, 1, 1, 1), "1"), ((1, 2, 2, 1), "p"),
-        ((2, 1, 1, 2), "1/p"), ((2, 2, 2, 2), "1"),
-    ])
 
 
 class QPlaneContext:
@@ -97,10 +33,9 @@ class QPlaneContext:
     a derivation that raised raises the same error at every later use.
     """
 
-    def __init__(self, ctx, B, Bprime, theta, bosonic, grassmann):
+    def __init__(self, ctx, B, theta, bosonic, grassmann):
         self.ctx = ctx
         self.B = B
-        self.Bprime = Bprime
         self.theta = theta
         self.bosonic = bosonic
         self.grassmann = grassmann
@@ -141,7 +76,7 @@ class QPlaneContext:
         """The relation ideal oriented under one term order."""
         return self._once(("rewrite", order.precedence), lambda: orient(self.relations(), order))
 
-    def determinant(self) -> "DeterminantElement":
+    def determinant(self) -> NCPoly:
         """The top-form coefficient; NotGroupCoefficient when it does not close."""
         return self._once("determinant", lambda: determinant(self))
 
@@ -155,52 +90,6 @@ class QPlaneContext:
     def cocycle(self):
         """cocycle_check of the character pair form."""
         return self._once("cocycle", lambda: cocycle_check(self.pair_form()))
-
-
-def build_context(ctx=None, rho=None, theta=None):
-    """Assemble and verify the standard configuration.
-
-    With no arguments the full four-parameter setup is built.  A rho table
-    yields a factorized twisting tensor; a raw theta tensor is taken as is.
-    Invariant failures raise InvariantViolated with the offending identity.
-    """
-    if ctx is None:
-        ctx = Context(["q", "p", "r", "s"])
-    B = standard_braid(ctx)
-    Bprime = symmetric_braid(ctx)
-    if not ybe_residual(B).is_zero():
-        raise InvariantViolated("quadratic form fails the Yang-Baxter identity")
-    if theta is None:
-        if rho is None:
-            rho = standard_rho(ctx)
-        try:
-            th = factorized_theta(ctx, rho)
-        except NotInvertible:
-            raise InvariantViolated("character table is singular")
-    else:
-        th = as_theta(theta)
-    res = th.validate()
-    if not res["valid"]:
-        raise InvariantViolated(
-            "twisting tensor fails %d validity identities" % len(res["violations"])
-        )
-    bosonic = QuadraticSpace(ctx, 2, braid=B)
-    exch = NCPoly.term(ctx, (xi(1), xi(2))) + NCPoly.term(
-        ctx, (xi(2), xi(1)), ctx.parse("1/q")
-    )
-    grassmann = QuadraticSpace(ctx, 2, parity="grassmann", relations=[exch])
-    return QPlaneContext(ctx, B, Bprime, th, bosonic, grassmann)
-
-
-def flip_context(ctx=None):
-    """The untwisted configuration: plain flip exchange, same quadratic form."""
-    if ctx is None:
-        ctx = Context(["q", "p", "r", "s"])
-    return build_context(ctx, theta=flip_theta(ctx, 2))
-
-
-def derive_relations(qp) -> RelationSet:
-    return qp.relations()
 
 
 def _tilde(qp):
@@ -232,7 +121,7 @@ def cross_relations(qp) -> RelationSet:
 
 def relation_report(qp) -> Report:
     rep = Report("relation derivation")
-    ideal = derive_relations(qp)
+    ideal = qp.relations()
     cross = cross_relations(qp)
     cmp = row_space_compare(ideal, cross)
     rep.add(
@@ -250,116 +139,6 @@ def relation_report(qp) -> Report:
     return rep
 
 
-def bmqp_relations(ctx) -> RelationSet:
-    """The two-parameter limit relations, written out literally."""
-    a, b, c, d = (NCPoly.gen(ctx, T(i, j)) for i in (1, 2) for j in (1, 2))
-    p = ctx.parse
-    six = [
-        a * c - p("p*q") * (c * a),
-        a * b - p("q/p") * (b * a),
-        b * c - p("p^2") * (c * b),
-        c * d - p("q/p") * (d * c),
-        b * d - p("p*q") * (d * b),
-        a * d - d * a + p("p*(q^-1 - q)") * (c * b),
-    ]
-    fam = [T(i, j) for i in (1, 2) for j in (1, 2)]
-    return RelationSet(ctx, fam, six)
-
-
-def one_parameter_relations(ctx) -> RelationSet:
-    polys = [r.substitute([("p", "1")]) for r in bmqp_relations(ctx)]
-    fam = [T(i, j) for i in (1, 2) for j in (1, 2)]
-    return RelationSet(ctx, fam, polys)
-
-
-def sequential_limit(qp, bindings=(("r", "0"), ("s", "0"))) -> QPlaneContext:
-    """Substitute parameters one at a time, rebuilding the twisting data.
-
-    The order matters: killing the second deformation parameter first hits
-    the poles in the twisting tensor and raises DenominatorVanishes.
-    """
-    ctx = qp.ctx
-    t2 = qp.theta.tensor.substitute(bindings)
-    rho2 = qp.theta.rho.substitute(bindings) if qp.theta.rho is not None else None
-    if rho2 is not None:
-        th2 = ThetaMap(t2, rho=rho2, rhobar=invert2(rho2))
-    else:
-        th2 = ThetaMap(t2)
-    return QPlaneContext(ctx, qp.B, qp.Bprime, th2, qp.bosonic, qp.grassmann)
-
-
-def limit_report(qp) -> Report:
-    """The sequential two-parameter limit and its obstruction."""
-    ctx = qp.ctx
-    rep = Report("sequential limit")
-    lim = sequential_limit(qp)
-    rep.add(
-        "limit-twist-tensor",
-        "twisting tensor reaches the antidiagonal two-parameter form",
-        passfail(lim.theta.tensor == limit_theta_expected(ctx)),
-        artifacts={"tensor": lim.theta.tensor},
-    )
-    rep.add(
-        "limit-character-table",
-        "character table reaches diag(1, 1/p)",
-        passfail(lim.theta.rho == limit_rho_expected(ctx)),
-        artifacts={"rho": lim.theta.rho},
-    )
-    target = bmqp_relations(ctx)
-    subst = RelationSet(
-        ctx, qp.gens, [r.substitute([("r", "0"), ("s", "0")]) for r in derive_relations(qp)]
-    )
-    regen = derive_relations(lim)
-    cmp1 = row_space_compare(subst, target)
-    cmp2 = row_space_compare(regen, target)
-    rep.add(
-        "limit-relations-substituted",
-        "substituted relation span equals the two-parameter span",
-        passfail(cmp1.verdict == "equal"),
-        artifacts={"verdict": cmp1.verdict},
-    )
-    rep.add(
-        "limit-relations-regenerated",
-        "regenerated relation span equals the two-parameter span",
-        passfail(cmp2.verdict == "equal"),
-        artifacts={"verdict": cmp2.verdict},
-    )
-    try:
-        sequential_limit(qp, (("s", "0"), ("r", "0")))
-        rep.add(
-            "limit-order-obstruction",
-            "reversed substitution order must hit a vanishing denominator",
-            "fail",
-        )
-    except DenominatorVanishes as err:
-        rep.add(
-            "limit-order-obstruction",
-            "reversed substitution order must hit a vanishing denominator",
-            "pass",
-            artifacts={"parameter": err.param},
-        )
-    one = RelationSet(ctx, qp.gens, [r.substitute([("p", "1")]) for r in regen])
-    cmp3 = row_space_compare(one, one_parameter_relations(ctx))
-    rep.add(
-        "one-parameter-span",
-        "setting the secondary scale to 1 recovers the one-parameter span",
-        passfail(cmp3.verdict == "equal"),
-        artifacts={"verdict": cmp3.verdict},
-    )
-    return rep
-
-
-class DeterminantElement:
-    """The group-like top-form coefficient, with its commutation data."""
-
-    def __init__(self, poly, commutations=None):
-        self.poly = poly
-        self.commutations = commutations
-
-    def __str__(self):
-        return str(self.poly)
-
-
 def _pair_reduction_factor(space, k, m):
     # factor f with (coord_k coord_m) = f * (coord_m coord_k) in the space
     hi = (space.coord(k), space.coord(m))
@@ -370,7 +149,7 @@ def _pair_reduction_factor(space, k, m):
     return None
 
 
-def determinant(qp) -> DeterminantElement:
+def determinant(qp) -> NCPoly:
     """Coefficient of the Grassmann top form under the twisted coaction.
 
     The coaction output is reduced by the odd exchange rule and the square
@@ -392,59 +171,14 @@ def determinant(qp) -> DeterminantElement:
                 "coaction residual on (%d,%d) cannot be reduced to the top form" % (k, m)
             )
         total = total + f * coef
-    return DeterminantElement(total)
-
-
-def determinant_report(qp) -> Report:
-    ctx = qp.ctx
-    rep = Report("determinant")
-    det = qp.determinant()
-    mform = qp.M.get(1, 2, 1, 2) - ctx.gen("q") * qp.M.get(1, 2, 2, 1)
-    rep.add(
-        "determinant-matrix-form",
-        "top-form coefficient equals the antisymmetrized matrix pair",
-        passfail(det.poly == mform),
-        artifacts={"determinant": det.poly},
-    )
-    a, b, c, d = (NCPoly.gen(ctx, g) for g in qp.gens)
-    expanded = (
-        a * d
-        - ctx.parse("(q/p)*(1 - r)") * (b * c)
-        - ctx.parse("r/s") * (a * c)
-        - ctx.parse("q*s/p") * (b * d)
-    )
-    # raw coefficient only matches the four-term form after reduction, so
-    # equality is tested modulo the row space of the defining relations
-    diff = det.poly - expanded
-    basis = derive_relations(qp).basis()
-    ok = diff.is_zero() or basis.contains(poly_vector(diff))
-    rep.add(
-        "determinant-expanded",
-        "four-term expansion in the plain generators modulo the relations",
-        passfail(ok),
-        artifacts={"expanded": expanded},
-    )
-    lim = sequential_limit(qp)
-    dlim = lim.determinant()
-    two_term = a * d - ctx.parse("q/p") * (b * c)
-    rep.add(
-        "determinant-limit",
-        "two-parameter limit reduces the determinant to two terms",
-        passfail(dlim.poly == two_term),
-        artifacts={"determinant": dlim.poly},
-    )
-    return rep
-
-
-def limit_rewrite_system(qp_limit, order=None):
-    return qp_limit.rewrite_system(order or matrix_order(qp_limit.ctx, 2))
+    return total
 
 
 def verify_D_commutations(qp_limit) -> Report:
     """Reduce the four determinant commutations in the limit system."""
     ctx = qp_limit.ctx
     rep = Report("determinant commutations")
-    rs = limit_rewrite_system(qp_limit)
+    rs = qp_limit.rewrite_system(matrix_order(ctx, 2))
     conf = confluence_check(rs)
     rep.add(
         "system-confluent",
@@ -452,7 +186,7 @@ def verify_D_commutations(qp_limit) -> Report:
         passfail(conf["confluent"]),
         residuals=[str(p) for _, p in conf["ambiguities"]],
     )
-    D = qp_limit.determinant().poly
+    D = qp_limit.determinant()
     factors = [("1", 0), ("1/p^2", 1), ("p^2", 2), ("1", 3)]
     names = ("a", "b", "c", "d")
     for expr, pos in factors:
@@ -504,8 +238,8 @@ def verify_antipode(qp_limit) -> Report:
     """
     ctx = qp_limit.ctx
     rep = Report("antipode")
-    rs = limit_rewrite_system(qp_limit)
-    D = qp_limit.determinant().poly
+    rs = qp_limit.rewrite_system(matrix_order(ctx, 2))
+    D = qp_limit.determinant()
     comm = [
         (qp_limit.gens[0], ctx.one),
         (qp_limit.gens[1], ctx.parse("1/p^2")),
@@ -569,12 +303,11 @@ def _scale_factor(image, reference):
     return lam
 
 
-def verify_gamma_action_table(qp, expected=None) -> Report:
+def verify_gamma_action_table(qp) -> Report:
     """Exchange scalars of the coordinate crossing map.
 
     When the crossing is diagonal on generators, the records carry the
-    observed factors and, if ``expected`` scalars are supplied, compare
-    against them.  A non-diagonal crossing is reported with the actual
+    observed factors.  A non-diagonal crossing is reported with the actual
     images instead (informational, not a failure).
     """
     ctx = qp.ctx
@@ -592,21 +325,12 @@ def verify_gamma_action_table(qp, expected=None) -> Report:
     )
     plain = [_proportionality(ctx, tl(g), g) for g in qp.gens]
     if all(v is not None for v in plain):
-        if expected is None:
-            rep.add(
-                "exchange-scalars-plain",
-                "plain generators are exchange eigenvectors",
-                "pass",
-                artifacts={"factors": dict(zip(names, plain))},
-            )
-        else:
-            ok = all(v == w for v, w in zip(plain, expected))
-            rep.add(
-                "exchange-scalars-plain",
-                "plain generators exchange with the expected factors",
-                passfail(ok),
-                artifacts={"factors": dict(zip(names, plain))},
-            )
+        rep.add(
+            "exchange-scalars-plain",
+            "plain generators are exchange eigenvectors",
+            "pass",
+            artifacts={"factors": dict(zip(names, plain))},
+        )
     else:
         rep.add(
             "exchange-scalars-plain",
@@ -621,21 +345,12 @@ def verify_gamma_action_table(qp, expected=None) -> Report:
         twisted.append((img, twice))
     factors = [_scale_factor(t, i) for i, t in twisted]
     if all(v is not None for v in factors):
-        if expected is None:
-            rep.add(
-                "exchange-scalars-twisted",
-                "twisted generators are exchange eigenvectors",
-                "pass",
-                artifacts={"factors": dict(zip(names, factors))},
-            )
-        else:
-            ok = all(v == w for v, w in zip(factors, expected))
-            rep.add(
-                "exchange-scalars-twisted",
-                "twisted generators exchange with the expected factors",
-                passfail(ok),
-                artifacts={"factors": dict(zip(names, factors))},
-            )
+        rep.add(
+            "exchange-scalars-twisted",
+            "twisted generators are exchange eigenvectors",
+            "pass",
+            artifacts={"factors": dict(zip(names, factors))},
+        )
     else:
         rep.add(
             "exchange-scalars-twisted",
@@ -643,92 +358,4 @@ def verify_gamma_action_table(qp, expected=None) -> Report:
             "info",
             residuals=[str(t) for (i, t), f in zip(twisted, factors) if f is None],
         )
-    return rep
-
-
-def _sandwich_relations(qp, left, right) -> RelationSet:
-    ctx = qp.ctx
-    n = qp.dim
-    rng = range(1, n + 1)
-    polys = []
-    for i in rng:
-     for j in rng:
-      for k in rng:
-       for l in rng:
-        acc = NCPoly.zero(ctx)
-        for a in rng:
-         for b in rng:
-          for r in rng:
-           for s in rng:
-            c1 = left.get(i, j, a, b)
-            c2 = right.get(r, s, k, l)
-            if not c1.is_zero() and not c2.is_zero():
-                acc = acc + (c1 * c2) * qp.M.get(a, b, r, s)
-        # drop the inhomogeneous unit part: it cancels between the two wings
-        acc = NCPoly(ctx, {w: c for w, c in acc.terms.items() if len(w) == 2})
-        if not acc.is_zero():
-            polys.append(acc)
-    return RelationSet(ctx, qp.gens, polys)
-
-
-def master_relation_check(qp) -> Report:
-    """Cross-checks between the braid ideal and the symmetric-form ideals."""
-    ctx = qp.ctx
-    rep = Report("master relation")
-    sq = compose(qp.Bprime, qp.Bprime)
-    rep.add(
-        "symmetric-form-involution",
-        "the symmetric form squares to the identity",
-        passfail(sq == identity4(ctx, qp.dim)),
-    )
-    rep.add(
-        "symmetric-form-not-idempotent",
-        "the symmetric form is an involution rather than a projector",
-        "info" if sq != qp.Bprime else "fail",
-        artifacts={"idempotent": sq == qp.Bprime},
-    )
-    symm = all(
-        qp.Bprime.get(i, j, k, l) == qp.Bprime.get(k, l, i, j)
-        for i in (1, 2) for j in (1, 2) for k in (1, 2) for l in (1, 2)
-    )
-    rep.add(
-        "symmetric-form-symmetry",
-        "the symmetric form equals its transpose",
-        passfail(symm),
-    )
-    ideal = derive_relations(qp)
-    alt = generate_ideal(qp.Bprime, qp.M)
-    cmp1 = row_space_compare(alt, ideal)
-    rep.add(
-        "alternative-ideal",
-        "the symmetric-form commutation ideal spans the same relations",
-        passfail(cmp1.verdict == "equal"),
-        artifacts={"verdict": cmp1.verdict, "rank": cmp1.rank_a},
-    )
-    one = identity4(ctx, qp.dim)
-    sandwich = _sandwich_relations(qp, one - qp.Bprime, one + qp.Bprime)
-    cmp2 = row_space_compare(sandwich, alt)
-    rep.add(
-        "master-sandwich-contained",
-        "(I - S) M (I + S) lies inside the S M - M S row space",
-        passfail(cmp2.verdict in ("equal", "a_in_b")),
-        artifacts={"verdict": cmp2.verdict, "rank": cmp2.rank_a},
-    )
-    # one-sided sandwich sees a single eigenblock of the involution, so it
-    # cannot reach full rank; both orders together recover the commutator
-    rep.add(
-        "master-sandwich-one-sided",
-        "a single sandwich order spans a proper subspace",
-        "info",
-        artifacts={"rank": cmp2.rank_a, "commutator_rank": cmp2.rank_b},
-    )
-    rev = _sandwich_relations(qp, one + qp.Bprime, one - qp.Bprime)
-    union = RelationSet(ctx, alt.family, sandwich.polys + rev.polys)
-    cmp3 = row_space_compare(union, alt)
-    rep.add(
-        "master-sandwich-two-sided",
-        "both sandwich orders together span exactly S M - M S",
-        passfail(cmp3.verdict == "equal"),
-        artifacts={"verdict": cmp3.verdict, "rank": cmp3.rank_a},
-    )
     return rep

@@ -8,57 +8,38 @@ import itertools
 
 import pytest
 
+from conftest import load, one_parameter_relations, two_parameter_relations
 from ncorep.bialg import (
     Presentation,
     braid_form,
-    character_pair_form,
-    cocycle_check,
     twist_R,
     twisted_product_relations,
 )
-from ncorep.cli import main
+from ncorep.cli import _resolve_input, main, parse_algebra_file
 from ncorep.corep import (
-    QuadraticSpace,
     ThetaMap,
     build_M,
     check_grouplike,
     coaction_word,
     coideal_check,
-    factorized_theta,
-    flip_theta,
     generate_ideal,
     homomorphism_check,
     validate_theta,
 )
 from ncorep.errors import DenominatorVanishes
-from ncorep.freealg import NCPoly, T, poly_vector, row_space_compare
+from ncorep.freealg import NCPoly, RelationSet, T, poly_vector, row_space_compare
 from ncorep.integrable import (
     check_trace_ansatz,
     spectral_relations,
     weight_commutation_holds,
     weighted_trace,
 )
-from ncorep.qplane import (
-    bmqp_relations,
-    build_context,
-    cross_relations,
-    derive_relations,
-    determinant,
-    limit_rewrite_system,
-    limit_rho_expected,
-    limit_theta_expected,
-    one_parameter_relations,
-    sequential_limit,
-    standard_braid,
-    standard_rho,
-    symmetric_braid,
-    verify_antipode,
-    verify_D_commutations,
-)
-from ncorep.rewrite import confluence_check, count_irreducible
-from ncorep.scalars import Context
+from ncorep.qplane import cross_relations, verify_antipode, verify_D_commutations
+from ncorep.rewrite import confluence_check, count_irreducible, matrix_order
 from ncorep.tensors import (
+    compose,
     delta,
+    identity4,
     invert4,
     swap_lower,
     tensor_from_entries,
@@ -66,10 +47,7 @@ from ncorep.tensors import (
 )
 
 GOLDEN = ("qplane_qprs", "qplane_qp", "qplane_frt", "spectral_demo")
-
-
-def ctx4():
-    return Context(["q", "p", "r", "s"])
+LIMIT = (("r", "0"), ("s", "0"))
 
 
 def corrupted_theta(ctx):
@@ -81,18 +59,19 @@ def corrupted_theta(ctx):
 
 
 def test_c01_braid_identity_holds_and_symmetric_form_fails_it():
-    ctx = ctx4()
-    assert ybe_residual(standard_braid(ctx)).is_zero()
-    assert not ybe_residual(symmetric_braid(ctx)).is_zero()
+    af = parse_algebra_file(_resolve_input("qplane_qprs"))
+    assert ybe_residual(af.B).is_zero()
+    assert not ybe_residual(af.Bprime).is_zero()
+    # the symmetric form is an involution instead
+    assert compose(af.Bprime, af.Bprime) == identity4(af.ctx, 2)
 
 
 def test_c02_twist_validity_equivalent_to_grouplike_matrix():
-    ctx = ctx4()
-    full = factorized_theta(ctx, standard_rho(ctx))
+    full = load("qplane_qprs").theta
     res = validate_theta(full)
     assert res["valid"] and res["violations"] == []
-    flip = ThetaMap(flip_theta(ctx, 2))
-    corrupt = corrupted_theta(ctx)
+    flip = load("qplane_frt").theta
+    corrupt = corrupted_theta(full.tensor.ctx)
     assert not validate_theta(corrupt)["valid"]
     for th in (full, flip, corrupt):
         grouplike = check_grouplike(build_M(th, check=False))
@@ -100,16 +79,19 @@ def test_c02_twist_validity_equivalent_to_grouplike_matrix():
 
 
 def test_c03_commutation_ideal_spans_the_six_twisted_relations():
-    ctx = ctx4()
-    th = factorized_theta(ctx, standard_rho(ctx))
-    ideal = generate_ideal(standard_braid(ctx), build_M(th))
+    qp = load("qplane_qprs")
+    ideal = generate_ideal(qp.B, build_M(qp.theta))
     assert ideal.rank() == 6
-    cmp = row_space_compare(ideal, cross_relations(build_context(ctx)))
+    cmp = row_space_compare(ideal, cross_relations(qp))
     assert cmp.verdict == "equal"
+    # the [Bprime] form is an involution, not a braid, yet its commutation
+    # ideal with the same matrix is the braid ideal
+    Bprime = parse_algebra_file(_resolve_input("qplane_qprs")).Bprime
+    assert row_space_compare(generate_ideal(Bprime, qp.M), ideal).verdict == "equal"
 
 
 def test_c04_determinant_four_term_form_and_two_parameter_limit():
-    qp = build_context()
+    qp = load("qplane_qprs")
     ctx = qp.ctx
     a, b, c, d = (NCPoly.gen(ctx, g) for g in qp.gens)
     four = (
@@ -120,21 +102,30 @@ def test_c04_determinant_four_term_form_and_two_parameter_limit():
     )
     # equality holds in the quotient: the free-algebra difference is an
     # explicit combination of the quadratic relations
-    diff = determinant(qp).poly - four
-    assert derive_relations(qp).basis().contains(poly_vector(diff))
-    lim = sequential_limit(qp)
-    assert determinant(lim).poly == a * d - ctx.parse("q/p") * (b * c)
+    diff = qp.determinant() - four
+    assert qp.relations().basis().contains(poly_vector(diff))
+    lim = load("qplane_qprs", *LIMIT)
+    assert lim.determinant() == a * d - ctx.parse("q/p") * (b * c)
 
 
 def test_c05_sequential_limit_chain_and_order_obstruction():
-    qp = build_context()
-    lim = sequential_limit(qp)
-    assert lim.theta.tensor == limit_theta_expected(qp.ctx)
-    assert lim.theta.rho == limit_rho_expected(qp.ctx)
-    cmp = row_space_compare(derive_relations(lim), bmqp_relations(qp.ctx))
-    assert cmp.verdict == "equal"
+    lim = load("qplane_qprs", *LIMIT)
+    two = load("qplane_qp")
+    # the ordered limit is the shipped two-parameter configuration
+    assert lim.theta.tensor == two.theta.tensor
+    assert lim.theta.rho == two.theta.rho
+    assert row_space_compare(lim.relations(), two.relations()).verdict == "equal"
+    ctx = lim.ctx
+    assert row_space_compare(lim.relations(), two_parameter_relations(ctx)).verdict == "equal"
+    # substituting into the four-parameter relations reaches the same span
+    full = load("qplane_qprs").relations()
+    subst = RelationSet(ctx, full.family, [r.substitute(LIMIT) for r in full])
+    assert row_space_compare(subst, two_parameter_relations(ctx)).verdict == "equal"
+    # p = 1 recovers the one-parameter span
+    one = RelationSet(ctx, full.family, [r.substitute([("p", "1")]) for r in lim.relations()])
+    assert row_space_compare(one, one_parameter_relations(ctx)).verdict == "equal"
     with pytest.raises(DenominatorVanishes) as exc:
-        sequential_limit(qp, (("s", "0"), ("r", "0")))
+        load("qplane_qprs", ("s", "0"), ("r", "0"))
     assert exc.value.param == "s"
 
 
@@ -154,8 +145,8 @@ def brute_count(rs, degree):
 
 
 def test_c06_limit_system_confluent_with_flat_dimension_growth():
-    lim = sequential_limit(build_context())
-    rs = limit_rewrite_system(lim)
+    lim = load("qplane_qprs", *LIMIT)
+    rs = lim.rewrite_system(matrix_order(lim.ctx, 2))
     out = confluence_check(rs, maxdeg=3)
     assert out["confluent"] and out["ambiguities"] == []
     for deg, expected in enumerate([1, 4, 10, 20, 35]):
@@ -164,7 +155,7 @@ def test_c06_limit_system_confluent_with_flat_dimension_growth():
 
 
 def test_c07_scale_commutations_and_antipode_inverses_reduce_to_zero():
-    lim = sequential_limit(build_context())
+    lim = load("qplane_qprs", *LIMIT)
     drep = verify_D_commutations(lim)
     assert drep.verdict() == "pass"
     commutations = [
@@ -181,16 +172,14 @@ def test_c07_scale_commutations_and_antipode_inverses_reduce_to_zero():
 
 
 def test_c08_coideal_and_comodule_for_flip_and_twisted_coactions():
-    ctx = ctx4()
-    B = standard_braid(ctx)
-    flip = ThetaMap(flip_theta(ctx, 2))
-    Mf = build_M(flip)
-    ideal_f = generate_ideal(B, Mf)
-    assert coideal_check(B, Mf)
-    assert row_space_compare(ideal_f, one_parameter_relations(ctx)).verdict == "equal"
-    assert homomorphism_check(QuadraticSpace(ctx, 2, braid=B), flip, ideal_f)
-    qp = build_context(ctx)
-    ideal = derive_relations(qp)
+    fr = load("qplane_frt")
+    ideal_f = generate_ideal(fr.B, build_M(fr.theta))
+    assert coideal_check(fr.B, fr.M)
+    assert row_space_compare(ideal_f, one_parameter_relations(fr.ctx)).verdict == "equal"
+    assert homomorphism_check(fr.bosonic, fr.theta, ideal_f)
+    qp = load("qplane_qprs")
+    ctx = qp.ctx
+    ideal = qp.relations()
     assert coideal_check(qp.B, qp.M)
     assert homomorphism_check(qp.bosonic, qp.theta, ideal)
     assert homomorphism_check(qp.grassmann, qp.theta, ideal)
@@ -200,30 +189,30 @@ def test_c08_coideal_and_comodule_for_flip_and_twisted_coactions():
     assert set(co) <= {(1, 1), (1, 2), (2, 1), (2, 2)}
     folded = co[(1, 2)] - ctx.gen("q") * co.get((2, 1), NCPoly.zero(ctx))
     assert not folded.is_zero()
-    assert folded == determinant(qp).poly
+    assert folded == qp.determinant()
 
 
 def test_c09_twisted_exchange_keeps_braid_identity_and_relations():
-    ctx = ctx4()
-    pres = Presentation(ctx, 2)
-    B = standard_braid(ctx)
-    R = braid_form(pres, B)
-    twisted = twist_R(R, character_pair_form(pres, limit_rho_expected(ctx)))
+    two = load("qplane_qp")
+    pres = Presentation(two.ctx, 2)
+    R = braid_form(pres, two.B)
+    twisted = twist_R(R, two.pair_form())
     assert twisted != R.base
     assert ybe_residual(swap_lower(twisted)).is_zero()
-    th = factorized_theta(ctx, standard_rho(ctx))
-    rel = twisted_product_relations(pres, R, th.tensor)
-    cmp = row_space_compare(rel, generate_ideal(B, build_M(th)))
+    qp = load("qplane_qprs")
+    pres = Presentation(qp.ctx, 2)
+    R = braid_form(pres, qp.B)
+    rel = twisted_product_relations(pres, R, qp.theta.tensor)
+    cmp = row_space_compare(rel, generate_ideal(qp.B, build_M(qp.theta)))
     assert cmp.verdict == "equal"
-    phi = character_pair_form(pres, standard_rho(ctx).substitute([("r", "0")]))
-    out = cocycle_check(phi)
+    out = load("qplane_qprs", ("r", "0")).cocycle()
     assert out["holds"] and out["residuals"] == {}
 
 
 def test_c10_labeled_contraction_gives_trace_commutator():
-    ctx = ctx4()
-    B = standard_braid(ctx)
-    th = factorized_theta(ctx, standard_rho(ctx))
+    qp = load("qplane_qprs")
+    ctx = qp.ctx
+    B, th = qp.B, qp.theta
     assert check_trace_ansatz(th)
     data = spectral_relations(B, th, ("lam", "mu"))
     Binv = invert4(B)

@@ -7,21 +7,14 @@ import pytest
 from ncorep.bialg import (
     LinearForm,
     Presentation,
-    bichar_eval,
     braid_form,
     character_pair_form,
     cocycle_check,
-    convolve,
-    epsilon_form,
-    form_eval,
-    form_inverse,
-    theta_product,
-    tilde_apply,
     twist_R,
     twisted_product_relations,
 )
 from ncorep.errors import (
-    NonBicharacter,
+    InvalidTheta,
     NotInvertible,
     PresentationMismatch,
     UnknownGenerator,
@@ -30,8 +23,9 @@ from ncorep.freealg import NCPoly, PairPoly, T, e
 from ncorep.scalars import Context
 from ncorep.tensors import (
     Tensor,
+    compose,
     from_matrix,
-    identity4,
+    invert4,
     swap_lower,
     tensor_from_entries,
     ybe_residual,
@@ -144,53 +138,41 @@ def test_braid_form_table():
         for j in (1, 2):
             for k in (1, 2):
                 for l in (1, 2):
-                    lhs = bichar_eval(R, NCPoly.gen(ctx, T(i, k)), NCPoly.gen(ctx, T(j, l)))
-                    assert lhs == B.get(j, i, k, l)
+                    assert R.word_value((T(i, k),), (T(j, l),)) == B.get(j, i, k, l)
 
 
 def test_bichar_unit_slots():
     ctx, pres = setup()
-    a, b, c, d = abcd(ctx)
+    a, b, c, d = GENS
     R = braid_form(pres, braid(ctx))
-    one = NCPoly.one(ctx)
-    assert bichar_eval(R, one, a) == ctx.one
-    assert bichar_eval(R, one, b) == ctx.zero
-    assert bichar_eval(R, a * d, one) == ctx.one
-    assert bichar_eval(R, one, one) == ctx.one
+    assert R.word_value((), (a,)) == ctx.one
+    assert R.word_value((), (b,)) == ctx.zero
+    assert R.word_value((a, d), ()) == ctx.one
+    assert R.word_value((), ()) == ctx.one
 
 
 def test_bichar_split_product_first_slot():
     # R(ad (x) a) by the recursion equals the explicit one-step sum
     ctx, pres = setup()
-    a, b, c, d = abcd(ctx)
+    a, b, c, d = GENS
     B = braid(ctx)
     R = braid_form(pres, B)
     explicit = ctx.zero
     for k in (1, 2):
         explicit = explicit + B.get(1, 1, 1, k) * B.get(k, 2, 2, 1)
-    val = bichar_eval(R, a * d, a)
+    val = R.word_value((a, d), (a,))
     assert val == explicit
     assert val == ctx.gen("q")
 
 
 def test_bichar_split_second_slot():
     ctx, pres = setup()
-    a, b, c, d = abcd(ctx)
+    a, b, c, d = GENS
     R = braid_form(pres, braid(ctx))
     manual = ctx.zero
     for k in (1, 2):
-        manual = manual + (
-            bichar_eval(R, NCPoly.gen(ctx, T(1, k)), a)
-            * bichar_eval(R, NCPoly.gen(ctx, T(k, 1)), d)
-        )
-    assert bichar_eval(R, a, d * a) == manual
-
-
-def test_bichar_rule_mismatch():
-    ctx, pres = setup()
-    a = NCPoly.gen(ctx, T(1, 1))
-    with pytest.raises(NonBicharacter):
-        bichar_eval(epsilon_form(pres), a, a)
+        manual = manual + R.word_value((T(1, k),), (a,)) * R.word_value((T(k, 1),), (d,))
+    assert R.word_value((a,), (d, a)) == manual
 
 
 def test_splitting_orders_agree():
@@ -224,56 +206,40 @@ def test_splitting_orders_agree():
         assert R.word_value(u, v) == eval_alt(R, u, v)
 
 
-def test_convolution_unit():
-    ctx, pres = setup()
-    R = braid_form(pres, braid(ctx))
-    E = epsilon_form(pres)
-    assert convolve(E, R).base == R.base
-    assert convolve(R, E).base == R.base
-
-
 def test_convolution_inverse():
+    # twisting by phi and then by its convolution inverse gives R back
     ctx, pres = setup()
     R = braid_form(pres, braid(ctx))
-    Rbar = form_inverse(R)
-    assert convolve(R, Rbar).base == identity4(ctx, 2)
-    assert convolve(Rbar, R).base == identity4(ctx, 2)
-
-
-def test_convolution_inverse_on_words():
-    ctx, pres = setup()
-    R = braid_form(pres, braid(ctx))
-    Rbar = form_inverse(R)
-    E = epsilon_form(pres)
-    comp = convolve(R, Rbar)
-    rng = random.Random(13)
-    for _ in range(6):
-        u = tuple(rng.choice(GENS) for _ in range(rng.randint(0, 2)))
-        v = tuple(rng.choice(GENS) for _ in range(rng.randint(0, 2)))
-        assert comp.word_value(u, v) == E.word_value(u, v)
+    phi = character_pair_form(pres, rho_full(ctx))
+    once = LinearForm(pres, twist_R(R, phi))
+    assert once.base != R.base
+    assert twist_R(once, LinearForm(pres, invert4(phi.base))) == R.base
 
 
 def test_convolution_associative():
+    # twisting by phi and then by psi is twisting by the convolution phi * psi
     ctx, pres = setup()
     R = braid_form(pres, braid(ctx))
-    Rbar = form_inverse(R)
-    lhs = convolve(convolve(R, Rbar), R).base
-    rhs = convolve(R, convolve(Rbar, R)).base
+    phi = character_pair_form(pres, rho_full(ctx))
+    psi = character_pair_form(pres, rho_limit(ctx))
+    lhs = twist_R(LinearForm(pres, twist_R(R, phi)), psi)
+    rhs = twist_R(R, LinearForm(pres, compose(phi.base, psi.base)))
     assert lhs == rhs
 
 
 def test_convolution_presentation_mismatch():
     ctx, pres = setup()
     other = Presentation(Context(["q"]), 2)
+    ident = tensor_from_entries(other.ctx, 2, 1, 1, [((1, 1), "1"), ((2, 2), "1")])
     with pytest.raises(PresentationMismatch):
-        convolve(braid_form(pres, braid(ctx)), epsilon_form(other))
+        twist_R(braid_form(pres, braid(ctx)), character_pair_form(other, ident))
 
 
 def test_form_inverse_singular():
     ctx, pres = setup()
-    f = LinearForm(pres, Tensor(ctx, 2, 2, 2, {}))
+    R = braid_form(pres, braid(ctx))
     with pytest.raises(NotInvertible):
-        form_inverse(f)
+        twist_R(R, LinearForm(pres, Tensor(ctx, 2, 2, 2, {})))
 
 
 def test_cocycle_character_forms():
@@ -318,46 +284,11 @@ def test_twist_four_parameter_breaks_ybe():
     assert not ybe_residual(swap_lower(twisted)).is_zero()
 
 
-def full_theta(ctx):
-    from ncorep.corep import factorized_theta
-
-    return factorized_theta(ctx, rho_full(ctx)).tensor
-
-
-def flip4(ctx):
-    return tensor_from_entries(ctx, 2, 2, 2, [
-        ((1, 1, 1, 1), "1"), ((1, 2, 2, 1), "1"),
-        ((2, 1, 1, 2), "1"), ((2, 2, 2, 2), "1"),
-    ])
-
-
-def test_theta_product_generators():
-    ctx, pres = setup()
-    a, b, c, d = abcd(ctx)
-    th = full_theta(ctx)
-    assert theta_product(th, a, d) == a * tilde_apply(ctx, th, d)
-    assert theta_product(flip4(ctx), a * b, c) == a * b * c
-
-
-def test_theta_product_nesting():
-    ctx, pres = setup()
-    a, b, c, d = abcd(ctx)
-    th = full_theta(ctx)
-    x, y, z = a, b + d, c
-    inner = theta_product(th, y, z)
-    lhs = theta_product(th, x, inner)
-    rhs = x * tilde_apply(ctx, th, y) * tilde_apply(ctx, th, tilde_apply(ctx, th, z))
-    assert lhs == rhs
-    assert lhs == theta_product(th, theta_product(th, x, y), z)
-
-
 def test_theta_product_validates():
     ctx, pres = setup()
-    a, b, c, d = abcd(ctx)
-    from ncorep.errors import InvalidTheta
-
+    R = braid_form(pres, braid(ctx))
     with pytest.raises(InvalidTheta):
-        theta_product(Tensor(ctx, 2, 2, 2, {}), a, b)
+        twisted_product_relations(pres, R, Tensor(ctx, 2, 2, 2, {}))
 
 
 def test_twisted_product_relations_match_ideal():

@@ -2,16 +2,14 @@
 
 import pytest
 
-from ncorep.bialg import Presentation, tilde_apply
+from ncorep.bialg import Presentation, tilde_images
 from ncorep.corep import (
-    MMatrix,
     QuadraticSpace,
     ThetaMap,
     build_M,
     check_grouplike,
     coaction_word,
     coideal_check,
-    factorization_heuristic,
     factorized_theta,
     flip_theta,
     generate_ideal,
@@ -19,7 +17,7 @@ from ncorep.corep import (
     validate_theta,
 )
 from ncorep.errors import InvalidTheta, ShapeMismatch
-from ncorep.freealg import NCPoly, RelationSet, T, row_space_compare
+from ncorep.freealg import NCPoly, RelationSet, T, apply_hom, row_space_compare
 from ncorep.scalars import Context
 from ncorep.tensors import Tensor, from_matrix, identity4, tensor_from_entries
 
@@ -93,7 +91,7 @@ def test_build_M_entries():
     th = factorized_theta(ctx, rho_full(ctx))
     M = build_M(th)
     a = NCPoly.gen(ctx, T(1, 1))
-    dt = tilde_apply(ctx, th.tensor, NCPoly.gen(ctx, T(2, 2)))
+    dt = apply_hom(NCPoly.gen(ctx, T(2, 2)), tilde_images(ctx, th.tensor))
     assert M.get(1, 2, 1, 2) == a * dt
     for (i, j, k, l), entry in M.entries.items():
         assert entry.degree() == 2
@@ -296,28 +294,3 @@ def test_homomorphism_check_dropped_relation():
     dropped = RelationSet(ctx, ideal.family, six[:1] + six[2:])
     assert dropped.rank() == 5
     assert not homomorphism_check(space, th, dropped)
-
-
-def test_factorization_heuristic_recovers():
-    ctx = ctx4()
-    th = factorized_theta(ctx, rho_full(ctx))
-    got = factorization_heuristic(th.tensor)
-    assert got is not None
-    rho, rhobar = got
-    for i in (1, 2):
-        for j in (1, 2):
-            for k in (1, 2):
-                for l in (1, 2):
-                    assert th.tensor.get(i, j, k, l) == rho.get(i, l) * rhobar.get(j, k)
-    for i in (1, 2):
-        for j in (1, 2):
-            acc = ctx.zero
-            for k in (1, 2):
-                acc = acc + rho.get(i, k) * rhobar.get(k, j)
-            assert acc == (ctx.one if i == j else ctx.zero)
-
-
-def test_factorization_heuristic_rejects():
-    ctx = ctx4()
-    assert factorization_heuristic(corrupted_theta(ctx)) is None
-    assert factorization_heuristic(Tensor(ctx, 2, 2, 2, {})) is None

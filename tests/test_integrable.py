@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import load
 from ncorep.corep import ThetaMap, coideal_check, flip_theta
 from ncorep.errors import InvalidTheta, MixedFamilies, NotInvertible
 from ncorep.integrable import (
@@ -15,7 +16,6 @@ from ncorep.integrable import (
     weighted_trace_element,
 )
 from ncorep.freealg import NCPoly, T
-from ncorep.qplane import build_context, limit_theta_expected
 from ncorep.scalars import Context
 from ncorep.tensors import Tensor, delta, from_matrix, identity4, tensor_from_entries
 
@@ -25,7 +25,7 @@ def statuses(rep):
 
 
 def standard_family():
-    qp = build_context()
+    qp = load("qplane_qprs")
     return qp, SpectralFamily(qp.ctx, ("lam", "mu"), qp.B, qp.theta)
 
 
@@ -60,7 +60,7 @@ def test_spectral_relation_rank_and_coideal():
 
 
 def test_flip_routes():
-    qp = build_context()
+    qp = load("qplane_qprs")
     flip = flip_theta(qp.ctx, 2)
     assert first_integrability(qp.B, flip, ("lam", "mu")).verdict() == "pass"
     rep = second_integrability(qp.B, flip, ("lam", "mu"))
@@ -70,7 +70,7 @@ def test_flip_routes():
 
 
 def test_identity_exchange_same_label_degenerates():
-    qp = build_context()
+    qp = load("qplane_qprs")
     ident = identity4(qp.ctx, 2)
     data = spectral_relations(ident, qp.theta, (None, None))
     assert all(p.is_zero() for p in data["entries"].values())
@@ -79,7 +79,7 @@ def test_identity_exchange_same_label_degenerates():
 
 
 def test_weighted_trace_identity_for_factorized_and_flip():
-    qp = build_context()
+    qp = load("qplane_qprs")
     assert weighted_trace(qp.theta) == delta(qp.ctx, 2)
     assert weighted_trace(flip_theta(qp.ctx, 2)) == delta(qp.ctx, 2)
     assert check_trace_ansatz(qp.theta) is True
@@ -104,7 +104,7 @@ def test_trace_ansatz_rejects_invalid_theta():
 
 
 def test_weight_commutation_negative():
-    qp = build_context()
+    qp = load("qplane_qprs")
     ctx = qp.ctx
     w_bad = Tensor(ctx, 2, 1, 1, {(1, 1): ctx.one, (2, 2): ctx.parse("2")})
     assert weight_commutation_holds(qp.B, w_bad) is False
@@ -112,8 +112,9 @@ def test_weight_commutation_negative():
 
 
 def test_raw_theta_second_route():
-    qp = build_context()
-    raw = ThetaMap(limit_theta_expected(qp.ctx))
+    qp = load("qplane_qp")
+    # the factorized two-parameter tensor, without its character table
+    raw = ThetaMap(qp.theta.tensor)
     rep = second_integrability(qp.B, raw, ("lam", "mu"))
     assert rep.verdict() == "pass"
     st = statuses(rep)
@@ -122,7 +123,7 @@ def test_raw_theta_second_route():
 
 
 def test_family_validates_labels():
-    qp = build_context()
+    qp = load("qplane_qprs")
     with pytest.raises(ValueError):
         SpectralFamily(qp.ctx, ("lam", "lam"), qp.B, qp.theta)
     with pytest.raises(ValueError):
@@ -135,7 +136,7 @@ def test_family_validates_labels():
 
 
 def test_family_per_pair_tables():
-    qp = build_context()
+    qp = load("qplane_qprs")
     pairs = {("lam", "mu"): qp.theta, ("mu", "lam"): qp.theta}
     fam = SpectralFamily(qp.ctx, ("lam", "mu"), {("lam", "mu"): qp.B, ("mu", "lam"): qp.B}, pairs)
     assert fam.first_report("lam", "mu").verdict() == "pass"
@@ -145,7 +146,7 @@ def test_family_per_pair_tables():
 
 
 def test_singular_exchange_rejected():
-    qp = build_context()
+    qp = load("qplane_qprs")
     ctx = qp.ctx
     rows = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "0"]]
     singular = from_matrix(ctx, 2, rows)

@@ -2,37 +2,31 @@
 
 import pytest
 
+from conftest import load, one_parameter_relations, two_parameter_relations
+from ncorep.cli import Workspace, parse_algebra_file
 from ncorep.corep import QuadraticSpace, ThetaMap, poly_vector
 from ncorep.errors import (
     DenominatorVanishes,
+    InputFormat,
     InvalidTheta,
-    InvariantViolated,
     NotGroupCoefficient,
 )
-from ncorep.freealg import NCPoly, T, row_space_compare
+from ncorep.freealg import NCPoly, row_space_compare
 from ncorep.qplane import (
     QPlaneContext,
-    bmqp_relations,
-    build_context,
     cross_relations,
-    derive_relations,
     determinant,
-    determinant_report,
-    flip_context,
-    limit_report,
-    limit_rho_expected,
-    limit_theta_expected,
-    master_relation_check,
-    one_parameter_relations,
     relation_report,
-    sequential_limit,
     verify_antipode,
     verify_D_commutations,
     verify_gamma_action_table,
 )
 from ncorep.rewrite import matrix_order
-from ncorep.scalars import Context
-from ncorep.tensors import Tensor, tensor_from_entries
+from ncorep.tensors import Tensor
+
+LIMIT = (("r", "0"), ("s", "0"))
+# the character table is the identity at r = s = 0, p = 1: the plain flip
+FLIP = LIMIT + (("p", "1"),)
 
 
 def statuses(rep):
@@ -40,61 +34,44 @@ def statuses(rep):
 
 
 def test_build_context_smoke():
-    qp = build_context()
+    qp = load("qplane_qprs")
     assert qp.dim == 2
     assert qp.theta.rho is not None
     assert len(qp.gens) == 4
 
 
-def test_build_context_rejects_singular_character_table():
-    ctx = Context(["q", "p", "r", "s"])
-    rho = tensor_from_entries(ctx, 2, 1, 1, [
-        ((1, 1), "1"), ((1, 2), "1"), ((2, 1), "1"), ((2, 2), "1"),
-    ])
-    with pytest.raises(InvariantViolated):
-        build_context(ctx, rho=rho)
-
-
-def test_build_context_rejects_invalid_theta():
-    ctx = Context(["q", "p", "r", "s"])
-    broken = tensor_from_entries(ctx, 2, 2, 2, [((1, 1, 1, 1), "1")])
-    with pytest.raises(InvariantViolated):
-        build_context(ctx, theta=broken)
+def test_build_context_rejects_singular_character_table(tmp_path):
+    path = tmp_path / "singular.alg"
+    path.write_text(
+        '[algebra]\ndim = 2\nparams = q\n'
+        '[B]\n1 1 1 1 = "1"\n'
+        '[theta]\nrho 1 1 = "1"\nrho 1 2 = "1"\nrho 2 1 = "1"\nrho 2 2 = "1"\n'
+    )
+    with pytest.raises(InputFormat, match="not invertible"):
+        Workspace(parse_algebra_file(path))
 
 
 def test_relation_report_full_parameters():
-    qp = build_context()
+    qp = load("qplane_qprs")
     rep = relation_report(qp)
     assert rep.verdict() == "pass"
-    assert derive_relations(qp).rank() == 6
+    assert qp.relations().rank() == 6
 
 
 def test_relation_report_flip():
-    fc = flip_context()
+    fc = load("qplane_frt")
     rep = relation_report(fc)
     assert rep.verdict() == "pass"
-    cross = cross_relations(fc)
-    cmp = row_space_compare(cross, one_parameter_relations(fc.ctx))
+    cmp = row_space_compare(cross_relations(fc), one_parameter_relations(fc.ctx))
     assert cmp.verdict == "equal"
 
 
-def test_determinant_report():
-    qp = build_context()
-    rep = determinant_report(qp)
-    assert rep.verdict() == "pass"
-    assert statuses(rep) == {
-        "determinant-matrix-form": "pass",
-        "determinant-expanded": "pass",
-        "determinant-limit": "pass",
-    }
-
-
 def test_determinant_full_vs_matrix_pair():
-    qp = build_context()
+    qp = load("qplane_qprs")
     ctx = qp.ctx
     det = determinant(qp)
     mform = qp.M.get(1, 2, 1, 2) - ctx.gen("q") * qp.M.get(1, 2, 2, 1)
-    assert det.poly == mform
+    assert det == mform
     # the four-term shape only appears after reduction by the relations
     a, b, c, d = (NCPoly.gen(ctx, g) for g in qp.gens)
     expanded = (
@@ -103,38 +80,37 @@ def test_determinant_full_vs_matrix_pair():
         - ctx.parse("r/s") * (a * c)
         - ctx.parse("q*s/p") * (b * d)
     )
-    diff = det.poly - expanded
+    diff = det - expanded
     assert not diff.is_zero()
-    assert derive_relations(qp).basis().contains(poly_vector(diff))
+    assert qp.relations().basis().contains(poly_vector(diff))
 
 
 def test_determinant_limit_two_terms():
-    qp = build_context()
-    lim = sequential_limit(qp)
-    ctx = qp.ctx
-    a, b, c, d = (NCPoly.gen(ctx, g) for g in qp.gens)
-    assert determinant(lim).poly == a * d - ctx.parse("q/p") * (b * c)
+    lim = load("qplane_qprs", *LIMIT)
+    ctx = lim.ctx
+    a, b, c, d = (NCPoly.gen(ctx, g) for g in lim.gens)
+    assert determinant(lim) == a * d - ctx.parse("q/p") * (b * c)
 
 
 def test_determinant_flip_classical():
-    fc = flip_context()
+    fc = load("qplane_qprs", *FLIP)
     ctx = fc.ctx
     a, b, c, d = (NCPoly.gen(ctx, g) for g in fc.gens)
-    dflip = determinant(fc).poly
+    dflip = determinant(fc)
     assert dflip == a * d - ctx.gen("q") * (b * c)
-    assert dflip.substitute([("q", "1"), ("p", "1")]) == (a * d - b * c)
+    assert dflip.substitute([("q", "1")]) == (a * d - b * c)
 
 
 def test_context_keeps_each_derivation():
-    fc = flip_context()
-    assert fc.relations() is derive_relations(fc)
+    fc = load("qplane_qprs", *FLIP)
+    assert fc.relations() is fc.relations()
     order = matrix_order(fc.ctx, 2)
     assert fc.rewrite_system(order) is fc.rewrite_system(matrix_order(fc.ctx, 2))
     assert fc.determinant() is fc.determinant()
     entries = dict(fc.theta.tensor.entries)
     entries[(2, 1, 1, 2)] = fc.ctx.gen("q")
     theta = ThetaMap(Tensor(fc.ctx, 2, 2, 2, entries))
-    bad = QPlaneContext(fc.ctx, fc.B, fc.Bprime, theta, fc.bosonic, fc.grassmann)
+    bad = QPlaneContext(fc.ctx, fc.B, theta, fc.bosonic, fc.grassmann)
     assert bad.M is bad.M
     with pytest.raises(InvalidTheta) as first:
         bad.rewrite_system(order)
@@ -144,9 +120,9 @@ def test_context_keeps_each_derivation():
 
 
 def test_determinant_needs_exchange_relation():
-    qp = build_context()
+    qp = load("qplane_qprs")
     bare = QuadraticSpace(qp.ctx, 2, parity="grassmann", relations=[])
-    stripped = QPlaneContext(qp.ctx, qp.B, qp.Bprime, qp.theta, qp.bosonic, bare)
+    stripped = QPlaneContext(qp.ctx, qp.B, qp.theta, qp.bosonic, bare)
     with pytest.raises(NotGroupCoefficient):
         determinant(stripped)
     with pytest.raises(NotGroupCoefficient) as first:
@@ -156,64 +132,63 @@ def test_determinant_needs_exchange_relation():
     assert again.value is first.value
 
 
-def test_limit_report():
-    qp = build_context()
-    rep = limit_report(qp)
-    assert rep.verdict() == "pass"
-    assert all(item["status"] == "pass" for item in rep.items)
-
-
 def test_limit_tensors():
-    qp = build_context()
-    lim = sequential_limit(qp)
-    assert lim.theta.tensor == limit_theta_expected(qp.ctx)
-    assert lim.theta.rho == limit_rho_expected(qp.ctx)
+    lim = load("qplane_qprs", *LIMIT)
+    ctx = lim.ctx
+    assert lim.theta.rho.entries == {(1, 1): ctx.one, (2, 2): ctx.parse("1/p")}
+    assert lim.theta.tensor.entries == {
+        (1, 1, 1, 1): ctx.one,
+        (1, 2, 2, 1): ctx.gen("p"),
+        (2, 1, 1, 2): ctx.parse("1/p"),
+        (2, 2, 2, 2): ctx.one,
+    }
 
 
 def test_limit_reversal_hits_pole():
-    qp = build_context()
     with pytest.raises(DenominatorVanishes) as exc:
-        sequential_limit(qp, (("s", "0"), ("r", "0")))
+        load("qplane_qprs", ("s", "0"), ("r", "0"))
     assert exc.value.param == "s"
 
 
 def test_limit_relations_match_literal_table():
-    qp = build_context()
-    lim = sequential_limit(qp)
-    cmp = row_space_compare(derive_relations(lim), bmqp_relations(qp.ctx))
-    assert cmp.verdict == "equal"
-    assert bmqp_relations(qp.ctx).rank() == 6
+    lim = load("qplane_qprs", *LIMIT)
+    two = two_parameter_relations(lim.ctx)
+    assert row_space_compare(lim.relations(), two).verdict == "equal"
+    assert two.rank() == 6
 
 
 def test_D_commutations_at_limit():
-    lim = sequential_limit(build_context())
-    rep = verify_D_commutations(lim)
+    rep = verify_D_commutations(load("qplane_qprs", *LIMIT))
     assert rep.verdict() == "pass"
     assert statuses(rep)["system-confluent"] == "pass"
 
 
 def test_antipode_at_limit():
-    lim = sequential_limit(build_context())
-    rep = verify_antipode(lim)
+    rep = verify_antipode(load("qplane_qprs", *LIMIT))
     assert rep.verdict() == "pass"
     assert len(rep.items) == 9
 
 
+def factors(rep, name):
+    return [it for it in rep.items if it["name"] == name][0]["artifacts"]["factors"]
+
+
 def test_gamma_table_at_limit():
-    qp = build_context()
-    lim = sequential_limit(qp)
-    ctx = qp.ctx
-    table = (ctx.one, ctx.gen("p"), ctx.gen("p").inv(), ctx.one)
-    rep = verify_gamma_action_table(lim, expected=table)
+    lim = load("qplane_qprs", *LIMIT)
+    ctx = lim.ctx
+    rep = verify_gamma_action_table(lim)
     assert rep.verdict() == "pass"
     st = statuses(rep)
     assert st["exchange-scalars-plain"] == "pass"
     assert st["exchange-scalars-twisted"] == "pass"
+    # report artifacts hold the printed scalars
+    table = dict(zip("abcd", map(str, (ctx.one, ctx.gen("p"), ctx.gen("p").inv(), ctx.one))))
+    assert factors(rep, "exchange-scalars-plain") == table
+    assert factors(rep, "exchange-scalars-twisted") == table
 
 
 def test_gamma_table_full_parameters_not_diagonal():
-    qp = build_context()
-    rep = verify_gamma_action_table(qp)
+    rep = verify_gamma_action_table(load("qplane_qprs"))
     st = statuses(rep)
     assert st["trace-preserved"] == "pass"
     assert st["exchange-scalars-plain"] == "info"
@@ -223,32 +198,15 @@ def test_gamma_table_full_parameters_not_diagonal():
 def test_gamma_table_partial_limit_not_diagonal():
     # killing only the off-diagonal deformation keeps a triangular character
     # table, so twisted generators still fail to be exchange eigenvectors
-    qp = build_context()
-    three = sequential_limit(qp, (("r", "0"),))
+    three = load("qplane_qprs", ("r", "0"))
     st = statuses(verify_gamma_action_table(three))
     assert st["trace-preserved"] == "pass"
     assert st["exchange-scalars-twisted"] == "info"
 
 
 def test_gamma_table_flip_identity_factors():
-    fc = flip_context()
-    rep = verify_gamma_action_table(fc)
+    rep = verify_gamma_action_table(load("qplane_frt"))
     assert rep.verdict() == "pass"
-    factors = [it for it in rep.items if it["name"] == "exchange-scalars-plain"]
-    assert factors[0]["artifacts"]["factors"] == {
+    assert factors(rep, "exchange-scalars-plain") == {
         "a": "1", "b": "1", "c": "1", "d": "1",
     }
-
-
-def test_master_relation_check():
-    qp = build_context()
-    rep = master_relation_check(qp)
-    assert rep.verdict() == "pass"
-    st = statuses(rep)
-    assert st["symmetric-form-involution"] == "pass"
-    assert st["alternative-ideal"] == "pass"
-    assert st["master-sandwich-contained"] == "pass"
-    assert st["master-sandwich-two-sided"] == "pass"
-    ranks = {it["name"]: it.get("artifacts", {}).get("rank") for it in rep.items}
-    assert ranks["master-sandwich-contained"] == 3
-    assert ranks["master-sandwich-two-sided"] == 6

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import load
 from ncorep.errors import (
     CommutationUnverified,
     OrderMissingGenerator,
@@ -192,10 +193,8 @@ def test_sources_span_the_input_relations():
 def test_full_parameter_system_is_not_confluent():
     # four-parameter relations still orient to six rules with the expected
     # quadratic growth, but degree-3 overlaps do not all resolve
-    from ncorep.qplane import build_context, derive_relations
-
-    qp = build_context()
-    rs = orient(derive_relations(qp), matrix_order(qp.ctx, 2))
+    qp = load("qplane_qprs")
+    rs = orient(qp.relations(), matrix_order(qp.ctx, 2))
     assert len(rs) == 6
     assert count_irreducible(rs, 2) == 10
     conf = confluence_check(rs, maxdeg=3)
