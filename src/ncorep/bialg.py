@@ -5,8 +5,9 @@ The coordinate bialgebra of n x n quantum matrices carries
     coproduct   T_i^j  |->  sum_k T_i^k (x) T_k^j
     counit      T_i^j  |->  delta_i^j
 
-extended multiplicatively to words.  Scalar-valued forms on pairs of
-elements are stored through their generator-pair table, a 4-index tensor
+extended multiplicatively to words; a Presentation keeps the coproduct
+of each word it expands.  Scalar-valued forms on pairs of elements are
+stored through their generator-pair table, a 4-index tensor
 
     base[(i, j, k, l)] = f(T_i^k (x) T_j^l),
 
@@ -26,11 +27,15 @@ from .tensors import Tensor, compose, invert4
 
 
 class Presentation:
-    """The n x n matrix coordinate family with its coalgebra maps."""
+    """The n x n matrix coordinate family with its coalgebra maps.
+
+    The coproduct of each word is computed once and kept; callers only read it.
+    """
 
     def __init__(self, ctx, dim):
         self.ctx = ctx
         self.dim = dim
+        self._coproducts = {}
 
     def __eq__(self, other):
         return (
@@ -53,6 +58,9 @@ class Presentation:
             raise UnknownGenerator("%s outside the %d x %d family" % (g, self.dim, self.dim))
 
     def coproduct_word(self, word) -> PairPoly:
+        out = self._coproducts.get(word)
+        if out is not None:
+            return out
         out = PairPoly.unit(self.ctx)
         for g in word:
             self._check_gen(g)
@@ -64,6 +72,7 @@ class Presentation:
                     NCPoly.gen(self.ctx, T(k, j, g.label)),
                 )
             out = out * s
+        self._coproducts[word] = out
         return out
 
     def coproduct(self, x: NCPoly) -> PairPoly:

@@ -149,6 +149,7 @@ class MMatrix:
         self.dim = dim
         self.entries = entries  # (i,j,k,l) -> NCPoly
         self.labels = labels
+        self.pres = Presentation(ctx, dim)  # its coproduct memo serves every check on M
 
     def get(self, i, j, k, l) -> NCPoly:
         return self.entries.get((i, j, k, l), NCPoly.zero(self.ctx))
@@ -187,7 +188,7 @@ def build_M(theta, labels=None, check=True) -> MMatrix:
 
 def check_grouplike(M: MMatrix) -> bool:
     """Delta(M) = M (x) M entrywise together with counit(M) = identity."""
-    pres = Presentation(M.ctx, M.dim)
+    pres = M.pres
     n = M.dim
     rng = range(1, n + 1)
     for i in rng:
@@ -252,7 +253,7 @@ def coideal_check(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> bool:
     if M_second is None:
         M_second = M
     ctx = M.ctx
-    pres = Presentation(ctx, M.dim)
+    pres = M.pres
     rng = range(1, M.dim + 1)
     rel = relation_entries(B, M, M_second)
     for (i, j, k, l), r in rel.items():
@@ -337,12 +338,16 @@ class QuadraticSpace:
                 if len(w) != 2:
                     raise ValueError("space relation %s is not quadratic" % p)
         self.relations = rels
+        self._span = None
 
     def relation_span(self) -> SpanBasis:
-        sb = SpanBasis(self.ctx, colkey=word_key)
-        for p in self.relations:
-            sb.add(poly_vector(p))
-        return sb
+        """The row-echelon span of the relations, built once; read-only to callers."""
+        if self._span is None:
+            sb = SpanBasis(self.ctx, colkey=word_key)
+            for p in self.relations:
+                sb.add(poly_vector(p))
+            self._span = sb
+        return self._span
 
     def reduce_vector(self, vec):
         """Eliminate relation pivots from {coordinate word: NCPoly} exactly."""

@@ -4,6 +4,7 @@ Elements are finite Scalar-combinations of words in formal generators.
 Nothing here knows about relations; quotients are handled elsewhere either
 by rewriting (rewrite module) or by linear algebra on homogeneous slices
 (SpanBasis below, used for ideal-membership questions in degree 2 and 3).
+A RelationSet keeps the basis of its span once built; callers only read it.
 
 Generators carry a kind ("T", "e", "xi", "D", "Dbar", or any custom name),
 an integer index tuple, and an optional spectral label, so T[1,2](lam) and
@@ -20,11 +21,26 @@ from .scalars import Context, Scalar
 _KIND_RANK = {"T": 0, "e": 1, "xi": 2, "D": 3, "Dbar": 4}
 
 
-@dataclass(frozen=True)
 class Generator:
-    kind: str
-    index: tuple = ()
-    label: str | None = None
+    """A free generator, equal to another with the same kind, index and label.
+
+    Words key dicts everywhere, so the hash is computed once; fields never change.
+    """
+
+    __slots__ = ("kind", "index", "label", "_key", "_hash")
+
+    def __init__(self, kind: str, index: tuple = (), label: str | None = None):
+        self.kind = kind
+        self.index = index
+        self.label = label
+        self._key = (kind, index, label)
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):
+        return isinstance(other, Generator) and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         return (_KIND_RANK.get(self.kind, 5), self.kind, self.label or "", self.index)
@@ -387,6 +403,7 @@ class RelationSet:
 
     def __init__(self, ctx: Context, family, polys):
         self.ctx = ctx
+        self._basis = None
         self.family = tuple(sorted(set(family), key=lambda g: g.sort_key()))
         fam = set(self.family)
         self.polys = []
@@ -409,10 +426,13 @@ class RelationSet:
         return iter(self.polys)
 
     def basis(self) -> SpanBasis:
-        sb = SpanBasis(self.ctx, colkey=word_key)
-        for p in self.polys:
-            sb.add(poly_vector(p))
-        return sb
+        """The row-echelon basis of the span, built once and kept; read-only to callers."""
+        if self._basis is None:
+            sb = SpanBasis(self.ctx, colkey=word_key)
+            for p in self.polys:
+                sb.add(poly_vector(p))
+            self._basis = sb
+        return self._basis
 
     def rank(self):
         return self.basis().rank
@@ -444,7 +464,8 @@ def row_space_compare(a: RelationSet, b: RelationSet) -> SpanComparison:
     for p in b.polys:
         if not ba.contains(poly_vector(p)):
             b_in_a.append(p)
-    union = a.basis()
+    union = SpanBasis(a.ctx, colkey=word_key)
+    union.rows = list(ba.rows)
     for p in b.polys:
         union.add(poly_vector(p))
     if not a_in_b and not b_in_a:

@@ -9,7 +9,7 @@ the determinant commutations, the antipode and the coordinate exchange
 scalars, reporting every identity exactly.
 """
 
-from .bialg import Presentation, character_pair_form, cocycle_check, tilde_images
+from .bialg import character_pair_form, cocycle_check, tilde_images
 from .corep import build_M, coaction_word, generate_ideal, require_valid
 from .errors import NCorepError, NotGroupCoefficient
 from .freealg import NCPoly, RelationSet, T, apply_hom, row_space_compare
@@ -84,7 +84,7 @@ class QPlaneContext:
         """The form counit (x) rho of the character table."""
         return self._once(
             "pair_form",
-            lambda: character_pair_form(Presentation(self.ctx, self.dim), self.theta.rho),
+            lambda: character_pair_form(self.M.pres, self.theta.rho),
         )
 
     def cocycle(self):

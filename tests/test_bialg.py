@@ -79,6 +79,16 @@ def test_coproduct_is_homomorphism():
         x = NCPoly.term(ctx, w1, ctx.gen("q"))
         y = NCPoly.term(ctx, w2, ctx.one + ctx.gen("p"))
         assert pres.coproduct(x * y) == pres.coproduct(x) * pres.coproduct(y)
+    # a kept coproduct is the same on every query, whatever callers build from it
+    fresh = Presentation(ctx, 2)
+    for w in [(), (GENS[0],), (GENS[1], GENS[2]), (GENS[3], GENS[0], GENS[1])]:
+        first = pres.coproduct_word(w)
+        expected = PairPoly(ctx, dict(first.terms))
+        first.scale(ctx.gen("q"))
+        first + first
+        first * first
+        assert pres.coproduct_word(w) == first == expected
+        assert fresh.coproduct_word(w) == expected
 
 
 def test_coproduct_coassociative():
@@ -126,6 +136,14 @@ def test_coproduct_rejects_foreign_generator():
     ctx, pres = setup()
     with pytest.raises(UnknownGenerator):
         pres.coproduct(NCPoly.gen(ctx, e(1)))
+    a, b, c, d = abcd(ctx)
+    pres.coproduct(a * b + c * d)
+    # a word that raised is never kept, so it raises again after other memos
+    for _ in range(2):
+        with pytest.raises(UnknownGenerator):
+            pres.coproduct_word((T(1, 1), e(1)))
+        with pytest.raises(UnknownGenerator):
+            pres.coproduct(NCPoly.gen(ctx, e(1)))
     with pytest.raises(UnknownGenerator):
         pres.counit(NCPoly.gen(ctx, T(1, 3)))
 

@@ -1,9 +1,11 @@
 """Front-end tests: file parsing, command dispatch, exit codes, determinism."""
 
+import collections
 import json
 
 import pytest
 
+from ncorep.bialg import Presentation
 from ncorep.cli import (
     Workspace,
     _resolve_input,
@@ -11,6 +13,7 @@ from ncorep.cli import (
     parse_algebra_file,
 )
 from ncorep.errors import InputFormat
+from ncorep.freealg import RelationSet
 
 BASE = """\
 [algebra]
@@ -187,11 +190,13 @@ def test_full_report_derives_each_once(monkeypatch):
     import sys
 
     counts = {}
+    last = {}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            return fn(*args, **kwargs)
+            last[name] = fn(*args, **kwargs)
+            return last[name]
 
         return wrapper
 
@@ -204,8 +209,33 @@ def test_full_report_derives_each_once(monkeypatch):
         for m in modules:
             if getattr(m, name, None) is original:
                 monkeypatch.setattr(m, name, wrapper)
+
+    # a derivation built once hands back the same object at every call, and
+    # one presentation serves the whole report; every result is held, so no
+    # id is reused during the report
+    results = collections.defaultdict(list)
+
+    def same_object(method, key):
+        def wrapper(self, *args):
+            out = method(self, *args)
+            results[key(self, *args)].append(out)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(
+        Presentation, "coproduct_word",
+        same_object(Presentation.coproduct_word, lambda pres, word: ("coproduct", word)),
+    )
+    monkeypatch.setattr(
+        RelationSet, "basis", same_object(RelationSet.basis, lambda rels: ("basis", rels)),
+    )
     assert main(["full-report", "--input", "qplane_qp"]) == 0
     assert counts == dict.fromkeys(names, 1)
+    built = {key: len({id(out) for out in outs}) for key, outs in results.items()}
+    assert any(key[0] == "coproduct" for key in built)
+    assert {key: n for key, n in built.items() if n != 1} == {}
+    assert len(results[("basis", last["generate_ideal"])]) > 1
 
 
 def test_argparse_errors_exit_two(capsys):

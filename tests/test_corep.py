@@ -17,7 +17,16 @@ from ncorep.corep import (
     validate_theta,
 )
 from ncorep.errors import InvalidTheta, ShapeMismatch
-from ncorep.freealg import NCPoly, RelationSet, T, apply_hom, row_space_compare
+from ncorep.freealg import (
+    NCPoly,
+    RelationSet,
+    SpanBasis,
+    T,
+    apply_hom,
+    poly_vector,
+    row_space_compare,
+    word_key,
+)
 from ncorep.scalars import Context
 from ncorep.tensors import Tensor, from_matrix, identity4, tensor_from_entries
 
@@ -282,10 +291,7 @@ def test_homomorphism_check_dropped_relation():
     ideal = generate_ideal(B, build_M(th))
     # pick six independent generators, then drop one
     six = []
-    seen = RelationSet(ctx, ideal.family, [])
-    basis = seen.basis()
-    from ncorep.freealg import poly_vector
-
+    basis = SpanBasis(ctx, colkey=word_key)
     for p in ideal.polys:
         if basis.add(poly_vector(p)):
             six.append(p)

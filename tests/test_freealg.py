@@ -31,7 +31,18 @@ def test_generator_ordering():
     assert [str(g) for g in gens] == ["T[1,1]", "T[1,2]", "T[2,1]", "e[1]", "e[3]"]
     # spectral labels separate otherwise equal symbols
     assert T(1, 1, "lam") != T(1, 1, "mu")
+    assert T(1, 1, "lam") != T(1, 1)
+    assert len({T(1, 1, "lam"), T(1, 1, "mu"), T(1, 1)}) == 3
     assert str(T(1, 1, "lam")) == "T[1,1](lam)"
+    # separately built generators are one key; the hash is kept, not rebuilt
+    g, h = T(1, 2), T(1, 2)
+    assert g is not h and g == h and hash(g) == hash(h)
+    assert {g: "x"}[h] == "x"
+    assert {(g, T(2, 1)): 1}[(h, T(2, 1))] == 1
+    assert "%s" % g == str(g) == repr(g) == "T[1,2]"
+    assert "%s" % (e(2),) == "e[2]"
+    assert T(1, 2) != ("T", (1, 2), None)
+    assert T(1, 2) != e(1)
 
 
 def test_word_key_degree_first():
@@ -221,6 +232,13 @@ def test_row_space_compare_verdicts():
     assert cmp.verdict == "incomparable"
     assert cmp.rank_union == 2
     assert cmp.witnesses
+    # the union is built beside the kept bases, never inside them
+    assert small.rank() == 1 and other.rank() == 1
+    again = row_space_compare(small, other)
+    assert (again.verdict, again.rank_a, again.rank_b, again.rank_union) == (
+        "incomparable", 1, 1, 2,
+    )
+    assert small.basis() is small.basis()
 
 
 def test_row_space_compare_family_mismatch():
