@@ -21,6 +21,8 @@ the generator-pair tables is plain tensor composition, which makes
 twisting by an invertible form a finite computation.
 """
 
+import itertools
+
 from .errors import PresentationMismatch, UnknownGenerator
 from .freealg import NCPoly, PairPoly, RelationSet, T, apply_hom
 from .tensors import Tensor, compose, invert4
@@ -175,12 +177,8 @@ def cocycle_check(phi: LinearForm):
     invert4(phi.base)  # NotInvertible when phi cannot be convolution-inverted
     residuals = {}
     rng = range(1, n + 1)
-    for i in rng:
-     for j in rng:
-      for k in rng:
-       for r in rng:
-        for s in rng:
-         for t in rng:
+    with ctx.products():
+        for i, j, k, r, s, t in itertools.product(rng, repeat=6):
             lhs = ctx.zero
             for a in rng:
                 for b in rng:

@@ -344,6 +344,10 @@ DIM2 = (lambda ws: ws.dim == 2, "a 2-dimensional algebra file")
 SPACE = (lambda ws: ws.space is not None, "a [space] section")
 CHARACTERS = (lambda ws: ws.theta.rho is not None, "a character table in [theta]")
 LABELS = (lambda ws: len(ws.labels) >= 2, "spectral labels in [algebra]")
+# the paper's cross relations are written in q, its determinant factors and
+# antipode images in p and q
+PARAM_Q = (lambda ws: "q" in ws.ctx.params, "a parameter q")
+PARAMS_PQ = (lambda ws: {"p", "q"} <= set(ws.ctx.params), "parameters p and q")
 
 Section = collections.namedtuple("Section", "name title needs gated body")
 SECTIONS = []
@@ -488,7 +492,7 @@ def _relations(ws, ns, rep):
     return rep
 
 
-@section("compare-ideals", "ideal comparison", needs=(DIM2,), gated=True)
+@section("compare-ideals", "ideal comparison", needs=(DIM2, PARAM_Q), gated=True)
 def _compare_ideals(ws, ns, rep):
     return relation_report(ws.qp)
 
@@ -578,18 +582,20 @@ def _pbw_count(ws, ns, rep):
     return rep
 
 
-@section("d-commutations", "determinant commutations", needs=(DIM2, SPACE), gated=True)
+@section(
+    "d-commutations", "determinant commutations", needs=(DIM2, SPACE, PARAMS_PQ), gated=True
+)
 def _d_commutations(ws, ns, rep):
     try:
-        return verify_D_commutations(ws.qp)
+        return verify_D_commutations(ws.qp, ws.term_order())
     except NotGroupCoefficient as err:
         return _group_coefficient_failure(rep, err)
 
 
-@section("antipode", "antipode identities", needs=(DIM2, SPACE), gated=True)
+@section("antipode", "antipode identities", needs=(DIM2, SPACE, PARAMS_PQ), gated=True)
 def _antipode(ws, ns, rep):
     try:
-        return verify_antipode(ws.qp)
+        return verify_antipode(ws.qp, ws.term_order())
     except (CommutationUnverified, NotGroupCoefficient) as err:
         rep.add(
             "extended-system",

@@ -116,12 +116,8 @@ def validate_theta(theta):
     n = t.dim
     rng = range(1, n + 1)
     violations = []
-    for i in rng:
-     for j in rng:
-      for k in rng:
-       for r in rng:
-        for s in rng:
-         for l in rng:
+    with ctx.products():
+        for i, j, k, r, s, l in itertools.product(rng, repeat=6):
             acc = ctx.zero
             for p in rng:
                 acc = acc + t.get(i, j, p, l) * t.get(p, k, r, s)
@@ -189,23 +185,20 @@ def build_M(theta, labels=None, check=True) -> MMatrix:
 def check_grouplike(M: MMatrix) -> bool:
     """Delta(M) = M (x) M entrywise together with counit(M) = identity."""
     pres = M.pres
-    n = M.dim
-    rng = range(1, n + 1)
-    for i in rng:
-     for j in rng:
-      for k in rng:
-       for l in rng:
-        lhs = pres.coproduct(M.get(i, j, k, l))
-        rhs = PairPoly.zero(M.ctx)
-        for r in rng:
-            for s in rng:
-                rhs = rhs + PairPoly.tensor(M.get(i, j, r, s), M.get(r, s, k, l))
-        if lhs != rhs:
-            return False
-        eps = pres.counit(M.get(i, j, k, l))
-        want = M.ctx.one if (i == k and j == l) else M.ctx.zero
-        if eps != want:
-            return False
+    rng = range(1, M.dim + 1)
+    with M.ctx.products():
+        for i, j, k, l in itertools.product(rng, repeat=4):
+            lhs = pres.coproduct(M.get(i, j, k, l))
+            rhs = PairPoly.zero(M.ctx)
+            for r in rng:
+                for s in rng:
+                    rhs = rhs + PairPoly.tensor(M.get(i, j, r, s), M.get(r, s, k, l))
+            if lhs != rhs:
+                return False
+            eps = pres.counit(M.get(i, j, k, l))
+            want = M.ctx.one if (i == k and j == l) else M.ctx.zero
+            if eps != want:
+                return False
     return True
 
 
@@ -255,18 +248,19 @@ def coideal_check(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> bool:
     ctx = M.ctx
     pres = M.pres
     rng = range(1, M.dim + 1)
-    rel = relation_entries(B, M, M_second)
-    for (i, j, k, l), r in rel.items():
-        lhs = pres.coproduct(r)
-        rhs = PairPoly.zero(ctx)
-        for a in rng:
-            for b in rng:
-                rhs = rhs + PairPoly.tensor(rel[(i, j, a, b)], M.get(a, b, k, l))
-                rhs = rhs + PairPoly.tensor(M_second.get(i, j, a, b), rel[(a, b, k, l)])
-        if lhs != rhs:
-            return False
-        if not pres.counit(r).is_zero():
-            return False
+    with ctx.products():
+        rel = relation_entries(B, M, M_second)
+        for (i, j, k, l), r in rel.items():
+            lhs = pres.coproduct(r)
+            rhs = PairPoly.zero(ctx)
+            for a in rng:
+                for b in rng:
+                    rhs = rhs + PairPoly.tensor(rel[(i, j, a, b)], M.get(a, b, k, l))
+                    rhs = rhs + PairPoly.tensor(M_second.get(i, j, a, b), rel[(a, b, k, l)])
+            if lhs != rhs:
+                return False
+            if not pres.counit(r).is_zero():
+                return False
     return True
 
 

@@ -13,7 +13,7 @@ T[1,2](mu) are distinct free generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 from .errors import MissingImage, MixedFamilies
 from .scalars import Context, Scalar
@@ -444,11 +444,14 @@ class SpanComparison:
     rank_a: int = 0
     rank_b: int = 0
     rank_union: int = 0
-    witnesses: list = dfield(default_factory=list)
 
 
 def row_space_compare(a: RelationSet, b: RelationSet) -> SpanComparison:
-    """Compare the Scalar row spaces spanned by two degree-2 relation sets."""
+    """Compare the Scalar row spaces spanned by two degree-2 relation sets.
+
+    The verdict needs only ranks: a lies in b exactly when adding a to b
+    leaves b's rank unchanged, so rank(a + b) = rank(b), and symmetrically.
+    """
     if a.family != b.family:
         raise MixedFamilies(
             "cannot compare relation sets over different families: %s vs %s"
@@ -456,28 +459,18 @@ def row_space_compare(a: RelationSet, b: RelationSet) -> SpanComparison:
         )
     ba = a.basis()
     bb = b.basis()
-    a_in_b = []
-    for p in a.polys:
-        if not bb.contains(poly_vector(p)):
-            a_in_b.append(p)
-    b_in_a = []
-    for p in b.polys:
-        if not ba.contains(poly_vector(p)):
-            b_in_a.append(p)
     union = SpanBasis(a.ctx, colkey=word_key)
     union.rows = list(ba.rows)
-    for p in b.polys:
-        union.add(poly_vector(p))
-    if not a_in_b and not b_in_a:
+    for _, row in bb.rows:
+        union.add(row)
+    a_in_b = union.rank == bb.rank
+    b_in_a = union.rank == ba.rank
+    if a_in_b and b_in_a:
         verdict = "equal"
-        witnesses = []
-    elif not a_in_b:
+    elif a_in_b:
         verdict = "a_in_b"
-        witnesses = b_in_a
-    elif not b_in_a:
+    elif b_in_a:
         verdict = "b_in_a"
-        witnesses = a_in_b
     else:
         verdict = "incomparable"
-        witnesses = a_in_b + b_in_a
-    return SpanComparison(verdict, ba.rank, bb.rank, union.rank, witnesses)
+    return SpanComparison(verdict, ba.rank, bb.rank, union.rank)

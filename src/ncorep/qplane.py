@@ -18,7 +18,6 @@ from .rewrite import (
     DETBAR,
     confluence_check,
     extend_with_determinant,
-    matrix_order,
     normal_form,
     orient,
 )
@@ -174,11 +173,11 @@ def determinant(qp) -> NCPoly:
     return total
 
 
-def verify_D_commutations(qp_limit) -> Report:
-    """Reduce the four determinant commutations in the limit system."""
+def verify_D_commutations(qp_limit, order) -> Report:
+    """Reduce the four determinant commutations in the limit system oriented by order."""
     ctx = qp_limit.ctx
     rep = Report("determinant commutations")
-    rs = qp_limit.rewrite_system(matrix_order(ctx, 2))
+    rs = qp_limit.rewrite_system(order)
     conf = confluence_check(rs)
     rep.add(
         "system-confluent",
@@ -229,8 +228,8 @@ def antipode_images(qp_limit):
     }
 
 
-def verify_antipode(qp_limit) -> Report:
-    """The eight inverse identities and the counit compatibility.
+def verify_antipode(qp_limit, order) -> Report:
+    """The eight inverse identities and the counit compatibility, reduced under order.
 
     The unit on the right-hand side enters as the inverse symbol times the
     determinant polynomial, which is the defining equation of the adjoined
@@ -238,7 +237,7 @@ def verify_antipode(qp_limit) -> Report:
     """
     ctx = qp_limit.ctx
     rep = Report("antipode")
-    rs = qp_limit.rewrite_system(matrix_order(ctx, 2))
+    rs = qp_limit.rewrite_system(order)
     D = qp_limit.determinant()
     comm = [
         (qp_limit.gens[0], ctx.one),

@@ -13,6 +13,18 @@ The canonical *observable* form divides by the denominator's leading
 coefficient, making it monic, at the serialization boundary; parameters are
 sorted alphabetically.  No floating point exists anywhere.
 
+The paper's identities are index contractions whose coefficients are
+products of the same few tensor entries, so one check multiplies the same
+pair of scalars many times, and each product pays a sympy gcd cancel.
+Inside ``with ctx.products():`` each distinct pair is multiplied once: the
+product is kept in a dict on the Context keyed by the two operands' sympy
+elements.  Because every element is canonical, equal keys are equal values,
+so the memo is exact.  The dict lives only as long as the outermost block
+(a nested block reuses it) and is dropped on exit, also when the block
+raises.  It is opened around single checks, not sections or reports: on
+the four-parameter full-report a report-wide memo raised peak memory by
+about 10% and a per-section one by about 3%, a per-check one by under 1%.
+
 The expression grammar accepted by parse() is deliberately small:
 
     expr   := term  (('+' | '-') term)*
@@ -27,6 +39,7 @@ canonicalize on construction (those two become q + 1 and q/(q^2 + 1)).
 
 from __future__ import annotations
 
+import contextlib
 import re
 from fractions import Fraction
 
@@ -70,6 +83,7 @@ class Context:
         self.params: tuple[str, ...] = tuple(sorted(names))
         self.field = _build_field(self.params)
         self._gens = {n: Scalar(self, g) for n, g in zip(self.params, self.field.gens)}
+        self._products = None  # (fe, fe) -> Scalar while a products() block is open
 
     def __repr__(self):
         return "Context(%s)" % ", ".join(self.params)
@@ -92,6 +106,18 @@ class Context:
     @property
     def one(self) -> "Scalar":
         return Scalar(self, self.field.one)
+
+    @contextlib.contextmanager
+    def products(self):
+        """Multiply each distinct pair of this context's scalars once inside the block."""
+        if self._products is not None:
+            yield
+            return
+        self._products = {}
+        try:
+            yield
+        finally:
+            self._products = None
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, string expression, or Scalar into this field."""
@@ -184,7 +210,14 @@ class Scalar:
             return o
         if o.is_one():
             return self
-        return Scalar(self.ctx, self.fe * o.fe)
+        memo = self.ctx._products
+        if memo is None:
+            return Scalar(self.ctx, self.fe * o.fe)
+        key = (self.fe, o.fe)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = Scalar(self.ctx, self.fe * o.fe)
+        return out
 
     __rmul__ = __mul__
 

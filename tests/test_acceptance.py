@@ -156,7 +156,8 @@ def test_c06_limit_system_confluent_with_flat_dimension_growth():
 
 def test_c07_scale_commutations_and_antipode_inverses_reduce_to_zero():
     lim = load("qplane_qprs", *LIMIT)
-    drep = verify_D_commutations(lim)
+    order = matrix_order(lim.ctx, 2)
+    drep = verify_D_commutations(lim, order)
     assert drep.verdict() == "pass"
     commutations = [
         it["name"] for it in drep.items if it["name"].startswith("commutation-")
@@ -164,7 +165,7 @@ def test_c07_scale_commutations_and_antipode_inverses_reduce_to_zero():
     assert commutations == [
         "commutation-a", "commutation-b", "commutation-c", "commutation-d",
     ]
-    arep = verify_antipode(lim)
+    arep = verify_antipode(lim, order)
     assert arep.verdict() == "pass"
     inverses = [it for it in arep.items if it["name"].startswith("inverse-")]
     assert len(inverses) == 8

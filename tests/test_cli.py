@@ -238,6 +238,68 @@ def test_full_report_derives_each_once(monkeypatch):
     assert len(results[("basis", last["generate_ideal"])]) > 1
 
 
+def test_order_flag_reaches_every_section(monkeypatch):
+    import sys
+
+    import ncorep.rewrite
+
+    reverse = "T[2,2]<T[2,1]<T[1,2]<T[1,1]"
+    orders = []
+    original = ncorep.rewrite.orient
+
+    def counting(relations, order):
+        orders.append(" < ".join(map(str, order.precedence)))
+        return original(relations, order)
+
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("ncorep.") and getattr(module, "orient", None) is original:
+            monkeypatch.setattr(module, "orient", counting)
+    assert main(["full-report", "--input", "qplane_qp", "--order", reverse]) == 0
+    assert orders == ["T[2,2] < T[2,1] < T[1,2] < T[1,1]"]
+
+
+# GL_t(2): one parameter t, a unit character table and a Grassmann plane
+GL_T2 = """\
+[algebra]
+dim = 2
+params = t
+
+[B]
+1 1 1 1 = "1"
+1 2 2 1 = "t"
+2 1 1 2 = "t"
+2 1 2 1 = "1 - t^2"
+2 2 2 2 = "1"
+
+[theta]
+rho 1 1 = "1"
+rho 2 2 = "1"
+
+[space]
+parity = grassmann
+rel 1 1 2 = "1"
+rel 1 2 1 = "1/t"
+"""
+
+
+def test_sections_written_in_p_and_q_are_preconditions(tmp_path, capsys):
+    path = write(tmp_path, GL_T2, "glt2.alg")
+    out = tmp_path / "rep.json"
+    assert main(["full-report", "--input", path, "--json", str(out)]) in (0, 1)
+    sections = {c["name"].split(".")[0] for c in json.loads(out.read_text())["checks"]}
+    assert {"relations", "det", "confluence", "cocycle", "twist-r"} <= sections
+    assert not sections & {"compare-ideals", "d-commutations", "antipode"}
+    capsys.readouterr()
+    unmet = [
+        ("compare-ideals", "a parameter q"),
+        ("d-commutations", "parameters p and q"),
+        ("antipode", "parameters p and q"),
+    ]
+    for command, what in unmet:
+        assert main([command, "--input", path]) == 2
+        assert capsys.readouterr().err == "ncorep: %s needs %s\n" % (command, what)
+
+
 def test_argparse_errors_exit_two(capsys):
     assert main(["frobnicate", "--input", "qplane_qp"]) == 2
     assert main(["ybe"]) == 2

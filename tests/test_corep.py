@@ -1,7 +1,11 @@
 """Tests for twisting-tensor validity, the generated matrix and coaction checks."""
 
-import pytest
+import collections
 
+import pytest
+from sympy.polys.fields import FracElement
+
+from conftest import load
 from ncorep.bialg import Presentation, tilde_images
 from ncorep.corep import (
     QuadraticSpace,
@@ -300,3 +304,22 @@ def test_homomorphism_check_dropped_relation():
     dropped = RelationSet(ctx, ideal.family, six[:1] + six[2:])
     assert dropped.rank() == 5
     assert not homomorphism_check(space, th, dropped)
+
+
+def test_checks_multiply_each_scalar_pair_once(monkeypatch):
+    # the sympy product behind Scalar.__mul__ sees each pair once per check
+    qp = load("qplane_qprs")
+    M = qp.M
+    seen = collections.Counter()
+    original = FracElement.__mul__
+
+    def counting(f, g):
+        seen[(f, g)] += 1
+        return original(f, g)
+
+    monkeypatch.setattr(FracElement, "__mul__", counting)
+    for check in (lambda: check_grouplike(M), lambda: coideal_check(qp.B, M)):
+        seen.clear()
+        check()
+        assert seen
+        assert max(seen.values()) == 1

@@ -231,7 +231,6 @@ def test_row_space_compare_verdicts():
     cmp = row_space_compare(small, other)
     assert cmp.verdict == "incomparable"
     assert cmp.rank_union == 2
-    assert cmp.witnesses
     # the union is built beside the kept bases, never inside them
     assert small.rank() == 1 and other.rank() == 1
     again = row_space_compare(small, other)

@@ -4,7 +4,8 @@ Each case runs one command line and compares its exit code, its text report
 and its JSON report byte for byte with the files in tests/golden/.  The
 cases cover full-report on every shipped input and on the ordered r=0, s=0
 limit, and every theta-gated section (plus full-report) on a dim-2 input
-whose raw twisting tensor fails validation.
+whose raw twisting tensor fails validation.  The two goldens that the
+benchmark also runs must agree with its oracle, bench/expected.json.
 
 The fixtures change only together with an intended report change.  To
 regenerate them, run this file as a script from the repository root:
@@ -12,6 +13,7 @@ regenerate them, run this file as a script from the repository root:
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ import pytest
 from ncorep.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 CORRUPT = "corrupt_theta.alg"
 EXITS = "exit_codes.json"
 
@@ -64,6 +67,23 @@ def test_report_bytes_match_golden(name, tmp_path, capsys):
     assert code == exits[name]
     assert text.encode("utf-8") == (GOLDEN / (name + ".txt")).read_bytes()
     assert blob == (GOLDEN / (name + ".json")).read_bytes()
+
+
+# golden case -> the benchmark job that runs the same command line
+ORACLE_JOBS = {"qplane_qprs": "qplane_qprs:full-report", "qplane_qp": "qplane_qp:default"}
+
+
+def test_goldens_match_benchmark_oracle():
+    # the benchmark pins sha256(text, NUL, JSON) of each job's report; a
+    # regenerated golden must keep agreeing with it
+    doc = json.loads(BENCH_EXPECTED.read_text(encoding="utf-8"))
+    jobs = {job["id"]: job for wl in doc["workloads"].values() for job in wl}
+    exits = json.loads((GOLDEN / EXITS).read_text(encoding="utf-8"))
+    for name, job_id in ORACLE_JOBS.items():
+        text = (GOLDEN / (name + ".txt")).read_bytes()
+        blob = (GOLDEN / (name + ".json")).read_bytes()
+        assert hashlib.sha256(text + b"\0" + blob).hexdigest() == jobs[job_id]["sha256"]
+        assert exits[name] == jobs[job_id]["exit"]
 
 
 def regenerate():

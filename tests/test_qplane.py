@@ -158,13 +158,15 @@ def test_limit_relations_match_literal_table():
 
 
 def test_D_commutations_at_limit():
-    rep = verify_D_commutations(load("qplane_qprs", *LIMIT))
+    lim = load("qplane_qprs", *LIMIT)
+    rep = verify_D_commutations(lim, matrix_order(lim.ctx, 2))
     assert rep.verdict() == "pass"
     assert statuses(rep)["system-confluent"] == "pass"
 
 
 def test_antipode_at_limit():
-    rep = verify_antipode(load("qplane_qprs", *LIMIT))
+    lim = load("qplane_qprs", *LIMIT)
+    rep = verify_antipode(lim, matrix_order(lim.ctx, 2))
     assert rep.verdict() == "pass"
     assert len(rep.items) == 9
 

@@ -99,6 +99,22 @@ def test_arithmetic_matches_sympy_cancel(tree):
 
 
 @bounded
+@given(trees, trees)
+def test_products_scope_gives_the_same_canonical_product(ta, tb):
+    a, _ = scalar_of(ta)
+    b, _ = scalar_of(tb)
+    outside = a * b
+    with CTX.products():
+        inside = a * b
+        again = a * b
+    assert inside == outside
+    assert (inside.fe.numer, inside.fe.denom) == (outside.fe.numer, outside.fe.denom)
+    assert str(inside) == str(outside)
+    assert_canonical(inside)
+    assert again is inside
+
+
+@bounded
 @given(trees)
 def test_str_parse_roundtrip(tree):
     s, _ = scalar_of(tree)

@@ -203,3 +203,40 @@ def test_negative_powers_are_canonical():
     assert ctx.parse("-q/p").inv() == ctx.parse("-p/q")
     assert ctx.parse("(1 - q)^-2") == ctx.parse("1/(q - 1)^2")
     assert len({ctx.parse("(-q)^-1"), ctx.parse("-1/q")}) == 1
+
+
+def test_products_scope_keeps_each_pair_until_exit():
+    ctx = Context(["q", "r"])
+    a = ctx.parse("(q - 1)/(q^2 + 1)")
+    b = ctx.parse("(q^2 + 1)/(r - 1)")
+    outside = a * b
+    assert ctx._products is None
+    with ctx.products():
+        memo = ctx._products
+        first = a * b
+        with ctx.products():
+            # a nested scope reuses the outer dict
+            assert ctx._products is memo
+            nested = a * b
+        assert ctx._products is memo
+    assert ctx._products is None
+    assert first is nested
+    assert first == outside == ctx.parse("(q - 1)/(r - 1)")
+    assert (first.fe.numer, first.fe.denom) == (outside.fe.numer, outside.fe.denom)
+    assert list(memo.values()) == [first]
+    # unit factors take the shortcut and never enter the dict
+    with ctx.products():
+        assert a * ctx.one is a
+        assert ctx._products == {}
+
+
+def test_products_scope_dropped_when_block_raises():
+    ctx = Context(["q"])
+    q = ctx.gen("q")
+    with pytest.raises(DivisionByZero):
+        with ctx.products():
+            q * q
+            with ctx.products():
+                q / ctx.zero
+    assert ctx._products is None
+    assert q * q == ctx.parse("q^2")
