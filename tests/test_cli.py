@@ -4,6 +4,7 @@ import collections
 import json
 
 import pytest
+from sympy.polys.rings import PolyElement
 
 from ncorep.bialg import Presentation
 from ncorep.cli import (
@@ -407,3 +408,22 @@ def test_spectral_demo_reports(tmp_path):
     names = [c["name"] for c in doc["checks"]]
     assert "first.contracted-relation" in names
     assert "second.route-collapse" in names
+
+
+def test_full_report_never_calls_sympy_cancel(monkeypatch, tmp_path, capsys):
+    # every +, -, *, / and power of a report goes through the scalar kernel;
+    # sympy's gcd cancel is left to substitute and context changes
+    calls = []
+    original = PolyElement.cancel
+
+    def counting(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting)
+    assert main(["--input", "qplane_qprs", "full-report", "--json", str(tmp_path / "r.json")]) == 1
+    capsys.readouterr()
+    assert calls == []
+    # the counter is live: a substitution does reach sympy's cancel
+    Workspace(parse_algebra_file(_resolve_input("qplane_qp")), [("p", "2")])
+    assert calls

@@ -4,10 +4,12 @@ A random invertible 2 x 2 table rho over QQ(q, p) gives the factorized
 twist theta_ij^kl = rho_i^l rhobar_j^k.  For each table the twist is valid,
 its matrix M is group-like, the span of B M - M B is a coideal and the
 coaction on the quantum plane of B is an algebra map.  Rescaling one entry
-of theta tests the other direction of the validity criterion.
+of theta tests the other direction of the validity criterion.  Dense tables,
+with four nonzero entries and a determinant that is not a monomial, give
+scalars over shared non-monomial factors such as 1 - q and q^2 + 1.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncorep.corep import (
@@ -37,6 +39,7 @@ bounded = settings(max_examples=10, deadline=None, database=None)
 
 units = st.sampled_from(["1", "-1", "2", "1/3", "q", "p", "-p/q"])
 entries = st.sampled_from(["0", "1", "-1", "q", "p", "-p/q", "1 - q"])
+dense_entries = st.sampled_from(["1 - q", "q^2 + 1", "p - 1", "1/3", "-p/q", "q", "2"])
 
 
 @st.composite
@@ -55,15 +58,36 @@ def tables(draw):
     )
 
 
-@bounded
-@given(rho=tables())
-def test_character_table_gives_a_coacting_grouplike_matrix(rho):
+@st.composite
+def dense_tables(draw):
+    """rho with four nonzero entries whose determinant is not a monomial."""
+    rows = [[CTX.parse(draw(dense_entries)) for _ in (1, 2)] for _ in (1, 2)]
+    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    assume(len(det.fe.numer) > 1 or len(det.fe.denom) > 1)
+    return tensor_from_entries(
+        CTX, 2, 1, 1, [((i, j), rows[i - 1][j - 1]) for i, j in INDICES]
+    )
+
+
+def assert_coacting_grouplike(rho):
     theta = factorized_theta(CTX, rho)
     M = build_M(theta, check=False)
     assert theta.validate()["valid"]
     assert check_grouplike(M)
     assert coideal_check(B, M)
     assert homomorphism_check(SPACE, theta, generate_ideal(B, M))
+
+
+@bounded
+@given(rho=tables())
+def test_character_table_gives_a_coacting_grouplike_matrix(rho):
+    assert_coacting_grouplike(rho)
+
+
+@bounded
+@given(rho=dense_tables())
+def test_dense_character_table_gives_a_coacting_grouplike_matrix(rho):
+    assert_coacting_grouplike(rho)
 
 
 @bounded

@@ -5,7 +5,9 @@ and its JSON report byte for byte with the files in tests/golden/.  The
 cases cover full-report on every shipped input and on the ordered r=0, s=0
 limit, and every theta-gated section (plus full-report) on a dim-2 input
 whose raw twisting tensor fails validation.  The two goldens that the
-benchmark also runs must agree with its oracle, bench/expected.json.
+benchmark also runs must agree with its oracle, bench/expected.json, and
+every job of that oracle is run here and must give its pinned exit code
+and report digest.
 
 The fixtures change only together with an intended report change.  To
 regenerate them, run this file as a script from the repository root:
@@ -69,6 +71,11 @@ def test_report_bytes_match_golden(name, tmp_path, capsys):
     assert blob == (GOLDEN / (name + ".json")).read_bytes()
 
 
+def _oracle_jobs():
+    doc = json.loads(BENCH_EXPECTED.read_text(encoding="utf-8"))
+    return [job for wl in doc["workloads"].values() for job in wl]
+
+
 # golden case -> the benchmark job that runs the same command line
 ORACLE_JOBS = {"qplane_qprs": "qplane_qprs:full-report", "qplane_qp": "qplane_qp:default"}
 
@@ -76,14 +83,24 @@ ORACLE_JOBS = {"qplane_qprs": "qplane_qprs:full-report", "qplane_qp": "qplane_qp
 def test_goldens_match_benchmark_oracle():
     # the benchmark pins sha256(text, NUL, JSON) of each job's report; a
     # regenerated golden must keep agreeing with it
-    doc = json.loads(BENCH_EXPECTED.read_text(encoding="utf-8"))
-    jobs = {job["id"]: job for wl in doc["workloads"].values() for job in wl}
+    jobs = {job["id"]: job for job in _oracle_jobs()}
     exits = json.loads((GOLDEN / EXITS).read_text(encoding="utf-8"))
     for name, job_id in ORACLE_JOBS.items():
         text = (GOLDEN / (name + ".txt")).read_bytes()
         blob = (GOLDEN / (name + ".json")).read_bytes()
         assert hashlib.sha256(text + b"\0" + blob).hexdigest() == jobs[job_id]["sha256"]
         assert exits[name] == jobs[job_id]["exit"]
+
+
+@pytest.mark.parametrize("job", _oracle_jobs(), ids=lambda job: job["id"])
+def test_benchmark_oracle_job(job, tmp_path, capsys):
+    # the same digest as bench/workloads.py: sha256(text, NUL, JSON)
+    json_path = tmp_path / "report.json"
+    code = main(job["argv"] + ["--json", str(json_path)])
+    text = capsys.readouterr().out.encode("utf-8")
+    blob = json_path.read_bytes() if json_path.exists() else b""
+    assert code == job["exit"]
+    assert hashlib.sha256(text + b"\0" + blob).hexdigest() == job["sha256"]
 
 
 def regenerate():

@@ -2,8 +2,12 @@
 
 Random expression trees over q and p (with negative powers and rational
 constants) are evaluated twice: as Scalars and as plain sympy expressions.
+Trees over four parameters whose leaves share the factors p - 1, q^2 + 1,
+1 - q and r - 1 check every operation of the field kernel against the same
+operation in sympy's field, which cancels by a polynomial gcd.
 """
 
+import operator
 from fractions import Fraction
 
 import sympy
@@ -15,7 +19,8 @@ from ncorep.scalars import Context, Scalar
 
 CTX = Context(["q", "p"])
 WIDE = Context(["p", "q", "r"])
-SYMS = {n: sympy.Symbol(n) for n in ("p", "q", "r")}
+FOUR = Context(["p", "q", "r", "s"])
+SYMS = {n: sympy.Symbol(n) for n in ("p", "q", "r", "s")}
 
 bounded = settings(max_examples=100, deadline=None, database=None)
 
@@ -72,6 +77,59 @@ def assert_canonical(s):
     assert den.LC(order="grlex") > 0
 
 
+# leaves that share factors, several with a negative leading coefficient;
+# q^2 - p leads with opposite signs in lex and graded-lex order
+SHARED = {
+    text: FOUR.parse(text)
+    for text in (
+        "p - 1", "q^2 + 1", "1 - q", "r - 1", "q^2 - p", "p*s - q", "1 - r*s", "q", "s", "-2", "1/3",
+    )
+}
+shared_leaves = st.lists(
+    st.tuples(st.sampled_from(sorted(SHARED)), st.integers(-2, 2)), min_size=1, max_size=2
+).map(lambda powers: ("leaf", tuple(powers)))
+
+
+def _extend_shared(children):
+    # small exponents keep sympy's reference gcds cheap
+    binary = st.tuples(st.sampled_from("+-*/"), children, children)
+    power = st.tuples(st.just("^"), children, st.integers(-2, 2))
+    return st.one_of(binary, power)
+
+
+shared_trees = st.recursive(shared_leaves, _extend_shared, max_leaves=3)
+
+
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": pow}
+
+
+def checked(kind, a, b):
+    """The kernel's a <kind> b, which must equal sympy's canonical form term
+    for term; every operation in sympy's field goes through its gcd cancel."""
+    if kind == "/" and b.is_zero() or kind == "^" and b < 0 and a.is_zero():
+        assume(False)
+    got = OPS[kind](a, b)
+    if kind == "^" and b <= 0:
+        # sympy's own power rejects 0^0 and swaps the pair without a sign fix
+        want = a.fe.field.one / a.fe ** -b if b else a.fe.field.one
+    else:
+        want = OPS[kind](a.fe, b if kind == "^" else b.fe)
+    assert (got.fe.numer, got.fe.denom) == (want.numer, want.denom)
+    return got
+
+
+def evaluate_shared(tree):
+    kind = tree[0]
+    if kind == "leaf":
+        out = FOUR.one
+        for text, exp in tree[1]:
+            out = checked("*", out, checked("^", SHARED[text], exp))
+        return out
+    if kind == "^":
+        return checked("^", evaluate_shared(tree[1]), tree[2])
+    return checked(kind, evaluate_shared(tree[1]), evaluate_shared(tree[2]))
+
+
 # reference path: substitution and context moves through sympy expressions
 
 
@@ -96,6 +154,26 @@ def test_arithmetic_matches_sympy_cancel(tree):
     s, expr = scalar_of(tree)
     assert sympy.cancel(expr - s.fe.as_expr()) == 0
     assert_canonical(s)
+
+
+@bounded
+@given(shared_trees)
+def test_kernel_matches_sympy_field_on_shared_factors(tree):
+    assert_canonical(evaluate_shared(tree))
+
+
+@bounded
+@given(shared_trees, shared_trees)
+def test_kernel_cancels_what_it_combined(ta, tb):
+    # each second step must cancel what the first put in the denominator;
+    # a is canonical, so equality with it is term for term
+    a, b = evaluate_shared(ta), evaluate_shared(tb)
+    total = a + b
+    assert_canonical(total)
+    assert (total - b).fe == a.fe
+    assume(not b.is_zero())
+    assert (a * b / b).fe == a.fe
+    assert (a / b * b).fe == a.fe
 
 
 @bounded

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy.polys.rings import PolyElement
 
 from ncorep.errors import (
     DenominatorVanishes,
@@ -230,6 +231,17 @@ def test_products_scope_keeps_each_pair_until_exit():
         assert ctx._products == {}
 
 
+def test_products_scope_skips_zero_factors():
+    ctx = Context(["q", "r"])
+    a = ctx.parse("(q - 1)/(q^2 + 1)")
+    zero = ctx.zero
+    with ctx.products():
+        assert (a * zero).is_zero()
+        assert (zero * a).is_zero()
+        assert (zero * zero).is_zero()
+        assert ctx._products == {}
+
+
 def test_products_scope_dropped_when_block_raises():
     ctx = Context(["q"])
     q = ctx.gen("q")
@@ -240,3 +252,41 @@ def test_products_scope_dropped_when_block_raises():
                 q / ctx.zero
     assert ctx._products is None
     assert q * q == ctx.parse("q^2")
+
+
+def test_each_divisor_is_factored_once_per_context(monkeypatch):
+    seen = []
+    original = PolyElement.factor_list
+
+    def counting(f):
+        seen.append(f)
+        return original(f)
+
+    monkeypatch.setattr(PolyElement, "factor_list", counting)
+    ctx = Context(["p", "q"])
+    a = ctx.parse("(q - 1)/(p^2 - 2*p + 1)")
+    b = ctx.parse("(p + q)/(q^2 + 1)")
+    c = ctx.parse("p/(1 - q)")
+    for x in (a, b, c, a / b, b / c, c / a):
+        for y in (a, b, c):
+            assert not (x * y - y / x + (x + y) ** -2).is_zero()
+    assert seen
+    assert len(seen) == len(set(seen))
+    # a new Context keeps its own factor base
+    seen.clear()
+    other = Context(["p", "q"])
+    assert other.parse("1/(q^2 + 1) + 1/(q^2 + 1)") == other.parse("2/(q^2 + 1)")
+    assert seen == [other.parse("q^2 + 1").fe.numer]
+
+
+def test_factor_with_negative_graded_leading_coefficient():
+    # factor_list makes q^2 - 2*p - 2*q + 3 positive in lex order (-q^2 + 2*p
+    # + ...); the factor base must hold it with a positive graded-lex lead
+    ctx = Context(["p", "q"])
+    x = ctx.parse("(q^2 - 2*p - 2*q + 3)/(p - 1)")
+    assert (x / x).is_one()
+    assert (x.inv() * x).is_one()
+    c = ctx.parse("p - q^2")
+    q = ctx.gen("q")
+    assert (c * q * c.inv()).fe == q.fe
+    assert str(x.inv() + x.inv()) == "(2*p - 2)/(q^2 - 2*p - 2*q + 3)"
