@@ -55,7 +55,6 @@ from .qplane import (
 from .report import Report, passfail
 from .rewrite import (
     TermOrder,
-    confluence_check,
     count_irreducible,
     matrix_order,
     normal_form,
@@ -556,7 +555,7 @@ def _normal_form(ws, ns, rep):
 @section("confluence", "overlap resolution", gated=True)
 def _confluence(ws, ns, rep):
     rs = ws.qp.rewrite_system(ws.term_order())
-    out = confluence_check(rs, maxdeg=ns.max_degree)
+    out = ws.qp.confluence(ws.term_order(), ns.max_degree)
     rep.add(
         "confluent",
         "every overlap up to degree %d resolves" % ns.max_degree,

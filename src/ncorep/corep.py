@@ -97,14 +97,6 @@ def factorized_theta(ctx, rho: Tensor) -> ThetaMap:
     return ThetaMap(Tensor(ctx, n, 2, 2, entries), rho=rho, rhobar=rhobar)
 
 
-def flip_theta(ctx, n) -> Tensor:
-    entries = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            entries[(i, j, j, i)] = ctx.one
-    return Tensor(ctx, n, 2, 2, entries)
-
-
 def validate_theta(theta):
     """Check the two structural identities; violations come back as data.
 

@@ -237,19 +237,6 @@ def apply_hom(x: NCPoly, images: dict) -> NCPoly:
     return out
 
 
-def apply_antihom(x: NCPoly, images: dict) -> NCPoly:
-    """Extend generator images to an algebra anti-homomorphism (reverses words)."""
-    out = NCPoly.zero(x.ctx)
-    for w, c in x.terms.items():
-        acc = NCPoly.term(x.ctx, (), c)
-        for g in reversed(w):
-            if g not in images:
-                raise MissingImage("no image for generator %s" % g)
-            acc = acc * images[g]
-        out = out + acc
-    return out
-
-
 class PairPoly:
     """Element of (free algebra) tensor (free algebra): Scalar combos of word pairs."""
 

@@ -53,12 +53,6 @@ def plain_trace(ctx, dim, label=None) -> NCPoly:
     return out
 
 
-def check_trace_ansatz(theta) -> bool:
-    """Whether the twisting tensor contracts to the identity on its first slot."""
-    th = require_valid(theta)
-    return weighted_trace(th) == delta(th.tensor.ctx, th.dim)
-
-
 def weight_commutation_holds(B: Tensor, w: Tensor) -> bool:
     """The weight passes through the exchange tensor: B_ij^rk w_r^l = w_i^r B_rj^lk."""
     n = B.dim

@@ -27,9 +27,10 @@ class QPlaneContext:
     """Immutable bundle of the tensors and spaces of one configuration.
 
     It also owns what is derived from them: the matrix M, the relation
-    ideal, the oriented system for each term order, the determinant, the
-    character pair form and its cocycle check.  Each is computed on first use and kept;
-    a derivation that raised raises the same error at every later use.
+    ideal, the oriented system and its overlap analysis for each term order,
+    the determinant, the character pair form and its cocycle check.  Each is
+    computed on first use and kept; a derivation that raised raises the same
+    error at every later use.
     """
 
     def __init__(self, ctx, B, theta, bosonic, grassmann):
@@ -89,6 +90,13 @@ class QPlaneContext:
     def cocycle(self):
         """cocycle_check of the character pair form."""
         return self._once("cocycle", lambda: cocycle_check(self.pair_form()))
+
+    def confluence(self, order, maxdeg):
+        """confluence_check of the system oriented under order, up to maxdeg."""
+        return self._once(
+            ("confluence", order.precedence, maxdeg),
+            lambda: confluence_check(self.rewrite_system(order), maxdeg),
+        )
 
 
 def _tilde(qp):
@@ -178,7 +186,7 @@ def verify_D_commutations(qp_limit, order) -> Report:
     ctx = qp_limit.ctx
     rep = Report("determinant commutations")
     rs = qp_limit.rewrite_system(order)
-    conf = confluence_check(rs)
+    conf = qp_limit.confluence(order, 3)
     rep.add(
         "system-confluent",
         "oriented limit system resolves every degree-3 overlap",

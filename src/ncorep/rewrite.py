@@ -6,6 +6,14 @@ replacement terminates.  Diamond-lemma overlap analysis decides confluence;
 for a confluent system normal forms are unique and counting irreducible
 words gives the graded dimension of the quotient algebra.
 
+normal_form reduces each word by rewriting its leftmost redex until none is
+left.  That reduction of one word is deterministic, and normal_form is its
+linear extension, so a RewriteSystem keeps the reduction of each word it has
+reduced and reuses it.  This is exact whether or not the system is
+confluent: a kept entry is what the same reduction would compute again.  It
+holds only while the rules stay the same, so whoever adds or drops a rule
+(orient, while it inter-reduces) calls reset() before the next reduction.
+
 A multiplicative determinant can be adjoined afterwards as a pair of atomic
 symbols (the element and its inverse) together with the commutation rules it
 satisfies against the matrix generators.  The claimed commutations are
@@ -66,22 +74,21 @@ def matrix_order(ctx, n, label=None):
 class RewriteSystem:
     """A set of oriented rules over a fixed term order.
 
-    rules maps each left-hand word to the polynomial it rewrites to; sources
-    keeps the monic relation lhs - rhs behind each rule so that reductions
-    can be certified as ideal membership.  confluent is None until an
-    overlap analysis has run.
+    rules maps each left-hand word to the polynomial it rewrites to.  The
+    system also keeps the leftmost reduction of every word it has reduced;
+    whoever adds or drops a rule calls reset() before the next reduction.
     """
 
-    def __init__(self, ctx, order, rules, sources=None):
+    def __init__(self, ctx, order, rules):
         self.ctx = ctx
         self.order = order
         self.rules = dict(rules)
-        self.sources = dict(sources) if sources else {
-            lhs: NCPoly.term(ctx, lhs) - rhs for lhs, rhs in self.rules.items()
-        }
-        self.confluent = None
-        self.determinant = None
-        self._lengths = sorted({len(w) for w in self.rules}) or [2]
+        self.reset()
+
+    def reset(self):
+        """Forget every kept reduction; the rules have changed."""
+        self._forms = {}
+        self._lengths = sorted({len(w) for w in self.rules})
 
     def alphabet(self):
         return self.order.precedence
@@ -92,59 +99,70 @@ class RewriteSystem:
     def __len__(self):
         return len(self.rules)
 
+    def _redex(self, word):
+        """The leftmost (position, lhs) occurrence of a left side in word, or None."""
+        for i in range(len(word)):
+            for ln in self._lengths:
+                piece = word[i : i + ln]
+                if len(piece) == ln and piece in self.rules:
+                    return i, piece
+        return None
 
-def _find_redex(rules, lengths, word, strategy):
-    positions = range(len(word))
-    if strategy == "rightmost":
-        positions = reversed(positions)
-    for i in positions:
-        for ln in lengths:
-            if i + ln > len(word):
+    def _form(self, word):
+        """The kept leftmost reduction of word, {irreducible word: Scalar}.
+
+        Reduces on an explicit stack: a word is expanded into the words of
+        its one-step rewrite, and combined once all of those are kept.  Each
+        word meets _redex once; the rewrite strictly lowers the order, so a
+        word never waits on itself.
+        """
+        forms = self._forms
+        stack = [(word, None)]
+        while stack:
+            w, step = stack.pop()
+            if step is not None:
+                out = {}
+                for v, c in step:
+                    _add_scaled(out, c, forms[v])
+                forms[w] = {u: c for u, c in out.items() if not c.is_zero()}
                 continue
-            piece = word[i : i + ln]
-            if piece in rules:
-                return i, piece
-    return None
+            if w in forms:
+                continue
+            hit = self._redex(w)
+            if hit is None:
+                forms[w] = {w: self.ctx.one}
+                continue
+            i, lhs = hit
+            left, right = w[:i], w[i + len(lhs) :]
+            step = [(left + v + right, c) for v, c in self.rules[lhs].terms.items()]
+            stack.append((w, step))
+            stack.extend((v, None) for v, _ in step if v not in forms)
+        return forms[word]
 
 
-def normal_form(poly, rs, strategy="leftmost", witness=False):
+def _add_scaled(out, coeff, form):
+    # out += coeff * form, in place
+    for u, c in form.items():
+        c = coeff * c
+        acc = out.get(u)
+        out[u] = c if acc is None else acc + c
+
+
+def _has_factor(word, piece):
+    n = len(piece)
+    return any(word[i : i + n] == piece for i in range(len(word) - n + 1))
+
+
+def normal_form(poly, rs):
     """Reduce poly to an irreducible representative.
 
-    With witness=True also returns the list of steps (coeff, left, lhs,
-    right) whose combination sum coeff * left * source[lhs] * right equals
-    poly minus the normal form.
+    Each word of poly is replaced by its kept leftmost reduction; the sum is
+    built in one dict and its zero coefficients dropped once.
     """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError("unknown strategy %r" % (strategy,))
-    ctx = poly.ctx
-    out = NCPoly.zero(ctx)
-    steps = []
-    work = list(poly.terms.items())
-    while work:
-        word, coeff = work.pop()
-        hit = _find_redex(rs.rules, rs._lengths, word, strategy)
-        if hit is None:
-            out = out + NCPoly.term(ctx, word, coeff)
-            continue
-        i, lhs = hit
-        left, right = word[:i], word[i + len(lhs) :]
-        if witness:
-            steps.append((coeff, left, lhs, right))
-        for w2, c2 in rs.rules[lhs].terms.items():
-            work.append((left + w2 + right, coeff * c2))
-    if witness:
-        return out, steps
-    return out
-
-
-def combination_value(rs, steps):
-    """Rebuild sum coeff * left * source * right from a reduction witness."""
-    ctx = rs.ctx
-    total = NCPoly.zero(ctx)
-    for coeff, left, lhs, right in steps:
-        mid = rs.sources[lhs]
-        total = total + NCPoly.term(ctx, left, coeff) * mid * NCPoly.term(ctx, right)
-    return total
+    out = {}
+    for word, coeff in poly.terms.items():
+        _add_scaled(out, coeff, rs._form(word))
+    return NCPoly(poly.ctx, out)
 
 
 def orient(relations, order):
@@ -169,32 +187,25 @@ def orient(relations, order):
         if len(r.degrees()) != 1 or r.degree() < 2:
             raise ValueError("orientation needs homogeneous relations of degree >= 2")
 
-    rs = RewriteSystem(ctx, order, {}, {})
+    rs = RewriteSystem(ctx, order, {})
     queue = sorted(rels, key=lambda p: order.word_key(order.leading_word(p)))
     while queue:
         p = normal_form(queue.pop(0), rs)
         if p.is_zero():
             continue
         lhs = order.leading_word(p)
-        c = p.coeff(lhs)
-        monic = p * c.inv()
-        rhs = NCPoly.term(ctx, lhs) - monic
+        rhs = NCPoly.term(ctx, lhs) - p * p.coeff(lhs).inv()
         rs.rules[lhs] = rhs
-        rs.sources[lhs] = monic
-        rs._lengths = sorted({len(w) for w in rs.rules})
-        # earlier rules may now have reducible right sides
-        stale = []
-        for l2, r2 in list(rs.rules.items()):
-            if l2 == lhs:
-                continue
-            hits = any(_find_redex({lhs: rhs}, [len(lhs)], w, "leftmost") for w in r2.terms)
-            if hits or _find_redex({lhs: rhs}, [len(lhs)], l2, "leftmost"):
-                stale.append(l2)
+        # earlier rules may now have reducible sides; requeue their monic
+        # relations lhs - rhs
+        stale = [
+            l2
+            for l2, r2 in rs.rules.items()
+            if l2 != lhs and (_has_factor(l2, lhs) or any(_has_factor(w, lhs) for w in r2.terms))
+        ]
         for l2 in stale:
-            rel2 = rs.sources.pop(l2)
-            del rs.rules[l2]
-            rs._lengths = sorted({len(w) for w in rs.rules}) or [2]
-            queue.append(rel2)
+            queue.append(NCPoly.term(ctx, l2) - rs.rules.pop(l2))
+        rs.reset()
     return rs
 
 
@@ -203,7 +214,8 @@ def confluence_check(rs, maxdeg=3):
 
     Returns {"confluent": bool, "ambiguities": [(word, difference), ...]}
     where the difference is the (nonzero) gap between the two one-step
-    resolutions after full reduction.  The verdict is cached on rs.
+    resolutions after full reduction.  QPlaneContext.confluence keeps the
+    result per report.
     """
     ambiguities = []
     lhss = list(rs.rules)
@@ -221,30 +233,24 @@ def confluence_check(rs, maxdeg=3):
                 if not diff.is_zero():
                     ambiguities.append((word, diff))
     ambiguities.sort(key=lambda t: rs.order.word_key(t[0]))
-    rs.confluent = not ambiguities
-    return {"confluent": rs.confluent, "ambiguities": ambiguities}
-
-
-def irreducible_words(rs, degree):
-    """All degree-d words over the ordered alphabet avoiding every lhs."""
-    alphabet = rs.alphabet()
-    out = []
-
-    def grow(word):
-        if _find_redex(rs.rules, rs._lengths, word, "leftmost") is not None:
-            return
-        if len(word) == degree:
-            out.append(word)
-            return
-        for g in alphabet:
-            grow(word + (g,))
-
-    grow(())
-    return out
+    return {"confluent": not ambiguities, "ambiguities": ambiguities}
 
 
 def count_irreducible(rs, degree):
-    return len(irreducible_words(rs, degree))
+    """The number of degree-d words over the ordered alphabet avoiding every lhs."""
+
+    # words grow from irreducible prefixes, so only a new suffix can be a left side
+    def grow(word):
+        if len(word) == degree:
+            return 1
+        total = 0
+        for g in rs.alphabet():
+            w = word + (g,)
+            if not any(w[len(w) - ln :] in rs.rules for ln in rs._lengths if ln <= len(w)):
+                total += grow(w)
+        return total
+
+    return grow(())
 
 
 def extend_with_determinant(rs, det_poly, commutations):
@@ -254,8 +260,7 @@ def extend_with_determinant(rs, det_poly, commutations):
     Each claim is first checked in the base system with det replaced by its
     polynomial; a failure raises CommutationUnverified.  The determinant
     symbol itself stays atomic: rules only move it across generators and
-    cancel it against its inverse, while det_poly is recorded on the result
-    for downstream cross-checks.
+    cancel it against its inverse.
     """
     ctx = rs.ctx
     for g, c in commutations:
@@ -268,23 +273,9 @@ def extend_with_determinant(rs, det_poly, commutations):
 
     order2 = TermOrder((DETBAR,) + tuple(rs.order.precedence) + (DET,))
     rules2 = dict(rs.rules)
-    sources2 = dict(rs.sources)
-
-    def put(lhs, rhs):
-        rules2[lhs] = rhs
-        sources2[lhs] = NCPoly.term(ctx, lhs) - rhs
-
     for g, c in commutations:
-        put((DET, g), NCPoly.term(ctx, (g, DET), c))
-        put((g, DETBAR), NCPoly.term(ctx, (DETBAR, g), c))
-    put((DET, DETBAR), NCPoly.one(ctx))
-    put((DETBAR, DET), NCPoly.one(ctx))
-
-    out = RewriteSystem(ctx, order2, rules2, sources2)
-    out.determinant = {
-        "gen": DET,
-        "inverse": DETBAR,
-        "poly": det_poly,
-        "commutations": list(commutations),
-    }
-    return out
+        rules2[(DET, g)] = NCPoly.term(ctx, (g, DET), c)
+        rules2[(g, DETBAR)] = NCPoly.term(ctx, (DETBAR, g), c)
+    rules2[(DET, DETBAR)] = NCPoly.one(ctx)
+    rules2[(DETBAR, DET)] = NCPoly.one(ctx)
+    return RewriteSystem(ctx, order2, rules2)

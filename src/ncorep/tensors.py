@@ -123,28 +123,8 @@ class Tensor:
     __repr__ = __str__
 
 
-def tensor_from_entries(ctx, dim, nlower, nupper, items):
-    """items: iterable of (index_tuple, scalar-like)."""
-    out = {}
-    for idx, val in items:
-        idx = tuple(idx)
-        v = ctx.scalar(val)
-        if idx in out:
-            raise ShapeMismatch("duplicate tensor entry at %r" % (idx,))
-        out[idx] = v
-    return Tensor(ctx, dim, nlower, nupper, out)
-
-
 def delta(ctx, dim):
     return Tensor(ctx, dim, 1, 1, {(i, i): ctx.one for i in range(1, dim + 1)})
-
-
-def identity4(ctx, dim):
-    rng = range(1, dim + 1)
-    return Tensor(
-        ctx, dim, 2, 2,
-        {(i, j, i, j): ctx.one for i in rng for j in rng},
-    )
 
 
 def compose(a: Tensor, b: Tensor) -> Tensor:

@@ -8,7 +8,14 @@ import itertools
 
 import pytest
 
-from conftest import load, one_parameter_relations, two_parameter_relations
+from conftest import (
+    check_trace_ansatz,
+    identity4,
+    load,
+    one_parameter_relations,
+    tensor_from_entries,
+    two_parameter_relations,
+)
 from ncorep.bialg import (
     Presentation,
     braid_form,
@@ -29,7 +36,6 @@ from ncorep.corep import (
 from ncorep.errors import DenominatorVanishes
 from ncorep.freealg import NCPoly, RelationSet, T, poly_vector, row_space_compare
 from ncorep.integrable import (
-    check_trace_ansatz,
     spectral_relations,
     weight_commutation_holds,
     weighted_trace,
@@ -39,10 +45,8 @@ from ncorep.rewrite import confluence_check, count_irreducible, matrix_order
 from ncorep.tensors import (
     compose,
     delta,
-    identity4,
     invert4,
     swap_lower,
-    tensor_from_entries,
     ybe_residual,
 )
 

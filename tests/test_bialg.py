@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import tensor_from_entries
 from ncorep.bialg import (
     LinearForm,
     Presentation,
@@ -27,7 +28,6 @@ from ncorep.tensors import (
     from_matrix,
     invert4,
     swap_lower,
-    tensor_from_entries,
     ybe_residual,
 )
 

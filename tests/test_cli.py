@@ -15,6 +15,7 @@ from ncorep.cli import (
 )
 from ncorep.errors import InputFormat
 from ncorep.freealg import RelationSet
+from ncorep.rewrite import RewriteSystem
 
 BASE = """\
 [algebra]
@@ -201,9 +202,11 @@ def test_full_report_derives_each_once(monkeypatch):
 
         return wrapper
 
-    names = ("generate_ideal", "orient", "cocycle_check", "determinant", "validate_theta")
+    names = (
+        "generate_ideal", "orient", "cocycle_check", "determinant", "validate_theta",
+        "confluence_check",
+    )
     for name in names:
-        counts[name] = 0
         modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("ncorep.")]
         original = next(getattr(m, name) for m in modules if hasattr(m, name))
         wrapper = counting(name, original)
@@ -231,12 +234,34 @@ def test_full_report_derives_each_once(monkeypatch):
     monkeypatch.setattr(
         RelationSet, "basis", same_object(RelationSet.basis, lambda rels: ("basis", rels)),
     )
-    assert main(["full-report", "--input", "qplane_qp"]) == 0
-    assert counts == dict.fromkeys(names, 1)
-    built = {key: len({id(out) for out in outs}) for key, outs in results.items()}
-    assert any(key[0] == "coproduct" for key in built)
-    assert {key: n for key, n in built.items() if n != 1} == {}
-    assert len(results[("basis", last["generate_ideal"])]) > 1
+
+    # each word meets a rule lookup once per system, until its rules change
+    lookups = collections.defaultdict(collections.Counter)
+    redex, reset = RewriteSystem._redex, RewriteSystem.reset
+
+    def counting_redex(rs, word):
+        lookups[id(rs)][word] += 1
+        return redex(rs, word)
+
+    def counting_reset(rs):
+        lookups.pop(id(rs), None)
+        reset(rs)
+
+    monkeypatch.setattr(RewriteSystem, "_redex", counting_redex)
+    monkeypatch.setattr(RewriteSystem, "reset", counting_reset)
+
+    for name, code in (("qplane_qp", 0), ("qplane_qprs", 1)):
+        counts.update(dict.fromkeys(names, 0))
+        results.clear()
+        lookups.clear()
+        assert main(["full-report", "--input", name]) == code
+        assert counts == dict.fromkeys(names, 1), name
+        built = {key: len({id(out) for out in outs}) for key, outs in results.items()}
+        assert any(key[0] == "coproduct" for key in built)
+        assert {key: n for key, n in built.items() if n != 1} == {}
+        assert len(results[("basis", last["generate_ideal"])]) > 1
+        assert lookups
+        assert {w: n for seen in lookups.values() for w, n in seen.items() if n > 1} == {}
 
 
 def test_order_flag_reaches_every_section(monkeypatch):

@@ -4,7 +4,7 @@ import collections
 
 import pytest
 
-from conftest import load
+from conftest import flip_theta, identity4, load, tensor_from_entries
 from ncorep import scalars
 from ncorep.bialg import Presentation, tilde_images
 from ncorep.corep import (
@@ -15,7 +15,6 @@ from ncorep.corep import (
     coaction_word,
     coideal_check,
     factorized_theta,
-    flip_theta,
     generate_ideal,
     homomorphism_check,
     validate_theta,
@@ -32,7 +31,7 @@ from ncorep.freealg import (
     word_key,
 )
 from ncorep.scalars import Context
-from ncorep.tensors import Tensor, from_matrix, identity4, tensor_from_entries
+from ncorep.tensors import Tensor, from_matrix
 
 
 def ctx4():

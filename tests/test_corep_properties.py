@@ -12,6 +12,7 @@ scalars over shared non-monomial factors such as 1 - q and q^2 + 1.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import tensor_from_entries
 from ncorep.corep import (
     QuadraticSpace,
     build_M,
@@ -23,7 +24,7 @@ from ncorep.corep import (
     validate_theta,
 )
 from ncorep.scalars import Context
-from ncorep.tensors import Tensor, from_matrix, tensor_from_entries
+from ncorep.tensors import Tensor, from_matrix
 
 CTX = Context(["q", "p"])
 B = from_matrix(CTX, 2, [

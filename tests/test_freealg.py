@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import apply_antihom
 from ncorep.errors import MissingImage, MixedFamilies
 from ncorep.freealg import (
     NCPoly,
@@ -11,7 +12,6 @@ from ncorep.freealg import (
     RelationSet,
     SpanBasis,
     T,
-    apply_antihom,
     apply_hom,
     e,
     poly_vector,

@@ -2,12 +2,11 @@
 
 import pytest
 
-from conftest import load
-from ncorep.corep import ThetaMap, coideal_check, flip_theta
+from conftest import check_trace_ansatz, flip_theta, identity4, load, tensor_from_entries
+from ncorep.corep import ThetaMap, coideal_check
 from ncorep.errors import InvalidTheta, MixedFamilies, NotInvertible
 from ncorep.integrable import (
     SpectralFamily,
-    check_trace_ansatz,
     first_integrability,
     second_integrability,
     spectral_relations,
@@ -17,7 +16,7 @@ from ncorep.integrable import (
 )
 from ncorep.freealg import NCPoly, T
 from ncorep.scalars import Context
-from ncorep.tensors import Tensor, delta, from_matrix, identity4, tensor_from_entries
+from ncorep.tensors import Tensor, delta, from_matrix
 
 
 def statuses(rep):

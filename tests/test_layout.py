@@ -2,9 +2,8 @@
 
 A module-level function or class of ``src/ncorep`` must be referenced
 somewhere in the package outside its own definition, or be decorated
-(the decorator registers it).  The helpers below are kept for the tests and
-for library users although no package code calls them.  This list may only
-shrink: an entry that gains a caller in the package must leave it.
+(the decorator registers it).  Builders that only the tests need live in
+``tests/conftest.py``.
 """
 
 import ast
@@ -13,15 +12,6 @@ from pathlib import Path
 import ncorep
 
 SRC = Path(ncorep.__file__).parent
-
-TEST_ONLY = {
-    ("corep", "flip_theta"),
-    ("freealg", "apply_antihom"),
-    ("integrable", "check_trace_ansatz"),
-    ("rewrite", "combination_value"),
-    ("tensors", "identity4"),
-    ("tensors", "tensor_from_entries"),
-}
 
 
 def _names(node):
@@ -50,4 +40,4 @@ def unreferenced():
 
 
 def test_no_code_only_the_tests_reach():
-    assert unreferenced() == TEST_ONLY
+    assert unreferenced() == set()

@@ -1,19 +1,20 @@
 """Tests for ordered rewriting: orientation, confluence, counting, extension."""
 
+import itertools
+
 import pytest
 
-from conftest import load
+from conftest import load, worklist_normal_form
 from ncorep.errors import (
     CommutationUnverified,
     OrderMissingGenerator,
     ZeroLeadingCoefficient,
 )
-from ncorep.freealg import NCPoly, RelationSet, T
+from ncorep.freealg import NCPoly, RelationSet, SpanBasis, T, poly_vector, word_key
 from ncorep.rewrite import (
     DET,
     DETBAR,
     TermOrder,
-    combination_value,
     confluence_check,
     count_irreducible,
     extend_with_determinant,
@@ -120,7 +121,12 @@ def test_confluence_of_two_parameter_system():
     conf = confluence_check(rs, maxdeg=3)
     assert conf["confluent"] is True
     assert conf["ambiguities"] == []
-    assert rs.confluent is True
+    # the verdict is kept on the configuration, not on the system
+    qp = load("qplane_qp")
+    order = matrix_order(qp.ctx, 2)
+    kept = qp.confluence(order, 3)
+    assert kept["confluent"] is True
+    assert qp.confluence(order, 3) is kept
 
 
 def test_corrupted_coefficient_breaks_confluence():
@@ -156,38 +162,77 @@ def test_strategies_agree_on_confluent_system():
     a, b, c, d = (NCPoly.gen(ctx, g) for g in gens())
     samples = [d * c * b * a, d * a * d, (d * b) * (c * a), c * b * a + d * d]
     for x in samples:
-        left = normal_form(x, rs, strategy="leftmost")
-        right = normal_form(x, rs, strategy="rightmost")
-        assert left == right
+        assert normal_form(x, rs) == worklist_normal_form(x, rs, strategy="rightmost")
 
 
 def test_normal_form_rejects_unknown_strategy():
+    # leftmost reduction is the only strategy; there is no witness either
     ctx = ctx2()
     rs = oriented(ctx)
-    with pytest.raises(ValueError):
-        normal_form(NCPoly.one(ctx), rs, strategy="sideways")
+    with pytest.raises(TypeError):
+        normal_form(NCPoly.one(ctx), rs, strategy="rightmost")
+    with pytest.raises(TypeError):
+        normal_form(NCPoly.one(ctx), rs, witness=True)
+
+
+def ideal_slice(rels, alphabet, degree):
+    """The degree-d slice of the two-sided ideal, spanned by u * rel * v."""
+    ctx = rels.ctx
+    basis = SpanBasis(ctx, colkey=word_key)
+    for rel in rels:
+        k = degree - rel.degree()
+        for n in range(k + 1):
+            for u in itertools.product(alphabet, repeat=n):
+                for v in itertools.product(alphabet, repeat=k - n):
+                    basis.add(poly_vector(NCPoly.term(ctx, u) * rel * NCPoly.term(ctx, v)))
+    return basis
 
 
 def test_reduction_witness_is_sound():
+    # x - normal_form(x) lies in the ideal, degree by degree
     ctx = ctx2()
-    rs = oriented(ctx)
+    rels = two_parameter_relations(ctx)
+    rs = orient(rels, matrix_order(ctx, 2))
     a, b, c, d = (NCPoly.gen(ctx, g) for g in gens())
-    for strategy in ("leftmost", "rightmost"):
-        x = d * c * b * a + ctx.parse("q") * (d * a)
-        nf, steps = normal_form(x, rs, strategy=strategy, witness=True)
-        assert steps
-        assert combination_value(rs, steps) == x - nf
+    x = d * c * b * a + ctx.parse("q") * (d * a)
+    gap = x - normal_form(x, rs)
+    assert gap.degrees() == [2, 4]
+    for deg in gap.degrees():
+        assert ideal_slice(rels, gens(), deg).contains(poly_vector(gap.homogeneous_part(deg)))
 
 
 def test_sources_span_the_input_relations():
+    # each rule's monic relation lhs - rhs lies in the span of the input
     ctx = ctx2()
     rels = two_parameter_relations(ctx)
     rs = orient(rels, matrix_order(ctx, 2))
     basis = rels.basis()
-    from ncorep.corep import poly_vector
+    for lhs, rhs in rs.rules.items():
+        assert basis.contains(poly_vector(NCPoly.term(ctx, lhs) - rhs))
 
+
+def test_orient_forgets_kept_forms_when_rules_change():
+    # reducing d a - 2 c b keeps the forms of d a and c b; the rule c b -> 0
+    # it yields makes d a -> c b stale, and the requeued d a - c b must be
+    # reduced under the new rules, not through the kept forms
+    ctx = ctx2()
+    a, b, c, d = (NCPoly.gen(ctx, g) for g in gens())
+    rs = orient([d * a - c * b, d * a - 2 * (c * b)], matrix_order(ctx, 2))
+    ga, gb, gc, gd = gens()
+    assert rs.rules == {(gc, gb): NCPoly.zero(ctx), (gd, ga): NCPoly.zero(ctx)}
     for lhs in rs.rules:
-        assert basis.contains(poly_vector(rs.sources[lhs]))
+        assert normal_form(NCPoly.term(ctx, lhs), rs).is_zero()
+
+
+def test_kept_forms_follow_reset():
+    ctx = ctx2()
+    ga, gb, _, _ = gens()
+    rs = orient([NCPoly.term(ctx, (gb, ga)) - NCPoly.term(ctx, (ga, gb))], matrix_order(ctx, 2))
+    ab = NCPoly.term(ctx, (ga, gb))
+    assert normal_form(ab, rs) == ab
+    rs.rules[(ga, gb)] = NCPoly.zero(ctx)
+    rs.reset()
+    assert normal_form(ab, rs).is_zero()
 
 
 def test_full_parameter_system_is_not_confluent():
@@ -231,7 +276,13 @@ def test_determinant_extension():
     assert normal_form(NCPoly.term(ctx, (b, DETBAR)), ext) == NCPoly.term(
         ctx, (DETBAR, b), ctx.parse("1/p^2")
     )
-    assert ext.determinant["poly"] == det_poly(ctx)
+    # the rules moving the symbol encode what the polynomial does in the base
+    det_rules = {lhs: rhs for lhs, rhs in ext.rules.items() if lhs[0] == DET and lhs[1] != DETBAR}
+    assert len(det_rules) == 4
+    for (_, g), rhs in det_rules.items():
+        c = rhs.coeff((g, DET))
+        gp = NCPoly.gen(ctx, g)
+        assert normal_form(det_poly(ctx) * gp - c * (gp * det_poly(ctx)), rs).is_zero()
 
 
 def test_determinant_extension_checks_claims():

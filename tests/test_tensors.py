@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import identity4, tensor_from_entries
 from ncorep.errors import NotInvertible, ShapeMismatch
 from ncorep.scalars import Context
 from ncorep.tensors import (
@@ -11,13 +12,11 @@ from ncorep.tensors import (
     compose,
     delta,
     from_matrix,
-    identity4,
     invert2,
     invert4,
     invert_matrix,
     leg_embed,
     swap_lower,
-    tensor_from_entries,
     to_matrix,
     ybe_residual,
 )
