@@ -49,9 +49,9 @@ class Presentation:
     def __hash__(self):
         return hash((self.ctx, self.dim))
 
-    def family(self, label=None):
+    def family(self):
         n = self.dim
-        return [T(i, j, label) for i in range(1, n + 1) for j in range(1, n + 1)]
+        return [T(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
     def _check_gen(self, g):
         if g.kind != "T" or len(g.index) != 2:
@@ -212,7 +212,7 @@ def twist_R(R: LinearForm, phi: LinearForm) -> Tensor:
     return compose(phibar21, compose(R.base, phi.base))
 
 
-def tilde_images(ctx, theta: Tensor, label=None):
+def tilde_images(ctx, theta: Tensor):
     """Generator images of the twisting endomorphism: T_i^j |-> theta_im^jn T_n^m."""
     n = theta.dim
     images = {}
@@ -223,8 +223,8 @@ def tilde_images(ctx, theta: Tensor, label=None):
                 for nn in range(1, n + 1):
                     c = theta.get(i, m, j, nn)
                     if not c.is_zero():
-                        acc = acc + NCPoly.term(ctx, (T(nn, m, label),), c)
-            images[T(i, j, label)] = acc
+                        acc = acc + NCPoly.term(ctx, (T(nn, m),), c)
+            images[T(i, j)] = acc
     return images
 
 
@@ -237,8 +237,8 @@ def twisted_product_relations(pres, R: LinearForm, theta):
           - sum_{a,b,c,d} R(T_i^a (x) T_j^c) m_theta(T_a^b (x) T_c^d) Rbar(T_b^k (x) T_d^l)
 
     is returned; their span is the defining ideal of the twisted algebra.
-    theta is a ThetaMap or a bare 4-index Tensor; InvalidTheta when it is
-    not valid.  A ThetaMap keeps its validation, so it is validated once.
+    InvalidTheta when the ThetaMap theta is not valid; it keeps its
+    validation, so it is validated once.
     """
     from .corep import require_valid  # deferred, corep builds on this module
 

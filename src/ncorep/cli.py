@@ -330,7 +330,7 @@ class Workspace:
             self.space = QuadraticSpace(af.ctx, af.dim, parity=af.parity, relations=rels)
 
     def term_order(self):
-        return self.order or matrix_order(self.ctx, self.dim)
+        return self.order or matrix_order(self.dim)
 
     @functools.cached_property
     def qp(self):
@@ -644,7 +644,7 @@ def _twist_r(ws, ns, rep):
 
 @section("integrability", "spectral integrability", needs=(LABELS,), gated=True)
 def _integrability(ws, ns, rep):
-    fam = SpectralFamily(ws.ctx, ws.labels, ws.B, ws.theta)
+    fam = SpectralFamily(ws.B, ws.theta)
     lam, mu = ws.labels[0], ws.labels[1]
     _merge(rep, "first", fam.first_report(lam, mu))
     _merge(rep, "second", fam.second_report(lam, mu))

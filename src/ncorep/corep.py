@@ -19,18 +19,7 @@ import itertools
 
 from .bialg import Presentation, tilde_images
 from .errors import InvalidTheta, ShapeMismatch
-from .freealg import (
-    NCPoly,
-    PairPoly,
-    RelationSet,
-    SpanBasis,
-    T,
-    apply_hom,
-    e,
-    poly_vector,
-    word_key,
-    xi,
-)
+from .freealg import NCPoly, PairPoly, RelationSet, T, apply_hom, e, poly_vector, xi
 from .tensors import Tensor, invert2
 
 
@@ -68,20 +57,14 @@ class ThetaMap:
         return self._validation
 
 
-def as_theta(theta) -> ThetaMap:
-    """A twisting tensor given as a ThetaMap or as a bare 4-index Tensor."""
-    return theta if isinstance(theta, ThetaMap) else ThetaMap(theta)
-
-
-def require_valid(theta) -> ThetaMap:
-    """The twisting tensor as a ThetaMap; InvalidTheta when an identity fails."""
-    th = as_theta(theta)
-    res = th.validate()
+def require_valid(theta: ThetaMap) -> ThetaMap:
+    """theta itself; InvalidTheta when one of its identities fails."""
+    res = theta.validate()
     if not res["valid"]:
         raise InvalidTheta(
             "twisting tensor fails %d validity identities" % len(res["violations"])
         )
-    return th
+    return theta
 
 
 def factorized_theta(ctx, rho: Tensor) -> ThetaMap:
@@ -97,13 +80,12 @@ def factorized_theta(ctx, rho: Tensor) -> ThetaMap:
     return ThetaMap(Tensor(ctx, n, 2, 2, entries), rho=rho, rhobar=rhobar)
 
 
-def validate_theta(theta):
+def validate_theta(t: Tensor):
     """Check the two structural identities; violations come back as data.
 
     coassociativity:  sum_p theta_ij^pl theta_pk^rs - delta_j^s theta_ik^rl = 0
     counit:           sum_n theta_jn^kn - delta_j^k = 0
     """
-    t = as_theta(theta).tensor
     ctx = t.ctx
     n = t.dim
     rng = range(1, n + 1)
@@ -151,9 +133,12 @@ class MMatrix:
         return fam
 
 
-def build_M(theta, labels=None, check=True) -> MMatrix:
-    """M_ij^kl = T_i^k theta_jn^lm T_m^n, optionally with a spectral label pair."""
-    t = (require_valid(theta) if check else as_theta(theta)).tensor
+def build_M(theta: ThetaMap, labels=None) -> MMatrix:
+    """M_ij^kl = T_i^k theta_jn^lm T_m^n, optionally with a spectral label pair.
+
+    theta is not validated; a caller that needs that calls require_valid.
+    """
+    t = theta.tensor
     ctx = t.ctx
     n = t.dim
     lab1, lab2 = labels if labels is not None else (None, None)
@@ -256,24 +241,23 @@ def coideal_check(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> bool:
     return True
 
 
-def coaction_word(gamma, indices, kind="e", label=None):
+def coaction_word(gamma: ThetaMap, indices):
     """Coaction of a coordinate word: each crossing applies one more twist.
 
     Returns {output index tuple: NCPoly coefficient}; the j-th coordinate
     contributes a generator twisted j-1 times.
     """
-    th = as_theta(gamma)
-    if not th.validate()["valid"]:
+    if not gamma.validate()["valid"]:
         raise InvalidTheta("coaction requires a valid twisting tensor")
-    t = th.tensor
+    t = gamma.tensor
     ctx = t.ctx
     n = t.dim
-    images = tilde_images(ctx, t, label)
+    images = tilde_images(ctx, t)
     out = {(): NCPoly.one(ctx)}
     for pos, i in enumerate(indices):
         nxt = {}
         for k in range(1, n + 1):
-            gen = NCPoly.gen(ctx, T(i, k, label))
+            gen = NCPoly.gen(ctx, T(i, k))
             for _ in range(pos):
                 gen = apply_hom(gen, images)
             for key, coef in out.items():
@@ -290,14 +274,13 @@ def coaction_word(gamma, indices, kind="e", label=None):
 class QuadraticSpace:
     """A quadratic coordinate algebra: n coordinates modulo degree-2 relations."""
 
-    def __init__(self, ctx, dim, parity="bosonic", relations=None, braid=None, kind=None):
+    def __init__(self, ctx, dim, parity="bosonic", relations=None, braid=None):
         if parity not in ("bosonic", "grassmann"):
             raise ValueError("parity must be bosonic or grassmann")
         self.ctx = ctx
         self.dim = dim
         self.parity = parity
-        self.kind = kind or ("xi" if parity == "grassmann" else "e")
-        mk = xi if self.kind == "xi" else e
+        mk = xi if parity == "grassmann" else e
         self.coord = mk
         rels = []
         if braid is not None:
@@ -319,25 +302,11 @@ class QuadraticSpace:
         if parity == "grassmann":
             for i in range(1, dim + 1):
                 rels.append(NCPoly.gen(ctx, mk(i)) * NCPoly.gen(ctx, mk(i)))
-        for p in rels:
-            for w in p.terms:
-                if len(w) != 2:
-                    raise ValueError("space relation %s is not quadratic" % p)
-        self.relations = rels
-        self._span = None
-
-    def relation_span(self) -> SpanBasis:
-        """The row-echelon span of the relations, built once; read-only to callers."""
-        if self._span is None:
-            sb = SpanBasis(self.ctx, colkey=word_key)
-            for p in self.relations:
-                sb.add(poly_vector(p))
-            self._span = sb
-        return self._span
+        self.relations = RelationSet(ctx, [mk(i) for i in range(1, dim + 1)], rels)
 
     def reduce_vector(self, vec):
         """Eliminate relation pivots from {coordinate word: NCPoly} exactly."""
-        return self.relation_span()._reduce(vec)
+        return self.relations.basis()._reduce(vec)
 
 
 def homomorphism_check(space: QuadraticSpace, gamma, relations: RelationSet) -> bool:
@@ -347,12 +316,11 @@ def homomorphism_check(space: QuadraticSpace, gamma, relations: RelationSet) -> 
     every surviving matrix-coefficient must lie in the Scalar span of the
     given degree-2 relations.
     """
-    th = as_theta(gamma)
     basis = relations.basis()
     for p in space.relations:
         vec = {}
         for w, c in p.terms.items():
-            co = coaction_word(th, tuple(g.index[0] for g in w), kind=space.kind)
+            co = coaction_word(gamma, tuple(g.index[0] for g in w))
             for outidx, coef in co.items():
                 word = tuple(space.coord(i) for i in outidx)
                 acc = vec.get(word, NCPoly.zero(space.ctx)) + coef * c

@@ -118,9 +118,6 @@ class NCPoly:
         """Maximal word length, or -1 for the zero element."""
         return max((len(w) for w in self.terms), default=-1)
 
-    def homogeneous_part(self, d):
-        return NCPoly(self.ctx, {w: c for w, c in self.terms.items() if len(w) == d})
-
     def degrees(self):
         return sorted({len(w) for w in self.terms})
 
@@ -183,14 +180,6 @@ class NCPoly:
             return NotImplemented
         return self * s
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise TypeError("NCPoly powers must be nonnegative integers")
-        out = NCPoly.one(self.ctx)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def map_coeffs(self, f):
         return NCPoly(self.ctx, {w: f(c) for w, c in self.terms.items()})
 
@@ -207,9 +196,6 @@ class NCPoly:
                 return self.is_zero()
             return self.terms == {(): self.ctx.scalar(other)}
         return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset((w, c._key()) for w, c in self.terms.items()))
 
     def __str__(self):
         if not self.terms:
@@ -306,9 +292,6 @@ class PairPoly:
 
     def __eq__(self, other):
         return isinstance(other, PairPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((k, c._key()) for k, c in self.terms.items()))
 
     def __str__(self):
         if not self.terms:

@@ -2,7 +2,7 @@
 
 Attaching a label to each matrix coordinate turns the coordinate bialgebra
 into a union over labels, with the commutation between differently labeled
-coordinates governed by a per-pair exchange tensor and twisting tensor.
+coordinates governed by one exchange tensor and one twisting tensor.
 Contracting the resulting quadratic relations with the inverse exchange
 tensor turns them into statements about traces: the plain trace commutes
 when the twisting tensor contracts to the identity on its first slot, and
@@ -11,17 +11,16 @@ tensor.  Everything here is exact free-algebra arithmetic; no analytic
 structure is attached to the labels.
 """
 
-from .corep import MMatrix, ThetaMap, as_theta, build_M, relation_entries, require_valid
-from .errors import AnsatzFailed, MixedFamilies
+from .corep import ThetaMap, build_M, relation_entries, require_valid
+from .errors import AnsatzFailed
 from .freealg import NCPoly, RelationSet, T, poly_vector
 from .report import Report, passfail
 from .tensors import Tensor, delta, invert4
 
 
-def weighted_trace(theta) -> Tensor:
+def weighted_trace(theta: ThetaMap) -> Tensor:
     """The first-slot contraction w_j^l = sum_s theta_sj^sl."""
-    th = as_theta(theta)
-    t = th.tensor
+    t = theta.tensor
     n = t.dim
     entries = {}
     for j in range(1, n + 1):
@@ -71,17 +70,16 @@ def weight_commutation_holds(B: Tensor, w: Tensor) -> bool:
     return True
 
 
-def spectral_relations(B: Tensor, theta, labels, theta_swapped=None):
+def spectral_relations(B: Tensor, theta: ThetaMap, labels):
     """Entries of B M(first, second) - M(second, first) B and their span.
 
     Returns a dict with the entry table, the two labeled matrices and the
-    relation span; the swapped matrix may carry its own twisting tensor.
+    relation span.
     """
     lam, mu = labels
     th = require_valid(theta)
-    ths = th if theta_swapped is None else require_valid(theta_swapped)
-    M1 = build_M(th, labels=(lam, mu), check=False)
-    M2 = build_M(ths, labels=(mu, lam), check=False)
+    M1 = build_M(th, labels=(lam, mu))
+    M2 = build_M(th, labels=(mu, lam))
     entries = relation_entries(B, M1, M2)
     fam = list(dict.fromkeys(M1.family() + M2.family()))
     return {
@@ -92,7 +90,7 @@ def spectral_relations(B: Tensor, theta, labels, theta_swapped=None):
     }
 
 
-def first_integrability(B: Tensor, theta, labels, theta_swapped=None) -> Report:
+def first_integrability(B: Tensor, theta: ThetaMap, labels) -> Report:
     """Contract the labeled relation matrix into the plain trace commutator.
 
     Requires the exchange tensor to be invertible and the twisting tensor to
@@ -101,10 +99,8 @@ def first_integrability(B: Tensor, theta, labels, theta_swapped=None) -> Report:
     tr(first) tr(second) - tr(second) tr(first) identically.
     """
     th = require_valid(theta)
-    ths = th if theta_swapped is None else require_valid(theta_swapped)
-    for cand in (th, ths):
-        if weighted_trace(cand) != delta(cand.tensor.ctx, cand.dim):
-            raise AnsatzFailed("twisting tensor fails the first-slot trace condition")
+    if weighted_trace(th) != delta(th.tensor.ctx, th.dim):
+        raise AnsatzFailed("twisting tensor fails the first-slot trace condition")
     Binv = invert4(B)
     rep = Report("first integrability route")
     rep.add(
@@ -112,7 +108,7 @@ def first_integrability(B: Tensor, theta, labels, theta_swapped=None) -> Report:
         "first-slot contraction of the twisting tensor is the identity",
         "pass",
     )
-    data = spectral_relations(B, th, labels, theta_swapped=ths)
+    data = spectral_relations(B, th, labels)
     ctx = B.ctx
     n = B.dim
     rng = range(1, n + 1)
@@ -146,7 +142,7 @@ def first_integrability(B: Tensor, theta, labels, theta_swapped=None) -> Report:
     return rep
 
 
-def second_integrability(B: Tensor, theta, labels, theta_swapped=None) -> Report:
+def second_integrability(B: Tensor, theta: ThetaMap, labels) -> Report:
     """Weight-contract the labeled relation matrix into a weighted commutator.
 
     The weighted trace must pass through the exchange tensor for the chain
@@ -156,13 +152,11 @@ def second_integrability(B: Tensor, theta, labels, theta_swapped=None) -> Report
     this route to the plain one.
     """
     th = require_valid(theta)
-    ths = th if theta_swapped is None else require_valid(theta_swapped)
     Binv = invert4(B)
     ctx = B.ctx
     n = B.dim
     rep = Report("second integrability route")
     w = weighted_trace(th)
-    wsw = weighted_trace(ths)
     ident = delta(ctx, n)
     if th.rho is not None:
         rep.add(
@@ -191,7 +185,7 @@ def second_integrability(B: Tensor, theta, labels, theta_swapped=None) -> Report
             "info",
         )
         return rep
-    data = spectral_relations(B, th, labels, theta_swapped=ths)
+    data = spectral_relations(B, th, labels)
     rng = range(1, n + 1)
     contracted = NCPoly.zero(ctx)
     for r in rng:
@@ -207,7 +201,7 @@ def second_integrability(B: Tensor, theta, labels, theta_swapped=None) -> Report
                 contracted = contracted + (c * cw) * data["entries"][(i, j, m, nn)]
     lam, mu = labels
     expected = weighted_trace_element(w, lam) * weighted_trace_element(w, mu) - (
-        weighted_trace_element(w, mu) * weighted_trace_element(wsw, lam)
+        weighted_trace_element(w, mu) * weighted_trace_element(w, lam)
     )
     diff = contracted - expected
     rep.add(
@@ -217,7 +211,7 @@ def second_integrability(B: Tensor, theta, labels, theta_swapped=None) -> Report
         residuals=[] if diff.is_zero() else [str(diff)],
         artifacts={"commutator": expected},
     )
-    if w == ident and wsw == ident:
+    if w == ident:
         rep.add(
             "route-collapse",
             "identity weight reduces the weighted route to the plain one",
@@ -227,72 +221,14 @@ def second_integrability(B: Tensor, theta, labels, theta_swapped=None) -> Report
 
 
 class SpectralFamily:
-    """Labeled spaces with one exchange tensor and twisting tensor per pair.
+    """Labeled spaces sharing one exchange tensor and one twisting tensor."""
 
-    Both tensors may be given as single objects (used for every ordered
-    pair) or as dicts keyed by (first, second) label pairs.  Every twisting
-    tensor is validated up front.
-    """
-
-    def __init__(self, ctx, labels, B, theta):
-        self.ctx = ctx
-        self.labels = tuple(labels)
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate spectral labels")
-        if len(self.labels) < 2:
-            raise ValueError("a spectral family needs at least two labels")
-        self._B = B
-        self._theta = {}
-        raw = theta
-        for pair in self.pairs():
-            item = raw.get(pair) if isinstance(raw, dict) else raw
-            if item is None:
-                raise MixedFamilies("no twisting tensor for label pair %r" % (pair,))
-            self._theta[pair] = require_valid(item)
-
-    def pairs(self):
-        return [(a, b) for a in self.labels for b in self.labels if a != b]
-
-    def _check(self, lam, mu):
-        if lam not in self.labels or mu not in self.labels or lam == mu:
-            raise MixedFamilies("label pair (%r, %r) is not part of this family" % (lam, mu))
-
-    def exchange(self, lam, mu) -> Tensor:
-        self._check(lam, mu)
-        if isinstance(self._B, dict):
-            item = self._B.get((lam, mu))
-            if item is None:
-                raise MixedFamilies("no exchange tensor for label pair %r" % ((lam, mu),))
-            return item
-        return self._B
-
-    def theta(self, lam, mu) -> ThetaMap:
-        self._check(lam, mu)
-        return self._theta[(lam, mu)]
-
-    def matrix(self, lam, mu) -> MMatrix:
-        return build_M(self.theta(lam, mu), labels=(lam, mu), check=False)
-
-    def relations(self, lam, mu):
-        return spectral_relations(
-            self.exchange(lam, mu),
-            self.theta(lam, mu),
-            (lam, mu),
-            theta_swapped=self.theta(mu, lam),
-        )
+    def __init__(self, B: Tensor, theta: ThetaMap):
+        self.B = B
+        self.theta = theta
 
     def first_report(self, lam, mu) -> Report:
-        return first_integrability(
-            self.exchange(lam, mu),
-            self.theta(lam, mu),
-            (lam, mu),
-            theta_swapped=self.theta(mu, lam),
-        )
+        return first_integrability(self.B, self.theta, (lam, mu))
 
     def second_report(self, lam, mu) -> Report:
-        return second_integrability(
-            self.exchange(lam, mu),
-            self.theta(lam, mu),
-            (lam, mu),
-            theta_swapped=self.theta(mu, lam),
-        )
+        return second_integrability(self.B, self.theta, (lam, mu))

@@ -61,7 +61,7 @@ class QPlaneContext:
     @property
     def M(self):
         """The coefficient matrix, built whether or not theta is valid."""
-        return self._once("M", lambda: build_M(self.theta, check=False))
+        return self._once("M", lambda: build_M(self.theta))
 
     def relations(self) -> RelationSet:
         """The ideal spanned by B M - M B; InvalidTheta for an invalid theta."""
@@ -164,7 +164,7 @@ def determinant(qp) -> NCPoly:
     comodule structure is broken and NotGroupCoefficient is raised.
     """
     ctx = qp.ctx
-    co = coaction_word(qp.theta, (1, 2), kind="xi")
+    co = coaction_word(qp.theta, (1, 2))
     total = NCPoly.zero(ctx)
     for (k, m), coef in co.items():
         if k == m:

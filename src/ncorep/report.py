@@ -75,10 +75,6 @@ class Report:
         self.items.append(item)
         return item
 
-    def extend(self, items):
-        for it in items:
-            self.add(it)
-
     def verdict(self):
         return "pass" if all(it["status"] != "fail" for it in self.items) else "fail"
 

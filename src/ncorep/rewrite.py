@@ -56,18 +56,15 @@ class TermOrder:
     def word_key(self, word):
         return (len(word), tuple(self.rank(g) for g in word))
 
-    def less(self, u, v):
-        return self.word_key(u) < self.word_key(v)
-
     def leading_word(self, poly):
         if poly.is_zero():
             return None
         return max(poly.terms, key=self.word_key)
 
 
-def matrix_order(ctx, n, label=None):
+def matrix_order(n):
     """Row-major order on an n x n matrix family, T[1,1] smallest."""
-    prec = [Generator("T", (i, j), label) for i in range(1, n + 1) for j in range(1, n + 1)]
+    prec = [Generator("T", (i, j)) for i in range(1, n + 1) for j in range(1, n + 1)]
     return TermOrder(prec)
 
 

@@ -40,7 +40,11 @@ An inverse swaps numerator and denominator and fixes the sign; (n/d)^k is
 n^k / d^k, already coprime.  Both paths return the unique canonical form,
 the same that sympy's cancel gives, so equality, hashing, str and every
 report byte are those of a cancel-based field.  sympy's gcd is reached only
-from substitute() and in_context(), and factor_list only for new divisors.
+from substitute(), and factor_list only for new divisors.
+
+One run reads one configuration over one parameter list, so all of its
+scalars live in one field.  Scalars of different fields never mix: every
+operation on two of them, == included, raises ContextMismatch.
 
 The paper's identities multiply the same pair of scalars many times within
 one check.  Inside ``with ctx.products():`` each distinct pair is multiplied
@@ -87,8 +91,8 @@ from .errors import (
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# Contexts with equal parameter tuples share one sympy field so their
-# elements interoperate directly.
+# Contexts with equal parameter tuples share one sympy field, so their
+# elements interoperate; sympy's field() builds a new field on every call.
 _FIELD_CACHE: dict[tuple[str, ...], object] = {}
 
 
@@ -157,11 +161,11 @@ class Context:
             self._products = None
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, string expression, or Scalar into this field."""
+        """Coerce an int, Fraction, string expression, or Scalar of this field."""
         if isinstance(value, Scalar):
-            if value.ctx.field is self.field:
-                return value
-            return value.in_context(self)
+            if value.ctx.field is not self.field:
+                raise _mismatch(self, value.ctx)
+            return value
         if isinstance(value, str):
             return self.parse(value)
         if isinstance(value, (int, Fraction)):
@@ -173,6 +177,10 @@ class Context:
 
     def parse(self, text: str) -> "Scalar":
         return _Parser(self, text).parse()
+
+
+def _mismatch(ctx, other):
+    return ContextMismatch("cannot mix contexts %s and %s" % (ctx.params, other.params))
 
 
 class Scalar:
@@ -199,15 +207,9 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.ctx.field is self.ctx.field:
-                return other
-            if set(other.used_params()) <= set(self.ctx.params):
-                return other.in_context(self.ctx)
-            if set(self.used_params()) <= set(other.ctx.params):
-                return None  # handled by reflected op on the wider context
-            raise ContextMismatch(
-                "cannot mix contexts %s and %s" % (self.ctx.params, other.ctx.params)
-            )
+            if other.ctx.field is not self.ctx.field:
+                raise _mismatch(self.ctx, other.ctx)
+            return other
         if isinstance(other, (int, Fraction)):
             return self.ctx.scalar(other)
         return NotImplemented
@@ -218,8 +220,6 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o is None:
-            return other.__radd__(self)
         return Scalar(self.ctx, _add(self.ctx, self.fe, o.fe))
 
     __radd__ = __add__
@@ -231,8 +231,6 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o is None:
-            return (-other).__radd__(self)
         return Scalar(self.ctx, _add(self.ctx, self.fe, -o.fe))
 
     def __rsub__(self, other):
@@ -242,8 +240,6 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o is None:
-            return other.__rmul__(self)
         # stored elements are canonical, so a unit or zero factor needs no cancel
         if self.is_one() or o.is_zero():
             return o
@@ -264,8 +260,6 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o is None:
-            return other.__rtruediv__(self)
         if o.is_zero():
             raise DivisionByZero("division by zero scalar")
         return Scalar(self.ctx, _mul(self.ctx, self.fe, _inverse(o.fe)))
@@ -287,7 +281,7 @@ class Scalar:
     def inv(self) -> "Scalar":
         return self ** -1
 
-    # -- equality and hashing (context independent) ----------------------
+    # -- equality and hashing --------------------------------------------
 
     def _key(self):
         if self._keyc is None:
@@ -303,45 +297,17 @@ class Scalar:
         return self._keyc
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
-            if other.ctx.field is self.ctx.field:
-                return self.fe == other.fe
-            return self._key() == other._key()
-        if isinstance(other, (int, Fraction)):
-            return self == self.ctx.scalar(other)
-        return NotImplemented
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.fe == o.fe
 
     def __hash__(self):
+        # not hash(self.fe): sympy's square() hashes a polynomial and then
+        # mutates it in place, so equal elements can carry different hashes
         return hash(self._key())
 
-    # -- structure -------------------------------------------------------
-
-    def used_params(self) -> tuple[str, ...]:
-        """Parameters actually occurring in this scalar."""
-        names = self.ctx.params
-        used = set()
-        for poly in (self.fe.numer, self.fe.denom):
-            for exps in poly:
-                for n, e in zip(names, exps):
-                    if e:
-                        used.add(n)
-        return tuple(sorted(used))
-
-    def in_context(self, ctx: Context) -> "Scalar":
-        missing = set(self.used_params()) - set(ctx.params)
-        if missing:
-            raise UnknownParameter(
-                "scalar uses %s not declared in %s" % (sorted(missing), list(ctx.params))
-            )
-        ring = ctx.field.ring
-        numer, denom = self.fe.numer.set_ring(ring), self.fe.denom.set_ring(ring)
-        return Scalar(ctx, ctx.field.new(numer, denom))
-
-    def as_fraction(self) -> Fraction:
-        """The value as an exact rational, if no parameters occur."""
-        if self.used_params():
-            raise ValueError("scalar %s is not constant" % self)
-        return Fraction(int(self.fe.numer.LC), int(self.fe.denom.LC))
+    # -- substitution ----------------------------------------------------
 
     def substitute(self, bindings) -> "Scalar":
         """Apply parameter bindings one at a time, in the given order.
@@ -765,7 +731,3 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ExpressionSyntax("expected a value", pos=pos)
-
-
-def parse(ctx: Context, text: str) -> Scalar:
-    return ctx.parse(text)

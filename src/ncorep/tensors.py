@@ -50,9 +50,6 @@ class Tensor:
         self._check_idx(idx)
         return self.entries.get(idx, self.ctx.zero)
 
-    def indices(self):
-        return itertools.product(range(1, self.dim + 1), repeat=self.nlower + self.nupper)
-
     def same_shape(self, other):
         return (
             self.dim == other.dim
@@ -78,13 +75,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        c = self.ctx.scalar(c)
-        return Tensor(
-            self.ctx, self.dim, self.nlower, self.nupper,
-            {idx: v * c for idx, v in self.entries.items()},
-        )
-
     def is_zero(self):
         return not self.entries
 
@@ -93,12 +83,6 @@ class Tensor:
             isinstance(other, Tensor)
             and self.same_shape(other)
             and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.dim, self.nlower, self.nupper,
-             frozenset((i, v._key()) for i, v in self.entries.items()))
         )
 
     def map_entries(self, f):

@@ -2,8 +2,12 @@
 literal relation tables they are compared against, and small builders that
 only the tests need."""
 
+import re
+import tempfile
+from pathlib import Path
+
 from ncorep.cli import Workspace, _resolve_input, parse_algebra_file
-from ncorep.corep import require_valid
+from ncorep.corep import ThetaMap, require_valid
 from ncorep.errors import MissingImage, ShapeMismatch
 from ncorep.freealg import NCPoly, RelationSet, T
 from ncorep.integrable import weighted_trace
@@ -13,6 +17,24 @@ from ncorep.tensors import Tensor, delta
 def load(name, *bindings):
     """The QPlaneContext of a shipped input, with (name, expr) bindings applied in order."""
     return Workspace(parse_algebra_file(_resolve_input(name)), bindings).qp
+
+
+def load_over(name, params, *bindings):
+    """load(name) with its [algebra] params line replaced by params.
+
+    A run reads one field, and scalars of two fields never mix; reading a
+    two-parameter input over the four parameters q p r s lets the tests
+    compare it with the limit of the four-parameter one.
+    """
+    src = _resolve_input(name)  # a path, or a shipped example's Traversable
+    if isinstance(src, str):
+        src = Path(src)
+    text = re.sub(r"(?m)^params\s*=.*$", "params = " + params, src.read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("%s.alg" % name)
+        path.write_text(text, encoding="utf-8")
+        af = parse_algebra_file(path)
+    return Workspace(af, bindings).qp
 
 
 def two_parameter_relations(ctx):
@@ -61,9 +83,10 @@ def identity4(ctx, dim):
     return Tensor(ctx, dim, 2, 2, {(i, j, i, j): ctx.one for i in rng for j in rng})
 
 
-def flip_theta(ctx, n) -> Tensor:
+def flip_theta(ctx, n) -> ThetaMap:
+    """The untwisted coaction's twist: theta_ij^kl = delta_i^l delta_j^k."""
     rng = range(1, n + 1)
-    return Tensor(ctx, n, 2, 2, {(i, j, j, i): ctx.one for i in rng for j in rng})
+    return ThetaMap(Tensor(ctx, n, 2, 2, {(i, j, j, i): ctx.one for i in rng for j in rng}))
 
 
 def apply_antihom(x: NCPoly, images: dict) -> NCPoly:
@@ -83,6 +106,11 @@ def check_trace_ansatz(theta) -> bool:
     """Whether the twisting tensor contracts to the identity on its first slot."""
     th = require_valid(theta)
     return weighted_trace(th) == delta(th.tensor.ctx, th.dim)
+
+
+def homogeneous_part(x: NCPoly, d) -> NCPoly:
+    """The terms of x whose words have length d."""
+    return NCPoly(x.ctx, {w: c for w, c in x.terms.items() if len(w) == d})
 
 
 def worklist_normal_form(poly, rs, strategy="leftmost"):

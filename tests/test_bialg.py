@@ -14,6 +14,7 @@ from ncorep.bialg import (
     twist_R,
     twisted_product_relations,
 )
+from ncorep.corep import ThetaMap
 from ncorep.errors import (
     InvalidTheta,
     NotInvertible,
@@ -306,7 +307,7 @@ def test_theta_product_validates():
     ctx, pres = setup()
     R = braid_form(pres, braid(ctx))
     with pytest.raises(InvalidTheta):
-        twisted_product_relations(pres, R, Tensor(ctx, 2, 2, 2, {}))
+        twisted_product_relations(pres, R, ThetaMap(Tensor(ctx, 2, 2, 2, {})))
 
 
 def test_twisted_product_relations_match_ideal():
@@ -316,7 +317,7 @@ def test_twisted_product_relations_match_ideal():
 
     th = factorized_theta(ctx, rho_full(ctx))
     R = braid_form(pres, braid(ctx))
-    rel = twisted_product_relations(pres, R, th.tensor)
+    rel = twisted_product_relations(pres, R, th)
     ideal = generate_ideal(braid(ctx), build_M(th))
     cmp = row_space_compare(rel, ideal)
     assert cmp.verdict == "equal"

@@ -114,6 +114,12 @@ def test_single_label_rejected(tmp_path):
         parse_algebra_file(write(tmp_path, BASE.replace("params = q p", "params = q p\nlabels = lam")))
 
 
+def test_duplicate_label_rejected(tmp_path):
+    with pytest.raises(InputFormat) as exc:
+        parse_algebra_file(write(tmp_path, BASE.replace("params = q p", "params = q p\nlabels = lam lam")))
+    assert "duplicate label" in str(exc.value) and exc.value.line == 4
+
+
 def test_comments_and_quoted_hash(tmp_path):
     text = BASE.replace('rho 1 1 = "1"', 'rho 1 1 = "1"  # unity')
     af = parse_algebra_file(write(tmp_path, text))

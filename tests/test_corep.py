@@ -17,6 +17,7 @@ from ncorep.corep import (
     factorized_theta,
     generate_ideal,
     homomorphism_check,
+    require_valid,
     validate_theta,
 )
 from ncorep.errors import InvalidTheta, ShapeMismatch
@@ -56,9 +57,9 @@ def rho_full(ctx):
 def corrupted_theta(ctx):
     # flip with one off-diagonal entry rescaled: keeps the counit identity,
     # breaks the coassociativity identity
-    ent = dict(flip_theta(ctx, 2).entries)
+    ent = dict(flip_theta(ctx, 2).tensor.entries)
     ent[(1, 2, 2, 1)] = ctx.gen("q")
-    return Tensor(ctx, 2, 2, 2, ent)
+    return ThetaMap(Tensor(ctx, 2, 2, 2, ent))
 
 
 def test_validate_factorized():
@@ -71,7 +72,7 @@ def test_validate_factorized():
 
 def test_validate_flip():
     ctx = ctx4()
-    assert validate_theta(flip_theta(ctx, 2))["valid"]
+    assert validate_theta(flip_theta(ctx, 2).tensor)["valid"]
 
 
 def test_validate_zero_tensor():
@@ -84,7 +85,7 @@ def test_validate_zero_tensor():
 
 def test_validate_corrupted():
     ctx = ctx4()
-    out = validate_theta(corrupted_theta(ctx))
+    out = validate_theta(corrupted_theta(ctx).tensor)
     assert not out["valid"]
     kinds = {v[0] for v in out["violations"]}
     assert kinds == {"coassociativity"}
@@ -95,7 +96,7 @@ def test_thetamap_rejects_wrong_factorization():
     rho = rho_full(ctx)
     ident = tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "1"), ((2, 2), "1")])
     with pytest.raises(InvalidTheta):
-        ThetaMap(flip_theta(ctx, 2), rho=rho, rhobar=ident)
+        ThetaMap(flip_theta(ctx, 2).tensor, rho=rho, rhobar=ident)
 
 
 def test_build_M_entries():
@@ -121,9 +122,10 @@ def test_build_M_flip():
 
 
 def test_build_M_rejects_invalid():
+    # build_M leaves the check to require_valid
     ctx = ctx4()
     with pytest.raises(InvalidTheta):
-        build_M(corrupted_theta(ctx))
+        build_M(require_valid(corrupted_theta(ctx)))
 
 
 def test_build_M_spectral_labels():
@@ -142,7 +144,7 @@ def test_grouplike_iff_valid():
     th = factorized_theta(ctx, rho_full(ctx))
     assert check_grouplike(build_M(th))
     assert check_grouplike(build_M(flip_theta(ctx, 2)))
-    assert not check_grouplike(build_M(corrupted_theta(ctx), check=False))
+    assert not check_grouplike(build_M(corrupted_theta(ctx)))
 
 
 def test_generate_ideal_rank():
@@ -265,14 +267,14 @@ def test_coaction_requires_valid_theta():
 def test_quadratic_space_from_braid():
     ctx = ctx4()
     space = QuadraticSpace(ctx, 2, braid=braid(ctx))
-    assert space.relation_span().rank == 1
+    assert space.relations.rank() == 1
 
 
 def test_quadratic_space_grassmann_squares():
     ctx = ctx4()
     space = QuadraticSpace(ctx, 2, parity="grassmann", relations=[])
     # both squares present
-    assert space.relation_span().rank == 2
+    assert space.relations.rank() == 2
 
 
 def test_homomorphism_check():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import tensor_from_entries
 from ncorep.corep import (
     QuadraticSpace,
+    ThetaMap,
     build_M,
     check_grouplike,
     coideal_check,
@@ -72,7 +73,7 @@ def dense_tables(draw):
 
 def assert_coacting_grouplike(rho):
     theta = factorized_theta(CTX, rho)
-    M = build_M(theta, check=False)
+    M = build_M(theta)
     assert theta.validate()["valid"]
     assert check_grouplike(M)
     assert coideal_check(B, M)
@@ -100,6 +101,6 @@ def test_validity_matches_grouplike_after_rescaling(rho, slot, factor):
     scaled[key] = scaled[key] * CTX.parse(factor)
     theta = Tensor(CTX, 2, 2, 2, scaled)
     valid = validate_theta(theta)["valid"]
-    assert valid == check_grouplike(build_M(theta, check=False))
+    assert valid == check_grouplike(build_M(ThetaMap(theta)))
     if factor == "1":
         assert valid

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import check_trace_ansatz, flip_theta, identity4, load, tensor_from_entries
 from ncorep.corep import ThetaMap, coideal_check
-from ncorep.errors import InvalidTheta, MixedFamilies, NotInvertible
+from ncorep.errors import InvalidTheta, NotInvertible
 from ncorep.integrable import (
     SpectralFamily,
     first_integrability,
@@ -25,7 +25,7 @@ def statuses(rep):
 
 def standard_family():
     qp = load("qplane_qprs")
-    return qp, SpectralFamily(qp.ctx, ("lam", "mu"), qp.B, qp.theta)
+    return qp, SpectralFamily(qp.B, qp.theta)
 
 
 def test_first_route_standard():
@@ -51,8 +51,8 @@ def test_second_route_standard():
 
 
 def test_spectral_relation_rank_and_coideal():
-    qp, fam = standard_family()
-    data = fam.relations("lam", "mu")
+    qp = load("qplane_qprs")
+    data = spectral_relations(qp.B, qp.theta, ("lam", "mu"))
     assert len(data["relations"].polys) == 16
     assert data["relations"].rank() == 16
     assert coideal_check(qp.B, data["M"], data["M_swapped"]) is True
@@ -97,7 +97,7 @@ def test_weighted_trace_element_shape():
 
 def test_trace_ansatz_rejects_invalid_theta():
     ctx = Context(["q", "p", "r", "s"])
-    broken = tensor_from_entries(ctx, 2, 2, 2, [((1, 1, 1, 1), "1")])
+    broken = ThetaMap(tensor_from_entries(ctx, 2, 2, 2, [((1, 1, 1, 1), "1")]))
     with pytest.raises(InvalidTheta):
         check_trace_ansatz(broken)
 
@@ -119,29 +119,6 @@ def test_raw_theta_second_route():
     st = statuses(rep)
     assert st["weight-table"] == "info"
     assert st["route-collapse"] == "info"
-
-
-def test_family_validates_labels():
-    qp = load("qplane_qprs")
-    with pytest.raises(ValueError):
-        SpectralFamily(qp.ctx, ("lam", "lam"), qp.B, qp.theta)
-    with pytest.raises(ValueError):
-        SpectralFamily(qp.ctx, ("lam",), qp.B, qp.theta)
-    fam = SpectralFamily(qp.ctx, ("lam", "mu"), qp.B, qp.theta)
-    with pytest.raises(MixedFamilies):
-        fam.exchange("lam", "nu")
-    with pytest.raises(MixedFamilies):
-        fam.theta("lam", "lam")
-
-
-def test_family_per_pair_tables():
-    qp = load("qplane_qprs")
-    pairs = {("lam", "mu"): qp.theta, ("mu", "lam"): qp.theta}
-    fam = SpectralFamily(qp.ctx, ("lam", "mu"), {("lam", "mu"): qp.B, ("mu", "lam"): qp.B}, pairs)
-    assert fam.first_report("lam", "mu").verdict() == "pass"
-    missing = {("lam", "mu"): qp.theta}
-    with pytest.raises(MixedFamilies):
-        SpectralFamily(qp.ctx, ("lam", "mu"), qp.B, missing)
 
 
 def test_singular_exchange_rejected():

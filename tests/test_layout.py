@@ -1,43 +1,108 @@
-"""Package layout: no module-level code that only the tests reach.
+"""Package layout: no code that only the tests reach.
 
-A module-level function or class of ``src/ncorep`` must be referenced
-somewhere in the package outside its own definition, or be decorated
-(the decorator registers it).  Builders that only the tests need live in
-``tests/conftest.py``.
+A module-level function or class of ``src/ncorep`` must be used by name
+somewhere in the package outside its own definition: read as a bare name
+(a call, a default, a table entry) or imported (``from .corep import
+build_M``).  An attribute of the same name, such as ``ctx.parse``, does not
+count, so it cannot hide a dead function.  A decorated module-level
+function is exempt: its decorator registers it.
+
+A method or property of a package class, other than a dunder that Python
+calls itself, must be read as an attribute (``x.name``) somewhere in the
+package outside its own definition.  Attributes are matched by name only,
+so a method shares its uses with every attribute of the same name.
+
+Builders that only the tests need live in ``tests/conftest.py``.
+
+The benchmark reaches into the package from outside: ``bench/tracer.py``
+wraps the functions its HOT and SPANNED tables name, and
+``bench/worker.py`` builds a Workspace the way the CLI does.  A change
+that removes one of those names fails here, not first in the benchmark.
 """
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import ncorep
+from ncorep import cli
 
 SRC = Path(ncorep.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _names(node):
+def _uses(node):
+    """(bare-name uses, attribute uses) inside node, counted by name."""
+    names, attrs = Counter(), Counter()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+        elif isinstance(n, ast.alias):
+            names[n.name] += 1
         elif isinstance(n, ast.Attribute):
-            yield n.attr
+            attrs[n.attr] += 1
+    return names, attrs
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def unreferenced():
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
-    uses = {}
+    names, attrs = Counter(), Counter()
     for tree in trees.values():
-        for name in _names(tree):
-            uses[name] = uses.get(name, 0) + 1
+        n, a = _uses(tree)
+        names.update(n)
+        attrs.update(a)
     out = set()
     for mod, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.decorator_list:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            own = sum(1 for name in _names(node) if name == node.name)
-            if uses.get(node.name, 0) == own:
+            registered = isinstance(node, ast.FunctionDef) and node.decorator_list
+            if not registered and names[node.name] == _uses(node)[0][node.name]:
                 out.add((mod, node.name))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
+                    if attrs[item.name] == _uses(item)[1][item.name]:
+                        out.add((mod, "%s.%s" % (node.name, item.name)))
     return out
 
 
 def test_no_code_only_the_tests_reach():
     assert unreferenced() == set()
+
+
+def _tracer_targets():
+    # executed from source, so that no bytecode is written under bench/
+    path = BENCH / "tracer.py"
+    ns = {"__name__": "bench_tracer"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), ns)
+    return ns["HOT"] + ns["SPANNED"]
+
+
+def test_benchmark_targets_resolve():
+    # the lookup of Tracer.install, without installing any wrapper
+    for _, module, path in _tracer_targets():
+        owner = importlib.import_module("ncorep." + module)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        fn = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        if isinstance(fn, classmethod):
+            fn = fn.__func__
+        assert callable(fn), path
+    assert set(cli.SECTION_ORDER) < set(cli.COMMANDS)
+    assert issubclass(cli.NCorepError, Exception)
+
+
+def test_benchmark_builds_a_workspace():
+    # as bench/worker.py builds the first job's Workspace: a data file path
+    # and (name, expression) bindings
+    path = str(SRC / "data" / "qplane_qprs.alg")
+    ws = cli.Workspace(cli.parse_algebra_file(path), [("r", "0"), ("s", "0")])
+    assert ws.qp.relations().rank() == 6

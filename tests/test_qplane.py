@@ -104,8 +104,8 @@ def test_determinant_flip_classical():
 def test_context_keeps_each_derivation():
     fc = load("qplane_qprs", *FLIP)
     assert fc.relations() is fc.relations()
-    order = matrix_order(fc.ctx, 2)
-    assert fc.rewrite_system(order) is fc.rewrite_system(matrix_order(fc.ctx, 2))
+    order = matrix_order(2)
+    assert fc.rewrite_system(order) is fc.rewrite_system(matrix_order(2))
     assert fc.determinant() is fc.determinant()
     entries = dict(fc.theta.tensor.entries)
     entries[(2, 1, 1, 2)] = fc.ctx.gen("q")
@@ -159,14 +159,14 @@ def test_limit_relations_match_literal_table():
 
 def test_D_commutations_at_limit():
     lim = load("qplane_qprs", *LIMIT)
-    rep = verify_D_commutations(lim, matrix_order(lim.ctx, 2))
+    rep = verify_D_commutations(lim, matrix_order(2))
     assert rep.verdict() == "pass"
     assert statuses(rep)["system-confluent"] == "pass"
 
 
 def test_antipode_at_limit():
     lim = load("qplane_qprs", *LIMIT)
-    rep = verify_antipode(lim, matrix_order(lim.ctx, 2))
+    rep = verify_antipode(lim, matrix_order(2))
     assert rep.verdict() == "pass"
     assert len(rep.items) == 9
 

@@ -23,7 +23,7 @@ COEFFS = ("1", "-2", "q", "1/p", "q^2 - 1", "p*q + 1")
 def system(name):
     base = "qplane_qp" if name == "qplane_qp+det" else name
     qp = load(base)
-    rs = qp.rewrite_system(matrix_order(qp.ctx, 2))
+    rs = qp.rewrite_system(matrix_order(2))
     if name == "qplane_qp+det":
         # the commutations that verify_antipode adjoins the symbol with
         factors = ("1", "1/p^2", "p^2", "1")

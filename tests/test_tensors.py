@@ -75,7 +75,7 @@ def test_linear_ops():
     b = tensor_from_entries(ctx, 2, 1, 1, [((1, 2), "-q")])
     assert (a + b).get(1, 2).is_zero()
     assert (a - a).is_zero()
-    assert a.scale(q).get(1, 2) == q * q
+    assert a.map_entries(lambda v: v * q).get(1, 2) == q * q
     assert (-a).get(1, 1) == -ctx.one
 
 
