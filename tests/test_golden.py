@@ -2,8 +2,10 @@
 
 Each case runs one command line and compares its exit code, its text report
 and its JSON report byte for byte with the files in tests/golden/.  The
-cases cover full-report on every shipped input and on the ordered r=0, s=0
-limit, and every theta-gated section (plus full-report) on a dim-2 input
+cases cover full-report on every shipped input, on the ordered r=0, s=0
+limit and on two dim-3 inputs (the benchmark's seed-1 quantum GL(3) input,
+and the same with the off-diagonal character rho_13 = 1, which fails
+confluence), and every theta-gated section (plus full-report) on a dim-2 input
 whose raw twisting tensor fails validation.  The two goldens that the
 benchmark also runs must agree with its oracle, bench/expected.json, and
 every job of that oracle is run here and must give its pinned exit code
@@ -27,6 +29,8 @@ from ncorep.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 CORRUPT = "corrupt_theta.alg"
+GL3 = "gl3_seed1.alg"  # bench/workloads.gl3_text(1)
+GL3_RHO13 = "gl3_seed1_rho13.alg"  # the same with rho 1 3 = "1"
 EXITS = "exit_codes.json"
 
 GATED = (
@@ -50,6 +54,8 @@ CASES = {
     "qplane_qprs_limit": [
         "--input", "qplane_qprs", "full-report", "--subst", "r=0", "--subst", "s=0",
     ],
+    "gl3_seed1": ["--input", str(GOLDEN / GL3), "full-report"],
+    "gl3_seed1_rho13": ["--input", str(GOLDEN / GL3_RHO13), "full-report"],
 }
 for _name in GATED + ("full-report",):
     CASES["corrupt_" + _name.replace("-", "_")] = ["--input", str(GOLDEN / CORRUPT), _name]
