@@ -19,12 +19,15 @@ and extended to longer words by the bicharacter splitting laws
 (note the flip in the second slot).  Convolution of forms restricted to
 the generator-pair tables is plain tensor composition, which makes
 twisting by an invertible form a finite computation.
+
+The contractions below run over nonzero table entries only and build each
+sum in one dict; the corep module docstring says why that changes no result.
 """
 
 import itertools
 
 from .errors import PresentationMismatch, UnknownGenerator
-from .freealg import NCPoly, PairPoly, RelationSet, T, apply_hom
+from .freealg import NCPoly, PairPoly, RelationSet, T, add_terms, apply_hom
 from .tensors import Tensor, compose, invert4
 
 
@@ -78,10 +81,10 @@ class Presentation:
         return out
 
     def coproduct(self, x: NCPoly) -> PairPoly:
-        out = PairPoly.zero(self.ctx)
+        out = {}
         for w, c in x.terms.items():
-            out = out + self.coproduct_word(w).scale(c)
-        return out
+            add_terms(out, self.coproduct_word(w).scale(c).terms.items())
+        return PairPoly(self.ctx, out)
 
     def counit_word(self, word):
         c = self.ctx.one
@@ -153,13 +156,7 @@ def braid_form(pres, braid: Tensor) -> LinearForm:
 def character_pair_form(pres, rho: Tensor) -> LinearForm:
     """The form  counit (x) rho  for a 2-index character table rho."""
     n = pres.dim
-    entries = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for l in range(1, n + 1):
-                c = rho.get(j, l)
-                if not c.is_zero():
-                    entries[(i, j, i, l)] = c
+    entries = {(i, j, i, l): c for i in range(1, n + 1) for (j, l), c in rho.entries.items()}
     return LinearForm(pres, Tensor(pres.ctx, n, 2, 2, entries))
 
 
@@ -176,23 +173,15 @@ def cocycle_check(phi: LinearForm):
     n = pres.dim
     invert4(phi.base)  # NotInvertible when phi cannot be convolution-inverted
     residuals = {}
-    rng = range(1, n + 1)
+    by_lower = phi.base.index((0, 1))
     with ctx.products():
-        for i, j, k, r, s, t in itertools.product(rng, repeat=6):
+        for i, j, k, r, s, t in itertools.product(range(1, n + 1), repeat=6):
             lhs = ctx.zero
-            for a in rng:
-                for b in rng:
-                    c1 = phi.base.get(i, j, a, b)
-                    if c1.is_zero():
-                        continue
-                    lhs = lhs + c1 * phi.word_value((T(a, r), T(b, s)), (T(k, t),))
+            for (_, _, a, b), c1 in by_lower.get((i, j), ()):
+                lhs = lhs + c1 * phi.word_value((T(a, r), T(b, s)), (T(k, t),))
             rhs = ctx.zero
-            for b in rng:
-                for c in rng:
-                    c1 = phi.base.get(j, k, b, c)
-                    if c1.is_zero():
-                        continue
-                    rhs = rhs + c1 * phi.word_value((T(i, r),), (T(b, s), T(c, t)))
+            for (_, _, b, c), c1 in by_lower.get((j, k), ()):
+                rhs = rhs + c1 * phi.word_value((T(i, r),), (T(b, s), T(c, t)))
             d = lhs - rhs
             if not d.is_zero():
                 residuals[(i, j, k, r, s, t)] = d
@@ -215,17 +204,11 @@ def twist_R(R: LinearForm, phi: LinearForm) -> Tensor:
 def tilde_images(ctx, theta: Tensor):
     """Generator images of the twisting endomorphism: T_i^j |-> theta_im^jn T_n^m."""
     n = theta.dim
-    images = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            acc = NCPoly.zero(ctx)
-            for m in range(1, n + 1):
-                for nn in range(1, n + 1):
-                    c = theta.get(i, m, j, nn)
-                    if not c.is_zero():
-                        acc = acc + NCPoly.term(ctx, (T(nn, m),), c)
-            images[T(i, j)] = acc
-    return images
+    by_ij = theta.index((0, 2))
+    return {
+        T(i, j): NCPoly(ctx, {(T(nn, m),): c for (_, m, _, nn), c in by_ij.get((i, j), ())})
+        for i, j in itertools.product(range(1, n + 1), repeat=2)
+    }
 
 
 def twisted_product_relations(pres, R: LinearForm, theta):
@@ -243,31 +226,24 @@ def twisted_product_relations(pres, R: LinearForm, theta):
     from .corep import require_valid  # deferred, corep builds on this module
 
     ctx = pres.ctx
-    n = pres.dim
-    rbar = invert4(R.base)
-    images = tilde_images(ctx, require_valid(theta).tensor)
+    rows = R.base.index((0, 1))
+    cols = invert4(R.base).index((2, 3))
+    images = require_valid(theta).images()
 
     def mtheta(g1, g2):
         return NCPoly.gen(ctx, g1) * apply_hom(NCPoly.gen(ctx, g2), images)
 
-    rng = range(1, n + 1)
     polys = []
-    for i in rng:
-     for j in rng:
-      for k in rng:
-       for l in rng:
-        acc = mtheta(T(j, l), T(i, k))
-        for a in rng:
-         for b in rng:
-          for c in rng:
-           for d in rng:
-            r1 = R.base.get(i, j, a, c)
-            if r1.is_zero():
-                continue
-            r2 = rbar.get(b, d, k, l)
-            if r2.is_zero():
-                continue
-            acc = acc - r1 * r2 * mtheta(T(a, b), T(c, d))
+    for i, j, k, l in itertools.product(range(1, pres.dim + 1), repeat=4):
+        acc = dict(mtheta(T(j, l), T(i, k)).terms)
+        terms = sorted(
+            (a, b, c, d, r1 * r2)
+            for (_, _, a, c), r1 in rows.get((i, j), ())
+            for (b, d, _, _), r2 in cols.get((k, l), ())
+        )
+        for a, b, c, d, r in terms:
+            add_terms(acc, ((w, -(v * r)) for w, v in mtheta(T(a, b), T(c, d)).terms.items()))
+        acc = NCPoly(ctx, acc)
         if not acc.is_zero():
             polys.append(acc)
     return RelationSet(ctx, pres.family(), polys)

@@ -13,13 +13,25 @@ valid theta makes
 
 a group-like matrix, and the span of (B M - M B) a coideal whose quotient
 coacts on the underlying quadratic algebra.
+
+Every identity here is an index contraction, and the tables it contracts
+are mostly zeros (a diagonal character table on dim 3 gives 9 nonzero
+theta entries out of 81).  So each sum runs only over the terms whose
+tensor factors are nonzero, found through Tensor.index, and each sum of
+polynomials is built in one dict whose zero coefficients are dropped once.
+This changes no result: a skipped term has a zero factor, so its product
+is zero, and every stored Scalar is canonical, so adding zero returns the
+other summand unchanged.  The field is exact, so neither does the order in
+which the terms are added.  The outer loops keep their index order, so
+violation lists and residual dicts come out in the same order as from the
+dense loops over every index.
 """
 
 import itertools
 
 from .bialg import Presentation, tilde_images
 from .errors import InvalidTheta, ShapeMismatch
-from .freealg import NCPoly, PairPoly, RelationSet, T, apply_hom, e, poly_vector, xi
+from .freealg import NCPoly, RelationSet, T, add_terms, apply_hom, e, poly_vector, xi
 from .tensors import Tensor, invert2
 
 
@@ -33,6 +45,7 @@ class ThetaMap:
         self.rho = rho
         self.rhobar = rhobar
         self._validation = None
+        self._images = None
         if rho is not None:
             if rhobar is None:
                 raise ValueError("factorized map needs both rho and its inverse")
@@ -55,6 +68,12 @@ class ThetaMap:
         if self._validation is None:
             self._validation = validate_theta(self.tensor)
         return self._validation
+
+    def images(self):
+        """The generator images T_i^j |-> theta_im^jn T_n^m, computed once."""
+        if self._images is None:
+            self._images = tilde_images(self.tensor.ctx, self.tensor)
+        return self._images
 
 
 def require_valid(theta: ThetaMap) -> ThetaMap:
@@ -90,11 +109,14 @@ def validate_theta(t: Tensor):
     n = t.dim
     rng = range(1, n + 1)
     violations = []
+    by_ijl = t.index((0, 1, 3))
     with ctx.products():
         for i, j, k, r, s, l in itertools.product(rng, repeat=6):
             acc = ctx.zero
-            for p in rng:
-                acc = acc + t.get(i, j, p, l) * t.get(p, k, r, s)
+            for (_, _, p, _), a in by_ijl.get((i, j, l), ()):
+                b = t.entries.get((p, k, r, s))
+                if b is not None:
+                    acc = acc + a * b
             if j == s:
                 acc = acc - t.get(i, k, r, l)
             if not acc.is_zero():
@@ -143,20 +165,26 @@ def build_M(theta: ThetaMap, labels=None) -> MMatrix:
     n = t.dim
     lab1, lab2 = labels if labels is not None else (None, None)
     entries = {}
-    rng = range(1, n + 1)
-    for i in rng:
-     for j in rng:
-      for k in rng:
-       for l in rng:
-        acc = NCPoly.zero(ctx)
-        for m in rng:
-            for nn in rng:
-                c = t.get(j, nn, l, m)
-                if not c.is_zero():
-                    acc = acc + NCPoly.term(ctx, (T(i, k, lab1), T(m, nn, lab2)), c)
-        if not acc.is_zero():
-            entries[(i, j, k, l)] = acc
+    by_jl = t.index((0, 2))
+    for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
+        group = by_jl.get((j, l))
+        if group:  # the words T_i^k T_m^n of one entry are distinct
+            entries[(i, j, k, l)] = NCPoly(
+                ctx, {(T(i, k, lab1), T(m, nn, lab2)): c for (_, nn, _, m), c in group}
+            )
     return MMatrix(ctx, n, entries, labels)
+
+
+def _add_tensor(out, x: NCPoly, y: NCPoly):
+    """Add x (x) y into the {word pair: Scalar} dict out."""
+    add_terms(
+        out,
+        (((w1, w2), c1 * c2) for w1, c1 in x.terms.items() for w2, c2 in y.terms.items()),
+    )
+
+
+def _nonzero(terms):
+    return {k: c for k, c in terms.items() if not c.is_zero()}
 
 
 def check_grouplike(M: MMatrix) -> bool:
@@ -165,12 +193,12 @@ def check_grouplike(M: MMatrix) -> bool:
     rng = range(1, M.dim + 1)
     with M.ctx.products():
         for i, j, k, l in itertools.product(rng, repeat=4):
-            lhs = pres.coproduct(M.get(i, j, k, l))
-            rhs = PairPoly.zero(M.ctx)
-            for r in rng:
-                for s in rng:
-                    rhs = rhs + PairPoly.tensor(M.get(i, j, r, s), M.get(r, s, k, l))
-            if lhs != rhs:
+            rhs = {}
+            for r, s in itertools.product(rng, repeat=2):
+                x, y = M.entries.get((i, j, r, s)), M.entries.get((r, s, k, l))
+                if x is not None and y is not None:
+                    _add_tensor(rhs, x, y)
+            if pres.coproduct(M.get(i, j, k, l)).terms != _nonzero(rhs):
                 return False
             eps = pres.counit(M.get(i, j, k, l))
             want = M.ctx.one if (i == k and j == l) else M.ctx.zero
@@ -188,20 +216,19 @@ def relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
         raise ShapeMismatch("braid tensor shape does not match the matrix")
     if M_second is None:
         M_second = M
-    ctx = M.ctx
-    rng = range(1, M.dim + 1)
+    rows, cols = B.index((0, 1)), B.index((2, 3))
     entries = {}
-    for i, j, k, l in itertools.product(rng, repeat=4):
-        acc = NCPoly.zero(ctx)
-        for m in rng:
-            for nn in rng:
-                c1 = B.get(i, j, m, nn)
-                if not c1.is_zero():
-                    acc = acc + c1 * M.get(m, nn, k, l)
-                c2 = B.get(m, nn, k, l)
-                if not c2.is_zero():
-                    acc = acc - c2 * M_second.get(i, j, m, nn)
-        entries[(i, j, k, l)] = acc
+    for i, j, k, l in itertools.product(range(1, M.dim + 1), repeat=4):
+        acc = {}
+        for (_, _, m, nn), c in rows.get((i, j), ()):
+            x = M.entries.get((m, nn, k, l))
+            if x is not None:
+                add_terms(acc, ((w, v * c) for w, v in x.terms.items()))
+        for (m, nn, _, _), c in cols.get((k, l), ()):
+            x = M_second.entries.get((i, j, m, nn))
+            if x is not None:
+                add_terms(acc, ((w, -(v * c)) for w, v in x.terms.items()))
+        entries[(i, j, k, l)] = NCPoly(M.ctx, acc)
     return entries
 
 
@@ -228,13 +255,15 @@ def coideal_check(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> bool:
     with ctx.products():
         rel = relation_entries(B, M, M_second)
         for (i, j, k, l), r in rel.items():
-            lhs = pres.coproduct(r)
-            rhs = PairPoly.zero(ctx)
-            for a in rng:
-                for b in rng:
-                    rhs = rhs + PairPoly.tensor(rel[(i, j, a, b)], M.get(a, b, k, l))
-                    rhs = rhs + PairPoly.tensor(M_second.get(i, j, a, b), rel[(a, b, k, l)])
-            if lhs != rhs:
+            rhs = {}
+            for a, b in itertools.product(rng, repeat=2):
+                x = M.entries.get((a, b, k, l))
+                if x is not None:
+                    _add_tensor(rhs, rel[(i, j, a, b)], x)
+                y = M_second.entries.get((i, j, a, b))
+                if y is not None:
+                    _add_tensor(rhs, y, rel[(a, b, k, l)])
+            if pres.coproduct(r).terms != _nonzero(rhs):
                 return False
             if not pres.counit(r).is_zero():
                 return False
@@ -249,14 +278,12 @@ def coaction_word(gamma: ThetaMap, indices):
     """
     if not gamma.validate()["valid"]:
         raise InvalidTheta("coaction requires a valid twisting tensor")
-    t = gamma.tensor
-    ctx = t.ctx
-    n = t.dim
-    images = tilde_images(ctx, t)
+    ctx = gamma.tensor.ctx
+    images = gamma.images()
     out = {(): NCPoly.one(ctx)}
     for pos, i in enumerate(indices):
         nxt = {}
-        for k in range(1, n + 1):
+        for k in range(1, gamma.dim + 1):
             gen = NCPoly.gen(ctx, T(i, k))
             for _ in range(pos):
                 gen = apply_hom(gen, images)
@@ -286,17 +313,13 @@ class QuadraticSpace:
         if braid is not None:
             if braid.dim != dim:
                 raise ShapeMismatch("braid dimension does not match the space")
-            rng = range(1, dim + 1)
-            for i in rng:
-                for j in rng:
-                    p = NCPoly.gen(ctx, mk(i)) * NCPoly.gen(ctx, mk(j))
-                    for k in rng:
-                        for l in rng:
-                            c = braid.get(i, j, k, l)
-                            if not c.is_zero():
-                                p = p - NCPoly.term(ctx, (mk(k), mk(l)), c)
-                    if not p.is_zero():
-                        rels.append(p)
+            rows = braid.index((0, 1))
+            for i, j in itertools.product(range(1, dim + 1), repeat=2):
+                p = {(mk(i), mk(j)): ctx.one}
+                add_terms(p, (((mk(k), mk(l)), -c) for (_, _, k, l), c in rows.get((i, j), ())))
+                p = NCPoly(ctx, p)
+                if not p.is_zero():
+                    rels.append(p)
         if relations:
             rels.extend(relations)
         if parity == "grassmann":

@@ -223,6 +223,17 @@ def apply_hom(x: NCPoly, images: dict) -> NCPoly:
     return out
 
 
+def add_terms(out, items):
+    """Add (key, Scalar) pairs into the dict out, in place.
+
+    A sum built this way copies nothing.  Zero coefficients stay until the
+    caller drops them once; NCPoly and PairPoly drop them on construction.
+    """
+    for k, c in items:
+        acc = out.get(k)
+        out[k] = c if acc is None else acc + c
+
+
 class PairPoly:
     """Element of (free algebra) tensor (free algebra): Scalar combos of word pairs."""
 

@@ -9,7 +9,7 @@ the determinant commutations, the antipode and the coordinate exchange
 scalars, reporting every identity exactly.
 """
 
-from .bialg import character_pair_form, cocycle_check, tilde_images
+from .bialg import character_pair_form, cocycle_check
 from .corep import build_M, coaction_word, generate_ideal, require_valid
 from .errors import NCorepError, NotGroupCoefficient
 from .freealg import NCPoly, RelationSet, T, apply_hom, row_space_compare
@@ -100,7 +100,7 @@ class QPlaneContext:
 
 
 def _tilde(qp):
-    imgs = tilde_images(qp.ctx, qp.theta.tensor)
+    imgs = qp.theta.images()
 
     def tl(g):
         return apply_hom(NCPoly.gen(qp.ctx, g), imgs)
@@ -348,7 +348,7 @@ def verify_gamma_action_table(qp) -> Report:
     twisted = []
     for g in qp.gens:
         img = tl(g)
-        twice = apply_hom(img, tilde_images(ctx, qp.theta.tensor))
+        twice = apply_hom(img, qp.theta.images())
         twisted.append((img, twice))
     factors = [_scale_factor(t, i) for i, t in twisted]
     if all(v is not None for v in factors):

@@ -118,6 +118,8 @@ class Context:
         self.params: tuple[str, ...] = tuple(sorted(names))
         self.field = _build_field(self.params)
         self._gens = {n: Scalar(self, g) for n, g in zip(self.params, self.field.gens)}
+        self.zero = Scalar(self, self.field.zero)
+        self.one = Scalar(self, self.field.one)
         self._products = None  # (fe, fe) -> Scalar while a products() block is open
         # the factor base: primitive irreducible non-monomial polynomials with
         # positive leading coefficient, each numbered once
@@ -139,14 +141,6 @@ class Context:
         if name not in self._gens:
             raise UnknownParameter("parameter %r not declared (have %s)" % (name, list(self.params)))
         return self._gens[name]
-
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, self.field.zero)
-
-    @property
-    def one(self) -> "Scalar":
-        return Scalar(self, self.field.one)
 
     @contextlib.contextmanager
     def products(self):
@@ -333,6 +327,8 @@ class Scalar:
         numer, denom = self.fe.numer, self.fe.denom
         # P(a/b) / Q(a/b) = P~ / Q~ with X~ = b^d X(a/b), d the larger degree
         d = max(exps[i] for poly in (numer, denom) for exps in poly.itermonoms())
+        if d == 0:  # the scalar does not contain the parameter
+            return self
         a_pows = _powers(val.fe.numer, d)
         b_pows = _powers(val.fe.denom, d)
         num, den = (_compose(poly, i, a_pows, b_pows) for poly in (numer, denom))

@@ -13,6 +13,11 @@ e_1(x)e_2, e_2(x)e_1, e_2(x)e_2 for dim 2.  Conversion between the two
 index conventions in use for solutions of the quantum Yang-Baxter
 equation (braid form vs R-form) is the explicit swap_lower operation,
 never an implicit relabeling.
+
+Only nonzero entries are stored, and contractions iterate over them:
+index(positions) groups a tensor's entries by the indices at the given
+positions, so a sum over a contracted index visits only the terms whose
+factor from that tensor is nonzero.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import NotInvertible, ShapeMismatch
 from .scalars import Context
 
 class Tensor:
-    __slots__ = ("ctx", "dim", "nlower", "nupper", "entries")
+    __slots__ = ("ctx", "dim", "nlower", "nupper", "entries", "_groups")
 
     def __init__(self, ctx: Context, dim: int, nlower: int, nupper: int, entries=None):
         self.ctx = ctx
@@ -36,6 +41,7 @@ class Tensor:
                 self._check_idx(idx)
                 if not val.is_zero():
                     self.entries[tuple(idx)] = val
+        self._groups = {}
 
     def _check_idx(self, idx):
         if len(idx) != self.nlower + self.nupper:
@@ -47,8 +53,26 @@ class Tensor:
                 raise ShapeMismatch("index %r out of range 1..%d" % (idx, self.dim))
 
     def get(self, *idx):
-        self._check_idx(idx)
-        return self.entries.get(idx, self.ctx.zero)
+        v = self.entries.get(idx)
+        if v is None:  # only a valid index can hit, so only a miss is checked
+            self._check_idx(idx)
+            return self.ctx.zero
+        return v
+
+    def index(self, positions):
+        """The nonzero entries grouped by their indices at positions.
+
+        Maps each key (idx[p] for p in positions) to the sorted list of that
+        key's (idx, value) pairs.  Built once per positions tuple: a tensor
+        is never changed after __init__, so the kept groups stay exact.
+        """
+        positions = tuple(positions)
+        groups = self._groups.get(positions)
+        if groups is None:
+            groups = self._groups[positions] = {}
+            for idx, v in sorted(self.entries.items()):
+                groups.setdefault(tuple(idx[p] for p in positions), []).append((idx, v))
+        return groups
 
     def same_shape(self, other):
         return (
@@ -118,11 +142,9 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
             "cannot compose (%d,%d) with (%d,%d)" % (a.nlower, a.nupper, b.nlower, b.nupper)
         )
     out = {}
+    by_lower = b.index(range(b.nlower))
     for aidx, av in a.entries.items():
-        mid = aidx[a.nlower:]
-        for bidx, bv in b.entries.items():
-            if bidx[: b.nlower] != mid:
-                continue
+        for bidx, bv in by_lower.get(aidx[a.nlower:], ()):
             idx = aidx[: a.nlower] + bidx[b.nlower:]
             v = av * bv
             acc = out.get(idx)

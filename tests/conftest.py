@@ -1,17 +1,20 @@
 """Configurations for the tests, read from the shipped algebra files, the
-literal relation tables they are compared against, and small builders that
-only the tests need."""
+literal relation tables they are compared against, small builders that
+only the tests need, and the dense index loops that the package's sparse
+contractions are compared with."""
 
+import itertools
 import re
 import tempfile
 from pathlib import Path
 
 from ncorep.cli import Workspace, _resolve_input, parse_algebra_file
-from ncorep.corep import ThetaMap, require_valid
+from ncorep.bialg import LinearForm
+from ncorep.corep import MMatrix, ThetaMap, require_valid
 from ncorep.errors import MissingImage, ShapeMismatch
-from ncorep.freealg import NCPoly, RelationSet, T
+from ncorep.freealg import NCPoly, PairPoly, RelationSet, T, apply_hom
 from ncorep.integrable import weighted_trace
-from ncorep.tensors import Tensor, delta
+from ncorep.tensors import Tensor, delta, invert4
 
 
 def load(name, *bindings):
@@ -145,3 +148,187 @@ def worklist_normal_form(poly, rs, strategy="leftmost"):
         for w2, c2 in rs.rules[lhs].terms.items():
             work.append((left + w2 + right, coeff * c2))
     return out
+
+
+# -- dense references ----------------------------------------------------
+#
+# The contractions as the package wrote them before they iterated over
+# nonzero entries: every index runs over 1..dim, and sums are built by
+# adding whole polynomials.  The differential tests require the package's
+# results to equal these exactly, in the same order.
+
+
+def dense_validate_theta(t: Tensor):
+    ctx = t.ctx
+    rng = range(1, t.dim + 1)
+    violations = []
+    for i, j, k, r, s, l in itertools.product(rng, repeat=6):
+        acc = ctx.zero
+        for p in rng:
+            acc = acc + t.get(i, j, p, l) * t.get(p, k, r, s)
+        if j == s:
+            acc = acc - t.get(i, k, r, l)
+        if not acc.is_zero():
+            violations.append(("coassociativity", (i, j, k, r, s, l), acc))
+    for j in rng:
+        for k in rng:
+            acc = ctx.zero
+            for nn in rng:
+                acc = acc + t.get(j, nn, k, nn)
+            if j == k:
+                acc = acc - ctx.one
+            if not acc.is_zero():
+                violations.append(("counit", (j, k), acc))
+    return {"valid": not violations, "violations": violations}
+
+
+def dense_build_M(theta: ThetaMap, labels=None) -> MMatrix:
+    t = theta.tensor
+    ctx = t.ctx
+    lab1, lab2 = labels if labels is not None else (None, None)
+    rng = range(1, t.dim + 1)
+    entries = {}
+    for i, j, k, l in itertools.product(rng, repeat=4):
+        acc = NCPoly.zero(ctx)
+        for m in rng:
+            for nn in rng:
+                c = t.get(j, nn, l, m)
+                if not c.is_zero():
+                    acc = acc + NCPoly.term(ctx, (T(i, k, lab1), T(m, nn, lab2)), c)
+        if not acc.is_zero():
+            entries[(i, j, k, l)] = acc
+    return MMatrix(ctx, t.dim, entries, labels)
+
+
+def dense_check_grouplike(M: MMatrix) -> bool:
+    pres = M.pres
+    rng = range(1, M.dim + 1)
+    for i, j, k, l in itertools.product(rng, repeat=4):
+        lhs = pres.coproduct(M.get(i, j, k, l))
+        rhs = PairPoly.zero(M.ctx)
+        for r in rng:
+            for s in rng:
+                rhs = rhs + PairPoly.tensor(M.get(i, j, r, s), M.get(r, s, k, l))
+        if lhs != rhs:
+            return False
+        eps = pres.counit(M.get(i, j, k, l))
+        if eps != (M.ctx.one if (i == k and j == l) else M.ctx.zero):
+            return False
+    return True
+
+
+def dense_relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
+    M_second = M if M_second is None else M_second
+    rng = range(1, M.dim + 1)
+    entries = {}
+    for i, j, k, l in itertools.product(rng, repeat=4):
+        acc = NCPoly.zero(M.ctx)
+        for m in rng:
+            for nn in rng:
+                c1 = B.get(i, j, m, nn)
+                if not c1.is_zero():
+                    acc = acc + c1 * M.get(m, nn, k, l)
+                c2 = B.get(m, nn, k, l)
+                if not c2.is_zero():
+                    acc = acc - c2 * M_second.get(i, j, m, nn)
+        entries[(i, j, k, l)] = acc
+    return entries
+
+
+def dense_coideal_check(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> bool:
+    M_second = M if M_second is None else M_second
+    pres = M.pres
+    rng = range(1, M.dim + 1)
+    rel = dense_relation_entries(B, M, M_second)
+    for (i, j, k, l), r in rel.items():
+        rhs = PairPoly.zero(M.ctx)
+        for a in rng:
+            for b in rng:
+                rhs = rhs + PairPoly.tensor(rel[(i, j, a, b)], M.get(a, b, k, l))
+                rhs = rhs + PairPoly.tensor(M_second.get(i, j, a, b), rel[(a, b, k, l)])
+        if pres.coproduct(r) != rhs or not pres.counit(r).is_zero():
+            return False
+    return True
+
+
+def dense_tilde_images(ctx, theta: Tensor):
+    rng = range(1, theta.dim + 1)
+    images = {}
+    for i in rng:
+        for j in rng:
+            acc = NCPoly.zero(ctx)
+            for m in rng:
+                for nn in rng:
+                    c = theta.get(i, m, j, nn)
+                    if not c.is_zero():
+                        acc = acc + NCPoly.term(ctx, (T(nn, m),), c)
+            images[T(i, j)] = acc
+    return images
+
+
+def dense_character_pair_form(pres, rho: Tensor) -> LinearForm:
+    rng = range(1, pres.dim + 1)
+    entries = {}
+    for i in rng:
+        for j in rng:
+            for l in rng:
+                c = rho.get(j, l)
+                if not c.is_zero():
+                    entries[(i, j, i, l)] = c
+    return LinearForm(pres, Tensor(pres.ctx, pres.dim, 2, 2, entries))
+
+
+def dense_cocycle_check(phi: LinearForm):
+    ctx = phi.pres.ctx
+    rng = range(1, phi.pres.dim + 1)
+    invert4(phi.base)
+    residuals = {}
+    for i, j, k, r, s, t in itertools.product(rng, repeat=6):
+        lhs = ctx.zero
+        for a in rng:
+            for b in rng:
+                c1 = phi.base.get(i, j, a, b)
+                if not c1.is_zero():
+                    lhs = lhs + c1 * phi.word_value((T(a, r), T(b, s)), (T(k, t),))
+        rhs = ctx.zero
+        for b in rng:
+            for c in rng:
+                c1 = phi.base.get(j, k, b, c)
+                if not c1.is_zero():
+                    rhs = rhs + c1 * phi.word_value((T(i, r),), (T(b, s), T(c, t)))
+        d = lhs - rhs
+        if not d.is_zero():
+            residuals[(i, j, k, r, s, t)] = d
+    return {"holds": not residuals, "residuals": residuals}
+
+
+def dense_twisted_product_relations(pres, R: LinearForm, theta: ThetaMap) -> RelationSet:
+    ctx = pres.ctx
+    rbar = invert4(R.base)
+    images = dense_tilde_images(ctx, require_valid(theta).tensor)
+
+    def mtheta(g1, g2):
+        return NCPoly.gen(ctx, g1) * apply_hom(NCPoly.gen(ctx, g2), images)
+
+    rng = range(1, pres.dim + 1)
+    polys = []
+    for i, j, k, l in itertools.product(rng, repeat=4):
+        acc = mtheta(T(j, l), T(i, k))
+        for a, b, c, d in itertools.product(rng, repeat=4):
+            r1 = R.base.get(i, j, a, c)
+            r2 = rbar.get(b, d, k, l)
+            if not (r1.is_zero() or r2.is_zero()):
+                acc = acc - r1 * r2 * mtheta(T(a, b), T(c, d))
+        if not acc.is_zero():
+            polys.append(acc)
+    return RelationSet(ctx, pres.family(), polys)
+
+
+def dense_compose(a: Tensor, b: Tensor) -> Tensor:
+    out = {}
+    for aidx, av in a.entries.items():
+        for bidx, bv in b.entries.items():
+            if bidx[: b.nlower] == aidx[a.nlower:]:
+                idx = aidx[: a.nlower] + bidx[b.nlower:]
+                out[idx] = out[idx] + av * bv if idx in out else av * bv
+    return Tensor(a.ctx, a.dim, a.nlower, b.nupper, out)

@@ -160,6 +160,27 @@ def test_substitute_unknown_param():
         ctx.gen("q").substitute([("z", 1)])
 
 
+def test_substitute_absent_parameter_keeps_the_scalar():
+    ctx = Context(["q", "p", "r"])
+    for text in ("0", "1", "q/(p^2 + 1)", "(q - 1)/(q^2 + 1)"):
+        a = ctx.parse(text)
+        got = a.substitute([("r", 0)])
+        assert got == a and str(got) == str(a)
+        assert a.substitute([("r", "q + 1"), ("r", ctx.gen("p"))]) == a
+    # the name and the value are still checked first, absent parameter or not
+    a = ctx.parse("q + 1")
+    with pytest.raises(UnknownParameter):
+        a.substitute([("z", 0)])
+    with pytest.raises(UnknownParameter):
+        a.substitute([("r", "z")])
+    with pytest.raises(ExpressionSyntax):
+        a.substitute([("r", "q +")])
+    with pytest.raises(TypeError):
+        a.substitute([("r", 0.5)])
+    with pytest.raises(ContextMismatch):
+        a.substitute([("r", Context(["q"]).gen("q"))])
+
+
 def test_cross_context_equality_and_hash():
     # one run reads one field; scalars of two fields never mix
     small = Context(["q"])
