@@ -722,14 +722,19 @@ def _parse_order(text, af):
 def _resolve_input(name):
     if os.path.exists(name):
         return name
-    base = name if name.endswith(".alg") else name + ".alg"
+    trav = _shipped_inputs().get(name if name.endswith(".alg") else name + ".alg")
+    if trav is None:
+        raise InputFormat("no input file or shipped example named %r" % name)
+    return trav
+
+
+@functools.cache
+def _shipped_inputs():
+    # package data does not change while the program runs, so it is listed once
     try:
-        trav = resources.files(__package__).joinpath("data").joinpath(base)
-        if trav.is_file():
-            return trav
+        return {t.name: t for t in resources.files(__package__).joinpath("data").iterdir() if t.is_file()}
     except (ModuleNotFoundError, FileNotFoundError):
-        pass
-    raise InputFormat("no input file or shipped example named %r" % name)
+        return {}
 
 
 @functools.cache

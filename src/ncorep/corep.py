@@ -195,12 +195,13 @@ def check_grouplike(M: MMatrix) -> bool:
         for i, j, k, l in itertools.product(rng, repeat=4):
             rhs = {}
             for r, s in itertools.product(rng, repeat=2):
-                x, y = M.entries.get((i, j, r, s)), M.entries.get((r, s, k, l))
-                if x is not None and y is not None:
-                    _add_tensor(rhs, x, y)
-            if pres.coproduct(M.get(i, j, k, l)).terms != _nonzero(rhs):
+                left, right = M.entries.get((i, j, r, s)), M.entries.get((r, s, k, l))
+                if left is not None and right is not None:
+                    _add_tensor(rhs, left, right)
+            x = M.get(i, j, k, l)
+            if pres.coproduct(x).terms != _nonzero(rhs):
                 return False
-            eps = pres.counit(M.get(i, j, k, l))
+            eps = pres.counit(x)
             want = M.ctx.one if (i == k and j == l) else M.ctx.zero
             if eps != want:
                 return False

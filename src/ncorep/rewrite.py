@@ -25,7 +25,7 @@ from .errors import (
     OrderMissingGenerator,
     ZeroLeadingCoefficient,
 )
-from .freealg import Generator, NCPoly, RelationSet
+from .freealg import Generator, NCPoly, RelationSet, add_terms
 
 DET = Generator("D", ())
 DETBAR = Generator("Dbar", ())
@@ -120,7 +120,7 @@ class RewriteSystem:
             if step is not None:
                 out = {}
                 for v, c in step:
-                    _add_scaled(out, c, forms[v])
+                    add_terms(out, ((u, c * cu) for u, cu in forms[v].items()))
                 forms[w] = {u: c for u, c in out.items() if not c.is_zero()}
                 continue
             if w in forms:
@@ -137,14 +137,6 @@ class RewriteSystem:
         return forms[word]
 
 
-def _add_scaled(out, coeff, form):
-    # out += coeff * form, in place
-    for u, c in form.items():
-        c = coeff * c
-        acc = out.get(u)
-        out[u] = c if acc is None else acc + c
-
-
 def _has_factor(word, piece):
     n = len(piece)
     return any(word[i : i + n] == piece for i in range(len(word) - n + 1))
@@ -158,7 +150,7 @@ def normal_form(poly, rs):
     """
     out = {}
     for word, coeff in poly.terms.items():
-        _add_scaled(out, coeff, rs._form(word))
+        add_terms(out, ((u, coeff * c) for u, c in rs._form(word).items()))
     return NCPoly(poly.ctx, out)
 
 
