@@ -12,7 +12,6 @@ tables, and the braid tensors include perturbed ones.
 
 import itertools
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -45,7 +44,7 @@ from ncorep.corep import (
     relation_entries,
     validate_theta,
 )
-from ncorep.errors import NCorepError, NotInvertible, ShapeMismatch
+from ncorep.errors import NCorepError, NotInvertible
 from ncorep.scalars import Context
 from ncorep.tensors import Tensor, compose
 
@@ -178,16 +177,6 @@ def composable(draw):
 def test_compose_matches_dense_loop(pair):
     a, b = pair
     assert compose(a, b) == dense_compose(a, b)
-
-
-def test_get_validates_only_a_miss_and_still_raises():
-    # every in-range index of this tensor is stored, so every valid call hits
-    t = Tensor(CTX, 2, 1, 1, {(i, k): CTX.one for i in (1, 2) for k in (1, 2)})
-    assert t.get(2, 1) == CTX.one
-    for bad in ((1,), (1, 1, 1), (0, 1), (1, 3), (3, 3)):
-        with pytest.raises(ShapeMismatch):
-            t.get(*bad)
-    assert Tensor(CTX, 2, 1, 1).get(2, 2) is CTX.zero
 
 
 def test_index_groups_nonzero_entries_in_sorted_order():

@@ -53,6 +53,12 @@ def test_entry_access_and_shape():
         t.get(0, 1)
     with pytest.raises(ShapeMismatch):
         t.get(3, 1)
+    # get validates only a miss: on a tensor that stores every in-range
+    # index, a bad index must still raise
+    full = Tensor(ctx, 2, 1, 1, {(i, k): ctx.one for i in (1, 2) for k in (1, 2)})
+    for bad in ((1,), (1, 1, 1), (0, 1), (1, 3), (3, 3)):
+        with pytest.raises(ShapeMismatch):
+            full.get(*bad)
 
 
 def test_duplicate_entry_rejected():
