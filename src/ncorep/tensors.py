@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import NotInvertible, ShapeMismatch
+from .freealg import add_terms
 from .scalars import Context
 
 class Tensor:
@@ -85,9 +86,7 @@ class Tensor:
         if not self.same_shape(other):
             raise ShapeMismatch("cannot add tensors of different shapes")
         out = dict(self.entries)
-        for idx, v in other.entries.items():
-            acc = out.get(idx)
-            out[idx] = v if acc is None else acc + v
+        add_terms(out, other.entries.items())
         return Tensor(self.ctx, self.dim, self.nlower, self.nupper, out)
 
     def __neg__(self):
@@ -144,11 +143,10 @@ def compose(a: Tensor, b: Tensor) -> Tensor:
     out = {}
     by_lower = b.index(range(b.nlower))
     for aidx, av in a.entries.items():
-        for bidx, bv in by_lower.get(aidx[a.nlower:], ()):
-            idx = aidx[: a.nlower] + bidx[b.nlower:]
-            v = av * bv
-            acc = out.get(idx)
-            out[idx] = v if acc is None else acc + v
+        add_terms(out, (
+            (aidx[: a.nlower] + bidx[b.nlower:], av * bv)
+            for bidx, bv in by_lower.get(aidx[a.nlower:], ())
+        ))
     return Tensor(a.ctx, a.dim, a.nlower, b.nupper, out)
 
 
