@@ -67,16 +67,11 @@ class Presentation:
         if out is not None:
             return out
         out = PairPoly.unit(self.ctx)
+        one, rng = self.ctx.one, range(1, self.dim + 1)
         for g in word:
             self._check_gen(g)
-            i, j = g.index
-            s = PairPoly.zero(self.ctx)
-            for k in range(1, self.dim + 1):
-                s = s + PairPoly.tensor(
-                    NCPoly.gen(self.ctx, T(i, k, g.label)),
-                    NCPoly.gen(self.ctx, T(k, j, g.label)),
-                )
-            out = out * s
+            (i, j), lab = g.index, g.label
+            out = out * PairPoly(self.ctx, {((T(i, k, lab),), (T(k, j, lab),)): one for k in rng})
         self._coproducts[word] = out
         return out
 

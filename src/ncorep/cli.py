@@ -266,24 +266,18 @@ def parse_algebra_file(path):
         raise InputFormat("missing or empty [B] section")
     if not rho and not thent:
         raise InputFormat("[theta] must give a character table or entries")
-    af.B = Tensor(af.ctx, af.dim, 2, 2, _dropzeros(tens["B"]))
+    af.B = Tensor(af.ctx, af.dim, 2, 2, tens["B"])
     if tens["Bprime"]:
-        af.Bprime = Tensor(af.ctx, af.dim, 2, 2, _dropzeros(tens["Bprime"]))
+        af.Bprime = Tensor(af.ctx, af.dim, 2, 2, tens["Bprime"])
     if rho:
-        af.rho = Tensor(af.ctx, af.dim, 1, 1, _dropzeros(rho))
+        af.rho = Tensor(af.ctx, af.dim, 1, 1, rho)
     else:
-        af.theta_entries = Tensor(af.ctx, af.dim, 2, 2, _dropzeros(thent))
+        af.theta_entries = Tensor(af.ctx, af.dim, 2, 2, thent)
     mk = xi if af.parity == "grassmann" else e
     for k in sorted(space_rows):
-        p = NCPoly.zero(af.ctx)
-        for (i, j), c in sorted(space_rows[k].items()):
-            p = p + NCPoly.term(af.ctx, (mk(i), mk(j)), c)
-        af.space_relations.append(p)
+        coeffs = sorted(space_rows[k].items())
+        af.space_relations.append(NCPoly(af.ctx, {(mk(i), mk(j)): c for (i, j), c in coeffs}))
     return af
-
-
-def _dropzeros(entries):
-    return {k: v for k, v in entries.items() if not v.is_zero()}
 
 
 class Workspace:
@@ -401,10 +395,6 @@ def _group_coefficient_failure(rep, err):
     return rep
 
 
-def _nonzero(tensor):
-    return sum(1 for v in tensor.entries.values() if not v.is_zero())
-
-
 def _word(w):
     return " ".join(str(g) for g in w)
 
@@ -445,7 +435,7 @@ def _ybe(ws, ns, rep):
         "braid-identity",
         "degree-3 exchange identity for [B]",
         passfail(r.is_zero()),
-        artifacts={"nonzero": _nonzero(r)},
+        artifacts={"nonzero": len(r.entries)},
     )
     if ws.Bprime is not None:
         r2 = ybe_residual(ws.Bprime)
@@ -453,7 +443,7 @@ def _ybe(ws, ns, rep):
             "alternative-tensor",
             "whether [Bprime] satisfies the same identity (reported, not gated)",
             "info",
-            artifacts={"braiding": r2.is_zero(), "nonzero": _nonzero(r2)},
+            artifacts={"braiding": r2.is_zero(), "nonzero": len(r2.entries)},
         )
     return rep
 
@@ -629,7 +619,7 @@ def _twist_r(ws, ns, rep):
         "twisted-braiding",
         "the conjugated exchange tensor satisfies the degree-3 identity",
         passfail(res.is_zero()),
-        artifacts={"nonzero": _nonzero(res)},
+        artifacts={"nonzero": len(res.entries)},
     )
     rel = twisted_product_relations(phi.pres, R, ws.theta)
     cmp = row_space_compare(rel, qp.relations())

@@ -31,7 +31,18 @@ import itertools
 
 from .bialg import Presentation, tilde_images
 from .errors import InvalidTheta, ShapeMismatch
-from .freealg import NCPoly, RelationSet, T, add_terms, apply_hom, e, poly_vector, xi
+from .freealg import (
+    NCPoly,
+    PairPoly,
+    RelationSet,
+    T,
+    add_terms,
+    apply_hom,
+    e,
+    poly_vector,
+    tensor_terms,
+    xi,
+)
 from .tensors import Tensor, invert2
 
 
@@ -89,14 +100,12 @@ def require_valid(theta: ThetaMap) -> ThetaMap:
 def factorized_theta(ctx, rho: Tensor) -> ThetaMap:
     """theta_ij^kl = rho_i^l rhobar_j^k from an invertible 2-index table."""
     rhobar = invert2(rho)
-    n = rho.dim
-    entries = {}
-    for (i, l), a in rho.entries.items():
-        for (j, k), b in rhobar.entries.items():
-            c = a * b
-            if not c.is_zero():
-                entries[(i, j, k, l)] = c
-    return ThetaMap(Tensor(ctx, n, 2, 2, entries), rho=rho, rhobar=rhobar)
+    entries = {
+        (i, j, k, l): a * b
+        for (i, l), a in rho.entries.items()
+        for (j, k), b in rhobar.entries.items()
+    }
+    return ThetaMap(Tensor(ctx, rho.dim, 2, 2, entries), rho=rho, rhobar=rhobar)
 
 
 def validate_theta(t: Tensor):
@@ -175,18 +184,6 @@ def build_M(theta: ThetaMap, labels=None) -> MMatrix:
     return MMatrix(ctx, n, entries, labels)
 
 
-def _add_tensor(out, x: NCPoly, y: NCPoly):
-    """Add x (x) y into the {word pair: Scalar} dict out."""
-    add_terms(
-        out,
-        (((w1, w2), c1 * c2) for w1, c1 in x.terms.items() for w2, c2 in y.terms.items()),
-    )
-
-
-def _nonzero(terms):
-    return {k: c for k, c in terms.items() if not c.is_zero()}
-
-
 def check_grouplike(M: MMatrix) -> bool:
     """Delta(M) = M (x) M entrywise together with counit(M) = identity."""
     pres = M.pres
@@ -197,9 +194,9 @@ def check_grouplike(M: MMatrix) -> bool:
             for r, s in itertools.product(rng, repeat=2):
                 left, right = M.entries.get((i, j, r, s)), M.entries.get((r, s, k, l))
                 if left is not None and right is not None:
-                    _add_tensor(rhs, left, right)
+                    add_terms(rhs, tensor_terms(left, right))
             x = M.get(i, j, k, l)
-            if pres.coproduct(x).terms != _nonzero(rhs):
+            if pres.coproduct(x) != PairPoly(M.ctx, rhs):
                 return False
             eps = pres.counit(x)
             want = M.ctx.one if (i == k and j == l) else M.ctx.zero
@@ -238,33 +235,28 @@ def generate_ideal(B: Tensor, M: MMatrix) -> RelationSet:
     return RelationSet(M.ctx, M.family(), relation_entries(B, M).values())
 
 
-def coideal_check(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> bool:
-    """The relation matrix Rel = B M - M_second B satisfies
+def coideal_check(B: Tensor, M: MMatrix) -> bool:
+    """The relation matrix Rel = B M - M B satisfies
 
-        Delta(Rel_ij^kl) = sum_rs Rel_ij^rs (x) M_rs^kl
-                         + sum_rs M_second_ij^rs (x) Rel_rs^kl
+        Delta(Rel_ij^kl) = sum_rs Rel_ij^rs (x) M_rs^kl + sum_rs M_ij^rs (x) Rel_rs^kl
 
     together with counit(Rel) = 0, so the span of Rel generates a coideal.
-    M_second defaults to M; the spectral variant passes the label-swapped
-    matrix, which then also rides in the left tensor slot.
     """
-    if M_second is None:
-        M_second = M
     ctx = M.ctx
     pres = M.pres
     rng = range(1, M.dim + 1)
     with ctx.products():
-        rel = relation_entries(B, M, M_second)
+        rel = relation_entries(B, M)
         for (i, j, k, l), r in rel.items():
             rhs = {}
             for a, b in itertools.product(rng, repeat=2):
                 x = M.entries.get((a, b, k, l))
                 if x is not None:
-                    _add_tensor(rhs, rel[(i, j, a, b)], x)
-                y = M_second.entries.get((i, j, a, b))
+                    add_terms(rhs, tensor_terms(rel[(i, j, a, b)], x))
+                y = M.entries.get((i, j, a, b))
                 if y is not None:
-                    _add_tensor(rhs, y, rel[(a, b, k, l)])
-            if pres.coproduct(r).terms != _nonzero(rhs):
+                    add_terms(rhs, tensor_terms(y, rel[(a, b, k, l)]))
+            if pres.coproduct(r) != PairPoly(ctx, rhs):
                 return False
             if not pres.counit(r).is_zero():
                 return False
@@ -283,19 +275,16 @@ def coaction_word(gamma: ThetaMap, indices):
     images = gamma.images()
     out = {(): NCPoly.one(ctx)}
     for pos, i in enumerate(indices):
-        nxt = {}
+        nxt = {}  # each (key, k) extends to its own key, so nothing is summed
         for k in range(1, gamma.dim + 1):
             gen = NCPoly.gen(ctx, T(i, k))
             for _ in range(pos):
                 gen = apply_hom(gen, images)
             for key, coef in out.items():
                 c = coef * gen
-                if c.is_zero():
-                    continue
-                kk = key + (k,)
-                acc = nxt.get(kk)
-                nxt[kk] = c if acc is None else acc + c
-        out = {k: v for k, v in nxt.items() if not v.is_zero()}
+                if not c.is_zero():
+                    nxt[key + (k,)] = c
+        out = nxt
     return out
 
 
@@ -342,16 +331,13 @@ def homomorphism_check(space: QuadraticSpace, gamma, relations: RelationSet) -> 
     """
     basis = relations.basis()
     for p in space.relations:
-        vec = {}
+        vec = {}  # coordinate word -> {matrix word: Scalar}
         for w, c in p.terms.items():
             co = coaction_word(gamma, tuple(g.index[0] for g in w))
             for outidx, coef in co.items():
                 word = tuple(space.coord(i) for i in outidx)
-                acc = vec.get(word, NCPoly.zero(space.ctx)) + coef * c
-                if acc.is_zero():
-                    vec.pop(word, None)
-                else:
-                    vec[word] = acc
+                add_terms(vec.setdefault(word, {}), ((u, v * c) for u, v in coef.terms.items()))
+        vec = {word: NCPoly(space.ctx, terms) for word, terms in vec.items()}
         for residual in space.reduce_vector(vec).values():
             if not basis.contains(poly_vector(residual)):
                 return False

@@ -133,11 +133,7 @@ class NCPoly:
 
     def __add__(self, other):
         if isinstance(other, NCPoly):
-            out = dict(self.terms)
-            for w, c in other.terms.items():
-                acc = out.get(w)
-                out[w] = c if acc is None else acc + c
-            return NCPoly(self.ctx, out)
+            return NCPoly(self.ctx, add_terms(dict(self.terms), other.terms.items()))
         s = self._coerce_scalar(other)
         if s is None:
             return NotImplemented
@@ -150,7 +146,8 @@ class NCPoly:
 
     def __sub__(self, other):
         if isinstance(other, NCPoly):
-            return self + (-other)
+            negated = ((w, -c) for w, c in other.terms.items())
+            return NCPoly(self.ctx, add_terms(dict(self.terms), negated))
         s = self._coerce_scalar(other)
         if s is None:
             return NotImplemented
@@ -161,14 +158,12 @@ class NCPoly:
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
-            out = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    acc = out.get(w)
-                    out[w] = c if acc is None else acc + c
-            return NCPoly(self.ctx, out)
+            products = (
+                (w1 + w2, c1 * c2)
+                for w1, c1 in self.terms.items()
+                for w2, c2 in other.terms.items()
+            )
+            return NCPoly(self.ctx, add_terms({}, products))
         s = self._coerce_scalar(other)
         if s is None:
             return NotImplemented
@@ -212,26 +207,35 @@ class NCPoly:
 
 def apply_hom(x: NCPoly, images: dict) -> NCPoly:
     """Extend generator images to an algebra homomorphism (identity on scalars)."""
-    out = NCPoly.zero(x.ctx)
+    out = {}
     for w, c in x.terms.items():
         acc = NCPoly.term(x.ctx, (), c)
         for g in w:
             if g not in images:
                 raise MissingImage("no image for generator %s" % g)
             acc = acc * images[g]
-        out = out + acc
-    return out
+        add_terms(out, acc.terms.items())
+    return NCPoly(x.ctx, out)
 
 
 def add_terms(out, items):
-    """Add (key, Scalar) pairs into the dict out, in place.
+    """Add (key, Scalar) pairs into the dict out, in place, and return out.
 
-    A sum built this way copies nothing.  Zero coefficients stay until the
-    caller drops them once; NCPoly and PairPoly drop them on construction.
+    This is the package's only accumulator of linear combinations: every sum
+    of polynomials, pair polynomials or tensor entries is built by it in one
+    dict, so a sum copies nothing.  Zero coefficients stay until the caller
+    wraps the dict once; NCPoly, PairPoly and Tensor drop them on
+    construction.
     """
     for k, c in items:
         acc = out.get(k)
         out[k] = c if acc is None else acc + c
+    return out
+
+
+def tensor_terms(x: NCPoly, y: NCPoly):
+    """The terms ((u, v), a b) of x (x) y, for x = sum a u and y = sum b v."""
+    return (((w1, w2), c1 * c2) for w1, c1 in x.terms.items() for w2, c2 in y.terms.items())
 
 
 class PairPoly:
@@ -248,10 +252,6 @@ class PairPoly:
                     self.terms[k] = c
 
     @classmethod
-    def zero(cls, ctx):
-        return cls(ctx)
-
-    @classmethod
     def unit(cls, ctx):
         return cls(ctx, {((), ()): ctx.one})
 
@@ -260,42 +260,30 @@ class PairPoly:
 
     @classmethod
     def tensor(cls, x: NCPoly, y: NCPoly):
-        out = {}
-        for w1, c1 in x.terms.items():
-            for w2, c2 in y.terms.items():
-                k = (w1, w2)
-                c = c1 * c2
-                acc = out.get(k)
-                out[k] = c if acc is None else acc + c
-        return cls(x.ctx, out)
+        return cls(x.ctx, add_terms({}, tensor_terms(x, y)))
 
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            out[k] = c if acc is None else acc + c
-        return PairPoly(self.ctx, out)
+        return PairPoly(self.ctx, add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return PairPoly(self.ctx, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        negated = ((k, -c) for k, c in other.terms.items())
+        return PairPoly(self.ctx, add_terms(dict(self.terms), negated))
 
     def __mul__(self, other):
         """Componentwise (tensor-algebra) product: (a⊗b)(c⊗d) = ac⊗bd."""
         if isinstance(other, PairPoly):
-            out = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    k = (a1 + a2, b1 + b2)
-                    c = c1 * c2
-                    acc = out.get(k)
-                    out[k] = c if acc is None else acc + c
-            return PairPoly(self.ctx, out)
+            products = (
+                ((a1 + a2, b1 + b2), c1 * c2)
+                for (a1, b1), c1 in self.terms.items()
+                for (a2, b2), c2 in other.terms.items()
+            )
+            return PairPoly(self.ctx, add_terms({}, products))
         s = self.ctx.scalar(other)
         return PairPoly(self.ctx, {k: c * s for k, c in self.terms.items()})
 
@@ -348,15 +336,8 @@ class SpanBasis:
         vec = dict(vec)
         for pivot, row in self.rows:
             f = vec.get(pivot)
-            if f is None or f.is_zero():
-                vec.pop(pivot, None)
-                continue
-            for col, c in row.items():
-                acc = vec[col] - f * c if col in vec else -(f * c)
-                if acc.is_zero():
-                    vec.pop(col, None)
-                else:
-                    vec[col] = acc
+            if f is not None and not f.is_zero():
+                add_terms(vec, ((col, -(f * c)) for col, c in row.items()))
         return {c: v for c, v in vec.items() if not v.is_zero()}
 
     def add(self, vec):

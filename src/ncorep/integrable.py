@@ -13,7 +13,7 @@ structure is attached to the labels.
 
 from .corep import ThetaMap, build_M, relation_entries, require_valid
 from .errors import AnsatzFailed
-from .freealg import NCPoly, RelationSet, T, poly_vector
+from .freealg import NCPoly, RelationSet, T, add_terms, poly_vector
 from .report import Report, passfail
 from .tensors import Tensor, delta, invert4
 
@@ -35,21 +35,7 @@ def weighted_trace(theta: ThetaMap) -> Tensor:
 
 def weighted_trace_element(w: Tensor, label=None) -> NCPoly:
     """The weight-contracted trace sum_ik w_k^i T_i^k as a free-algebra element."""
-    ctx = w.ctx
-    out = NCPoly.zero(ctx)
-    for i in range(1, w.dim + 1):
-        for k in range(1, w.dim + 1):
-            c = w.get(k, i)
-            if not c.is_zero():
-                out = out + NCPoly.term(ctx, (T(i, k, label),), c)
-    return out
-
-
-def plain_trace(ctx, dim, label=None) -> NCPoly:
-    out = NCPoly.zero(ctx)
-    for m in range(1, dim + 1):
-        out = out + NCPoly.gen(ctx, T(m, m, label))
-    return out
+    return NCPoly(w.ctx, {(T(i, k, label),): c for (k, i), c in w.entries.items()})
 
 
 def weight_commutation_holds(B: Tensor, w: Tensor) -> bool:
@@ -73,8 +59,7 @@ def weight_commutation_holds(B: Tensor, w: Tensor) -> bool:
 def spectral_relations(B: Tensor, theta: ThetaMap, labels):
     """Entries of B M(first, second) - M(second, first) B and their span.
 
-    Returns a dict with the entry table, the two labeled matrices and the
-    relation span.
+    Returns a dict with the entry table and the relation span.
     """
     lam, mu = labels
     th = require_valid(theta)
@@ -85,9 +70,37 @@ def spectral_relations(B: Tensor, theta: ThetaMap, labels):
     return {
         "entries": entries,
         "relations": RelationSet(M1.ctx, fam, entries.values()),
-        "M": M1,
-        "M_swapped": M2,
     }
+
+
+def _add_contracted_relation(rep, identity, Binv, w, entries, labels):
+    """Record whether the weight-and-inverse contraction of the relation
+    entries equals the commutator of the weighted traces; returns the
+    commutator.
+
+    The contraction is sum Binv_mn^rj w_r^i Rel_ij^mn; both routes take it,
+    the first with the identity weight, where it is the plain trace
+    commutator.
+    """
+    ctx = Binv.ctx
+    lam, mu = labels
+    tlam, tmu = weighted_trace_element(w, lam), weighted_trace_element(w, mu)
+    commutator = tlam * tmu - tmu * tlam
+    diff = {u: -v for u, v in commutator.terms.items()}
+    by_row = w.index((0,))
+    for (m, nn, r, j), c in Binv.entries.items():
+        for (_, i), cw in by_row.get((r,), ()):
+            f = c * cw
+            add_terms(diff, ((u, v * f) for u, v in entries[(i, j, m, nn)].terms.items()))
+    diff = NCPoly(ctx, diff)
+    rep.add(
+        "contracted-relation",
+        identity,
+        passfail(diff.is_zero()),
+        residuals=[] if diff.is_zero() else [str(diff)],
+        artifacts={"commutator": commutator},
+    )
+    return commutator
 
 
 def first_integrability(B: Tensor, theta: ThetaMap, labels) -> Report:
@@ -99,7 +112,8 @@ def first_integrability(B: Tensor, theta: ThetaMap, labels) -> Report:
     tr(first) tr(second) - tr(second) tr(first) identically.
     """
     th = require_valid(theta)
-    if weighted_trace(th) != delta(th.tensor.ctx, th.dim):
+    ident = delta(th.tensor.ctx, th.dim)
+    if weighted_trace(th) != ident:
         raise AnsatzFailed("twisting tensor fails the first-slot trace condition")
     Binv = invert4(B)
     rep = Report("first integrability route")
@@ -109,27 +123,10 @@ def first_integrability(B: Tensor, theta: ThetaMap, labels) -> Report:
         "pass",
     )
     data = spectral_relations(B, th, labels)
-    ctx = B.ctx
-    n = B.dim
-    rng = range(1, n + 1)
-    contracted = NCPoly.zero(ctx)
-    for i in rng:
-     for j in rng:
-      for k in rng:
-       for l in rng:
-        c = Binv.get(k, l, i, j)
-        if not c.is_zero():
-            contracted = contracted + c * data["entries"][(i, j, k, l)]
-    lam, mu = labels
-    tlam, tmu = plain_trace(ctx, n, lam), plain_trace(ctx, n, mu)
-    commutator = tlam * tmu - tmu * tlam
-    diff = contracted - commutator
-    rep.add(
-        "contracted-relation",
+    commutator = _add_contracted_relation(
+        rep,
         "inverse-exchange contraction equals the plain trace commutator",
-        passfail(diff.is_zero()),
-        residuals=[] if diff.is_zero() else [str(diff)],
-        artifacts={"commutator": commutator},
+        Binv, ident, data["entries"], labels,
     )
     rels = data["relations"]
     member = rels.basis().contains(poly_vector(commutator))
@@ -186,30 +183,10 @@ def second_integrability(B: Tensor, theta: ThetaMap, labels) -> Report:
         )
         return rep
     data = spectral_relations(B, th, labels)
-    rng = range(1, n + 1)
-    contracted = NCPoly.zero(ctx)
-    for r in rng:
-     for j in rng:
-      for m in rng:
-       for nn in rng:
-        c = Binv.get(m, nn, r, j)
-        if c.is_zero():
-            continue
-        for i in rng:
-            cw = w.get(r, i)
-            if not cw.is_zero():
-                contracted = contracted + (c * cw) * data["entries"][(i, j, m, nn)]
-    lam, mu = labels
-    expected = weighted_trace_element(w, lam) * weighted_trace_element(w, mu) - (
-        weighted_trace_element(w, mu) * weighted_trace_element(w, lam)
-    )
-    diff = contracted - expected
-    rep.add(
-        "contracted-relation",
+    _add_contracted_relation(
+        rep,
         "weight-and-inverse contraction equals the weighted trace commutator",
-        passfail(diff.is_zero()),
-        residuals=[] if diff.is_zero() else [str(diff)],
-        artifacts={"commutator": expected},
+        Binv, w, data["entries"], labels,
     )
     if w == ident:
         rep.add(

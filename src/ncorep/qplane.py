@@ -12,7 +12,7 @@ scalars, reporting every identity exactly.
 from .bialg import character_pair_form, cocycle_check
 from .corep import build_M, coaction_word, generate_ideal, require_valid
 from .errors import NCorepError, NotGroupCoefficient
-from .freealg import NCPoly, RelationSet, T, apply_hom, row_space_compare
+from .freealg import NCPoly, RelationSet, T, add_terms, apply_hom, row_space_compare
 from .report import Report, passfail
 from .rewrite import (
     DETBAR,
@@ -165,20 +165,21 @@ def determinant(qp) -> NCPoly:
     """
     ctx = qp.ctx
     co = coaction_word(qp.theta, (1, 2))
-    total = NCPoly.zero(ctx)
+    total = {}
     for (k, m), coef in co.items():
         if k == m:
             continue
-        if (k, m) == (1, 2):
-            total = total + coef
-            continue
-        f = _pair_reduction_factor(qp.grassmann, k, m)
+        f = ctx.one if (k, m) == (1, 2) else _pair_reduction_factor(qp.grassmann, k, m)
         if f is None:
             raise NotGroupCoefficient(
                 "coaction residual on (%d,%d) cannot be reduced to the top form" % (k, m)
             )
-        total = total + f * coef
-    return total
+        add_terms(total, ((w, c * f) for w, c in coef.terms.items()))
+    return NCPoly(ctx, total)
+
+
+# det * g = c * (g * det) for the generators a, b, c, d in turn
+DET_FACTORS = ("1", "1/p^2", "p^2", "1")
 
 
 def verify_D_commutations(qp_limit, order) -> Report:
@@ -194,9 +195,8 @@ def verify_D_commutations(qp_limit, order) -> Report:
         residuals=[str(p) for _, p in conf["ambiguities"]],
     )
     D = qp_limit.determinant()
-    factors = [("1", 0), ("1/p^2", 1), ("p^2", 2), ("1", 3)]
     names = ("a", "b", "c", "d")
-    for expr, pos in factors:
+    for pos, expr in enumerate(DET_FACTORS):
         g = NCPoly.gen(ctx, qp_limit.gens[pos])
         c = ctx.parse(expr)
         res = normal_form(D * g - c * (g * D), rs)
@@ -247,23 +247,18 @@ def verify_antipode(qp_limit, order) -> Report:
     rep = Report("antipode")
     rs = qp_limit.rewrite_system(order)
     D = qp_limit.determinant()
-    comm = [
-        (qp_limit.gens[0], ctx.one),
-        (qp_limit.gens[1], ctx.parse("1/p^2")),
-        (qp_limit.gens[2], ctx.parse("p^2")),
-        (qp_limit.gens[3], ctx.one),
-    ]
+    comm = [(g, ctx.parse(expr)) for g, expr in zip(qp_limit.gens, DET_FACTORS)]
     ext = extend_with_determinant(rs, D, comm)
     S = antipode_images(qp_limit)
     unit = NCPoly.term(ctx, (DETBAR,)) * D
     names = {(1, 1): "a", (1, 2): "b", (2, 1): "c", (2, 2): "d"}
     for i in (1, 2):
         for j in (1, 2):
-            left = NCPoly.zero(ctx)
-            right = NCPoly.zero(ctx)
+            left, right = {}, {}
             for k in (1, 2):
-                left = left + S[T(i, k)] * NCPoly.gen(ctx, T(k, j))
-                right = right + NCPoly.gen(ctx, T(i, k)) * S[T(k, j)]
+                add_terms(left, (S[T(i, k)] * NCPoly.gen(ctx, T(k, j))).terms.items())
+                add_terms(right, (NCPoly.gen(ctx, T(i, k)) * S[T(k, j)]).terms.items())
+            left, right = NCPoly(ctx, left), NCPoly(ctx, right)
             want = unit if i == j else NCPoly.zero(ctx)
             for side, val in (("left", left), ("right", right)):
                 res = normal_form(val - want, ext)
@@ -321,9 +316,10 @@ def verify_gamma_action_table(qp) -> Report:
     rep = Report("coordinate exchange table")
     tl = _tilde(qp)
     names = ("a", "b", "c", "d")
-    trace = NCPoly.zero(ctx)
+    trace = {}
     for g in (T(1, 1), T(2, 2)):
-        trace = trace + tl(g) - NCPoly.gen(ctx, g)
+        add_terms(trace, [*tl(g).terms.items(), ((g,), -ctx.one)])
+    trace = NCPoly(ctx, trace)
     rep.add(
         "trace-preserved",
         "the twisted trace equals the plain trace",

@@ -216,9 +216,10 @@ def confluence_check(rs, maxdeg=3):
                 word = u + v[k:]
                 if len(word) > maxdeg:
                     continue
-                via_u = rs.rules[u] * NCPoly.term(rs.ctx, v[k:])
-                via_v = NCPoly.term(rs.ctx, u[: len(u) - k]) * rs.rules[v]
-                diff = normal_form(via_u - via_v, rs)
+                # rhs(u) v[k:] - u[:-k] rhs(v), the gap between the two rewrites
+                gap = {w + v[k:]: c for w, c in rs.rules[u].terms.items()}
+                add_terms(gap, ((u[: len(u) - k] + w, -c) for w, c in rs.rules[v].terms.items()))
+                diff = normal_form(NCPoly(rs.ctx, gap), rs)
                 if not diff.is_zero():
                     ambiguities.append((word, diff))
     ambiguities.sort(key=lambda t: rs.order.word_key(t[0]))

@@ -206,12 +206,11 @@ def from_matrix(ctx, dim, rows) -> Tensor:
     pairs = list(itertools.product(range(1, dim + 1), repeat=2))
     if len(rows) != len(pairs) or any(len(r) != len(pairs) for r in rows):
         raise ShapeMismatch("matrix must be dim^2 x dim^2")
-    out = {}
-    for r, (i, j) in enumerate(pairs):
-        for c, (k, l) in enumerate(pairs):
-            v = ctx.scalar(rows[r][c])
-            if not v.is_zero():
-                out[(i, j, k, l)] = v
+    out = {
+        (i, j, k, l): ctx.scalar(rows[r][c])
+        for r, (i, j) in enumerate(pairs)
+        for c, (k, l) in enumerate(pairs)
+    }
     return Tensor(ctx, dim, 2, 2, out)
 
 
@@ -250,10 +249,5 @@ def invert2(a: Tensor) -> Tensor:
         raise ShapeMismatch("invert2 needs a (1,1) tensor")
     rows = [[a.get(i, k) for k in range(1, a.dim + 1)] for i in range(1, a.dim + 1)]
     inv = invert_matrix(a.ctx, rows)
-    out = {}
-    for i in range(1, a.dim + 1):
-        for k in range(1, a.dim + 1):
-            v = inv[i - 1][k - 1]
-            if not v.is_zero():
-                out[(i, k)] = v
-    return Tensor(a.ctx, a.dim, 1, 1, out)
+    rng = range(1, a.dim + 1)
+    return Tensor(a.ctx, a.dim, 1, 1, {(i, k): inv[i - 1][k - 1] for i in rng for k in rng})

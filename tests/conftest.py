@@ -205,7 +205,7 @@ def dense_check_grouplike(M: MMatrix) -> bool:
     rng = range(1, M.dim + 1)
     for i, j, k, l in itertools.product(rng, repeat=4):
         lhs = pres.coproduct(M.get(i, j, k, l))
-        rhs = PairPoly.zero(M.ctx)
+        rhs = PairPoly(M.ctx)
         for r in rng:
             for s in rng:
                 rhs = rhs + PairPoly.tensor(M.get(i, j, r, s), M.get(r, s, k, l))
@@ -235,17 +235,16 @@ def dense_relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> d
     return entries
 
 
-def dense_coideal_check(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> bool:
-    M_second = M if M_second is None else M_second
+def dense_coideal_check(B: Tensor, M: MMatrix) -> bool:
     pres = M.pres
     rng = range(1, M.dim + 1)
-    rel = dense_relation_entries(B, M, M_second)
+    rel = dense_relation_entries(B, M)
     for (i, j, k, l), r in rel.items():
-        rhs = PairPoly.zero(M.ctx)
+        rhs = PairPoly(M.ctx)
         for a in rng:
             for b in rng:
                 rhs = rhs + PairPoly.tensor(rel[(i, j, a, b)], M.get(a, b, k, l))
-                rhs = rhs + PairPoly.tensor(M_second.get(i, j, a, b), rel[(a, b, k, l)])
+                rhs = rhs + PairPoly.tensor(M.get(i, j, a, b), rel[(a, b, k, l)])
         if pres.coproduct(r) != rhs or not pres.counit(r).is_zero():
             return False
     return True
