@@ -74,13 +74,11 @@ def spectral_relations(B: Tensor, theta: ThetaMap, labels):
 
 
 def _add_contracted_relation(rep, identity, Binv, w, entries, labels):
-    """Record whether the weight-and-inverse contraction of the relation
-    entries equals the commutator of the weighted traces; returns the
-    commutator.
+    """Record whether the contracted relation entries equal the weighted trace commutator.
 
-    The contraction is sum Binv_mn^rj w_r^i Rel_ij^mn; both routes take it,
-    the first with the identity weight, where it is the plain trace
-    commutator.
+    The contraction is sum Binv_mn^rj w_r^i Rel_ij^mn.  Both routes take it,
+    the first with the identity weight, under which the weighted traces are
+    the plain ones.  Returns the commutator.
     """
     ctx = Binv.ctx
     lam, mu = labels
