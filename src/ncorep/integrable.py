@@ -80,7 +80,6 @@ def _add_contracted_relation(rep, identity, Binv, w, entries, labels):
     the first with the identity weight, under which the weighted traces are
     the plain ones.  Returns the commutator.
     """
-    ctx = Binv.ctx
     lam, mu = labels
     tlam, tmu = weighted_trace_element(w, lam), weighted_trace_element(w, mu)
     commutator = tlam * tmu - tmu * tlam
@@ -90,7 +89,7 @@ def _add_contracted_relation(rep, identity, Binv, w, entries, labels):
         for (_, i), cw in by_row.get((r,), ()):
             f = c * cw
             add_terms(diff, ((u, v * f) for u, v in entries[(i, j, m, nn)].terms.items()))
-    diff = NCPoly(ctx, diff)
+    diff = NCPoly(Binv.ctx, diff)
     rep.add(
         "contracted-relation",
         identity,
