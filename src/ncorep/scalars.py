@@ -1,61 +1,83 @@
 """Exact scalar arithmetic in the field QQ(params).
 
 Every coefficient in the package is a Scalar: a rational function over the
-rationals in a declared list of commuting parameters.  Internally a Scalar
-wraps a sympy sparse FracElement built over ZZ.  Every stored element is
-canonical: numerator and denominator are coprime in ZZ[params] (integer
-content included) and the denominator's leading coefficient, in graded-lex
-order, is positive.  Each element of QQ(params) has exactly one such form, so
-equal scalars have equal numerators and denominators, and an operation may
-hand back an operand unchanged (multiplying by one does) without
-re-cancelling.  The canonical *observable* form divides by the denominator's
-leading coefficient, making it monic, at the serialization boundary;
-parameters are sorted alphabetically.  No floating point exists anywhere.
+rationals in a declared list of commuting parameters, sorted alphabetically.
+A polynomial is a plain dict {exponent tuple: nonzero int}, the exponents
+listed in parameter order.  A Scalar holds its numerator as such a dict and
+its denominator as a split (c, m, ks), which stands for
+
+    c * x^m * prod f_i^k_i,
+
+c a positive integer, x^m a monomial and ks a sorted tuple of (i, k) pairs
+with k > 0 over the Context's factor base: primitive irreducible
+non-monomial polynomials f_i with positive leading coefficient in
+graded-lex order, each numbered once.  Every stored element is canonical:
+numerator and denominator are coprime in ZZ[params] (integer content
+included), and the denominator's leading coefficient is positive (c and
+every f_i lead with a positive coefficient).  Each element of QQ(params)
+has exactly one such form, and by unique factorization the split of a
+denominator is unique within a Context, so equal scalars have equal
+numerators and splits, and an operation may hand back an operand unchanged
+(multiplying by one does).  The canonical
+*observable* form divides by the denominator's leading coefficient, making
+it monic, at the serialization boundary.  No floating point exists anywhere.
 
 The paper's identities are contractions whose coefficients come from a
 twisting table, and their denominators are products of a few fixed factors
-(the parameters, r - 1, q^2 + 1, p - 1).  So +, -, *, / and powers do not
-call sympy's general gcd cancel; a small kernel at the end of this module
-keeps the canonical form itself, on one of two paths chosen by the inputs:
+(the parameters, r - 1, q^2 + 1, p - 1).  So +, -, *, / and powers keep the
+canonical form themselves, without a general polynomial gcd, and they never
+need the denominator as a polynomial except to bring two of them to a
+common one.  That polynomial is built on demand from its split and kept on
+the Context.
 
-* Laurent path.  When both denominators are one term c * x^m, the kernel
-  multiplies or adds the numerators directly.  What the result's numerator
-  and denominator can share is then only a monomial and an integer, so it
-  cancels the least exponents and the gcd of the integer contents.
-* Factor-base path.  Otherwise each denominator is split as
-  c * x^m * prod f_i^k_i, the f_i primitive irreducible non-monomial
-  polynomials with positive leading coefficient.  The split of a new
-  divisor comes from one sympy factor_list call, kept on the Context with
-  every denominator the kernel builds.  A product adds exponents and a sum
-  takes the largest.  The only f_i that can divide the new numerator are
-  known in advance (a numerator is coprime to its own denominator), and the
-  kernel divides it by each of them while the division is exact.  For one
-  divisor f the long division by leading terms is exact: if f divides the
-  numerator, every leading term of the running remainder is divisible by
-  the leading term of f, so the first that is not proves f does not divide
-  it, and a zero remainder proves it does.  The monomial and the integer
-  content are cancelled last, as on the Laurent path.
+* A product adds the exponents of the two splits, a sum takes the largest.
+  A numerator is coprime to its own denominator, so the only f_i that can
+  divide a new numerator are known in advance, and the kernel divides it by
+  each of them while the division is exact.  For one divisor f the long
+  division by leading terms is exact: if f divides the numerator, every
+  leading term of the running remainder is divisible by the leading term of
+  f, so the first that is not proves f does not divide it, and a zero
+  remainder proves it does.
+* What is left to share is a monomial and an integer: the kernel cancels
+  the least exponents and the gcd of the integer contents.  When both
+  denominators are one term (the Laurent case) that is the whole work.
+* An inverse swaps numerator and denominator and fixes the sign; the old
+  numerator becomes a denominator, and only then is a polynomial split.  A
+  one-term one splits at once.  A multi-term one not met before is factored
+  by sympy's factor_list, once per Context, and its new irreducible factors
+  join the base; substitute() splits its new denominators the same way.
+  _factor is the only place the package imports sympy, so a run whose
+  denominators stay monomials never loads it.
+* (n/d)^k is n^k / d^k, already coprime: its split multiplies the
+  exponents, and n^k is a closed form for one term and repeated squaring
+  otherwise.
+* substitute() composes numerator and denominator with the value, then
+  cancels the same way: split the new denominator, divide by its factors,
+  cancel the monomial and the content.
 
-An inverse swaps numerator and denominator and fixes the sign; (n/d)^k is
-n^k / d^k, already coprime.  Both paths return the unique canonical form,
-the same that sympy's cancel gives, so equality, hashing, str and every
-report byte are those of a cancel-based field.  sympy's gcd is reached only
-from substitute(), and factor_list only for new divisors.
+Every path returns the unique canonical form, the same that sympy's cancel
+gives, and str and the hash read it through one context-free key (terms by
+parameter name with Fraction coefficients, as when the scalars were sympy
+elements), so equality, hashing, str and every report byte are those of a
+cancel-based field.  The tests check the kernel against sympy's field
+operation by operation.
 
 One run reads one configuration over one parameter list, so all of its
 scalars live in one field.  Scalars of different fields never mix: every
-operation on two of them, == included, raises ContextMismatch.
+operation on two of them, == included, raises ContextMismatch.  Two
+Context objects over the same parameters are the same field; a scalar of
+one is re-split over the other's factor base when they meet.
 
 The paper's identities multiply the same pair of scalars many times within
 one check.  Inside ``with ctx.products():`` each distinct pair is multiplied
 once: the product is kept in a dict on the Context keyed by the two
-operands' sympy elements.  Because every element is canonical, equal keys
-are equal values, so the memo is exact.  The dict lives only as long as the
-outermost block (a nested block reuses it) and is dropped on exit, also when
-the block raises.  It is opened around single checks, not sections or
-reports: on the four-parameter full-report a report-wide memo raised peak
-memory by about 10% and a per-section one by about 3%, a per-check one by
-under 1%.
+operands' numerators and splits.  Because every element is canonical, equal
+keys are equal values, so the memo is exact.  The dict lives only as long
+as the outermost block (a nested block reuses it) and is dropped on exit,
+also when the block raises.  It is opened around single checks, not
+sections or reports: on the four-parameter full-report a report-wide memo
+raised peak memory by about 10% and a per-section one by about 3%, a
+per-check one by under 1%.
 
 The expression grammar accepted by parse() is deliberately small:
 
@@ -77,10 +99,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
 
-from sympy import ZZ
-from sympy.polys.fields import field as _sympy_field
-from sympy.polys.monomials import monomial_div
-
 from .errors import (
     ContextMismatch,
     DenominatorVanishes,
@@ -90,17 +108,6 @@ from .errors import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-# Contexts with equal parameter tuples share one sympy field, so their
-# elements interoperate; sympy's field() builds a new field on every call.
-_FIELD_CACHE: dict[tuple[str, ...], object] = {}
-
-
-def _build_field(params: tuple[str, ...]):
-    if params not in _FIELD_CACHE:
-        created = _sympy_field(",".join(params), ZZ, order="grlex")
-        _FIELD_CACHE[params] = created[0]
-    return _FIELD_CACHE[params]
 
 
 class Context:
@@ -116,17 +123,20 @@ class Context:
         if len(set(names)) != len(names):
             raise UnknownParameter("duplicate parameter names in %r" % (names,))
         self.params: tuple[str, ...] = tuple(sorted(names))
-        self.field = _build_field(self.params)
-        self._gens = {n: Scalar(self, g) for n, g in zip(self.params, self.field.gens)}
-        self.zero = Scalar(self, self.field.zero)
-        self.one = Scalar(self, self.field.one)
-        self._products = None  # (fe, fe) -> Scalar while a products() block is open
-        # the factor base: primitive irreducible non-monomial polynomials with
-        # positive leading coefficient, each numbered once
+        zero = (0,) * len(self.params)
+        self._unit = (1, zero, ())  # the split of the denominator 1
+        self._gens = {
+            n: Scalar(self, {zero[:i] + (1,) + zero[i + 1:]: 1}, self._unit)
+            for i, n in enumerate(self.params)
+        }
+        self.zero = Scalar(self, {}, self._unit)
+        self.one = Scalar(self, {zero: 1}, self._unit)
+        self._products = None  # (ident, ident) -> Scalar while a products() block is open
+        # the factor base: (f, leading exponent, trailing exponent) per factor
         self._factors: list = []
-        self._factor_ids: dict = {}
-        self._splits: dict = {}  # multi-term denominator -> its split
-        self._dens: dict = {}  # split -> denominator polynomial
+        self._factor_ids: dict = {}  # frozenset(f.items()) -> its index
+        self._splits: dict = {}  # frozenset(den.items()) -> split, multi-term dens
+        self._dens: dict = {}  # split with factors -> denominator polynomial
 
     def __repr__(self):
         return "Context(%s)" % ", ".join(self.params)
@@ -157,16 +167,14 @@ class Context:
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, string expression, or Scalar of this field."""
         if isinstance(value, Scalar):
-            if value.ctx.field is not self.field:
-                raise _mismatch(self, value.ctx)
-            return value
+            return value if value.ctx is self else _adopt(self, value)
         if isinstance(value, str):
             return self.parse(value)
         if isinstance(value, (int, Fraction)):
-            # already coprime with a positive denominator, so no cancel
-            ring = self.field.ring
-            num, den = ring.ground_new(value.numerator), ring.ground_new(value.denominator)
-            return Scalar(self, self.field.raw_new(num, den))
+            # already coprime with a positive denominator
+            zero = self._unit[1]
+            num = {zero: value.numerator} if value else {}
+            return Scalar(self, num, (value.denominator, zero, ()))
         raise TypeError("cannot make a Scalar from %r" % (value,))
 
     def parse(self, text: str) -> "Scalar":
@@ -180,30 +188,28 @@ def _mismatch(ctx, other):
 class Scalar:
     """One element of QQ(params).  Immutable; all arithmetic is exact."""
 
-    __slots__ = ("ctx", "fe", "_keyc")
+    __slots__ = ("ctx", "num", "split", "_keyc", "_identc")
 
-    def __init__(self, ctx: Context, fe):
+    def __init__(self, ctx: Context, num: dict, split: tuple):
         self.ctx = ctx
-        self.fe = fe
+        self.num = num
+        self.split = split
         self._keyc = None
+        self._identc = None
 
     # -- basic predicates ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.fe.numer
+        return not self.num
 
     def is_one(self) -> bool:
-        # the one canonical element with equal numerator and denominator is
-        # 1/1; comparing them as dicts skips sympy's coercing __eq__
-        return _same(self.fe.numer, self.fe.denom)
+        return self.split == self.ctx._unit and self.num == self.ctx.one.num
 
     # -- coercion helpers ------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.ctx.field is not self.ctx.field:
-                raise _mismatch(self.ctx, other.ctx)
-            return other
+            return other if other.ctx is self.ctx else _adopt(self.ctx, other)
         if isinstance(other, (int, Fraction)):
             return self.ctx.scalar(other)
         return NotImplemented
@@ -214,18 +220,18 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Scalar(self.ctx, _add(self.ctx, self.fe, o.fe))
+        return _add(self.ctx, self, o)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ctx, -self.fe)
+        return Scalar(self.ctx, {e: -v for e, v in self.num.items()}, self.split)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Scalar(self.ctx, _add(self.ctx, self.fe, -o.fe))
+        return _add(self.ctx, self, -o)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -241,11 +247,11 @@ class Scalar:
             return self
         memo = self.ctx._products
         if memo is None:
-            return Scalar(self.ctx, _mul(self.ctx, self.fe, o.fe))
-        key = (self.fe, o.fe)
+            return _mul(self.ctx, self, o)
+        key = (_ident(self), _ident(o))
         out = memo.get(key)
         if out is None:
-            out = memo[key] = Scalar(self.ctx, _mul(self.ctx, self.fe, o.fe))
+            out = memo[key] = _mul(self.ctx, self, o)
         return out
 
     __rmul__ = __mul__
@@ -256,7 +262,7 @@ class Scalar:
             return NotImplemented
         if o.is_zero():
             raise DivisionByZero("division by zero scalar")
-        return Scalar(self.ctx, _mul(self.ctx, self.fe, _inverse(o.fe)))
+        return _mul(self.ctx, self, _inverse(self.ctx, o))
 
     def __rtruediv__(self, other):
         return self.ctx.scalar(other) / self
@@ -267,10 +273,10 @@ class Scalar:
         if n == 0:
             return self.ctx.one  # 0^0 = 1, as for int and Fraction
         if n > 0:
-            return Scalar(self.ctx, _power(self.ctx, self.fe, n))
+            return _power(self, n)
         if self.is_zero():
             raise DivisionByZero("zero scalar to a negative power")
-        return Scalar(self.ctx, _power(self.ctx, _inverse(self.fe), -n))
+        return _power(_inverse(self.ctx, self), -n)
 
     def inv(self) -> "Scalar":
         return self ** -1
@@ -280,13 +286,12 @@ class Scalar:
     def _key(self):
         if self._keyc is None:
             names = self.ctx.params
-            num = _poly_key(self.fe.numer, names)
-            den = _poly_key(self.fe.denom, names)
-            if den:
-                lead = den[0][1]
-                if lead != 1:
-                    num = tuple((m, c / lead) for m, c in num)
-                    den = tuple((m, c / lead) for m, c in den)
+            num = _poly_key(self.num, names)
+            den = _poly_key(_den(self.ctx, self.split), names)
+            lead = den[0][1]
+            if lead != 1:
+                num = tuple((m, c / lead) for m, c in num)
+                den = tuple((m, c / lead) for m, c in den)
             self._keyc = (num, den)
         return self._keyc
 
@@ -294,11 +299,11 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.fe == o.fe
+        return self.split == o.split and self.num == o.num
 
     def __hash__(self):
-        # not hash(self.fe): sympy's square() hashes a polynomial and then
-        # mutates it in place, so equal elements can carry different hashes
+        # not hash((num, split)): split indices are per Context, and equal
+        # scalars of two Contexts over the same parameters must hash alike
         return hash(self._key())
 
     # -- substitution ----------------------------------------------------
@@ -318,25 +323,26 @@ class Scalar:
         return cur
 
     def _substitute_one(self, name, value):
-        if name not in self.ctx.params:
+        ctx = self.ctx
+        if name not in ctx.params:
             raise UnknownParameter(
-                "cannot substitute %r: not a parameter of %s" % (name, list(self.ctx.params))
+                "cannot substitute %r: not a parameter of %s" % (name, list(ctx.params))
             )
-        val = self.ctx.scalar(value)
-        i = self.ctx.params.index(name)
-        numer, denom = self.fe.numer, self.fe.denom
+        val = ctx.scalar(value)
+        i = ctx.params.index(name)
+        numer, denom = self.num, _den(ctx, self.split)
         # P(a/b) / Q(a/b) = P~ / Q~ with X~ = b^d X(a/b), d the larger degree
-        d = max(exps[i] for poly in (numer, denom) for exps in poly.itermonoms())
+        d = max(exps[i] for poly in (numer, denom) for exps in poly)
         if d == 0:  # the scalar does not contain the parameter
             return self
-        a_pows = _powers(val.fe.numer, d)
-        b_pows = _powers(val.fe.denom, d)
+        a_pows = _powers(ctx, val.num, d)
+        b_pows = _powers(ctx, _den(ctx, val.split), d)
         num, den = (_compose(poly, i, a_pows, b_pows) for poly in (numer, denom))
         if not den:
             raise DenominatorVanishes(
                 "substituting %s = %s makes a denominator vanish" % (name, val), param=name
             )
-        return Scalar(self.ctx, self.ctx.field.new(num, den))
+        return _canonical(ctx, num, den)
 
     # -- canonical text --------------------------------------------------
 
@@ -350,64 +356,172 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
+# -- polynomials ------------------------------------------------------------
+#
+# A polynomial is a dict {exponent tuple: nonzero int}.  No function here
+# changes a dict it was given, so the kernel can share them.
+
+
+def _grlex(e):
+    """The graded-lex sort key of an exponent tuple (sympy's grlex)."""
+    return sum(e), e
+
+
+def _padd(a, b):
+    """a + b."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for e, v in b.items():
+        v += out.get(e, 0)
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    return out
+
+
+def _pterm(a, m, c):
+    """a * c x^m."""
+    return {tuple(map(add, e, m)): v * c for e, v in a.items()}
+
+
+def _pmul(a, b):
+    """a * b."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        ((m, c),) = b.items()
+        return _pterm(a, m, c)
+    out = {}
+    get = out.get
+    for eb, vb in b.items():
+        for ea, va in a.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + va * vb
+    return {e: v for e, v in out.items() if v}
+
+
+def _ppow(a, n):
+    """a^n for n > 0: a closed form for one term, repeated squaring otherwise."""
+    if len(a) == 1:
+        ((m, c),) = a.items()
+        return {tuple(e * n for e in m): c ** n}
+    out = None
+    while True:
+        if n & 1:
+            out = a if out is None else _pmul(out, a)
+        n >>= 1
+        if not n:
+            return out
+        a = _pmul(a, a)
+
+
+def _powers(ctx, poly, d):
+    """[1, poly, ..., poly^d]."""
+    out = [ctx.one.num]
+    for _ in range(d):
+        out.append(_pmul(out[-1], poly))
+    return out
+
+
+def _compose(poly, i, a_pows, b_pows):
+    """sum c * rest * a^e * b^(d - e) over the terms c * rest * x_i^e of poly."""
+    d = len(a_pows) - 1
+    by_exp = {}
+    for exps, coeff in poly.items():
+        by_exp.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = coeff
+    out = {}
+    for e, part in by_exp.items():
+        if a_pows[e]:
+            out = _padd(out, _pmul(_pmul(part, a_pows[e]), b_pows[d - e]))
+    return out
+
+
 # -- the field kernel -----------------------------------------------------
 #
-# A split (c, m, ks) stands for the denominator c * x^m * prod f_i^k_i: c is a
-# positive integer, m an exponent tuple and ks a sorted tuple of (i, k) pairs
-# with k > 0 over the context's factor base ctx._factors.  The kernel takes
-# canonical elements and returns canonical elements.
+# The kernel takes canonical Scalars of one Context and returns canonical
+# Scalars of it.
 
 
-_same = dict.__eq__  # two polynomials of one ring, compared term by term
+def _ident(s):
+    """s's numerator and split as one hashable key, kept on s."""
+    if s._identc is None:
+        s._identc = (frozenset(s.num.items()), s.split)
+    return s._identc
 
 
 def _split(ctx, den):
-    """The split of a canonical denominator; a new one is factored once per Context."""
+    """The split of a denominator with positive leading coefficient; a new
+    multi-term one is factored once per Context."""
     if len(den) == 1:
         ((m, c),) = den.items()
         return c, m, ()
-    split = ctx._splits.get(den)
+    key = frozenset(den.items())
+    split = ctx._splits.get(key)
     if split is None:
-        split = ctx._splits[den] = _factor(ctx, den)
+        split = ctx._splits[key] = _factor(ctx, den)
     return split
 
 
 def _factor(ctx, den):
-    """The split of den from one factor_list call; new factors join the base.
+    """The split of den from one sympy factor_list call; new factors join the base.
 
     Over ZZ, sympy returns primitive factors and puts the content in the
     constant, but it makes each factor's leading coefficient positive in
     lex order: q^2 - 2*p comes back as 2*p - q^2, whose graded-lex leading
     coefficient is negative, so such a factor is negated here.
     """
-    c, pairs = den.factor_list()
-    m = ctx.field.ring.zero_monom
-    ks = {}
+    from sympy import ZZ
+    from sympy.polys.orderings import grlex
+    from sympy.polys.rings import PolyRing
+
+    c, pairs = PolyRing(ctx.params, ZZ, grlex).from_dict(den).factor_list()
+    c, m, ks = int(c), ctx._unit[1], {}
     for f, k in pairs:
-        if len(f) == 1:  # a parameter
-            m = tuple(a + b * k for a, b in zip(m, next(iter(f))))
+        f = {e: int(v) for e, v in f.items()}
+        if len(f) == 1:  # a parameter, up to sign
+            ((e, v),) = f.items()
+            m, c = tuple(a + b * k for a, b in zip(m, e)), c * v ** k
             continue
-        if f.LC < 0:
-            f, c = -f, c * (-1) ** k
-        i = ctx._factor_ids.get(f)
-        if i is None:
-            i = ctx._factor_ids[f] = len(ctx._factors)
-            ctx._factors.append(f)
+        if f[max(f, key=_grlex)] < 0:
+            f, c = {e: -v for e, v in f.items()}, c * (-1) ** k
+        i = _factor_id(ctx, f)
         ks[i] = ks.get(i, 0) + k
     return c, m, tuple(sorted(ks.items()))
 
 
+def _factor_id(ctx, f):
+    """The index of the base factor f, which joins the base if it is new."""
+    key = frozenset(f.items())
+    i = ctx._factor_ids.get(key)
+    if i is None:
+        i = ctx._factor_ids[key] = len(ctx._factors)
+        ctx._factors.append((f, max(f, key=_grlex), min(f, key=_grlex)))
+    return i
+
+
+def _adopt(ctx, s):
+    """s, a scalar of another Context over the same parameters, re-split over ctx's base."""
+    if s.ctx.params != ctx.params:
+        raise _mismatch(ctx, s.ctx)
+    c, m, ks = s.split
+    ks = tuple(sorted((_factor_id(ctx, s.ctx._factors[i][0]), k) for i, k in ks))
+    return Scalar(ctx, s.num, (c, m, ks))
+
+
 def _den(ctx, split):
-    """The polynomial of a split, built once per Context and stored already split."""
+    """The polynomial of a split, kept on the Context when it has factors."""
+    c, m, ks = split
+    if not ks:
+        return {m: c}
     den = ctx._dens.get(split)
     if den is None:
-        c, m, ks = split
-        den = ctx.field.ring.dtype({m: c})
+        den = {m: c}
         for i, k in ks:
-            den *= ctx._factors[i] ** k
+            den = _pmul(den, _ppow(ctx._factors[i][0], k))
         ctx._dens[split] = den
-        if ks:
-            ctx._splits[den] = split
+        ctx._splits[frozenset(den.items())] = split
     return den
 
 
@@ -421,26 +535,33 @@ def _merge(kx, ky, op):
     return tuple(sorted(out.items()))
 
 
-def _exquo(num, f):
+def _mdiv(a, b):
+    """The monomial a / b, or None when b does not divide a."""
+    d = tuple(map(sub, a, b))
+    return d if min(d) >= 0 else None
+
+
+def _exquo(num, factor):
     """num / f when f divides num in ZZ[params], else None.
 
     Long division on leading terms, stopped at the first that the leading
     term of f does not divide (see the module docstring).  The order is
     multiplicative, so f can divide num only if the trailing term of f
-    divides that of num, which is checked first.
+    divides that of num, which is checked first.  The leading and trailing
+    terms of f were found once, when f joined the factor base.
     """
-    key = num.ring.order
-    lead, trail = max(f, key=key), min(f, key=key)
-    bottom = min(num, key=key)
-    if monomial_div(bottom, trail) is None or num[bottom] % f[trail]:
+    f, lead, trail = factor
+    bottom = min(num, key=_grlex)
+    if _mdiv(bottom, trail) is None or num[bottom] % f[trail]:
         return None
+    top_c = f[lead]
     rest, quo = dict(num), {}
     while rest:
-        top = max(rest, key=key)
-        m = monomial_div(top, lead)
-        if m is None or rest[top] % f[lead]:
+        top = max(rest, key=_grlex)
+        m = _mdiv(top, lead)
+        if m is None or rest[top] % top_c:
             return None
-        c = quo[m] = rest[top] // f[lead]
+        c = quo[m] = rest[top] // top_c
         for e, v in f.items():
             e = tuple(map(add, e, m))
             v = rest.get(e, 0) - c * v
@@ -448,7 +569,7 @@ def _exquo(num, f):
                 rest[e] = v
             else:
                 del rest[e]
-    return num.new(quo)
+    return quo
 
 
 def _divide_out(ctx, num, ks, tries):
@@ -457,9 +578,9 @@ def _divide_out(ctx, num, ks, tries):
     left = []
     for i, k in ks:
         if num and i in tries:
-            f = ctx._factors[i]
+            factor = ctx._factors[i]
             while k:
-                quo = _exquo(num, f)
+                quo = _exquo(num, factor)
                 if quo is None:
                     break
                 num, k = quo, k - 1
@@ -475,44 +596,55 @@ def _reduce(ctx, num, c, m, ks):
     integer, the least exponents and the gcd of the contents.
     """
     if not num:
-        return ctx.field.zero
-    g = gcd(c, *num.values())
-    low = tuple(map(min, m, *num))
+        return ctx.zero
+    g = 1 if c == 1 else gcd(c, *num.values())
+    low = tuple(map(min, m, *num)) if any(m) else m
     if g != 1 or any(low):
-        num = num.new({tuple(map(sub, e, low)): v // g for e, v in num.items()})
+        num = {tuple(map(sub, e, low)): v // g for e, v in num.items()}
         c, m = c // g, tuple(map(sub, m, low))
-    return ctx.field.raw_new(num, _den(ctx, (c, m, ks)))
+    return Scalar(ctx, num, (c, m, ks))
+
+
+def _canonical(ctx, num, den):
+    """num / den in canonical form, for any polynomials with den nonzero."""
+    if den[max(den, key=_grlex)] < 0:
+        num, den = {e: -v for e, v in num.items()}, {e: -v for e, v in den.items()}
+    c, m, ks = _split(ctx, den)
+    num, ks = _divide_out(ctx, num, ks, {i for i, _ in ks})
+    return _reduce(ctx, num, c, m, ks)
 
 
 def _mul(ctx, x, y):
     """x * y for canonical x and y."""
-    cx, mx, kx = _split(ctx, x.denom)
-    cy, my, ky = _split(ctx, y.denom)
-    nx, ny = x.numer, y.numer
+    cx, mx, kx = x.split
+    cy, my, ky = y.split
+    nx, ny = x.num, y.num
     if kx or ky:
         # each numerator is coprime to its own denominator, so it can share
         # only the factors that the other denominator has alone
         ix, iy = {i for i, _ in kx}, {i for i, _ in ky}
         nx, ky = _divide_out(ctx, nx, ky, iy - ix)
         ny, kx = _divide_out(ctx, ny, kx, ix - iy)
-    return _reduce(ctx, nx * ny, cx * cy, tuple(map(add, mx, my)), _merge(kx, ky, add))
+    return _reduce(ctx, _pmul(nx, ny), cx * cy, tuple(map(add, mx, my)), _merge(kx, ky, add))
 
 
 def _add(ctx, x, y):
     """x + y for canonical x and y."""
-    if not x:
+    if not x.num:
         return y
-    if not y:
+    if not y.num:
         return x
-    if _same(x.denom, y.denom):
-        c, m, ks = _split(ctx, x.denom)
-        num, ks = _divide_out(ctx, x.numer + y.numer, ks, {i for i, _ in ks})
+    if x.split == y.split:
+        c, m, ks = x.split
+        num, ks = _divide_out(ctx, _padd(x.num, y.num), ks, {i for i, _ in ks})
         return _reduce(ctx, num, c, m, ks)
-    cx, mx, kx = _split(ctx, x.denom)
-    cy, my, ky = _split(ctx, y.denom)
+    cx, mx, kx = x.split
+    cy, my, ky = y.split
     c, m, ks = lcm(cx, cy), tuple(map(max, mx, my)), _merge(kx, ky, max)
-    num = _scale(ctx, x.numer, c // cx, tuple(map(sub, m, mx)), _less(ks, kx))
-    num += _scale(ctx, y.numer, c // cy, tuple(map(sub, m, my)), _less(ks, ky))
+    num = _padd(
+        _scale(ctx, x.num, c // cx, tuple(map(sub, m, mx)), _less(ks, kx)),
+        _scale(ctx, y.num, c // cy, tuple(map(sub, m, my)), _less(ks, ky)),
+    )
     # a factor with more weight in one denominator divides one summand and
     # not the other, so only factors of equal weight can divide the sum
     num, ks = _divide_out(ctx, num, ks, {i for i, _ in set(kx) & set(ky)})
@@ -528,54 +660,32 @@ def _less(ks, kx):
 def _scale(ctx, num, c, m, ks):
     """num * c x^m prod f_i^k_i."""
     if ks:
-        return num * _den(ctx, (c, m, ks))
-    return num.mul_term((m, c))
+        return _pmul(num, _den(ctx, (c, m, ks)))
+    return _pterm(num, m, c)
 
 
-def _inverse(x):
+def _inverse(ctx, x):
     """1 / x for nonzero canonical x: swap, then make the leading coefficient positive."""
-    num, den = x.denom, x.numer
-    if den.LC < 0:
-        num, den = -num, -den
-    return x.raw_new(num, den)
+    num, den = _den(ctx, x.split), x.num
+    if den[max(den, key=_grlex)] < 0:
+        num, den = {e: -v for e, v in num.items()}, {e: -v for e, v in den.items()}
+    return Scalar(ctx, num, _split(ctx, den))
 
 
-def _power(ctx, x, n):
+def _power(x, n):
     """x^n for n > 0: a power of a coprime pair is coprime."""
-    c, m, ks = _split(ctx, x.denom)
-    den = _den(ctx, (c ** n, tuple(e * n for e in m), tuple((i, k * n) for i, k in ks)))
-    return x.raw_new(x.numer ** n, den)
-
-
-def _powers(poly, d):
-    out = [poly.ring.one]
-    for _ in range(d):
-        out.append(out[-1] * poly)
-    return out
-
-
-def _compose(poly, i, a_pows, b_pows):
-    """sum c * rest * a^e * b^(d - e) over the terms c * rest * x_i^e of poly."""
-    ring = poly.ring
-    d = len(a_pows) - 1
-    by_exp = {}
-    for exps, coeff in poly.items():
-        by_exp.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = coeff
-    out = ring.zero
-    for e, part in by_exp.items():
-        if a_pows[e]:
-            out += ring.dtype(part) * a_pows[e] * b_pows[d - e]
-    return out
+    c, m, ks = x.split
+    split = (c ** n, tuple(e * n for e in m), tuple((i, k * n) for i, k in ks))
+    return Scalar(x.ctx, _ppow(x.num, n) if x.num else x.num, split)
 
 
 def _poly_key(poly, names):
     """Context-free canonical term list: ((name,exp)...) paired with Fraction,
     sorted graded-lex descending."""
     terms = []
-    for exps, coeff in poly.terms():
+    for exps, coeff in poly.items():
         mono = tuple((n, e) for n, e in zip(names, exps) if e)
-        c = Fraction(int(coeff.numerator), int(coeff.denominator))
-        terms.append((mono, c))
+        terms.append((mono, Fraction(coeff)))
     support = sorted({n for mono, _ in terms for n, _ in mono})
 
     def grlex(item):

@@ -3,10 +3,14 @@ literal relation tables they are compared against, small builders that
 only the tests need, and the dense index loops that the package's sparse
 contractions are compared with."""
 
+import functools
 import itertools
 import re
 import tempfile
 from pathlib import Path
+
+from sympy import ZZ
+from sympy.polys.fields import field
 
 from ncorep.cli import Workspace, _resolve_input, parse_algebra_file
 from ncorep.bialg import LinearForm
@@ -14,6 +18,7 @@ from ncorep.corep import MMatrix, ThetaMap, require_valid
 from ncorep.errors import MissingImage, ShapeMismatch
 from ncorep.freealg import NCPoly, PairPoly, RelationSet, T, apply_hom
 from ncorep.integrable import weighted_trace
+from ncorep.scalars import _den
 from ncorep.tensors import Tensor, delta, invert4
 
 
@@ -38,6 +43,24 @@ def load_over(name, params, *bindings):
         path.write_text(text, encoding="utf-8")
         af = parse_algebra_file(path)
     return Workspace(af, bindings).qp
+
+
+@functools.lru_cache(maxsize=None)
+def sympy_field(params):
+    """sympy's field ZZ(params) in graded-lex order."""
+    return field(",".join(params), ZZ, order="grlex")[0]
+
+
+def sympy_element(s):
+    """The Scalar s as an element of sympy's field, numerator and denominator
+    as s stores them.
+
+    sympy's field operations cancel by a polynomial gcd, so they are the
+    independent reference that the scalar tests compare the kernel with.
+    """
+    K = sympy_field(s.ctx.params)
+    num, den = K.ring.from_dict(s.num), K.ring.from_dict(_den(s.ctx, s.split))
+    return K.raw_new(num, den)
 
 
 def two_parameter_relations(ctx):
@@ -331,3 +354,24 @@ def dense_compose(a: Tensor, b: Tensor) -> Tensor:
                 idx = aidx[: a.nlower] + bidx[b.nlower:]
                 out[idx] = out[idx] + av * bv if idx in out else av * bv
     return Tensor(a.ctx, a.dim, a.nlower, b.nupper, out)
+
+
+def dense_contracted_relation(Binv: Tensor, w: Tensor, entries: dict, labels):
+    """The integrability contraction, over every index: the weighted trace
+    commutator and sum Binv_mn^rj w_r^i Rel_ij^mn minus that commutator."""
+    ctx = Binv.ctx
+    rng = range(1, Binv.dim + 1)
+    traces = []
+    for label in labels:
+        acc = NCPoly.zero(ctx)
+        for i, k in itertools.product(rng, repeat=2):
+            acc = acc + NCPoly.term(ctx, (T(i, k, label),), w.get(k, i))
+        traces.append(acc)
+    tlam, tmu = traces
+    commutator = tlam * tmu - tmu * tlam
+    acc = NCPoly.zero(ctx)
+    for i, j, m, nn, r in itertools.product(rng, repeat=5):
+        c = Binv.get(m, nn, r, j) * w.get(r, i)
+        if not c.is_zero():
+            acc = acc + c * entries[(i, j, m, nn)]
+    return commutator, acc - commutator

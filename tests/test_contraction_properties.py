@@ -7,7 +7,9 @@ index, kept in tests/conftest.py, exactly and in the same order: violation
 lists, residual dicts (key order included), relation polynomials in order,
 M's entries in order, and every verdict.  Tables are dim 2 and dim 3; the
 twists include invalid ones and factorizations of non-diagonal character
-tables, and the braid tensors include perturbed ones.
+tables, and the braid tensors include perturbed ones.  The integrability
+contraction is drawn over the inverses of more heavily perturbed braid
+tensors, with the twist's own weight or a random one.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from conftest import (
     dense_cocycle_check,
     dense_coideal_check,
     dense_compose,
+    dense_contracted_relation,
     dense_relation_entries,
     dense_tilde_images,
     dense_twisted_product_relations,
@@ -45,14 +48,18 @@ from ncorep.corep import (
     validate_theta,
 )
 from ncorep.errors import NCorepError, NotInvertible
+from ncorep.freealg import NCPoly, T
+from ncorep.integrable import _add_contracted_relation, weighted_trace
+from ncorep.report import Report, passfail
 from ncorep.scalars import Context
-from ncorep.tensors import Tensor, compose
+from ncorep.tensors import Tensor, compose, invert4
 
 CTX = Context(["q", "p"])
 bounded = settings(max_examples=12, deadline=None, database=None)
 
 units = st.sampled_from(["1", "-1", "2", "q", "1/q", "p", "-p/q"])
-values = st.sampled_from(["1", "-1", "q", "p", "1 - q", "1/3", "q^2 + 1"])
+VALUES = ("1", "-1", "q", "p", "1 - q", "1/3", "q^2 + 1")
+values = st.sampled_from(VALUES)
 
 
 def gl_braid(n):
@@ -156,6 +163,58 @@ def test_forms_and_twisted_relations_match_dense_loops(case):
         assert got is want
     else:
         assert got.polys == want.polys
+
+
+LABELS = ("lam", "mu")
+
+
+@st.composite
+def contractions(draw):
+    """(B^-1, w, entries) for the integrability contraction.
+
+    B is the GL(n) exchange tensor perturbed at two to six entries, and
+    invertible.  w is theta's first-slot trace or a random table.  The
+    entries are the labeled relation entries of theta, or a table with a
+    distinct word in every entry, so that every term of the contraction
+    lands on its own word.
+    """
+    rho, theta, _ = draw(cases())
+    n = rho.dim
+    B = dict(gl_braid(n).entries)
+    for idx in draw(st.lists(positions(n, 4), min_size=2, max_size=6)):
+        B[idx] = CTX.parse(draw(values))
+    try:
+        Binv = invert4(Tensor(CTX, n, 2, 2, B))
+    except NotInvertible:
+        assume(False)
+    w = weighted_trace(theta) if draw(st.booleans()) else draw(rho_tables(n))
+    if draw(st.booleans()):
+        M1, M2 = build_M(theta, LABELS), build_M(theta, LABELS[::-1])
+        entries = relation_entries(Tensor(CTX, n, 2, 2, B), M1, M2)
+    else:
+        idxs = list(itertools.product(range(1, n + 1), repeat=4))
+        coeff = st.sampled_from(("0",) + VALUES)
+        coeffs = draw(st.lists(coeff, min_size=len(idxs), max_size=len(idxs)))
+        entries = {
+            (i, j, m, nn): NCPoly.term(CTX, (T(i, j, "lam"), T(m, nn, "mu")), CTX.parse(c))
+            for (i, j, m, nn), c in zip(idxs, coeffs)
+        }
+    return Binv, w, entries
+
+
+# the contraction is cheap, and a term that only some tensors reach needs
+# many draws: about one in ten inverse tensors has a given off-diagonal entry
+@settings(max_examples=100, deadline=None, database=None)
+@given(contractions())
+def test_integrability_contraction_matches_dense_loop(case):
+    Binv, w, entries = case
+    rep = Report("contraction")
+    commutator = _add_contracted_relation(rep, "contraction", Binv, w, entries, LABELS)
+    want_commutator, diff = dense_contracted_relation(Binv, w, entries, LABELS)
+    assert commutator == want_commutator
+    (item,) = rep.items
+    assert item["status"] == passfail(diff.is_zero())
+    assert item["residuals"] == ([] if diff.is_zero() else [str(diff)])
 
 
 @st.composite

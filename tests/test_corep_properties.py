@@ -12,7 +12,7 @@ scalars over shared non-monomial factors such as 1 - q and q^2 + 1.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import tensor_from_entries
+from conftest import sympy_element, tensor_from_entries
 from ncorep.corep import (
     QuadraticSpace,
     ThetaMap,
@@ -65,7 +65,8 @@ def dense_tables(draw):
     """rho with four nonzero entries whose determinant is not a monomial."""
     rows = [[CTX.parse(draw(dense_entries)) for _ in (1, 2)] for _ in (1, 2)]
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    assume(len(det.fe.numer) > 1 or len(det.fe.denom) > 1)
+    fe = sympy_element(det)
+    assume(len(fe.numer) > 1 or len(fe.denom) > 1)
     return tensor_from_entries(
         CTX, 2, 1, 1, [((i, j), rows[i - 1][j - 1]) for i, j in INDICES]
     )

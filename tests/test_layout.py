@@ -17,6 +17,9 @@ fails until it is reviewed and added to SHARED_METHOD_NAMES.
 
 Builders that only the tests need live in ``tests/conftest.py``.
 
+sympy is imported in one place, inside ``scalars._factor``, which factors a
+new multi-term denominator; a run that never meets one never loads sympy.
+
 The benchmark reaches into the package from outside: ``bench/tracer.py``
 wraps the functions its HOT and SPANNED tables name, and
 ``bench/worker.py`` builds a Workspace the way the CLI does.  A change
@@ -131,3 +134,33 @@ def test_benchmark_builds_a_workspace():
     path = str(SRC / "data" / "qplane_qprs.alg")
     ws = cli.Workspace(cli.parse_algebra_file(path), [("r", "0"), ("s", "0")])
     assert ws.qp.relations().rank() == 6
+
+
+def sympy_imports():
+    """(module, enclosing definitions) of every import of sympy in the package."""
+    out = set()
+
+    def visit(node, mod, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, mod, where + (child.name,))
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(n == "sympy" or n.startswith("sympy.") for n in names):
+                out.add((mod, ".".join(where)))
+            visit(child, mod, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    return out
+
+
+def test_sympy_is_imported_only_to_factor():
+    # importing the package must not load sympy; only a new multi-term
+    # denominator, factored in scalars._factor, does
+    assert sympy_imports() == {("scalars", "_factor")}
