@@ -44,10 +44,17 @@ the Context.
 * An inverse swaps numerator and denominator and fixes the sign; the old
   numerator becomes a denominator, and only then is a polynomial split.  A
   one-term one splits at once.  A multi-term one not met before is factored
-  by sympy's factor_list, once per Context, and its new irreducible factors
-  join the base; substitute() splits its new denominators the same way.
-  _factor is the only place the package imports sympy, so a run whose
-  denominators stay monomials never loads it.
+  once per Context, and its new irreducible factors join the base;
+  substitute() splits its new denominators the same way.  _factor takes
+  out the monomial and integer content and splits the rest itself when it
+  is linear in some parameter with an integer coefficient or constant term
+  (then it is irreducible) or quadratic in its only parameter (irreducible
+  unless its discriminant is a square, and then the product of the linear
+  factors of its rational roots).  That covers every denominator of the
+  paper's inputs (q^2 + 1, r - 1, (r - 1)^2, p - 1); anything else goes to
+  sympy's factor_list.  The split is unique, so the path does not show in
+  any result.  _factor's fallback is the only place the package imports
+  sympy, so no shipped input loads it.
 * (n/d)^k is n^k / d^k, already coprime: its split multiplies the
   exponents, and n^k is a closed form for one term and repeated squaring
   otherwise.
@@ -95,8 +102,9 @@ from __future__ import annotations
 
 import contextlib
 import re
+from bisect import insort
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, sub
 
 from .errors import (
@@ -465,30 +473,79 @@ def _split(ctx, den):
 
 
 def _factor(ctx, den):
-    """The split of den from one sympy factor_list call; new factors join the base.
+    """The split of den, which has at least two terms and a positive leading
+    coefficient; new factors join the base.
 
-    Over ZZ, sympy returns primitive factors and puts the content in the
-    constant, but it makes each factor's leading coefficient positive in
-    lex order: q^2 - 2*p comes back as 2*p - q^2, whose graded-lex leading
-    coefficient is negative, so such a factor is negated here.
+    The monomial content and the integer content come out first.  What is
+    left, f, is primitive, leads positive and no parameter divides it, and
+    _small_factors splits the common shapes exactly.  Anything else is
+    factored by sympy's factor_list, the only place the package imports
+    sympy.  Over ZZ it returns primitive factors whose leading coefficient
+    is positive in lex order, not graded-lex (q^2 - 2*p comes back as
+    2*p - q^2), so such a factor is negated; then f, which leads positive,
+    is their product exactly and the constant it returns is 1.
     """
-    from sympy import ZZ
-    from sympy.polys.orderings import grlex
-    from sympy.polys.rings import PolyRing
+    c = gcd(*den.values())
+    m = tuple(map(min, *den))
+    f = {tuple(map(sub, e, m)): v // c for e, v in den.items()}
+    pairs = _small_factors(f)
+    if pairs is None:
+        from sympy import ZZ
+        from sympy.polys.orderings import grlex
+        from sympy.polys.rings import PolyRing
 
-    c, pairs = PolyRing(ctx.params, ZZ, grlex).from_dict(den).factor_list()
-    c, m, ks = int(c), ctx._unit[1], {}
-    for f, k in pairs:
-        f = {e: int(v) for e, v in f.items()}
-        if len(f) == 1:  # a parameter, up to sign
-            ((e, v),) = f.items()
-            m, c = tuple(a + b * k for a, b in zip(m, e)), c * v ** k
-            continue
-        if f[max(f, key=_grlex)] < 0:
-            f, c = {e: -v for e, v in f.items()}, c * (-1) ** k
-        i = _factor_id(ctx, f)
+        _, found = PolyRing(ctx.params, ZZ, grlex).from_dict(f).factor_list()
+        pairs = []
+        for g, k in found:
+            g = {e: int(v) for e, v in g.items()}
+            if g[max(g, key=_grlex)] < 0:
+                g = {e: -v for e, v in g.items()}
+            pairs.append((g, k))
+    ks = {}
+    for g, k in pairs:
+        i = _factor_id(ctx, g)
         ks[i] = ks.get(i, 0) + k
     return c, m, tuple(sorted(ks.items()))
+
+
+def _small_factors(f):
+    """The irreducible factors of f as (factor, multiplicity) pairs, when f
+    is linear with an integer coefficient or constant term in some parameter,
+    or quadratic in its only parameter; else None.
+
+    f is primitive, leads positive and has no monomial factor.
+    * f = a x + b with a or b a nonzero integer is irreducible: b is not
+      zero, since x does not divide f, and a factor of f either has no x,
+      so it divides a and b and hence an integer, and is a unit because f
+      is primitive; or its cofactor has no x and is a unit the same way.
+    * f = A x^2 + B x + C is irreducible when B^2 - 4AC is not a square.
+      Otherwise it has the rational roots (-B +- sqrt(B^2 - 4AC)) / 2A, and
+      f is the product of the primitive linear factors d x - n for the
+      roots n/d (one factor squared for a double root): by Gauss's lemma
+      that product is primitive, and it leads with d d' > 0, as f does.
+    """
+    zero = (0,) * len(next(iter(f)))
+    degrees = tuple(map(max, *f))
+    for i, d in enumerate(degrees):
+        if d == 1:
+            xs = [e for e in f if e[i]]
+            if len(xs) == 1 and sum(xs[0]) == 1 or len(f) - len(xs) == 1 and zero in f:
+                return [(f, 1)]
+    support = [i for i, d in enumerate(degrees) if d]
+    if len(support) != 1 or degrees[support[0]] != 2:
+        return None
+    (i,) = support
+    x1, x2 = (zero[:i] + (k,) + zero[i + 1:] for k in (1, 2))
+    a, b, c = f[x2], f.get(x1, 0), f[zero]
+    disc = b * b - 4 * a * c
+    if disc < 0 or isqrt(disc) ** 2 != disc:
+        return [(f, 1)]
+    root = isqrt(disc)
+    linear = []
+    for s in {root, -root}:
+        r = Fraction(-b + s, 2 * a)
+        linear.append(({x1: r.denominator, zero: -r.numerator}, 2 if s == 0 else 1))
+    return linear
 
 
 def _factor_id(ctx, f):
@@ -548,7 +605,10 @@ def _exquo(num, factor):
     term of f does not divide (see the module docstring).  The order is
     multiplicative, so f can divide num only if the trailing term of f
     divides that of num, which is checked first.  The leading and trailing
-    terms of f were found once, when f joined the factor base.
+    terms of f were found once, when f joined the factor base.  The
+    remainder's graded-lex keys are kept sorted: a step cancels the leading
+    term and changes only smaller ones, so the largest key left is the next
+    leading term once the keys of cancelled terms are skipped.
     """
     f, lead, trail = factor
     bottom = min(num, key=_grlex)
@@ -556,17 +616,23 @@ def _exquo(num, factor):
         return None
     top_c = f[lead]
     rest, quo = dict(num), {}
-    while rest:
-        top = max(rest, key=_grlex)
+    keys = sorted([(sum(e), e) for e in rest])
+    while keys:
+        _, top = keys.pop()
+        if top not in rest:
+            continue
         m = _mdiv(top, lead)
         if m is None or rest[top] % top_c:
             return None
         c = quo[m] = rest[top] // top_c
         for e, v in f.items():
             e = tuple(map(add, e, m))
-            v = rest.get(e, 0) - c * v
-            if v:
-                rest[e] = v
+            old = rest.get(e)
+            if old is None:
+                rest[e] = -c * v
+                insort(keys, (sum(e), e))
+            elif old != c * v:
+                rest[e] = old - c * v
             else:
                 del rest[e]
     return quo

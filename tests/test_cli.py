@@ -446,16 +446,19 @@ def test_spectral_demo_reports(tmp_path):
 
 
 def test_sympy_is_imported_only_to_factor_a_denominator(tmp_path):
-    # the seeded GL(3) input divides only by monomials, so its full report
-    # never factors a denominator and never loads sympy; the shipped inputs
-    # parse 1/(q^2 + 1) and so load it while the input is read
+    # the seeded GL(3) input divides only by monomials and the shipped
+    # inputs only by denominators that scalars._factor splits itself (a
+    # qplane_qp parse meets q^2 + 1), so neither loads sympy; a denominator
+    # outside those shapes is factored by sympy and loads it
     script = """
 import sys
 import ncorep.cli as cli
 states = ["sympy" in sys.modules]
 code = cli.main(["--input", sys.argv[1], "full-report", "--json", sys.argv[2]])
 states.append("sympy" in sys.modules)
-cli.Workspace(cli.parse_algebra_file(cli._resolve_input("qplane_qp")))
+ws = cli.Workspace(cli.parse_algebra_file(cli._resolve_input("qplane_qp")))
+states.append("sympy" in sys.modules)
+ws.ctx.parse("1/(q^3 + p^2 + 1)")
 states.append("sympy" in sys.modules)
 sys.stderr.write(repr((code, states)))
 """
@@ -467,4 +470,4 @@ sys.stderr.write(repr((code, states)))
         env=env, capture_output=True, text=True, check=True,
     )
     assert run.stdout
-    assert run.stderr == repr((0, [False, False, True]))
+    assert run.stderr == repr((0, [False, False, False, True]))

@@ -11,7 +11,8 @@ table), and every theta-gated section (plus full-report) on a dim-2 input
 whose raw twisting tensor fails validation.  The two goldens that the
 benchmark also runs must agree with its oracle, bench/expected.json, and
 every job of that oracle is run here and must give its pinned exit code
-and report digest.
+and report digest.  The cases are also run in one fresh interpreter, which
+must match the same bytes and never load sympy.
 
 The fixtures change only together with an intended report change.  To
 regenerate them, run this file as a script from the repository root:
@@ -21,6 +22,8 @@ regenerate them, run this file as a script from the repository root:
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -111,6 +114,53 @@ def test_benchmark_oracle_job(job, tmp_path, capsys):
     blob = json_path.read_bytes() if json_path.exists() else b""
     assert code == job["exit"]
     assert hashlib.sha256(text + b"\0" + blob).hexdigest() == job["sha256"]
+
+
+# runs command lines in one fresh interpreter: [exit code, text report,
+# whether sympy is loaded after it] per line, as JSON on stdout
+FRESH = """
+import contextlib, io, json, sys
+from ncorep.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = main(argv)
+    runs.append([code, text.getvalue(), "sympy" in sys.modules])
+print(json.dumps(runs))
+"""
+
+
+def test_no_shipped_report_imports_sympy(tmp_path):
+    # scalars._factor splits the paper's denominators (q^2 + 1, r - 1,
+    # (r - 1)^2) itself, so no golden case loads sympy: full-report on each
+    # shipped input, on the r=0, s=0 limit and on each golden .alg, and each
+    # gated section of the corrupt input.  spectral_demo_entries has a golden
+    # only for integrability, which its full-report must repeat.
+    names = sorted(CASES)
+    argvs = [CASES[n] + ["--json", str(tmp_path / (n + ".json"))] for n in names]
+    entries = tmp_path / "entries_full.json"
+    argvs.append(["--input", str(GOLDEN / SPECTRAL_ENTRIES), "full-report", "--json", str(entries)])
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", FRESH, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    runs = json.loads(run.stdout)
+    assert [loaded for _, _, loaded in runs] == [False] * len(argvs)
+    exits = json.loads((GOLDEN / EXITS).read_text(encoding="utf-8"))
+    for name, (code, text, _) in zip(names, runs):
+        assert code == exits[name], name
+        assert text.encode("utf-8") == (GOLDEN / (name + ".txt")).read_bytes(), name
+        assert (tmp_path / (name + ".json")).read_bytes() == (GOLDEN / (name + ".json")).read_bytes()
+    assert runs[-1][0] == exits["spectral_demo_entries"]
+    section = [
+        dict(check, name=check["name"][len("integrability."):])
+        for check in json.loads(entries.read_text(encoding="utf-8"))["checks"]
+        if check["name"].startswith("integrability.")
+    ]
+    golden = json.loads((GOLDEN / (SPECTRAL_ENTRIES[:-4] + ".json")).read_text(encoding="utf-8"))
+    assert section == golden["checks"]
 
 
 def regenerate():

@@ -17,8 +17,11 @@ fails until it is reviewed and added to SHARED_METHOD_NAMES.
 
 Builders that only the tests need live in ``tests/conftest.py``.
 
-sympy is imported in one place, inside ``scalars._factor``, which factors a
-new multi-term denominator; a run that never meets one never loads sympy.
+sympy is imported in one place, inside ``scalars._factor``, as the fallback
+that factors a new multi-term denominator outside the shapes that _factor
+splits itself (linear in a parameter with an integer coefficient or
+constant term, or quadratic in one parameter); a run that never meets one,
+which includes every shipped input, never loads sympy.
 
 The benchmark reaches into the package from outside: ``bench/tracer.py``
 wraps the functions its HOT and SPANNED tables name, and
@@ -162,5 +165,5 @@ def sympy_imports():
 
 def test_sympy_is_imported_only_to_factor():
     # importing the package must not load sympy; only a new multi-term
-    # denominator, factored in scalars._factor, does
+    # denominator that scalars._factor hands to factor_list does
     assert sympy_imports() == {("scalars", "_factor")}
