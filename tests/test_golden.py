@@ -5,10 +5,10 @@ and its JSON report byte for byte with the files in tests/golden/.  The
 cases cover full-report on every shipped input, on the ordered r=0, s=0
 limit and on two dim-3 inputs (the benchmark's seed-1 quantum GL(3) input,
 and the same with the off-diagonal character rho_13 = 1, which fails
-confluence), integrability on spectral_demo with its twist given as raw
-entries (no recorded factorization, so the second route reports its weight
-table), and every theta-gated section (plus full-report) on a dim-2 input
-whose raw twisting tensor fails validation.  The two goldens that the
+confluence), integrability and full-report on spectral_demo with its twist
+given as raw entries (no recorded factorization, so the second route reports
+its weight table), and every theta-gated section (plus full-report) on a
+dim-2 input whose raw twisting tensor fails validation.  The two goldens that the
 benchmark also runs must agree with its oracle, bench/expected.json, and
 every job of that oracle is run here and must give its pinned exit code
 and report digest.  The cases are also run in one fresh interpreter, which
@@ -63,6 +63,7 @@ CASES = {
     "gl3_seed1": ["--input", str(GOLDEN / GL3), "full-report"],
     "gl3_seed1_rho13": ["--input", str(GOLDEN / GL3_RHO13), "full-report"],
     "spectral_demo_entries": ["--input", str(GOLDEN / SPECTRAL_ENTRIES), "integrability"],
+    "spectral_demo_entries_full": ["--input", str(GOLDEN / SPECTRAL_ENTRIES), "full-report"],
 }
 for _name in GATED + ("full-report",):
     CASES["corrupt_" + _name.replace("-", "_")] = ["--input", str(GOLDEN / CORRUPT), _name]
@@ -135,12 +136,9 @@ def test_no_shipped_report_imports_sympy(tmp_path):
     # scalars._factor splits the paper's denominators (q^2 + 1, r - 1,
     # (r - 1)^2) itself, so no golden case loads sympy: full-report on each
     # shipped input, on the r=0, s=0 limit and on each golden .alg, and each
-    # gated section of the corrupt input.  spectral_demo_entries has a golden
-    # only for integrability, which its full-report must repeat.
+    # gated section of the corrupt input.
     names = sorted(CASES)
     argvs = [CASES[n] + ["--json", str(tmp_path / (n + ".json"))] for n in names]
-    entries = tmp_path / "entries_full.json"
-    argvs.append(["--input", str(GOLDEN / SPECTRAL_ENTRIES), "full-report", "--json", str(entries)])
     src = Path(__file__).resolve().parents[1] / "src"
     run = subprocess.run(
         [sys.executable, "-c", FRESH, json.dumps(argvs)],
@@ -153,14 +151,6 @@ def test_no_shipped_report_imports_sympy(tmp_path):
         assert code == exits[name], name
         assert text.encode("utf-8") == (GOLDEN / (name + ".txt")).read_bytes(), name
         assert (tmp_path / (name + ".json")).read_bytes() == (GOLDEN / (name + ".json")).read_bytes()
-    assert runs[-1][0] == exits["spectral_demo_entries"]
-    section = [
-        dict(check, name=check["name"][len("integrability."):])
-        for check in json.loads(entries.read_text(encoding="utf-8"))["checks"]
-        if check["name"].startswith("integrability.")
-    ]
-    golden = json.loads((GOLDEN / (SPECTRAL_ENTRIES[:-4] + ".json")).read_text(encoding="utf-8"))
-    assert section == golden["checks"]
 
 
 def regenerate():
