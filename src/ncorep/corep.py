@@ -14,6 +14,30 @@ valid theta makes
 a group-like matrix, and the span of (B M - M B) a coideal whose quotient
 coacts on the underlying quadratic algebra.
 
+Both matrix checks read one defect of M, computed once per matrix:
+
+    G_ij^kl = Delta(M_ij^kl) - sum_rs M_ij^rs (x) M_rs^kl
+    E_ij^kl = counit(M_ij^kl) - delta_i^k delta_j^l
+
+M is group-like exactly when G and E vanish.  The coideal check does not
+assume that.  Expand Rel = B M - M B bilinearly, with B scalar:
+
+    Delta(Rel_ij^kl) = sum_mn B_ij^mn Delta(M_mn^kl) - Delta(M_ij^mn) B_mn^kl
+    sum_rs Rel_ij^rs (x) M_rs^kl = sum B_ij^mn M_mn^rs (x) M_rs^kl
+                                 - sum M_ij^mn B_mn^rs (x) M_rs^kl
+    sum_rs M_ij^rs (x) Rel_rs^kl = sum M_ij^rs (x) B_rs^mn M_mn^kl
+                                 - sum M_ij^rs (x) M_rs^mn B_mn^kl
+
+The two middle sums are the same sum (a scalar crosses the tensor sign),
+so they cancel, and what is left is, for every B and every M,
+
+    Delta(Rel) - sum_rs (Rel^rs (x) M_rs + M^rs (x) Rel_rs) = B G - G B
+    counit(Rel) = B E - E B        (the delta part gives B 1 - 1 B = 0)
+
+with B G contracted over B's upper pair and G's lower pair.  So the coideal
+identity holds exactly when both right-hand sides vanish: always for a
+group-like M, and otherwise only when B commutes with the defect.
+
 Every identity here is an index contraction, and the tables it contracts
 are mostly zeros (a diagonal character table on dim 3 gives 9 nonzero
 theta entries out of 81).  So each sum runs only over the terms whose
@@ -151,6 +175,13 @@ class MMatrix:
         self.entries = entries  # (i,j,k,l) -> NCPoly
         self.labels = labels
         self.pres = Presentation(ctx, dim)  # its coproduct memo serves every check on M
+        self._defect = None
+
+    def defect(self) -> dict:
+        """grouplike_defect(self), computed once."""
+        if self._defect is None:
+            self._defect = grouplike_defect(self)
+        return self._defect
 
     def get(self, i, j, k, l) -> NCPoly:
         return self.entries.get((i, j, k, l), NCPoly.zero(self.ctx))
@@ -184,11 +215,17 @@ def build_M(theta: ThetaMap, labels=None) -> MMatrix:
     return MMatrix(ctx, n, entries, labels)
 
 
-def check_grouplike(M: MMatrix) -> bool:
-    """Delta(M) = M (x) M entrywise together with counit(M) = identity."""
+def grouplike_defect(M: MMatrix) -> dict:
+    """{(i, j, k, l): (G_ij^kl, E_ij^kl)} for the entries where either is nonzero.
+
+    G = Delta(M) - M (x) M is a PairPoly and E = counit(M) - identity a Scalar;
+    empty exactly when M is group-like.
+    """
+    ctx = M.ctx
     pres = M.pres
     rng = range(1, M.dim + 1)
-    with M.ctx.products():
+    defect = {}
+    with ctx.products():
         for i, j, k, l in itertools.product(rng, repeat=4):
             rhs = {}
             for r, s in itertools.product(rng, repeat=2):
@@ -196,13 +233,21 @@ def check_grouplike(M: MMatrix) -> bool:
                 if left is not None and right is not None:
                     add_terms(rhs, tensor_terms(left, right))
             x = M.get(i, j, k, l)
-            if pres.coproduct(x) != PairPoly(M.ctx, rhs):
-                return False
-            eps = pres.counit(x)
-            want = M.ctx.one if (i == k and j == l) else M.ctx.zero
-            if eps != want:
-                return False
-    return True
+            lhs, rhs = pres.coproduct(x), PairPoly(ctx, rhs)
+            eps = pres.counit(x) - (ctx.one if (i == k and j == l) else ctx.zero)
+            if lhs != rhs or not eps.is_zero():
+                defect[(i, j, k, l)] = (lhs - rhs, eps)
+    return defect
+
+
+def check_grouplike(M: MMatrix) -> bool:
+    """Delta(M) = M (x) M entrywise together with counit(M) = identity."""
+    return not M.defect()
+
+
+def _require_braid_shape(B: Tensor, M: MMatrix):
+    if B.dim != M.dim or B.nlower != 2 or B.nupper != 2:
+        raise ShapeMismatch("braid tensor shape does not match the matrix")
 
 
 def relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
@@ -210,8 +255,7 @@ def relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
 
     M_second defaults to M; the spectral variant passes the label-swapped matrix.
     """
-    if B.dim != M.dim or B.nlower != 2 or B.nupper != 2:
-        raise ShapeMismatch("braid tensor shape does not match the matrix")
+    _require_braid_shape(B, M)
     if M_second is None:
         M_second = M
     rows, cols = B.index((0, 1)), B.index((2, 3))
@@ -241,25 +285,27 @@ def coideal_check(B: Tensor, M: MMatrix) -> bool:
         Delta(Rel_ij^kl) = sum_rs Rel_ij^rs (x) M_rs^kl + sum_rs M_ij^rs (x) Rel_rs^kl
 
     together with counit(Rel) = 0, so the span of Rel generates a coideal.
+    The two residuals are B G - G B and B E - E B for M's defect (G, E);
+    the module docstring derives them for any M, group-like or not.
     """
+    _require_braid_shape(B, M)
+    defect = M.defect()
     ctx = M.ctx
-    pres = M.pres
-    rng = range(1, M.dim + 1)
-    with ctx.products():
-        rel = relation_entries(B, M)
-        for (i, j, k, l), r in rel.items():
-            rhs = {}
-            for a, b in itertools.product(rng, repeat=2):
-                x = M.entries.get((a, b, k, l))
-                if x is not None:
-                    add_terms(rhs, tensor_terms(rel[(i, j, a, b)], x))
-                y = M.entries.get((i, j, a, b))
-                if y is not None:
-                    add_terms(rhs, tensor_terms(y, rel[(a, b, k, l)]))
-            if pres.coproduct(r) != PairPoly(ctx, rhs):
-                return False
-            if not pres.counit(r).is_zero():
-                return False
+    rows, cols = B.index((0, 1)), B.index((2, 3))
+    for i, j, k, l in itertools.product(range(1, M.dim + 1), repeat=4):
+        acc, eps = {}, ctx.zero
+        for (_, _, m, nn), c in rows.get((i, j), ()):
+            d = defect.get((m, nn, k, l))
+            if d is not None:
+                add_terms(acc, ((w, v * c) for w, v in d[0].terms.items()))
+                eps = eps + c * d[1]
+        for (m, nn, _, _), c in cols.get((k, l), ()):
+            d = defect.get((i, j, m, nn))
+            if d is not None:
+                add_terms(acc, ((w, -(v * c)) for w, v in d[0].terms.items()))
+                eps = eps - d[1] * c
+        if not PairPoly(ctx, acc).is_zero() or not eps.is_zero():
+            return False
     return True
 
 

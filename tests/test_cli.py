@@ -17,6 +17,7 @@ from ncorep.cli import (
     main,
     parse_algebra_file,
 )
+from ncorep.corep import MMatrix
 from ncorep.errors import InputFormat
 from ncorep.freealg import RelationSet
 from ncorep.rewrite import RewriteSystem
@@ -214,7 +215,7 @@ def test_full_report_derives_each_once(monkeypatch):
 
     names = (
         "generate_ideal", "orient", "cocycle_check", "determinant", "validate_theta",
-        "confluence_check",
+        "confluence_check", "grouplike_defect", "relation_entries",
     )
     for name in names:
         modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("ncorep.")]
@@ -226,7 +227,8 @@ def test_full_report_derives_each_once(monkeypatch):
 
     # a derivation built once hands back the same object at every call, and
     # one presentation serves the whole report; every result is held, so no
-    # id is reused during the report
+    # id is reused during the report.  M's defect is read by validate-theta
+    # and by relations.
     results = collections.defaultdict(list)
 
     def same_object(method, key):
@@ -244,6 +246,7 @@ def test_full_report_derives_each_once(monkeypatch):
     monkeypatch.setattr(
         RelationSet, "basis", same_object(RelationSet.basis, lambda rels: ("basis", rels)),
     )
+    monkeypatch.setattr(MMatrix, "defect", same_object(MMatrix.defect, lambda M: ("defect", M)))
 
     # each word meets a rule lookup once per system, until its rules change
     lookups = collections.defaultdict(collections.Counter)
@@ -270,6 +273,7 @@ def test_full_report_derives_each_once(monkeypatch):
         assert any(key[0] == "coproduct" for key in built)
         assert {key: n for key, n in built.items() if n != 1} == {}
         assert len(results[("basis", last["generate_ideal"])]) > 1
+        assert [len(outs) for key, outs in results.items() if key[0] == "defect"] == [2]
         assert lookups
         assert {w: n for seen in lookups.values() for w, n in seen.items() if n > 1} == {}
 

@@ -9,7 +9,9 @@ M's entries in order, and every verdict.  Tables are dim 2 and dim 3; the
 twists include invalid ones and factorizations of non-diagonal character
 tables, and the braid tensors include perturbed ones.  The integrability
 contraction is drawn over the inverses of more heavily perturbed braid
-tensors, with the twist's own weight or a random one.
+tensors, with the twist's own weight or a random one.  The coideal check's
+residuals are compared with the commutator of B and M's group-like defect,
+also for a multiple of the identity B, which makes Rel = 0 for any M.
 """
 
 import itertools
@@ -44,11 +46,12 @@ from ncorep.corep import (
     check_grouplike,
     coideal_check,
     factorized_theta,
+    grouplike_defect,
     relation_entries,
     validate_theta,
 )
 from ncorep.errors import NCorepError, NotInvertible
-from ncorep.freealg import NCPoly, T
+from ncorep.freealg import NCPoly, PairPoly, T
 from ncorep.integrable import _add_contracted_relation, weighted_trace
 from ncorep.report import Report, passfail
 from ncorep.scalars import Context
@@ -91,6 +94,14 @@ def rho_tables(draw, n):
     return rho
 
 
+def perturbed(draw, t):
+    """The 4-index tensor t with one or two entries redrawn."""
+    entries = dict(t.entries)
+    for idx in draw(st.lists(positions(t.dim, 4), min_size=1, max_size=2)):
+        entries[idx] = CTX.parse(draw(values))
+    return Tensor(CTX, t.dim, 2, 2, entries)
+
+
 @st.composite
 def cases(draw):
     """(rho, theta, B): theta factorizes rho unless it was perturbed, and B
@@ -99,16 +110,10 @@ def cases(draw):
     rho = draw(rho_tables(n))
     theta = factorized_theta(CTX, rho)
     if draw(st.booleans()):
-        entries = dict(theta.tensor.entries)
-        for idx in draw(st.lists(positions(n, 4), min_size=1, max_size=2)):
-            entries[idx] = CTX.parse(draw(values))
-        theta = ThetaMap(Tensor(CTX, n, 2, 2, entries))
+        theta = ThetaMap(perturbed(draw, theta.tensor))
     B = gl_braid(n)
     if draw(st.booleans()):
-        entries = dict(B.entries)
-        for idx in draw(st.lists(positions(n, 4), min_size=1, max_size=2)):
-            entries[idx] = CTX.parse(draw(values))
-        B = Tensor(CTX, n, 2, 2, entries)
+        B = perturbed(draw, B)
     return rho, theta, B
 
 
@@ -141,6 +146,58 @@ def test_theta_and_matrix_match_dense_loops(case):
     assert list(M2.entries.items()) == list(dense_build_M(theta, labels[::-1]).entries.items())
     spectral = relation_entries(B, M1, M2)
     assert list(spectral.items()) == list(dense_relation_entries(B, M1, M2).items())
+
+
+@st.composite
+def coideal_cases(draw):
+    """(theta, B) from cases(), or a perturbed theta with B a multiple of the
+    identity tensor: then Rel = 0, and the coideal check passes however far
+    M is from group-like."""
+    rho, theta, B = draw(cases())
+    if draw(st.booleans()):
+        theta = ThetaMap(perturbed(draw, theta.tensor))
+        c = CTX.parse(draw(units))
+        pairs = itertools.product(range(1, rho.dim + 1), repeat=2)
+        B = Tensor(CTX, rho.dim, 2, 2, {(i, j, i, j): c for i, j in pairs})
+    return theta, B
+
+
+@bounded
+@given(coideal_cases())
+def test_coideal_residuals_are_the_commutator_with_the_defect(case):
+    # for every B and M, with M's defect (G, E) (the corep module docstring):
+    #   Delta(Rel) - sum_rs (Rel^rs (x) M_rs + M^rs (x) Rel_rs) = B G - G B
+    #   counit(Rel) = B E - E B
+    theta, B = case
+    M = build_M(theta)
+    pres = Presentation(CTX, M.dim)
+    rng = range(1, M.dim + 1)
+    defect = grouplike_defect(M)
+    none = (PairPoly(CTX), CTX.zero)
+    assert all(not G.is_zero() or not E.is_zero() for G, E in defect.values())
+    for i, j, k, l in itertools.product(rng, repeat=4):
+        x = M.get(i, j, k, l)
+        G = pres.coproduct(x)
+        for r, s in itertools.product(rng, repeat=2):
+            G = G - PairPoly.tensor(M.get(i, j, r, s), M.get(r, s, k, l))
+        E = pres.counit(x) - (CTX.one if (i, j) == (k, l) else CTX.zero)
+        assert defect.get((i, j, k, l), none) == (G, E)
+    rel = dense_relation_entries(B, M)
+    for (i, j, k, l), r in rel.items():
+        lhs = pres.coproduct(r)
+        for a, b in itertools.product(rng, repeat=2):
+            lhs = lhs - PairPoly.tensor(rel[(i, j, a, b)], M.get(a, b, k, l))
+            lhs = lhs - PairPoly.tensor(M.get(i, j, a, b), rel[(a, b, k, l)])
+        rhs, eps = PairPoly(CTX), CTX.zero
+        for m, nn in itertools.product(rng, repeat=2):
+            G, E = defect.get((m, nn, k, l), none)
+            rhs, eps = rhs + G * B.get(i, j, m, nn), eps + B.get(i, j, m, nn) * E
+            G, E = defect.get((i, j, m, nn), none)
+            rhs, eps = rhs - G * B.get(m, nn, k, l), eps - E * B.get(m, nn, k, l)
+        assert lhs == rhs
+        assert pres.counit(r) == eps
+    assert check_grouplike(M) == (not defect) == dense_check_grouplike(M)
+    assert coideal_check(B, M) == dense_coideal_check(B, M)
 
 
 @bounded

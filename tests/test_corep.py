@@ -16,6 +16,7 @@ from ncorep.corep import (
     coideal_check,
     factorized_theta,
     generate_ideal,
+    grouplike_defect,
     homomorphism_check,
     require_valid,
     validate_theta,
@@ -145,6 +146,11 @@ def test_grouplike_iff_valid():
     assert check_grouplike(build_M(th))
     assert check_grouplike(build_M(flip_theta(ctx, 2)))
     assert not check_grouplike(build_M(corrupted_theta(ctx)))
+    # the zero tensor satisfies the coassociativity identity and fails only
+    # the counit one: M = 0 has Delta(M) = M (x) M but counit(M) = 0
+    zero = build_M(ThetaMap(Tensor(ctx, 2, 2, 2, {})))
+    assert not check_grouplike(zero)
+    assert set(grouplike_defect(zero)) == {(i, j, i, j) for i in (1, 2) for j in (1, 2)}
 
 
 def test_generate_ideal_rank():
@@ -197,6 +203,14 @@ def test_coideal_check():
     th = factorized_theta(ctx, rho_full(ctx))
     assert coideal_check(B, build_M(th))
     assert coideal_check(B, build_M(flip_theta(ctx, 2)))
+    # the residuals are B G - G B and B E - E B for M's defect (G, E): a
+    # matrix that is not group-like fails with the braid, and passes with a
+    # multiple of the identity, which commutes with any defect
+    bad = build_M(corrupted_theta(ctx))
+    assert not check_grouplike(bad)
+    assert not coideal_check(B, bad)
+    scaled = Tensor(ctx, 2, 2, 2, {k: ctx.gen("q") for k in identity4(ctx, 2).entries})
+    assert coideal_check(scaled, bad)
 
 
 def test_coaction_single_coordinate():
@@ -308,9 +322,9 @@ def test_homomorphism_check_dropped_relation():
 
 
 def test_checks_multiply_each_scalar_pair_once(monkeypatch):
-    # the field kernel's product behind Scalar.__mul__ sees each pair once per check
+    # the field kernel's product behind Scalar.__mul__ sees each pair once per
+    # check; each check gets its own matrix, so each computes M's defect itself
     qp = load("qplane_qprs")
-    M = qp.M
     seen = collections.Counter()
     original = scalars._mul
 
@@ -319,7 +333,11 @@ def test_checks_multiply_each_scalar_pair_once(monkeypatch):
         return original(ctx, f, g)
 
     monkeypatch.setattr(scalars, "_mul", counting)
-    for check in (lambda: check_grouplike(M), lambda: coideal_check(qp.B, M)):
+    checks = (
+        lambda: check_grouplike(build_M(qp.theta)),
+        lambda: coideal_check(qp.B, build_M(qp.theta)),
+    )
+    for check in checks:
         seen.clear()
         check()
         assert seen
