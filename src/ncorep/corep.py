@@ -245,9 +245,26 @@ def check_grouplike(M: MMatrix) -> bool:
     return not M.defect()
 
 
-def _require_braid_shape(B: Tensor, M: MMatrix):
-    if B.dim != M.dim or B.nlower != 2 or B.nupper != 2:
+def _commutator(B: Tensor, first: dict, second: dict, dim):
+    """(key, terms) for each entry of B first - second B, keys in lexicographic order.
+
+    first and second map (i, j, k, l) to an entry's {term: Scalar} dict, a
+    missing key being a zero entry; the yielded dicts may hold zeros.
+    """
+    if B.dim != dim or B.nlower != 2 or B.nupper != 2:
         raise ShapeMismatch("braid tensor shape does not match the matrix")
+    rows, cols = B.index((0, 1)), B.index((2, 3))
+    for i, j, k, l in itertools.product(range(1, dim + 1), repeat=4):
+        acc = {}
+        for (_, _, m, nn), c in rows.get((i, j), ()):
+            x = first.get((m, nn, k, l))
+            if x is not None:
+                add_terms(acc, ((w, v * c) for w, v in x.items()))
+        for (m, nn, _, _), c in cols.get((k, l), ()):
+            x = second.get((i, j, m, nn))
+            if x is not None:
+                add_terms(acc, ((w, -(v * c)) for w, v in x.items()))
+        yield (i, j, k, l), acc
 
 
 def relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
@@ -255,23 +272,9 @@ def relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
 
     M_second defaults to M; the spectral variant passes the label-swapped matrix.
     """
-    _require_braid_shape(B, M)
-    if M_second is None:
-        M_second = M
-    rows, cols = B.index((0, 1)), B.index((2, 3))
-    entries = {}
-    for i, j, k, l in itertools.product(range(1, M.dim + 1), repeat=4):
-        acc = {}
-        for (_, _, m, nn), c in rows.get((i, j), ()):
-            x = M.entries.get((m, nn, k, l))
-            if x is not None:
-                add_terms(acc, ((w, v * c) for w, v in x.terms.items()))
-        for (m, nn, _, _), c in cols.get((k, l), ()):
-            x = M_second.entries.get((i, j, m, nn))
-            if x is not None:
-                add_terms(acc, ((w, -(v * c)) for w, v in x.terms.items()))
-        entries[(i, j, k, l)] = NCPoly(M.ctx, acc)
-    return entries
+    first = {key: x.terms for key, x in M.entries.items()}
+    second = first if M_second is None else {key: x.terms for key, x in M_second.entries.items()}
+    return {key: NCPoly(M.ctx, acc) for key, acc in _commutator(B, first, second, M.dim)}
 
 
 def generate_ideal(B: Tensor, M: MMatrix) -> RelationSet:
@@ -288,25 +291,14 @@ def coideal_check(B: Tensor, M: MMatrix) -> bool:
     The two residuals are B G - G B and B E - E B for M's defect (G, E);
     the module docstring derives them for any M, group-like or not.
     """
-    _require_braid_shape(B, M)
     defect = M.defect()
-    ctx = M.ctx
-    rows, cols = B.index((0, 1)), B.index((2, 3))
-    for i, j, k, l in itertools.product(range(1, M.dim + 1), repeat=4):
-        acc, eps = {}, ctx.zero
-        for (_, _, m, nn), c in rows.get((i, j), ()):
-            d = defect.get((m, nn, k, l))
-            if d is not None:
-                add_terms(acc, ((w, v * c) for w, v in d[0].terms.items()))
-                eps = eps + c * d[1]
-        for (m, nn, _, _), c in cols.get((k, l), ()):
-            d = defect.get((i, j, m, nn))
-            if d is not None:
-                add_terms(acc, ((w, -(v * c)) for w, v in d[0].terms.items()))
-                eps = eps - d[1] * c
-        if not PairPoly(ctx, acc).is_zero() or not eps.is_zero():
-            return False
-    return True
+    G = {key: g.terms for key, (g, _) in defect.items()}
+    E = {key: {(): e} for key, (_, e) in defect.items()}  # one-term tables
+    return all(
+        all(c.is_zero() for c in acc.values())
+        for table in (G, E)
+        for _, acc in _commutator(B, table, table, M.dim)
+    )
 
 
 def coaction_word(gamma: ThetaMap, indices):

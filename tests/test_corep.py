@@ -5,7 +5,7 @@ import collections
 import pytest
 
 from conftest import flip_theta, identity4, load, tensor_from_entries
-from ncorep import scalars
+from ncorep import corep, scalars
 from ncorep.bialg import Presentation, tilde_images
 from ncorep.corep import (
     QuadraticSpace,
@@ -211,6 +211,22 @@ def test_coideal_check():
     assert not coideal_check(B, bad)
     scaled = Tensor(ctx, 2, 2, 2, {k: ctx.gen("q") for k in identity4(ctx, 2).entries})
     assert coideal_check(scaled, bad)
+
+
+def test_coideal_check_reads_only_the_defect(monkeypatch):
+    # once M's defect is known, the check expands no coproduct and does not
+    # rebuild the relation entries
+    ctx = ctx4()
+    bad = build_M(corrupted_theta(ctx))
+    bad.defect()
+
+    def fail(*args):
+        raise AssertionError("coideal_check recomputed what the defect holds")
+
+    monkeypatch.setattr(Presentation, "coproduct", fail)
+    monkeypatch.setattr(corep, "relation_entries", fail)
+    assert not coideal_check(braid(ctx), bad)
+    assert coideal_check(identity4(ctx, 2), bad)
 
 
 def test_coaction_single_coordinate():
