@@ -27,7 +27,7 @@ sum in one dict; the corep module docstring says why that changes no result.
 import itertools
 
 from .errors import PresentationMismatch, UnknownGenerator
-from .freealg import NCPoly, PairPoly, RelationSet, T, add_terms, apply_hom
+from .freealg import NCPoly, PairPoly, RelationSet, T, add_terms
 from .tensors import Tensor, compose, invert4
 
 
@@ -41,16 +41,6 @@ class Presentation:
         self.ctx = ctx
         self.dim = dim
         self._coproducts = {}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Presentation)
-            and self.ctx == other.ctx
-            and self.dim == other.dim
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.dim))
 
     def family(self):
         n = self.dim
@@ -185,7 +175,7 @@ def cocycle_check(phi: LinearForm):
 
 def twist_R(R: LinearForm, phi: LinearForm) -> Tensor:
     """Generator-pair table of the twisted form  phibar_21 * R * phi."""
-    if R.pres != phi.pres:
+    if R.pres is not phi.pres:
         raise PresentationMismatch("forms live on different presentations")
     n = R.pres.dim
     inv = invert4(phi.base)
@@ -226,7 +216,7 @@ def twisted_product_relations(pres, R: LinearForm, theta):
     images = require_valid(theta).images()
 
     def mtheta(g1, g2):
-        return NCPoly.gen(ctx, g1) * apply_hom(NCPoly.gen(ctx, g2), images)
+        return NCPoly.gen(ctx, g1) * images[g2]
 
     polys = []
     for i, j, k, l in itertools.product(range(1, pres.dim + 1), repeat=4):

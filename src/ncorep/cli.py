@@ -142,11 +142,16 @@ def _names(value, lineno, what):
 
 def parse_algebra_file(path):
     """Read one definition file; the first problem raises InputFormat with its line."""
-    if hasattr(path, "read_text"):
-        text = path.read_text(encoding="utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if hasattr(path, "read_text"):
+            text = path.read_text(encoding="utf-8")
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as err:
+        raise InputFormat("cannot read %s: %s" % (path, err.strerror or err))
+    except UnicodeDecodeError:
+        raise InputFormat("%s is not UTF-8 text" % (path,))
     af = AlgebraFile(path)
     rows = []
     section = None
@@ -773,13 +778,17 @@ def main(argv=None):
             rep = _run_suite(ws, ns, af.default)
         else:
             raise InputFormat("no command given and %s declares no default suite" % af.path)
+        # written first, so that a path it cannot write leaves stdout empty
+        if ns.json:
+            try:
+                with open(ns.json, "w", encoding="utf-8") as fh:
+                    fh.write(rep.to_json())
+            except OSError as err:
+                raise InputFormat("cannot write %s: %s" % (ns.json, err.strerror or err))
     except NCorepError as err:
         sys.stderr.write("ncorep: %s\n" % err)
         return 2
     sys.stdout.write(rep.to_text())
-    if ns.json:
-        with open(ns.json, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_json())
     return 0 if rep.verdict() == "pass" else 1
 
 

@@ -72,15 +72,6 @@ def word_key(w):
     return (len(w), tuple(g.sort_key() for g in w))
 
 
-def _column_key(c):
-    # default SpanBasis column order: words, pairs of words, anything nested
-    if isinstance(c, Generator):
-        return c.sort_key()
-    if isinstance(c, tuple):
-        return (len(c),) + tuple(_column_key(x) for x in c)
-    return c
-
-
 class NCPoly:
     """Finite Scalar-linear combination of words (tuples of Generators)."""
 
@@ -138,8 +129,6 @@ class NCPoly:
         if s is None:
             return NotImplemented
         return self + NCPoly.term(self.ctx, (), s)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return NCPoly(self.ctx, {w: -c for w, c in self.terms.items()})
@@ -277,17 +266,12 @@ class PairPoly:
 
     def __mul__(self, other):
         """Componentwise (tensor-algebra) product: (a⊗b)(c⊗d) = ac⊗bd."""
-        if isinstance(other, PairPoly):
-            products = (
-                ((a1 + a2, b1 + b2), c1 * c2)
-                for (a1, b1), c1 in self.terms.items()
-                for (a2, b2), c2 in other.terms.items()
-            )
-            return PairPoly(self.ctx, add_terms({}, products))
-        s = self.ctx.scalar(other)
-        return PairPoly(self.ctx, {k: c * s for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
+        products = (
+            ((a1 + a2, b1 + b2), c1 * c2)
+            for (a1, b1), c1 in self.terms.items()
+            for (a2, b2), c2 in other.terms.items()
+        )
+        return PairPoly(self.ctx, add_terms({}, products))
 
     def __eq__(self, other):
         return isinstance(other, PairPoly) and self.terms == other.terms
@@ -312,15 +296,14 @@ class PairPoly:
 class SpanBasis:
     """Row-echelon span of sparse vectors with exact Scalar entries.
 
-    Vectors are dicts mapping hashable column keys to Scalars.  Pivoting is
-    deterministic: the pivot of a reduced vector is its minimal column under
-    the supplied ordering, and rows are kept normalized (pivot entry 1), so
-    ranks and membership answers never depend on insertion accidents.
+    Vectors are dicts mapping words to Scalars.  Pivoting is deterministic:
+    the pivot of a reduced vector is its minimal word under word_key, and
+    rows are kept normalized (pivot entry 1), so ranks and membership
+    answers never depend on insertion accidents.
     """
 
-    def __init__(self, ctx: Context, colkey=None):
+    def __init__(self, ctx: Context):
         self.ctx = ctx
-        self.colkey = colkey or _column_key
         self.rows = []  # (pivot, rowdict) sorted by pivot key
 
     @property
@@ -345,11 +328,11 @@ class SpanBasis:
         res = self._reduce(vec)
         if not res:
             return False
-        pivot = min(res, key=self.colkey)
+        pivot = min(res, key=word_key)
         pv = res[pivot]
         row = {c: v / pv for c, v in res.items()}
         self.rows.append((pivot, row))
-        self.rows.sort(key=lambda r: self.colkey(r[0]))
+        self.rows.sort(key=lambda r: word_key(r[0]))
         return True
 
     def contains(self, vec):
@@ -390,7 +373,7 @@ class RelationSet:
     def basis(self) -> SpanBasis:
         """The row-echelon basis of the span, built once and kept; read-only to callers."""
         if self._basis is None:
-            sb = SpanBasis(self.ctx, colkey=word_key)
+            sb = SpanBasis(self.ctx)
             for p in self.polys:
                 sb.add(poly_vector(p))
             self._basis = sb
@@ -421,7 +404,7 @@ def row_space_compare(a: RelationSet, b: RelationSet) -> SpanComparison:
         )
     ba = a.basis()
     bb = b.basis()
-    union = SpanBasis(a.ctx, colkey=word_key)
+    union = SpanBasis(a.ctx)
     union.rows = list(ba.rows)
     for _, row in bb.rows:
         union.add(row)

@@ -11,6 +11,8 @@ tensor.  Everything here is exact free-algebra arithmetic; no analytic
 structure is attached to the labels.
 """
 
+import functools
+
 from .corep import ThetaMap, build_M, relation_entries, require_valid
 from .errors import AnsatzFailed
 from .freealg import NCPoly, RelationSet, T, add_terms, poly_vector
@@ -100,109 +102,113 @@ def _add_contracted_relation(rep, identity, Binv, w, entries, labels):
     return commutator
 
 
-def first_integrability(B: Tensor, theta: ThetaMap, labels) -> Report:
-    """Contract the labeled relation matrix into the plain trace commutator.
-
-    Requires the exchange tensor to be invertible and the twisting tensor to
-    satisfy the first-slot trace condition; under those the contraction of
-    the relation entries with the inverse exchange tensor collapses to
-    tr(first) tr(second) - tr(second) tr(first) identically.
-    """
-    th = require_valid(theta)
-    ident = delta(th.tensor.ctx, th.dim)
-    if weighted_trace(th) != ident:
-        raise AnsatzFailed("twisting tensor fails the first-slot trace condition")
-    Binv = invert4(B)
-    rep = Report("first integrability route")
-    rep.add(
-        "trace-ansatz",
-        "first-slot contraction of the twisting tensor is the identity",
-        "pass",
-    )
-    data = spectral_relations(B, th, labels)
-    commutator = _add_contracted_relation(
-        rep,
-        "inverse-exchange contraction equals the plain trace commutator",
-        Binv, ident, data["entries"], labels,
-    )
-    rels = data["relations"]
-    member = rels.basis().contains(poly_vector(commutator))
-    rep.add(
-        "commutator-in-relation-span",
-        "trace commutator lies in the scalar span of the relation entries",
-        passfail(member),
-        artifacts={"relation_rank": rels.rank()},
-    )
-    return rep
-
-
-def second_integrability(B: Tensor, theta: ThetaMap, labels) -> Report:
-    """Weight-contract the labeled relation matrix into a weighted commutator.
-
-    The weighted trace must pass through the exchange tensor for the chain
-    to close; when it does, contracting the relation entries with the weight
-    and the inverse exchange tensor yields the commutator of the weighted
-    traces.  A factorized twisting tensor has identity weight, collapsing
-    this route to the plain one.
-    """
-    th = require_valid(theta)
-    Binv = invert4(B)
-    ctx = B.ctx
-    n = B.dim
-    rep = Report("second integrability route")
-    w = weighted_trace(th)
-    ident = delta(ctx, n)
-    if th.rho is not None:
-        rep.add(
-            "factorized-weight-identity",
-            "factorized twisting tensor must have identity weight",
-            passfail(w == ident),
-            artifacts={"weight": w},
-        )
-    else:
-        rep.add(
-            "weight-table",
-            "first-slot contraction weight of the twisting tensor",
-            "info",
-            artifacts={"weight": w},
-        )
-    bggb = weight_commutation_holds(B, w)
-    rep.add(
-        "weight-commutation",
-        "weight passes through the exchange tensor",
-        passfail(bggb),
-    )
-    if not bggb:
-        rep.add(
-            "contracted-relation",
-            "weighted contraction skipped: the weight does not pass through",
-            "info",
-        )
-        return rep
-    data = spectral_relations(B, th, labels)
-    _add_contracted_relation(
-        rep,
-        "weight-and-inverse contraction equals the weighted trace commutator",
-        Binv, w, data["entries"], labels,
-    )
-    if w == ident:
-        rep.add(
-            "route-collapse",
-            "identity weight reduces the weighted route to the plain one",
-            "info",
-        )
-    return rep
-
-
 class SpectralFamily:
-    """Labeled spaces sharing one exchange tensor and one twisting tensor."""
+    """Labeled spaces sharing one exchange tensor and one twisting tensor.
+
+    Both routes read the inverse exchange tensor and the labeled relation
+    entries; each is computed once per family, at its first use.
+    """
 
     def __init__(self, B: Tensor, theta: ThetaMap):
         self.B = B
         self.theta = theta
+        self._spectral = {}  # labels -> spectral_relations
+
+    @functools.cached_property
+    def _Binv(self):
+        return invert4(self.B)
+
+    def _relations(self, labels):
+        if labels not in self._spectral:
+            self._spectral[labels] = spectral_relations(self.B, self.theta, labels)
+        return self._spectral[labels]
 
     def first_report(self, lam, mu) -> Report:
-        return first_integrability(self.B, self.theta, (lam, mu))
+        """Contract the labeled relation matrix into the plain trace commutator.
+
+        Requires the exchange tensor to be invertible and the twisting
+        tensor to satisfy the first-slot trace condition; under those the
+        contraction of the relation entries with the inverse exchange tensor
+        collapses to tr(first) tr(second) - tr(second) tr(first) identically.
+        """
+        th = require_valid(self.theta)
+        ident = delta(th.tensor.ctx, th.dim)
+        if weighted_trace(th) != ident:
+            raise AnsatzFailed("twisting tensor fails the first-slot trace condition")
+        Binv = self._Binv
+        rep = Report("first integrability route")
+        rep.add(
+            "trace-ansatz",
+            "first-slot contraction of the twisting tensor is the identity",
+            "pass",
+        )
+        data = self._relations((lam, mu))
+        commutator = _add_contracted_relation(
+            rep,
+            "inverse-exchange contraction equals the plain trace commutator",
+            Binv, ident, data["entries"], (lam, mu),
+        )
+        rels = data["relations"]
+        member = rels.basis().contains(poly_vector(commutator))
+        rep.add(
+            "commutator-in-relation-span",
+            "trace commutator lies in the scalar span of the relation entries",
+            passfail(member),
+            artifacts={"relation_rank": rels.rank()},
+        )
+        return rep
 
     def second_report(self, lam, mu) -> Report:
-        return second_integrability(self.B, self.theta, (lam, mu))
+        """Weight-contract the labeled relation matrix into a weighted commutator.
+
+        The weighted trace must pass through the exchange tensor for the
+        chain to close; when it does, contracting the relation entries with
+        the weight and the inverse exchange tensor yields the commutator of
+        the weighted traces.  A factorized twisting tensor has identity
+        weight, collapsing this route to the plain one.
+        """
+        B = self.B
+        th = require_valid(self.theta)
+        Binv = self._Binv
+        rep = Report("second integrability route")
+        w = weighted_trace(th)
+        ident = delta(B.ctx, B.dim)
+        if th.rho is not None:
+            rep.add(
+                "factorized-weight-identity",
+                "factorized twisting tensor must have identity weight",
+                passfail(w == ident),
+                artifacts={"weight": w},
+            )
+        else:
+            rep.add(
+                "weight-table",
+                "first-slot contraction weight of the twisting tensor",
+                "info",
+                artifacts={"weight": w},
+            )
+        bggb = weight_commutation_holds(B, w)
+        rep.add(
+            "weight-commutation",
+            "weight passes through the exchange tensor",
+            passfail(bggb),
+        )
+        if not bggb:
+            rep.add(
+                "contracted-relation",
+                "weighted contraction skipped: the weight does not pass through",
+                "info",
+            )
+            return rep
+        _add_contracted_relation(
+            rep,
+            "weight-and-inverse contraction equals the weighted trace commutator",
+            Binv, w, self._relations((lam, mu))["entries"], (lam, mu),
+        )
+        if w == ident:
+            rep.add(
+                "route-collapse",
+                "identity weight reduces the weighted route to the plain one",
+                "info",
+            )
+        return rep

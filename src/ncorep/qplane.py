@@ -43,10 +43,6 @@ class QPlaneContext:
         self.gens = tuple(T(i, j) for i in rng for j in rng)
         self._derived = {}
 
-    @property
-    def dim(self):
-        return self.B.dim
-
     def _once(self, key, make):
         if key not in self._derived:
             try:
@@ -99,29 +95,20 @@ class QPlaneContext:
         )
 
 
-def _tilde(qp):
-    imgs = qp.theta.images()
-
-    def tl(g):
-        return apply_hom(NCPoly.gen(qp.ctx, g), imgs)
-
-    return tl
-
-
 def cross_relations(qp) -> RelationSet:
     """The six relations written with once-twisted second factors."""
     ctx = qp.ctx
     a, b, c, d = (NCPoly.gen(ctx, g) for g in qp.gens)
-    tl = _tilde(qp)
+    tl = qp.theta.images()
     ga, gb, gc, gd = qp.gens
     q = ctx.gen("q")
     six = [
-        a * tl(gc) - q * (c * tl(ga)),
-        a * tl(gb) - q * (b * tl(ga)),
-        b * tl(gc) - c * tl(gb),
-        c * tl(gd) - q * (d * tl(gc)),
-        b * tl(gd) - q * (d * tl(gb)),
-        a * tl(gd) - d * tl(ga) + (q.inv() - q) * (c * tl(gb)),
+        a * tl[gc] - q * (c * tl[ga]),
+        a * tl[gb] - q * (b * tl[ga]),
+        b * tl[gc] - c * tl[gb],
+        c * tl[gd] - q * (d * tl[gc]),
+        b * tl[gd] - q * (d * tl[gb]),
+        a * tl[gd] - d * tl[ga] + (q.inv() - q) * (c * tl[gb]),
     ]
     return RelationSet(ctx, qp.gens, six)
 
@@ -281,18 +268,10 @@ def verify_antipode(qp_limit, order) -> Report:
     return rep
 
 
-def _proportionality(ctx, image, gen):
-    # image = lambda * gen for a scalar lambda, or None
-    base = NCPoly.gen(ctx, gen)
-    if image.is_zero():
-        return ctx.zero
-    if set(image.terms) != set(base.terms):
-        return None
-    return image.coeff((gen,))
-
-
 def _scale_factor(image, reference):
     # image = lambda * reference for a scalar lambda, or None
+    if image.is_zero():
+        return image.ctx.zero
     if set(image.terms) != set(reference.terms):
         return None
     lam = None
@@ -314,11 +293,11 @@ def verify_gamma_action_table(qp) -> Report:
     """
     ctx = qp.ctx
     rep = Report("coordinate exchange table")
-    tl = _tilde(qp)
+    tl = qp.theta.images()
     names = ("a", "b", "c", "d")
     trace = {}
     for g in (T(1, 1), T(2, 2)):
-        add_terms(trace, [*tl(g).terms.items(), ((g,), -ctx.one)])
+        add_terms(trace, [*tl[g].terms.items(), ((g,), -ctx.one)])
     trace = NCPoly(ctx, trace)
     rep.add(
         "trace-preserved",
@@ -326,7 +305,7 @@ def verify_gamma_action_table(qp) -> Report:
         passfail(trace.is_zero()),
         residuals=[] if trace.is_zero() else [str(trace)],
     )
-    plain = [_proportionality(ctx, tl(g), g) for g in qp.gens]
+    plain = [_scale_factor(tl[g], NCPoly.gen(ctx, g)) for g in qp.gens]
     if all(v is not None for v in plain):
         rep.add(
             "exchange-scalars-plain",
@@ -339,13 +318,9 @@ def verify_gamma_action_table(qp) -> Report:
             "exchange-scalars-plain",
             "plain generators are not exchange eigenvectors here",
             "info",
-            artifacts={"images": {names[i]: tl(g) for i, g in enumerate(qp.gens)}},
+            artifacts={"images": {names[i]: tl[g] for i, g in enumerate(qp.gens)}},
         )
-    twisted = []
-    for g in qp.gens:
-        img = tl(g)
-        twice = apply_hom(img, qp.theta.images())
-        twisted.append((img, twice))
+    twisted = [(tl[g], apply_hom(tl[g], tl)) for g in qp.gens]
     factors = [_scale_factor(t, i) for i, t in twisted]
     if all(v is not None for v in factors):
         rep.add(

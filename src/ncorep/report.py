@@ -10,8 +10,6 @@ so identical runs produce identical bytes.
 
 import json
 
-from .freealg import NCPoly, PairPoly
-from .scalars import Scalar
 from .tensors import Tensor
 
 STATUSES = ("pass", "fail", "info")
@@ -21,8 +19,6 @@ def jsonable(x):
     """Canonical JSON-ready form of scalars, polys, tensors and containers."""
     if x is None or isinstance(x, (bool, int, str)):
         return x
-    if isinstance(x, (Scalar, NCPoly, PairPoly)):
-        return str(x)
     if isinstance(x, Tensor):
         return x.entry_list()
     if isinstance(x, dict):

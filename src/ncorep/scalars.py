@@ -63,17 +63,16 @@ the Context.
   cancel the monomial and the content.
 
 Every path returns the unique canonical form, the same that sympy's cancel
-gives, and str and the hash read it through one context-free key (terms by
-parameter name with Fraction coefficients, as when the scalars were sympy
-elements), so equality, hashing, str and every report byte are those of a
-cancel-based field.  The tests check the kernel against sympy's field
-operation by operation.
+gives, so equality, str and every report byte are those of a cancel-based
+field; str writes the terms in descending graded-lex order.  The tests
+check the kernel against sympy's field operation by operation.  A Scalar is
+not hashable: nothing keys a dict by a value, and the products() memo below
+keys by the stored numerator and split.
 
 One run reads one configuration over one parameter list, so all of its
-scalars live in one field.  Scalars of different fields never mix: every
-operation on two of them, == included, raises ContextMismatch.  Two
-Context objects over the same parameters are the same field; a scalar of
-one is re-split over the other's factor base when they meet.
+scalars live in one Context.  Scalars of two Context objects never mix,
+even over the same parameters: every operation on two of them, ==
+included, raises ContextMismatch.
 
 The paper's identities multiply the same pair of scalars many times within
 one check.  Inside ``with ctx.products():`` each distinct pair is multiplied
@@ -149,12 +148,6 @@ class Context:
     def __repr__(self):
         return "Context(%s)" % ", ".join(self.params)
 
-    def __eq__(self, other):
-        return isinstance(other, Context) and self.params == other.params
-
-    def __hash__(self):
-        return hash(self.params)
-
     def gen(self, name: str) -> "Scalar":
         if name not in self._gens:
             raise UnknownParameter("parameter %r not declared (have %s)" % (name, list(self.params)))
@@ -173,9 +166,11 @@ class Context:
             self._products = None
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, string expression, or Scalar of this field."""
+        """Coerce an int, Fraction, string expression, or Scalar of this Context."""
         if isinstance(value, Scalar):
-            return value if value.ctx is self else _adopt(self, value)
+            if value.ctx is not self:
+                raise _mismatch(self, value.ctx)
+            return value
         if isinstance(value, str):
             return self.parse(value)
         if isinstance(value, (int, Fraction)):
@@ -190,7 +185,9 @@ class Context:
 
 
 def _mismatch(ctx, other):
-    return ContextMismatch("cannot mix contexts %s and %s" % (ctx.params, other.params))
+    return ContextMismatch(
+        "cannot mix scalars of two Context objects, over %s and %s" % (ctx.params, other.params)
+    )
 
 
 class Scalar:
@@ -217,7 +214,9 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            return other if other.ctx is self.ctx else _adopt(self.ctx, other)
+            if other.ctx is not self.ctx:
+                raise _mismatch(self.ctx, other.ctx)
+            return other
         if isinstance(other, (int, Fraction)):
             return self.ctx.scalar(other)
         return NotImplemented
@@ -229,8 +228,6 @@ class Scalar:
         if o is NotImplemented:
             return NotImplemented
         return _add(self.ctx, self, o)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return Scalar(self.ctx, {e: -v for e, v in self.num.items()}, self.split)
@@ -262,8 +259,6 @@ class Scalar:
             out = memo[key] = _mul(self.ctx, self, o)
         return out
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -289,30 +284,13 @@ class Scalar:
     def inv(self) -> "Scalar":
         return self ** -1
 
-    # -- equality and hashing --------------------------------------------
-
-    def _key(self):
-        if self._keyc is None:
-            names = self.ctx.params
-            num = _poly_key(self.num, names)
-            den = _poly_key(_den(self.ctx, self.split), names)
-            lead = den[0][1]
-            if lead != 1:
-                num = tuple((m, c / lead) for m, c in num)
-                den = tuple((m, c / lead) for m, c in den)
-            self._keyc = (num, den)
-        return self._keyc
+    # -- equality --------------------------------------------------------
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self.split == o.split and self.num == o.num
-
-    def __hash__(self):
-        # not hash((num, split)): split indices are per Context, and equal
-        # scalars of two Contexts over the same parameters must hash alike
-        return hash(self._key())
 
     # -- substitution ----------------------------------------------------
 
@@ -355,10 +333,17 @@ class Scalar:
     # -- canonical text --------------------------------------------------
 
     def __str__(self):
-        num, den = self._key()
-        if _is_key_one(den):
-            return _key_str(num)
-        return "(%s)/(%s)" % (_key_str(num), _key_str(den))
+        if self._keyc is None:  # the text, written once
+            ctx = self.ctx
+            c, m, ks = self.split
+            if not ks and not any(m):  # the constant denominator c
+                self._keyc = _poly_str(self.num, ctx.params, c)
+            else:
+                den = _den(ctx, self.split)
+                lead = den[max(den, key=_grlex)]
+                num, den = (_poly_str(p, ctx.params, lead) for p in (self.num, den))
+                self._keyc = "(%s)/(%s)" % (num, den)
+        return self._keyc
 
     def __repr__(self):
         return "Scalar(%s)" % self
@@ -558,15 +543,6 @@ def _factor_id(ctx, f):
     return i
 
 
-def _adopt(ctx, s):
-    """s, a scalar of another Context over the same parameters, re-split over ctx's base."""
-    if s.ctx.params != ctx.params:
-        raise _mismatch(ctx, s.ctx)
-    c, m, ks = s.split
-    ks = tuple(sorted((_factor_id(ctx, s.ctx._factors[i][0]), k) for i, k in ks))
-    return Scalar(ctx, s.num, (c, m, ks))
-
-
 def _den(ctx, split):
     """The polynomial of a split, kept on the Context when it has factors."""
     c, m, ks = split
@@ -745,48 +721,28 @@ def _power(x, n):
     return Scalar(x.ctx, _ppow(x.num, n) if x.num else x.num, split)
 
 
-def _poly_key(poly, names):
-    """Context-free canonical term list: ((name,exp)...) paired with Fraction,
-    sorted graded-lex descending."""
-    terms = []
-    for exps, coeff in poly.items():
-        mono = tuple((n, e) for n, e in zip(names, exps) if e)
-        terms.append((mono, Fraction(coeff)))
-    support = sorted({n for mono, _ in terms for n, _ in mono})
-
-    def grlex(item):
-        mono = dict(item[0])
-        vec = tuple(mono.get(n, 0) for n in support)
-        return (sum(vec), vec)
-
-    terms.sort(key=grlex, reverse=True)
-    return tuple(terms)
-
-
-def _is_key_one(key):
-    return len(key) == 1 and key[0][0] == () and key[0][1] == 1
-
-
-def _key_str(key):
-    if not key:
+def _poly_str(poly, names, lead):
+    """poly / lead as text, its terms in descending graded-lex order."""
+    if not poly:
         return "0"
-    rendered = []
-    for mono, coeff in key:
-        parts = ["%s^%d" % (n, e) if e != 1 else n for n, e in mono]
-        if not parts:
-            rendered.append(str(coeff))
-        elif coeff == 1:
-            rendered.append("*".join(parts))
-        elif coeff == -1:
-            rendered.append("-" + "*".join(parts))
+    out = ""
+    for e in sorted(poly, key=_grlex, reverse=True):
+        c = poly[e] if lead == 1 else Fraction(poly[e], lead)
+        mono = "*".join(n if k == 1 else "%s^%d" % (n, k) for n, k in zip(names, e) if k)
+        if not mono:
+            term = str(c)
+        elif c == 1:
+            term = mono
+        elif c == -1:
+            term = "-" + mono
         else:
-            rendered.append(str(coeff) + "*" + "*".join(parts))
-    out = rendered[0]
-    for t in rendered[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
+            term = "%s*%s" % (c, mono)
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += " - " + term[1:]
         else:
-            out += " + " + t
+            out += " + " + term
     return out
 
 

@@ -5,9 +5,7 @@ contractions are compared with."""
 
 import functools
 import itertools
-import re
-import tempfile
-from pathlib import Path
+from fractions import Fraction
 
 from sympy import ZZ
 from sympy.polys.fields import field
@@ -18,7 +16,7 @@ from ncorep.corep import MMatrix, ThetaMap, require_valid
 from ncorep.errors import MissingImage, ShapeMismatch
 from ncorep.freealg import NCPoly, PairPoly, RelationSet, T, apply_hom
 from ncorep.integrable import weighted_trace
-from ncorep.scalars import _den
+from ncorep.scalars import Scalar, _den
 from ncorep.tensors import Tensor, delta, invert4
 
 
@@ -27,22 +25,22 @@ def load(name, *bindings):
     return Workspace(parse_algebra_file(_resolve_input(name)), bindings).qp
 
 
-def load_over(name, params, *bindings):
-    """load(name) with its [algebra] params line replaced by params.
+def read_over(ctx, x):
+    """x, a Scalar, NCPoly, Tensor or RelationSet of another Context, read into
+    ctx through its text.
 
-    A run reads one field, and scalars of two fields never mix; reading a
-    two-parameter input over the four parameters q p r s lets the tests
-    compare it with the limit of the four-parameter one.
+    A run reads one Context, and scalars of two Contexts never mix, even over
+    the same parameters; the tests that compare two loaded configurations
+    move one of them across this way.
     """
-    src = _resolve_input(name)  # a path, or a shipped example's Traversable
-    if isinstance(src, str):
-        src = Path(src)
-    text = re.sub(r"(?m)^params\s*=.*$", "params = " + params, src.read_text(encoding="utf-8"))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / ("%s.alg" % name)
-        path.write_text(text, encoding="utf-8")
-        af = parse_algebra_file(path)
-    return Workspace(af, bindings).qp
+    if isinstance(x, Scalar):
+        return ctx.parse(str(x))
+    if isinstance(x, NCPoly):
+        return NCPoly(ctx, {w: read_over(ctx, c) for w, c in x.terms.items()})
+    if isinstance(x, Tensor):
+        entries = {k: read_over(ctx, c) for k, c in x.entries.items()}
+        return Tensor(ctx, x.dim, x.nlower, x.nupper, entries)
+    return RelationSet(ctx, x.family, [read_over(ctx, p) for p in x])
 
 
 @functools.lru_cache(maxsize=None)
@@ -61,6 +59,57 @@ def sympy_element(s):
     K = sympy_field(s.ctx.params)
     num, den = K.ring.from_dict(s.num), K.ring.from_dict(_den(s.ctx, s.split))
     return K.raw_new(num, den)
+
+
+def named_key_str(s):
+    """str(s) through a context-free key, as the package once wrote it.
+
+    Each polynomial becomes terms keyed by (name, exponent) pairs with
+    Fraction coefficients, sorted graded-lex over the parameters that occur
+    in it, and both are divided by the denominator's leading coefficient.
+    The reference that the exponent-tuple renderer of str(Scalar) is
+    compared with.
+    """
+    names = s.ctx.params
+
+    def key(poly):
+        terms = [
+            (tuple((n, e) for n, e in zip(names, exps) if e), Fraction(c))
+            for exps, c in poly.items()
+        ]
+        support = sorted({n for mono, _ in terms for n, _ in mono})
+
+        def grlex(item):
+            mono = dict(item[0])
+            vec = tuple(mono.get(n, 0) for n in support)
+            return sum(vec), vec
+
+        return sorted(terms, key=grlex, reverse=True)
+
+    def text(terms):
+        if not terms:
+            return "0"
+        rendered = []
+        for mono, coeff in terms:
+            parts = "*".join("%s^%d" % (n, e) if e != 1 else n for n, e in mono)
+            if not parts:
+                rendered.append(str(coeff))
+            elif coeff in (1, -1):
+                rendered.append(parts if coeff == 1 else "-" + parts)
+            else:
+                rendered.append("%s*%s" % (coeff, parts))
+        out = rendered[0]
+        for t in rendered[1:]:
+            out += " - " + t[1:] if t.startswith("-") else " + " + t
+        return out
+
+    num, den = key(s.num), key(_den(s.ctx, s.split))
+    lead = den[0][1]
+    num = [(m, c / lead) for m, c in num]
+    den = [(m, c / lead) for m, c in den]
+    if den == [((), 1)]:
+        return text(num)
+    return "(%s)/(%s)" % (text(num), text(den))
 
 
 def two_parameter_relations(ctx):

@@ -12,8 +12,8 @@ from conftest import (
     check_trace_ansatz,
     identity4,
     load,
-    load_over,
     one_parameter_relations,
+    read_over,
     tensor_from_entries,
     two_parameter_relations,
 )
@@ -91,7 +91,7 @@ def test_c03_commutation_ideal_spans_the_six_twisted_relations():
     assert cmp.verdict == "equal"
     # the [Bprime] form is an involution, not a braid, yet its commutation
     # ideal with the same matrix is the braid ideal
-    Bprime = parse_algebra_file(_resolve_input("qplane_qprs")).Bprime
+    Bprime = read_over(qp.ctx, parse_algebra_file(_resolve_input("qplane_qprs")).Bprime)
     assert row_space_compare(generate_ideal(Bprime, qp.M), ideal).verdict == "equal"
 
 
@@ -110,21 +110,22 @@ def test_c04_determinant_four_term_form_and_two_parameter_limit():
     diff = qp.determinant() - four
     assert qp.relations().basis().contains(poly_vector(diff))
     lim = load("qplane_qprs", *LIMIT)
-    assert lim.determinant() == a * d - ctx.parse("q/p") * (b * c)
+    a, b, c, d = (NCPoly.gen(lim.ctx, g) for g in lim.gens)
+    assert lim.determinant() == a * d - lim.ctx.parse("q/p") * (b * c)
 
 
 def test_c05_sequential_limit_chain_and_order_obstruction():
     lim = load("qplane_qprs", *LIMIT)
-    # read over q p r s, so that both configurations share one field
-    two = load_over("qplane_qp", "q p r s")
-    # the ordered limit is the shipped two-parameter configuration
-    assert lim.theta.tensor == two.theta.tensor
-    assert lim.theta.rho == two.theta.rho
-    assert row_space_compare(lim.relations(), two.relations()).verdict == "equal"
     ctx = lim.ctx
+    # the ordered limit is the shipped two-parameter configuration, read
+    # into the limit's Context
+    two = load("qplane_qp")
+    assert lim.theta.tensor == read_over(ctx, two.theta.tensor)
+    assert lim.theta.rho == read_over(ctx, two.theta.rho)
+    assert row_space_compare(lim.relations(), read_over(ctx, two.relations())).verdict == "equal"
     assert row_space_compare(lim.relations(), two_parameter_relations(ctx)).verdict == "equal"
     # substituting into the four-parameter relations reaches the same span
-    full = load("qplane_qprs").relations()
+    full = read_over(ctx, load("qplane_qprs").relations())
     subst = RelationSet(ctx, full.family, [r.substitute(LIMIT) for r in full])
     assert row_space_compare(subst, two_parameter_relations(ctx)).verdict == "equal"
     # p = 1 recovers the one-parameter span
@@ -201,9 +202,9 @@ def test_c08_coideal_and_comodule_for_flip_and_twisted_coactions():
 
 def test_c09_twisted_exchange_keeps_braid_identity_and_relations():
     two = load("qplane_qp")
-    pres = Presentation(two.ctx, 2)
-    R = braid_form(pres, two.B)
-    twisted = twist_R(R, two.pair_form())
+    phi = two.pair_form()
+    R = braid_form(phi.pres, two.B)
+    twisted = twist_R(R, phi)
     assert twisted != R.base
     assert ybe_residual(swap_lower(twisted)).is_zero()
     qp = load("qplane_qprs")

@@ -340,6 +340,32 @@ def test_sections_written_in_p_and_q_are_preconditions(tmp_path, capsys):
         assert capsys.readouterr().err == "ncorep: %s needs %s\n" % (command, what)
 
 
+# unusable input or output: each run exits 2 with one `ncorep: ` line on
+# stderr and nothing on stdout, also when the report was already computed.
+# The last two raise DenominatorVanishes and ExpressionSyntax, whose
+# constructors no run that exits 0 or 1 reaches.
+EXIT_TWO = {
+    "input-is-a-directory": lambda tmp: ["full-report", "--input", str(tmp)],
+    "input-is-not-text": lambda tmp: ["full-report", "--input", str(tmp / "bytes.alg")],
+    "json-path-unwritable": lambda tmp: [
+        "ybe", "--input", "qplane_qp", "--json", str(tmp / "absent" / "x.json"),
+    ],
+    "vanishing-denominator": lambda tmp: [
+        "det", "--input", "qplane_qprs", "--subst", "s=0", "--subst", "r=0",
+    ],
+    "bad-substitution": lambda tmp: ["ybe", "--input", "qplane_qp", "--subst", "q=q +"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_TWO))
+def test_unusable_input_or_output_exits_two(case, tmp_path, capsys):
+    (tmp_path / "bytes.alg").write_bytes(b"[algebra]\ndim = \x80\xff\n")
+    assert main(EXIT_TWO[case](tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ncorep: ") and err.endswith("\n") and err.count("\n") == 1
+
+
 def test_argparse_errors_exit_two(capsys):
     assert main(["frobnicate", "--input", "qplane_qp"]) == 2
     assert main(["ybe"]) == 2

@@ -5,10 +5,9 @@ import pytest
 from conftest import check_trace_ansatz, flip_theta, identity4, load, tensor_from_entries
 from ncorep.corep import ThetaMap
 from ncorep.errors import InvalidTheta, NotInvertible
+from ncorep import integrable
 from ncorep.integrable import (
     SpectralFamily,
-    first_integrability,
-    second_integrability,
     spectral_relations,
     weight_commutation_holds,
     weighted_trace,
@@ -60,8 +59,8 @@ def test_spectral_relation_rank():
 def test_flip_routes():
     qp = load("qplane_qprs")
     flip = flip_theta(qp.ctx, 2)
-    assert first_integrability(qp.B, flip, ("lam", "mu")).verdict() == "pass"
-    rep = second_integrability(qp.B, flip, ("lam", "mu"))
+    assert SpectralFamily(qp.B, flip).first_report("lam", "mu").verdict() == "pass"
+    rep = SpectralFamily(qp.B, flip).second_report("lam", "mu")
     assert rep.verdict() == "pass"
     # the flip carries no recorded factorization, so the weight is reported
     assert statuses(rep)["weight-table"] == "info"
@@ -72,7 +71,7 @@ def test_identity_exchange_same_label_degenerates():
     ident = identity4(qp.ctx, 2)
     data = spectral_relations(ident, qp.theta, (None, None))
     assert all(p.is_zero() for p in data["entries"].values())
-    rep = first_integrability(ident, qp.theta, (None, None))
+    rep = SpectralFamily(ident, qp.theta).first_report(None, None)
     assert rep.verdict() == "pass"
 
 
@@ -113,7 +112,7 @@ def test_raw_theta_second_route():
     qp = load("qplane_qp")
     # the factorized two-parameter tensor, without its character table
     raw = ThetaMap(qp.theta.tensor)
-    rep = second_integrability(qp.B, raw, ("lam", "mu"))
+    rep = SpectralFamily(qp.B, raw).second_report("lam", "mu")
     assert rep.verdict() == "pass"
     st = statuses(rep)
     assert st["weight-table"] == "info"
@@ -126,6 +125,23 @@ def test_singular_exchange_rejected():
     rows = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "0"]]
     singular = from_matrix(ctx, 2, rows)
     with pytest.raises(NotInvertible):
-        first_integrability(singular, qp.theta, ("lam", "mu"))
+        SpectralFamily(singular, qp.theta).first_report("lam", "mu")
     with pytest.raises(NotInvertible):
-        second_integrability(singular, qp.theta, ("lam", "mu"))
+        SpectralFamily(singular, qp.theta).second_report("lam", "mu")
+
+
+def test_both_routes_share_one_inverse_and_one_relation_table(monkeypatch):
+    qp, fam = standard_family()
+    calls = {"invert4": 0, "spectral_relations": 0}
+    for name in calls:
+        original = getattr(integrable, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(integrable, name, counting)
+    first = fam.first_report("lam", "mu")
+    second = fam.second_report("lam", "mu")
+    assert first.verdict() == second.verdict() == "pass"
+    assert calls == {"invert4": 1, "spectral_relations": 1}

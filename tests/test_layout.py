@@ -15,6 +15,17 @@ method whose name another package class also defines could hide behind
 that class's uses, so the set of such shared names is pinned: a new one
 fails until it is reviewed and added to SHARED_METHOD_NAMES.
 
+A method whose name is also an attribute that package code sets as
+``self.name = ...`` shares that attribute's uses the same way, so those
+names are pinned too (ATTRIBUTE_METHOD_NAMES).
+
+A dunder is not matched by name, since Python calls it for an operator,
+a conversion or a constructor.  Instead the golden cases are run with
+every dunder that a package class defines wrapped in a counter, an alias
+such as ``__radd__ = __add__`` counted under its own name.  Each one must
+be called, be a target of the benchmark tracer, or be pinned in
+KEPT_FOR_USERS.
+
 Builders that only the tests need live in ``tests/conftest.py``.
 
 sympy is imported in one place, inside ``scalars._factor``, as the fallback
@@ -36,6 +47,7 @@ from pathlib import Path
 
 import ncorep
 from ncorep import cli
+from test_golden import CASES, run_case
 
 SRC = Path(ncorep.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -43,7 +55,19 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # non-dunder method names that more than one package class defines; each
 # one's uses were checked by hand, since the name match cannot tell them apart
 SHARED_METHOD_NAMES = {
-    "add", "dim", "family", "gen", "get", "is_zero", "parse", "rank", "substitute", "term",
+    "add", "family", "gen", "get", "is_zero", "parse", "rank", "substitute", "term",
+}
+
+# method names that equal an attribute set as self.name somewhere in the
+# package; each one's uses were checked by hand, as for the shared names
+ATTRIBUTE_METHOD_NAMES = {"dim", "family", "index", "one", "relations", "tensor", "zero"}
+
+# dunders that no golden case calls and no tracer names: the text forms a
+# user prints, and the constructors of errors that only exit-2 paths raise
+KEPT_FOR_USERS = {
+    "Context.__repr__", "Generator.__repr__", "NCPoly.__repr__", "PairPoly.__repr__",
+    "PairPoly.__str__", "Scalar.__repr__", "Tensor.__repr__", "Tensor.__str__",
+    "DenominatorVanishes.__init__", "ExpressionSyntax.__init__", "InputFormat.__init__",
 }
 
 
@@ -106,6 +130,84 @@ def shared_method_names():
 
 def test_shared_method_names_are_pinned():
     assert shared_method_names() == SHARED_METHOD_NAMES
+
+
+def attribute_method_names():
+    """Method names of package classes that equal a self.name attribute."""
+    methods, attrs = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                methods.update(f.name for f in node.body if isinstance(f, ast.FunctionDef))
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                attrs.add(node.attr)
+    return methods & attrs
+
+
+def test_attribute_method_names_are_pinned():
+    assert attribute_method_names() == ATTRIBUTE_METHOD_NAMES
+
+
+def package_dunders():
+    """{"Class.__name__": module} for every dunder a package class defines in
+    its body, an alias such as __radd__ = __add__ under its own name."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign) and isinstance(item.value, ast.Name):
+                    names = [t.id for t in item.targets]
+                else:
+                    continue
+                for name in filter(_dunder, names):
+                    key = "%s.%s" % (node.name, name)
+                    assert key not in out, key
+                    out[key] = path.stem
+    return out
+
+
+def _counting(fn, key, calls):
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def golden_dunder_calls(tmp_path):
+    """Calls of each package dunder over every golden case."""
+    calls = Counter()
+    wrapped = []
+    for key, module in package_dunders().items():
+        cls_name, name = key.split(".")
+        cls = getattr(importlib.import_module("ncorep." + module), cls_name)
+        wrapped.append((cls, name, cls.__dict__[name]))
+        setattr(cls, name, _counting(cls.__dict__[name], key, calls))
+    try:
+        for case in sorted(CASES):
+            run_case(case, tmp_path / "report.json")
+    finally:
+        for cls, name, fn in wrapped:
+            setattr(cls, name, fn)
+    return calls
+
+
+def test_every_dunder_is_reached(tmp_path):
+    defined = package_dunders()
+    calls = golden_dunder_calls(tmp_path)
+    traced = {path for _, _, path in _tracer_targets()}
+    unreached = {key for key in defined if not calls[key] and key not in traced}
+    assert unreached <= KEPT_FOR_USERS
+    assert KEPT_FOR_USERS <= set(defined)
 
 
 def _tracer_targets():

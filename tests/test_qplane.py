@@ -35,7 +35,7 @@ def statuses(rep):
 
 def test_build_context_smoke():
     qp = load("qplane_qprs")
-    assert qp.dim == 2
+    assert qp.B.dim == 2
     assert qp.theta.rho is not None
     assert len(qp.gens) == 4
 

@@ -10,7 +10,7 @@ from ncorep.errors import (
     OrderMissingGenerator,
     ZeroLeadingCoefficient,
 )
-from ncorep.freealg import NCPoly, RelationSet, SpanBasis, T, poly_vector, word_key
+from ncorep.freealg import NCPoly, RelationSet, SpanBasis, T, poly_vector
 from ncorep.rewrite import (
     DET,
     DETBAR,
@@ -178,7 +178,7 @@ def test_normal_form_rejects_unknown_strategy():
 def ideal_slice(rels, alphabet, degree):
     """The degree-d slice of the two-sided ideal, spanned by u * rel * v."""
     ctx = rels.ctx
-    basis = SpanBasis(ctx, colkey=word_key)
+    basis = SpanBasis(ctx)
     for rel in rels:
         k = degree - rel.degree()
         for n in range(k + 1):

@@ -14,9 +14,9 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import sympy_element
+from conftest import named_key_str, sympy_element
 from ncorep.errors import DenominatorVanishes, DivisionByZero
-from ncorep.scalars import Context
+from ncorep.scalars import Context, _ident
 
 CTX = Context(["q", "p"])
 WIDE = Context(["p", "q", "r"])
@@ -195,6 +195,17 @@ def test_products_scope_gives_the_same_canonical_product(ta, tb):
 
 
 @bounded
+@given(trees, shared_trees)
+def test_str_matches_the_named_key_reference(tree, shared):
+    # terms sorted graded-lex over every parameter of the Context order as
+    # they do over the parameters that occur: an absent one is zero in all
+    s, _ = scalar_of(tree)
+    assert str(s) == named_key_str(s)
+    t = evaluate_shared(shared)
+    assert str(t) == named_key_str(t)
+
+
+@bounded
 @given(trees)
 def test_str_parse_roundtrip(tree):
     s, _ = scalar_of(tree)
@@ -210,7 +221,8 @@ QP = ("+", ("gen", "q"), ("gen", "p"))
 @bounded
 @given(trees, trees, trees)
 # (q + p)^2 is built by squaring and (q + p) * (q + p) by a product; equal
-# scalars must hash alike whichever way they were built
+# scalars must store the same numerator and split whichever way they were
+# built, since the products() memo keys by them
 @example(("^", QP, 2), ("*", QP, QP), ("const", Fraction(1)))
 def test_equality_is_zero_difference_and_hash(ta, tb, tc):
     a, _ = scalar_of(ta)
@@ -220,7 +232,7 @@ def test_equality_is_zero_difference_and_hash(ta, tb, tc):
     for other in (b, a * c / c, a + c - c, c * a * c.inv(), a * CTX.one):
         assert (a == other) == (a - other).is_zero()
         if a == other:
-            assert hash(a) == hash(other)
+            assert _ident(a) == _ident(other)
             assert str(a) == str(other)
 
 

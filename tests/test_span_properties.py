@@ -18,7 +18,6 @@ from ncorep.freealg import (
     T,
     poly_vector,
     row_space_compare,
-    word_key,
 )
 from ncorep.scalars import Context
 
@@ -55,7 +54,7 @@ def reference_compare(a, b):
     ba, bb = a.basis(), b.basis()
     a_out = [p for p in a.polys if not bb.contains(poly_vector(p))]
     b_out = [p for p in b.polys if not ba.contains(poly_vector(p))]
-    union = SpanBasis(a.ctx, colkey=word_key)
+    union = SpanBasis(a.ctx)
     union.rows = list(ba.rows)
     for p in b.polys:
         union.add(poly_vector(p))
