@@ -439,8 +439,8 @@ def _ybe(ws, ns, rep):
     rep.add(
         "braid-identity",
         "degree-3 exchange identity for [B]",
-        passfail(r.is_zero()),
-        artifacts={"nonzero": len(r.entries)},
+        passfail(not r),
+        artifacts={"nonzero": len(r)},
     )
     if ws.Bprime is not None:
         r2 = ybe_residual(ws.Bprime)
@@ -448,7 +448,7 @@ def _ybe(ws, ns, rep):
             "alternative-tensor",
             "whether [Bprime] satisfies the same identity (reported, not gated)",
             "info",
-            artifacts={"braiding": r2.is_zero(), "nonzero": len(r2.entries)},
+            artifacts={"braiding": not r2, "nonzero": len(r2)},
         )
     return rep
 
@@ -623,8 +623,8 @@ def _twist_r(ws, ns, rep):
     rep.add(
         "twisted-braiding",
         "the conjugated exchange tensor satisfies the degree-3 identity",
-        passfail(res.is_zero()),
-        artifacts={"nonzero": len(res.entries)},
+        passfail(not res),
+        artifacts={"nonzero": len(res)},
     )
     rel = twisted_product_relations(phi.pres, R, ws.theta)
     cmp = row_space_compare(rel, qp.relations())

@@ -214,7 +214,9 @@ def add_terms(out, items):
     of polynomials, pair polynomials or tensor entries is built by it in one
     dict, so a sum copies nothing.  Zero coefficients stay until the caller
     wraps the dict once; NCPoly, PairPoly and Tensor drop them on
-    construction.
+    construction.  The values may also be ints, as in the modular image of
+    the braid residual (tensors.ybe_residual), which needs the zero sums'
+    keys.
     """
     for k, c in items:
         acc = out.get(k)

@@ -95,6 +95,22 @@ The expression grammar accepted by parse() is deliberately small:
 
 so inputs like "(q^2-1)/(q-1)" or "1/(q+q^-1)" mean what they look like and
 canonicalize on construction (those two become q + 1 and q/(q^2 + 1)).
+
+mod_image(s) maps a scalar to the field F_P, P = PRIME = 2^61 - 1, by
+evaluating it at one fixed point: the i-th parameter in sorted order goes to
+POINT[i], constants written in this module that no input, hash or clock
+chooses.  They are unrelated to each other on purpose: at a point such as
+(a, a^2, a^3, ...) the monomials p^2 and q would agree, and the image of a
+nonzero p^2 - q would be zero.  The map evaluates the numerator and the
+split (c, m, ks), and returns None when the denominator vanishes at the
+point, or when the Context has more parameters than POINT has coordinates.
+The point's powers and the images of the factor base are kept on the
+Context, next to the base itself (the base only grows, so a kept image
+stays exact); the module keeps nothing.  Evaluation is a ring homomorphism
+on the fractions whose denominators do not vanish at the point, so an
+integer polynomial in such scalars that has a nonzero image is a nonzero
+scalar.  tensors uses this to prove residual entries nonzero without
+computing them.
 """
 
 from __future__ import annotations
@@ -115,6 +131,14 @@ from .errors import (
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+# the modular image (see mod_image): the prime, and the point's coordinates,
+# the i-th for the i-th parameter in sorted order
+PRIME = 2 ** 61 - 1
+POINT = (
+    1320639155411195071, 2244459267745175867, 853826613341487173, 1660378492904280224,
+    1251203518435319776, 2228674534088486972, 1380598313792217160, 589235720800289267,
+)
 
 
 class Context:
@@ -144,6 +168,10 @@ class Context:
         self._factor_ids: dict = {}  # frozenset(f.items()) -> its index
         self._splits: dict = {}  # frozenset(den.items()) -> split, multi-term dens
         self._dens: dict = {}  # split with factors -> denominator polynomial
+        # the modular image: [1, a_i, a_i^2, ...] per parameter, grown on
+        # demand (None past POINT's length), and each base factor's image
+        self._point_pows = [[1, a] for a in POINT] if len(self.params) <= len(POINT) else None
+        self._factor_images: list = []
 
     def __repr__(self):
         return "Context(%s)" % ", ".join(self.params)
@@ -719,6 +747,43 @@ def _power(x, n):
     c, m, ks = x.split
     split = (c ** n, tuple(e * n for e in m), tuple((i, k * n) for i, k in ks))
     return Scalar(x.ctx, _ppow(x.num, n) if x.num else x.num, split)
+
+
+# -- the modular image ------------------------------------------------------
+
+
+def mod_image(s):
+    """s at the Context's point, as an int in [0, PRIME), or None when the
+    denominator of s vanishes there or the Context has no point."""
+    ctx = s.ctx
+    if ctx._point_pows is None:
+        return None
+    c, m, ks = s.split
+    den = c * _poly_image(ctx, {m: 1})
+    images = ctx._factor_images
+    for i, k in ks:
+        while len(images) <= i:  # factors that joined the base since the last image
+            images.append(_poly_image(ctx, ctx._factors[len(images)][0]))
+        den = den * pow(images[i], k, PRIME)
+    den %= PRIME
+    if not den:
+        return None
+    return _poly_image(ctx, s.num) * pow(den, -1, PRIME) % PRIME
+
+
+def _poly_image(ctx, poly):
+    """The polynomial poly at the Context's point, mod PRIME."""
+    pows = ctx._point_pows
+    out = 0
+    for e, c in poly.items():
+        for i, k in enumerate(e):
+            if k:
+                row = pows[i]
+                while len(row) <= k:
+                    row.append(row[-1] * row[1] % PRIME)
+                c = c * row[k] % PRIME
+        out += c
+    return out % PRIME
 
 
 def _poly_str(poly, names, lead):

@@ -18,6 +18,26 @@ Only nonzero entries are stored, and contractions iterate over them:
 index(positions) groups a tensor's entries by the indices at the given
 positions, so a sum over a contracted index visits only the terms whose
 factor from that tensor is nonzero.
+
+ybe_residual reports only where the braid residual is nonzero, and proves
+most of those entries nonzero by a modular image (scalars.mod_image) instead
+of computing them.  It contracts one row e_I A12 A23 A12 - e_I A23 A12 A23
+at a time, for each lower triple I, over A.index((0, 1)), and runs that
+routine twice: over the images of A's entries, then exactly over the
+Scalars for the rows the images leave open.  Zero sums keep their keys in
+both runs, so a row has the same keys in each, and only those keys can hold
+a nonzero entry.  The image run is exact where it decides:
+
+* evaluation at the point is a ring homomorphism on the fractions whose
+  denominators do not vanish there;
+* each residual entry is an integer polynomial in A's entries;
+* so a nonzero image proves a nonzero entry, while a zero image decides
+  nothing.
+
+A row whose keys all have a nonzero image is decided: its keys are its
+nonzero positions.  A row with a key whose image is zero is computed
+exactly, and so is every row when some entry of A has a denominator that
+vanishes at the point.  An image never decides that an entry is zero.
 """
 
 from __future__ import annotations
@@ -26,7 +46,7 @@ import itertools
 
 from .errors import NotInvertible, ShapeMismatch
 from .freealg import add_terms
-from .scalars import Context
+from .scalars import PRIME, Context, mod_image
 
 class Tensor:
     __slots__ = ("ctx", "dim", "nlower", "nupper", "entries", "_groups")
@@ -81,25 +101,6 @@ class Tensor:
             and self.nlower == other.nlower
             and self.nupper == other.nupper
         )
-
-    def __add__(self, other):
-        if not self.same_shape(other):
-            raise ShapeMismatch("cannot add tensors of different shapes")
-        out = dict(self.entries)
-        add_terms(out, other.entries.items())
-        return Tensor(self.ctx, self.dim, self.nlower, self.nupper, out)
-
-    def __neg__(self):
-        return Tensor(
-            self.ctx, self.dim, self.nlower, self.nupper,
-            {idx: -v for idx, v in self.entries.items()},
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def is_zero(self):
-        return not self.entries
 
     def __eq__(self, other):
         return (
@@ -164,34 +165,66 @@ def swap_lower(a: Tensor) -> Tensor:
     )
 
 
-def leg_embed(a: Tensor, legs) -> Tensor:
-    """Embed a (2,2) tensor into a (3,3) tensor acting on the named legs.
+def ybe_residual(a: Tensor) -> list:
+    """The sorted positions (i1, i2, i3, k1, k2, k3) of the nonzero entries of
+    the braid-form Yang-Baxter residual A12 A23 A12 - A23 A12 A23; empty iff
+    A satisfies the braid identity.
 
-    legs is one of (1,2), (2,3), (1,3); the remaining leg carries the
-    identity."""
+    Each row is first computed over the modular images of A's entries and
+    decided there when every key has a nonzero image; the other rows, or all
+    of them when an entry's denominator vanishes at the point, are computed
+    exactly (see the module docstring).
+    """
     if a.nlower != 2 or a.nupper != 2:
-        raise ShapeMismatch("leg_embed needs a (2,2) tensor")
-    legs = tuple(legs)
-    if legs not in {(1, 2), (2, 3), (1, 3)}:
-        raise ShapeMismatch("legs must be (1,2), (2,3) or (1,3), got %r" % (legs,))
-    spectator = ({1, 2, 3} - set(legs)).pop()
+        raise ShapeMismatch("ybe_residual needs a (2,2) tensor")
+    exact = a.index((0, 1))
+    image = _image_groups(exact)
+    out = []
+    for low in itertools.product(range(1, a.dim + 1), repeat=3):
+        if image is not None:
+            row = _braid_row(image, low)
+            if all(v % PRIME for v in row.values()):
+                out.extend(low + k for k in sorted(row))
+                continue
+        row = _braid_row(exact, low)
+        out.extend(low + k for k in sorted(row) if not row[k].is_zero())
+    return out
+
+
+def _image_groups(groups):
+    """The groups of A.index((0, 1)) with each entry replaced by its modular
+    image, or None when some entry's denominator vanishes at the point."""
     out = {}
-    for (i1, i2, k1, k2), v in a.entries.items():
-        for m in range(1, a.dim + 1):
-            lower = [0, 0, 0]
-            upper = [0, 0, 0]
-            lower[legs[0] - 1], lower[legs[1] - 1] = i1, i2
-            upper[legs[0] - 1], upper[legs[1] - 1] = k1, k2
-            lower[spectator - 1] = upper[spectator - 1] = m
-            out[tuple(lower) + tuple(upper)] = v
-    return Tensor(a.ctx, a.dim, 3, 3, out)
+    for pair, entries in groups.items():
+        row = out[pair] = []
+        for idx, v in entries:
+            img = mod_image(v)
+            if img is None:
+                return None
+            row.append((idx, img))
+    return out
 
 
-def ybe_residual(a: Tensor) -> Tensor:
-    """Braid-form Yang-Baxter residual A12 A23 A12 - A23 A12 A23 (zero iff satisfied)."""
-    a12 = leg_embed(a, (1, 2))
-    a23 = leg_embed(a, (2, 3))
-    return compose(compose(a12, a23), a12) - compose(compose(a23, a12), a23)
+def _braid_row(groups, low):
+    """Row low = (i, j, m) of A12 A23 A12 - A23 A12 A23 as {(k1, k2, k3): value}.
+
+    groups holds A's entries by lower pair, as Scalars or as their images
+    (ints, reduced at the caller).  Sums that come to zero keep their key, so
+    the keys are the same over both.
+    """
+    lhs = rhs = {low: 1}
+    for leg in (0, 1, 0):  # A12 A23 A12 and A23 A12 A23
+        lhs, rhs = _on_legs(groups, lhs, leg), _on_legs(groups, rhs, 1 - leg)
+    return add_terms(lhs, ((key, -v) for key, v in rhs.items()))
+
+
+def _on_legs(groups, row, leg):
+    """row times A acting on legs leg + 1 and leg + 2 of three."""
+    out = {}
+    for key, x in row.items():
+        head, pair, tail = key[:leg], key[leg:leg + 2], key[leg + 2:]
+        add_terms(out, ((head + idx[2:] + tail, v * x) for idx, v in groups.get(pair, ())))
+    return out
 
 
 def to_matrix(a: Tensor):

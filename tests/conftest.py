@@ -17,7 +17,7 @@ from ncorep.errors import MissingImage, ShapeMismatch
 from ncorep.freealg import NCPoly, PairPoly, RelationSet, T, apply_hom
 from ncorep.integrable import weighted_trace
 from ncorep.scalars import Scalar, _den
-from ncorep.tensors import Tensor, delta, invert4
+from ncorep.tensors import Tensor, compose, delta, invert4
 
 
 def load(name, *bindings):
@@ -424,3 +424,38 @@ def dense_contracted_relation(Binv: Tensor, w: Tensor, entries: dict, labels):
         if not c.is_zero():
             acc = acc + c * entries[(i, j, m, nn)]
     return commutator, acc - commutator
+
+
+def leg_embed(a: Tensor, legs) -> Tensor:
+    """Embed a (2,2) tensor into a (3,3) tensor acting on the named legs.
+
+    legs is one of (1,2), (2,3), (1,3); the remaining leg carries the
+    identity."""
+    if a.nlower != 2 or a.nupper != 2:
+        raise ShapeMismatch("leg_embed needs a (2,2) tensor")
+    legs = tuple(legs)
+    if legs not in {(1, 2), (2, 3), (1, 3)}:
+        raise ShapeMismatch("legs must be (1,2), (2,3) or (1,3), got %r" % (legs,))
+    spectator = ({1, 2, 3} - set(legs)).pop()
+    out = {}
+    for (i1, i2, k1, k2), v in a.entries.items():
+        for m in range(1, a.dim + 1):
+            lower = [0, 0, 0]
+            upper = [0, 0, 0]
+            lower[legs[0] - 1], lower[legs[1] - 1] = i1, i2
+            upper[legs[0] - 1], upper[legs[1] - 1] = k1, k2
+            lower[spectator - 1] = upper[spectator - 1] = m
+            out[tuple(lower) + tuple(upper)] = v
+    return Tensor(a.ctx, a.dim, 3, 3, out)
+
+
+def dense_ybe_residual(a: Tensor) -> Tensor:
+    """The braid residual A12 A23 A12 - A23 A12 A23 as a whole exact (3,3)
+    tensor, composed from leg-embedded copies of A, as the package computed
+    it before ybe_residual worked row by row over modular images."""
+    a12 = leg_embed(a, (1, 2))
+    a23 = leg_embed(a, (2, 3))
+    out = dict(compose(compose(a12, a23), a12).entries)
+    for idx, v in compose(compose(a23, a12), a23).entries.items():
+        out[idx] = out[idx] - v if idx in out else -v
+    return Tensor(a.ctx, a.dim, 3, 3, out)

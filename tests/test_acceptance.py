@@ -65,8 +65,8 @@ def corrupted_theta(ctx):
 
 def test_c01_braid_identity_holds_and_symmetric_form_fails_it():
     af = parse_algebra_file(_resolve_input("qplane_qprs"))
-    assert ybe_residual(af.B).is_zero()
-    assert not ybe_residual(af.Bprime).is_zero()
+    assert not ybe_residual(af.B)
+    assert ybe_residual(af.Bprime)
     # the symmetric form is an involution instead
     assert compose(af.Bprime, af.Bprime) == identity4(af.ctx, 2)
 
@@ -206,7 +206,7 @@ def test_c09_twisted_exchange_keeps_braid_identity_and_relations():
     R = braid_form(phi.pres, two.B)
     twisted = twist_R(R, phi)
     assert twisted != R.base
-    assert ybe_residual(swap_lower(twisted)).is_zero()
+    assert not ybe_residual(swap_lower(twisted))
     qp = load("qplane_qprs")
     pres = Presentation(qp.ctx, 2)
     R = braid_form(pres, qp.B)

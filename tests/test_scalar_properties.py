@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import named_key_str, sympy_element
 from ncorep.errors import DenominatorVanishes, DivisionByZero
-from ncorep.scalars import Context, _ident
+from ncorep.scalars import POINT, PRIME, Context, _den, _ident, mod_image
 
 CTX = Context(["q", "p"])
 WIDE = Context(["p", "q", "r"])
@@ -175,6 +175,50 @@ def test_kernel_cancels_what_it_combined(ta, tb):
     assume(not b.is_zero())
     assert sympy_element(a * b / b) == fa
     assert sympy_element(a / b * b) == fa
+
+
+def pointwise(s):
+    """s at scalars.POINT mod PRIME, from its numerator and its whole
+    denominator polynomial; None when the denominator vanishes there."""
+
+    def at(poly):
+        out = 0
+        for exps, c in poly.items():
+            for a, e in zip(POINT, exps):
+                c *= pow(a, e, PRIME)
+            out += c
+        return out % PRIME
+
+    den = at(_den(s.ctx, s.split))
+    return at(s.num) * pow(den, -1, PRIME) % PRIME if den else None
+
+
+@bounded
+@given(shared_trees, shared_trees)
+def test_mod_image_is_evaluation_at_the_point(ta, tb):
+    # the factor images are kept on the Context: a and b fill them in, and
+    # the sum, product and quotient read them back
+    a, b = evaluate_shared(ta), evaluate_shared(tb)
+    ia, ib = mod_image(a), mod_image(b)
+    for s in (a, b, a + b, a - b, a * b, FOUR.zero, FOUR.one):
+        assert mod_image(s) == pointwise(s)
+    assume(ia is not None and ib)
+    assert mod_image(a + b) == (ia + ib) % PRIME
+    assert mod_image(a * b) == ia * ib % PRIME
+    assert mod_image(a / b) * ib % PRIME == ia
+
+
+def test_mod_image_reports_a_vanishing_denominator():
+    for ctx in (CTX, WIDE, FOUR):
+        # the first parameter in sorted order takes POINT[0]
+        first = ctx.params[0]
+        assert mod_image(ctx.parse("%s - %d" % (first, POINT[0]))) == 0
+        assert mod_image(ctx.parse("1/(%s - %d)" % (first, POINT[0]))) is None
+        assert mod_image(ctx.parse("(%s - 1)^2/(%s - %d)^3" % (first, first, POINT[0]))) is None
+        assert mod_image(ctx.parse("%d/3" % PRIME)) == 0
+        assert mod_image(ctx.parse("3/%d" % PRIME)) is None
+    many = Context(["x%d" % i for i in range(len(POINT) + 1)])
+    assert mod_image(many.one) is None
 
 
 @bounded
