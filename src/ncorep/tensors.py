@@ -19,14 +19,15 @@ index(positions) groups a tensor's entries by the indices at the given
 positions, so a sum over a contracted index visits only the terms whose
 factor from that tensor is nonzero.
 
-ybe_residual reports only where the braid residual is nonzero, and proves
-most of those entries nonzero by a modular image (scalars.mod_image) instead
-of computing them.  It contracts one row e_I A12 A23 A12 - e_I A23 A12 A23
-at a time, for each lower triple I, over A.index((0, 1)), and runs that
-routine twice: over the images of A's entries, then exactly over the
-Scalars for the rows the images leave open.  Zero sums keep their keys in
-both runs, so a row has the same keys in each, and only those keys can hold
-a nonzero entry.  The image run is exact where it decides:
+ybe_residual reports only where the braid residual is nonzero, and where it
+can, it proves an entry nonzero by a modular image (scalars.mod_image)
+instead of computing it.  It contracts the rows e_I A12 A23 A12 - e_I A23 A12 A23,
+one for each lower triple I and each on its own, over A.index((0, 1)), and
+runs that contraction twice: over the images of A's entries for every row,
+then exactly over the Scalars for the rows the images leave open.  Zero
+sums keep their keys in both runs, so a row has the same keys in each, and
+only those keys can hold a nonzero entry.  The image run is exact where it
+decides:
 
 * evaluation at the point is a ring homomorphism on the fractions whose
   denominators do not vanish there;
@@ -177,53 +178,54 @@ def ybe_residual(a: Tensor) -> list:
     """
     if a.nlower != 2 or a.nupper != 2:
         raise ShapeMismatch("ybe_residual needs a (2,2) tensor")
-    exact = a.index((0, 1))
-    image = _image_groups(exact)
+    rows = list(itertools.product(range(1, a.dim + 1), repeat=3))
     out = []
-    for low in itertools.product(range(1, a.dim + 1), repeat=3):
-        if image is not None:
-            row = _braid_row(image, low)
-            if all(v % PRIME for v in row.values()):
-                out.extend(low + k for k in sorted(row))
-                continue
-        row = _braid_row(exact, low)
-        out.extend(low + k for k in sorted(row) if not row[k].is_zero())
-    return out
+    image = _by_lower(a, mod_image)
+    if image is not None:
+        res = _braid_rows(image, rows, 1)
+        open_rows = {key[:3] for key, v in res.items() if not v % PRIME}
+        out = [key for key in res if key[:3] not in open_rows]
+        rows = sorted(open_rows)
+    res = _braid_rows(_by_lower(a, lambda v: v), rows, a.ctx.one)
+    out.extend(key for key, v in res.items() if not v.is_zero())
+    return sorted(out)
 
 
-def _image_groups(groups):
-    """The groups of A.index((0, 1)) with each entry replaced by its modular
-    image, or None when some entry's denominator vanishes at the point."""
+def _by_lower(a, value):
+    """{(i, j): [((k, l), value(A_ij^kl)), ...]} over A's nonzero entries, or
+    None when value returns None for one of them (mod_image does when the
+    entry's denominator vanishes at the point)."""
     out = {}
-    for pair, entries in groups.items():
-        row = out[pair] = []
+    for pair, entries in a.index((0, 1)).items():
+        out[pair] = row = []
         for idx, v in entries:
-            img = mod_image(v)
-            if img is None:
+            v = value(v)
+            if v is None:
                 return None
-            row.append((idx, img))
+            row.append((idx[2:], v))
     return out
 
 
-def _braid_row(groups, low):
-    """Row low = (i, j, m) of A12 A23 A12 - A23 A12 A23 as {(k1, k2, k3): value}.
+def _braid_rows(groups, rows, one):
+    """Rows I in rows of A12 A23 A12 - A23 A12 A23 as {I + K: value}.
 
-    groups holds A's entries by lower pair, as Scalars or as their images
-    (ints, reduced at the caller).  Sums that come to zero keep their key, so
-    the keys are the same over both.
+    groups holds A's entries by lower pair (_by_lower), as Scalars or as
+    their images (ints, reduced by the caller), and one is the unit of the
+    same kind.  Each row starts as e_I and is contracted on its own.  Sums
+    that come to zero keep their key, so the keys are the same over both.
     """
-    lhs = rhs = {low: 1}
+    lhs = rhs = {row + row: one for row in rows}
     for leg in (0, 1, 0):  # A12 A23 A12 and A23 A12 A23
         lhs, rhs = _on_legs(groups, lhs, leg), _on_legs(groups, rhs, 1 - leg)
     return add_terms(lhs, ((key, -v) for key, v in rhs.items()))
 
 
-def _on_legs(groups, row, leg):
-    """row times A acting on legs leg + 1 and leg + 2 of three."""
+def _on_legs(groups, vecs, leg):
+    """Each I + K of vecs times A acting on legs leg + 1 and leg + 2 of K."""
     out = {}
-    for key, x in row.items():
-        head, pair, tail = key[:leg], key[leg:leg + 2], key[leg + 2:]
-        add_terms(out, ((head + idx[2:] + tail, v * x) for idx, v in groups.get(pair, ())))
+    for key, x in vecs.items():
+        head, pair, tail = key[:3 + leg], key[3 + leg:5 + leg], key[5 + leg:]
+        add_terms(out, ((head + up + tail, x * v) for up, v in groups.get(pair, ())))
     return out
 
 

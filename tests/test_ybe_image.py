@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import dense_ybe_residual, load
 from ncorep.bialg import braid_form, twist_R
 from ncorep.scalars import POINT, PRIME, Context, mod_image
-from ncorep.tensors import Tensor, _braid_row, _image_groups, swap_lower, ybe_residual
+from ncorep.tensors import Tensor, _braid_rows, _by_lower, swap_lower, ybe_residual
 
 CTX = Context(["p", "q"])
 POOL = (
@@ -65,14 +65,14 @@ def table(n, rnd):
 def row_kinds(a):
     """For each lower triple with keys: 'decided' when every key has a
     nonzero image, 'mixed' when some do, 'zero' when none does."""
-    image = _image_groups(a.index((0, 1)))
-    kinds = []
-    for low in itertools.product(range(1, a.dim + 1), repeat=3):
-        row = _braid_row(image, low)
-        nonzero = sum(1 for v in row.values() if v % PRIME)
-        if row:
-            kinds.append("decided" if nonzero == len(row) else "mixed" if nonzero else "zero")
-    return kinds
+    rows = {}
+    lows = list(itertools.product(range(1, a.dim + 1), repeat=3))
+    for key, v in sorted(_braid_rows(_by_lower(a, mod_image), lows, 1).items()):
+        rows.setdefault(key[:3], []).append(v % PRIME != 0)
+    return [
+        "decided" if all(nonzero) else "mixed" if any(nonzero) else "zero"
+        for nonzero in rows.values()
+    ]
 
 
 def matches_reference(a):
@@ -124,7 +124,7 @@ def test_vanishing_denominator_computes_every_row_exactly():
     rng = range(1, 3)
     entries = {(i, j, j, i): bad if i < j else CTX.parse("q - %d" % POINT[1]) for i in rng for j in rng}
     a = Tensor(CTX, 2, 2, 2, entries)
-    assert _image_groups(a.index((0, 1))) is None
+    assert _by_lower(a, mod_image) is None
     assert ybe_residual(a) == [] == sorted(dense_ybe_residual(a).entries)
     entries[(1, 2, 1, 2)] = bad * bad
     a = Tensor(CTX, 2, 2, 2, entries)
