@@ -21,7 +21,10 @@ factor from that tensor is nonzero.
 
 ybe_residual reports only where the braid residual is nonzero, and where it
 can, it proves an entry nonzero by a modular image (scalars.mod_image)
-instead of computing it.  It contracts the rows e_I A12 A23 A12 - e_I A23 A12 A23,
+instead of computing it.  It contracts the rows
+
+    e_I A12 A23 A12 - e_I A23 A12 A23,
+
 one for each lower triple I and each on its own, over A.index((0, 1)), and
 runs that contraction twice: over the images of A's entries for every row,
 then exactly over the Scalars for the rows the images leave open.  Zero
