@@ -20,6 +20,20 @@ and extended to longer words by the bicharacter splitting laws
 the generator-pair tables is plain tensor composition, which makes
 twisting by an invertible form a finite computation.
 
+The 2-cocycle identity needs only two-letter words.  Write phi_ij^kl for
+base[(i, j, k, l)].  The coproduct of T_k^t is sum_m T_k^m (x) T_m^t, so the
+first law with x = T_a^r, y = T_b^s, z = T_k^t and the second with
+x = T_i^r, y = T_b^s, z = T_c^t give
+
+    phi(T_a^r T_b^s (x) T_k^t) = sum_m phi_ak^rm phi_bm^st
+    phi(T_i^r (x) T_b^s T_c^t) = sum_m phi_ic^mt phi_mb^rs
+
+and the two sides of the identity on T_i^r (x) T_j^s (x) T_k^t are
+contractions of three copies of the table:
+
+    LHS_ijk^rst = sum_{a,b,m} phi_ij^ab phi_ak^rm phi_bm^st
+    RHS_ijk^rst = sum_{b,c,m} phi_jk^bc phi_ic^mt phi_mb^rs
+
 The contractions below run over nonzero table entries only and build each
 sum in one dict; the corep module docstring says why that changes no result.
 """
@@ -90,7 +104,8 @@ class LinearForm:
     """Scalar bicharacter form on pairs, determined by its generator-pair table.
 
     Long words are split by the two bicharacter laws; word-pair values are
-    memoized.
+    memoized.  No check reaches word_value: cocycle_check sums the
+    two-letter values as contractions of the table instead.
     """
 
     def __init__(self, pres: Presentation, base: Tensor):
@@ -152,24 +167,39 @@ def cocycle_check(phi: LinearForm):
     with      sum_{b,c} phi(T_j^b (x) T_k^c) phi(T_i^r (x) T_b^s T_c^t);
     the two sides are the convolution products phi_12 * (phi o (m (x) id))
     and phi_23 * (phi o (id (x) m)) evaluated on T_i^r (x) T_j^s (x) T_k^t.
+    Both are contractions of three copies of the table (module docstring),
+    summed over its nonzero entries; the residuals are the nonzero
+    LHS - RHS in sorted key order.
     """
-    pres = phi.pres
-    ctx = pres.ctx
-    n = pres.dim
-    invert4(phi.base)  # NotInvertible when phi cannot be convolution-inverted
-    residuals = {}
-    by_lower = phi.base.index((0, 1))
-    with ctx.products():
-        for i, j, k, r, s, t in itertools.product(range(1, n + 1), repeat=6):
-            lhs = ctx.zero
-            for (_, _, a, b), c1 in by_lower.get((i, j), ()):
-                lhs = lhs + c1 * phi.word_value((T(a, r), T(b, s)), (T(k, t),))
-            rhs = ctx.zero
-            for (_, _, b, c), c1 in by_lower.get((j, k), ()):
-                rhs = rhs + c1 * phi.word_value((T(i, r),), (T(b, s), T(c, t)))
-            d = lhs - rhs
-            if not d.is_zero():
-                residuals[(i, j, k, r, s, t)] = d
+    base = phi.base
+    invert4(base)  # NotInvertible when phi cannot be convolution-inverted
+    by_lower, by_r, by_t = base.index((0, 1)), base.index((2,)), base.index((3,))
+    # the splitting laws' sums over m, keyed by the letters they pair with:
+    #   left[(a, b)][(k, r, s, t)]  = phi(T_a^r T_b^s (x) T_k^t) = sum_m phi_ak^rm phi_bm^st
+    #   right[(b, c)][(i, r, s, t)] = phi(T_i^r (x) T_b^s T_c^t) = sum_m phi_ic^mt phi_mb^rs
+    left, right, diff = {}, {}, {}
+    with phi.pres.ctx.products():
+        for (b, m), row in by_lower.items():
+            for (a, k, r, _), x in by_t.get((m,), ()):
+                add_terms(left.setdefault((a, b), {}), (
+                    ((k, r, s, t), x * y) for (_, _, s, t), y in row
+                ))
+        for (m, b), row in by_lower.items():
+            for (i, c, _, t), x in by_r.get((m,), ()):
+                add_terms(right.setdefault((b, c), {}), (
+                    ((i, r, s, t), x * y) for (_, _, r, s), y in row
+                ))
+        # LHS - RHS: phi_ij^ab left[(a, b)] - phi_jk^bc right[(b, c)]
+        for (i, j, a, b), x in base.entries.items():
+            add_terms(diff, (
+                ((i, j, k, r, s, t), x * y) for (k, r, s, t), y in left.get((a, b), {}).items()
+            ))
+        for (j, k, b, c), x in base.entries.items():
+            x = -x
+            add_terms(diff, (
+                ((i, j, k, r, s, t), x * y) for (i, r, s, t), y in right.get((b, c), {}).items()
+            ))
+    residuals = {key: d for key, d in sorted(diff.items()) if not d.is_zero()}
     return {"holds": not residuals, "residuals": residuals}
 
 

@@ -11,8 +11,6 @@ tensor.  Everything here is exact free-algebra arithmetic; no analytic
 structure is attached to the labels.
 """
 
-import functools
-
 from .corep import ThetaMap, build_M, relation_entries, require_valid
 from .errors import AnsatzFailed
 from .freealg import NCPoly, RelationSet, T, add_terms, poly_vector
@@ -105,18 +103,15 @@ def _add_contracted_relation(rep, identity, Binv, w, entries, labels):
 class SpectralFamily:
     """Labeled spaces sharing one exchange tensor and one twisting tensor.
 
-    Both routes read the inverse exchange tensor and the labeled relation
-    entries; each is computed once per family, at its first use.
+    Both routes read the inverse exchange tensor, which invert4 keeps on B,
+    and the labeled relation entries; each is computed once per family, at
+    its first use.
     """
 
     def __init__(self, B: Tensor, theta: ThetaMap):
         self.B = B
         self.theta = theta
         self._spectral = {}  # labels -> spectral_relations
-
-    @functools.cached_property
-    def _Binv(self):
-        return invert4(self.B)
 
     def _relations(self, labels):
         if labels not in self._spectral:
@@ -135,7 +130,7 @@ class SpectralFamily:
         ident = delta(th.tensor.ctx, th.dim)
         if weighted_trace(th) != ident:
             raise AnsatzFailed("twisting tensor fails the first-slot trace condition")
-        Binv = self._Binv
+        Binv = invert4(self.B)
         rep = Report("first integrability route")
         rep.add(
             "trace-ansatz",
@@ -169,7 +164,7 @@ class SpectralFamily:
         """
         B = self.B
         th = require_valid(self.theta)
-        Binv = self._Binv
+        Binv = invert4(self.B)
         rep = Report("second integrability route")
         w = weighted_trace(th)
         ident = delta(B.ctx, B.dim)

@@ -53,7 +53,7 @@ from .freealg import add_terms
 from .scalars import PRIME, Context, mod_image
 
 class Tensor:
-    __slots__ = ("ctx", "dim", "nlower", "nupper", "entries", "_groups")
+    __slots__ = ("ctx", "dim", "nlower", "nupper", "entries", "_groups", "_inverse")
 
     def __init__(self, ctx: Context, dim: int, nlower: int, nupper: int, entries=None):
         self.ctx = ctx
@@ -67,6 +67,7 @@ class Tensor:
                 if not val.is_zero():
                     self.entries[tuple(idx)] = val
         self._groups = {}
+        self._inverse = None  # kept by invert4
 
     def _check_idx(self, idx):
         if len(idx) != self.nlower + self.nupper:
@@ -276,9 +277,15 @@ def invert_matrix(ctx, rows):
 
 
 def invert4(a: Tensor) -> Tensor:
-    """Inverse of a 4-index tensor under the composition convention."""
-    inv = invert_matrix(a.ctx, to_matrix(a))
-    return from_matrix(a.ctx, a.dim, inv)
+    """Inverse of a 4-index tensor under the composition convention.
+
+    Computed once per tensor and kept on it, like its index groups: a tensor
+    is never changed after __init__, and an inversion that raised keeps
+    nothing, so it raises again.
+    """
+    if a._inverse is None:
+        a._inverse = from_matrix(a.ctx, a.dim, invert_matrix(a.ctx, to_matrix(a)))
+    return a._inverse
 
 
 def invert2(a: Tensor) -> Tensor:

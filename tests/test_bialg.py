@@ -272,6 +272,21 @@ def test_cocycle_character_forms():
     assert cocycle_check(character_pair_form(pres, ident))["holds"]
 
 
+def test_cocycle_residuals_of_a_perturbed_character_form():
+    # the form of rho_full holds; with phi(T_1^2 (x) T_2^1) = q it does not
+    ctx, pres = setup()
+    base = character_pair_form(pres, rho_full(ctx)).base
+    entries = dict(base.entries)
+    entries[(1, 2, 2, 1)] = ctx.gen("q")
+    out = cocycle_check(LinearForm(pres, Tensor(ctx, 2, 2, 2, entries)))
+    res = out["residuals"]
+    assert not out["holds"]
+    assert len(res) == 24
+    assert list(res) == sorted(res)
+    assert str(res[(1, 1, 1, 1, 2, 1)]) == "(q*r)/(s)"
+    assert str(res[(2, 2, 2, 2, 2, 1)]) == "(q*r*s - q*s)/(p^2)"
+
+
 def test_cocycle_requires_invertible():
     ctx, pres = setup()
     phi = LinearForm(pres, Tensor(ctx, 2, 2, 2, {(1, 1, 1, 1): ctx.one}))

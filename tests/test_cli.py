@@ -215,7 +215,7 @@ def test_full_report_derives_each_once(monkeypatch):
 
     names = (
         "generate_ideal", "orient", "cocycle_check", "determinant", "validate_theta",
-        "confluence_check", "grouplike_defect", "relation_entries",
+        "confluence_check", "grouplike_defect", "relation_entries", "character_pair_form",
     )
     for name in names:
         modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("ncorep.")]
@@ -263,10 +263,22 @@ def test_full_report_derives_each_once(monkeypatch):
     monkeypatch.setattr(RewriteSystem, "_redex", counting_redex)
     monkeypatch.setattr(RewriteSystem, "reset", counting_reset)
 
+    # invert4 reaches to_matrix once for each inversion it computes; the
+    # cocycle check and the twist both invert the pair form's table
+    inverted = []
+    to_matrix = ncorep.tensors.to_matrix
+
+    def counting_to_matrix(a):
+        inverted.append(a)
+        return to_matrix(a)
+
+    monkeypatch.setattr(ncorep.tensors, "to_matrix", counting_to_matrix)
+
     for name, code in (("qplane_qp", 0), ("qplane_qprs", 1)):
         counts.update(dict.fromkeys(names, 0))
         results.clear()
         lookups.clear()
+        inverted.clear()
         assert main(["full-report", "--input", name]) == code
         assert counts == dict.fromkeys(names, 1), name
         built = {key: len({id(out) for out in outs}) for key, outs in results.items()}
@@ -276,6 +288,8 @@ def test_full_report_derives_each_once(monkeypatch):
         assert [len(outs) for key, outs in results.items() if key[0] == "defect"] == [2]
         assert lookups
         assert {w: n for seen in lookups.values() for w, n in seen.items() if n > 1} == {}
+        assert sum(a is last["character_pair_form"].base for a in inverted) == 1
+        assert len(inverted) == len({id(a) for a in inverted})
 
 
 def test_order_flag_reaches_every_section(monkeypatch):

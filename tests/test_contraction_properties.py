@@ -7,7 +7,10 @@ index, kept in tests/conftest.py, exactly and in the same order: violation
 lists, residual dicts (key order included), relation polynomials in order,
 M's entries in order, and every verdict.  Tables are dim 2 and dim 3; the
 twists include invalid ones and factorizations of non-diagonal character
-tables, and the braid tensors include perturbed ones.  The integrability
+tables, and the braid tensors include perturbed ones.  The cocycle check is
+also drawn over arbitrary pair-form tables, sparse, dense, perturbed
+character forms and singular ones, since every character form satisfies
+the identity and leaves its residual path untested.  The integrability
 contraction is drawn over the inverses of more heavily perturbed braid
 tensors, with the twist's own weight or a random one.  The coideal check's
 residuals are compared with the commutator of B and M's group-like defect,
@@ -33,6 +36,7 @@ from conftest import (
     dense_validate_theta,
 )
 from ncorep.bialg import (
+    LinearForm,
     Presentation,
     braid_form,
     character_pair_form,
@@ -220,6 +224,55 @@ def test_forms_and_twisted_relations_match_dense_loops(case):
         assert got is want
     else:
         assert got.polys == want.polys
+
+
+# dense values are constants and q, which keeps a dense dim-3 inverse cheap
+DENSE_VALUES = ("0", "1", "-1", "2", "1/3", "q")
+
+
+@st.composite
+def pair_tables(draw):
+    """(n, entries) of a (2,2) pair-form table.
+
+    The table is sparse (units on the diagonal of the 4-index matrix plus up
+    to four entries), dense, or a character form with one or two entries
+    redrawn; a character form itself satisfies the cocycle identity.  One
+    table in four loses every entry of one lower pair, which makes it
+    singular.
+    """
+    n = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("sparse", "dense", "character")))
+    if kind == "sparse":
+        pairs = itertools.product(range(1, n + 1), repeat=2)
+        entries = {(i, j, i, j): CTX.parse(draw(units)) for i, j in pairs}
+        for idx in draw(st.lists(positions(n, 4), max_size=4)):
+            entries[idx] = CTX.parse(draw(values))
+    elif kind == "dense":
+        idxs = list(itertools.product(range(1, n + 1), repeat=4))
+        coeffs = draw(st.lists(st.sampled_from(DENSE_VALUES), min_size=len(idxs), max_size=len(idxs)))
+        entries = {idx: CTX.parse(c) for idx, c in zip(idxs, coeffs)}
+    else:
+        base = character_pair_form(Presentation(CTX, n), draw(rho_tables(n))).base
+        entries = perturbed(draw, base).entries
+    if draw(st.integers(0, 3)) == 0:
+        row = draw(positions(n, 2))
+        entries = {idx: v for idx, v in entries.items() if idx[:2] != row}
+    return n, entries
+
+
+@bounded
+@given(pair_tables())
+def test_cocycle_check_matches_dense_loop(table):
+    n, entries = table
+    pres = Presentation(CTX, n)
+    # each check gets its own tensor, so neither reads an inverse the other kept
+    got = outcome(cocycle_check, LinearForm(pres, Tensor(CTX, n, 2, 2, entries)))
+    want = outcome(dense_cocycle_check, LinearForm(pres, Tensor(CTX, n, 2, 2, entries)))
+    if isinstance(want, dict):
+        assert got["holds"] == want["holds"]
+        assert list(got["residuals"].items()) == list(want["residuals"].items())
+    else:
+        assert got is want is NotInvertible
 
 
 LABELS = ("lam", "mu")

@@ -5,7 +5,7 @@ import pytest
 from conftest import check_trace_ansatz, flip_theta, identity4, load, tensor_from_entries
 from ncorep.corep import ThetaMap
 from ncorep.errors import InvalidTheta, NotInvertible
-from ncorep import integrable
+from ncorep import integrable, tensors
 from ncorep.integrable import (
     SpectralFamily,
     spectral_relations,
@@ -131,17 +131,19 @@ def test_singular_exchange_rejected():
 
 
 def test_both_routes_share_one_inverse_and_one_relation_table(monkeypatch):
+    # invert4 reaches to_matrix once for each inversion it computes
     qp, fam = standard_family()
-    calls = {"invert4": 0, "spectral_relations": 0}
-    for name in calls:
-        original = getattr(integrable, name)
+    calls = {"to_matrix": [], "spectral_relations": []}
+    for module, name in ((tensors, "to_matrix"), (integrable, "spectral_relations")):
+        original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
+            calls[_name].append(args[0])
             return _original(*args)
 
-        monkeypatch.setattr(integrable, name, counting)
+        monkeypatch.setattr(module, name, counting)
     first = fam.first_report("lam", "mu")
     second = fam.second_report("lam", "mu")
     assert first.verdict() == second.verdict() == "pass"
-    assert calls == {"invert4": 1, "spectral_relations": 1}
+    assert [len(args) for args in calls.values()] == [1, 1]
+    assert calls["to_matrix"][0] is fam.B
