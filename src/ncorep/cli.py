@@ -25,14 +25,23 @@ import re
 import sys
 from importlib import resources
 
-from .bialg import braid_form, twist_R, twisted_product_relations
+from .bialg import (
+    braid_form,
+    character_pair_form,
+    cocycle_check,
+    twist_R,
+    twisted_product_relations,
+)
 from .corep import (
     QuadraticSpace,
     ThetaMap,
+    build_M,
     check_grouplike,
     coideal_check,
     factorized_theta,
+    generate_ideal,
     homomorphism_check,
+    require_valid,
 )
 from .errors import (
     CommutationUnverified,
@@ -40,13 +49,12 @@ from .errors import (
     NCorepError,
     NotGroupCoefficient,
     NotInvertible,
-    ZeroLeadingCoefficient,
 )
-from .freealg import NCPoly, T, e, row_space_compare, xi
+from .freealg import NCPoly, RelationSet, T, e, row_space_compare, xi
 from .integrable import SpectralFamily
 from .qplane import (
-    QPlaneContext,
     _pair_reduction_factor,
+    determinant,
     relation_report,
     verify_D_commutations,
     verify_antipode,
@@ -55,9 +63,11 @@ from .qplane import (
 from .report import Report, passfail
 from .rewrite import (
     TermOrder,
+    confluence_check,
     count_irreducible,
     matrix_order,
     normal_form,
+    orient,
 )
 from .scalars import Context
 from .tensors import Tensor, invert2, swap_lower, ybe_residual
@@ -286,18 +296,26 @@ def parse_algebra_file(path):
 
 
 class Workspace:
-    """One configuration with the requested substitutions already applied.
+    """One run: a configuration, the term order and degree bound it is
+    checked under, and everything derived from it.
 
-    Everything derived from it is owned by ``qp``, its one QPlaneContext,
-    which computes each derivation on first use.
+    The configuration is the exchange tensor B, the twisting tensor theta
+    and the odd coordinate space, with the requested substitutions applied.
+    Each derivation (the matrix M, the even space, the relation ideal, the
+    oriented system and its overlap analysis, the determinant, the character
+    pair form and its cocycle check) is computed on first use and kept; one
+    that raised raises the same error at every later use.
     """
 
-    def __init__(self, af, bindings=()):
-        self.af = af
+    def __init__(self, af, bindings=(), order=None, max_degree=3):
         self.ctx = af.ctx
         self.dim = af.dim
         self.labels = af.labels
-        self.order = None
+        default = matrix_order(af.dim)
+        self.gens = default.precedence
+        self.order = order or default
+        self.max_degree = max_degree
+        self._derived = {}
         B = af.B
         Bp = af.Bprime
         rels = list(af.space_relations)
@@ -328,13 +346,57 @@ class Workspace:
         if af.has_space:
             self.space = QuadraticSpace(af.ctx, af.dim, parity=af.parity, relations=rels)
 
-    def term_order(self):
-        return self.order or matrix_order(self.dim)
+    def _once(self, key, make):
+        if key not in self._derived:
+            try:
+                self._derived[key] = (True, make())
+            except NCorepError as err:
+                self._derived[key] = (False, err)
+        ok, value = self._derived[key]
+        if not ok:
+            raise value
+        return value
 
-    @functools.cached_property
-    def qp(self):
-        bos = QuadraticSpace(self.ctx, self.dim, braid=self.B)
-        return QPlaneContext(self.ctx, self.B, self.theta, bos, self.space)
+    @property
+    def M(self):
+        """The coefficient matrix, built whether or not theta is valid."""
+        return self._once("M", lambda: build_M(self.theta))
+
+    @property
+    def bosonic(self):
+        """The even coordinate space that B braids."""
+        return self._once("bosonic", lambda: QuadraticSpace(self.ctx, self.dim, braid=self.B))
+
+    def relations(self) -> RelationSet:
+        """The ideal spanned by B M - M B; InvalidTheta for an invalid theta."""
+
+        def make():
+            require_valid(self.theta)
+            return generate_ideal(self.B, self.M)
+
+        return self._once("relations", make)
+
+    def rewrite_system(self):
+        """The relation ideal oriented under the run's term order."""
+        return self._once("rewrite", lambda: orient(self.relations(), self.order))
+
+    def confluence(self, maxdeg):
+        """confluence_check of the oriented system, up to maxdeg."""
+        return self._once(
+            ("confluence", maxdeg), lambda: confluence_check(self.rewrite_system(), maxdeg)
+        )
+
+    def determinant(self) -> NCPoly:
+        """The top-form coefficient; NotGroupCoefficient when it does not close."""
+        return self._once("determinant", lambda: determinant(self))
+
+    def pair_form(self):
+        """The form counit (x) rho of the character table."""
+        return self._once("pair_form", lambda: character_pair_form(self.M.pres, self.theta.rho))
+
+    def cocycle(self):
+        """cocycle_check of the character pair form."""
+        return self._once("cocycle", lambda: cocycle_check(self.pair_form()))
 
 
 # A section's preconditions: (test on the Workspace, what the input must give).
@@ -352,7 +414,7 @@ SECTIONS = []
 
 
 def section(name, title, needs=(), gated=False):
-    """Declare the decorated body(ws, ns, rep) as the report section `name`.
+    """Declare the decorated body(ws, rep) as the report section `name`.
 
     A command whose preconditions `needs` fail exits 2, and full-report
     skips it.  A gated section whose twisting tensor fails validation
@@ -412,14 +474,14 @@ def _merge(rep, prefix, sub):
     for it in sub.items:
         d = dict(it)
         d["name"] = "%s.%s" % (prefix, it["name"])
-        rep.add(d)
+        rep.items.append(d)
 
 
 @section("validate-theta", "twist validity")
-def _validate_theta(ws, ns, rep):
+def _validate_theta(ws, rep):
     res = ws.theta.validate()
     _twist_record(rep, res)
-    grp = check_grouplike(ws.qp.M)
+    grp = check_grouplike(ws.M)
     rep.add(
         "matrix-grouplike",
         "coproduct splits the matrix entrywise and the counit gives the identity",
@@ -434,7 +496,7 @@ def _validate_theta(ws, ns, rep):
 
 
 @section("ybe", "exchange braiding")
-def _ybe(ws, ns, rep):
+def _ybe(ws, rep):
     r = ybe_residual(ws.B)
     rep.add(
         "braid-identity",
@@ -454,18 +516,17 @@ def _ybe(ws, ns, rep):
 
 
 @section("relations", "product relations", gated=True)
-def _relations(ws, ns, rep):
-    qp = ws.qp
-    ideal = qp.relations()
+def _relations(ws, rep):
+    ideal = ws.relations()
     rep.add(
         "coideal",
         "the relation ideal regenerates under the coproduct",
-        passfail(coideal_check(ws.B, qp.M)),
+        passfail(coideal_check(ws.B, ws.M)),
     )
     rep.add(
         "comodule-algebra",
         "coacting on the coordinate relations stays inside the ideal",
-        passfail(homomorphism_check(qp.bosonic, ws.theta, ideal)),
+        passfail(homomorphism_check(ws.bosonic, ws.theta, ideal)),
     )
     rep.add(
         "rank",
@@ -473,29 +534,24 @@ def _relations(ws, ns, rep):
         "info",
         artifacts={"rank": ideal.rank(), "entries": len(ideal)},
     )
-    try:
-        rs = qp.rewrite_system(ws.term_order())
-        rep.add(
-            "oriented-rules",
-            "reduced rewriting presentation of the ideal",
-            "info",
-            artifacts={"rules": _rule_strings(rs)},
-        )
-    except ZeroLeadingCoefficient:
-        rep.add("oriented-rules", "no monic orientation in this generator order", "info")
+    rep.add(
+        "oriented-rules",
+        "reduced rewriting presentation of the ideal",
+        "info",
+        artifacts={"rules": _rule_strings(ws.rewrite_system())},
+    )
     return rep
 
 
 @section("compare-ideals", "ideal comparison", needs=(DIM2, PARAM_Q), gated=True)
-def _compare_ideals(ws, ns, rep):
-    return relation_report(ws.qp)
+def _compare_ideals(ws, rep):
+    return relation_report(ws)
 
 
 @section("det", "determinant coefficient", needs=(DIM2, SPACE), gated=True)
-def _det(ws, ns, rep):
-    qp = ws.qp
+def _det(ws, rep):
     try:
-        det = qp.determinant()
+        det = ws.determinant()
     except NotGroupCoefficient as err:
         return _group_coefficient_failure(rep, err)
     rep.add(
@@ -505,28 +561,24 @@ def _det(ws, ns, rep):
         artifacts={"determinant": det},
     )
     f = _pair_reduction_factor(ws.space, 2, 1)
-    ok = f is not None and det == qp.M.get(1, 2, 1, 2) + f * qp.M.get(1, 2, 2, 1)
+    ok = f is not None and det == ws.M.get(1, 2, 1, 2) + f * ws.M.get(1, 2, 2, 1)
     rep.add(
         "matrix-form",
         "coefficient equals the exchange-weighted matrix pair",
         passfail(ok),
     )
-    try:
-        rs = qp.rewrite_system(ws.term_order())
-        rep.add(
-            "reduced-form",
-            "normal form of the coefficient in the oriented system",
-            "info",
-            artifacts={"reduced": normal_form(det, rs)},
-        )
-    except ZeroLeadingCoefficient:
-        pass
+    rep.add(
+        "reduced-form",
+        "normal form of the coefficient in the oriented system",
+        "info",
+        artifacts={"reduced": normal_form(det, ws.rewrite_system())},
+    )
     return rep
 
 
 @section("normal-form", "rewriting soundness", gated=True)
-def _normal_form(ws, ns, rep):
-    rs = ws.qp.rewrite_system(ws.term_order())
+def _normal_form(ws, rep):
+    rs = ws.rewrite_system()
     rep.add(
         "oriented-rules",
         "reduced rewriting presentation of the ideal",
@@ -534,7 +586,7 @@ def _normal_form(ws, ns, rep):
         artifacts={"rules": _rule_strings(rs)},
     )
     bad = []
-    for p in ws.qp.relations():
+    for p in ws.relations():
         nf = normal_form(p, rs)
         if not nf.is_zero():
             bad.append(str(nf))
@@ -548,12 +600,12 @@ def _normal_form(ws, ns, rep):
 
 
 @section("confluence", "overlap resolution", gated=True)
-def _confluence(ws, ns, rep):
-    rs = ws.qp.rewrite_system(ws.term_order())
-    out = ws.qp.confluence(ws.term_order(), ns.max_degree)
+def _confluence(ws, rep):
+    rs = ws.rewrite_system()
+    out = ws.confluence(ws.max_degree)
     rep.add(
         "confluent",
-        "every overlap up to degree %d resolves" % ns.max_degree,
+        "every overlap up to degree %d resolves" % ws.max_degree,
         passfail(out["confluent"]),
         residuals=["%s: %s" % (_word(w), p) for w, p in out["ambiguities"][:8]],
         artifacts={"rules": len(rs), "ambiguities": len(out["ambiguities"])},
@@ -562,11 +614,11 @@ def _confluence(ws, ns, rep):
 
 
 @section("pbw-count", "monomial growth", gated=True)
-def _pbw_count(ws, ns, rep):
-    rs = ws.qp.rewrite_system(ws.term_order())
-    counts = [count_irreducible(rs, d) for d in range(ns.max_degree + 1)]
+def _pbw_count(ws, rep):
+    rs = ws.rewrite_system()
+    counts = [count_irreducible(rs, d) for d in range(ws.max_degree + 1)]
     n2 = ws.dim * ws.dim
-    expected = [math.comb(n2 + d - 1, d) for d in range(ns.max_degree + 1)]
+    expected = [math.comb(n2 + d - 1, d) for d in range(ws.max_degree + 1)]
     rep.add(
         "flat-growth",
         "irreducible monomial counts match the commutative series",
@@ -579,17 +631,17 @@ def _pbw_count(ws, ns, rep):
 @section(
     "d-commutations", "determinant commutations", needs=(DIM2, SPACE, PARAMS_PQ), gated=True
 )
-def _d_commutations(ws, ns, rep):
+def _d_commutations(ws, rep):
     try:
-        return verify_D_commutations(ws.qp, ws.term_order())
+        return verify_D_commutations(ws)
     except NotGroupCoefficient as err:
         return _group_coefficient_failure(rep, err)
 
 
 @section("antipode", "antipode identities", needs=(DIM2, SPACE, PARAMS_PQ), gated=True)
-def _antipode(ws, ns, rep):
+def _antipode(ws, rep):
     try:
-        return verify_antipode(ws.qp, ws.term_order())
+        return verify_antipode(ws)
     except (CommutationUnverified, NotGroupCoefficient) as err:
         rep.add(
             "extended-system",
@@ -601,23 +653,22 @@ def _antipode(ws, ns, rep):
 
 
 @section("gamma-table", "exchange action table", needs=(DIM2,), gated=True)
-def _gamma_table(ws, ns, rep):
-    return verify_gamma_action_table(ws.qp)
+def _gamma_table(ws, rep):
+    return verify_gamma_action_table(ws)
 
 
 @section("cocycle", "cocycle identity", needs=(CHARACTERS,))
-def _cocycle(ws, ns, rep):
-    _cocycle_record(rep, ws.qp.cocycle())
+def _cocycle(ws, rep):
+    _cocycle_record(rep, ws.cocycle())
     return rep
 
 
 # A character table always gives a valid factorized theta, so this gate
 # never fires; it stands for the relation ideal that the body reads.
 @section("twist-r", "twisted exchange", needs=(CHARACTERS,), gated=True)
-def _twist_r(ws, ns, rep):
-    qp = ws.qp
-    _cocycle_record(rep, qp.cocycle())
-    phi = qp.pair_form()
+def _twist_r(ws, rep):
+    _cocycle_record(rep, ws.cocycle())
+    phi = ws.pair_form()
     R = braid_form(phi.pres, ws.B)
     res = ybe_residual(swap_lower(twist_R(R, phi)))
     rep.add(
@@ -627,7 +678,7 @@ def _twist_r(ws, ns, rep):
         artifacts={"nonzero": len(res)},
     )
     rel = twisted_product_relations(phi.pres, R, ws.theta)
-    cmp = row_space_compare(rel, qp.relations())
+    cmp = row_space_compare(rel, ws.relations())
     rep.add(
         "product-relations",
         "opposite-product relations span the commutation ideal",
@@ -638,7 +689,7 @@ def _twist_r(ws, ns, rep):
 
 
 @section("integrability", "spectral integrability", needs=(LABELS,), gated=True)
-def _integrability(ws, ns, rep):
+def _integrability(ws, rep):
     fam = SpectralFamily(ws.B, ws.theta)
     lam, mu = ws.labels[0], ws.labels[1]
     _merge(rep, "first", fam.first_report(lam, mu))
@@ -647,9 +698,9 @@ def _integrability(ws, ns, rep):
 
 
 def _command(sec):
-    """The (ws, ns) callable of one section: preconditions, gate, body."""
+    """The callable of one section on a Workspace: preconditions, gate, body."""
 
-    def run(ws, ns):
+    def run(ws):
         unmet = _unmet(sec, ws)
         if unmet is not None:
             raise InputFormat("%s needs %s" % (sec.name, unmet))
@@ -657,16 +708,16 @@ def _command(sec):
         if sec.gated and not ws.theta.validate()["valid"]:
             _twist_record(rep, ws.theta.validate())
             return rep
-        return sec.body(ws, ns, rep)
+        return sec.body(ws, rep)
 
     return run
 
 
-def _full_report(ws, ns):
+def _full_report(ws):
     rep = Report("full verification suite")
     for sec in SECTIONS:
         if _unmet(sec, ws) is None:
-            _merge(rep, sec.name, COMMANDS[sec.name](ws, ns))
+            _merge(rep, sec.name, COMMANDS[sec.name](ws))
     return rep
 
 
@@ -675,12 +726,12 @@ COMMANDS = {sec.name: _command(sec) for sec in SECTIONS}
 COMMANDS["full-report"] = _full_report
 
 
-def _run_suite(ws, ns, names):
+def _run_suite(ws, names):
     if len(names) == 1:
-        return COMMANDS[names[0]](ws, ns)
+        return COMMANDS[names[0]](ws)
     rep = Report("default suite")
     for name in names:
-        _merge(rep, name, COMMANDS[name](ws, ns))
+        _merge(rep, name, COMMANDS[name](ws))
     return rep
 
 
@@ -769,13 +820,12 @@ def main(argv=None):
         if ns.max_degree < 0:
             raise InputFormat("--max-degree must be nonnegative")
         af = parse_algebra_file(_resolve_input(ns.input))
-        ws = Workspace(af, _parse_substs(af, ns.subst))
-        if ns.order:
-            ws.order = _parse_order(ns.order, af)
+        order = _parse_order(ns.order, af) if ns.order else None
+        ws = Workspace(af, _parse_substs(af, ns.subst), order, ns.max_degree)
         if ns.command is not None:
-            rep = COMMANDS[ns.command](ws, ns)
+            rep = COMMANDS[ns.command](ws)
         elif af.default:
-            rep = _run_suite(ws, ns, af.default)
+            rep = _run_suite(ws, af.default)
         else:
             raise InputFormat("no command given and %s declares no default suite" % af.path)
         # written first, so that a path it cannot write leaves stdout empty

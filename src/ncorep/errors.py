@@ -65,10 +65,6 @@ class NotGroupCoefficient(NCorepError):
     """Coaction output has residual terms outside the expected line."""
 
 
-class ZeroLeadingCoefficient(NCorepError):
-    """A rewrite rule cannot be oriented (zero relation or dead leading term)."""
-
-
 class CommutationUnverified(NCorepError):
     """A claimed determinant commutation does not reduce to zero."""
 

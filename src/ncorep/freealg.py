@@ -105,13 +105,6 @@ class NCPoly:
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        """Maximal word length, or -1 for the zero element."""
-        return max((len(w) for w in self.terms), default=-1)
-
-    def degrees(self):
-        return sorted({len(w) for w in self.terms})
-
     def coeff(self, word):
         return self.terms.get(tuple(word), self.ctx.zero)
 

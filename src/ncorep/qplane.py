@@ -1,106 +1,27 @@
 """End-to-end verification of the twisted 2x2 matrix deformation.
 
-A configuration is read from an algebra file (see ``cli.Workspace``): an
-exchange tensor, a twisting tensor and the even and odd coordinate
-spaces.  ``QPlaneContext`` owns what is derived from it.  The reports
-below compare the relation ideal with its twisted cross-relation form,
-extract the quantum determinant from the Grassmann top form, and verify
-the determinant commutations, the antipode and the coordinate exchange
-scalars, reporting every identity exactly.
+Each function reads one ``cli.Workspace``: the exchange tensor, the
+twisting tensor, the odd coordinate space and the term order of a run, and
+what is derived from them.  The reports below compare the relation ideal
+with its twisted cross-relation form, extract the quantum determinant from
+the Grassmann top form, and verify the determinant commutations, the
+antipode and the coordinate exchange scalars, reporting every identity
+exactly.
 """
 
-from .bialg import character_pair_form, cocycle_check
-from .corep import build_M, coaction_word, generate_ideal, require_valid
-from .errors import NCorepError, NotGroupCoefficient
+from .corep import coaction_word
+from .errors import NotGroupCoefficient
 from .freealg import NCPoly, RelationSet, T, add_terms, apply_hom, row_space_compare
 from .report import Report, passfail
-from .rewrite import (
-    DETBAR,
-    confluence_check,
-    extend_with_determinant,
-    normal_form,
-    orient,
-)
+from .rewrite import DETBAR, extend_with_determinant, normal_form
 
 
-class QPlaneContext:
-    """Immutable bundle of the tensors and spaces of one configuration.
-
-    It also owns what is derived from them: the matrix M, the relation
-    ideal, the oriented system and its overlap analysis for each term order,
-    the determinant, the character pair form and its cocycle check.  Each is
-    computed on first use and kept; a derivation that raised raises the same
-    error at every later use.
-    """
-
-    def __init__(self, ctx, B, theta, bosonic, grassmann):
-        self.ctx = ctx
-        self.B = B
-        self.theta = theta
-        self.bosonic = bosonic
-        self.grassmann = grassmann
-        rng = range(1, B.dim + 1)
-        self.gens = tuple(T(i, j) for i in rng for j in rng)
-        self._derived = {}
-
-    def _once(self, key, make):
-        if key not in self._derived:
-            try:
-                self._derived[key] = (True, make())
-            except NCorepError as err:
-                self._derived[key] = (False, err)
-        ok, value = self._derived[key]
-        if not ok:
-            raise value
-        return value
-
-    @property
-    def M(self):
-        """The coefficient matrix, built whether or not theta is valid."""
-        return self._once("M", lambda: build_M(self.theta))
-
-    def relations(self) -> RelationSet:
-        """The ideal spanned by B M - M B; InvalidTheta for an invalid theta."""
-
-        def make():
-            require_valid(self.theta)
-            return generate_ideal(self.B, self.M)
-
-        return self._once("relations", make)
-
-    def rewrite_system(self, order):
-        """The relation ideal oriented under one term order."""
-        return self._once(("rewrite", order.precedence), lambda: orient(self.relations(), order))
-
-    def determinant(self) -> NCPoly:
-        """The top-form coefficient; NotGroupCoefficient when it does not close."""
-        return self._once("determinant", lambda: determinant(self))
-
-    def pair_form(self):
-        """The form counit (x) rho of the character table."""
-        return self._once(
-            "pair_form",
-            lambda: character_pair_form(self.M.pres, self.theta.rho),
-        )
-
-    def cocycle(self):
-        """cocycle_check of the character pair form."""
-        return self._once("cocycle", lambda: cocycle_check(self.pair_form()))
-
-    def confluence(self, order, maxdeg):
-        """confluence_check of the system oriented under order, up to maxdeg."""
-        return self._once(
-            ("confluence", order.precedence, maxdeg),
-            lambda: confluence_check(self.rewrite_system(order), maxdeg),
-        )
-
-
-def cross_relations(qp) -> RelationSet:
+def cross_relations(ws) -> RelationSet:
     """The six relations written with once-twisted second factors."""
-    ctx = qp.ctx
-    a, b, c, d = (NCPoly.gen(ctx, g) for g in qp.gens)
-    tl = qp.theta.images()
-    ga, gb, gc, gd = qp.gens
+    ctx = ws.ctx
+    a, b, c, d = (NCPoly.gen(ctx, g) for g in ws.gens)
+    tl = ws.theta.images()
+    ga, gb, gc, gd = ws.gens
     q = ctx.gen("q")
     six = [
         a * tl[gc] - q * (c * tl[ga]),
@@ -110,13 +31,13 @@ def cross_relations(qp) -> RelationSet:
         b * tl[gd] - q * (d * tl[gb]),
         a * tl[gd] - d * tl[ga] + (q.inv() - q) * (c * tl[gb]),
     ]
-    return RelationSet(ctx, qp.gens, six)
+    return RelationSet(ctx, ws.gens, six)
 
 
-def relation_report(qp) -> Report:
+def relation_report(ws) -> Report:
     rep = Report("relation derivation")
-    ideal = qp.relations()
-    cross = cross_relations(qp)
+    ideal = ws.relations()
+    cross = cross_relations(ws)
     cmp = row_space_compare(ideal, cross)
     rep.add(
         "derived-vs-cross-form",
@@ -143,20 +64,20 @@ def _pair_reduction_factor(space, k, m):
     return None
 
 
-def determinant(qp) -> NCPoly:
+def determinant(ws) -> NCPoly:
     """Coefficient of the Grassmann top form under the twisted coaction.
 
     The coaction output is reduced by the odd exchange rule and the square
     rule; everything must land on the ordered top word, otherwise the
     comodule structure is broken and NotGroupCoefficient is raised.
     """
-    ctx = qp.ctx
-    co = coaction_word(qp.theta, (1, 2))
+    ctx = ws.ctx
+    co = coaction_word(ws.theta, (1, 2))
     total = {}
     for (k, m), coef in co.items():
         if k == m:
             continue
-        f = ctx.one if (k, m) == (1, 2) else _pair_reduction_factor(qp.grassmann, k, m)
+        f = ctx.one if (k, m) == (1, 2) else _pair_reduction_factor(ws.space, k, m)
         if f is None:
             raise NotGroupCoefficient(
                 "coaction residual on (%d,%d) cannot be reduced to the top form" % (k, m)
@@ -169,22 +90,22 @@ def determinant(qp) -> NCPoly:
 DET_FACTORS = ("1", "1/p^2", "p^2", "1")
 
 
-def verify_D_commutations(qp_limit, order) -> Report:
-    """Reduce the four determinant commutations in the limit system oriented by order."""
-    ctx = qp_limit.ctx
+def verify_D_commutations(ws) -> Report:
+    """Reduce the four determinant commutations in the oriented limit system."""
+    ctx = ws.ctx
     rep = Report("determinant commutations")
-    rs = qp_limit.rewrite_system(order)
-    conf = qp_limit.confluence(order, 3)
+    rs = ws.rewrite_system()
+    conf = ws.confluence(3)
     rep.add(
         "system-confluent",
         "oriented limit system resolves every degree-3 overlap",
         passfail(conf["confluent"]),
         residuals=[str(p) for _, p in conf["ambiguities"]],
     )
-    D = qp_limit.determinant()
+    D = ws.determinant()
     names = ("a", "b", "c", "d")
     for pos, expr in enumerate(DET_FACTORS):
-        g = NCPoly.gen(ctx, qp_limit.gens[pos])
+        g = NCPoly.gen(ctx, ws.gens[pos])
         c = ctx.parse(expr)
         res = normal_form(D * g - c * (g * D), rs)
         rep.add(
@@ -212,9 +133,9 @@ def _counit_ext(ctx, poly):
     return total
 
 
-def antipode_images(qp_limit):
-    ctx = qp_limit.ctx
-    a, b, c, d = qp_limit.gens
+def antipode_images(ws):
+    ctx = ws.ctx
+    a, b, c, d = ws.gens
     return {
         a: NCPoly.term(ctx, (DETBAR, d)),
         b: NCPoly.term(ctx, (DETBAR, b), ctx.parse("-1/(p*q)")),
@@ -223,20 +144,21 @@ def antipode_images(qp_limit):
     }
 
 
-def verify_antipode(qp_limit, order) -> Report:
-    """The eight inverse identities and the counit compatibility, reduced under order.
+def verify_antipode(ws) -> Report:
+    """The eight inverse identities and the counit compatibility, reduced
+    in the oriented system.
 
     The unit on the right-hand side enters as the inverse symbol times the
     determinant polynomial, which is the defining equation of the adjoined
     symbol spelled out.
     """
-    ctx = qp_limit.ctx
+    ctx = ws.ctx
     rep = Report("antipode")
-    rs = qp_limit.rewrite_system(order)
-    D = qp_limit.determinant()
-    comm = [(g, ctx.parse(expr)) for g, expr in zip(qp_limit.gens, DET_FACTORS)]
+    rs = ws.rewrite_system()
+    D = ws.determinant()
+    comm = [(g, ctx.parse(expr)) for g, expr in zip(ws.gens, DET_FACTORS)]
     ext = extend_with_determinant(rs, D, comm)
-    S = antipode_images(qp_limit)
+    S = antipode_images(ws)
     unit = NCPoly.term(ctx, (DETBAR,)) * D
     names = {(1, 1): "a", (1, 2): "b", (2, 1): "c", (2, 2): "d"}
     for i in (1, 2):
@@ -257,13 +179,13 @@ def verify_antipode(qp_limit, order) -> Report:
                 )
     ok = all(
         _counit_ext(ctx, S[g]) == _counit_ext(ctx, NCPoly.gen(ctx, g))
-        for g in qp_limit.gens
+        for g in ws.gens
     )
     rep.add(
         "counit-compatibility",
         "counit of each antipode image matches the generator",
         passfail(ok),
-        artifacts={"names": [names[g.index] for g in qp_limit.gens]},
+        artifacts={"names": [names[g.index] for g in ws.gens]},
     )
     return rep
 
@@ -284,16 +206,16 @@ def _scale_factor(image, reference):
     return lam
 
 
-def verify_gamma_action_table(qp) -> Report:
+def verify_gamma_action_table(ws) -> Report:
     """Exchange scalars of the coordinate crossing map.
 
     When the crossing is diagonal on generators, the records carry the
     observed factors.  A non-diagonal crossing is reported with the actual
     images instead (informational, not a failure).
     """
-    ctx = qp.ctx
+    ctx = ws.ctx
     rep = Report("coordinate exchange table")
-    tl = qp.theta.images()
+    tl = ws.theta.images()
     names = ("a", "b", "c", "d")
     trace = {}
     for g in (T(1, 1), T(2, 2)):
@@ -305,7 +227,7 @@ def verify_gamma_action_table(qp) -> Report:
         passfail(trace.is_zero()),
         residuals=[] if trace.is_zero() else [str(trace)],
     )
-    plain = [_scale_factor(tl[g], NCPoly.gen(ctx, g)) for g in qp.gens]
+    plain = [_scale_factor(tl[g], NCPoly.gen(ctx, g)) for g in ws.gens]
     if all(v is not None for v in plain):
         rep.add(
             "exchange-scalars-plain",
@@ -318,9 +240,9 @@ def verify_gamma_action_table(qp) -> Report:
             "exchange-scalars-plain",
             "plain generators are not exchange eigenvectors here",
             "info",
-            artifacts={"images": {names[i]: tl[g] for i, g in enumerate(qp.gens)}},
+            artifacts={"images": {names[i]: tl[g] for i, g in enumerate(ws.gens)}},
         )
-    twisted = [(tl[g], apply_hom(tl[g], tl)) for g in qp.gens]
+    twisted = [(tl[g], apply_hom(tl[g], tl)) for g in ws.gens]
     factors = [_scale_factor(t, i) for i, t in twisted]
     if all(v is not None for v in factors):
         rep.add(

@@ -63,13 +63,8 @@ class Report:
         self.items = []
 
     def add(self, *args, **kwargs):
-        """Append a prebuilt record, or build one from record() arguments."""
-        if len(args) == 1 and not kwargs and isinstance(args[0], dict):
-            item = args[0]
-        else:
-            item = record(*args, **kwargs)
-        self.items.append(item)
-        return item
+        """Append the record that record() builds from these arguments."""
+        self.items.append(record(*args, **kwargs))
 
     def verdict(self):
         return "pass" if all(it["status"] != "fail" for it in self.items) else "fail"

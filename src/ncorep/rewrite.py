@@ -20,12 +20,8 @@ satisfies against the matrix generators.  The claimed commutations are
 checked against the base system before anything is added.
 """
 
-from .errors import (
-    CommutationUnverified,
-    OrderMissingGenerator,
-    ZeroLeadingCoefficient,
-)
-from .freealg import Generator, NCPoly, RelationSet, add_terms
+from .errors import CommutationUnverified, OrderMissingGenerator
+from .freealg import Generator, NCPoly, add_terms
 
 DET = Generator("D", ())
 DETBAR = Generator("Dbar", ())
@@ -155,29 +151,17 @@ def normal_form(poly, rs):
 
 
 def orient(relations, order):
-    """Turn homogeneous relations into an inter-reduced rewrite system.
+    """Turn a RelationSet into an inter-reduced rewrite system.
 
     Each relation is solved for its order-maximal word and scaled monic.
     Rules whose right side mentions a later left side are re-reduced, so no
     rule's rhs contains any lhs as a factor; duplicated relations collapse.
-    Raises ZeroLeadingCoefficient on a zero relation.
+    A RelationSet holds only nonzero degree-2 relations, so each has a
+    leading word.
     """
-    if isinstance(relations, RelationSet):
-        ctx = relations.ctx
-        rels = list(relations.polys)
-    else:
-        rels = list(relations)
-        if not rels:
-            raise ValueError("nothing to orient")
-        ctx = rels[0].ctx
-    for r in rels:
-        if r.is_zero():
-            raise ZeroLeadingCoefficient("cannot orient the zero relation")
-        if len(r.degrees()) != 1 or r.degree() < 2:
-            raise ValueError("orientation needs homogeneous relations of degree >= 2")
-
+    ctx = relations.ctx
     rs = RewriteSystem(ctx, order, {})
-    queue = sorted(rels, key=lambda p: order.word_key(order.leading_word(p)))
+    queue = sorted(relations, key=lambda p: order.word_key(order.leading_word(p)))
     while queue:
         p = normal_form(queue.pop(0), rs)
         if p.is_zero():
@@ -203,8 +187,8 @@ def confluence_check(rs, maxdeg=3):
 
     Returns {"confluent": bool, "ambiguities": [(word, difference), ...]}
     where the difference is the (nonzero) gap between the two one-step
-    resolutions after full reduction.  QPlaneContext.confluence keeps the
-    result per report.
+    resolutions after full reduction.  Workspace.confluence keeps the
+    result per run.
     """
     ambiguities = []
     lhss = list(rs.rules)

@@ -21,8 +21,9 @@ from ncorep.tensors import Tensor, compose, delta, invert4
 
 
 def load(name, *bindings):
-    """The QPlaneContext of a shipped input, with (name, expr) bindings applied in order."""
-    return Workspace(parse_algebra_file(_resolve_input(name)), bindings).qp
+    """The Workspace of a shipped input, with (name, expr) bindings applied in
+    order, under the default term order."""
+    return Workspace(parse_algebra_file(_resolve_input(name)), bindings)
 
 
 def read_over(ctx, x):

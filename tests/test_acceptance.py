@@ -42,7 +42,7 @@ from ncorep.integrable import (
     weighted_trace,
 )
 from ncorep.qplane import cross_relations, verify_antipode, verify_D_commutations
-from ncorep.rewrite import confluence_check, count_irreducible, matrix_order
+from ncorep.rewrite import confluence_check, count_irreducible
 from ncorep.tensors import (
     compose,
     delta,
@@ -84,21 +84,21 @@ def test_c02_twist_validity_equivalent_to_grouplike_matrix():
 
 
 def test_c03_commutation_ideal_spans_the_six_twisted_relations():
-    qp = load("qplane_qprs")
-    ideal = generate_ideal(qp.B, build_M(qp.theta))
+    ws = load("qplane_qprs")
+    ideal = generate_ideal(ws.B, build_M(ws.theta))
     assert ideal.rank() == 6
-    cmp = row_space_compare(ideal, cross_relations(qp))
+    cmp = row_space_compare(ideal, cross_relations(ws))
     assert cmp.verdict == "equal"
     # the [Bprime] form is an involution, not a braid, yet its commutation
     # ideal with the same matrix is the braid ideal
-    Bprime = read_over(qp.ctx, parse_algebra_file(_resolve_input("qplane_qprs")).Bprime)
-    assert row_space_compare(generate_ideal(Bprime, qp.M), ideal).verdict == "equal"
+    Bprime = read_over(ws.ctx, parse_algebra_file(_resolve_input("qplane_qprs")).Bprime)
+    assert row_space_compare(generate_ideal(Bprime, ws.M), ideal).verdict == "equal"
 
 
 def test_c04_determinant_four_term_form_and_two_parameter_limit():
-    qp = load("qplane_qprs")
-    ctx = qp.ctx
-    a, b, c, d = (NCPoly.gen(ctx, g) for g in qp.gens)
+    ws = load("qplane_qprs")
+    ctx = ws.ctx
+    a, b, c, d = (NCPoly.gen(ctx, g) for g in ws.gens)
     four = (
         a * d
         - ctx.parse("(q/p)*(1 - r)") * (b * c)
@@ -107,8 +107,8 @@ def test_c04_determinant_four_term_form_and_two_parameter_limit():
     )
     # equality holds in the quotient: the free-algebra difference is an
     # explicit combination of the quadratic relations
-    diff = qp.determinant() - four
-    assert qp.relations().basis().contains(poly_vector(diff))
+    diff = ws.determinant() - four
+    assert ws.relations().basis().contains(poly_vector(diff))
     lim = load("qplane_qprs", *LIMIT)
     a, b, c, d = (NCPoly.gen(lim.ctx, g) for g in lim.gens)
     assert lim.determinant() == a * d - lim.ctx.parse("q/p") * (b * c)
@@ -153,7 +153,7 @@ def brute_count(rs, degree):
 
 def test_c06_limit_system_confluent_with_flat_dimension_growth():
     lim = load("qplane_qprs", *LIMIT)
-    rs = lim.rewrite_system(matrix_order(2))
+    rs = lim.rewrite_system()
     out = confluence_check(rs, maxdeg=3)
     assert out["confluent"] and out["ambiguities"] == []
     for deg, expected in enumerate([1, 4, 10, 20, 35]):
@@ -163,8 +163,7 @@ def test_c06_limit_system_confluent_with_flat_dimension_growth():
 
 def test_c07_scale_commutations_and_antipode_inverses_reduce_to_zero():
     lim = load("qplane_qprs", *LIMIT)
-    order = matrix_order(2)
-    drep = verify_D_commutations(lim, order)
+    drep = verify_D_commutations(lim)
     assert drep.verdict() == "pass"
     commutations = [
         it["name"] for it in drep.items if it["name"].startswith("commutation-")
@@ -172,7 +171,7 @@ def test_c07_scale_commutations_and_antipode_inverses_reduce_to_zero():
     assert commutations == [
         "commutation-a", "commutation-b", "commutation-c", "commutation-d",
     ]
-    arep = verify_antipode(lim, order)
+    arep = verify_antipode(lim)
     assert arep.verdict() == "pass"
     inverses = [it for it in arep.items if it["name"].startswith("inverse-")]
     assert len(inverses) == 8
@@ -185,19 +184,19 @@ def test_c08_coideal_and_comodule_for_flip_and_twisted_coactions():
     assert coideal_check(fr.B, fr.M)
     assert row_space_compare(ideal_f, one_parameter_relations(fr.ctx)).verdict == "equal"
     assert homomorphism_check(fr.bosonic, fr.theta, ideal_f)
-    qp = load("qplane_qprs")
-    ctx = qp.ctx
-    ideal = qp.relations()
-    assert coideal_check(qp.B, qp.M)
-    assert homomorphism_check(qp.bosonic, qp.theta, ideal)
-    assert homomorphism_check(qp.grassmann, qp.theta, ideal)
+    ws = load("qplane_qprs")
+    ctx = ws.ctx
+    ideal = ws.relations()
+    assert coideal_check(ws.B, ws.M)
+    assert homomorphism_check(ws.bosonic, ws.theta, ideal)
+    assert homomorphism_check(ws.space, ws.theta, ideal)
     # coacting on the odd top pair lands on the top word alone: squares die
     # in the quotient and the disordered pair folds in with factor -q
-    co = coaction_word(qp.theta, (1, 2))
+    co = coaction_word(ws.theta, (1, 2))
     assert set(co) <= {(1, 1), (1, 2), (2, 1), (2, 2)}
     folded = co[(1, 2)] - ctx.gen("q") * co.get((2, 1), NCPoly.zero(ctx))
     assert not folded.is_zero()
-    assert folded == qp.determinant()
+    assert folded == ws.determinant()
 
 
 def test_c09_twisted_exchange_keeps_braid_identity_and_relations():
@@ -207,20 +206,20 @@ def test_c09_twisted_exchange_keeps_braid_identity_and_relations():
     twisted = twist_R(R, phi)
     assert twisted != R.base
     assert not ybe_residual(swap_lower(twisted))
-    qp = load("qplane_qprs")
-    pres = Presentation(qp.ctx, 2)
-    R = braid_form(pres, qp.B)
-    rel = twisted_product_relations(pres, R, qp.theta)
-    cmp = row_space_compare(rel, generate_ideal(qp.B, build_M(qp.theta)))
+    ws = load("qplane_qprs")
+    pres = Presentation(ws.ctx, 2)
+    R = braid_form(pres, ws.B)
+    rel = twisted_product_relations(pres, R, ws.theta)
+    cmp = row_space_compare(rel, generate_ideal(ws.B, build_M(ws.theta)))
     assert cmp.verdict == "equal"
     out = load("qplane_qprs", ("r", "0")).cocycle()
     assert out["holds"] and out["residuals"] == {}
 
 
 def test_c10_labeled_contraction_gives_trace_commutator():
-    qp = load("qplane_qprs")
-    ctx = qp.ctx
-    B, th = qp.B, qp.theta
+    ws = load("qplane_qprs")
+    ctx = ws.ctx
+    B, th = ws.B, ws.theta
     assert check_trace_ansatz(th)
     data = spectral_relations(B, th, ("lam", "mu"))
     Binv = invert4(B)

@@ -157,6 +157,17 @@ def test_reversed_substitution_exits_two():
     assert code == 2
 
 
+def test_order_error_precedes_substitution_error(capsys):
+    # --order is read before the Workspace is built, so when both flags fail
+    # the order's message is the one printed
+    bad_order = ["--order", "T[1,1]<T[1,2]"]
+    for subst in (["--subst", "s=0", "--subst", "r=0"], ["--subst", "z=1"]):
+        assert main(["det", "--input", "qplane_qprs"] + subst + bad_order) == 2
+        assert capsys.readouterr().err == (
+            "ncorep: --order must list every matrix generator exactly once\n"
+        )
+
+
 DIM3 = """\
 [algebra]
 dim = 3

@@ -57,7 +57,6 @@ def test_ncpoly_arithmetic():
     a = NCPoly.gen(ctx, T(1, 1))
     b = NCPoly.gen(ctx, T(1, 2))
     x = a * b - q * (b * a)
-    assert x.degree() == 2
     assert x.coeff((T(1, 1), T(1, 2))) == ctx.one
     assert x.coeff((T(1, 2), T(1, 1))) == -q
     assert x.coeff((T(2, 1), T(1, 1))).is_zero()
@@ -80,7 +79,6 @@ def test_ncpoly_int_coercion():
     assert (a - a) == 0
     assert a + 1 == a + NCPoly.one(ctx)
     assert 2 * a == a + a
-    assert (a * a + a + 1).degrees() == [0, 1, 2]
 
 
 def test_ncpoly_str_sorted():

@@ -23,12 +23,12 @@ def statuses(rep):
 
 
 def standard_family():
-    qp = load("qplane_qprs")
-    return qp, SpectralFamily(qp.B, qp.theta)
+    ws = load("qplane_qprs")
+    return ws, SpectralFamily(ws.B, ws.theta)
 
 
 def test_first_route_standard():
-    qp, fam = standard_family()
+    ws, fam = standard_family()
     rep = fam.first_report("lam", "mu")
     assert rep.verdict() == "pass"
     assert statuses(rep) == {
@@ -39,7 +39,7 @@ def test_first_route_standard():
 
 
 def test_second_route_standard():
-    qp, fam = standard_family()
+    ws, fam = standard_family()
     rep = fam.second_report("lam", "mu")
     assert rep.verdict() == "pass"
     st = statuses(rep)
@@ -50,37 +50,37 @@ def test_second_route_standard():
 
 
 def test_spectral_relation_rank():
-    qp = load("qplane_qprs")
-    data = spectral_relations(qp.B, qp.theta, ("lam", "mu"))
+    ws = load("qplane_qprs")
+    data = spectral_relations(ws.B, ws.theta, ("lam", "mu"))
     assert len(data["relations"].polys) == 16
     assert data["relations"].rank() == 16
 
 
 def test_flip_routes():
-    qp = load("qplane_qprs")
-    flip = flip_theta(qp.ctx, 2)
-    assert SpectralFamily(qp.B, flip).first_report("lam", "mu").verdict() == "pass"
-    rep = SpectralFamily(qp.B, flip).second_report("lam", "mu")
+    ws = load("qplane_qprs")
+    flip = flip_theta(ws.ctx, 2)
+    assert SpectralFamily(ws.B, flip).first_report("lam", "mu").verdict() == "pass"
+    rep = SpectralFamily(ws.B, flip).second_report("lam", "mu")
     assert rep.verdict() == "pass"
     # the flip carries no recorded factorization, so the weight is reported
     assert statuses(rep)["weight-table"] == "info"
 
 
 def test_identity_exchange_same_label_degenerates():
-    qp = load("qplane_qprs")
-    ident = identity4(qp.ctx, 2)
-    data = spectral_relations(ident, qp.theta, (None, None))
+    ws = load("qplane_qprs")
+    ident = identity4(ws.ctx, 2)
+    data = spectral_relations(ident, ws.theta, (None, None))
     assert all(p.is_zero() for p in data["entries"].values())
-    rep = SpectralFamily(ident, qp.theta).first_report(None, None)
+    rep = SpectralFamily(ident, ws.theta).first_report(None, None)
     assert rep.verdict() == "pass"
 
 
 def test_weighted_trace_identity_for_factorized_and_flip():
-    qp = load("qplane_qprs")
-    assert weighted_trace(qp.theta) == delta(qp.ctx, 2)
-    assert weighted_trace(flip_theta(qp.ctx, 2)) == delta(qp.ctx, 2)
-    assert check_trace_ansatz(qp.theta) is True
-    assert check_trace_ansatz(flip_theta(qp.ctx, 2)) is True
+    ws = load("qplane_qprs")
+    assert weighted_trace(ws.theta) == delta(ws.ctx, 2)
+    assert weighted_trace(flip_theta(ws.ctx, 2)) == delta(ws.ctx, 2)
+    assert check_trace_ansatz(ws.theta) is True
+    assert check_trace_ansatz(flip_theta(ws.ctx, 2)) is True
 
 
 def test_weighted_trace_element_shape():
@@ -101,18 +101,18 @@ def test_trace_ansatz_rejects_invalid_theta():
 
 
 def test_weight_commutation_negative():
-    qp = load("qplane_qprs")
-    ctx = qp.ctx
+    ws = load("qplane_qprs")
+    ctx = ws.ctx
     w_bad = Tensor(ctx, 2, 1, 1, {(1, 1): ctx.one, (2, 2): ctx.parse("2")})
-    assert weight_commutation_holds(qp.B, w_bad) is False
-    assert weight_commutation_holds(qp.B, delta(ctx, 2)) is True
+    assert weight_commutation_holds(ws.B, w_bad) is False
+    assert weight_commutation_holds(ws.B, delta(ctx, 2)) is True
 
 
 def test_raw_theta_second_route():
-    qp = load("qplane_qp")
+    ws = load("qplane_qp")
     # the factorized two-parameter tensor, without its character table
-    raw = ThetaMap(qp.theta.tensor)
-    rep = SpectralFamily(qp.B, raw).second_report("lam", "mu")
+    raw = ThetaMap(ws.theta.tensor)
+    rep = SpectralFamily(ws.B, raw).second_report("lam", "mu")
     assert rep.verdict() == "pass"
     st = statuses(rep)
     assert st["weight-table"] == "info"
@@ -120,19 +120,19 @@ def test_raw_theta_second_route():
 
 
 def test_singular_exchange_rejected():
-    qp = load("qplane_qprs")
-    ctx = qp.ctx
+    ws = load("qplane_qprs")
+    ctx = ws.ctx
     rows = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "0"]]
     singular = from_matrix(ctx, 2, rows)
     with pytest.raises(NotInvertible):
-        SpectralFamily(singular, qp.theta).first_report("lam", "mu")
+        SpectralFamily(singular, ws.theta).first_report("lam", "mu")
     with pytest.raises(NotInvertible):
-        SpectralFamily(singular, qp.theta).second_report("lam", "mu")
+        SpectralFamily(singular, ws.theta).second_report("lam", "mu")
 
 
 def test_both_routes_share_one_inverse_and_one_relation_table(monkeypatch):
     # invert4 reaches to_matrix once for each inversion it computes
-    qp, fam = standard_family()
+    ws, fam = standard_family()
     calls = {"to_matrix": [], "spectral_relations": []}
     for module, name in ((tensors, "to_matrix"), (integrable, "spectral_relations")):
         original = getattr(module, name)

@@ -36,8 +36,9 @@ which includes every shipped input, never loads sympy.
 
 The benchmark reaches into the package from outside: ``bench/tracer.py``
 wraps the functions its HOT and SPANNED tables name, and
-``bench/worker.py`` builds a Workspace the way the CLI does.  A change
-that removes one of those names fails here, not first in the benchmark.
+``bench/worker.py`` builds a Workspace from two positional arguments, the
+parsed file and the bindings, and reads its relations.  A change that
+removes one of those names fails here, not first in the benchmark.
 """
 
 import ast
@@ -238,7 +239,7 @@ def test_benchmark_builds_a_workspace():
     # and (name, expression) bindings
     path = str(SRC / "data" / "qplane_qprs.alg")
     ws = cli.Workspace(cli.parse_algebra_file(path), [("r", "0"), ("s", "0")])
-    assert ws.qp.relations().rank() == 6
+    assert ws.relations().rank() == 6
 
 
 def sympy_imports():

@@ -1,10 +1,13 @@
 """End-to-end checks of the deformed-plane configuration and its reports."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import load, one_parameter_relations, two_parameter_relations
-from ncorep.cli import Workspace, parse_algebra_file
-from ncorep.corep import QuadraticSpace, ThetaMap, poly_vector
+from ncorep.cli import Workspace, _resolve_input, parse_algebra_file
+from ncorep.corep import poly_vector
 from ncorep.errors import (
     DenominatorVanishes,
     InputFormat,
@@ -13,7 +16,6 @@ from ncorep.errors import (
 )
 from ncorep.freealg import NCPoly, row_space_compare
 from ncorep.qplane import (
-    QPlaneContext,
     cross_relations,
     determinant,
     relation_report,
@@ -21,9 +23,9 @@ from ncorep.qplane import (
     verify_D_commutations,
     verify_gamma_action_table,
 )
-from ncorep.rewrite import matrix_order
-from ncorep.tensors import Tensor
+from ncorep.rewrite import TermOrder, matrix_order, orient
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 LIMIT = (("r", "0"), ("s", "0"))
 # the character table is the identity at r = s = 0, p = 1: the plain flip
 FLIP = LIMIT + (("p", "1"),)
@@ -34,10 +36,10 @@ def statuses(rep):
 
 
 def test_build_context_smoke():
-    qp = load("qplane_qprs")
-    assert qp.B.dim == 2
-    assert qp.theta.rho is not None
-    assert len(qp.gens) == 4
+    ws = load("qplane_qprs")
+    assert ws.B.dim == 2
+    assert ws.theta.rho is not None
+    assert len(ws.gens) == 4
 
 
 def test_build_context_rejects_singular_character_table(tmp_path):
@@ -52,10 +54,10 @@ def test_build_context_rejects_singular_character_table(tmp_path):
 
 
 def test_relation_report_full_parameters():
-    qp = load("qplane_qprs")
-    rep = relation_report(qp)
+    ws = load("qplane_qprs")
+    rep = relation_report(ws)
     assert rep.verdict() == "pass"
-    assert qp.relations().rank() == 6
+    assert ws.relations().rank() == 6
 
 
 def test_relation_report_flip():
@@ -67,13 +69,13 @@ def test_relation_report_flip():
 
 
 def test_determinant_full_vs_matrix_pair():
-    qp = load("qplane_qprs")
-    ctx = qp.ctx
-    det = determinant(qp)
-    mform = qp.M.get(1, 2, 1, 2) - ctx.gen("q") * qp.M.get(1, 2, 2, 1)
+    ws = load("qplane_qprs")
+    ctx = ws.ctx
+    det = determinant(ws)
+    mform = ws.M.get(1, 2, 1, 2) - ctx.gen("q") * ws.M.get(1, 2, 2, 1)
     assert det == mform
     # the four-term shape only appears after reduction by the relations
-    a, b, c, d = (NCPoly.gen(ctx, g) for g in qp.gens)
+    a, b, c, d = (NCPoly.gen(ctx, g) for g in ws.gens)
     expanded = (
         a * d
         - ctx.parse("(q/p)*(1 - r)") * (b * c)
@@ -82,7 +84,7 @@ def test_determinant_full_vs_matrix_pair():
     )
     diff = det - expanded
     assert not diff.is_zero()
-    assert qp.relations().basis().contains(poly_vector(diff))
+    assert ws.relations().basis().contains(poly_vector(diff))
 
 
 def test_determinant_limit_two_terms():
@@ -101,28 +103,55 @@ def test_determinant_flip_classical():
     assert dflip.substitute([("q", "1")]) == (a * d - b * c)
 
 
-def test_context_keeps_each_derivation():
-    fc = load("qplane_qprs", *FLIP)
-    assert fc.relations() is fc.relations()
-    order = matrix_order(2)
-    assert fc.rewrite_system(order) is fc.rewrite_system(matrix_order(2))
-    assert fc.determinant() is fc.determinant()
-    entries = dict(fc.theta.tensor.entries)
-    entries[(2, 1, 1, 2)] = fc.ctx.gen("q")
-    theta = ThetaMap(Tensor(fc.ctx, 2, 2, 2, entries))
-    bad = QPlaneContext(fc.ctx, fc.B, theta, fc.bosonic, fc.grassmann)
+def test_context_keeps_each_derivation(monkeypatch):
+    reverse = TermOrder(reversed(matrix_order(2).precedence))
+    af = parse_algebra_file(_resolve_input("qplane_qp"))
+    ws = Workspace(af, (), order=reverse, max_degree=2)
+    assert ws.order is reverse and ws.max_degree == 2
+    # every module that binds orient gets the counting wrapper
+    oriented = []
+
+    def counting(relations, order):
+        oriented.append(order)
+        return orient(relations, order)
+
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("ncorep.") and getattr(module, "orient", None) is orient:
+            monkeypatch.setattr(module, "orient", counting)
+    assert verify_D_commutations(ws).verdict() == "pass"
+    assert verify_antipode(ws).verdict() == "pass"
+    assert oriented == [reverse]
+    assert ws.rewrite_system().order is ws.order
+    kept = (
+        lambda: ws.M,
+        lambda: ws.bosonic,
+        ws.relations,
+        ws.rewrite_system,
+        lambda: ws.confluence(ws.max_degree),
+        ws.determinant,
+        ws.pair_form,
+        ws.cocycle,
+    )
+    for derive in kept:
+        assert derive() is derive()
+    assert len(oriented) == 1
+    # a derivation that raised raises the same error again
+    bad = Workspace(parse_algebra_file(GOLDEN / "corrupt_theta.alg"))
     assert bad.M is bad.M
     with pytest.raises(InvalidTheta) as first:
-        bad.rewrite_system(order)
+        bad.rewrite_system()
     with pytest.raises(InvalidTheta) as again:
         bad.relations()
     assert again.value is first.value
 
 
-def test_determinant_needs_exchange_relation():
-    qp = load("qplane_qprs")
-    bare = QuadraticSpace(qp.ctx, 2, parity="grassmann", relations=[])
-    stripped = QPlaneContext(qp.ctx, qp.B, qp.theta, qp.bosonic, bare)
+def test_determinant_needs_exchange_relation(tmp_path):
+    # the shipped input with its Grassmann space stripped to the square rules
+    text = _resolve_input("qplane_qprs").read_text(encoding="utf-8")
+    path = tmp_path / "bare.alg"
+    path.write_text("".join(line for line in text.splitlines(True) if not line.startswith("rel ")))
+    stripped = Workspace(parse_algebra_file(path))
+    assert stripped.space.relations.rank() == 2
     with pytest.raises(NotGroupCoefficient):
         determinant(stripped)
     with pytest.raises(NotGroupCoefficient) as first:
@@ -159,14 +188,14 @@ def test_limit_relations_match_literal_table():
 
 def test_D_commutations_at_limit():
     lim = load("qplane_qprs", *LIMIT)
-    rep = verify_D_commutations(lim, matrix_order(2))
+    rep = verify_D_commutations(lim)
     assert rep.verdict() == "pass"
     assert statuses(rep)["system-confluent"] == "pass"
 
 
 def test_antipode_at_limit():
     lim = load("qplane_qprs", *LIMIT)
-    rep = verify_antipode(lim, matrix_order(2))
+    rep = verify_antipode(lim)
     assert rep.verdict() == "pass"
     assert len(rep.items) == 9
 

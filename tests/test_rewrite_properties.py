@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import load, worklist_normal_form
 from ncorep.freealg import NCPoly
-from ncorep.rewrite import extend_with_determinant, matrix_order, normal_form
+from ncorep.rewrite import extend_with_determinant, normal_form
 
 COEFFS = ("1", "-2", "q", "1/p", "q^2 - 1", "p*q + 1")
 
@@ -22,13 +22,13 @@ COEFFS = ("1", "-2", "q", "1/p", "q^2 - 1", "p*q + 1")
 @functools.lru_cache(maxsize=None)
 def system(name):
     base = "qplane_qp" if name == "qplane_qp+det" else name
-    qp = load(base)
-    rs = qp.rewrite_system(matrix_order(2))
+    ws = load(base)
+    rs = ws.rewrite_system()
     if name == "qplane_qp+det":
         # the commutations that verify_antipode adjoins the symbol with
         factors = ("1", "1/p^2", "p^2", "1")
-        comm = [(g, qp.ctx.parse(f)) for g, f in zip(qp.gens, factors)]
-        rs = extend_with_determinant(rs, qp.determinant(), comm)
+        comm = [(g, ws.ctx.parse(f)) for g, f in zip(ws.gens, factors)]
+        rs = extend_with_determinant(rs, ws.determinant(), comm)
     return rs
 
 

@@ -134,8 +134,8 @@ def test_vanishing_denominator_computes_every_row_exactly():
 def test_image_decides_every_row_of_the_twisted_exchange_residual():
     # the four-parameter input's twisted tensor fails the identity in all
     # 64 entries, and the image proves each of them
-    qp = load("qplane_qprs")
-    phi = qp.pair_form()
-    a = swap_lower(twist_R(braid_form(phi.pres, qp.B), phi))
+    ws = load("qplane_qprs")
+    phi = ws.pair_form()
+    a = swap_lower(twist_R(braid_form(phi.pres, ws.B), phi))
     assert set(row_kinds(a)) == {"decided"}
     assert len(ybe_residual(a)) == 64 == len(dense_ybe_residual(a).entries)
