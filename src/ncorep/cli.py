@@ -70,7 +70,7 @@ from .rewrite import (
     orient,
 )
 from .scalars import Context
-from .tensors import Tensor, invert2, swap_lower, ybe_residual
+from .tensors import Tensor, swap_lower, ybe_residual
 
 _SECTIONS = ("algebra", "B", "Bprime", "theta", "space", "commands")
 _NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
@@ -300,7 +300,10 @@ class Workspace:
     checked under, and everything derived from it.
 
     The configuration is the exchange tensor B, the twisting tensor theta
-    and the odd coordinate space, with the requested substitutions applied.
+    and the odd coordinate space.  The requested substitutions are applied
+    once to each parsed table (B, B', the character table or the raw theta
+    entries, the space relations), and theta is built once from the
+    substituted table.
     Each derivation (the matrix M, the even space, the relation ideal, the
     oriented system and its overlap analysis, the determinant, the character
     pair form and its cocycle check) is computed on first use and kept; one
@@ -316,34 +319,18 @@ class Workspace:
         self.order = order or default
         self.max_degree = max_degree
         self._derived = {}
-        B = af.B
-        Bp = af.Bprime
-        rels = list(af.space_relations)
+        self.B = af.B.substitute(bindings)
+        self.Bprime = None if af.Bprime is None else af.Bprime.substitute(bindings)
         if af.rho is not None:
             try:
-                th = factorized_theta(af.ctx, af.rho)
+                self.theta = factorized_theta(af.ctx, af.rho.substitute(bindings))
             except NotInvertible:
                 raise InputFormat("[theta] character table is not invertible")
         else:
-            th = ThetaMap(af.theta_entries)
-        # applied one at a time and in the given order: a limit that exists
-        # only in one order (r then s) hits a vanishing denominator in the other
-        for b in bindings:
-            B = B.substitute([b])
-            if Bp is not None:
-                Bp = Bp.substitute([b])
-            t2 = th.tensor.substitute([b])
-            if th.rho is not None:
-                rho2 = th.rho.substitute([b])
-                th = ThetaMap(t2, rho=rho2, rhobar=invert2(rho2))
-            else:
-                th = ThetaMap(t2)
-            rels = [r.substitute([b]) for r in rels]
-        self.B = B
-        self.Bprime = Bp
-        self.theta = th
+            self.theta = ThetaMap(af.theta_entries.substitute(bindings))
         self.space = None
         if af.has_space:
+            rels = [r.substitute(bindings) for r in af.space_relations]
             self.space = QuadraticSpace(af.ctx, af.dim, parity=af.parity, relations=rels)
 
     def _once(self, key, make):
@@ -745,7 +732,7 @@ def _parse_substs(af, raw):
             raise InputFormat("--subst expects NAME=EXPR, got %r" % item)
         if name not in af.params:
             raise InputFormat("--subst names unknown parameter %r" % name)
-        out.append((name, expr))
+        out.append((name, af.ctx.parse(expr)))
     return out
 
 

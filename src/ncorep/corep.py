@@ -71,29 +71,16 @@ from .tensors import Tensor, invert2
 
 
 class ThetaMap:
-    """A twisting tensor, optionally remembered together with a factorization."""
+    """A twisting tensor, with the character table it factors through when
+    it was built by factorized_theta."""
 
-    def __init__(self, tensor: Tensor, rho=None, rhobar=None):
+    def __init__(self, tensor: Tensor, rho=None):
         if tensor.nlower != 2 or tensor.nupper != 2:
             raise ShapeMismatch("twisting tensor must have two lower and two upper legs")
         self.tensor = tensor
         self.rho = rho
-        self.rhobar = rhobar
         self._validation = None
         self._images = None
-        if rho is not None:
-            if rhobar is None:
-                raise ValueError("factorized map needs both rho and its inverse")
-            n = tensor.dim
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    for k in range(1, n + 1):
-                        for l in range(1, n + 1):
-                            if tensor.get(i, j, k, l) != rho.get(i, l) * rhobar.get(j, k):
-                                raise InvalidTheta(
-                                    "tensor entry (%d,%d,%d,%d) does not match the declared factorization"
-                                    % (i, j, k, l)
-                                )
 
     @property
     def dim(self):
@@ -129,7 +116,7 @@ def factorized_theta(ctx, rho: Tensor) -> ThetaMap:
         for (i, l), a in rho.entries.items()
         for (j, k), b in rhobar.entries.items()
     }
-    return ThetaMap(Tensor(ctx, rho.dim, 2, 2, entries), rho=rho, rhobar=rhobar)
+    return ThetaMap(Tensor(ctx, rho.dim, 2, 2, entries), rho=rho)
 
 
 def validate_theta(t: Tensor):

@@ -157,11 +157,8 @@ class NCPoly:
             return NotImplemented
         return self * s
 
-    def map_coeffs(self, f):
-        return NCPoly(self.ctx, {w: f(c) for w, c in self.terms.items()})
-
     def substitute(self, bindings):
-        return self.map_coeffs(lambda c: c.substitute(bindings))
+        return NCPoly(self.ctx, {w: c.substitute(bindings) for w, c in self.terms.items()})
 
     # -- comparison ------------------------------------------------------
 

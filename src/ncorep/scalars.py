@@ -328,7 +328,9 @@ class Scalar:
         bindings: dict (insertion order respected) or iterable of
         (name, value) pairs; values coerce like Context.scalar.
         Raises DenominatorVanishes when a step kills this scalar's
-        denominator as a polynomial identity.
+        denominator as a polynomial identity.  The order matters: a limit
+        that exists only in one order (r then s) hits a vanishing
+        denominator in the other.
         """
         items = list(bindings.items()) if isinstance(bindings, dict) else list(bindings)
         cur = self

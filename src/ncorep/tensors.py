@@ -114,14 +114,11 @@ class Tensor:
             and self.entries == other.entries
         )
 
-    def map_entries(self, f):
+    def substitute(self, bindings):
         return Tensor(
             self.ctx, self.dim, self.nlower, self.nupper,
-            {idx: f(v) for idx, v in self.entries.items()},
+            {idx: v.substitute(bindings) for idx, v in self.entries.items()},
         )
-
-    def substitute(self, bindings):
-        return self.map_entries(lambda v: v.substitute(bindings))
 
     def entry_list(self):
         """Sorted sparse entries [(i1,...,kN), canonical string] for reports."""

@@ -12,12 +12,49 @@ from sympy.polys.fields import field
 
 from ncorep.cli import Workspace, _resolve_input, parse_algebra_file
 from ncorep.bialg import LinearForm
-from ncorep.corep import MMatrix, ThetaMap, require_valid
-from ncorep.errors import MissingImage, ShapeMismatch
+from ncorep.corep import MMatrix, QuadraticSpace, ThetaMap, factorized_theta, require_valid
+from ncorep.errors import InputFormat, MissingImage, NotInvertible, ShapeMismatch
 from ncorep.freealg import NCPoly, PairPoly, RelationSet, T, apply_hom
 from ncorep.integrable import weighted_trace
 from ncorep.scalars import Scalar, _den
-from ncorep.tensors import Tensor, compose, delta, invert4
+from ncorep.tensors import Tensor, compose, delta, invert2, invert4
+
+
+def per_binding_configuration(af, bindings):
+    """(B, B', theta tensor, character table or None, space relations) of af
+    with bindings applied the way Workspace once applied them.
+
+    The twist is built from the unsubstituted table; then each binding in
+    turn is applied to B, B', the twist's tensor, its character table and the
+    space relations, and the substituted table is inverted again.  The
+    factorization theta_ij^kl = rho_i^l rhobar_j^k is asserted after every
+    binding.  The tests compare Workspace, which substitutes each parsed
+    table once and builds the twist once, with it.
+    """
+    B, Bp, rels = af.B, af.Bprime, list(af.space_relations)
+    rho = af.rho
+    if rho is not None:
+        try:
+            tensor = factorized_theta(af.ctx, rho).tensor
+        except NotInvertible:
+            raise InputFormat("[theta] character table is not invertible")
+    else:
+        tensor = af.theta_entries
+    for b in bindings:
+        B = B.substitute([b])
+        if Bp is not None:
+            Bp = Bp.substitute([b])
+        tensor = tensor.substitute([b])
+        if rho is not None:
+            rho = rho.substitute([b])
+            rhobar = invert2(rho)
+            rng = range(1, af.dim + 1)
+            for i, j, k, l in itertools.product(rng, repeat=4):
+                assert tensor.get(i, j, k, l) == rho.get(i, l) * rhobar.get(j, k)
+        rels = [r.substitute([b]) for r in rels]
+    if af.has_space:
+        rels = QuadraticSpace(af.ctx, af.dim, parity=af.parity, relations=rels).relations.polys
+    return B, Bp, tensor, rho, rels
 
 
 def load(name, *bindings):

@@ -8,8 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncorep
+from conftest import per_binding_configuration
 from ncorep.bialg import Presentation
 from ncorep.cli import (
     Workspace,
@@ -18,7 +21,7 @@ from ncorep.cli import (
     parse_algebra_file,
 )
 from ncorep.corep import MMatrix
-from ncorep.errors import InputFormat
+from ncorep.errors import InputFormat, NCorepError
 from ncorep.freealg import RelationSet
 from ncorep.rewrite import RewriteSystem
 
@@ -139,6 +142,51 @@ def test_workspace_substitution_order(tmp_path):
 
     with pytest.raises(DenominatorVanishes):
         Workspace(af, [("s", "0"), ("r", "0")])
+
+
+SUBSTITUTED = tuple(
+    parse_algebra_file(_resolve_input(name))
+    for name in ("qplane_qprs", "qplane_qp", "qplane_frt", "spectral_demo")
+)
+
+
+def binding_pool(params):
+    """Values a binding draws: constants, a parameter and a quotient."""
+    return ("0", "1", "-1", params[-1], "%s/%s" % (params[0], params[-1]), "1/(%s - 1)" % params[0])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_workspace_matches_the_per_binding_construction(data):
+    af = data.draw(st.sampled_from(SUBSTITUTED))
+    pair = st.tuples(st.sampled_from(af.params), st.sampled_from(binding_pool(af.params)))
+    bindings = data.draw(st.lists(pair, max_size=3))
+    try:
+        want = per_binding_configuration(af, bindings)
+    except NCorepError:
+        want = None
+    try:
+        # the command line hands Workspace parsed values, the reference strings
+        ws = Workspace(af, [(name, af.ctx.parse(v)) for name, v in bindings])
+    except NCorepError:
+        assert want is None
+        return
+    assert want is not None
+    rels = ws.space.relations.polys if ws.space is not None else []
+    got = (ws.B, ws.Bprime, ws.theta.tensor, ws.theta.rho, *rels)
+    want = (*want[:4], *want[4])
+    assert got == want
+    assert [str(x) for x in got] == [str(x) for x in want]
+
+
+@pytest.mark.parametrize("rho22", ["1", "p"])
+def test_singular_substituted_table_reports_the_table(rho22, tmp_path, capsys):
+    # the substituted character table is inverted once, so a binding that
+    # makes it singular gets the message of a table that is singular as read
+    table = 'rho 1 1 = "p"\nrho 2 2 = "%s"' % rho22
+    path = write(tmp_path, BASE.replace('rho 1 1 = "1"\nrho 2 2 = "1/p"', table))
+    assert main(["ybe", "--input", path, "--subst", "p=0"]) == 2
+    assert capsys.readouterr() == ("", "ncorep: [theta] character table is not invertible\n")
 
 
 def test_ybe_exit_zero():

@@ -91,14 +91,6 @@ def test_validate_corrupted():
     assert kinds == {"coassociativity"}
 
 
-def test_thetamap_rejects_wrong_factorization():
-    ctx = ctx4()
-    rho = rho_full(ctx)
-    ident = tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "1"), ((2, 2), "1")])
-    with pytest.raises(InvalidTheta):
-        ThetaMap(flip_theta(ctx, 2).tensor, rho=rho, rhobar=ident)
-
-
 def test_build_M_entries():
     ctx = ctx4()
     th = factorized_theta(ctx, rho_full(ctx))

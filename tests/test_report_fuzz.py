@@ -4,7 +4,11 @@ Relabelling: swapping the basis indices 1 and 2 in [B], [Bprime] and
 [theta] permutes the exchange tensor, the twist and every residual, so the
 braid checks must keep their status and their count of nonzero residual
 entries.  That is checked on the four shipped inputs and on random dim-2
-character tables.
+character tables.  The two seed-1 GL(3) inputs are relabelled by each of
+the six permutations of 1, 2, 3 and run with --order set to the image of
+the row-major order; every full-report record keeps its status, rank,
+rule count, ambiguity count and pbw counts.  On the triangular table that
+fails without the matching order and fails when only [B] is relabelled.
 
 Mutation: seeded value-level mutants of the dim-2 shipped inputs (a
 coefficient replaced, an entry deleted, an entry inserted) run through
@@ -15,8 +19,10 @@ reach the rows of the braid residual that its modular image leaves open.
 Dim-3 mutants can run for minutes, so none is drawn.
 """
 
+import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,12 +30,15 @@ from hypothesis import strategies as st
 
 from ncorep.cli import _resolve_input, main
 
+GOLDEN = Path(__file__).parent / "golden"
+GL3 = ("gl3_seed1.alg", "gl3_seed1_rho13.alg")
 SHIPPED = ("qplane_qprs", "qplane_qp", "qplane_frt", "spectral_demo")
 ENTRY_SECTIONS = ("[B]", "[Bprime]", "[theta]")
 BRAID_RECORDS = {
     "ybe": ("braid-identity", "alternative-tensor"),
     "twist-r": ("twisted-braiding",),
 }
+SWAP = {"1": "2", "2": "1"}
 VALUES = (
     "0", "1", "-1", "2", "q", "1/q", "q^-2", "1 - q^2", "1/(q^2 + 1)", "p",
     "(q - 1)/(p - 1)", "-p/q", "q/0", "z", "(q",
@@ -52,21 +61,20 @@ def entry_lines(lines):
     return out
 
 
-def relabel(text):
-    """text with the indices 1 and 2 swapped in [B], [Bprime] and [theta]."""
+def relabel(text, perm=SWAP):
+    """text with the indices renamed by perm in [B], [Bprime] and [theta]."""
     lines = text.splitlines()
-    swap = {"1": "2", "2": "1"}
     for n, _ in entry_lines(lines):
         left, _, right = lines[n].partition("=")
-        lines[n] = " ".join(swap.get(t, t) for t in left.split()) + " =" + right
+        lines[n] = " ".join(perm.get(t, t) for t in left.split()) + " =" + right
     return "\n".join(lines) + "\n"
 
 
-def run(path, command, json_path, capsys):
+def run(path, command, json_path, capsys, flags=()):
     """(exit code, stdout, stderr, JSON bytes or None) of one cli.main call."""
     if json_path.exists():
         json_path.unlink()
-    argv = ["--input", str(path), "--json", str(json_path)]
+    argv = ["--input", str(path), "--json", str(json_path), *flags]
     code = main(argv + [command] if command else argv)
     out, err = capsys.readouterr()
     return code, out, err, json_path.read_bytes() if json_path.exists() else None
@@ -129,6 +137,40 @@ def test_relabelling_keeps_the_braid_records_of_character_tables(rho, tmp_path, 
     cells = [(1, 1), (1, 2), (2, 1), (2, 2)]
     lines = ['rho %d %d = "%s"' % (i, j, v) for (i, j), v in zip(cells, rho)]
     assert_relabelling_keeps_braid_records(CHARACTER_TEMPLATE % "\n".join(lines), tmp_path, capsys)
+
+
+def record_shapes(raw):
+    """{record: (status, rank, rule count, ambiguity count, pbw counts)} of a
+    JSON report; the quantities a relabelling with a matching order keeps."""
+    out = {}
+    for c in json.loads(raw)["checks"]:
+        art = c["artifacts"]
+        rules = art.get("rules")
+        out[c["name"]] = (
+            c["status"],
+            art.get("rank"),
+            len(rules) if isinstance(rules, list) else rules,
+            art.get("ambiguities"),
+            art.get("counts"),
+        )
+    return out
+
+
+@pytest.mark.parametrize("sigma", itertools.permutations((1, 2, 3)), ids=lambda s: "".join(map(str, s)))
+@pytest.mark.parametrize("name", GL3)
+def test_relabelling_with_its_order_keeps_the_gl3_full_report(name, sigma, tmp_path, capsys):
+    # renaming index i to sigma(i) and ordering the generators by the image of
+    # the row-major order is an isomorphism of the whole computation, so every
+    # record keeps its status and its counts
+    path = GOLDEN / name
+    text = path.read_text(encoding="utf-8")
+    code, _, _, raw = run(path, "full-report", tmp_path / "original.json", capsys)
+    relabelled = tmp_path / "relabelled.alg"
+    relabelled.write_text(relabel(text, {str(i): str(s) for i, s in zip((1, 2, 3), sigma)}), encoding="utf-8")
+    order = "<".join("T[%d,%d]" % (sigma[i - 1], sigma[j - 1]) for i in (1, 2, 3) for j in (1, 2, 3))
+    got = run(relabelled, "full-report", tmp_path / "relabelled.json", capsys, ("--order", order))
+    assert got[0] == code
+    assert record_shapes(got[3]) == record_shapes(raw)
 
 
 def mutate(text, rnd):

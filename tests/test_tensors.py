@@ -76,12 +76,12 @@ def test_zero_entries_dropped():
 def test_linear_ops():
     ctx = Context(["q"])
     q = ctx.gen("q")
-    # a Tensor has no + or -: entrywise maps go through map_entries, whose
-    # result drops the entries that became zero
-    a = tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "1"), ((1, 2), "q")])
-    assert a.map_entries(lambda v: v - v).entries == {}
-    assert a.map_entries(lambda v: v * q).get(1, 2) == q * q
-    assert a.map_entries(lambda v: -v).get(1, 1) == -ctx.one
+    # a Tensor has no + or -: its one entrywise map is substitute, whose
+    # result drops the entries that became zero and keeps the others
+    a = tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "1"), ((1, 2), "q"), ((2, 2), "q - 1")])
+    assert a.substitute([("q", 0)]).entries == {(1, 1): ctx.one, (2, 2): -ctx.one}
+    assert a.substitute([("q", 1)]).entries == {(1, 1): ctx.one, (1, 2): ctx.one}
+    assert a.substitute([("q", "q^2")]).get(1, 2) == q * q
 
 
 def test_matrix_roundtrip():
