@@ -23,26 +23,26 @@ twisting by an invertible form a finite computation.
 The 2-cocycle identity needs only two-letter words.  Write phi_ij^kl for
 base[(i, j, k, l)].  The coproduct of T_k^t is sum_m T_k^m (x) T_m^t, so the
 first law with x = T_a^r, y = T_b^s, z = T_k^t and the second with
-x = T_i^r, y = T_b^s, z = T_c^t give
+x = T_i^r, y = T_b^s, z = T_c^t give phi(T_a^r T_b^s (x) T_k^t) = left_abk^rst
+and phi(T_i^r (x) T_b^s T_c^t) = right_bci^rst below, and the two sides of
+the identity on T_i^r (x) T_j^s (x) T_k^t are contractions of three copies
+of the table, each written as its tensors.contract spec:
 
-    phi(T_a^r T_b^s (x) T_k^t) = sum_m phi_ak^rm phi_bm^st
-    phi(T_i^r (x) T_b^s T_c^t) = sum_m phi_ic^mt phi_mb^rs
+    left_abk^rst  = sum_m phi_ak^rm phi_bm^st          "akrm,bmst->abkrst"
+    right_bci^rst = sum_m phi_ic^mt phi_mb^rs          "icmt,mbrs->bcirst"
+    LHS_ijk^rst   = sum_{a,b} phi_ij^ab left_abk^rst   "abkrst,ijab->ijkrst"
+    RHS_ijk^rst   = sum_{b,c} phi_jk^bc right_bci^rst  "bcirst,jkbc->ijkrst"
 
-and the two sides of the identity on T_i^r (x) T_j^s (x) T_k^t are
-contractions of three copies of the table:
-
-    LHS_ijk^rst = sum_{a,b,m} phi_ij^ab phi_ak^rm phi_bm^st
-    RHS_ijk^rst = sum_{b,c,m} phi_jk^bc phi_ic^mt phi_mb^rs
-
-The contractions below run over nonzero table entries only and build each
-sum in one dict; the corep module docstring says why that changes no result.
+The character form phi_ij^kl = delta_i^k rho_j^l is "ik,jl->ijkl", the
+R-matrix of a braid tensor "jikl->ijkl" (tensors.swap_lower), and phibar_21
+in twist_R the transposition "ijkl->jilk" of the inverse table.
 """
 
 import itertools
 
 from .errors import PresentationMismatch, UnknownGenerator
 from .freealg import NCPoly, PairPoly, RelationSet, T, add_terms
-from .tensors import Tensor, compose, invert4
+from .tensors import Tensor, compose, contract, delta, invert4, swap_lower
 
 
 class Presentation:
@@ -148,16 +148,12 @@ class LinearForm:
 
 def braid_form(pres, braid: Tensor) -> LinearForm:
     """The form whose generator-pair table is the R-matrix of a braid tensor."""
-    from .tensors import swap_lower
-
     return LinearForm(pres, swap_lower(braid))
 
 
 def character_pair_form(pres, rho: Tensor) -> LinearForm:
     """The form  counit (x) rho  for a 2-index character table rho."""
-    n = pres.dim
-    entries = {(i, j, i, l): c for i in range(1, n + 1) for (j, l), c in rho.entries.items()}
-    return LinearForm(pres, Tensor(pres.ctx, n, 2, 2, entries))
+    return LinearForm(pres, contract("ik,jl->ijkl", delta(pres.ctx, pres.dim), rho))
 
 
 def cocycle_check(phi: LinearForm):
@@ -167,39 +163,17 @@ def cocycle_check(phi: LinearForm):
     with      sum_{b,c} phi(T_j^b (x) T_k^c) phi(T_i^r (x) T_b^s T_c^t);
     the two sides are the convolution products phi_12 * (phi o (m (x) id))
     and phi_23 * (phi o (id (x) m)) evaluated on T_i^r (x) T_j^s (x) T_k^t.
-    Both are contractions of three copies of the table (module docstring),
-    summed over its nonzero entries; the residuals are the nonzero
-    LHS - RHS in sorted key order.
+    Both are contractions of three copies of the table (module docstring);
+    the residuals are the nonzero LHS - RHS in sorted key order.
     """
     base = phi.base
     invert4(base)  # NotInvertible when phi cannot be convolution-inverted
-    by_lower, by_r, by_t = base.index((0, 1)), base.index((2,)), base.index((3,))
-    # the splitting laws' sums over m, keyed by the letters they pair with:
-    #   left[(a, b)][(k, r, s, t)]  = phi(T_a^r T_b^s (x) T_k^t) = sum_m phi_ak^rm phi_bm^st
-    #   right[(b, c)][(i, r, s, t)] = phi(T_i^r (x) T_b^s T_c^t) = sum_m phi_ic^mt phi_mb^rs
-    left, right, diff = {}, {}, {}
-    with phi.pres.ctx.products():
-        for (b, m), row in by_lower.items():
-            for (a, k, r, _), x in by_t.get((m,), ()):
-                add_terms(left.setdefault((a, b), {}), (
-                    ((k, r, s, t), x * y) for (_, _, s, t), y in row
-                ))
-        for (m, b), row in by_lower.items():
-            for (i, c, _, t), x in by_r.get((m,), ()):
-                add_terms(right.setdefault((b, c), {}), (
-                    ((i, r, s, t), x * y) for (_, _, r, s), y in row
-                ))
-        # LHS - RHS: phi_ij^ab left[(a, b)] - phi_jk^bc right[(b, c)]
-        for (i, j, a, b), x in base.entries.items():
-            add_terms(diff, (
-                ((i, j, k, r, s, t), x * y) for (k, r, s, t), y in left.get((a, b), {}).items()
-            ))
-        for (j, k, b, c), x in base.entries.items():
-            x = -x
-            add_terms(diff, (
-                ((i, j, k, r, s, t), x * y) for (i, r, s, t), y in right.get((b, c), {}).items()
-            ))
-    residuals = {key: d for key, d in sorted(diff.items()) if not d.is_zero()}
+    with base.ctx.products():
+        left = contract("akrm,bmst->abkrst", base, base)
+        right = contract("icmt,mbrs->bcirst", base, base)
+        lhs = contract("abkrst,ijab->ijkrst", left, base)
+        rhs = contract("bcirst,jkbc->ijkrst", right, base)
+    residuals = dict(sorted((lhs - rhs).entries.items()))
     return {"holds": not residuals, "residuals": residuals}
 
 
@@ -207,12 +181,7 @@ def twist_R(R: LinearForm, phi: LinearForm) -> Tensor:
     """Generator-pair table of the twisted form  phibar_21 * R * phi."""
     if R.pres is not phi.pres:
         raise PresentationMismatch("forms live on different presentations")
-    n = R.pres.dim
-    inv = invert4(phi.base)
-    swapped = {}
-    for (i, j, k, l), c in inv.entries.items():
-        swapped[(j, i, l, k)] = c
-    phibar21 = Tensor(R.pres.ctx, n, 2, 2, swapped)
+    phibar21 = contract("ijkl->jilk", invert4(phi.base))
     return compose(phibar21, compose(R.base, phi.base))
 
 

@@ -300,10 +300,11 @@ class Workspace:
     checked under, and everything derived from it.
 
     The configuration is the exchange tensor B, the twisting tensor theta
-    and the odd coordinate space.  The requested substitutions are applied
-    once to each parsed table (B, B', the character table or the raw theta
-    entries, the space relations), and theta is built once from the
-    substituted table.
+    and the odd coordinate space.  Each binding's value is read once, a
+    string through Context.scalar, so a bad expression raises before any
+    substitution.  The bindings are applied once to each parsed table (B,
+    B', the character table or the raw theta entries, the space
+    relations), and theta is built once from the substituted table.
     Each derivation (the matrix M, the even space, the relation ideal, the
     oriented system and its overlap analysis, the determinant, the character
     pair form and its cocycle check) is computed on first use and kept; one
@@ -319,6 +320,7 @@ class Workspace:
         self.order = order or default
         self.max_degree = max_degree
         self._derived = {}
+        bindings = [(name, self.ctx.scalar(value)) for name, value in bindings]
         self.B = af.B.substitute(bindings)
         self.Bprime = None if af.Bprime is None else af.Bprime.substitute(bindings)
         if af.rho is not None:

@@ -5,9 +5,14 @@ coaction: the coordinate that crosses a matrix generator picks up
 
     T_i^j  |->  theta_im^jn T_n^m.
 
-Validity of theta is two entrywise identities over the function field
-(a coassociativity-type quadratic one and a counit-type trace one); a
-valid theta makes
+Validity of theta is two entrywise identities over the function field,
+each a tensors.contract spec set against a delta term:
+
+    sum_p theta_ij^pl theta_pk^rs = delta_j^s theta_ik^rl
+      "ijpl,pkrs->ijkrsl"           "js,ikrl->ijkrsl"
+    sum_n theta_jn^kn = delta_j^k   "jnkn->jk"
+
+A valid theta makes
 
     M_ij^kl = T_i^k theta_jn^lm T_m^n
 
@@ -38,17 +43,13 @@ with B G contracted over B's upper pair and G's lower pair.  So the coideal
 identity holds exactly when both right-hand sides vanish: always for a
 group-like M, and otherwise only when B commutes with the defect.
 
-Every identity here is an index contraction, and the tables it contracts
-are mostly zeros (a diagonal character table on dim 3 gives 9 nonzero
-theta entries out of 81).  So each sum runs only over the terms whose
-tensor factors are nonzero, found through Tensor.index, and each sum of
-polynomials is built in one dict whose zero coefficients are dropped once.
-This changes no result: a skipped term has a zero factor, so its product
-is zero, and every stored Scalar is canonical, so adding zero returns the
-other summand unchanged.  The field is exact, so neither does the order in
-which the terms are added.  The outer loops keep their index order, so
-violation lists and residual dicts come out in the same order as from the
-dense loops over every index.
+The tables are mostly zeros (a diagonal character table on dim 3 gives 9
+nonzero theta entries out of 81), so the sums of polynomials here, like
+tensors.contract, run only over the terms whose tensor factors are nonzero,
+found through Tensor.index, and build each sum in one dict.  This changes
+no result: a skipped term has a zero factor, every stored Scalar is
+canonical, and the field is exact, so neither adding zero nor the order of
+the terms changes a sum.  The outer loops keep their index order.
 """
 
 import itertools
@@ -67,7 +68,7 @@ from .freealg import (
     tensor_terms,
     xi,
 )
-from .tensors import Tensor, invert2
+from .tensors import Tensor, contract, delta, invert2
 
 
 class ThetaMap:
@@ -109,47 +110,19 @@ def require_valid(theta: ThetaMap) -> ThetaMap:
 
 
 def factorized_theta(ctx, rho: Tensor) -> ThetaMap:
-    """theta_ij^kl = rho_i^l rhobar_j^k from an invertible 2-index table."""
-    rhobar = invert2(rho)
-    entries = {
-        (i, j, k, l): a * b
-        for (i, l), a in rho.entries.items()
-        for (j, k), b in rhobar.entries.items()
-    }
-    return ThetaMap(Tensor(ctx, rho.dim, 2, 2, entries), rho=rho)
+    """theta_ij^kl = rho_i^l rhobar_j^k, "il,jk->ijkl", from an invertible
+    2-index table."""
+    return ThetaMap(contract("il,jk->ijkl", rho, invert2(rho)), rho=rho)
 
 
 def validate_theta(t: Tensor):
-    """Check the two structural identities; violations come back as data.
-
-    coassociativity:  sum_p theta_ij^pl theta_pk^rs - delta_j^s theta_ik^rl = 0
-    counit:           sum_n theta_jn^kn - delta_j^k = 0
-    """
-    ctx = t.ctx
-    n = t.dim
-    rng = range(1, n + 1)
-    violations = []
-    by_ijl = t.index((0, 1, 3))
-    with ctx.products():
-        for i, j, k, r, s, l in itertools.product(rng, repeat=6):
-            acc = ctx.zero
-            for (_, _, p, _), a in by_ijl.get((i, j, l), ()):
-                b = t.entries.get((p, k, r, s))
-                if b is not None:
-                    acc = acc + a * b
-            if j == s:
-                acc = acc - t.get(i, k, r, l)
-            if not acc.is_zero():
-                violations.append(("coassociativity", (i, j, k, r, s, l), acc))
-    for j in rng:
-        for k in rng:
-            acc = ctx.zero
-            for nn in rng:
-                acc = acc + t.get(j, nn, k, nn)
-            if j == k:
-                acc = acc - ctx.one
-            if not acc.is_zero():
-                violations.append(("counit", (j, k), acc))
+    """Check the two structural identities (module docstring); violations
+    come back as data, the coassociativity ones first, each in index order."""
+    one = delta(t.ctx, t.dim)
+    coassoc = contract("ijpl,pkrs->ijkrsl", t, t) - contract("js,ikrl->ijkrsl", one, t)
+    counit = contract("jnkn->jk", t) - one
+    violations = [("coassociativity", idx, v) for idx, v in sorted(coassoc.entries.items())]
+    violations += [("counit", idx, v) for idx, v in sorted(counit.entries.items())]
     return {"valid": not violations, "violations": violations}
 
 

@@ -15,22 +15,12 @@ from .corep import ThetaMap, build_M, relation_entries, require_valid
 from .errors import AnsatzFailed
 from .freealg import NCPoly, RelationSet, T, add_terms, poly_vector
 from .report import Report, passfail
-from .tensors import Tensor, delta, invert4
+from .tensors import Tensor, contract, delta, invert4
 
 
 def weighted_trace(theta: ThetaMap) -> Tensor:
-    """The first-slot contraction w_j^l = sum_s theta_sj^sl."""
-    t = theta.tensor
-    n = t.dim
-    entries = {}
-    for j in range(1, n + 1):
-        for l in range(1, n + 1):
-            acc = t.ctx.zero
-            for s in range(1, n + 1):
-                acc = acc + t.get(s, j, s, l)
-            if not acc.is_zero():
-                entries[(j, l)] = acc
-    return Tensor(t.ctx, n, 1, 1, entries)
+    """The first-slot contraction w_j^l = sum_s theta_sj^sl, "sjsl->jl"."""
+    return contract("sjsl->jl", theta.tensor)
 
 
 def weighted_trace_element(w: Tensor, label=None) -> NCPoly:
@@ -40,20 +30,7 @@ def weighted_trace_element(w: Tensor, label=None) -> NCPoly:
 
 def weight_commutation_holds(B: Tensor, w: Tensor) -> bool:
     """The weight passes through the exchange tensor: B_ij^rk w_r^l = w_i^r B_rj^lk."""
-    n = B.dim
-    rng = range(1, n + 1)
-    for i in rng:
-     for j in rng:
-      for k in rng:
-       for l in rng:
-        lhs = B.ctx.zero
-        rhs = B.ctx.zero
-        for r in rng:
-            lhs = lhs + B.get(i, j, r, k) * w.get(r, l)
-            rhs = rhs + w.get(i, r) * B.get(r, j, l, k)
-        if lhs != rhs:
-            return False
-    return True
+    return contract("ijrk,rl->ijkl", B, w) == contract("ir,rjlk->ijkl", w, B)
 
 
 def spectral_relations(B: Tensor, theta: ThetaMap, labels):
@@ -76,19 +53,17 @@ def spectral_relations(B: Tensor, theta: ThetaMap, labels):
 def _add_contracted_relation(rep, identity, Binv, w, entries, labels):
     """Record whether the contracted relation entries equal the weighted trace commutator.
 
-    The contraction is sum Binv_mn^rj w_r^i Rel_ij^mn.  Both routes take it,
-    the first with the identity weight, under which the weighted traces are
-    the plain ones.  Returns the commutator.
+    The contraction is sum Binv_mn^rj w_r^i Rel_ij^mn: its scalar weights
+    sum_r Binv_mn^rj w_r^i are "mnrj,ri->ijmn", and each scales one relation
+    entry.  Both routes take it, the first with the identity weight, under
+    which the weighted traces are the plain ones.  Returns the commutator.
     """
     lam, mu = labels
     tlam, tmu = weighted_trace_element(w, lam), weighted_trace_element(w, mu)
     commutator = tlam * tmu - tmu * tlam
     diff = {u: -v for u, v in commutator.terms.items()}
-    by_row = w.index((0,))
-    for (m, nn, r, j), c in Binv.entries.items():
-        for (_, i), cw in by_row.get((r,), ()):
-            f = c * cw
-            add_terms(diff, ((u, v * f) for u, v in entries[(i, j, m, nn)].terms.items()))
+    for key, f in contract("mnrj,ri->ijmn", Binv, w).entries.items():
+        add_terms(diff, ((u, v * f) for u, v in entries[key].terms.items()))
     diff = NCPoly(Binv.ctx, diff)
     rep.add(
         "contracted-relation",

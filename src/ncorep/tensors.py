@@ -14,10 +14,22 @@ index conventions in use for solutions of the quantum Yang-Baxter
 equation (braid form vs R-form) is the explicit swap_lower operation,
 never an implicit relabeling.
 
-Only nonzero entries are stored, and contractions iterate over them:
-index(positions) groups a tensor's entries by the indices at the given
-positions, so a sum over a contracted index visits only the terms whose
-factor from that tensor is nonzero.
+Every contraction of Scalar tables in the package is one contract call, an
+einsum in index letters: contract("akrm,bmst->abkrst", phi, phi) is
+sum_m phi_ak^rm phi_bm^st.  Each factor has a letter per index, lower ones
+first; a repeated letter is an equality filter, a letter missing after the
+arrow is summed over, and the result's first half of letters is lower, its
+second half upper.  Every package tensor has as many upper indices as
+lower ones, so a result of odd length is a ShapeMismatch.  Only nonzero
+entries are stored and visited: index(positions) groups the second
+factor's entries by the letters it shares with the first, and the result
+is summed once through add_terms, its keys in the order they are met.
+
+Three kinds stay written out.  The braid residual below also runs over ints
+mod P and needs the keys of zero sums.  The tables of polynomials
+(corep.build_M, corep._commutator, corep.grouplike_defect,
+bialg.tilde_images and bialg.twisted_product_relations) multiply words.
+invert_matrix is an elimination, not a contraction.
 
 ybe_residual reports only where the braid residual is nonzero, and where it
 can, it proves an entry nonzero by a modular image (scalars.mod_image)
@@ -47,10 +59,14 @@ vanishes at the point.  An image never decides that an entry is zero.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .errors import NotInvertible, ShapeMismatch
 from .freealg import add_terms
 from .scalars import PRIME, Context, mod_image
+
+LETTERS = "abcdefghijklmnopqrstuvwxyz"  # index names for compose's spec
+
 
 class Tensor:
     __slots__ = ("ctx", "dim", "nlower", "nupper", "entries", "_groups", "_inverse")
@@ -60,12 +76,12 @@ class Tensor:
         self.dim = dim
         self.nlower = nlower
         self.nupper = nupper
-        self.entries = {}
-        if entries:
-            for idx, val in entries.items():
+        entries = entries or {}
+        arity, rng = nlower + nupper, set(range(1, dim + 1))
+        if any(len(i) != arity for i in entries) or not set().union(*entries) <= rng:
+            for idx in entries:  # names the first bad index
                 self._check_idx(idx)
-                if not val.is_zero():
-                    self.entries[tuple(idx)] = val
+        self.entries = {tuple(idx): v for idx, v in entries.items() if not v.is_zero()}
         self._groups = {}
         self._inverse = None  # kept by invert4
 
@@ -114,6 +130,12 @@ class Tensor:
             and self.entries == other.entries
         )
 
+    def __sub__(self, other):
+        if not self.same_shape(other):
+            raise ShapeMismatch("cannot subtract tensors of different shapes")
+        out = add_terms(dict(self.entries), ((idx, -v) for idx, v in other.entries.items()))
+        return Tensor(self.ctx, self.dim, self.nlower, self.nupper, out)
+
     def substitute(self, bindings):
         return Tensor(
             self.ctx, self.dim, self.nlower, self.nupper,
@@ -137,20 +159,49 @@ def delta(ctx, dim):
     return Tensor(ctx, dim, 1, 1, {(i, i): ctx.one for i in range(1, dim + 1)})
 
 
+def contract(spec: str, a: Tensor, b: Tensor = None) -> Tensor:
+    """The einsum spec of a, or of a and b, over their nonzero entries.
+
+    "jnkn->jk" is the trace sum_n a_jn^kn, "ijkl->jilk" a transposition and
+    "il,jk->ijkl" an outer product (module docstring).
+    """
+    inputs, out = spec.split("->")
+    names = inputs.split(",")
+    factors = (a,) if b is None else (a, b)
+    if len(names) != len(factors) or any(
+        len(name) != t.nlower + t.nupper or t.dim != a.dim for name, t in zip(names, factors)
+    ):
+        raise ShapeMismatch("%r does not fit the given tensors" % spec)
+    if not out or len(out) % 2:
+        raise ShapeMismatch("%r gives a result of odd length" % spec)
+    # letters by position in a's index followed by b's
+    full, na = "".join(names), len(names[0])
+    first = {c: full.index(c) for c in full}
+    shared = [full.index(c, na) for c in dict.fromkeys(full[na:]) if first[c] < na]
+    same = [(first[c], p) for p, c in enumerate(full) if p > first[c] and p not in shared]
+    key, pick = [first[full[p]] for p in shared], itemgetter(*[first[c] for c in out])
+    # a single factor is contracted with the unit of no indices
+    groups = {(): [((), a.ctx.one)]} if b is None else b.index(p - na for p in shared)
+    with a.ctx.products():
+        terms = add_terms({}, (
+            (pick(idx), x * y)
+            for i, x in a.entries.items()
+            for j, y in groups.get(tuple(i[p] for p in key), ())
+            for idx in (i + j,)
+            if not same or all(idx[p] == idx[q] for p, q in same)
+        ))
+    return Tensor(a.ctx, a.dim, len(out) // 2, len(out) // 2, terms)
+
+
 def compose(a: Tensor, b: Tensor) -> Tensor:
     """Contract all upper indices of a against all lower indices of b, in order."""
-    if a.dim != b.dim or a.nupper != b.nlower:
+    if a.dim != b.dim or a.nupper != b.nlower or a.nlower != b.nupper:
         raise ShapeMismatch(
             "cannot compose (%d,%d) with (%d,%d)" % (a.nlower, a.nupper, b.nlower, b.nupper)
         )
-    out = {}
-    by_lower = b.index(range(b.nlower))
-    for aidx, av in a.entries.items():
-        add_terms(out, (
-            (aidx[: a.nlower] + bidx[b.nlower:], av * bv)
-            for bidx, bv in by_lower.get(aidx[a.nlower:], ())
-        ))
-    return Tensor(a.ctx, a.dim, a.nlower, b.nupper, out)
+    i, k = a.nlower, a.nupper
+    lower, mid, upper = LETTERS[:i], LETTERS[i:i + k], LETTERS[i + k:2 * i + k]
+    return contract("%s%s,%s%s->%s%s" % (lower, mid, mid, upper, lower, upper), a, b)
 
 
 def swap_lower(a: Tensor) -> Tensor:
@@ -161,10 +212,7 @@ def swap_lower(a: Tensor) -> Tensor:
     """
     if a.nlower != 2 or a.nupper != 2:
         raise ShapeMismatch("swap_lower needs a (2,2) tensor")
-    return Tensor(
-        a.ctx, a.dim, 2, 2,
-        {(j, i, k, l): v for (i, j, k, l), v in a.entries.items()},
-    )
+    return contract("jikl->ijkl", a)
 
 
 def ybe_residual(a: Tensor) -> list:

@@ -268,6 +268,51 @@ def worklist_normal_form(poly, rs, strategy="leftmost"):
 # results to equal these exactly, in the same order.
 
 
+def dense_contract(spec, a: Tensor, b: Tensor = None) -> Tensor:
+    """tensors.contract over every index tuple: each letter of spec runs over
+    1..dim, and each term is the product of the factors' entries there."""
+    inputs, out = spec.split("->")
+    names = inputs.split(",")
+    factors = [a] if b is None else [a, b]
+    letters = list(dict.fromkeys("".join(names)))
+    entries = {}
+    for values in itertools.product(range(1, a.dim + 1), repeat=len(letters)):
+        at = dict(zip(letters, values))
+        term = a.ctx.one
+        for name, t in zip(names, factors):
+            term = term * t.get(*(at[c] for c in name))
+        key = tuple(at[c] for c in out)
+        entries[key] = entries[key] + term if key in entries else term
+    return Tensor(a.ctx, a.dim, len(out) // 2, len(out) // 2, entries)
+
+
+def dense_weighted_trace(theta: ThetaMap) -> Tensor:
+    t = theta.tensor
+    n = t.dim
+    entries = {}
+    for j in range(1, n + 1):
+        for l in range(1, n + 1):
+            acc = t.ctx.zero
+            for s in range(1, n + 1):
+                acc = acc + t.get(s, j, s, l)
+            if not acc.is_zero():
+                entries[(j, l)] = acc
+    return Tensor(t.ctx, n, 1, 1, entries)
+
+
+def dense_weight_commutation_holds(B: Tensor, w: Tensor) -> bool:
+    rng = range(1, B.dim + 1)
+    for i, j, k, l in itertools.product(rng, repeat=4):
+        lhs = B.ctx.zero
+        rhs = B.ctx.zero
+        for r in rng:
+            lhs = lhs + B.get(i, j, r, k) * w.get(r, l)
+            rhs = rhs + w.get(i, r) * B.get(r, j, l, k)
+        if lhs != rhs:
+            return False
+    return True
+
+
 def dense_validate_theta(t: Tensor):
     ctx = t.ctx
     rng = range(1, t.dim + 1)

@@ -21,9 +21,10 @@ from ncorep.cli import (
     parse_algebra_file,
 )
 from ncorep.corep import MMatrix
-from ncorep.errors import InputFormat, NCorepError
+from ncorep.errors import ExpressionSyntax, InputFormat, NCorepError
 from ncorep.freealg import RelationSet
 from ncorep.rewrite import RewriteSystem
+from ncorep.scalars import Context
 
 BASE = """\
 [algebra]
@@ -142,6 +143,23 @@ def test_workspace_substitution_order(tmp_path):
 
     with pytest.raises(DenominatorVanishes):
         Workspace(af, [("s", "0"), ("r", "0")])
+
+
+def test_workspace_parses_each_binding_once(monkeypatch):
+    af = parse_algebra_file(_resolve_input("qplane_qprs"))
+    calls = []
+    parse = Context.parse
+    monkeypatch.setattr(Context, "parse", lambda ctx, text: calls.append(text) or parse(ctx, text))
+    Workspace(af, [("r", "0"), ("s", "0")])
+    assert calls == ["0", "0"]
+
+
+def test_workspace_reads_every_binding_before_substituting(tmp_path):
+    # p = 0 makes the denominator of B_11^11 = 1/p vanish, but the bad string
+    # of the later binding is read, and raises, before any substitution
+    af = parse_algebra_file(write(tmp_path, BASE.replace('1 1 1 1 = "1"', '1 1 1 1 = "1/p"')))
+    with pytest.raises(ExpressionSyntax):
+        Workspace(af, [("p", "0"), ("q", "(q")])
 
 
 SUBSTITUTED = tuple(

@@ -1,7 +1,12 @@
 """Differential tests: the sparse contractions against the dense index loops.
 
 Every contraction of the corep, bialg and tensors modules runs over the
-nonzero entries of its tables only.  Each test here draws a random sparse
+nonzero entries of its tables only.  tensors.contract is drawn against a
+dense einsum over every index tuple, on sparse and dense tables of dims 2
+and 3, with specs of each kind: permutations, partial traces, outer
+products, one or two shared letters, and a letter repeated within a factor
+and across the factors.  The first-slot weight and its commutation with B
+are compared with the dense loops that computed them before.  Each test here draws a random sparse
 table and requires the result to equal that of the dense loop over every
 index, kept in tests/conftest.py, exactly and in the same order: violation
 lists, residual dicts (key order included), relation polynomials in order,
@@ -29,11 +34,14 @@ from conftest import (
     dense_cocycle_check,
     dense_coideal_check,
     dense_compose,
+    dense_contract,
     dense_contracted_relation,
     dense_relation_entries,
     dense_tilde_images,
     dense_twisted_product_relations,
     dense_validate_theta,
+    dense_weight_commutation_holds,
+    dense_weighted_trace,
 )
 from ncorep.bialg import (
     LinearForm,
@@ -56,10 +64,10 @@ from ncorep.corep import (
 )
 from ncorep.errors import NCorepError, NotInvertible
 from ncorep.freealg import NCPoly, PairPoly, T
-from ncorep.integrable import _add_contracted_relation, weighted_trace
+from ncorep.integrable import _add_contracted_relation, weight_commutation_holds, weighted_trace
 from ncorep.report import Report, passfail
 from ncorep.scalars import Context
-from ncorep.tensors import Tensor, compose, invert4
+from ncorep.tensors import Tensor, compose, contract, invert4
 
 CTX = Context(["q", "p"])
 bounded = settings(max_examples=12, deadline=None, database=None)
@@ -202,6 +210,26 @@ def test_coideal_residuals_are_the_commutator_with_the_defect(case):
         assert pres.counit(r) == eps
     assert check_grouplike(M) == (not defect) == dense_check_grouplike(M)
     assert coideal_check(B, M) == dense_coideal_check(B, M)
+
+
+@st.composite
+def weights(draw, n):
+    """A weight that passes through every exchange tensor (a multiple of the
+    identity) or a random table, which mostly does not."""
+    if draw(st.booleans()):
+        c = CTX.parse(draw(units))
+        return Tensor(CTX, n, 1, 1, {(i, i): c for i in range(1, n + 1)})
+    return draw(rho_tables(n))
+
+
+@bounded
+@given(cases(), st.data())
+def test_weight_contractions_match_dense_loops(case, data):
+    rho, theta, B = case
+    w = weighted_trace(theta)
+    assert w == dense_weighted_trace(theta)
+    for w in (w, data.draw(weights(rho.dim))):
+        assert weight_commutation_holds(B, w) == dense_weight_commutation_holds(B, w)
 
 
 @bounded
@@ -352,3 +380,58 @@ def test_index_groups_nonzero_entries_in_sorted_order():
     assert t.index((0,)) == {(1,): [((1, 2), q * 2)], (2,): [((2, 1), q), ((2, 2), CTX.one)]}
     assert t.index([1]) is t.index((1,))
     assert t.index((1, 0))[(1, 2)] == [((2, 1), q)]
+
+
+LETTERS = "ijklmnop"
+
+
+@st.composite
+def einsums(draw):
+    """(spec, a, b) of one kind: a permutation, a partial trace, an outer
+    product, one or two letters shared by the factors, or a letter repeated
+    within a factor and across the factors.  The result keeps an even number
+    of letters; a letter missing from it is summed over."""
+    kind = draw(st.sampled_from(("permutation", "trace", "outer", "shared", "repeated")))
+    if kind == "permutation":
+        names = [LETTERS[: draw(st.sampled_from((2, 4, 6)))]]
+    elif kind == "trace":
+        names = ["".join(draw(st.permutations("ii" + LETTERS[1 : draw(st.sampled_from((3, 5)))])))]
+    elif kind == "outer":
+        names = ["ij", LETTERS[2 : draw(st.sampled_from((4, 6)))]]
+    elif kind == "shared":
+        a = "".join(draw(st.permutations("ijkl")))
+        common = draw(st.sampled_from((1, 2)))
+        own = "mnop"[: draw(st.sampled_from((2, 4))) - common]
+        names = [a, "".join(draw(st.permutations(a[:common] + own)))]
+    else:
+        a = "".join(draw(st.permutations("iijk")))
+        b = draw(st.sampled_from(("il", "ji", "iill", "ijlm", "kk")))
+        names = [a, "".join(draw(st.permutations(b)))]
+    letters = list(dict.fromkeys("".join(names)))
+    if kind in ("trace", "shared"):  # sum over each letter that occurs twice
+        letters = [c for c in letters if "".join(names).count(c) == 1]
+    letters = draw(st.permutations(letters))
+    if kind == "repeated":
+        letters = letters[: draw(st.integers(1, len(letters) // 2)) * 2]
+    n = draw(st.sampled_from((2, 3)))
+    dense = draw(st.booleans())
+    tables = []
+    for name in names:
+        idxs = list(itertools.product(range(1, n + 1), repeat=len(name)))
+        if not dense:
+            idxs = draw(st.lists(st.sampled_from(idxs), max_size=8, unique=True))
+        coeff = st.sampled_from(("0",) + VALUES)
+        coeffs = draw(st.lists(coeff, min_size=len(idxs), max_size=len(idxs)))
+        half = len(name) // 2
+        tables.append(Tensor(CTX, n, half, half, {i: CTX.parse(c) for i, c in zip(idxs, coeffs)}))
+    spec = "%s->%s" % (",".join(names), "".join(letters))
+    return (spec, *tables) if len(tables) == 2 else (spec, tables[0], None)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(einsums())
+def test_contract_matches_dense_einsum(case):
+    spec, a, b = case
+    got, want = contract(spec, a, b), dense_contract(spec, a, b)
+    assert (got.nlower, got.nupper) == (want.nlower, want.nupper)
+    assert got.entries == want.entries

@@ -1,14 +1,17 @@
 """Whole reports on inputs that nobody wrote: relabelled and mutated files.
 
-Relabelling: swapping the basis indices 1 and 2 in [B], [Bprime] and
-[theta] permutes the exchange tensor, the twist and every residual, so the
-braid checks must keep their status and their count of nonzero residual
-entries.  That is checked on the four shipped inputs and on random dim-2
-character tables.  The two seed-1 GL(3) inputs are relabelled by each of
-the six permutations of 1, 2, 3 and run with --order set to the image of
-the row-major order; every full-report record keeps its status, rank,
-rule count, ambiguity count and pbw counts.  On the triangular table that
-fails without the matching order and fails when only [B] is relabelled.
+Relabelling: swapping the basis indices 1 and 2 in [B], [Bprime],
+[theta] and [space] permutes the exchange tensor, the twist and every
+residual, so the braid checks must keep their status and their count of
+nonzero residual entries.  That is checked on the four shipped inputs and
+on random dim-2 character tables.  The two seed-1 GL(3) inputs are
+relabelled by each of the six permutations of 1, 2, 3, and the dim-2
+shipped inputs and goldens by the swap, and run with --order set to the
+image of the row-major order; every full-report record keeps its status,
+rank, rule count, ambiguity count, pbw counts, violation count and residual
+count.  On the triangular GL(3) table that fails without the matching order
+and fails when only [B] is relabelled.  On dim 2 the records whose
+constants are written in the paper's labelling are pinned as exceptions.
 
 Mutation: seeded value-level mutants of the dim-2 shipped inputs (a
 coefficient replaced, an entry deleted, an entry inserted) run through
@@ -49,24 +52,28 @@ def shipped_text(name):
     return _resolve_input(name).read_text(encoding="utf-8")
 
 
-def entry_lines(lines):
-    """(line number, section) of every entry line of [B], [Bprime] and [theta]."""
+def entry_lines(lines, sections=ENTRY_SECTIONS):
+    """(line number, section) of every entry line of the sections, by
+    default [B], [Bprime] and [theta]."""
     out, section = [], None
     for n, line in enumerate(lines):
         s = line.strip()
         if s.startswith("["):
             section = s
-        elif section in ENTRY_SECTIONS and "=" in s and not s.startswith("#"):
+        elif section in sections and "=" in s and not s.startswith("#"):
             out.append((n, section))
     return out
 
 
 def relabel(text, perm=SWAP):
-    """text with the indices renamed by perm in [B], [Bprime] and [theta]."""
+    """text with the indices renamed by perm in [B], [Bprime], [theta] and
+    the relations of [space]; `rel k i j` keeps its relation number k."""
     lines = text.splitlines()
-    for n, _ in entry_lines(lines):
+    for n, _ in entry_lines(lines, ENTRY_SECTIONS + ("[space]",)):
         left, _, right = lines[n].partition("=")
-        lines[n] = " ".join(perm.get(t, t) for t in left.split()) + " =" + right
+        tokens = left.split()
+        keep = 2 if tokens[0] == "rel" else 0
+        lines[n] = " ".join(tokens[:keep] + [perm.get(t, t) for t in tokens[keep:]]) + " =" + right
     return "\n".join(lines) + "\n"
 
 
@@ -140,10 +147,12 @@ def test_relabelling_keeps_the_braid_records_of_character_tables(rho, tmp_path, 
 
 
 def record_shapes(raw):
-    """{record: (status, rank, rule count, ambiguity count, pbw counts)} of a
-    JSON report; the quantities a relabelling with a matching order keeps."""
+    """{record: (status, rank, rule count, ambiguity count, pbw counts,
+    violation count, residual count)} of a JSON report; the quantities a
+    relabelling with a matching order keeps."""
     out = {}
-    for c in json.loads(raw)["checks"]:
+    checks = json.loads(raw)["checks"]
+    for c in checks:
         art = c["artifacts"]
         rules = art.get("rules")
         out[c["name"]] = (
@@ -152,7 +161,10 @@ def record_shapes(raw):
             len(rules) if isinstance(rules, list) else rules,
             art.get("ambiguities"),
             art.get("counts"),
+            art.get("violations"),
+            len(c.get("residuals", [])),
         )
+    assert len(out) == len(checks)
     return out
 
 
@@ -171,6 +183,52 @@ def test_relabelling_with_its_order_keeps_the_gl3_full_report(name, sigma, tmp_p
     got = run(relabelled, "full-report", tmp_path / "relabelled.json", capsys, ("--order", order))
     assert got[0] == code
     assert record_shapes(got[3]) == record_shapes(raw)
+
+
+# The records that the dim-2 relabelling changes, as (status before, status
+# after), None for a record that only one report has.  Their checks hardcode
+# constants of the paper written for the labelling 1 < 2: the cross
+# relations in q, the determinant factors 1/p^2 and p^2, and the antipode
+# images.
+CROSS_FORM = {"compare-ideals.derived-vs-cross-form": ("pass", "fail")}
+ANTIPODE = {
+    "antipode.%s" % r: ("pass", None)
+    for r in ["counit-compatibility"] + [
+        "inverse-%s-%s" % (side, e) for side in ("left", "right") for e in ("11", "12", "21", "22")
+    ]
+}
+RELABEL_CHANGES = {
+    "corrupt_theta.alg": {},
+    "qplane_qp": {
+        **CROSS_FORM,
+        **ANTIPODE,
+        "antipode.extended-system": (None, "fail"),
+        "d-commutations.commutation-b": ("pass", "fail"),
+        "d-commutations.commutation-c": ("pass", "fail"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED + ("corrupt_theta.alg", "spectral_demo_entries.alg"))
+def test_relabelling_with_its_order_keeps_the_dim2_full_report(name, tmp_path, capsys):
+    # swapping 1 and 2 everywhere and ordering the generators by the image of
+    # the row-major order keeps every record that is not written in the
+    # paper's labelling, with its status and its counts; the invalid twist
+    # of corrupt_theta keeps its violation count
+    path = GOLDEN / name if name.endswith(".alg") else _resolve_input(name)
+    text = path.read_text(encoding="utf-8")
+    original, swapped = tmp_path / "original.alg", tmp_path / "swapped.alg"
+    original.write_text(text, encoding="utf-8")
+    swapped.write_text(relabel(text), encoding="utf-8")
+    want = record_shapes(run(original, "full-report", tmp_path / "original.json", capsys)[3])
+    order = ("--order", "T[2,2]<T[2,1]<T[1,2]<T[1,1]")
+    got = record_shapes(run(swapped, "full-report", tmp_path / "swapped.json", capsys, order)[3])
+    changed = {
+        k: (want[k][0] if k in want else None, got[k][0] if k in got else None)
+        for k in want.keys() | got.keys()
+        if want.get(k) != got.get(k)
+    }
+    assert changed == RELABEL_CHANGES.get(name, CROSS_FORM)
 
 
 def mutate(text, rnd):

@@ -10,6 +10,7 @@ from ncorep.scalars import Context
 from ncorep.tensors import (
     Tensor,
     compose,
+    contract,
     delta,
     from_matrix,
     invert2,
@@ -76,9 +77,14 @@ def test_zero_entries_dropped():
 def test_linear_ops():
     ctx = Context(["q"])
     q = ctx.gen("q")
-    # a Tensor has no + or -: its one entrywise map is substitute, whose
-    # result drops the entries that became zero and keeps the others
+    # a Tensor's one entrywise map is substitute, whose result drops the
+    # entries that became zero and keeps the others; its one linear operation
+    # is -, which drops the entries that cancel
     a = tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "1"), ((1, 2), "q"), ((2, 2), "q - 1")])
+    assert (a - a).entries == {}
+    assert (a - delta(ctx, 2)).entries == {(1, 2): q, (2, 2): q - 2}
+    with pytest.raises(ShapeMismatch):
+        a - identity4(ctx, 2)
     assert a.substitute([("q", 0)]).entries == {(1, 1): ctx.one, (2, 2): -ctx.one}
     assert a.substitute([("q", 1)]).entries == {(1, 1): ctx.one, (1, 2): ctx.one}
     assert a.substitute([("q", "q^2")]).get(1, 2) == q * q
@@ -103,6 +109,21 @@ def test_compose_contracts_in_order():
     prod = [[sum((mm[i][k] * mm[k][j] for k in range(n)), ctx.zero)
              for j in range(n)] for i in range(n)]
     assert m == prod
+
+
+def test_results_have_as_many_upper_indices_as_lower():
+    ctx = Context(["q"])
+    b = braid_q(ctx)
+    with pytest.raises(ShapeMismatch):
+        contract("ijkl->ijk", b)
+    with pytest.raises(ShapeMismatch):
+        contract("ijk->ijk", b)  # a letter for each index of each factor
+    # a (2,1) tensor composed with a (1,1) one would be a (2,1) tensor
+    a = Tensor(ctx, 2, 2, 1, {(1, 2, 1): ctx.one})
+    with pytest.raises(ShapeMismatch):
+        compose(a, delta(ctx, 2))
+    b = Tensor(ctx, 2, 1, 2, {(1, 2, 2): ctx.one})
+    assert compose(a, b).entries == {(1, 2, 2, 2): ctx.one}
 
 
 def test_delta_and_identity():
