@@ -75,6 +75,7 @@ from .tensors import Tensor, swap_lower, ybe_residual
 _SECTIONS = ("algebra", "B", "Bprime", "theta", "space", "commands")
 _NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _ORDER_TOKEN = re.compile(r"^T\[(\d+),(\d+)\]$")
+_NATURAL = re.compile(r"[0-9]+")  # str.isdigit also takes digits like ², which int() rejects
 
 
 class AlgebraFile:
@@ -121,7 +122,7 @@ def _indices(toks, count, dim, lineno):
         raise InputFormat("expected %d indices before `=`" % count, lineno)
     out = []
     for t in toks:
-        if not t.isdigit():
+        if not _NATURAL.fullmatch(t):
             raise InputFormat("index %r is not a positive integer" % t, lineno)
         v = int(t)
         if not 1 <= v <= dim:
@@ -194,7 +195,7 @@ def parse_algebra_file(path):
             raise InputFormat("expected a single field name in [algebra]", lineno)
         key = keys[0]
         if key == "dim":
-            if not value.isdigit() or int(value) < 1:
+            if not _NATURAL.fullmatch(value) or int(value) < 1:
                 raise InputFormat("dim must be a positive integer", lineno)
             if af.dim is not None:
                 raise InputFormat("dim given twice", lineno)
@@ -258,7 +259,7 @@ def parse_algebra_file(path):
                 # first token numbers the relation, the next two index coordinates
                 if len(keys) != 4:
                     raise InputFormat("expected `rel k i j = \"expr\"`", lineno)
-                if not keys[1].isdigit():
+                if not _NATURAL.fullmatch(keys[1]):
                     raise InputFormat("relation number %r is not an integer" % keys[1], lineno)
                 k = int(keys[1])
                 ij = _indices(keys[2:], 2, af.dim, lineno)

@@ -315,10 +315,6 @@ class QuadraticSpace:
                 rels.append(NCPoly.gen(ctx, mk(i)) * NCPoly.gen(ctx, mk(i)))
         self.relations = RelationSet(ctx, [mk(i) for i in range(1, dim + 1)], rels)
 
-    def reduce_vector(self, vec):
-        """Eliminate relation pivots from {coordinate word: NCPoly} exactly."""
-        return self.relations.basis()._reduce(vec)
-
 
 def homomorphism_check(space: QuadraticSpace, gamma, relations: RelationSet) -> bool:
     """Coacting on each space relation must land in the relation ideal.
@@ -336,7 +332,7 @@ def homomorphism_check(space: QuadraticSpace, gamma, relations: RelationSet) -> 
                 word = tuple(space.coord(i) for i in outidx)
                 add_terms(vec.setdefault(word, {}), ((u, v * c) for u, v in coef.terms.items()))
         vec = {word: NCPoly(space.ctx, terms) for word, terms in vec.items()}
-        for residual in space.reduce_vector(vec).values():
+        for residual in space.relations.basis().reduce(vec).values():
             if not basis.contains(poly_vector(residual)):
                 return False
     return True

@@ -3,7 +3,7 @@
 Elements are finite Scalar-combinations of words in formal generators.
 Nothing here knows about relations; quotients are handled elsewhere either
 by rewriting (rewrite module) or by linear algebra on homogeneous slices
-(SpanBasis below, used for ideal-membership questions in degree 2 and 3).
+(SpanBasis below, the package's only exact elimination).
 A RelationSet keeps the basis of its span once built; callers only read it.
 
 Generators carry a kind ("T", "e", "xi", "D", "Dbar", or any custom name),
@@ -288,21 +288,24 @@ class PairPoly:
 class SpanBasis:
     """Row-echelon span of sparse vectors with exact Scalar entries.
 
-    Vectors are dicts mapping words to Scalars.  Pivoting is deterministic:
-    the pivot of a reduced vector is its minimal word under word_key, and
-    rows are kept normalized (pivot entry 1), so ranks and membership
-    answers never depend on insertion accidents.
+    The package's only exact elimination: relation ranks and membership,
+    rewrite.orient's rules and tensors._invert's inverses.  Vectors are
+    dicts mapping columns to Scalars.  Pivoting is deterministic: the pivot
+    of a reduced vector is its smallest column under key (word_key unless
+    given), and rows are kept normalized (pivot entry 1), so ranks and
+    membership answers never depend on insertion accidents.
     """
 
-    def __init__(self, ctx: Context):
+    def __init__(self, ctx: Context, key=word_key):
         self.ctx = ctx
+        self.key = key
         self.rows = []  # (pivot, rowdict) sorted by pivot key
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _reduce(self, vec):
+    def reduce(self, vec):
         """vec minus its components along the rows; a missing column is zero.
 
         The entries of vec may be Scalars or anything a Scalar multiplies,
@@ -317,18 +320,24 @@ class SpanBasis:
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span."""
-        res = self._reduce(vec)
+        res = self.reduce(vec)
         if not res:
             return False
-        pivot = min(res, key=word_key)
+        pivot = min(res, key=self.key)
         pv = res[pivot]
         row = {c: v / pv for c, v in res.items()}
         self.rows.append((pivot, row))
-        self.rows.sort(key=lambda r: word_key(r[0]))
+        self.rows.sort(key=lambda r: self.key(r[0]))
         return True
 
     def contains(self, vec):
-        return not self._reduce(vec)
+        return not self.reduce(vec)
+
+    def reduced(self):
+        """{pivot: rest of its row with every other pivot eliminated}, the
+        reduced echelon basis; a row lies at and above its pivot, so reducing
+        its rest clears only the later pivots."""
+        return {p: self.reduce((c, v) for c, v in row.items() if c != p) for p, row in self.rows}
 
 
 def poly_vector(x: NCPoly):

@@ -6,13 +6,22 @@ replacement terminates.  Diamond-lemma overlap analysis decides confluence;
 for a confluent system normal forms are unique and counting irreducible
 words gives the graded dimension of the quotient algebra.
 
+The relations have degree 2, so their span R is a space of degree-2 words,
+and orient returns its reduced row echelon basis with each row's pivot at
+its order-largest word (Bergman 1978), by freealg.SpanBasis keyed by the
+reversed order.  No other rule set for R is inter-reduced (monic rules
+whose lhs is the order-largest word and whose rhs holds no lhs): two such
+sets share their lhs, the order-largest words of R's nonzero vectors, and
+two rules with one lhs differ by a vector of R that holds no lhs, which is
+zero.  So any inter-reduction, such as the queue that re-normalized each
+relation against the rules so far, gives these rules as dicts of Scalars.
+
 normal_form reduces each word by rewriting its leftmost redex until none is
 left.  That reduction of one word is deterministic, and normal_form is its
 linear extension, so a RewriteSystem keeps the reduction of each word it has
 reduced and reuses it.  This is exact whether or not the system is
-confluent: a kept entry is what the same reduction would compute again.  It
-holds only while the rules stay the same, so whoever adds or drops a rule
-(orient, while it inter-reduces) calls reset() before the next reduction.
+confluent: a kept entry is what the same reduction would compute again, and
+the rules are fixed when the system is built.
 
 A multiplicative determinant can be adjoined afterwards as a pair of atomic
 symbols (the element and its inverse) together with the commutation rules it
@@ -21,7 +30,7 @@ checked against the base system before anything is added.
 """
 
 from .errors import CommutationUnverified, OrderMissingGenerator
-from .freealg import Generator, NCPoly, add_terms
+from .freealg import Generator, NCPoly, SpanBasis, add_terms
 
 DET = Generator("D", ())
 DETBAR = Generator("Dbar", ())
@@ -52,11 +61,6 @@ class TermOrder:
     def word_key(self, word):
         return (len(word), tuple(self.rank(g) for g in word))
 
-    def leading_word(self, poly):
-        if poly.is_zero():
-            return None
-        return max(poly.terms, key=self.word_key)
-
 
 def matrix_order(n):
     """Row-major order on an n x n matrix family, T[1,1] smallest."""
@@ -67,19 +71,15 @@ def matrix_order(n):
 class RewriteSystem:
     """A set of oriented rules over a fixed term order.
 
-    rules maps each left-hand word to the polynomial it rewrites to.  The
-    system also keeps the leftmost reduction of every word it has reduced;
-    whoever adds or drops a rule calls reset() before the next reduction.
+    rules maps each left-hand word to the polynomial it rewrites to; it is
+    fixed at construction.  The system also keeps the leftmost reduction of
+    every word it has reduced.
     """
 
     def __init__(self, ctx, order, rules):
         self.ctx = ctx
         self.order = order
         self.rules = dict(rules)
-        self.reset()
-
-    def reset(self):
-        """Forget every kept reduction; the rules have changed."""
         self._forms = {}
         self._lengths = sorted({len(w) for w in self.rules})
 
@@ -133,11 +133,6 @@ class RewriteSystem:
         return forms[word]
 
 
-def _has_factor(word, piece):
-    n = len(piece)
-    return any(word[i : i + n] == piece for i in range(len(word) - n + 1))
-
-
 def normal_form(poly, rs):
     """Reduce poly to an irreducible representative.
 
@@ -151,35 +146,17 @@ def normal_form(poly, rs):
 
 
 def orient(relations, order):
-    """Turn a RelationSet into an inter-reduced rewrite system.
-
-    Each relation is solved for its order-maximal word and scaled monic.
-    Rules whose right side mentions a later left side are re-reduced, so no
-    rule's rhs contains any lhs as a factor; duplicated relations collapse.
-    A RelationSet holds only nonzero degree-2 relations, so each has a
-    leading word.
-    """
+    """Turn a RelationSet into its inter-reduced rewrite system: each rule
+    is a row of the span's reduced echelon basis solved for its pivot, the
+    order-largest word (module docstring), since negated ranks reverse the
+    order on words of one length.  Duplicated relations collapse."""
     ctx = relations.ctx
-    rs = RewriteSystem(ctx, order, {})
-    queue = sorted(relations, key=lambda p: order.word_key(order.leading_word(p)))
-    while queue:
-        p = normal_form(queue.pop(0), rs)
-        if p.is_zero():
-            continue
-        lhs = order.leading_word(p)
-        rhs = NCPoly.term(ctx, lhs) - p * p.coeff(lhs).inv()
-        rs.rules[lhs] = rhs
-        # earlier rules may now have reducible sides; requeue their monic
-        # relations lhs - rhs
-        stale = [
-            l2
-            for l2, r2 in rs.rules.items()
-            if l2 != lhs and (_has_factor(l2, lhs) or any(_has_factor(w, lhs) for w in r2.terms))
-        ]
-        for l2 in stale:
-            queue.append(NCPoly.term(ctx, l2) - rs.rules.pop(l2))
-        rs.reset()
-    return rs
+    basis = SpanBasis(ctx, key=lambda w: tuple(-order.rank(g) for g in w))
+    for p in relations:
+        basis.add(p.terms)
+    rules = {lhs: NCPoly(ctx, {w: -c for w, c in rest.items()})
+             for lhs, rest in basis.reduced().items()}
+    return RewriteSystem(ctx, order, rules)
 
 
 def confluence_check(rs, maxdeg=3):

@@ -7,12 +7,13 @@ factor, in order:
 
     (A x B)_{ij}^{rs} = sum_{kl} A_{ij}^{kl} B_{kl}^{rs}
 
-Four-index tensors linearize to dim^2 x dim^2 matrices with row (i,j) and
-column (k,l) ordered lexicographically, i.e. the basis e_1(x)e_1,
-e_1(x)e_2, e_2(x)e_1, e_2(x)e_2 for dim 2.  Conversion between the two
-index conventions in use for solutions of the quantum Yang-Baxter
-equation (braid form vs R-form) is the explicit swap_lower operation,
-never an implicit relabeling.
+A (k,k) tensor is the dim^k x dim^k matrix with row I its lower indices
+and column K its upper ones: compose is the matrix product, and invert4
+and invert2 read the inverse off the reduced echelon form of [A | 1],
+which freealg.SpanBasis computes.  Conversion between the two index
+conventions in use for solutions of the quantum Yang-Baxter equation
+(braid form vs R-form) is the explicit swap_lower operation, never an
+implicit relabeling.
 
 Every contraction of Scalar tables in the package is one contract call, an
 einsum in index letters: contract("akrm,bmst->abkrst", phi, phi) is
@@ -25,11 +26,10 @@ entries are stored and visited: index(positions) groups the second
 factor's entries by the letters it shares with the first, and the result
 is summed once through add_terms, its keys in the order they are met.
 
-Three kinds stay written out.  The braid residual below also runs over ints
+Two kinds stay written out.  The braid residual below also runs over ints
 mod P and needs the keys of zero sums.  The tables of polynomials
 (corep.build_M, corep._commutator, corep.grouplike_defect,
 bialg.tilde_images and bialg.twisted_product_relations) multiply words.
-invert_matrix is an elimination, not a contraction.
 
 ybe_residual reports only where the braid residual is nonzero, and where it
 can, it proves an entry nonzero by a modular image (scalars.mod_image)
@@ -62,7 +62,7 @@ import itertools
 from operator import itemgetter
 
 from .errors import NotInvertible, ShapeMismatch
-from .freealg import add_terms
+from .freealg import SpanBasis, add_terms
 from .scalars import PRIME, Context, mod_image
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"  # index names for compose's spec
@@ -278,47 +278,21 @@ def _on_legs(groups, vecs, leg):
     return out
 
 
-def to_matrix(a: Tensor):
-    """A (2,2) tensor as a dim^2 x dim^2 nested list, row (i,j) lex, column (k,l) lex."""
-    if a.nlower != 2 or a.nupper != 2:
-        raise ShapeMismatch("to_matrix needs a (2,2) tensor")
-    pairs = list(itertools.product(range(1, a.dim + 1), repeat=2))
-    return [[a.get(i, j, k, l) for (k, l) in pairs] for (i, j) in pairs]
-
-
-def from_matrix(ctx, dim, rows) -> Tensor:
-    pairs = list(itertools.product(range(1, dim + 1), repeat=2))
-    if len(rows) != len(pairs) or any(len(r) != len(pairs) for r in rows):
-        raise ShapeMismatch("matrix must be dim^2 x dim^2")
-    out = {
-        (i, j, k, l): ctx.scalar(rows[r][c])
-        for r, (i, j) in enumerate(pairs)
-        for c, (k, l) in enumerate(pairs)
-    }
-    return Tensor(ctx, dim, 2, 2, out)
-
-
-def invert_matrix(ctx, rows):
-    """Exact inverse of a square matrix of Scalars by Gaussian elimination."""
-    n = len(rows)
-    aug = [[ctx.scalar(v) for v in row] + [ctx.one if i == j else ctx.zero for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot is None:
-            raise NotInvertible("matrix is singular over the scalar field")
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f.is_zero():
-                continue
-            aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _invert(a: Tensor, k) -> Tensor:
+    """The inverse of a (k,k) tensor.  Row I of [A | 1] holds A_I^K at column
+    (0,) + K and 1 at (1,) + I, so the A columns key lowest, and a pivot in
+    the identity part means A is singular."""
+    if a.nlower != k or a.nupper != k:
+        raise ShapeMismatch("invert%d needs a (%d,%d) tensor" % (2 * k, k, k))
+    basis = SpanBasis(a.ctx, key=lambda col: col)
+    rows = a.index(range(k))
+    for lower in itertools.product(range(1, a.dim + 1), repeat=k):
+        vec = {(0,) + idx[k:]: v for idx, v in rows.get(lower, ())}
+        basis.add({**vec, (1,) + lower: a.ctx.one})
+    if basis.rows[-1][0][0]:
+        raise NotInvertible("matrix is singular over the scalar field")
+    solved = basis.reduced().items()
+    return Tensor(a.ctx, a.dim, k, k, {i[1:] + j[1:]: v for i, r in solved for j, v in r.items()})
 
 
 def invert4(a: Tensor) -> Tensor:
@@ -329,15 +303,10 @@ def invert4(a: Tensor) -> Tensor:
     nothing, so it raises again.
     """
     if a._inverse is None:
-        a._inverse = from_matrix(a.ctx, a.dim, invert_matrix(a.ctx, to_matrix(a)))
+        a._inverse = _invert(a, 2)
     return a._inverse
 
 
 def invert2(a: Tensor) -> Tensor:
     """Inverse of a 2-index tensor (a matrix M_i^k)."""
-    if a.nlower != 1 or a.nupper != 1:
-        raise ShapeMismatch("invert2 needs a (1,1) tensor")
-    rows = [[a.get(i, k) for k in range(1, a.dim + 1)] for i in range(1, a.dim + 1)]
-    inv = invert_matrix(a.ctx, rows)
-    rng = range(1, a.dim + 1)
-    return Tensor(a.ctx, a.dim, 1, 1, {(i, k): inv[i - 1][k - 1] for i in rng for k in rng})
+    return _invert(a, 1)

@@ -16,6 +16,7 @@ from ncorep.corep import MMatrix, QuadraticSpace, ThetaMap, factorized_theta, re
 from ncorep.errors import InputFormat, MissingImage, NotInvertible, ShapeMismatch
 from ncorep.freealg import NCPoly, PairPoly, RelationSet, T, apply_hom
 from ncorep.integrable import weighted_trace
+from ncorep.rewrite import RewriteSystem, normal_form
 from ncorep.scalars import Scalar, _den
 from ncorep.tensors import Tensor, compose, delta, invert2, invert4
 
@@ -191,6 +192,28 @@ def tensor_from_entries(ctx, dim, nlower, nupper, items):
     return Tensor(ctx, dim, nlower, nupper, out)
 
 
+def to_matrix(a: Tensor):
+    """A (2,2) tensor as a dim^2 x dim^2 nested list, row (i,j) lex, column (k,l) lex."""
+    if a.nlower != 2 or a.nupper != 2:
+        raise ShapeMismatch("to_matrix needs a (2,2) tensor")
+    pairs = list(itertools.product(range(1, a.dim + 1), repeat=2))
+    return [[a.get(i, j, k, l) for (k, l) in pairs] for (i, j) in pairs]
+
+
+def from_matrix(ctx, dim, rows) -> Tensor:
+    """The (2,2) tensor of a dim^2 x dim^2 nested list of scalar-likes, laid
+    out as to_matrix lays it out."""
+    pairs = list(itertools.product(range(1, dim + 1), repeat=2))
+    if len(rows) != len(pairs) or any(len(r) != len(pairs) for r in rows):
+        raise ShapeMismatch("matrix must be dim^2 x dim^2")
+    out = {
+        (i, j, k, l): ctx.scalar(rows[r][c])
+        for r, (i, j) in enumerate(pairs)
+        for c, (k, l) in enumerate(pairs)
+    }
+    return Tensor(ctx, dim, 2, 2, out)
+
+
 def identity4(ctx, dim):
     rng = range(1, dim + 1)
     return Tensor(ctx, dim, 2, 2, {(i, j, i, j): ctx.one for i in rng for j in rng})
@@ -260,12 +283,83 @@ def worklist_normal_form(poly, rs, strategy="leftmost"):
     return out
 
 
+def reference_orient(relations, order):
+    """rewrite.orient as the package wrote it before it used SpanBasis.
+
+    A queue, sorted by leading word, normalizes each relation against the
+    rules so far, solves it for its order-largest word, scaled monic, and
+    requeues the relation of every earlier rule whose sides the new left
+    side now divides, until no rule changes.  The rules change while it
+    runs, so each normalization reads a fresh RewriteSystem.
+    """
+    ctx = relations.ctx
+
+    def lead(p):
+        return max(p.terms, key=order.word_key)
+
+    def has_factor(word, piece):
+        n = len(piece)
+        return any(word[i : i + n] == piece for i in range(len(word) - n + 1))
+
+    rules = {}
+    queue = sorted(relations, key=lambda p: order.word_key(lead(p)))
+    while queue:
+        p = normal_form(queue.pop(0), RewriteSystem(ctx, order, rules))
+        if p.is_zero():
+            continue
+        lhs = lead(p)
+        rules[lhs] = NCPoly.term(ctx, lhs) - p * p.coeff(lhs).inv()
+        stale = [
+            l2
+            for l2, r2 in rules.items()
+            if l2 != lhs and (has_factor(l2, lhs) or any(has_factor(w, lhs) for w in r2.terms))
+        ]
+        for l2 in stale:
+            queue.append(NCPoly.term(ctx, l2) - rules.pop(l2))
+    return RewriteSystem(ctx, order, rules)
+
+
 # -- dense references ----------------------------------------------------
 #
 # The contractions as the package wrote them before they iterated over
 # nonzero entries: every index runs over 1..dim, and sums are built by
 # adding whole polynomials.  The differential tests require the package's
 # results to equal these exactly, in the same order.
+
+
+def invert_matrix(ctx, rows):
+    """Exact inverse of a square matrix of Scalars by dense Gauss-Jordan
+    elimination, as the package computed tensor inverses before
+    tensors._invert; raises NotInvertible on a singular matrix."""
+    n = len(rows)
+    aug = [[ctx.scalar(v) for v in row] + [ctx.one if i == j else ctx.zero for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+        if pivot is None:
+            raise NotInvertible("matrix is singular over the scalar field")
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [v / pv for v in aug[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            f = aug[r][col]
+            if f.is_zero():
+                continue
+            aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def dense_invert(a: Tensor) -> Tensor:
+    """The inverse of a (k,k) tensor through invert_matrix: rows and columns
+    are the lower and upper index tuples in lexicographic order."""
+    k = a.nlower
+    keys = list(itertools.product(range(1, a.dim + 1), repeat=k))
+    inv = invert_matrix(a.ctx, [[a.get(*(i + j)) for j in keys] for i in keys])
+    entries = {i + j: inv[r][c] for r, i in enumerate(keys) for c, j in enumerate(keys)}
+    return Tensor(a.ctx, a.dim, k, k, entries)
 
 
 def dense_contract(spec, a: Tensor, b: Tensor = None) -> Tensor:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import tensor_from_entries
+from conftest import from_matrix, tensor_from_entries
 from ncorep.bialg import (
     LinearForm,
     Presentation,
@@ -26,7 +26,6 @@ from ncorep.scalars import Context
 from ncorep.tensors import (
     Tensor,
     compose,
-    from_matrix,
     invert4,
     swap_lower,
     ybe_residual,

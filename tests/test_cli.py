@@ -129,6 +129,25 @@ def test_duplicate_label_rejected(tmp_path):
     assert "duplicate label" in str(exc.value) and exc.value.line == 4
 
 
+# str.isdigit accepts digits such as ², which int() rejects; each parser
+# site that reads a number takes ASCII digits only
+SUPERSCRIPT_NUMBERS = {
+    "index": BASE.replace('1 1 1 1 = "1"', '1 1 1 \u00b2 = "1"'),
+    "dim": BASE.replace("dim = 2", "dim = \u00b2"),
+    "relation-number": BASE + '\n[space]\nrel \u00b2 1 2 = "1"\n',
+}
+
+
+@pytest.mark.parametrize("site", sorted(SUPERSCRIPT_NUMBERS))
+def test_superscript_digits_exit_two_with_their_line(site, tmp_path, capsys):
+    text = SUPERSCRIPT_NUMBERS[site]
+    line = next(n for n, row in enumerate(text.splitlines(), 1) if "\u00b2" in row)
+    assert main(["ybe", "--input", write(tmp_path, text)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ncorep: ") and err.endswith("(line %d)\n" % line)
+
+
 def test_comments_and_quoted_hash(tmp_path):
     text = BASE.replace('rho 1 1 = "1"', 'rho 1 1 = "1"  # unity')
     af = parse_algebra_file(write(tmp_path, text))
@@ -325,31 +344,28 @@ def test_full_report_derives_each_once(monkeypatch):
     )
     monkeypatch.setattr(MMatrix, "defect", same_object(MMatrix.defect, lambda M: ("defect", M)))
 
-    # each word meets a rule lookup once per system, until its rules change
+    # each word meets a rule lookup once per system; a system's rules are
+    # fixed when it is built
     lookups = collections.defaultdict(collections.Counter)
-    redex, reset = RewriteSystem._redex, RewriteSystem.reset
+    redex = RewriteSystem._redex
 
     def counting_redex(rs, word):
         lookups[id(rs)][word] += 1
         return redex(rs, word)
 
-    def counting_reset(rs):
-        lookups.pop(id(rs), None)
-        reset(rs)
-
     monkeypatch.setattr(RewriteSystem, "_redex", counting_redex)
-    monkeypatch.setattr(RewriteSystem, "reset", counting_reset)
 
-    # invert4 reaches to_matrix once for each inversion it computes; the
-    # cocycle check and the twist both invert the pair form's table
+    # invert4 and invert2 reach _invert once for each inversion they
+    # compute; the cocycle check and the twist both invert the pair form's
+    # table
     inverted = []
-    to_matrix = ncorep.tensors.to_matrix
+    invert = ncorep.tensors._invert
 
-    def counting_to_matrix(a):
+    def counting_invert(a, k):
         inverted.append(a)
-        return to_matrix(a)
+        return invert(a, k)
 
-    monkeypatch.setattr(ncorep.tensors, "to_matrix", counting_to_matrix)
+    monkeypatch.setattr(ncorep.tensors, "_invert", counting_invert)
 
     for name, code in (("qplane_qp", 0), ("qplane_qprs", 1)):
         counts.update(dict.fromkeys(names, 0))

@@ -4,7 +4,7 @@ import collections
 
 import pytest
 
-from conftest import flip_theta, identity4, load, tensor_from_entries
+from conftest import flip_theta, from_matrix, identity4, load, tensor_from_entries
 from ncorep import corep, scalars
 from ncorep.bialg import Presentation, tilde_images
 from ncorep.corep import (
@@ -32,7 +32,7 @@ from ncorep.freealg import (
     row_space_compare,
 )
 from ncorep.scalars import Context
-from ncorep.tensors import Tensor, from_matrix
+from ncorep.tensors import Tensor
 
 
 def ctx4():

@@ -12,7 +12,7 @@ scalars over shared non-monomial factors such as 1 - q and q^2 + 1.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import sympy_element, tensor_from_entries
+from conftest import from_matrix, sympy_element, tensor_from_entries
 from ncorep.corep import (
     QuadraticSpace,
     ThetaMap,
@@ -25,7 +25,7 @@ from ncorep.corep import (
     validate_theta,
 )
 from ncorep.scalars import Context
-from ncorep.tensors import Tensor, from_matrix
+from ncorep.tensors import Tensor
 
 CTX = Context(["q", "p"])
 B = from_matrix(CTX, 2, [

@@ -2,7 +2,14 @@
 
 import pytest
 
-from conftest import check_trace_ansatz, flip_theta, identity4, load, tensor_from_entries
+from conftest import (
+    check_trace_ansatz,
+    flip_theta,
+    from_matrix,
+    identity4,
+    load,
+    tensor_from_entries,
+)
 from ncorep.corep import ThetaMap
 from ncorep.errors import InvalidTheta, NotInvertible
 from ncorep import integrable, tensors
@@ -15,7 +22,7 @@ from ncorep.integrable import (
 )
 from ncorep.freealg import NCPoly, T
 from ncorep.scalars import Context
-from ncorep.tensors import Tensor, delta, from_matrix
+from ncorep.tensors import Tensor, delta
 
 
 def statuses(rep):
@@ -131,10 +138,10 @@ def test_singular_exchange_rejected():
 
 
 def test_both_routes_share_one_inverse_and_one_relation_table(monkeypatch):
-    # invert4 reaches to_matrix once for each inversion it computes
+    # invert4 reaches _invert once for each inversion it computes
     ws, fam = standard_family()
-    calls = {"to_matrix": [], "spectral_relations": []}
-    for module, name in ((tensors, "to_matrix"), (integrable, "spectral_relations")):
+    calls = {"_invert": [], "spectral_relations": []}
+    for module, name in ((tensors, "_invert"), (integrable, "spectral_relations")):
         original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original):
@@ -146,4 +153,4 @@ def test_both_routes_share_one_inverse_and_one_relation_table(monkeypatch):
     second = fam.second_report("lam", "mu")
     assert first.verdict() == second.verdict() == "pass"
     assert [len(args) for args in calls.values()] == [1, 1]
-    assert calls["to_matrix"][0] is fam.B
+    assert calls["_invert"][0] is fam.B

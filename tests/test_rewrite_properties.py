@@ -1,20 +1,35 @@
-"""Property tests: normal_form, which keeps each word's leftmost reduction on
-its RewriteSystem, against the worklist reducer that keeps nothing.
+"""Property tests of the rewriting layer against references kept in
+conftest.
 
-The systems are the oriented qplane_qprs ideal (not confluent), the oriented
-qplane_qp ideal and its extension by the determinant symbols.  Each system is
-built once and shared by all examples, so later examples also read forms
-that earlier ones kept.
+normal_form, which keeps each word's leftmost reduction on its
+RewriteSystem, against the worklist reducer that keeps nothing.  The systems
+are the oriented qplane_qprs ideal (not confluent), the oriented qplane_qp
+ideal and its extension by the determinant symbols.  Each system is built
+once and shared by all examples, so later examples also read forms that
+earlier ones kept.
+
+orient, the reduced echelon basis of the relation span, against the queue
+that inter-reduced one relation at a time (reference_orient): random
+relation sets over the 2 x 2 matrix family, drawn as combinations of a
+shared pool so that relations collapse and rules interact, under random
+term orders; and the shipped inputs, the triangular GL(3) input and random
+orders of qplane_qprs.  The rules must be equal as dicts, and print the
+same.
 """
 
 import functools
+import itertools
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load, worklist_normal_form
-from ncorep.freealg import NCPoly
-from ncorep.rewrite import extend_with_determinant, normal_form
+from conftest import load, reference_orient, worklist_normal_form
+from ncorep.cli import Workspace, parse_algebra_file
+from ncorep.freealg import NCPoly, RelationSet, T
+from ncorep.rewrite import TermOrder, extend_with_determinant, normal_form, orient
+from ncorep.scalars import Context
 
 COEFFS = ("1", "-2", "q", "1/p", "q^2 - 1", "p*q + 1")
 
@@ -73,3 +88,63 @@ def test_second_query_survives_caller_arithmetic(case, coeff):
     second = normal_form(x, rs)
     assert second.terms == worklist_normal_form(x, rs).terms
     assert second.terms is not first.terms
+
+
+CTX = Context(["q", "p"])
+FAMILY = tuple(T(i, j) for i in (1, 2) for j in (1, 2))
+WORDS = list(itertools.product(FAMILY, repeat=2))
+coefficients = st.sampled_from(COEFFS).map(CTX.parse)
+polys = st.lists(st.tuples(st.sampled_from(WORDS), coefficients), min_size=1, max_size=4).map(
+    lambda terms: sum((NCPoly.term(CTX, w, c) for w, c in terms), NCPoly.zero(CTX))
+)
+
+
+@st.composite
+def relation_sets(draw):
+    """A relation set of pool relations and their combinations, and an order."""
+    pool = draw(st.lists(polys, min_size=1, max_size=6))
+    weights = st.one_of(st.just(CTX.zero), coefficients)
+    combos = draw(st.lists(st.lists(weights, min_size=len(pool), max_size=len(pool)), max_size=3))
+    mixed = [sum((w * p for w, p in zip(ws, pool)), NCPoly.zero(CTX)) for ws in combos]
+    order = TermOrder(draw(st.permutations(FAMILY)))
+    return RelationSet(CTX, FAMILY, pool + mixed), order
+
+
+def assert_same_rules(relations, order):
+    got, want = orient(relations, order), reference_orient(relations, order)
+    assert got.rules == want.rules
+    assert [(l, str(r)) for l, r in got.rule_list()] == [(l, str(r)) for l, r in want.rule_list()]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(relation_sets())
+def test_orient_matches_the_queue_on_random_relations(case):
+    assert_same_rules(*case)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.permutations(FAMILY))
+def test_orient_matches_the_queue_under_random_orders(precedence):
+    assert_same_rules(load("qplane_qprs").relations(), TermOrder(precedence))
+
+
+def triangular_gl3():
+    """The seed-1 GL(3) input with rho_11 = q, rho_22 = p, rho_33 = 1/q and
+    rho_ij = 1 for i < j: its 36 rules interact."""
+    text = (Path(__file__).parent / "golden" / "gl3_seed1.alg").read_text(encoding="utf-8")
+    head = text[: text.index("rho 1 1")]
+    rho = {(1, 1): "q", (2, 2): "p", (3, 3): "1/q", (1, 2): "1", (1, 3): "1", (2, 3): "1"}
+    return head + "".join('rho %d %d = "%s"\n' % (i, j, v) for (i, j), v in rho.items())
+
+
+@pytest.mark.parametrize(
+    "name", ["qplane_qprs", "qplane_qp", "qplane_frt", "spectral_demo", "gl3_triangular"]
+)
+def test_orient_matches_the_queue_on_inputs(name, tmp_path):
+    if name == "gl3_triangular":
+        path = tmp_path / "gl3_triangular.alg"
+        path.write_text(triangular_gl3(), encoding="utf-8")
+        ws = Workspace(parse_algebra_file(str(path)))
+    else:
+        ws = load(name)
+    assert_same_rules(ws.relations(), ws.order)

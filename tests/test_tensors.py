@@ -1,23 +1,32 @@
-"""Tests for sparse exact tensors, composition and the braid residual."""
+"""Tests for sparse exact tensors, composition, inversion and the braid residual."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import identity4, leg_embed, tensor_from_entries
+from conftest import (
+    dense_invert,
+    from_matrix,
+    identity4,
+    invert_matrix,
+    leg_embed,
+    tensor_from_entries,
+    to_matrix,
+)
 from ncorep.errors import NotInvertible, ShapeMismatch
 from ncorep.scalars import Context
 from ncorep.tensors import (
     Tensor,
+    _invert,
     compose,
     contract,
     delta,
-    from_matrix,
     invert2,
     invert4,
-    invert_matrix,
     swap_lower,
-    to_matrix,
     ybe_residual,
 )
 
@@ -178,6 +187,7 @@ def test_symmetrized_flip_fails_ybe_but_squares_to_identity():
 
 
 def test_invert_matrix_random():
+    # the dense reference that _invert is compared with
     ctx = Context(["q"])
     rng = random.Random(23)
     for _ in range(8):
@@ -201,6 +211,76 @@ def test_invert_matrix_singular():
     one = ctx.one
     with pytest.raises(NotInvertible):
         invert_matrix(ctx, [[one, one], [one, one]])
+
+
+CTX = Context(["q", "p"])
+VALUES = ("1", "-1", "2", "q", "1/p", "q^2 - 1", "(q - 1)/(p - 1)")
+SMALL = ("1", "-1", "2", "q")  # a dense 9 x 9 inverse over VALUES takes seconds
+
+
+@st.composite
+def square_tensors(draw):
+    """A (1,1) or (2,2) tensor of dim 2 or 3, sparse or dense, often singular.
+
+    A dense draw fills every entry; a sparse one leaves each entry out with
+    probability about one half.  Half of the draws are made singular: one
+    lower row is copied onto another, scaled, or left empty.  The 9 x 9 tables draw from
+    SMALL.
+    """
+    k, dim = draw(st.sampled_from(((1, 2), (1, 3), (2, 2), (2, 3))))
+    values = st.sampled_from(SMALL if (k, dim) == (2, 3) else VALUES)
+    dense = draw(st.booleans())
+    keys = list(itertools.product(range(1, dim + 1), repeat=k))
+    entries = {}
+    for i in keys:
+        for j in keys:
+            if dense or draw(st.booleans()):
+                entries[i + j] = CTX.parse(draw(values))
+    singular = draw(st.sampled_from((None, None, "copy", "empty")))
+    src, dst = draw(st.lists(st.sampled_from(keys), min_size=2, max_size=2, unique=True))
+    if singular == "copy":
+        c = CTX.parse(draw(values))
+        for j in keys:
+            entries.pop(dst + j, None)
+            if src + j in entries:
+                entries[dst + j] = c * entries[src + j]
+    elif singular == "empty":
+        for j in keys:
+            entries.pop(dst + j, None)
+    return Tensor(CTX, dim, k, k, entries)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(square_tensors())
+def test_invert_matches_the_dense_reference(a):
+    try:
+        want = dense_invert(a)
+    except NotInvertible:
+        with pytest.raises(NotInvertible):
+            _invert(a, a.nlower)
+        return
+    got = _invert(a, a.nlower)
+    assert got == want
+    assert got.entry_list() == want.entry_list()
+    if a.nlower == 2:
+        assert compose(a, got) == identity4(CTX, a.dim)
+
+
+def test_singular_tables_do_not_invert():
+    ctx = Context(["q"])
+    # the pivot falls in the identity part only on a later row
+    b = from_matrix(ctx, 2, [
+        ["1", "q", "0", "0"], ["0", "1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "1", "1"],
+    ])
+    for a in (b, tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "q"), ((2, 1), "1")])):
+        with pytest.raises(NotInvertible):
+            _invert(a, a.nlower)
+    with pytest.raises(NotInvertible):
+        invert4(b)
+    with pytest.raises(ShapeMismatch):
+        invert4(delta(ctx, 2))
+    with pytest.raises(ShapeMismatch):
+        invert2(b)
 
 
 def test_invert4_roundtrip():
