@@ -74,7 +74,7 @@ from .tensors import Tensor, swap_lower, ybe_residual
 
 _SECTIONS = ("algebra", "B", "Bprime", "theta", "space", "commands")
 _NAME = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
-_ORDER_TOKEN = re.compile(r"^T\[(\d+),(\d+)\]$")
+_ORDER_TOKEN = re.compile(r"^T\[([0-9]+),([0-9]+)\]$")
 _NATURAL = re.compile(r"[0-9]+")  # str.isdigit also takes digits like ², which int() rejects
 
 

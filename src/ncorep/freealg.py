@@ -9,11 +9,23 @@ A RelationSet keeps the basis of its span once built; callers only read it.
 Generators carry a kind ("T", "e", "xi", "D", "Dbar", or any custom name),
 an integer index tuple, and an optional spectral label, so T[1,2](lam) and
 T[1,2](mu) are distinct free generators.
+
+Each generator is one object.  Generator keeps a table from (kind, index,
+label) to the instance made for that key: one entry per distinct generator
+met (dim^2 per label, plus e/xi and D/Dbar), and no Scalar or Context.
+Generators compare and hash by identity, which is value equality on the
+key, since equal keys give the same object.  So every dict and set of words
+holds the entries that value equality would give, and hashing or comparing
+a word runs in CPython's tuple code with no Python call per letter.  Only
+the iteration order of a set of generators depends on the identities, as
+it would depend on PYTHONHASHSEED under a hash of the key; the golden
+reports pass under any seed (tests/test_golden.py), so no output reads
+that order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 
 from .errors import MissingImage, MixedFamilies
 from .scalars import Context, Scalar
@@ -22,36 +34,34 @@ _KIND_RANK = {"T": 0, "e": 1, "xi": 2, "D": 3, "Dbar": 4}
 
 
 class Generator:
-    """A free generator, equal to another with the same kind, index and label.
+    """A free generator: the one instance for its kind, index and label.
 
-    Words key dicts everywhere, so the hash is computed once; fields never change.
+    Generator(kind, index, label) returns the instance kept in the class
+    table under that key, made on the first call, so two equal generators
+    are one object and words hash and compare by identity (module
+    docstring).  Its sort key and its text are computed then and never
+    change.  Copies and pickles go back through the table.
     """
 
-    __slots__ = ("kind", "index", "label", "_key", "_hash")
+    __slots__ = ("kind", "index", "label", "_sort", "_text")
+    _table = {}  # (kind, index, label) -> the generator
 
-    def __init__(self, kind: str, index: tuple = (), label: str | None = None):
-        self.kind = kind
-        self.index = index
-        self.label = label
-        self._key = (kind, index, label)
-        self._hash = hash(self._key)
+    def __new__(cls, kind: str, index: tuple = (), label: str | None = None):
+        key = (kind, index, label)
+        g = cls._table.get(key)
+        if g is None:
+            g = cls._table[key] = object.__new__(cls)
+            g.kind, g.index, g.label = key
+            g._sort = (_KIND_RANK.get(kind, 5), kind, label or "", index)
+            text = kind + ("[%s]" % ",".join(map(str, index)) if index else "")
+            g._text = text if label is None else "%s(%s)" % (text, label)
+        return g
 
-    def __eq__(self, other):
-        return isinstance(other, Generator) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    def sort_key(self):
-        return (_KIND_RANK.get(self.kind, 5), self.kind, self.label or "", self.index)
+    def __reduce__(self):
+        return Generator, (self.kind, self.index, self.label)
 
     def __str__(self):
-        s = self.kind
-        if self.index:
-            s += "[%s]" % ",".join(str(i) for i in self.index)
-        if self.label is not None:
-            s += "(%s)" % self.label
-        return s
+        return self._text
 
     __repr__ = __str__
 
@@ -69,7 +79,7 @@ def xi(i):
 
 
 def word_key(w):
-    return (len(w), tuple(g.sort_key() for g in w))
+    return (len(w), tuple([g._sort for g in w]))
 
 
 class NCPoly:
@@ -350,7 +360,7 @@ class RelationSet:
     def __init__(self, ctx: Context, family, polys):
         self.ctx = ctx
         self._basis = None
-        self.family = tuple(sorted(set(family), key=lambda g: g.sort_key()))
+        self.family = tuple(sorted(set(family), key=lambda g: g._sort))
         fam = set(self.family)
         self.polys = []
         for p in polys:
@@ -384,12 +394,8 @@ class RelationSet:
         return self.basis().rank
 
 
-@dataclass
-class SpanComparison:
-    verdict: str  # "equal" | "a_in_b" | "b_in_a" | "incomparable"
-    rank_a: int = 0
-    rank_b: int = 0
-    rank_union: int = 0
+# verdict is "equal", "a_in_b", "b_in_a" or "incomparable"
+SpanComparison = collections.namedtuple("SpanComparison", "verdict rank_a rank_b rank_union")
 
 
 def row_space_compare(a: RelationSet, b: RelationSet) -> SpanComparison:

@@ -815,7 +815,7 @@ def _poly_str(poly, names, lead):
 
 # -- expression parsing ---------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 
 
 class _Parser:

@@ -24,7 +24,11 @@ second half upper.  Every package tensor has as many upper indices as
 lower ones, so a result of odd length is a ShapeMismatch.  Only nonzero
 entries are stored and visited: index(positions) groups the second
 factor's entries by the letters it shares with the first, and the result
-is summed once through add_terms, its keys in the order they are met.
+is summed once through add_terms, its keys in the order they are met.  The
+specs are a fixed set of strings, so what a spec alone determines (_plan:
+the letters' positions, the filters and the output getter) is worked out
+once per spec and kept; the shapes of the given tensors are checked on
+every call.
 
 Two kinds stay written out.  The braid residual below also runs over ints
 mod P and needs the keys of zero sums.  The tables of polynomials
@@ -58,6 +62,7 @@ vanishes at the point.  An image never decides that an entry is zero.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from operator import itemgetter
 
@@ -165,23 +170,16 @@ def contract(spec: str, a: Tensor, b: Tensor = None) -> Tensor:
     "jnkn->jk" is the trace sum_n a_jn^kn, "ijkl->jilk" a transposition and
     "il,jk->ijkl" an outer product (module docstring).
     """
-    inputs, out = spec.split("->")
-    names = inputs.split(",")
+    names, key, b_key, same, pick, half = _plan(spec)
     factors = (a,) if b is None else (a, b)
     if len(names) != len(factors) or any(
         len(name) != t.nlower + t.nupper or t.dim != a.dim for name, t in zip(names, factors)
     ):
         raise ShapeMismatch("%r does not fit the given tensors" % spec)
-    if not out or len(out) % 2:
+    if pick is None:
         raise ShapeMismatch("%r gives a result of odd length" % spec)
-    # letters by position in a's index followed by b's
-    full, na = "".join(names), len(names[0])
-    first = {c: full.index(c) for c in full}
-    shared = [full.index(c, na) for c in dict.fromkeys(full[na:]) if first[c] < na]
-    same = [(first[c], p) for p, c in enumerate(full) if p > first[c] and p not in shared]
-    key, pick = [first[full[p]] for p in shared], itemgetter(*[first[c] for c in out])
     # a single factor is contracted with the unit of no indices
-    groups = {(): [((), a.ctx.one)]} if b is None else b.index(p - na for p in shared)
+    groups = {(): [((), a.ctx.one)]} if b is None else b.index(b_key)
     with a.ctx.products():
         terms = add_terms({}, (
             (pick(idx), x * y)
@@ -190,7 +188,25 @@ def contract(spec: str, a: Tensor, b: Tensor = None) -> Tensor:
             for idx in (i + j,)
             if not same or all(idx[p] == idx[q] for p, q in same)
         ))
-    return Tensor(a.ctx, a.dim, len(out) // 2, len(out) // 2, terms)
+    return Tensor(a.ctx, a.dim, half, half, terms)
+
+
+@functools.cache
+def _plan(spec):
+    """What contract reads from spec alone, once per spec string: the factor
+    names, the positions in a's and in b's index of the letters they share,
+    the equality filters, the output getter (None for an odd output) and
+    the output's number of lower indices."""
+    inputs, out = spec.split("->")
+    names = inputs.split(",")
+    # letters by position in a's index followed by b's
+    full, na = "".join(names), len(names[0])
+    first = {c: full.index(c) for c in full}
+    shared = [full.index(c, na) for c in dict.fromkeys(full[na:]) if first[c] < na]
+    same = [(first[c], p) for p, c in enumerate(full) if p > first[c] and p not in shared]
+    key, b_key = [first[full[p]] for p in shared], tuple(p - na for p in shared)
+    pick = itemgetter(*[first[c] for c in out]) if out and not len(out) % 2 else None
+    return names, key, b_key, same, pick, len(out) // 2
 
 
 def compose(a: Tensor, b: Tensor) -> Tensor:

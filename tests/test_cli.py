@@ -237,6 +237,15 @@ def test_corrupted_theta_exits_one(tmp_path):
     assert main(["relations", "--input", path]) == 1
 
 
+def test_order_takes_ascii_digits_only(capsys):
+    # an Arabic-Indic one is a digit to \d and to int(), but not an index
+    order = "T[\u0661,\u0661]<T[1,2]<T[2,1]<T[2,2]"
+    assert main(["det", "--input", "qplane_qp", "--order", order]) == 2
+    assert capsys.readouterr().err == (
+        "ncorep: --order tokens look like T[i,j], got 'T[\u0661,\u0661]'\n"
+    )
+
+
 def test_reversed_substitution_exits_two():
     code = main(["det", "--input", "qplane_qprs", "--subst", "s=0", "--subst", "r=0"])
     assert code == 2
@@ -608,3 +617,20 @@ sys.stderr.write(repr((code, states)))
     )
     assert run.stdout
     assert run.stderr == repr((0, [False, False, False, True]))
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # each costs a fresh process several milliseconds to import, and the
+    # package needs neither
+    script = """
+import sys
+before = set(sys.modules)
+import ncorep.cli
+print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+"""
+    src = Path(ncorep.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout == "[]\n"

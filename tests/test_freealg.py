@@ -1,5 +1,7 @@
 """Tests for free-algebra elements, spans and relation sets."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from conftest import apply_antihom
 from ncorep.errors import MissingImage, MixedFamilies
 from ncorep.freealg import (
+    Generator,
     NCPoly,
     PairPoly,
     RelationSet,
@@ -27,22 +30,38 @@ def ctx2():
 
 def test_generator_ordering():
     gens = [T(2, 1), e(1), T(1, 2), T(1, 1), e(3)]
-    gens.sort(key=lambda g: g.sort_key())
+    gens.sort(key=lambda g: g._sort)
     assert [str(g) for g in gens] == ["T[1,1]", "T[1,2]", "T[2,1]", "e[1]", "e[3]"]
     # spectral labels separate otherwise equal symbols
     assert T(1, 1, "lam") != T(1, 1, "mu")
     assert T(1, 1, "lam") != T(1, 1)
     assert len({T(1, 1, "lam"), T(1, 1, "mu"), T(1, 1)}) == 3
     assert str(T(1, 1, "lam")) == "T[1,1](lam)"
-    # separately built generators are one key; the hash is kept, not rebuilt
+    # and sort before the index: unlabelled first, then by label
+    labelled = [T(2, 1, "mu"), T(1, 2, "lam"), T(2, 2), T(1, 1, "mu")]
+    labelled.sort(key=lambda g: g._sort)
+    assert list(map(str, labelled)) == ["T[2,2]", "T[1,2](lam)", "T[1,1](mu)", "T[2,1](mu)"]
+    # separately built generators are one object, so one key
     g, h = T(1, 2), T(1, 2)
-    assert g is not h and g == h and hash(g) == hash(h)
+    assert g is h and g == h and hash(g) == hash(h)
+    assert Generator("T", (1, 2)) is g and T(1, 2, "lam") is T(1, 2, "lam")
     assert {g: "x"}[h] == "x"
     assert {(g, T(2, 1)): 1}[(h, T(2, 1))] == 1
     assert "%s" % g == str(g) == repr(g) == "T[1,2]"
     assert "%s" % (e(2),) == "e[2]"
     assert T(1, 2) != ("T", (1, 2), None)
     assert T(1, 2) != e(1)
+
+
+def test_copies_and_pickles_are_the_same_generator():
+    # a copy that made a second object would be a second, unequal dict key
+    for g in (T(1, 2), T(2, 1, "lam"), e(3), Generator("D", ())):
+        assert copy.copy(g) is g
+        assert copy.deepcopy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g
+        word = (g, T(1, 1))
+        assert copy.deepcopy({word: 1})[word] == 1
+        assert pickle.loads(pickle.dumps({word: 1}))[word] == 1
 
 
 def test_word_key_degree_first():

@@ -153,6 +153,24 @@ def test_no_shipped_report_imports_sympy(tmp_path):
         assert (tmp_path / (name + ".json")).read_bytes() == (GOLDEN / (name + ".json")).read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_report_bytes_do_not_follow_the_hash_seed(seed, tmp_path):
+    # strings hash by PYTHONHASHSEED and generators by identity, so the
+    # iteration order of a set of either may move; no report may read it
+    json_path = tmp_path / "report.json"
+    argv = CASES["qplane_qprs"] + ["--json", str(json_path)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", FRESH, json.dumps([argv])],
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+        capture_output=True, text=True, check=True,
+    )
+    [[code, text, _]] = json.loads(run.stdout)
+    assert code == json.loads((GOLDEN / EXITS).read_text(encoding="utf-8"))["qplane_qprs"]
+    assert text.encode("utf-8") == (GOLDEN / "qplane_qprs.txt").read_bytes()
+    assert json_path.read_bytes() == (GOLDEN / "qplane_qprs.json").read_bytes()
+
+
 def regenerate():
     import contextlib
     import io

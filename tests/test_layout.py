@@ -61,13 +61,15 @@ SHARED_METHOD_NAMES = {
 
 # method names that equal an attribute set as self.name somewhere in the
 # package; each one's uses were checked by hand, as for the shared names
-ATTRIBUTE_METHOD_NAMES = {"dim", "family", "index", "one", "relations", "tensor", "zero"}
+ATTRIBUTE_METHOD_NAMES = {"dim", "family", "one", "relations", "tensor", "zero"}
 
 # dunders that no golden case calls and no tracer names: the text forms a
-# user prints, and the constructors of errors that only exit-2 paths raise
+# user prints, the copy and pickle path of a generator, and the constructors
+# of errors that only exit-2 paths raise
 KEPT_FOR_USERS = {
-    "Context.__repr__", "Generator.__repr__", "NCPoly.__repr__", "PairPoly.__repr__",
-    "PairPoly.__str__", "Scalar.__repr__", "Tensor.__repr__", "Tensor.__str__",
+    "Context.__repr__", "Generator.__reduce__", "Generator.__repr__", "NCPoly.__repr__",
+    "PairPoly.__repr__", "PairPoly.__str__", "Scalar.__repr__", "Tensor.__repr__",
+    "Tensor.__str__",
     "DenominatorVanishes.__init__", "ExpressionSyntax.__init__", "InputFormat.__init__",
 }
 

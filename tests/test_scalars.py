@@ -51,6 +51,9 @@ def test_parse_rejects_garbage():
         ctx.parse("q^p")
     with pytest.raises(ExpressionSyntax):
         ctx.parse("")
+    with pytest.raises(ExpressionSyntax):
+        # an Arabic-Indic two is a digit to \d and to int(), but not here
+        ctx.parse("q^\u0662")
     with pytest.raises(UnknownParameter):
         ctx.parse("q + t")
 
