@@ -36,6 +36,16 @@ of the table, each written as its tensors.contract spec:
 The character form phi_ij^kl = delta_i^k rho_j^l is "ik,jl->ijkl", the
 R-matrix of a braid tensor "jikl->ijkl" (tensors.swap_lower), and phibar_21
 in twist_R the transposition "ijkl->jilk" of the inverse table.
+
+The twisted product m_theta(T_i^k (x) T_j^l) = T_i^k theta_jn^lm T_m^n is the
+matrix M that corep.build_M builds, so twisted_product_relations reads M's
+table and computes no product of words itself:
+
+    m_theta(T_j^l (x) T_i^k)                 = M_ji^lk           "jilk->ijkl"
+    sum_ac R_ij^ac m_theta(T_a^b (x) T_c^d)  = (R M)_ij^bd       "acbd,ijac->ijbd"
+    sum_bd (R M)_ij^bd Rbar_bd^kl            = (R M Rbar)_ij^kl  "ijbd,bdkl->ijkl"
+
+with M first in each product, so each is a polynomial times a Scalar.
 """
 
 import itertools
@@ -55,10 +65,6 @@ class Presentation:
         self.ctx = ctx
         self.dim = dim
         self._coproducts = {}
-
-    def family(self):
-        n = self.dim
-        return [T(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
     def _check_gen(self, g):
         if g.kind != "T" or len(g.index) != 2:
@@ -195,7 +201,7 @@ def tilde_images(ctx, theta: Tensor):
     }
 
 
-def twisted_product_relations(pres, R: LinearForm, theta):
+def twisted_product_relations(R: LinearForm, M) -> RelationSet:
     """Relations forcing the opposite deformed product to agree with R-conjugation.
 
     For each generator pair the element
@@ -203,31 +209,10 @@ def twisted_product_relations(pres, R: LinearForm, theta):
         m_theta(T_j^l (x) T_i^k)
           - sum_{a,b,c,d} R(T_i^a (x) T_j^c) m_theta(T_a^b (x) T_c^d) Rbar(T_b^k (x) T_d^l)
 
-    is returned; their span is the defining ideal of the twisted algebra.
-    InvalidTheta when the ThetaMap theta is not valid; it keeps its
-    validation, so it is validated once.
+    is M_ji^lk - (R M Rbar)_ij^kl, read off M's table (module docstring).
+    The nonzero ones, in index order, span the defining ideal of the
+    twisted algebra.  theta is not validated; the caller gates on it.
     """
-    from .corep import require_valid  # deferred, corep builds on this module
-
-    ctx = pres.ctx
-    rows = R.base.index((0, 1))
-    cols = invert4(R.base).index((2, 3))
-    images = require_valid(theta).images()
-
-    def mtheta(g1, g2):
-        return NCPoly.gen(ctx, g1) * images[g2]
-
-    polys = []
-    for i, j, k, l in itertools.product(range(1, pres.dim + 1), repeat=4):
-        acc = dict(mtheta(T(j, l), T(i, k)).terms)
-        terms = sorted(
-            (a, b, c, d, r1 * r2)
-            for (_, _, a, c), r1 in rows.get((i, j), ())
-            for (b, d, _, _), r2 in cols.get((k, l), ())
-        )
-        for a, b, c, d, r in terms:
-            add_terms(acc, ((w, -(v * r)) for w, v in mtheta(T(a, b), T(c, d)).terms.items()))
-        acc = NCPoly(ctx, acc)
-        if not acc.is_zero():
-            polys.append(acc)
-    return RelationSet(ctx, pres.family(), polys)
+    RM = contract("acbd,ijac->ijbd", M.table, R.base)
+    rel = contract("jilk->ijkl", M.table) - contract("ijbd,bdkl->ijkl", RM, invert4(R.base))
+    return RelationSet(M.ctx, M.family(), [p for _, p in sorted(rel.entries.items())])

@@ -49,6 +49,7 @@ from .errors import (
     NCorepError,
     NotGroupCoefficient,
     NotInvertible,
+    SectionFailed,
 )
 from .freealg import NCPoly, RelationSet, T, e, row_space_compare, xi
 from .integrable import SpectralFamily
@@ -152,12 +153,15 @@ def _names(value, lineno, what):
 
 
 def parse_algebra_file(path):
-    """Read one definition file; the first problem raises InputFormat with its line."""
+    """Read one definition file; the first problem raises InputFormat with its line.
+
+    A leading UTF-8 byte-order mark is read as no text.
+    """
     try:
         if hasattr(path, "read_text"):
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         else:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 text = fh.read()
     except OSError as err:
         raise InputFormat("cannot read %s: %s" % (path, err.strerror or err))
@@ -516,7 +520,7 @@ def _relations(ws, rep):
     rep.add(
         "comodule-algebra",
         "coacting on the coordinate relations stays inside the ideal",
-        passfail(homomorphism_check(ws.bosonic, ws.theta, ideal)),
+        passfail(homomorphism_check(ws.bosonic, ws.M, ideal)),
     )
     rep.add(
         "rank",
@@ -654,7 +658,8 @@ def _cocycle(ws, rep):
 
 
 # A character table always gives a valid factorized theta, so this gate
-# never fires; it stands for the relation ideal that the body reads.
+# never fires; it stands for the relation ideal and the twisted product
+# relations that the body reads, neither of which checks theta itself.
 @section("twist-r", "twisted exchange", needs=(CHARACTERS,), gated=True)
 def _twist_r(ws, rep):
     _cocycle_record(rep, ws.cocycle())
@@ -667,7 +672,7 @@ def _twist_r(ws, rep):
         passfail(not res),
         artifacts={"nonzero": len(res)},
     )
-    rel = twisted_product_relations(phi.pres, R, ws.theta)
+    rel = twisted_product_relations(R, ws.M)
     cmp = row_space_compare(rel, ws.relations())
     rep.add(
         "product-relations",
@@ -688,7 +693,11 @@ def _integrability(ws, rep):
 
 
 def _command(sec):
-    """The callable of one section on a Workspace: preconditions, gate, body."""
+    """The callable of one section on a Workspace: preconditions, gate, body.
+
+    An error that leaves the body is raised again as SectionFailed, with the
+    section's name before its message.
+    """
 
     def run(ws):
         unmet = _unmet(sec, ws)
@@ -698,7 +707,10 @@ def _command(sec):
         if sec.gated and not ws.theta.validate()["valid"]:
             _twist_record(rep, ws.theta.validate())
             return rep
-        return sec.body(ws, rep)
+        try:
+            return sec.body(ws, rep)
+        except NCorepError as err:
+            raise SectionFailed("%s: %s" % (sec.name, err)) from err
 
     return run
 

@@ -17,14 +17,21 @@ A valid theta makes
     M_ij^kl = T_i^k theta_jn^lm T_m^n
 
 a group-like matrix, and the span of (B M - M B) a coideal whose quotient
-coacts on the underlying quadratic algebra.
+coacts on the underlying quadratic algebra.  M is built once, and it is
+the one table of twisted products: the coordinate x_j that crosses T_i^k
+is twisted once, so row (i, j) of M is the coaction of the word x_i x_j,
 
-Both matrix checks read one defect of M, computed once per matrix:
+    x_i x_j  |->  sum_kl M_ij^kl (x) x_k x_l,
+
+and bialg.twisted_product_relations reads the same table as m_theta.
+
+Both matrix checks read one defect of M, computed once per matrix as two
+(2,2) tables, G of PairPolys and E of Scalars:
 
     G_ij^kl = Delta(M_ij^kl) - sum_rs M_ij^rs (x) M_rs^kl
     E_ij^kl = counit(M_ij^kl) - delta_i^k delta_j^l
 
-M is group-like exactly when G and E vanish.  The coideal check does not
+M is group-like exactly when G and E are empty.  The coideal check does not
 assume that.  Expand Rel = B M - M B bilinearly, with B scalar:
 
     Delta(Rel_ij^kl) = sum_mn B_ij^mn Delta(M_mn^kl) - Delta(M_ij^mn) B_mn^kl
@@ -39,12 +46,14 @@ so they cancel, and what is left is, for every B and every M,
     Delta(Rel) - sum_rs (Rel^rs (x) M_rs + M^rs (x) Rel_rs) = B G - G B
     counit(Rel) = B E - E B        (the delta part gives B 1 - 1 B = 0)
 
-with B G contracted over B's upper pair and G's lower pair.  So the coideal
+with B G contracted over B's upper pair and G's lower pair, "mnkl,ijmn->ijkl"
+with the defect first, and G B as "ijmn,mnkl->ijkl".  So the coideal
 identity holds exactly when both right-hand sides vanish: always for a
 group-like M, and otherwise only when B commutes with the defect.
 
 The tables are mostly zeros (a diagonal character table on dim 3 gives 9
-nonzero theta entries out of 81), so the sums of polynomials here, like
+nonzero theta entries out of 81), so the sums of polynomials written out
+here (build_M, the M (x) M sum of the defect and B M - M B), like
 tensors.contract, run only over the terms whose tensor factors are nonzero,
 found through Tensor.index, and build each sum in one dict.  This changes
 no result: a skipped term has a zero factor, every stored Scalar is
@@ -62,7 +71,6 @@ from .freealg import (
     RelationSet,
     T,
     add_terms,
-    apply_hom,
     e,
     poly_vector,
     tensor_terms,
@@ -132,12 +140,13 @@ class MMatrix:
     def __init__(self, ctx, dim, entries, labels=None):
         self.ctx = ctx
         self.dim = dim
-        self.entries = entries  # (i,j,k,l) -> NCPoly
+        self.table = Tensor(ctx, dim, 2, 2, entries)
+        self.entries = self.table.entries  # (i,j,k,l) -> NCPoly, the table's own dict
         self.labels = labels
         self.pres = Presentation(ctx, dim)  # its coproduct memo serves every check on M
         self._defect = None
 
-    def defect(self) -> dict:
+    def defect(self):
         """grouplike_defect(self), computed once."""
         if self._defect is None:
             self._defect = grouplike_defect(self)
@@ -175,16 +184,16 @@ def build_M(theta: ThetaMap, labels=None) -> MMatrix:
     return MMatrix(ctx, n, entries, labels)
 
 
-def grouplike_defect(M: MMatrix) -> dict:
-    """{(i, j, k, l): (G_ij^kl, E_ij^kl)} for the entries where either is nonzero.
+def grouplike_defect(M: MMatrix):
+    """(G, E), two (2,2) tables holding the nonzero G_ij^kl and E_ij^kl.
 
-    G = Delta(M) - M (x) M is a PairPoly and E = counit(M) - identity a Scalar;
-    empty exactly when M is group-like.
+    G = Delta(M) - M (x) M holds PairPolys and E = counit(M) - identity
+    Scalars; both are empty exactly when M is group-like.
     """
     ctx = M.ctx
     pres = M.pres
     rng = range(1, M.dim + 1)
-    defect = {}
+    G, E = {}, {}
     with ctx.products():
         for i, j, k, l in itertools.product(rng, repeat=4):
             rhs = {}
@@ -194,37 +203,15 @@ def grouplike_defect(M: MMatrix) -> dict:
                     add_terms(rhs, tensor_terms(left, right))
             x = M.get(i, j, k, l)
             lhs, rhs = pres.coproduct(x), PairPoly(ctx, rhs)
-            eps = pres.counit(x) - (ctx.one if (i == k and j == l) else ctx.zero)
-            if lhs != rhs or not eps.is_zero():
-                defect[(i, j, k, l)] = (lhs - rhs, eps)
-    return defect
+            if lhs != rhs:
+                G[(i, j, k, l)] = lhs - rhs
+            E[(i, j, k, l)] = pres.counit(x) - (ctx.one if (i == k and j == l) else ctx.zero)
+    return Tensor(ctx, M.dim, 2, 2, G), Tensor(ctx, M.dim, 2, 2, E)
 
 
 def check_grouplike(M: MMatrix) -> bool:
     """Delta(M) = M (x) M entrywise together with counit(M) = identity."""
-    return not M.defect()
-
-
-def _commutator(B: Tensor, first: dict, second: dict, dim):
-    """(key, terms) for each entry of B first - second B, keys in lexicographic order.
-
-    first and second map (i, j, k, l) to an entry's {term: Scalar} dict, a
-    missing key being a zero entry; the yielded dicts may hold zeros.
-    """
-    if B.dim != dim or B.nlower != 2 or B.nupper != 2:
-        raise ShapeMismatch("braid tensor shape does not match the matrix")
-    rows, cols = B.index((0, 1)), B.index((2, 3))
-    for i, j, k, l in itertools.product(range(1, dim + 1), repeat=4):
-        acc = {}
-        for (_, _, m, nn), c in rows.get((i, j), ()):
-            x = first.get((m, nn, k, l))
-            if x is not None:
-                add_terms(acc, ((w, v * c) for w, v in x.items()))
-        for (m, nn, _, _), c in cols.get((k, l), ()):
-            x = second.get((i, j, m, nn))
-            if x is not None:
-                add_terms(acc, ((w, -(v * c)) for w, v in x.items()))
-        yield (i, j, k, l), acc
+    return not any(d.entries for d in M.defect())
 
 
 def relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
@@ -232,9 +219,24 @@ def relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
 
     M_second defaults to M; the spectral variant passes the label-swapped matrix.
     """
-    first = {key: x.terms for key, x in M.entries.items()}
-    second = first if M_second is None else {key: x.terms for key, x in M_second.entries.items()}
-    return {key: NCPoly(M.ctx, acc) for key, acc in _commutator(B, first, second, M.dim)}
+    dim = M.dim
+    if B.dim != dim or B.nlower != 2 or B.nupper != 2:
+        raise ShapeMismatch("braid tensor shape does not match the matrix")
+    second = (M_second or M).entries
+    rows, cols = B.index((0, 1)), B.index((2, 3))
+    out = {}
+    for i, j, k, l in itertools.product(range(1, dim + 1), repeat=4):
+        acc = {}
+        for (_, _, m, nn), c in rows.get((i, j), ()):
+            x = M.entries.get((m, nn, k, l))
+            if x is not None:
+                add_terms(acc, ((w, v * c) for w, v in x.terms.items()))
+        for (m, nn, _, _), c in cols.get((k, l), ()):
+            x = second.get((i, j, m, nn))
+            if x is not None:
+                add_terms(acc, ((w, -(v * c)) for w, v in x.terms.items()))
+        out[(i, j, k, l)] = NCPoly(M.ctx, acc)
+    return out
 
 
 def generate_ideal(B: Tensor, M: MMatrix) -> RelationSet:
@@ -251,39 +253,17 @@ def coideal_check(B: Tensor, M: MMatrix) -> bool:
     The two residuals are B G - G B and B E - E B for M's defect (G, E);
     the module docstring derives them for any M, group-like or not.
     """
-    defect = M.defect()
-    G = {key: g.terms for key, (g, _) in defect.items()}
-    E = {key: {(): e} for key, (_, e) in defect.items()}  # one-term tables
-    return all(
-        all(c.is_zero() for c in acc.values())
-        for table in (G, E)
-        for _, acc in _commutator(B, table, table, M.dim)
-    )
+    with M.ctx.products():
+        return all(
+            contract("mnkl,ijmn->ijkl", d, B) == contract("ijmn,mnkl->ijkl", d, B)
+            for d in M.defect()
+        )
 
 
-def coaction_word(gamma: ThetaMap, indices):
-    """Coaction of a coordinate word: each crossing applies one more twist.
-
-    Returns {output index tuple: NCPoly coefficient}; the j-th coordinate
-    contributes a generator twisted j-1 times.
-    """
-    if not gamma.validate()["valid"]:
-        raise InvalidTheta("coaction requires a valid twisting tensor")
-    ctx = gamma.tensor.ctx
-    images = gamma.images()
-    out = {(): NCPoly.one(ctx)}
-    for pos, i in enumerate(indices):
-        nxt = {}  # each (key, k) extends to its own key, so nothing is summed
-        for k in range(1, gamma.dim + 1):
-            gen = NCPoly.gen(ctx, T(i, k))
-            for _ in range(pos):
-                gen = apply_hom(gen, images)
-            for key, coef in out.items():
-                c = coef * gen
-                if not c.is_zero():
-                    nxt[key + (k,)] = c
-        out = nxt
-    return out
+def coaction_word(M: MMatrix, pair):
+    """Coaction of the coordinate word x_i x_j, pair = (i, j): {(k, l): M_ij^kl}
+    over the nonzero entries of M's row (i, j), in index order."""
+    return {idx[2:]: x for idx, x in M.table.index((0, 1)).get(pair, ())}
 
 
 class QuadraticSpace:
@@ -316,18 +296,19 @@ class QuadraticSpace:
         self.relations = RelationSet(ctx, [mk(i) for i in range(1, dim + 1)], rels)
 
 
-def homomorphism_check(space: QuadraticSpace, gamma, relations: RelationSet) -> bool:
+def homomorphism_check(space: QuadraticSpace, M: MMatrix, relations: RelationSet) -> bool:
     """Coacting on each space relation must land in the relation ideal.
 
-    The coordinate part is reduced modulo the space's own relation span;
-    every surviving matrix-coefficient must lie in the Scalar span of the
-    given degree-2 relations.
+    Each coordinate pair coacts through its row of M (coaction_word).  The
+    coordinate part is reduced modulo the space's own relation span; every
+    surviving matrix-coefficient must lie in the Scalar span of the given
+    degree-2 relations.
     """
     basis = relations.basis()
     for p in space.relations:
         vec = {}  # coordinate word -> {matrix word: Scalar}
         for w, c in p.terms.items():
-            co = coaction_word(gamma, tuple(g.index[0] for g in w))
+            co = coaction_word(M, tuple(g.index[0] for g in w))
             for outidx, coef in co.items():
                 word = tuple(space.coord(i) for i in outidx)
                 add_terms(vec.setdefault(word, {}), ((u, v * c) for u, v in coef.terms.items()))

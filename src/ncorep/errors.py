@@ -77,6 +77,11 @@ class OrderMissingGenerator(NCorepError):
     """A word mentions a generator absent from the term order's precedence."""
 
 
+class SectionFailed(NCorepError):
+    """An error that left a report section's body, its message led by the
+    section's name."""
+
+
 class InputFormat(NCorepError):
     """Malformed algebra input file."""
 

@@ -267,7 +267,10 @@ class PairPoly:
         return PairPoly(self.ctx, add_terms(dict(self.terms), negated))
 
     def __mul__(self, other):
-        """Componentwise (tensor-algebra) product: (a⊗b)(c⊗d) = ac⊗bd."""
+        """Componentwise (tensor-algebra) product: (a⊗b)(c⊗d) = ac⊗bd; a
+        Scalar operand scales."""
+        if not isinstance(other, PairPoly):
+            return self.scale(other)
         products = (
             ((a1 + a2, b1 + b2), c1 * c2)
             for (a1, b1), c1 in self.terms.items()

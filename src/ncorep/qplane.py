@@ -72,7 +72,7 @@ def determinant(ws) -> NCPoly:
     comodule structure is broken and NotGroupCoefficient is raised.
     """
     ctx = ws.ctx
-    co = coaction_word(ws.theta, (1, 2))
+    co = coaction_word(ws.M, (1, 2))
     total = {}
     for (k, m), coef in co.items():
         if k == m:

@@ -181,6 +181,29 @@ def one_parameter_relations(ctx):
     return RelationSet(ctx, [T(i, j) for i in (1, 2) for j in (1, 2)], six)
 
 
+def multiparameter_text(n, rho, t):
+    """The multiparameter quantum GL(n) of Artin, Schelter and Tate (1991) and
+    Sudbery (1990) as an input file, with a diagonal character table.
+
+    B is the quantum GL(n) exchange tensor with B_ii^ii = 1 and, for i < j,
+    B_ij^ji = q t_ij, B_ji^ij = q/t_ij and B_ji^ji = 1 - q^2.  rho lists the n
+    diagonal entries and t maps each pair i < j to the expression written
+    for t_ij.  The parameters are q, p and every t_ij, so a file may leave
+    t_ij free (the expression "t12") and a run may bind it with --subst.
+    """
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    params = " ".join(["q", "p"] + ["t%d%d" % ij for ij in pairs])
+    lines = ["[algebra]", "dim = %d" % n, "params = %s" % params, "", "[B]"]
+    lines += ['%d %d %d %d = "1"' % (i, i, i, i) for i in range(1, n + 1)]
+    for i, j in pairs:
+        lines.append('%d %d %d %d = "q*(%s)"' % (i, j, j, i, t[(i, j)]))
+        lines.append('%d %d %d %d = "q/(%s)"' % (j, i, i, j, t[(i, j)]))
+        lines.append('%d %d %d %d = "1 - q^2"' % (j, i, j, i))
+    lines += ["", "[theta]"]
+    lines += ['rho %d %d = "%s"' % (i, i, v) for i, v in enumerate(rho, 1)]
+    return "\n".join(lines) + "\n"
+
+
 def tensor_from_entries(ctx, dim, nlower, nupper, items):
     """items: iterable of (index_tuple, scalar-like)."""
     out = {}
@@ -235,6 +258,30 @@ def apply_antihom(x: NCPoly, images: dict) -> NCPoly:
                 raise MissingImage("no image for generator %s" % g)
             acc = acc * images[g]
         out = out + acc
+    return out
+
+
+def reference_coaction_word(theta: ThetaMap, indices):
+    """Coaction of a coordinate word of any length, as the package once
+    computed it: each crossing applies one more twist, so the j-th coordinate
+    contributes a generator twisted j-1 times.  Returns {output index tuple:
+    NCPoly coefficient}; on a pair it is the row of M that
+    corep.coaction_word reads.
+    """
+    ctx = theta.tensor.ctx
+    images = theta.images()
+    out = {(): NCPoly.one(ctx)}
+    for pos, i in enumerate(indices):
+        nxt = {}  # each (key, k) extends to its own key, so nothing is summed
+        for k in range(1, theta.dim + 1):
+            gen = NCPoly.gen(ctx, T(i, k))
+            for _ in range(pos):
+                gen = apply_hom(gen, images)
+            for key, coef in out.items():
+                c = coef * gen
+                if not c.is_zero():
+                    nxt[key + (k,)] = c
+        out = nxt
     return out
 
 
@@ -553,7 +600,7 @@ def dense_cocycle_check(phi: LinearForm):
 def dense_twisted_product_relations(pres, R: LinearForm, theta: ThetaMap) -> RelationSet:
     ctx = pres.ctx
     rbar = invert4(R.base)
-    images = dense_tilde_images(ctx, require_valid(theta).tensor)
+    images = dense_tilde_images(ctx, theta.tensor)
 
     def mtheta(g1, g2):
         return NCPoly.gen(ctx, g1) * apply_hom(NCPoly.gen(ctx, g2), images)
@@ -569,7 +616,7 @@ def dense_twisted_product_relations(pres, R: LinearForm, theta: ThetaMap) -> Rel
                 acc = acc - r1 * r2 * mtheta(T(a, b), T(c, d))
         if not acc.is_zero():
             polys.append(acc)
-    return RelationSet(ctx, pres.family(), polys)
+    return RelationSet(ctx, [T(i, j) for i in rng for j in rng], polys)
 
 
 def dense_compose(a: Tensor, b: Tensor) -> Tensor:

@@ -183,16 +183,16 @@ def test_c08_coideal_and_comodule_for_flip_and_twisted_coactions():
     ideal_f = generate_ideal(fr.B, build_M(fr.theta))
     assert coideal_check(fr.B, fr.M)
     assert row_space_compare(ideal_f, one_parameter_relations(fr.ctx)).verdict == "equal"
-    assert homomorphism_check(fr.bosonic, fr.theta, ideal_f)
+    assert homomorphism_check(fr.bosonic, fr.M, ideal_f)
     ws = load("qplane_qprs")
     ctx = ws.ctx
     ideal = ws.relations()
     assert coideal_check(ws.B, ws.M)
-    assert homomorphism_check(ws.bosonic, ws.theta, ideal)
-    assert homomorphism_check(ws.space, ws.theta, ideal)
+    assert homomorphism_check(ws.bosonic, ws.M, ideal)
+    assert homomorphism_check(ws.space, ws.M, ideal)
     # coacting on the odd top pair lands on the top word alone: squares die
     # in the quotient and the disordered pair folds in with factor -q
-    co = coaction_word(ws.theta, (1, 2))
+    co = coaction_word(ws.M, (1, 2))
     assert set(co) <= {(1, 1), (1, 2), (2, 1), (2, 2)}
     folded = co[(1, 2)] - ctx.gen("q") * co.get((2, 1), NCPoly.zero(ctx))
     assert not folded.is_zero()
@@ -207,10 +207,10 @@ def test_c09_twisted_exchange_keeps_braid_identity_and_relations():
     assert twisted != R.base
     assert not ybe_residual(swap_lower(twisted))
     ws = load("qplane_qprs")
-    pres = Presentation(ws.ctx, 2)
-    R = braid_form(pres, ws.B)
-    rel = twisted_product_relations(pres, R, ws.theta)
-    cmp = row_space_compare(rel, generate_ideal(ws.B, build_M(ws.theta)))
+    R = braid_form(Presentation(ws.ctx, 2), ws.B)
+    M = build_M(ws.theta)
+    rel = twisted_product_relations(R, M)
+    cmp = row_space_compare(rel, generate_ideal(ws.B, M))
     assert cmp.verdict == "equal"
     out = load("qplane_qprs", ("r", "0")).cocycle()
     assert out["holds"] and out["residuals"] == {}

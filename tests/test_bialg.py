@@ -14,9 +14,7 @@ from ncorep.bialg import (
     twist_R,
     twisted_product_relations,
 )
-from ncorep.corep import ThetaMap
 from ncorep.errors import (
-    InvalidTheta,
     NotInvertible,
     PresentationMismatch,
     UnknownGenerator,
@@ -317,13 +315,6 @@ def test_twist_four_parameter_breaks_ybe():
     assert ybe_residual(swap_lower(twisted))
 
 
-def test_theta_product_validates():
-    ctx, pres = setup()
-    R = braid_form(pres, braid(ctx))
-    with pytest.raises(InvalidTheta):
-        twisted_product_relations(pres, R, ThetaMap(Tensor(ctx, 2, 2, 2, {})))
-
-
 def test_twisted_product_relations_match_ideal():
     ctx, pres = setup()
     from ncorep.corep import build_M, factorized_theta, generate_ideal
@@ -331,8 +322,9 @@ def test_twisted_product_relations_match_ideal():
 
     th = factorized_theta(ctx, rho_full(ctx))
     R = braid_form(pres, braid(ctx))
-    rel = twisted_product_relations(pres, R, th)
-    ideal = generate_ideal(braid(ctx), build_M(th))
+    M = build_M(th)
+    rel = twisted_product_relations(R, M)
+    ideal = generate_ideal(braid(ctx), M)
     cmp = row_space_compare(rel, ideal)
     assert cmp.verdict == "equal"
     assert cmp.rank_a == 6

@@ -112,6 +112,23 @@ def test_content_before_section(tmp_path):
         parse_algebra_file(write(tmp_path, "dim = 2\n" + BASE))
 
 
+def test_byte_order_mark_is_read_as_no_text(tmp_path, capsys):
+    # a file saved with a UTF-8 byte-order mark reports as the same file without
+    text = Path(_resolve_input("qplane_qp")).read_text(encoding="utf-8")
+    plain, bom = tmp_path / "plain.alg", tmp_path / "bom.alg"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    runs = []
+    for path in (plain, bom):
+        report = tmp_path / (path.stem + ".json")
+        code = main(["full-report", "--input", str(path), "--json", str(report)])
+        runs.append((code, capsys.readouterr(), report.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].err == ""
+    # the other branch of the reader, a path object with read_text
+    assert parse_algebra_file(bom).params == parse_algebra_file(plain).params == ["q", "p"]
+
+
 def test_missing_theta(tmp_path):
     text = BASE.split("[theta]")[0]
     with pytest.raises(InputFormat):
@@ -224,6 +241,18 @@ def test_singular_substituted_table_reports_the_table(rho22, tmp_path, capsys):
     path = write(tmp_path, BASE.replace('rho 1 1 = "1"\nrho 2 2 = "1/p"', table))
     assert main(["ybe", "--input", path, "--subst", "p=0"]) == 2
     assert capsys.readouterr() == ("", "ncorep: [theta] character table is not invertible\n")
+
+
+def test_error_in_a_section_body_names_the_section(tmp_path, capsys):
+    # this B is singular, so twisting it fails inside the twist-r body; the
+    # precondition message of test_flag_errors_exit_two keeps its form
+    text = BASE.replace('1 2 2 1 = "q"\n2 1 1 2 = "q"\n2 1 2 1 = "1 - q^2"\n', "")
+    path = write(tmp_path, text)
+    for command in ("twist-r", "full-report"):
+        assert main([command, "--input", path]) == 2
+        assert capsys.readouterr() == (
+            "", "ncorep: twist-r: matrix is singular over the scalar field\n"
+        )
 
 
 def test_ybe_exit_zero():

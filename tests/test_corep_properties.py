@@ -78,7 +78,7 @@ def assert_coacting_grouplike(rho):
     assert theta.validate()["valid"]
     assert check_grouplike(M)
     assert coideal_check(B, M)
-    assert homomorphism_check(SPACE, theta, generate_ideal(B, M))
+    assert homomorphism_check(SPACE, M, generate_ideal(B, M))
 
 
 @bounded

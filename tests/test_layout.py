@@ -38,11 +38,15 @@ The benchmark reaches into the package from outside: ``bench/tracer.py``
 wraps the functions its HOT and SPANNED tables name, and
 ``bench/worker.py`` builds a Workspace from two positional arguments, the
 parsed file and the bindings, and reads its relations.  A change that
-removes one of those names fails here, not first in the benchmark.
+removes one of those names fails here, not first in the benchmark.  The
+tracer is also run here over the shipped reports, so that a reference it
+cannot replace, a traced report that differs or a per-layer metric it
+cannot produce fails here too.
 """
 
 import ast
 import importlib
+import json
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -56,7 +60,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # non-dunder method names that more than one package class defines; each
 # one's uses were checked by hand, since the name match cannot tell them apart
 SHARED_METHOD_NAMES = {
-    "add", "family", "gen", "get", "is_zero", "parse", "rank", "substitute", "term",
+    "add", "gen", "get", "is_zero", "parse", "rank", "substitute", "term",
 }
 
 # method names that equal an attribute set as self.name somewhere in the
@@ -213,11 +217,16 @@ def test_every_dunder_is_reached(tmp_path):
     assert KEPT_FOR_USERS <= set(defined)
 
 
-def _tracer_targets():
+def _tracer():
     # executed from source, so that no bytecode is written under bench/
     path = BENCH / "tracer.py"
     ns = {"__name__": "bench_tracer"}
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), ns)
+    return ns
+
+
+def _tracer_targets():
+    ns = _tracer()
     return ns["HOT"] + ns["SPANNED"]
 
 
@@ -234,6 +243,43 @@ def test_benchmark_targets_resolve():
         assert callable(fn), path
     assert set(cli.SECTION_ORDER) < set(cli.COMMANDS)
     assert issubclass(cli.NCorepError, Exception)
+
+
+def test_benchmark_tracer_leaves_the_shipped_reports_unchanged(tmp_path, capsys):
+    # a traced benchmark run is correct only when no job fails, every pass
+    # prints the same bytes, no reference escapes the wrappers and every
+    # per-layer metric is produced; the coverage floor depends on timing and
+    # is left to the benchmark
+    ns = _tracer()
+    report = tmp_path / "report.json"
+
+    def run(name):
+        code = cli.main(["--input", name, "full-report", "--json", str(report)])
+        return code, capsys.readouterr(), report.read_bytes()
+
+    names = sorted(path.stem for path in (SRC / "data").glob("*.alg"))
+    assert len(names) == 4
+    untraced = [run(name) for name in names]
+    tracer = ns["Tracer"]()
+    tracer.install()
+    try:
+        assert tracer.missed() == []
+        passes = []
+        for k in range(2):
+            assert [tracer.job_span("%d:%s" % (k, n), run, n) for n in names] == untraced
+            if not k:
+                assert set(tracer.keys) == set(ns["KEYED"])
+            passes.append(tracer.take())
+    finally:
+        tracer.uninstall()
+    assert [run(name) for name in names] == untraced
+    with open(BENCH.parent / "BENCHMARK.json", encoding="utf-8") as fh:
+        declared = [m["name"] for m in json.load(fh)["per_layer"]]
+    values, _ = ns["layer_metrics"](*passes, declared)
+    # the two trace.* metrics are the benchmark runner's own
+    assert [n for n in declared if n not in values] == [
+        "trace.overhead_ratio", "trace.unresolved_counts",
+    ]
 
 
 def test_benchmark_builds_a_workspace():
