@@ -51,7 +51,7 @@ with M first in each product, so each is a polynomial times a Scalar.
 import itertools
 
 from .errors import PresentationMismatch, UnknownGenerator
-from .freealg import NCPoly, PairPoly, RelationSet, T, add_terms
+from .freealg import NCPoly, PairPoly, RelationSet, T, add_terms, matrix_family
 from .tensors import Tensor, compose, contract, delta, invert4, swap_lower
 
 
@@ -215,4 +215,4 @@ def twisted_product_relations(R: LinearForm, M) -> RelationSet:
     """
     RM = contract("acbd,ijac->ijbd", M.table, R.base)
     rel = contract("jilk->ijkl", M.table) - contract("ijbd,bdkl->ijkl", RM, invert4(R.base))
-    return RelationSet(M.ctx, M.family(), [p for _, p in sorted(rel.entries.items())])
+    return RelationSet(M.ctx, matrix_family(M.dim), [p for _, p in sorted(rel.entries.items())])

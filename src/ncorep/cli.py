@@ -29,29 +29,30 @@ from .bialg import (
     braid_form,
     character_pair_form,
     cocycle_check,
+    tilde_images,
     twist_R,
     twisted_product_relations,
 )
 from .corep import (
     QuadraticSpace,
-    ThetaMap,
     build_M,
     check_grouplike,
     coideal_check,
     factorized_theta,
     generate_ideal,
     homomorphism_check,
-    require_valid,
+    validate_theta,
 )
 from .errors import (
     CommutationUnverified,
     InputFormat,
+    InvalidTheta,
     NCorepError,
     NotGroupCoefficient,
     NotInvertible,
     SectionFailed,
 )
-from .freealg import NCPoly, RelationSet, T, e, row_space_compare, xi
+from .freealg import NCPoly, RelationSet, T, e, matrix_family, row_space_compare, xi
 from .integrable import SpectralFamily
 from .qplane import (
     _pair_reduction_factor,
@@ -118,6 +119,14 @@ def _quoted(value, lineno):
     raise InputFormat("expected a quoted expression string", lineno)
 
 
+def _number(text, lineno=None):
+    """int(text); InputFormat when text has more digits than int() converts."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InputFormat("number of %d digits is too long to read" % len(text), lineno) from None
+
+
 def _indices(toks, count, dim, lineno):
     if len(toks) != count:
         raise InputFormat("expected %d indices before `=`" % count, lineno)
@@ -125,7 +134,7 @@ def _indices(toks, count, dim, lineno):
     for t in toks:
         if not _NATURAL.fullmatch(t):
             raise InputFormat("index %r is not a positive integer" % t, lineno)
-        v = int(t)
+        v = _number(t, lineno)
         if not 1 <= v <= dim:
             raise InputFormat("index %d outside dimension %d" % (v, dim), lineno)
         out.append(v)
@@ -199,11 +208,12 @@ def parse_algebra_file(path):
             raise InputFormat("expected a single field name in [algebra]", lineno)
         key = keys[0]
         if key == "dim":
-            if not _NATURAL.fullmatch(value) or int(value) < 1:
+            dim = _number(value, lineno) if _NATURAL.fullmatch(value) else 0
+            if dim < 1:
                 raise InputFormat("dim must be a positive integer", lineno)
             if af.dim is not None:
                 raise InputFormat("dim given twice", lineno)
-            af.dim = int(value)
+            af.dim = dim
         elif key == "params":
             if af.params is not None:
                 raise InputFormat("params given twice", lineno)
@@ -265,7 +275,7 @@ def parse_algebra_file(path):
                     raise InputFormat("expected `rel k i j = \"expr\"`", lineno)
                 if not _NATURAL.fullmatch(keys[1]):
                     raise InputFormat("relation number %r is not an integer" % keys[1], lineno)
-                k = int(keys[1])
+                k = _number(keys[1], lineno)
                 ij = _indices(keys[2:], 2, af.dim, lineno)
                 slot = space_rows.setdefault(k, {})
                 if ij in slot:
@@ -304,16 +314,18 @@ class Workspace:
     """One run: a configuration, the term order and degree bound it is
     checked under, and everything derived from it.
 
-    The configuration is the exchange tensor B, the twisting tensor theta
-    and the odd coordinate space.  Each binding's value is read once, a
-    string through Context.scalar, so a bad expression raises before any
+    The configuration is the exchange tensor B, the twisting tensor theta,
+    the character table rho it factors through (None for raw entries) and
+    the odd coordinate space.  Each binding's value is read once, a string
+    through Context.scalar, so a bad expression raises before any
     substitution.  The bindings are applied once to each parsed table (B,
-    B', the character table or the raw theta entries, the space
-    relations), and theta is built once from the substituted table.
-    Each derivation (the matrix M, the even space, the relation ideal, the
-    oriented system and its overlap analysis, the determinant, the character
-    pair form and its cocycle check) is computed on first use and kept; one
-    that raised raises the same error at every later use.
+    B', rho or the raw theta entries, the space relations), and theta is
+    built once from the substituted table.  Each derivation (the twist's
+    validation and generator images, the matrix M, the even space, the
+    relation ideal, the oriented system and its overlap analysis, the
+    determinant, the character pair form and its cocycle check) is
+    computed on first use and kept; one that raised raises the same error
+    at every later use.
     """
 
     def __init__(self, af, bindings=(), order=None, max_degree=3):
@@ -328,13 +340,14 @@ class Workspace:
         bindings = [(name, self.ctx.scalar(value)) for name, value in bindings]
         self.B = af.B.substitute(bindings)
         self.Bprime = None if af.Bprime is None else af.Bprime.substitute(bindings)
-        if af.rho is not None:
+        self.rho = None if af.rho is None else af.rho.substitute(bindings)
+        if self.rho is not None:
             try:
-                self.theta = factorized_theta(af.ctx, af.rho.substitute(bindings))
+                self.theta = factorized_theta(self.rho)
             except NotInvertible:
                 raise InputFormat("[theta] character table is not invertible")
         else:
-            self.theta = ThetaMap(af.theta_entries.substitute(bindings))
+            self.theta = af.theta_entries.substitute(bindings)
         self.space = None
         if af.has_space:
             rels = [r.substitute(bindings) for r in af.space_relations]
@@ -351,6 +364,14 @@ class Workspace:
             raise value
         return value
 
+    def validation(self):
+        """validate_theta of the twist: {"valid": bool, "violations": [...]}."""
+        return self._once("validation", lambda: validate_theta(self.theta))
+
+    def images(self):
+        """The twist's generator images T_i^j |-> theta_im^jn T_n^m."""
+        return self._once("images", lambda: tilde_images(self.ctx, self.theta))
+
     @property
     def M(self):
         """The coefficient matrix, built whether or not theta is valid."""
@@ -365,7 +386,9 @@ class Workspace:
         """The ideal spanned by B M - M B; InvalidTheta for an invalid theta."""
 
         def make():
-            require_valid(self.theta)
+            bad = self.validation()["violations"]
+            if bad:
+                raise InvalidTheta("twisting tensor fails %d validity identities" % len(bad))
             return generate_ideal(self.B, self.M)
 
         return self._once("relations", make)
@@ -386,7 +409,7 @@ class Workspace:
 
     def pair_form(self):
         """The form counit (x) rho of the character table."""
-        return self._once("pair_form", lambda: character_pair_form(self.M.pres, self.theta.rho))
+        return self._once("pair_form", lambda: character_pair_form(self.M.pres, self.rho))
 
     def cocycle(self):
         """cocycle_check of the character pair form."""
@@ -396,7 +419,7 @@ class Workspace:
 # A section's preconditions: (test on the Workspace, what the input must give).
 DIM2 = (lambda ws: ws.dim == 2, "a 2-dimensional algebra file")
 SPACE = (lambda ws: ws.space is not None, "a [space] section")
-CHARACTERS = (lambda ws: ws.theta.rho is not None, "a character table in [theta]")
+CHARACTERS = (lambda ws: ws.rho is not None, "a character table in [theta]")
 LABELS = (lambda ws: len(ws.labels) >= 2, "spectral labels in [algebra]")
 # the paper's cross relations are written in q, its determinant factors and
 # antipode images in p and q
@@ -473,7 +496,7 @@ def _merge(rep, prefix, sub):
 
 @section("validate-theta", "twist validity")
 def _validate_theta(ws, rep):
-    res = ws.theta.validate()
+    res = ws.validation()
     _twist_record(rep, res)
     grp = check_grouplike(ws.M)
     rep.add(
@@ -685,7 +708,7 @@ def _twist_r(ws, rep):
 
 @section("integrability", "spectral integrability", needs=(LABELS,), gated=True)
 def _integrability(ws, rep):
-    fam = SpectralFamily(ws.B, ws.theta)
+    fam = SpectralFamily(ws.B, ws.theta, ws.rho)
     lam, mu = ws.labels[0], ws.labels[1]
     _merge(rep, "first", fam.first_report(lam, mu))
     _merge(rep, "second", fam.second_report(lam, mu))
@@ -695,8 +718,8 @@ def _integrability(ws, rep):
 def _command(sec):
     """The callable of one section on a Workspace: preconditions, gate, body.
 
-    An error that leaves the body is raised again as SectionFailed, with the
-    section's name before its message.
+    An error that leaves the gate or the body is raised again as
+    SectionFailed, with the section's name before its message.
     """
 
     def run(ws):
@@ -704,10 +727,10 @@ def _command(sec):
         if unmet is not None:
             raise InputFormat("%s needs %s" % (sec.name, unmet))
         rep = Report(sec.title)
-        if sec.gated and not ws.theta.validate()["valid"]:
-            _twist_record(rep, ws.theta.validate())
-            return rep
         try:
+            if sec.gated and not ws.validation()["valid"]:
+                _twist_record(rep, ws.validation())
+                return rep
             return sec.body(ws, rep)
         except NCorepError as err:
             raise SectionFailed("%s: %s" % (sec.name, err)) from err
@@ -757,11 +780,11 @@ def _parse_order(text, af):
         m = _ORDER_TOKEN.match(tok.strip())
         if not m:
             raise InputFormat("--order tokens look like T[i,j], got %r" % tok.strip())
-        i, j = int(m.group(1)), int(m.group(2))
+        i, j = _number(m.group(1)), _number(m.group(2))
         if not (1 <= i <= af.dim and 1 <= j <= af.dim):
             raise InputFormat("--order index outside dimension %d" % af.dim)
         gens.append(T(i, j))
-    needed = set(T(i, j) for i in range(1, af.dim + 1) for j in range(1, af.dim + 1))
+    needed = set(matrix_family(af.dim))
     if len(gens) != len(needed) or set(gens) != needed:
         raise InputFormat("--order must list every matrix generator exactly once")
     return TermOrder(tuple(gens))

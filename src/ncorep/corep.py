@@ -12,7 +12,9 @@ each a tensors.contract spec set against a delta term:
       "ijpl,pkrs->ijkrsl"           "js,ikrl->ijkrsl"
     sum_n theta_jn^kn = delta_j^k   "jnkn->jk"
 
-A valid theta makes
+theta is a plain (2,2) Tensor, like the exchange tensor B; validate_theta
+returns its violations as data, and a run (cli.Workspace) keeps that
+result, as it keeps M.  A valid theta makes
 
     M_ij^kl = T_i^k theta_jn^lm T_m^n
 
@@ -63,8 +65,8 @@ the terms changes a sum.  The outer loops keep their index order.
 
 import itertools
 
-from .bialg import Presentation, tilde_images
-from .errors import InvalidTheta, ShapeMismatch
+from .bialg import Presentation
+from .errors import ShapeMismatch
 from .freealg import (
     NCPoly,
     PairPoly,
@@ -72,6 +74,7 @@ from .freealg import (
     T,
     add_terms,
     e,
+    matrix_family,
     poly_vector,
     tensor_terms,
     xi,
@@ -79,48 +82,10 @@ from .freealg import (
 from .tensors import Tensor, contract, delta, invert2
 
 
-class ThetaMap:
-    """A twisting tensor, with the character table it factors through when
-    it was built by factorized_theta."""
-
-    def __init__(self, tensor: Tensor, rho=None):
-        if tensor.nlower != 2 or tensor.nupper != 2:
-            raise ShapeMismatch("twisting tensor must have two lower and two upper legs")
-        self.tensor = tensor
-        self.rho = rho
-        self._validation = None
-        self._images = None
-
-    @property
-    def dim(self):
-        return self.tensor.dim
-
-    def validate(self):
-        if self._validation is None:
-            self._validation = validate_theta(self.tensor)
-        return self._validation
-
-    def images(self):
-        """The generator images T_i^j |-> theta_im^jn T_n^m, computed once."""
-        if self._images is None:
-            self._images = tilde_images(self.tensor.ctx, self.tensor)
-        return self._images
-
-
-def require_valid(theta: ThetaMap) -> ThetaMap:
-    """theta itself; InvalidTheta when one of its identities fails."""
-    res = theta.validate()
-    if not res["valid"]:
-        raise InvalidTheta(
-            "twisting tensor fails %d validity identities" % len(res["violations"])
-        )
-    return theta
-
-
-def factorized_theta(ctx, rho: Tensor) -> ThetaMap:
+def factorized_theta(rho: Tensor) -> Tensor:
     """theta_ij^kl = rho_i^l rhobar_j^k, "il,jk->ijkl", from an invertible
     2-index table."""
-    return ThetaMap(contract("il,jk->ijkl", rho, invert2(rho)), rho=rho)
+    return contract("il,jk->ijkl", rho, invert2(rho))
 
 
 def validate_theta(t: Tensor):
@@ -137,12 +102,11 @@ def validate_theta(t: Tensor):
 class MMatrix:
     """The n^2 x n^2 matrix of degree-2 words generated by a twisting tensor."""
 
-    def __init__(self, ctx, dim, entries, labels=None):
+    def __init__(self, ctx, dim, entries):
         self.ctx = ctx
         self.dim = dim
         self.table = Tensor(ctx, dim, 2, 2, entries)
         self.entries = self.table.entries  # (i,j,k,l) -> NCPoly, the table's own dict
-        self.labels = labels
         self.pres = Presentation(ctx, dim)  # its coproduct memo serves every check on M
         self._defect = None
 
@@ -155,33 +119,25 @@ class MMatrix:
     def get(self, i, j, k, l) -> NCPoly:
         return self.entries.get((i, j, k, l), NCPoly.zero(self.ctx))
 
-    def family(self):
-        n = self.dim
-        labels = self.labels if self.labels is not None else (None, None)
-        fam = []
-        for lab in dict.fromkeys(labels):
-            fam.extend(T(i, j, lab) for i in range(1, n + 1) for j in range(1, n + 1))
-        return fam
 
-
-def build_M(theta: ThetaMap, labels=None) -> MMatrix:
+def build_M(theta: Tensor, labels=None) -> MMatrix:
     """M_ij^kl = T_i^k theta_jn^lm T_m^n, optionally with a spectral label pair.
 
-    theta is not validated; a caller that needs that calls require_valid.
+    theta is not validated; a caller that needs a valid one reads
+    validate_theta first.
     """
-    t = theta.tensor
-    ctx = t.ctx
-    n = t.dim
+    ctx = theta.ctx
+    n = theta.dim
     lab1, lab2 = labels if labels is not None else (None, None)
     entries = {}
-    by_jl = t.index((0, 2))
+    by_jl = theta.index((0, 2))
     for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
         group = by_jl.get((j, l))
         if group:  # the words T_i^k T_m^n of one entry are distinct
             entries[(i, j, k, l)] = NCPoly(
                 ctx, {(T(i, k, lab1), T(m, nn, lab2)): c for (_, nn, _, m), c in group}
             )
-    return MMatrix(ctx, n, entries, labels)
+    return MMatrix(ctx, n, entries)
 
 
 def grouplike_defect(M: MMatrix):
@@ -241,7 +197,7 @@ def relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
 
 def generate_ideal(B: Tensor, M: MMatrix) -> RelationSet:
     """Entries of B M - M B as degree-2 relations (identity parts cancel)."""
-    return RelationSet(M.ctx, M.family(), relation_entries(B, M).values())
+    return RelationSet(M.ctx, matrix_family(M.dim), relation_entries(B, M).values())
 
 
 def coideal_check(B: Tensor, M: MMatrix) -> bool:

@@ -17,6 +17,10 @@ class ExpressionSyntax(NCorepError):
         self.pos = pos
 
 
+class NumberTooLong(NCorepError):
+    """A number has more digits than Python converts between int and text."""
+
+
 class DivisionByZero(NCorepError):
     """Division by the zero rational function."""
 

@@ -70,6 +70,12 @@ def T(i, j, label=None):
     return Generator("T", (i, j), label)
 
 
+def matrix_family(n, labels=(None,)):
+    """The generators T[i,j] of an n x n matrix, row-major, once per distinct label."""
+    rng = range(1, n + 1)
+    return [T(i, j, lab) for lab in dict.fromkeys(labels) for i in rng for j in rng]
+
+
 def e(i):
     return Generator("e", (i,))
 

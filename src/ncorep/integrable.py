@@ -8,19 +8,20 @@ tensor turns them into statements about traces: the plain trace commutes
 when the twisting tensor contracts to the identity on its first slot, and
 a weighted trace commutes when the weight passes through the exchange
 tensor.  Everything here is exact free-algebra arithmetic; no analytic
-structure is attached to the labels.
+structure is attached to the labels.  Nothing here validates the twisting
+tensor: the integrability section runs only on a valid one.
 """
 
-from .corep import ThetaMap, build_M, relation_entries, require_valid
+from .corep import build_M, relation_entries
 from .errors import AnsatzFailed
-from .freealg import NCPoly, RelationSet, T, add_terms, poly_vector
+from .freealg import NCPoly, RelationSet, T, add_terms, matrix_family, poly_vector
 from .report import Report, passfail
 from .tensors import Tensor, contract, delta, invert4
 
 
-def weighted_trace(theta: ThetaMap) -> Tensor:
+def weighted_trace(theta: Tensor) -> Tensor:
     """The first-slot contraction w_j^l = sum_s theta_sj^sl, "sjsl->jl"."""
-    return contract("sjsl->jl", theta.tensor)
+    return contract("sjsl->jl", theta)
 
 
 def weighted_trace_element(w: Tensor, label=None) -> NCPoly:
@@ -33,20 +34,18 @@ def weight_commutation_holds(B: Tensor, w: Tensor) -> bool:
     return contract("ijrk,rl->ijkl", B, w) == contract("ir,rjlk->ijkl", w, B)
 
 
-def spectral_relations(B: Tensor, theta: ThetaMap, labels):
+def spectral_relations(B: Tensor, theta: Tensor, labels):
     """Entries of B M(first, second) - M(second, first) B and their span.
 
     Returns a dict with the entry table and the relation span.
     """
     lam, mu = labels
-    th = require_valid(theta)
-    M1 = build_M(th, labels=(lam, mu))
-    M2 = build_M(th, labels=(mu, lam))
+    M1 = build_M(theta, labels=(lam, mu))
+    M2 = build_M(theta, labels=(mu, lam))
     entries = relation_entries(B, M1, M2)
-    fam = list(dict.fromkeys(M1.family() + M2.family()))
     return {
         "entries": entries,
-        "relations": RelationSet(M1.ctx, fam, entries.values()),
+        "relations": RelationSet(M1.ctx, matrix_family(M1.dim, labels), entries.values()),
     }
 
 
@@ -78,14 +77,16 @@ def _add_contracted_relation(rep, identity, Binv, w, entries, labels):
 class SpectralFamily:
     """Labeled spaces sharing one exchange tensor and one twisting tensor.
 
-    Both routes read the inverse exchange tensor, which invert4 keeps on B,
-    and the labeled relation entries; each is computed once per family, at
-    its first use.
+    rho is the character table theta factors through, or None; the second
+    route reads only whether it is given.  Both routes read the inverse
+    exchange tensor, which invert4 keeps on B, and the labeled relation
+    entries; each is computed once per family, at its first use.
     """
 
-    def __init__(self, B: Tensor, theta: ThetaMap):
+    def __init__(self, B: Tensor, theta: Tensor, rho=None):
         self.B = B
         self.theta = theta
+        self.rho = rho
         self._spectral = {}  # labels -> spectral_relations
 
     def _relations(self, labels):
@@ -101,9 +102,8 @@ class SpectralFamily:
         contraction of the relation entries with the inverse exchange tensor
         collapses to tr(first) tr(second) - tr(second) tr(first) identically.
         """
-        th = require_valid(self.theta)
-        ident = delta(th.tensor.ctx, th.dim)
-        if weighted_trace(th) != ident:
+        ident = delta(self.theta.ctx, self.theta.dim)
+        if weighted_trace(self.theta) != ident:
             raise AnsatzFailed("twisting tensor fails the first-slot trace condition")
         Binv = invert4(self.B)
         rep = Report("first integrability route")
@@ -138,12 +138,11 @@ class SpectralFamily:
         weight, collapsing this route to the plain one.
         """
         B = self.B
-        th = require_valid(self.theta)
         Binv = invert4(self.B)
         rep = Report("second integrability route")
-        w = weighted_trace(th)
+        w = weighted_trace(self.theta)
         ident = delta(B.ctx, B.dim)
-        if th.rho is not None:
+        if self.rho is not None:
             rep.add(
                 "factorized-weight-identity",
                 "factorized twisting tensor must have identity weight",

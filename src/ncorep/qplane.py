@@ -20,7 +20,7 @@ def cross_relations(ws) -> RelationSet:
     """The six relations written with once-twisted second factors."""
     ctx = ws.ctx
     a, b, c, d = (NCPoly.gen(ctx, g) for g in ws.gens)
-    tl = ws.theta.images()
+    tl = ws.images()
     ga, gb, gc, gd = ws.gens
     q = ctx.gen("q")
     six = [
@@ -215,7 +215,7 @@ def verify_gamma_action_table(ws) -> Report:
     """
     ctx = ws.ctx
     rep = Report("coordinate exchange table")
-    tl = ws.theta.images()
+    tl = ws.images()
     names = ("a", "b", "c", "d")
     trace = {}
     for g in (T(1, 1), T(2, 2)):

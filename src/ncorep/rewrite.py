@@ -30,7 +30,7 @@ checked against the base system before anything is added.
 """
 
 from .errors import CommutationUnverified, OrderMissingGenerator
-from .freealg import Generator, NCPoly, SpanBasis, add_terms
+from .freealg import Generator, NCPoly, SpanBasis, add_terms, matrix_family
 
 DET = Generator("D", ())
 DETBAR = Generator("Dbar", ())
@@ -64,8 +64,7 @@ class TermOrder:
 
 def matrix_order(n):
     """Row-major order on an n x n matrix family, T[1,1] smallest."""
-    prec = [Generator("T", (i, j)) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return TermOrder(prec)
+    return TermOrder(matrix_family(n))
 
 
 class RewriteSystem:

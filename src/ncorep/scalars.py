@@ -127,6 +127,7 @@ from .errors import (
     DenominatorVanishes,
     DivisionByZero,
     ExpressionSyntax,
+    NumberTooLong,
     UnknownParameter,
 )
 
@@ -366,13 +367,16 @@ class Scalar:
         if self._keyc is None:  # the text, written once
             ctx = self.ctx
             c, m, ks = self.split
-            if not ks and not any(m):  # the constant denominator c
-                self._keyc = _poly_str(self.num, ctx.params, c)
-            else:
-                den = _den(ctx, self.split)
-                lead = den[max(den, key=_grlex)]
-                num, den = (_poly_str(p, ctx.params, lead) for p in (self.num, den))
-                self._keyc = "(%s)/(%s)" % (num, den)
+            try:
+                if not ks and not any(m):  # the constant denominator c
+                    self._keyc = _poly_str(self.num, ctx.params, c)
+                else:
+                    den = _den(ctx, self.split)
+                    lead = den[max(den, key=_grlex)]
+                    num, den = (_poly_str(p, ctx.params, lead) for p in (self.num, den))
+                    self._keyc = "(%s)/(%s)" % (num, den)
+            except ValueError:  # an int longer than str() converts
+                raise NumberTooLong("a coefficient has too many digits to print") from None
         return self._keyc
 
     def __repr__(self):
@@ -833,7 +837,10 @@ class _Parser:
                 at = len(text) - len(stripped)
                 raise ExpressionSyntax("unexpected character %r" % text[at], pos=at)
             if m.group(1):
-                self.toks.append(("int", int(m.group(1)), m.start(1)))
+                try:
+                    self.toks.append(("int", int(m.group(1)), m.start(1)))
+                except ValueError:  # more digits than int() converts
+                    raise ExpressionSyntax("number is too long to read", pos=m.start(1)) from None
             elif m.group(2):
                 self.toks.append(("name", m.group(2), m.start(2)))
             else:
@@ -857,7 +864,10 @@ class _Parser:
     def parse(self):
         if not self.toks:
             raise ExpressionSyntax("empty expression", pos=0)
-        value = self.expr()
+        try:
+            value = self.expr()
+        except RecursionError:
+            raise ExpressionSyntax("expression nested too deeply") from None
         kind, val, pos = self.peek()
         if kind != "end":
             raise ExpressionSyntax("trailing input %r" % (val,), pos=pos)

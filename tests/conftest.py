@@ -11,8 +11,8 @@ from sympy import ZZ
 from sympy.polys.fields import field
 
 from ncorep.cli import Workspace, _resolve_input, parse_algebra_file
-from ncorep.bialg import LinearForm
-from ncorep.corep import MMatrix, QuadraticSpace, ThetaMap, factorized_theta, require_valid
+from ncorep.bialg import LinearForm, tilde_images
+from ncorep.corep import MMatrix, QuadraticSpace, factorized_theta
 from ncorep.errors import InputFormat, MissingImage, NotInvertible, ShapeMismatch
 from ncorep.freealg import NCPoly, PairPoly, RelationSet, T, apply_hom
 from ncorep.integrable import weighted_trace
@@ -36,7 +36,7 @@ def per_binding_configuration(af, bindings):
     rho = af.rho
     if rho is not None:
         try:
-            tensor = factorized_theta(af.ctx, rho).tensor
+            tensor = factorized_theta(rho)
         except NotInvertible:
             raise InputFormat("[theta] character table is not invertible")
     else:
@@ -242,10 +242,10 @@ def identity4(ctx, dim):
     return Tensor(ctx, dim, 2, 2, {(i, j, i, j): ctx.one for i in rng for j in rng})
 
 
-def flip_theta(ctx, n) -> ThetaMap:
+def flip_theta(ctx, n) -> Tensor:
     """The untwisted coaction's twist: theta_ij^kl = delta_i^l delta_j^k."""
     rng = range(1, n + 1)
-    return ThetaMap(Tensor(ctx, n, 2, 2, {(i, j, j, i): ctx.one for i in rng for j in rng}))
+    return Tensor(ctx, n, 2, 2, {(i, j, j, i): ctx.one for i in rng for j in rng})
 
 
 def apply_antihom(x: NCPoly, images: dict) -> NCPoly:
@@ -261,15 +261,15 @@ def apply_antihom(x: NCPoly, images: dict) -> NCPoly:
     return out
 
 
-def reference_coaction_word(theta: ThetaMap, indices):
+def reference_coaction_word(theta: Tensor, indices):
     """Coaction of a coordinate word of any length, as the package once
     computed it: each crossing applies one more twist, so the j-th coordinate
     contributes a generator twisted j-1 times.  Returns {output index tuple:
     NCPoly coefficient}; on a pair it is the row of M that
     corep.coaction_word reads.
     """
-    ctx = theta.tensor.ctx
-    images = theta.images()
+    ctx = theta.ctx
+    images = tilde_images(ctx, theta)
     out = {(): NCPoly.one(ctx)}
     for pos, i in enumerate(indices):
         nxt = {}  # each (key, k) extends to its own key, so nothing is summed
@@ -285,10 +285,9 @@ def reference_coaction_word(theta: ThetaMap, indices):
     return out
 
 
-def check_trace_ansatz(theta) -> bool:
+def check_trace_ansatz(theta: Tensor) -> bool:
     """Whether the twisting tensor contracts to the identity on its first slot."""
-    th = require_valid(theta)
-    return weighted_trace(th) == delta(th.tensor.ctx, th.dim)
+    return weighted_trace(theta) == delta(theta.ctx, theta.dim)
 
 
 def homogeneous_part(x: NCPoly, d) -> NCPoly:
@@ -427,8 +426,7 @@ def dense_contract(spec, a: Tensor, b: Tensor = None) -> Tensor:
     return Tensor(a.ctx, a.dim, len(out) // 2, len(out) // 2, entries)
 
 
-def dense_weighted_trace(theta: ThetaMap) -> Tensor:
-    t = theta.tensor
+def dense_weighted_trace(t: Tensor) -> Tensor:
     n = t.dim
     entries = {}
     for j in range(1, n + 1):
@@ -478,8 +476,7 @@ def dense_validate_theta(t: Tensor):
     return {"valid": not violations, "violations": violations}
 
 
-def dense_build_M(theta: ThetaMap, labels=None) -> MMatrix:
-    t = theta.tensor
+def dense_build_M(t: Tensor, labels=None) -> MMatrix:
     ctx = t.ctx
     lab1, lab2 = labels if labels is not None else (None, None)
     rng = range(1, t.dim + 1)
@@ -493,7 +490,7 @@ def dense_build_M(theta: ThetaMap, labels=None) -> MMatrix:
                     acc = acc + NCPoly.term(ctx, (T(i, k, lab1), T(m, nn, lab2)), c)
         if not acc.is_zero():
             entries[(i, j, k, l)] = acc
-    return MMatrix(ctx, t.dim, entries, labels)
+    return MMatrix(ctx, t.dim, entries)
 
 
 def dense_check_grouplike(M: MMatrix) -> bool:
@@ -597,10 +594,10 @@ def dense_cocycle_check(phi: LinearForm):
     return {"holds": not residuals, "residuals": residuals}
 
 
-def dense_twisted_product_relations(pres, R: LinearForm, theta: ThetaMap) -> RelationSet:
+def dense_twisted_product_relations(pres, R: LinearForm, theta: Tensor) -> RelationSet:
     ctx = pres.ctx
     rbar = invert4(R.base)
-    images = dense_tilde_images(ctx, theta.tensor)
+    images = dense_tilde_images(ctx, theta)
 
     def mtheta(g1, g2):
         return NCPoly.gen(ctx, g1) * apply_hom(NCPoly.gen(ctx, g2), images)

@@ -25,7 +25,6 @@ from ncorep.bialg import (
 )
 from ncorep.cli import _resolve_input, main, parse_algebra_file
 from ncorep.corep import (
-    ThetaMap,
     build_M,
     check_grouplike,
     coaction_word,
@@ -57,10 +56,10 @@ LIMIT = (("r", "0"), ("s", "0"))
 
 def corrupted_theta(ctx):
     # the flip with one crossing rescaled; breaks both validity identities
-    return ThetaMap(tensor_from_entries(ctx, 2, 2, 2, [
+    return tensor_from_entries(ctx, 2, 2, 2, [
         ((1, 1, 1, 1), "1"), ((1, 2, 2, 1), "1"),
         ((2, 1, 1, 2), "q"), ((2, 2, 2, 2), "1"),
-    ]))
+    ])
 
 
 def test_c01_braid_identity_holds_and_symmetric_form_fails_it():
@@ -73,14 +72,14 @@ def test_c01_braid_identity_holds_and_symmetric_form_fails_it():
 
 def test_c02_twist_validity_equivalent_to_grouplike_matrix():
     full = load("qplane_qprs").theta
-    res = validate_theta(full.tensor)
+    res = validate_theta(full)
     assert res["valid"] and res["violations"] == []
     flip = load("qplane_frt").theta
-    corrupt = corrupted_theta(full.tensor.ctx)
-    assert not validate_theta(corrupt.tensor)["valid"]
+    corrupt = corrupted_theta(full.ctx)
+    assert not validate_theta(corrupt)["valid"]
     for th in (full, flip, corrupt):
         grouplike = check_grouplike(build_M(th))
-        assert validate_theta(th.tensor)["valid"] == grouplike
+        assert validate_theta(th)["valid"] == grouplike
 
 
 def test_c03_commutation_ideal_spans_the_six_twisted_relations():
@@ -120,8 +119,8 @@ def test_c05_sequential_limit_chain_and_order_obstruction():
     # the ordered limit is the shipped two-parameter configuration, read
     # into the limit's Context
     two = load("qplane_qp")
-    assert lim.theta.tensor == read_over(ctx, two.theta.tensor)
-    assert lim.theta.rho == read_over(ctx, two.theta.rho)
+    assert lim.theta == read_over(ctx, two.theta)
+    assert lim.rho == read_over(ctx, two.rho)
     assert row_space_compare(lim.relations(), read_over(ctx, two.relations())).verdict == "equal"
     assert row_space_compare(lim.relations(), two_parameter_relations(ctx)).verdict == "equal"
     # substituting into the four-parameter relations reaches the same span

@@ -320,7 +320,7 @@ def test_twisted_product_relations_match_ideal():
     from ncorep.corep import build_M, factorized_theta, generate_ideal
     from ncorep.freealg import row_space_compare
 
-    th = factorized_theta(ctx, rho_full(ctx))
+    th = factorized_theta(rho_full(ctx))
     R = braid_form(pres, braid(ctx))
     M = build_M(th)
     rel = twisted_product_relations(R, M)

@@ -147,22 +147,87 @@ def test_duplicate_label_rejected(tmp_path):
 
 
 # str.isdigit accepts digits such as ², which int() rejects; each parser
-# site that reads a number takes ASCII digits only
+# site that reads a number takes ASCII digits only.  A run of ASCII digits
+# longer than CPython converts between int and text (4,300 digits by
+# default) is unusable input too, at the same sites.
+LONG = "9" * 5000
 SUPERSCRIPT_NUMBERS = {
     "index": BASE.replace('1 1 1 1 = "1"', '1 1 1 \u00b2 = "1"'),
     "dim": BASE.replace("dim = 2", "dim = \u00b2"),
     "relation-number": BASE + '\n[space]\nrel \u00b2 1 2 = "1"\n',
+    "index-too-long": BASE.replace('1 1 1 1 = "1"', '1 1 1 %s = "1"' % LONG),
+    "dim-too-long": BASE.replace("dim = 2", "dim = " + LONG),
+    "relation-number-too-long": BASE + '\n[space]\nrel %s 1 2 = "1"\n' % LONG,
 }
 
 
 @pytest.mark.parametrize("site", sorted(SUPERSCRIPT_NUMBERS))
 def test_superscript_digits_exit_two_with_their_line(site, tmp_path, capsys):
     text = SUPERSCRIPT_NUMBERS[site]
-    line = next(n for n, row in enumerate(text.splitlines(), 1) if "\u00b2" in row)
+    line = next(n for n, row in enumerate(text.splitlines(), 1) if "\u00b2" in row or LONG in row)
     assert main(["ybe", "--input", write(tmp_path, text)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("ncorep: ") and err.endswith("(line %d)\n" % line)
+
+
+QP = _resolve_input("qplane_qp").read_text(encoding="utf-8")
+RHO22 = 'rho 2 2 = "1/p"'
+
+# the other numbers past the digit limit: an expression literal, an --order
+# index and a --subst value, and a coefficient that grows past it; that one
+# is first printed in the relations section, also under full-report, or at
+# its gate, among the violations of a raw twist
+GATED_TWIST = (
+    (Path(__file__).parent / "golden" / "corrupt_theta.alg").read_text(encoding="utf-8")
+    .replace('entry 1 2 2 1 = "1"', 'entry 1 2 2 1 = "7^4500"')
+    .replace('entry 2 1 1 2 = "q"', 'entry 2 1 1 2 = "7^4500"')
+)
+TOO_LONG = {
+    "literal": (QP.replace(RHO22, 'rho 2 2 = "%s"' % LONG), ["ybe"]),
+    "order": (QP, ["ybe", "--order", "T[1,1]<T[1,2]<T[2,1]<T[2,%s]" % LONG]),
+    "subst": (QP, ["ybe", "--subst", "p=" + LONG]),
+    "printed-relations": (QP.replace(RHO22, 'rho 2 2 = "7^3000"'), ["relations"]),
+    "printed-full-report": (QP.replace(RHO22, 'rho 2 2 = "7^3000"'), ["full-report"]),
+    "printed-at-the-gate": (GATED_TWIST, ["relations"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_LONG))
+def test_numbers_past_the_digit_limit_exit_two(case, tmp_path, capsys):
+    text, args = TOO_LONG[case]
+    assert main(args + ["--input", write(tmp_path, text)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ncorep: ") and err.count("\n") == 1
+    if case.startswith("printed"):
+        assert err == "ncorep: relations: a coefficient has too many digits to print\n"
+
+
+DEEP = "(" * 1200 + "q" + ")" * 1200
+
+# expressions nested past Python's recursion limit: in the file, a nesting
+# error keeps the line it is on
+NESTED = {
+    "parentheses": ('rho 2 2 = "%s"' % DEEP, []),
+    "minus-signs": ('rho 2 2 = "%sq"' % ("-" * 3000), []),
+    "subst": (RHO22, ["--subst", "p=" + DEEP]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED))
+def test_deeply_nested_expressions_exit_two(case, tmp_path, capsys):
+    line, args = NESTED[case]
+    text = QP.replace(RHO22, line)
+    assert main(["ybe", "--input", write(tmp_path, text)] + args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("ncorep: ") and err.count("\n") == 1
+    assert "expression nested too deeply" in err
+    if args:
+        assert err == "ncorep: expression nested too deeply\n"
+    else:
+        n = text.splitlines().index(line) + 1
+        assert err.endswith("(line %d)\n" % n)
 
 
 def test_comments_and_quoted_hash(tmp_path):
@@ -174,7 +239,7 @@ def test_comments_and_quoted_hash(tmp_path):
 def test_workspace_substitution_order(tmp_path):
     af = parse_algebra_file(_resolve_input("qplane_qprs"))
     ws = Workspace(af, [("r", "0"), ("s", "0")])
-    assert ws.theta.rho.get(2, 2) == af.ctx.parse("1/p")
+    assert ws.rho.get(2, 2) == af.ctx.parse("1/p")
     from ncorep.errors import DenominatorVanishes
 
     with pytest.raises(DenominatorVanishes):
@@ -227,7 +292,7 @@ def test_workspace_matches_the_per_binding_construction(data):
         return
     assert want is not None
     rels = ws.space.relations.polys if ws.space is not None else []
-    got = (ws.B, ws.Bprime, ws.theta.tensor, ws.theta.rho, *rels)
+    got = (ws.B, ws.Bprime, ws.theta, ws.rho, *rels)
     want = (*want[:4], *want[4])
     assert got == want
     assert [str(x) for x in got] == [str(x) for x in want]

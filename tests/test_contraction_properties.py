@@ -53,7 +53,6 @@ from ncorep.bialg import (
     twisted_product_relations,
 )
 from ncorep.corep import (
-    ThetaMap,
     build_M,
     check_grouplike,
     coideal_check,
@@ -100,7 +99,7 @@ def rho_tables(draw, n):
             entries[(i, j)] = CTX.parse(draw(values))
     rho = Tensor(CTX, n, 1, 1, entries)
     try:
-        factorized_theta(CTX, rho)
+        factorized_theta(rho)
     except NotInvertible:
         assume(False)
     return rho
@@ -120,9 +119,9 @@ def cases(draw):
     is the GL(n) exchange tensor, perturbed at up to two entries."""
     n = draw(st.sampled_from((2, 3)))
     rho = draw(rho_tables(n))
-    theta = factorized_theta(CTX, rho)
+    theta = factorized_theta(rho)
     if draw(st.booleans()):
-        theta = ThetaMap(perturbed(draw, theta.tensor))
+        theta = perturbed(draw, theta)
     B = gl_braid(n)
     if draw(st.booleans()):
         B = perturbed(draw, B)
@@ -141,11 +140,10 @@ def outcome(f, *args):
 @given(cases())
 def test_theta_and_matrix_match_dense_loops(case):
     rho, theta, B = case
-    got, want = validate_theta(theta.tensor), dense_validate_theta(theta.tensor)
+    got, want = validate_theta(theta), dense_validate_theta(theta)
     assert got["valid"] == want["valid"]
     assert got["violations"] == want["violations"]
-    assert tilde_images(CTX, theta.tensor) == dense_tilde_images(CTX, theta.tensor)
-    assert theta.images() == dense_tilde_images(CTX, theta.tensor)
+    assert tilde_images(CTX, theta) == dense_tilde_images(CTX, theta)
     M, dense_M = build_M(theta), dense_build_M(theta)
     assert list(M.entries.items()) == list(dense_M.entries.items())
     assert check_grouplike(M) == dense_check_grouplike(M)
@@ -167,7 +165,7 @@ def coideal_cases(draw):
     M is from group-like."""
     rho, theta, B = draw(cases())
     if draw(st.booleans()):
-        theta = ThetaMap(perturbed(draw, theta.tensor))
+        theta = perturbed(draw, theta)
         c = CTX.parse(draw(units))
         pairs = itertools.product(range(1, rho.dim + 1), repeat=2)
         B = Tensor(CTX, rho.dim, 2, 2, {(i, j, i, j): c for i, j in pairs})

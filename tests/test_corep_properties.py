@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import from_matrix, sympy_element, tensor_from_entries
 from ncorep.corep import (
     QuadraticSpace,
-    ThetaMap,
     build_M,
     check_grouplike,
     coideal_check,
@@ -73,9 +72,9 @@ def dense_tables(draw):
 
 
 def assert_coacting_grouplike(rho):
-    theta = factorized_theta(CTX, rho)
+    theta = factorized_theta(rho)
     M = build_M(theta)
-    assert theta.validate()["valid"]
+    assert validate_theta(theta)["valid"]
     assert check_grouplike(M)
     assert coideal_check(B, M)
     assert homomorphism_check(SPACE, M, generate_ideal(B, M))
@@ -96,12 +95,12 @@ def test_dense_character_table_gives_a_coacting_grouplike_matrix(rho):
 @bounded
 @given(rho=tables(), slot=st.integers(0, 15), factor=entries)
 def test_validity_matches_grouplike_after_rescaling(rho, slot, factor):
-    t = factorized_theta(CTX, rho).tensor
+    t = factorized_theta(rho)
     key = sorted(t.entries)[slot % len(t.entries)]
     scaled = dict(t.entries)
     scaled[key] = scaled[key] * CTX.parse(factor)
     theta = Tensor(CTX, 2, 2, 2, scaled)
     valid = validate_theta(theta)["valid"]
-    assert valid == check_grouplike(build_M(ThetaMap(theta)))
+    assert valid == check_grouplike(build_M(theta))
     if factor == "1":
         assert valid

@@ -8,10 +8,8 @@ from conftest import (
     from_matrix,
     identity4,
     load,
-    tensor_from_entries,
 )
-from ncorep.corep import ThetaMap
-from ncorep.errors import InvalidTheta, NotInvertible
+from ncorep.errors import NotInvertible
 from ncorep import integrable, tensors
 from ncorep.integrable import (
     SpectralFamily,
@@ -31,7 +29,7 @@ def statuses(rep):
 
 def standard_family():
     ws = load("qplane_qprs")
-    return ws, SpectralFamily(ws.B, ws.theta)
+    return ws, SpectralFamily(ws.B, ws.theta, ws.rho)
 
 
 def test_first_route_standard():
@@ -100,13 +98,6 @@ def test_weighted_trace_element_shape():
     assert elt == expect
 
 
-def test_trace_ansatz_rejects_invalid_theta():
-    ctx = Context(["q", "p", "r", "s"])
-    broken = ThetaMap(tensor_from_entries(ctx, 2, 2, 2, [((1, 1, 1, 1), "1")]))
-    with pytest.raises(InvalidTheta):
-        check_trace_ansatz(broken)
-
-
 def test_weight_commutation_negative():
     ws = load("qplane_qprs")
     ctx = ws.ctx
@@ -118,8 +109,7 @@ def test_weight_commutation_negative():
 def test_raw_theta_second_route():
     ws = load("qplane_qp")
     # the factorized two-parameter tensor, without its character table
-    raw = ThetaMap(ws.theta.tensor)
-    rep = SpectralFamily(ws.B, raw).second_report("lam", "mu")
+    rep = SpectralFamily(ws.B, ws.theta).second_report("lam", "mu")
     assert rep.verdict() == "pass"
     st = statuses(rep)
     assert st["weight-table"] == "info"

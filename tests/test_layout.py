@@ -5,7 +5,9 @@ somewhere in the package outside its own definition: read as a bare name
 (a call, a default, a table entry) or imported (``from .corep import
 build_M``).  An attribute of the same name, such as ``ctx.parse``, does not
 count, so it cannot hide a dead function.  A decorated module-level
-function is exempt: its decorator registers it.
+function is exempt: its decorator registers it.  A definition that only the
+benchmark tracer names is pinned in TRACED_ONLY, so that its name is
+written down instead of hidden behind an attribute of the same name.
 
 A method or property of a package class, other than a dunder that Python
 calls itself, must be read as an attribute (``x.name``) somewhere in the
@@ -39,9 +41,10 @@ wraps the functions its HOT and SPANNED tables name, and
 ``bench/worker.py`` builds a Workspace from two positional arguments, the
 parsed file and the bindings, and reads its relations.  A change that
 removes one of those names fails here, not first in the benchmark.  The
-tracer is also run here over the shipped reports, so that a reference it
-cannot replace, a traced report that differs or a per-layer metric it
-cannot produce fails here too.
+tracer is also run here over every job of the benchmark's oracle
+(bench/expected.json), so that a reference it cannot replace, a traced
+report that differs, a job whose sections escape their spans or a
+per-layer metric it cannot produce fails here too.
 """
 
 import ast
@@ -52,7 +55,7 @@ from pathlib import Path
 
 import ncorep
 from ncorep import cli
-from test_golden import CASES, run_case
+from test_golden import CASES, _oracle_jobs, run_case
 
 SRC = Path(ncorep.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -65,7 +68,12 @@ SHARED_METHOD_NAMES = {
 
 # method names that equal an attribute set as self.name somewhere in the
 # package; each one's uses were checked by hand, as for the shared names
-ATTRIBUTE_METHOD_NAMES = {"dim", "family", "one", "relations", "tensor", "zero"}
+ATTRIBUTE_METHOD_NAMES = {"one", "relations", "zero"}
+
+# definitions that no package code reaches and the benchmark tracer wraps
+# (its HOT table): the tracer needs the name, so it stays until the
+# benchmark's next change drops it from the table (ROADMAP item 3)
+TRACED_ONLY = {("freealg", "PairPoly.tensor")}
 
 # dunders that no golden case calls and no tracer names: the text forms a
 # user prints, the copy and pickle path of a generator, and the constructors
@@ -120,7 +128,9 @@ def unreferenced():
 
 
 def test_no_code_only_the_tests_reach():
-    assert unreferenced() == set()
+    assert unreferenced() == TRACED_ONLY
+    traced = {(module, path) for _, module, path in _tracer_targets()}
+    assert TRACED_ONLY <= traced
 
 
 def shared_method_names():
@@ -245,34 +255,68 @@ def test_benchmark_targets_resolve():
     assert issubclass(cli.NCorepError, Exception)
 
 
+def assert_job_span_shapes(spans, commands):
+    """Each job span holds one parse, one Workspace and two renders, and its
+    sections either directly or inside one full_report span; a job that
+    names a section command holds exactly that section."""
+    children = defaultdict(list)  # span id -> [(span id, name) of its direct children]
+    for _, sid, parent, name, _, _ in spans:
+        children[parent].append((sid, name))
+    jobs = {job: children[sid] for job, sid, _, name, _, _ in spans if name == "job"}
+    assert sorted(jobs) == sorted(commands)
+    for job, kids in jobs.items():
+        names = [name for _, name in kids]
+        sections = [n for n in names if n.startswith("cli.section.")]
+        full = [sid for sid, name in kids if name == "cli.full_report"]
+        rest = sorted(n for n in names if n not in sections and n != "cli.full_report")
+        assert rest == ["cli.parse", "cli.workspace", "report.render", "report.render"], job
+        if full:
+            assert len(full) == 1 and not sections, job
+            sections = [name for _, name in children[full[0]]]
+            assert sections and all(n.startswith("cli.section.") for n in sections), job
+        else:
+            assert sections, job
+        if commands[job] in cli.SECTION_ORDER:
+            assert sections == ["cli.section." + commands[job]], job
+
+
 def test_benchmark_tracer_leaves_the_shipped_reports_unchanged(tmp_path, capsys):
     # a traced benchmark run is correct only when no job fails, every pass
-    # prints the same bytes, no reference escapes the wrappers and every
-    # per-layer metric is produced; the coverage floor depends on timing and
-    # is left to the benchmark
+    # prints the same bytes, no reference escapes the wrappers, every job's
+    # sections are traced and every per-layer metric is produced; the
+    # coverage floor depends on timing and is left to the benchmark.  The
+    # jobs are those of the benchmark's oracle: every shipped command and
+    # the four-parameter full-report.
     ns = _tracer()
     report = tmp_path / "report.json"
+    jobs = _oracle_jobs()
+    assert len(jobs) == 50
 
-    def run(name):
-        code = cli.main(["--input", name, "full-report", "--json", str(report)])
+    def run(job):
+        report.unlink(missing_ok=True)  # every job writes its own
+        code = cli.main(job["argv"] + ["--json", str(report)])
         return code, capsys.readouterr(), report.read_bytes()
 
-    names = sorted(path.stem for path in (SRC / "data").glob("*.alg"))
-    assert len(names) == 4
-    untraced = [run(name) for name in names]
+    untraced = [run(job) for job in jobs]
     tracer = ns["Tracer"]()
     tracer.install()
     try:
         assert tracer.missed() == []
         passes = []
         for k in range(2):
-            assert [tracer.job_span("%d:%s" % (k, n), run, n) for n in names] == untraced
+            labels = ["%d:%s" % (k, job["id"]) for job in jobs]
+            assert [tracer.job_span(label, run, job) for label, job in zip(labels, jobs)] == untraced
             if not k:
                 assert set(tracer.keys) == set(ns["KEYED"])
             passes.append(tracer.take())
+            commands = {
+                label: next((a for a in job["argv"] if a in cli.COMMANDS), None)
+                for label, job in zip(labels, jobs)
+            }
+            assert_job_span_shapes(passes[-1]["spans"], commands)
     finally:
         tracer.uninstall()
-    assert [run(name) for name in names] == untraced
+    assert [run(job) for job in jobs] == untraced
     with open(BENCH.parent / "BENCHMARK.json", encoding="utf-8") as fh:
         declared = [m["name"] for m in json.load(fh)["per_layer"]]
     values, _ = ns["layer_metrics"](*passes, declared)

@@ -38,7 +38,7 @@ def statuses(rep):
 def test_build_context_smoke():
     ws = load("qplane_qprs")
     assert ws.B.dim == 2
-    assert ws.theta.rho is not None
+    assert ws.rho is not None
     assert len(ws.gens) == 4
 
 
@@ -123,6 +123,8 @@ def test_context_keeps_each_derivation(monkeypatch):
     assert oriented == [reverse]
     assert ws.rewrite_system().order is ws.order
     kept = (
+        ws.validation,
+        ws.images,
         lambda: ws.M,
         lambda: ws.bosonic,
         ws.relations,
@@ -164,8 +166,8 @@ def test_determinant_needs_exchange_relation(tmp_path):
 def test_limit_tensors():
     lim = load("qplane_qprs", *LIMIT)
     ctx = lim.ctx
-    assert lim.theta.rho.entries == {(1, 1): ctx.one, (2, 2): ctx.parse("1/p")}
-    assert lim.theta.tensor.entries == {
+    assert lim.rho.entries == {(1, 1): ctx.one, (2, 2): ctx.parse("1/p")}
+    assert lim.theta.entries == {
         (1, 1, 1, 1): ctx.one,
         (1, 2, 2, 1): ctx.gen("p"),
         (2, 1, 1, 2): ctx.parse("1/p"),
