@@ -191,12 +191,12 @@ def twist_R(R: LinearForm, phi: LinearForm) -> Tensor:
     return compose(phibar21, compose(R.base, phi.base))
 
 
-def tilde_images(ctx, theta: Tensor):
+def tilde_images(theta: Tensor):
     """Generator images of the twisting endomorphism: T_i^j |-> theta_im^jn T_n^m."""
     n = theta.dim
     by_ij = theta.index((0, 2))
     return {
-        T(i, j): NCPoly(ctx, {(T(nn, m),): c for (_, m, _, nn), c in by_ij.get((i, j), ())})
+        T(i, j): NCPoly(theta.ctx, {(T(nn, m),): c for (_, m, _, nn), c in by_ij.get((i, j), ())})
         for i, j in itertools.product(range(1, n + 1), repeat=2)
     }
 

@@ -113,6 +113,14 @@ def _strip_comment(raw, lineno):
     return "".join(out).strip()
 
 
+def _excerpt(text):
+    """text quoted for an error message: whole up to 40 characters, else its
+    first 40, marked as cut, with its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return "%r... (cut, %d characters)" % (text[:40], len(text))
+
+
 def _quoted(value, lineno):
     if len(value) >= 2 and value[0] == '"' and value[-1] == '"' and '"' not in value[1:-1]:
         return value[1:-1]
@@ -133,7 +141,7 @@ def _indices(toks, count, dim, lineno):
     out = []
     for t in toks:
         if not _NATURAL.fullmatch(t):
-            raise InputFormat("index %r is not a positive integer" % t, lineno)
+            raise InputFormat("index %s is not a positive integer" % _excerpt(t), lineno)
         v = _number(t, lineno)
         if not 1 <= v <= dim:
             raise InputFormat("index %d outside dimension %d" % (v, dim), lineno)
@@ -146,7 +154,7 @@ def _expr(ctx, value, lineno):
     try:
         return ctx.parse(s)
     except NCorepError as err:
-        raise InputFormat("bad expression %r: %s" % (s, err), lineno)
+        raise InputFormat("bad expression %s: %s" % (_excerpt(s), err), lineno)
 
 
 def _names(value, lineno, what):
@@ -155,7 +163,7 @@ def _names(value, lineno, what):
         raise InputFormat("empty %s list" % what, lineno)
     for t in toks:
         if not _NAME.match(t):
-            raise InputFormat("bad %s name %r" % (what, t), lineno)
+            raise InputFormat("bad %s name %s" % (what, _excerpt(t)), lineno)
     if len(set(toks)) != len(toks):
         raise InputFormat("duplicate %s name" % what, lineno)
     return toks
@@ -224,7 +232,7 @@ def parse_algebra_file(path):
                 raise InputFormat("a spectral family needs at least two labels", lineno)
             af.labels = tuple(labels)
         else:
-            raise InputFormat("unknown [algebra] field %r" % key, lineno)
+            raise InputFormat("unknown [algebra] field %s" % _excerpt(key), lineno)
     if af.dim is None:
         raise InputFormat("[algebra] must declare dim")
     if af.params is None:
@@ -274,7 +282,9 @@ def parse_algebra_file(path):
                 if len(keys) != 4:
                     raise InputFormat("expected `rel k i j = \"expr\"`", lineno)
                 if not _NATURAL.fullmatch(keys[1]):
-                    raise InputFormat("relation number %r is not an integer" % keys[1], lineno)
+                    raise InputFormat(
+                        "relation number %s is not an integer" % _excerpt(keys[1]), lineno
+                    )
                 k = _number(keys[1], lineno)
                 ij = _indices(keys[2:], 2, af.dim, lineno)
                 slot = space_rows.setdefault(k, {})
@@ -289,7 +299,7 @@ def parse_algebra_file(path):
             names = value.split()
             for n in names:
                 if n not in COMMANDS:
-                    raise InputFormat("unknown command %r in default suite" % n, lineno)
+                    raise InputFormat("unknown command %s in default suite" % _excerpt(n), lineno)
             af.default = tuple(names)
 
     if not tens["B"]:
@@ -370,7 +380,7 @@ class Workspace:
 
     def images(self):
         """The twist's generator images T_i^j |-> theta_im^jn T_n^m."""
-        return self._once("images", lambda: tilde_images(self.ctx, self.theta))
+        return self._once("images", lambda: tilde_images(self.theta))
 
     @property
     def M(self):
@@ -767,9 +777,9 @@ def _parse_substs(af, raw):
         name = name.strip()
         expr = expr.strip()
         if not eq or not name or not expr:
-            raise InputFormat("--subst expects NAME=EXPR, got %r" % item)
+            raise InputFormat("--subst expects NAME=EXPR, got %s" % _excerpt(item))
         if name not in af.params:
-            raise InputFormat("--subst names unknown parameter %r" % name)
+            raise InputFormat("--subst names unknown parameter %s" % _excerpt(name))
         out.append((name, af.ctx.parse(expr)))
     return out
 
@@ -779,7 +789,7 @@ def _parse_order(text, af):
     for tok in text.split("<"):
         m = _ORDER_TOKEN.match(tok.strip())
         if not m:
-            raise InputFormat("--order tokens look like T[i,j], got %r" % tok.strip())
+            raise InputFormat("--order tokens look like T[i,j], got %s" % _excerpt(tok.strip()))
         i, j = _number(m.group(1)), _number(m.group(2))
         if not (1 <= i <= af.dim and 1 <= j <= af.dim):
             raise InputFormat("--order index outside dimension %d" % af.dim)
@@ -795,7 +805,7 @@ def _resolve_input(name):
         return name
     trav = _shipped_inputs().get(name if name.endswith(".alg") else name + ".alg")
     if trav is None:
-        raise InputFormat("no input file or shipped example named %r" % name)
+        raise InputFormat("no input file or shipped example named %s" % _excerpt(name))
     return trav
 
 

@@ -21,6 +21,10 @@ class NumberTooLong(NCorepError):
     """A number has more digits than Python converts between int and text."""
 
 
+class ExponentTooLarge(NCorepError):
+    """A monomial's total degree reached 2^62, past the packed exponent's room."""
+
+
 class DivisionByZero(NCorepError):
     """Division by the zero rational function."""
 

@@ -26,6 +26,7 @@ that order.
 from __future__ import annotations
 
 import collections
+from bisect import insort
 
 from .errors import MissingImage, MixedFamilies
 from .scalars import Context, Scalar
@@ -334,19 +335,23 @@ class SpanBasis:
         for pivot, row in self.rows:
             f = vec.get(pivot)
             if f is not None and not f.is_zero():
-                add_terms(vec, ((col, -(f * c)) for col, c in row.items()))
+                f = -f  # (-f) c is -(f c), negated once per row
+                add_terms(vec, ((col, f * c) for col, c in row.items()))
         return {c: v for c, v in vec.items() if not v.is_zero()}
 
     def add(self, vec):
-        """Insert a vector; returns True if it enlarged the span."""
+        """Insert a vector; returns True if it enlarged the span.
+
+        The row is scaled by the pivot's inverse, found once; pivots are
+        distinct, so inserting in key order keeps the rows sorted.
+        """
         res = self.reduce(vec)
         if not res:
             return False
         pivot = min(res, key=self.key)
-        pv = res[pivot]
-        row = {c: v / pv for c, v in res.items()}
-        self.rows.append((pivot, row))
-        self.rows.sort(key=lambda r: self.key(r[0]))
+        inv = self.ctx.one / res[pivot]
+        row = {c: v * inv for c, v in res.items()}
+        insort(self.rows, (pivot, row), key=lambda r: self.key(r[0]))
         return True
 
     def contains(self, vec):

@@ -2,14 +2,14 @@
 
 Every coefficient in the package is a Scalar: a rational function over the
 rationals in a declared list of commuting parameters, sorted alphabetically.
-A polynomial is a plain dict {exponent tuple: nonzero int}, the exponents
-listed in parameter order.  A Scalar holds its numerator as such a dict and
-its denominator as a split (c, m, ks), which stands for
+A polynomial is a plain dict {monomial: nonzero int}, each monomial packed
+into one int (below).  A Scalar holds its numerator as such a dict and its
+denominator as a split (c, m, ks), which stands for
 
     c * x^m * prod f_i^k_i,
 
-c a positive integer, x^m a monomial and ks a sorted tuple of (i, k) pairs
-with k > 0 over the Context's factor base: primitive irreducible
+c a positive integer, x^m a packed monomial and ks a sorted tuple of (i, k)
+pairs with k > 0 over the Context's factor base: primitive irreducible
 non-monomial polynomials f_i with positive leading coefficient in
 graded-lex order, each numbered once.  Every stored element is canonical:
 numerator and denominator are coprime in ZZ[params] (integer content
@@ -21,6 +21,35 @@ numerators and splits, and an operation may hand back an operand unchanged
 (multiplying by one does).  The canonical
 *observable* form divides by the denominator's leading coefficient, making
 it monic, at the serialization boundary.  No floating point exists anywhere.
+
+A monomial x^e over k parameters is the int
+
+    deg(e) << 64k | e_1 << 64(k - 1) | ... | e_k,
+
+the total degree in the top field and then one 64-bit field per parameter
+in sorted order, so 1 is the int 0.  Int order is then the order of
+(sum(e), e), which is graded-lex order: the sort, the leading term and the
+printed order read the int itself.  While every field stays below 2^63 no
+sum or difference carries from one field into the next, so a product of
+monomials is an int sum and a quotient an int difference.  _mdiv sets the
+top bit of every field of the dividend first, so a field of the difference
+that borrowed is one whose top bit was cleared.  The same guard bits read
+the monomial content without unpacking: adding 2^63 - 1 to a parameter's
+field sets its top bit exactly when the field is nonzero, and the AND of
+those bits over a numerator's terms and the denominator's monomial is the
+set of parameters that can cancel; only those fields are read.
+
+The total degree bounds every field, so the kernel keeps the degree of
+every stored monomial below 2^62 (_grow is the one check).  A product or a
+sum of two stored scalars is formed and cancelled with its fields below
+2^63, where the guard bits still work, and it raises ExponentTooLarge when
+the leading monomial of its numerator or of its denominator reaches degree
+2^62.  A power and a substitution multiply exponents, so they check the
+leading monomials of the powers before forming them; below the limit the
+product of three monomials still fits, which covers substitution's
+b^d X(a/b).  The CLI reports the error as "exponent too large".  Exponents
+are unpacked (_exps) only where text, a modular image, a composition or a
+factorization needs them one by one.
 
 The paper's identities are contractions whose coefficients come from a
 twisting table, and their denominators are products of a few fixed factors
@@ -40,7 +69,8 @@ the Context.
   remainder proves it does.
 * What is left to share is a monomial and an integer: the kernel cancels
   the least exponents and the gcd of the integer contents.  When both
-  denominators are one term (the Laurent case) that is the whole work.
+  denominators are one term (the Laurent case) that is the whole work, and
+  the kernel takes a path that builds no factor list.
 * An inverse swaps numerator and denominator and fixes the sign; the old
   numerator becomes a denominator, and only then is a polynomial split.  A
   one-term one splits at once.  A multi-term one not met before is factored
@@ -65,9 +95,10 @@ the Context.
 Every path returns the unique canonical form, the same that sympy's cancel
 gives, so equality, str and every report byte are those of a cancel-based
 field; str writes the terms in descending graded-lex order.  The tests
-check the kernel against sympy's field operation by operation.  A Scalar is
-not hashable: nothing keys a dict by a value, and the products() memo below
-keys by the stored numerator and split.
+check the kernel against sympy's field operation by operation, and against
+a kernel on exponent tuples.  A Scalar is not hashable: nothing keys a dict
+by a value, and the products() memo below keys by the stored numerator and
+split.
 
 One run reads one configuration over one parameter list, so all of its
 scalars live in one Context.  Scalars of two Context objects never mix,
@@ -104,8 +135,8 @@ chooses.  They are unrelated to each other on purpose: at a point such as
 nonzero p^2 - q would be zero.  The map evaluates the numerator and the
 split (c, m, ks), and returns None when the denominator vanishes at the
 point, or when the Context has more parameters than POINT has coordinates.
-The point's powers and the images of the factor base are kept on the
-Context, next to the base itself (the base only grows, so a kept image
+The image of each monomial met and of each factor of the base are kept on
+the Context, next to the base itself (the base only grows, so a kept image
 stays exact); the module keeps nothing.  Evaluation is a ring homomorphism
 on the fractions whose denominators do not vanish at the point, so an
 integer polynomial in such scalars that has a nonzero image is a nonzero
@@ -120,12 +151,13 @@ import re
 from bisect import insort
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add, sub
+from operator import add
 
 from .errors import (
     ContextMismatch,
     DenominatorVanishes,
     DivisionByZero,
+    ExponentTooLarge,
     ExpressionSyntax,
     NumberTooLong,
     UnknownParameter,
@@ -141,6 +173,8 @@ POINT = (
     1251203518435319776, 2228674534088486972, 1380598313792217160, 589235720800289267,
 )
 
+_FIELD = (1 << 64) - 1  # one field of a packed monomial
+
 
 class Context:
     """A declared parameter list and the rational-function field over it."""
@@ -155,24 +189,35 @@ class Context:
         if len(set(names)) != len(names):
             raise UnknownParameter("duplicate parameter names in %r" % (names,))
         self.params: tuple[str, ...] = tuple(sorted(names))
-        zero = (0,) * len(self.params)
-        self._unit = (1, zero, ())  # the split of the denominator 1
+        k = len(self.params)
+        # the packing (module docstring): each parameter's field offset, the
+        # degree's, the least degree that raises, and per parameter field
+        # 2^63 - 1 and the top bit; _guard adds the degree field's top bit
+        self._shifts = tuple(64 * i for i in reversed(range(k)))
+        self._dshift = 64 * k
+        self._limit = 1 << (64 * k + 62)
+        self._ones = sum(((1 << 63) - 1) << s for s in self._shifts)
+        self._high = sum(1 << (s + 63) for s in self._shifts)
+        self._guard = self._high | 1 << (self._dshift + 63)
+        self._unit = (1, 0, ())  # the split of the denominator 1
         self._gens = {
-            n: Scalar(self, {zero[:i] + (1,) + zero[i + 1:]: 1}, self._unit)
-            for i, n in enumerate(self.params)
+            n: Scalar(self, {1 << self._dshift | 1 << s: 1}, self._unit)
+            for n, s in zip(self.params, self._shifts)
         }
         self.zero = Scalar(self, {}, self._unit)
-        self.one = Scalar(self, {zero: 1}, self._unit)
+        self.one = Scalar(self, {0: 1}, self._unit)
         self._products = None  # (ident, ident) -> Scalar while a products() block is open
-        # the factor base: (f, leading exponent, trailing exponent) per factor
+        # the factor base: (f, leading monomial, trailing monomial) per factor
         self._factors: list = []
         self._factor_ids: dict = {}  # frozenset(f.items()) -> its index
         self._splits: dict = {}  # frozenset(den.items()) -> split, multi-term dens
         self._dens: dict = {}  # split with factors -> denominator polynomial
-        # the modular image: [1, a_i, a_i^2, ...] per parameter, grown on
-        # demand (None past POINT's length), and each base factor's image
-        self._point_pows = [[1, a] for a in POINT] if len(self.params) <= len(POINT) else None
+        # the modular image: the point (None past POINT's length), and the
+        # image of each monomial and each base factor met so far
+        self._point = POINT[:k] if k <= len(POINT) else None
+        self._mono_images: dict = {}
         self._factor_images: list = []
+        self._mono_texts: dict = {}  # monomial -> its text in str()
 
     def __repr__(self):
         return "Context(%s)" % ", ".join(self.params)
@@ -204,9 +249,8 @@ class Context:
             return self.parse(value)
         if isinstance(value, (int, Fraction)):
             # already coprime with a positive denominator
-            zero = self._unit[1]
-            num = {zero: value.numerator} if value else {}
-            return Scalar(self, num, (value.denominator, zero, ()))
+            num = {0: value.numerator} if value else {}
+            return Scalar(self, num, (value.denominator, 0, ()))
         raise TypeError("cannot make a Scalar from %r" % (value,))
 
     def parse(self, text: str) -> "Scalar":
@@ -251,12 +295,15 @@ class Scalar:
         return NotImplemented
 
     # -- arithmetic ------------------------------------------------------
+    #
+    # An operand that is a Scalar of the same Context skips _coerce.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _add(self.ctx, self, o)
+        if type(other) is not Scalar or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self.ctx, self, other)
 
     def __neg__(self):
         return Scalar(self.ctx, {e: -v for e, v in self.num.items()}, self.split)
@@ -271,21 +318,23 @@ class Scalar:
         return -(self - other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+        ctx = self.ctx
+        if type(other) is not Scalar or other.ctx is not ctx:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         # stored elements are canonical, so a unit or zero factor needs no cancel
-        if self.is_one() or o.is_zero():
-            return o
-        if o.is_one() or self.is_zero():
+        if not other.num or self.is_one():
+            return other
+        if not self.num or other.is_one():
             return self
-        memo = self.ctx._products
+        memo = ctx._products
         if memo is None:
-            return _mul(self.ctx, self, o)
-        key = (_ident(self), _ident(o))
+            return _mul(ctx, self, other)
+        key = (_ident(self), _ident(other))
         out = memo.get(key)
         if out is None:
-            out = memo[key] = _mul(self.ctx, self, o)
+            out = memo[key] = _mul(ctx, self, other)
         return out
 
     def __truediv__(self, other):
@@ -294,7 +343,8 @@ class Scalar:
             return NotImplemented
         if o.is_zero():
             raise DivisionByZero("division by zero scalar")
-        return _mul(self.ctx, self, _inverse(self.ctx, o))
+        inverse = _inverse(self.ctx, o)
+        return _mul(self.ctx, self, inverse) if self.num else self.ctx.zero
 
     def __rtruediv__(self, other):
         return self.ctx.scalar(other) / self
@@ -346,15 +396,15 @@ class Scalar:
                 "cannot substitute %r: not a parameter of %s" % (name, list(ctx.params))
             )
         val = ctx.scalar(value)
-        i = ctx.params.index(name)
+        shift = ctx._shifts[ctx.params.index(name)]
         numer, denom = self.num, _den(ctx, self.split)
         # P(a/b) / Q(a/b) = P~ / Q~ with X~ = b^d X(a/b), d the larger degree
-        d = max(exps[i] for poly in (numer, denom) for exps in poly)
+        d = max(e >> shift & _FIELD for poly in (numer, denom) for e in poly)
         if d == 0:  # the scalar does not contain the parameter
             return self
         a_pows = _powers(ctx, val.num, d)
         b_pows = _powers(ctx, _den(ctx, val.split), d)
-        num, den = (_compose(poly, i, a_pows, b_pows) for poly in (numer, denom))
+        num, den = (_compose(ctx, poly, shift, a_pows, b_pows) for poly in (numer, denom))
         if not den:
             raise DenominatorVanishes(
                 "substituting %s = %s makes a denominator vanish" % (name, val), param=name
@@ -368,12 +418,12 @@ class Scalar:
             ctx = self.ctx
             c, m, ks = self.split
             try:
-                if not ks and not any(m):  # the constant denominator c
-                    self._keyc = _poly_str(self.num, ctx.params, c)
+                if not ks and not m:  # the constant denominator c
+                    self._keyc = _poly_str(ctx, self.num, c)
                 else:
                     den = _den(ctx, self.split)
-                    lead = den[max(den, key=_grlex)]
-                    num, den = (_poly_str(p, ctx.params, lead) for p in (self.num, den))
+                    lead = den[max(den)]
+                    num, den = (_poly_str(ctx, p, lead) for p in (self.num, den))
                     self._keyc = "(%s)/(%s)" % (num, den)
             except ValueError:  # an int longer than str() converts
                 raise NumberTooLong("a coefficient has too many digits to print") from None
@@ -383,15 +433,60 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
-# -- polynomials ------------------------------------------------------------
+# -- monomials and polynomials ----------------------------------------------
 #
-# A polynomial is a dict {exponent tuple: nonzero int}.  No function here
+# A polynomial is a dict {packed monomial: nonzero int}.  No function here
 # changes a dict it was given, so the kernel can share them.
 
 
-def _grlex(e):
-    """The graded-lex sort key of an exponent tuple (sympy's grlex)."""
-    return sum(e), e
+def _mono(exps):
+    """The packed monomial of an exponent tuple in parameter order."""
+    out = sum(exps)
+    for e in exps:
+        out = out << 64 | e
+    return out
+
+
+def _exps(ctx, e):
+    """The exponent tuple, in parameter order, of the packed monomial e."""
+    return tuple(e >> s & _FIELD for s in ctx._shifts)
+
+
+def _grow(ctx, top):
+    """top, a leading monomial the kernel formed, when its total degree is
+    below 2^62; ExponentTooLarge otherwise."""
+    if top >= ctx._limit:
+        raise ExponentTooLarge("exponent too large")
+    return top
+
+
+def _mdiv(ctx, a, b):
+    """The monomial a / b, or None when b does not divide a."""
+    g = ctx._guard
+    d = (a | g) - b
+    return d ^ g if d & g == g else None
+
+
+def _common(ctx, poly, m):
+    """The greatest monomial dividing m and every monomial of poly (or of
+    any iterable of monomials).
+
+    The AND of the guard bits (module docstring) gives the parameters that
+    occur in all of them; only those fields are read.
+    """
+    ones = ctx._ones
+    mask = (m + ones) & ctx._high
+    for e in poly:
+        if not mask:
+            return 0
+        mask &= e + ones
+    out = deg = 0
+    for s in ctx._shifts:
+        if mask >> (s + 63) & 1:
+            k = min(m >> s & _FIELD, min(e >> s & _FIELD for e in poly))
+            out |= k << s
+            deg += k
+    return out | deg << ctx._dshift
 
 
 def _padd(a, b):
@@ -410,7 +505,9 @@ def _padd(a, b):
 
 def _pterm(a, m, c):
     """a * c x^m."""
-    return {tuple(map(add, e, m)): v * c for e, v in a.items()}
+    if not m and c == 1:
+        return a
+    return {e + m: v * c for e, v in a.items()}
 
 
 def _pmul(a, b):
@@ -424,16 +521,20 @@ def _pmul(a, b):
     get = out.get
     for eb, vb in b.items():
         for ea, va in a.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             out[e] = get(e, 0) + va * vb
     return {e: v for e, v in out.items() if v}
 
 
-def _ppow(a, n):
-    """a^n for n > 0: a closed form for one term, repeated squaring otherwise."""
+def _ppow(ctx, a, n):
+    """a^n for n > 0: a closed form for one term, repeated squaring otherwise.
+
+    The leading monomial of a^n is n times that of a, so one check covers
+    every square and product on the way."""
+    _grow(ctx, max(a) * n)
     if len(a) == 1:
         ((m, c),) = a.items()
-        return {tuple(e * n for e in m): c ** n}
+        return {m * n: c ** n}
     out = None
     while True:
         if n & 1:
@@ -446,18 +547,22 @@ def _ppow(a, n):
 
 def _powers(ctx, poly, d):
     """[1, poly, ..., poly^d]."""
+    if poly:
+        _grow(ctx, max(poly) * d)
     out = [ctx.one.num]
     for _ in range(d):
         out.append(_pmul(out[-1], poly))
     return out
 
 
-def _compose(poly, i, a_pows, b_pows):
-    """sum c * rest * a^e * b^(d - e) over the terms c * rest * x_i^e of poly."""
+def _compose(ctx, poly, shift, a_pows, b_pows):
+    """sum c * rest * a^e * b^(d - e) over the terms c * rest * x^e of poly,
+    x the parameter whose field is at shift."""
     d = len(a_pows) - 1
     by_exp = {}
-    for exps, coeff in poly.items():
-        by_exp.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = coeff
+    for mono, coeff in poly.items():
+        e = mono >> shift & _FIELD
+        by_exp.setdefault(e, {})[mono - (e << shift) - (e << ctx._dshift)] = coeff
     out = {}
     for e, part in by_exp.items():
         if a_pows[e]:
@@ -505,19 +610,20 @@ def _factor(ctx, den):
     is their product exactly and the constant it returns is 1.
     """
     c = gcd(*den.values())
-    m = tuple(map(min, *den))
-    f = {tuple(map(sub, e, m)): v // c for e, v in den.items()}
-    pairs = _small_factors(f)
+    m = _common(ctx, den, next(iter(den)))
+    f = {e - m: v // c for e, v in den.items()}
+    pairs = _small_factors(ctx, f)
     if pairs is None:
         from sympy import ZZ
         from sympy.polys.orderings import grlex
         from sympy.polys.rings import PolyRing
 
-        _, found = PolyRing(ctx.params, ZZ, grlex).from_dict(f).factor_list()
+        ring = PolyRing(ctx.params, ZZ, grlex)
+        _, found = ring.from_dict({_exps(ctx, e): v for e, v in f.items()}).factor_list()
         pairs = []
         for g, k in found:
-            g = {e: int(v) for e, v in g.items()}
-            if g[max(g, key=_grlex)] < 0:
+            g = {_mono(e): int(v) for e, v in g.items()}
+            if g[max(g)] < 0:
                 g = {e: -v for e, v in g.items()}
             pairs.append((g, k))
     ks = {}
@@ -527,7 +633,7 @@ def _factor(ctx, den):
     return c, m, tuple(sorted(ks.items()))
 
 
-def _small_factors(f):
+def _small_factors(ctx, f):
     """The irreducible factors of f as (factor, multiplicity) pairs, when f
     is linear with an integer coefficient or constant term in some parameter,
     or quadratic in its only parameter; else None.
@@ -543,19 +649,19 @@ def _small_factors(f):
       roots n/d (one factor squared for a double root): by Gauss's lemma
       that product is primitive, and it leads with d d' > 0, as f does.
     """
-    zero = (0,) * len(next(iter(f)))
-    degrees = tuple(map(max, *f))
+    exps = {e: _exps(ctx, e) for e in f}
+    degrees = tuple(map(max, *exps.values()))
     for i, d in enumerate(degrees):
         if d == 1:
-            xs = [e for e in f if e[i]]
-            if len(xs) == 1 and sum(xs[0]) == 1 or len(f) - len(xs) == 1 and zero in f:
+            xs = [e for e, t in exps.items() if t[i]]
+            if len(xs) == 1 and xs[0] >> ctx._dshift == 1 or len(f) - len(xs) == 1 and 0 in f:
                 return [(f, 1)]
     support = [i for i, d in enumerate(degrees) if d]
     if len(support) != 1 or degrees[support[0]] != 2:
         return None
-    (i,) = support
-    x1, x2 = (zero[:i] + (k,) + zero[i + 1:] for k in (1, 2))
-    a, b, c = f[x2], f.get(x1, 0), f[zero]
+    x1 = 1 << ctx._dshift | 1 << ctx._shifts[support[0]]
+    x2 = 2 * x1
+    a, b, c = f[x2], f.get(x1, 0), f[0]
     disc = b * b - 4 * a * c
     if disc < 0 or isqrt(disc) ** 2 != disc:
         return [(f, 1)]
@@ -563,7 +669,7 @@ def _small_factors(f):
     linear = []
     for s in {root, -root}:
         r = Fraction(-b + s, 2 * a)
-        linear.append(({x1: r.denominator, zero: -r.numerator}, 2 if s == 0 else 1))
+        linear.append(({x1: r.denominator, 0: -r.numerator}, 2 if s == 0 else 1))
     return linear
 
 
@@ -573,8 +679,24 @@ def _factor_id(ctx, f):
     i = ctx._factor_ids.get(key)
     if i is None:
         i = ctx._factor_ids[key] = len(ctx._factors)
-        ctx._factors.append((f, max(f, key=_grlex), min(f, key=_grlex)))
+        ctx._factors.append((f, max(f), min(f)))
     return i
+
+
+def _den_lead(ctx, m, ks):
+    """The leading monomial of x^m prod f_i^k_i."""
+    factors = ctx._factors
+    return m + sum(k * factors[i][1] for i, k in ks) if ks else m
+
+
+def _checked(ctx, x):
+    """x, when the leading monomials of its numerator and denominator have
+    total degree below 2^62; ExponentTooLarge otherwise."""
+    _, m, ks = x.split
+    _grow(ctx, _den_lead(ctx, m, ks))
+    if x.num:
+        _grow(ctx, max(x.num))
+    return x
 
 
 def _den(ctx, split):
@@ -586,7 +708,7 @@ def _den(ctx, split):
     if den is None:
         den = {m: c}
         for i, k in ks:
-            den = _pmul(den, _ppow(ctx._factors[i][0], k))
+            den = _pmul(den, _ppow(ctx, ctx._factors[i][0], k))
         ctx._dens[split] = den
         ctx._splits[frozenset(den.items())] = split
     return den
@@ -602,13 +724,7 @@ def _merge(kx, ky, op):
     return tuple(sorted(out.items()))
 
 
-def _mdiv(a, b):
-    """The monomial a / b, or None when b does not divide a."""
-    d = tuple(map(sub, a, b))
-    return d if min(d) >= 0 else None
-
-
-def _exquo(num, factor):
+def _exquo(ctx, num, factor):
     """num / f when f divides num in ZZ[params], else None.
 
     Long division on leading terms, stopped at the first that the leading
@@ -616,31 +732,31 @@ def _exquo(num, factor):
     multiplicative, so f can divide num only if the trailing term of f
     divides that of num, which is checked first.  The leading and trailing
     terms of f were found once, when f joined the factor base.  The
-    remainder's graded-lex keys are kept sorted: a step cancels the leading
-    term and changes only smaller ones, so the largest key left is the next
-    leading term once the keys of cancelled terms are skipped.
+    remainder's monomials are kept sorted: a step cancels the leading term
+    and changes only smaller ones, so the largest left is the next leading
+    term once the monomials of cancelled terms are skipped.
     """
     f, lead, trail = factor
-    bottom = min(num, key=_grlex)
-    if _mdiv(bottom, trail) is None or num[bottom] % f[trail]:
+    bottom = min(num)
+    if _mdiv(ctx, bottom, trail) is None or num[bottom] % f[trail]:
         return None
     top_c = f[lead]
     rest, quo = dict(num), {}
-    keys = sorted([(sum(e), e) for e in rest])
+    keys = sorted(rest)
     while keys:
-        _, top = keys.pop()
+        top = keys.pop()
         if top not in rest:
             continue
-        m = _mdiv(top, lead)
+        m = _mdiv(ctx, top, lead)
         if m is None or rest[top] % top_c:
             return None
         c = quo[m] = rest[top] // top_c
         for e, v in f.items():
-            e = tuple(map(add, e, m))
+            e += m
             old = rest.get(e)
             if old is None:
                 rest[e] = -c * v
-                insort(keys, (sum(e), e))
+                insort(keys, e)
             elif old != c * v:
                 rest[e] = old - c * v
             else:
@@ -656,7 +772,7 @@ def _divide_out(ctx, num, ks, tries):
         if num and i in tries:
             factor = ctx._factors[i]
             while k:
-                quo = _exquo(num, factor)
+                quo = _exquo(ctx, num, factor)
                 if quo is None:
                     break
                 num, k = quo, k - 1
@@ -674,16 +790,18 @@ def _reduce(ctx, num, c, m, ks):
     if not num:
         return ctx.zero
     g = 1 if c == 1 else gcd(c, *num.values())
-    low = tuple(map(min, m, *num)) if any(m) else m
-    if g != 1 or any(low):
-        num = {tuple(map(sub, e, low)): v // g for e, v in num.items()}
-        c, m = c // g, tuple(map(sub, m, low))
+    low = _common(ctx, num, m) if m else 0
+    if g != 1 or low:
+        num = {e - low: v // g for e, v in num.items()}
+        c, m = c // g, m - low
     return Scalar(ctx, num, (c, m, ks))
 
 
 def _canonical(ctx, num, den):
     """num / den in canonical form, for any polynomials with den nonzero."""
-    if den[max(den, key=_grlex)] < 0:
+    if num:
+        _grow(ctx, max(num))
+    if den[_grow(ctx, max(den))] < 0:
         num, den = {e: -v for e, v in num.items()}, {e: -v for e, v in den.items()}
     c, m, ks = _split(ctx, den)
     num, ks = _divide_out(ctx, num, ks, {i for i, _ in ks})
@@ -691,7 +809,7 @@ def _canonical(ctx, num, den):
 
 
 def _mul(ctx, x, y):
-    """x * y for canonical x and y."""
+    """x * y for nonzero canonical x and y."""
     cx, mx, kx = x.split
     cy, my, ky = y.split
     nx, ny = x.num, y.num
@@ -701,7 +819,11 @@ def _mul(ctx, x, y):
         ix, iy = {i for i, _ in kx}, {i for i, _ in ky}
         nx, ky = _divide_out(ctx, nx, ky, iy - ix)
         ny, kx = _divide_out(ctx, ny, kx, ix - iy)
-    return _reduce(ctx, _pmul(nx, ny), cx * cy, tuple(map(add, mx, my)), _merge(kx, ky, add))
+        ks = _merge(kx, ky, add)
+    else:
+        ks = ()
+    # the operands' fields are below 2^62, so the product's stay below 2^63
+    return _checked(ctx, _reduce(ctx, _pmul(nx, ny), cx * cy, mx + my, ks))
 
 
 def _add(ctx, x, y):
@@ -712,19 +834,26 @@ def _add(ctx, x, y):
         return x
     if x.split == y.split:
         c, m, ks = x.split
-        num, ks = _divide_out(ctx, _padd(x.num, y.num), ks, {i for i, _ in ks})
+        num = _padd(x.num, y.num)
+        if ks:
+            num, ks = _divide_out(ctx, num, ks, {i for i, _ in ks})
         return _reduce(ctx, num, c, m, ks)
     cx, mx, kx = x.split
     cy, my, ky = y.split
-    c, m, ks = lcm(cx, cy), tuple(map(max, mx, my)), _merge(kx, ky, max)
+    c = lcm(cx, cy)
+    m = mx if mx == my else mx + my - _common(ctx, (my,), mx)  # the lcm
+    if not kx and not ky:
+        num = _padd(_pterm(x.num, m - mx, c // cx), _pterm(y.num, m - my, c // cy))
+        return _checked(ctx, _reduce(ctx, num, c, m, ()))
+    ks = _merge(kx, ky, max)
     num = _padd(
-        _scale(ctx, x.num, c // cx, tuple(map(sub, m, mx)), _less(ks, kx)),
-        _scale(ctx, y.num, c // cy, tuple(map(sub, m, my)), _less(ks, ky)),
+        _scale(ctx, x.num, c // cx, m - mx, _less(ks, kx)),
+        _scale(ctx, y.num, c // cy, m - my, _less(ks, ky)),
     )
     # a factor with more weight in one denominator divides one summand and
     # not the other, so only factors of equal weight can divide the sum
     num, ks = _divide_out(ctx, num, ks, {i for i, _ in set(kx) & set(ky)})
-    return _reduce(ctx, num, c, m, ks)
+    return _checked(ctx, _reduce(ctx, num, c, m, ks))
 
 
 def _less(ks, kx):
@@ -743,16 +872,20 @@ def _scale(ctx, num, c, m, ks):
 def _inverse(ctx, x):
     """1 / x for nonzero canonical x: swap, then make the leading coefficient positive."""
     num, den = _den(ctx, x.split), x.num
-    if den[max(den, key=_grlex)] < 0:
+    if den[max(den)] < 0:
         num, den = {e: -v for e, v in num.items()}, {e: -v for e, v in den.items()}
     return Scalar(ctx, num, _split(ctx, den))
 
 
 def _power(x, n):
     """x^n for n > 0: a power of a coprime pair is coprime."""
+    ctx = x.ctx
     c, m, ks = x.split
-    split = (c ** n, tuple(e * n for e in m), tuple((i, k * n) for i, k in ks))
-    return Scalar(x.ctx, _ppow(x.num, n) if x.num else x.num, split)
+    # the leading monomials of x^n are n times those of x, so both are
+    # checked before any is formed (_ppow checks the numerator's)
+    _grow(ctx, _den_lead(ctx, m, ks) * n)
+    ks = tuple((i, k * n) for i, k in ks)
+    return Scalar(ctx, _ppow(ctx, x.num, n) if x.num else x.num, (c ** n, m * n, ks))
 
 
 # -- the modular image ------------------------------------------------------
@@ -762,10 +895,10 @@ def mod_image(s):
     """s at the Context's point, as an int in [0, PRIME), or None when the
     denominator of s vanishes there or the Context has no point."""
     ctx = s.ctx
-    if ctx._point_pows is None:
+    if ctx._point is None:
         return None
     c, m, ks = s.split
-    den = c * _poly_image(ctx, {m: 1})
+    den = c * _mono_image(ctx, m)
     images = ctx._factor_images
     for i, k in ks:
         while len(images) <= i:  # factors that joined the base since the last image
@@ -777,29 +910,35 @@ def mod_image(s):
     return _poly_image(ctx, s.num) * pow(den, -1, PRIME) % PRIME
 
 
+def _mono_image(ctx, e):
+    """The monomial e at the Context's point, mod PRIME, kept on the Context."""
+    out = ctx._mono_images.get(e)
+    if out is None:
+        out = 1
+        for a, k in zip(ctx._point, _exps(ctx, e)):
+            if k:
+                out = out * pow(a, k, PRIME) % PRIME
+        ctx._mono_images[e] = out
+    return out
+
+
 def _poly_image(ctx, poly):
     """The polynomial poly at the Context's point, mod PRIME."""
-    pows = ctx._point_pows
-    out = 0
-    for e, c in poly.items():
-        for i, k in enumerate(e):
-            if k:
-                row = pows[i]
-                while len(row) <= k:
-                    row.append(row[-1] * row[1] % PRIME)
-                c = c * row[k] % PRIME
-        out += c
-    return out % PRIME
+    return sum(c * _mono_image(ctx, e) for e, c in poly.items()) % PRIME
 
 
-def _poly_str(poly, names, lead):
+def _poly_str(ctx, poly, lead):
     """poly / lead as text, its terms in descending graded-lex order."""
     if not poly:
         return "0"
+    texts = ctx._mono_texts
     out = ""
-    for e in sorted(poly, key=_grlex, reverse=True):
+    for e in sorted(poly, reverse=True):
         c = poly[e] if lead == 1 else Fraction(poly[e], lead)
-        mono = "*".join(n if k == 1 else "%s^%d" % (n, k) for n, k in zip(names, e) if k)
+        mono = texts.get(e)
+        if mono is None:
+            pairs = zip(ctx.params, _exps(ctx, e))
+            mono = texts[e] = "*".join(n if k == 1 else "%s^%d" % (n, k) for n, k in pairs if k)
         if not mono:
             term = str(c)
         elif c == 1:

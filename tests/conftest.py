@@ -5,7 +5,10 @@ contractions are compared with."""
 
 import functools
 import itertools
+from bisect import insort
 from fractions import Fraction
+from math import gcd, isqrt, lcm
+from operator import add, sub
 
 from sympy import ZZ
 from sympy.polys.fields import field
@@ -13,11 +16,17 @@ from sympy.polys.fields import field
 from ncorep.cli import Workspace, _resolve_input, parse_algebra_file
 from ncorep.bialg import LinearForm, tilde_images
 from ncorep.corep import MMatrix, QuadraticSpace, factorized_theta
-from ncorep.errors import InputFormat, MissingImage, NotInvertible, ShapeMismatch
+from ncorep.errors import (
+    DenominatorVanishes,
+    InputFormat,
+    MissingImage,
+    NotInvertible,
+    ShapeMismatch,
+)
 from ncorep.freealg import NCPoly, PairPoly, RelationSet, T, apply_hom
 from ncorep.integrable import weighted_trace
 from ncorep.rewrite import RewriteSystem, normal_form
-from ncorep.scalars import Scalar, _den
+from ncorep.scalars import POINT, PRIME, Scalar, _den, _exps, _mono
 from ncorep.tensors import Tensor, compose, delta, invert2, invert4
 
 
@@ -96,7 +105,8 @@ def sympy_element(s):
     independent reference that the scalar tests compare the kernel with.
     """
     K = sympy_field(s.ctx.params)
-    num, den = K.ring.from_dict(s.num), K.ring.from_dict(_den(s.ctx, s.split))
+    num = K.ring.from_dict(unpacked(s.ctx, s.num))
+    den = K.ring.from_dict(unpacked(s.ctx, _den(s.ctx, s.split)))
     return K.raw_new(num, den)
 
 
@@ -106,8 +116,8 @@ def named_key_str(s):
     Each polynomial becomes terms keyed by (name, exponent) pairs with
     Fraction coefficients, sorted graded-lex over the parameters that occur
     in it, and both are divided by the denominator's leading coefficient.
-    The reference that the exponent-tuple renderer of str(Scalar) is
-    compared with.
+    The reference that the renderer of str(Scalar), which reads packed
+    monomials, is compared with.
     """
     names = s.ctx.params
 
@@ -142,7 +152,7 @@ def named_key_str(s):
             out += " - " + t[1:] if t.startswith("-") else " + " + t
         return out
 
-    num, den = key(s.num), key(_den(s.ctx, s.split))
+    num, den = (key(unpacked(s.ctx, p)) for p in (s.num, _den(s.ctx, s.split)))
     lead = den[0][1]
     num = [(m, c / lead) for m, c in num]
     den = [(m, c / lead) for m, c in den]
@@ -269,7 +279,7 @@ def reference_coaction_word(theta: Tensor, indices):
     corep.coaction_word reads.
     """
     ctx = theta.ctx
-    images = tilde_images(ctx, theta)
+    images = tilde_images(theta)
     out = {(): NCPoly.one(ctx)}
     for pos, i in enumerate(indices):
         nxt = {}  # each (key, k) extends to its own key, so nothing is summed
@@ -680,3 +690,503 @@ def dense_ybe_residual(a: Tensor) -> Tensor:
     for idx, v in compose(compose(a23, a12), a23).entries.items():
         out[idx] = out[idx] - v if idx in out else -v
     return Tensor(a.ctx, a.dim, 3, 3, out)
+
+
+# -- the tuple-exponent scalar kernel ---------------------------------------
+#
+# The kernel that stored each monomial as a tuple of exponents in parameter
+# order, kept as the reference for the packed one in ncorep.scalars: the
+# same algorithm on tuples, with its own factor base per TupleContext.
+# tk_mod_image raises each point coordinate by pow(), where the package
+# once kept a list of its powers.
+
+
+class TupleContext:
+    """The tuple kernel's state for one parameter list: its factor base."""
+
+    def __init__(self, params):
+        self.params = tuple(sorted(params))
+        zero = (0,) * len(self.params)
+        self._unit = (1, zero, ())
+        self.zero = TupleScalar(self, {}, self._unit)
+        self.one = TupleScalar(self, {zero: 1}, self._unit)
+        self._factors = []
+        self._factor_ids = {}
+        self._splits = {}
+        self._dens = {}
+
+
+class TupleScalar:
+    """A canonical element of the tuple kernel, with the package's operators."""
+
+    __slots__ = ("ctx", "num", "split")
+
+    def __init__(self, ctx, num, split):
+        self.ctx, self.num, self.split = ctx, num, split
+
+    def __add__(self, other):
+        return tk_add(self.ctx, self, other)
+
+    def __neg__(self):
+        return TupleScalar(self.ctx, {e: -v for e, v in self.num.items()}, self.split)
+
+    def __sub__(self, other):
+        return tk_add(self.ctx, self, -other)
+
+    def __mul__(self, other):
+        if not self.num or not other.num:
+            return self.ctx.zero
+        return tk_mul(self.ctx, self, other)
+
+    def __truediv__(self, other):
+        if not self.num:
+            return self.ctx.zero
+        return tk_mul(self.ctx, self, tk_inverse(self.ctx, other))
+
+    def __pow__(self, n):
+        if n == 0:
+            return self.ctx.one
+        return tk_power(self if n > 0 else tk_inverse(self.ctx, self), abs(n))
+
+    def substitute(self, name, value):
+        """self with the parameter name bound to the TupleScalar value."""
+        ctx = self.ctx
+        i = ctx.params.index(name)
+        numer, denom = self.num, tk_den(ctx, self.split)
+        d = max(exps[i] for poly in (numer, denom) for exps in poly)
+        if d == 0:
+            return self
+        a_pows = tk_powers(ctx, value.num, d)
+        b_pows = tk_powers(ctx, tk_den(ctx, value.split), d)
+        num, den = (tk_compose(poly, i, a_pows, b_pows) for poly in (numer, denom))
+        if not den:
+            raise DenominatorVanishes("a denominator vanishes", param=name)
+        return tk_canonical(ctx, num, den)
+
+    def __str__(self):
+        c, m, ks = self.split
+        if not ks and not any(m):
+            return tk_poly_str(self.num, self.ctx.params, c)
+        den = tk_den(self.ctx, self.split)
+        lead = den[max(den, key=tk_grlex)]
+        num, den = (tk_poly_str(p, self.ctx.params, lead) for p in (self.num, den))
+        return "(%s)/(%s)" % (num, den)
+
+
+def unpacked(ctx, poly):
+    """A polynomial of the package's Context ctx with exponent tuples as keys."""
+    return {_exps(ctx, e): v for e, v in poly.items()}
+
+
+def packed(ctx, poly):
+    """A polynomial with exponent tuples as keys, packed for the Context ctx."""
+    return {_mono(e): v for e, v in poly.items()}
+
+
+def tuple_scalar(tctx, s):
+    """The package Scalar s as an element of the TupleContext tctx."""
+    return tk_canonical(tctx, unpacked(s.ctx, s.num), unpacked(s.ctx, _den(s.ctx, s.split)))
+
+
+
+
+def tk_grlex(e):
+    """The graded-lex sort key of an exponent tuple (sympy's grlex)."""
+    return sum(e), e
+
+
+def tk_padd(a, b):
+    """a + b."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for e, v in b.items():
+        v += out.get(e, 0)
+        if v:
+            out[e] = v
+        else:
+            del out[e]
+    return out
+
+
+def tk_pterm(a, m, c):
+    """a * c x^m."""
+    return {tuple(map(add, e, m)): v * c for e, v in a.items()}
+
+
+def tk_pmul(a, b):
+    """a * b."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        ((m, c),) = b.items()
+        return tk_pterm(a, m, c)
+    out = {}
+    get = out.get
+    for eb, vb in b.items():
+        for ea, va in a.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + va * vb
+    return {e: v for e, v in out.items() if v}
+
+
+def tk_ppow(a, n):
+    """a^n for n > 0: a closed form for one term, repeated squaring otherwise."""
+    if len(a) == 1:
+        ((m, c),) = a.items()
+        return {tuple(e * n for e in m): c ** n}
+    out = None
+    while True:
+        if n & 1:
+            out = a if out is None else tk_pmul(out, a)
+        n >>= 1
+        if not n:
+            return out
+        a = tk_pmul(a, a)
+
+
+def tk_powers(ctx, poly, d):
+    """[1, poly, ..., poly^d]."""
+    out = [ctx.one.num]
+    for _ in range(d):
+        out.append(tk_pmul(out[-1], poly))
+    return out
+
+
+def tk_compose(poly, i, a_pows, b_pows):
+    """sum c * rest * a^e * b^(d - e) over the terms c * rest * x_i^e of poly."""
+    d = len(a_pows) - 1
+    by_exp = {}
+    for exps, coeff in poly.items():
+        by_exp.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = coeff
+    out = {}
+    for e, part in by_exp.items():
+        if a_pows[e]:
+            out = tk_padd(out, tk_pmul(tk_pmul(part, a_pows[e]), b_pows[d - e]))
+    return out
+
+
+def tk_split(ctx, den):
+    """The split of a denominator with positive leading coefficient; a new
+    multi-term one is factored once per Context."""
+    if len(den) == 1:
+        ((m, c),) = den.items()
+        return c, m, ()
+    key = frozenset(den.items())
+    split = ctx._splits.get(key)
+    if split is None:
+        split = ctx._splits[key] = tk_factor(ctx, den)
+    return split
+
+
+def tk_factor(ctx, den):
+    """The split of den, which has at least two terms and a positive leading
+    coefficient; new factors join the base.
+
+    The monomial content and the integer content come out first.  What is
+    left, f, is primitive, leads positive and no parameter divides it, and
+    tk_small_factors splits the common shapes exactly.  Anything else is
+    factored by sympy's factor_list, the only place the package imports
+    sympy.  Over ZZ it returns primitive factors whose leading coefficient
+    is positive in lex order, not graded-lex (q^2 - 2*p comes back as
+    2*p - q^2), so such a factor is negated; then f, which leads positive,
+    is their product exactly and the constant it returns is 1.
+    """
+    c = gcd(*den.values())
+    m = tuple(map(min, *den))
+    f = {tuple(map(sub, e, m)): v // c for e, v in den.items()}
+    pairs = tk_small_factors(f)
+    if pairs is None:
+        from sympy import ZZ
+        from sympy.polys.orderings import grlex
+        from sympy.polys.rings import PolyRing
+
+        _, found = PolyRing(ctx.params, ZZ, grlex).from_dict(f).factor_list()
+        pairs = []
+        for g, k in found:
+            g = {e: int(v) for e, v in g.items()}
+            if g[max(g, key=tk_grlex)] < 0:
+                g = {e: -v for e, v in g.items()}
+            pairs.append((g, k))
+    ks = {}
+    for g, k in pairs:
+        i = tk_factor_id(ctx, g)
+        ks[i] = ks.get(i, 0) + k
+    return c, m, tuple(sorted(ks.items()))
+
+
+def tk_small_factors(f):
+    """The irreducible factors of f as (factor, multiplicity) pairs, when f
+    is linear with an integer coefficient or constant term in some parameter,
+    or quadratic in its only parameter; else None.
+
+    f is primitive, leads positive and has no monomial factor.
+    * f = a x + b with a or b a nonzero integer is irreducible: b is not
+      zero, since x does not divide f, and a factor of f either has no x,
+      so it divides a and b and hence an integer, and is a unit because f
+      is primitive; or its cofactor has no x and is a unit the same way.
+    * f = A x^2 + B x + C is irreducible when B^2 - 4AC is not a square.
+      Otherwise it has the rational roots (-B +- sqrt(B^2 - 4AC)) / 2A, and
+      f is the product of the primitive linear factors d x - n for the
+      roots n/d (one factor squared for a double root): by Gauss's lemma
+      that product is primitive, and it leads with d d' > 0, as f does.
+    """
+    zero = (0,) * len(next(iter(f)))
+    degrees = tuple(map(max, *f))
+    for i, d in enumerate(degrees):
+        if d == 1:
+            xs = [e for e in f if e[i]]
+            if len(xs) == 1 and sum(xs[0]) == 1 or len(f) - len(xs) == 1 and zero in f:
+                return [(f, 1)]
+    support = [i for i, d in enumerate(degrees) if d]
+    if len(support) != 1 or degrees[support[0]] != 2:
+        return None
+    (i,) = support
+    x1, x2 = (zero[:i] + (k,) + zero[i + 1:] for k in (1, 2))
+    a, b, c = f[x2], f.get(x1, 0), f[zero]
+    disc = b * b - 4 * a * c
+    if disc < 0 or isqrt(disc) ** 2 != disc:
+        return [(f, 1)]
+    root = isqrt(disc)
+    linear = []
+    for s in {root, -root}:
+        r = Fraction(-b + s, 2 * a)
+        linear.append(({x1: r.denominator, zero: -r.numerator}, 2 if s == 0 else 1))
+    return linear
+
+
+def tk_factor_id(ctx, f):
+    """The index of the base factor f, which joins the base if it is new."""
+    key = frozenset(f.items())
+    i = ctx._factor_ids.get(key)
+    if i is None:
+        i = ctx._factor_ids[key] = len(ctx._factors)
+        ctx._factors.append((f, max(f, key=tk_grlex), min(f, key=tk_grlex)))
+    return i
+
+
+def tk_den(ctx, split):
+    """The polynomial of a split, kept on the Context when it has factors."""
+    c, m, ks = split
+    if not ks:
+        return {m: c}
+    den = ctx._dens.get(split)
+    if den is None:
+        den = {m: c}
+        for i, k in ks:
+            den = tk_pmul(den, tk_ppow(ctx._factors[i][0], k))
+        ctx._dens[split] = den
+        ctx._splits[frozenset(den.items())] = split
+    return den
+
+
+def tk_merge(kx, ky, op):
+    """Two factor exponent lists as one, op combining the shared entries."""
+    if not kx or not ky:
+        return kx or ky
+    out = dict(kx)
+    for i, k in ky:
+        out[i] = op(out.get(i, 0), k)
+    return tuple(sorted(out.items()))
+
+
+def tk_mdiv(a, b):
+    """The monomial a / b, or None when b does not divide a."""
+    d = tuple(map(sub, a, b))
+    return d if min(d) >= 0 else None
+
+
+def tk_exquo(num, factor):
+    """num / f when f divides num in ZZ[params], else None.
+
+    Long division on leading terms, stopped at the first that the leading
+    term of f does not divide (see the module docstring).  The order is
+    multiplicative, so f can divide num only if the trailing term of f
+    divides that of num, which is checked first.  The leading and trailing
+    terms of f were found once, when f joined the factor base.  The
+    remainder's graded-lex keys are kept sorted: a step cancels the leading
+    term and changes only smaller ones, so the largest key left is the next
+    leading term once the keys of cancelled terms are skipped.
+    """
+    f, lead, trail = factor
+    bottom = min(num, key=tk_grlex)
+    if tk_mdiv(bottom, trail) is None or num[bottom] % f[trail]:
+        return None
+    top_c = f[lead]
+    rest, quo = dict(num), {}
+    keys = sorted([(sum(e), e) for e in rest])
+    while keys:
+        _, top = keys.pop()
+        if top not in rest:
+            continue
+        m = tk_mdiv(top, lead)
+        if m is None or rest[top] % top_c:
+            return None
+        c = quo[m] = rest[top] // top_c
+        for e, v in f.items():
+            e = tuple(map(add, e, m))
+            old = rest.get(e)
+            if old is None:
+                rest[e] = -c * v
+                insort(keys, (sum(e), e))
+            elif old != c * v:
+                rest[e] = old - c * v
+            else:
+                del rest[e]
+    return quo
+
+
+def tk_divide_out(ctx, num, ks, tries):
+    """Divide num by each factor f_i of ks with i in tries while it divides,
+    at most k_i times; return num and ks less the factors divided out."""
+    left = []
+    for i, k in ks:
+        if num and i in tries:
+            factor = ctx._factors[i]
+            while k:
+                quo = tk_exquo(num, factor)
+                if quo is None:
+                    break
+                num, k = quo, k - 1
+        if k:
+            left.append((i, k))
+    return num, tuple(left)
+
+
+def tk_reduce(ctx, num, c, m, ks):
+    """num / (c x^m prod f_i^k_i) in canonical form, when no f_i divides num.
+
+    What num and the denominator can still share is a monomial and an
+    integer, the least exponents and the gcd of the contents.
+    """
+    if not num:
+        return ctx.zero
+    g = 1 if c == 1 else gcd(c, *num.values())
+    low = tuple(map(min, m, *num)) if any(m) else m
+    if g != 1 or any(low):
+        num = {tuple(map(sub, e, low)): v // g for e, v in num.items()}
+        c, m = c // g, tuple(map(sub, m, low))
+    return TupleScalar(ctx, num, (c, m, ks))
+
+
+def tk_canonical(ctx, num, den):
+    """num / den in canonical form, for any polynomials with den nonzero."""
+    if den[max(den, key=tk_grlex)] < 0:
+        num, den = {e: -v for e, v in num.items()}, {e: -v for e, v in den.items()}
+    c, m, ks = tk_split(ctx, den)
+    num, ks = tk_divide_out(ctx, num, ks, {i for i, _ in ks})
+    return tk_reduce(ctx, num, c, m, ks)
+
+
+def tk_mul(ctx, x, y):
+    """x * y for canonical x and y."""
+    cx, mx, kx = x.split
+    cy, my, ky = y.split
+    nx, ny = x.num, y.num
+    if kx or ky:
+        # each numerator is coprime to its own denominator, so it can share
+        # only the factors that the other denominator has alone
+        ix, iy = {i for i, _ in kx}, {i for i, _ in ky}
+        nx, ky = tk_divide_out(ctx, nx, ky, iy - ix)
+        ny, kx = tk_divide_out(ctx, ny, kx, ix - iy)
+    return tk_reduce(ctx, tk_pmul(nx, ny), cx * cy, tuple(map(add, mx, my)), tk_merge(kx, ky, add))
+
+
+def tk_add(ctx, x, y):
+    """x + y for canonical x and y."""
+    if not x.num:
+        return y
+    if not y.num:
+        return x
+    if x.split == y.split:
+        c, m, ks = x.split
+        num, ks = tk_divide_out(ctx, tk_padd(x.num, y.num), ks, {i for i, _ in ks})
+        return tk_reduce(ctx, num, c, m, ks)
+    cx, mx, kx = x.split
+    cy, my, ky = y.split
+    c, m, ks = lcm(cx, cy), tuple(map(max, mx, my)), tk_merge(kx, ky, max)
+    num = tk_padd(
+        tk_scale(ctx, x.num, c // cx, tuple(map(sub, m, mx)), tk_less(ks, kx)),
+        tk_scale(ctx, y.num, c // cy, tuple(map(sub, m, my)), tk_less(ks, ky)),
+    )
+    # a factor with more weight in one denominator divides one summand and
+    # not the other, so only factors of equal weight can divide the sum
+    num, ks = tk_divide_out(ctx, num, ks, {i for i, _ in set(kx) & set(ky)})
+    return tk_reduce(ctx, num, c, m, ks)
+
+
+def tk_less(ks, kx):
+    """The exponents of ks minus those of kx, which ks dominates."""
+    have = dict(kx)
+    return tuple((i, k - have.get(i, 0)) for i, k in ks if k > have.get(i, 0))
+
+
+def tk_scale(ctx, num, c, m, ks):
+    """num * c x^m prod f_i^k_i."""
+    if ks:
+        return tk_pmul(num, tk_den(ctx, (c, m, ks)))
+    return tk_pterm(num, m, c)
+
+
+def tk_inverse(ctx, x):
+    """1 / x for nonzero canonical x: swap, then make the leading coefficient positive."""
+    num, den = tk_den(ctx, x.split), x.num
+    if den[max(den, key=tk_grlex)] < 0:
+        num, den = {e: -v for e, v in num.items()}, {e: -v for e, v in den.items()}
+    return TupleScalar(ctx, num, tk_split(ctx, den))
+
+
+def tk_power(x, n):
+    """x^n for n > 0: a power of a coprime pair is coprime."""
+    c, m, ks = x.split
+    split = (c ** n, tuple(e * n for e in m), tuple((i, k * n) for i, k in ks))
+    return TupleScalar(x.ctx, tk_ppow(x.num, n) if x.num else x.num, split)
+
+
+def tk_mod_image(s):
+    """s at scalars.POINT, as mod_image computes it; each power by pow()."""
+    ctx = s.ctx
+    if len(ctx.params) > len(POINT):
+        return None
+    c, m, ks = s.split
+    den = c * tk_poly_image(ctx, {m: 1})
+    for i, k in ks:
+        den = den * pow(tk_poly_image(ctx, ctx._factors[i][0]), k, PRIME)
+    den %= PRIME
+    if not den:
+        return None
+    return tk_poly_image(ctx, s.num) * pow(den, -1, PRIME) % PRIME
+
+
+def tk_poly_image(ctx, poly):
+    out = 0
+    for e, c in poly.items():
+        for a, k in zip(POINT, e):
+            c = c * pow(a, k, PRIME) % PRIME
+        out += c
+    return out % PRIME
+
+
+def tk_poly_str(poly, names, lead):
+    """poly / lead as text, its terms in descending graded-lex order."""
+    if not poly:
+        return "0"
+    out = ""
+    for e in sorted(poly, key=tk_grlex, reverse=True):
+        c = poly[e] if lead == 1 else Fraction(poly[e], lead)
+        mono = "*".join(n if k == 1 else "%s^%d" % (n, k) for n, k in zip(names, e) if k)
+        if not mono:
+            term = str(c)
+        elif c == 1:
+            term = mono
+        elif c == -1:
+            term = "-" + mono
+        else:
+            term = "%s*%s" % (c, mono)
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += " - " + term[1:]
+        else:
+            out += " + " + term
+    return out

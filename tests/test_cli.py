@@ -1,6 +1,7 @@
 """Front-end tests: file parsing, command dispatch, exit codes, determinism."""
 
 import collections
+import hashlib
 import json
 import os
 import subprocess
@@ -228,6 +229,84 @@ def test_deeply_nested_expressions_exit_two(case, tmp_path, capsys):
     else:
         n = text.splitlines().index(line) + 1
         assert err.endswith("(line %d)\n" % n)
+
+
+# the exponent limit (scalars module docstring): a monomial of total degree
+# 2^62 exits 2 with one line, where it is read and where a section forms it
+LIMIT = 2 ** 62
+EXPONENT_LIMIT = {
+    "theta": (QP.replace(RHO22, 'rho 2 2 = "p^%d"' % LIMIT), ["ybe"]),
+    "subst": (QP, ["ybe", "--subst", "q=p^%d" % LIMIT]),
+    "section": (QP.replace(RHO22, 'rho 2 2 = "p^%d"' % (LIMIT // 2)), ["relations"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPONENT_LIMIT))
+def test_exponents_past_the_limit_exit_two(case, tmp_path, capsys):
+    text, args = EXPONENT_LIMIT[case]
+    path = write(tmp_path, text)
+    assert main(args + ["--input", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    expected = {
+        "theta": "ncorep: bad expression 'p^%d': exponent too large (line 26)\n" % LIMIT,
+        "subst": "ncorep: exponent too large\n",
+        "section": "ncorep: relations: exponent too large\n",
+    }
+    assert err == expected[case]
+
+
+def test_large_exponents_below_the_limit_keep_their_reports(tmp_path, capsys):
+    # both sections read the twist; sha256 of the text and the JSON, as
+    # before monomials were packed
+    path = write(tmp_path, QP.replace(RHO22, 'rho 2 2 = "p^3000000000"'))
+    digests = {
+        "validate-theta": (
+            "4e81c0253602eeaf5ea923335dd3da0266b93544ae4030131a5fd30a25097401",
+            "6d1cff971e59d9f6fed841503b30980552c836cf4d8f259833cd603e7c1e65e0",
+        ),
+        "relations": (
+            "8e7134450579260b3fc22210436267cf83f873bc577db998a732b66d0b553d40",
+            "843c9a63c7bbee6c2e638b2403ac339f4e27371511fb0f9102c8d6c0d4086112",
+        ),
+    }
+    report = tmp_path / "report.json"
+    for command, (text_sha, json_sha) in digests.items():
+        assert main([command, "--input", path, "--json", str(report)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == text_sha
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == json_sha
+
+
+# every exit-2 line that quotes user text quotes at most 40 characters of
+# it, marked as cut, with its length
+HUGE = "x" * 5000
+QUOTED = {
+    "index": (BASE.replace('1 1 1 1 = "1"', '1 1 1 %s = "1"' % HUGE), [], 5000),
+    "expression-digits": (QP.replace(RHO22, 'rho 2 2 = "%s"' % LONG), [], 5000),
+    "expression-nested": (QP.replace(RHO22, 'rho 2 2 = "%s"' % DEEP), [], len(DEEP)),
+    "parameter-name": (BASE.replace("params = q p", "params = q 9" + HUGE), [], 5001),
+    "field": (BASE.replace("dim = 2", "dim = 2\n%s = 1" % HUGE), [], 5000),
+    "relation-number": (BASE + '\n[space]\nrel %s 1 2 = "1"\n' % HUGE, [], 5000),
+    "command": (BASE + "\n[commands]\ndefault = %s\n" % HUGE, [], 5000),
+    "subst-form": (QP, ["--subst", HUGE], 5000),
+    "subst-name": (QP, ["--subst", HUGE + "=1"], 5000),
+    "order": (QP, ["--order", HUGE], 5000),
+    "input": (None, [], 5000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUOTED))
+def test_quoted_input_is_cut_in_error_lines(case, tmp_path, capsys):
+    text, args, length = QUOTED[case]
+    path = HUGE if text is None else write(tmp_path, text)
+    command = [] if case == "command" else ["ybe"]
+    assert main(command + ["--input", path] + args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("ncorep: ") and err.count("\n") == 1
+    assert len(err) < 200
+    assert "'... (cut, %d characters)" % length in err
 
 
 def test_comments_and_quoted_hash(tmp_path):

@@ -143,7 +143,7 @@ def test_theta_and_matrix_match_dense_loops(case):
     got, want = validate_theta(theta), dense_validate_theta(theta)
     assert got["valid"] == want["valid"]
     assert got["violations"] == want["violations"]
-    assert tilde_images(CTX, theta) == dense_tilde_images(CTX, theta)
+    assert tilde_images(theta) == dense_tilde_images(CTX, theta)
     M, dense_M = build_M(theta), dense_build_M(theta)
     assert list(M.entries.items()) == list(dense_M.entries.items())
     assert check_grouplike(M) == dense_check_grouplike(M)

@@ -103,7 +103,7 @@ def test_build_M_entries():
     th = factorized_theta(rho_full(ctx))
     M = build_M(th)
     a = NCPoly.gen(ctx, T(1, 1))
-    dt = apply_hom(NCPoly.gen(ctx, T(2, 2)), tilde_images(ctx, th))
+    dt = apply_hom(NCPoly.gen(ctx, T(2, 2)), tilde_images(th))
     assert M.get(1, 2, 1, 2) == a * dt
     for (i, j, k, l), entry in M.entries.items():
         assert {len(w) for w in entry.terms} == {2}

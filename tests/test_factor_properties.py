@@ -22,6 +22,7 @@ from sympy import ZZ
 from sympy.polys.orderings import grlex
 from sympy.polys.rings import PolyElement, PolyRing
 
+from conftest import packed, tk_grlex, tk_padd, tk_pmul, tk_pterm, unpacked
 from ncorep import scalars
 from ncorep.scalars import Context
 
@@ -60,14 +61,14 @@ def linear(draw, n):
     i = draw(st.integers(0, n - 1))
     a = without(i, draw(polys(n)))
     b = without(i, draw(polys(n)))
-    return scalars._padd(scalars._pterm(a, unit(n, i, 1), 1), b)
+    return tk_padd(tk_pterm(a, unit(n, i, 1), 1), b)
 
 
 @st.composite
 def products(draw, n):
     """A product of two small polynomials, often of two linear forms."""
     part = st.one_of(polys(n, 3, 1), linear(n))
-    return scalars._pmul(draw(part), draw(part))
+    return tk_pmul(draw(part), draw(part))
 
 
 @st.composite
@@ -82,7 +83,7 @@ def quadratics(draw, n):
     d1, n1 = draw(st.integers(1, 4)), draw(nonzero)
     d2, n2 = (d1, n1) if shape == "double" else (draw(st.integers(1, 4)), draw(nonzero))
     k = draw(st.integers(1, 3)) if shape == "double" else 1
-    return scalars._pterm(scalars._pmul({x1: d1, x0: -n1}, {x1: d2, x0: -n2}), x0, k)
+    return tk_pterm(tk_pmul({x1: d1, x0: -n1}, {x1: d2, x0: -n2}), x0, k)
 
 
 @st.composite
@@ -93,9 +94,9 @@ def denominators(draw):
     f = draw(st.one_of(polys(n, 5, 3), linear(n), products(n), quadratics(n)).filter(bool))
     m = draw(st.tuples(*[st.integers(0, 2)] * n))
     c = draw(st.sampled_from((1, 1, 2, 3, 6)))
-    if f[max(f, key=scalars._grlex)] < 0:
+    if f[max(f, key=tk_grlex)] < 0:
         c = -c
-    return NAMES[:n], scalars._pterm(f, m, c)
+    return NAMES[:n], tk_pterm(f, m, c)
 
 
 def reference_split(params, den):
@@ -109,18 +110,20 @@ def reference_split(params, den):
             m = [a + b * k for a, b in zip(m, e)]
             c *= v ** k
             continue
-        if f[max(f, key=scalars._grlex)] < 0:
+        if f[max(f, key=tk_grlex)] < 0:
             f, c = {e: -v for e, v in f.items()}, c * (-1) ** k
         factors[frozenset(f.items())] += k
     return c, tuple(m), factors
 
 
 def package_split(params, den):
-    """(c, m, Counter of factors) of den from scalars._factor on a fresh Context."""
+    """(c, m, Counter of factors) of den from scalars._factor on a fresh
+    Context, the monomials unpacked."""
     ctx = Context(params)
-    c, m, ks = scalars._factor(ctx, den)
+    c, m, ks = scalars._factor(ctx, packed(ctx, den))
     assert [i for i, _ in ks] == sorted({i for i, _ in ks})
-    return c, m, Counter({frozenset(ctx._factors[i][0].items()): k for i, k in ks})
+    factors = Counter({frozenset(unpacked(ctx, ctx._factors[i][0]).items()): k for i, k in ks})
+    return c, scalars._exps(ctx, m), factors
 
 
 @bounded
@@ -158,7 +161,7 @@ def test_only_shapes_outside_the_fast_path_reach_factor_list(text, sympy_calls, 
 
     monkeypatch.setattr(PolyElement, "factor_list", counting)
     ctx = Context(["p", "q", "r"])
-    den = ctx.parse(text).num
+    den = unpacked(ctx, ctx.parse(text).num)
     params = ctx.params
     assert package_split(params, den) == reference_split(params, den)
     assert len(calls) - 1 == sympy_calls  # reference_split calls it once

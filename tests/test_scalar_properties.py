@@ -14,7 +14,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import named_key_str, sympy_element
+from conftest import named_key_str, sympy_element, unpacked
 from ncorep.errors import DenominatorVanishes, DivisionByZero
 from ncorep.scalars import POINT, PRIME, Context, _den, _ident, mod_image
 
@@ -200,7 +200,7 @@ def pointwise(s):
 
     def at(poly):
         out = 0
-        for exps, c in poly.items():
+        for exps, c in unpacked(s.ctx, poly).items():
             for a, e in zip(POINT, exps):
                 c *= pow(a, e, PRIME)
             out += c
