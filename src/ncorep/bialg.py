@@ -41,11 +41,17 @@ The twisted product m_theta(T_i^k (x) T_j^l) = T_i^k theta_jn^lm T_m^n is the
 matrix M that corep.build_M builds, so twisted_product_relations reads M's
 table and computes no product of words itself:
 
-    m_theta(T_j^l (x) T_i^k)                 = M_ji^lk           "jilk->ijkl"
-    sum_ac R_ij^ac m_theta(T_a^b (x) T_c^d)  = (R M)_ij^bd       "acbd,ijac->ijbd"
-    sum_bd (R M)_ij^bd Rbar_bd^kl            = (R M Rbar)_ij^kl  "ijbd,bdkl->ijkl"
+    m_theta(T_j^l (x) T_i^k)                 = M_ji^lk
+    sum_ac R_ij^ac m_theta(T_a^b (x) T_c^d)  = (R M)_ij^bd
+    sum_bd (R M)_ij^bd Rbar_bd^kl            = (R M Rbar)_ij^kl
 
-with M first in each product, so each is a polynomial times a Scalar.
+Each is a sum of M's word coefficients times Scalars, so it is written out
+per word, as corep writes build_M and B M - M B: for each (i, j), the
+coefficients of (R M)_ij^bd are summed in one dict per (b, d), over R's
+entries in row (i, j) and M's entries with lower pair (a, c), then those of
+(R M Rbar)_ij^kl in one dict per (k, l), negated, and each relation is
+M_ji^lk plus that dict, built once as an NCPoly in index order.  No word
+is multiplied and no polynomial-valued table is contracted.
 """
 
 import itertools
@@ -213,6 +219,23 @@ def twisted_product_relations(R: LinearForm, M) -> RelationSet:
     The nonzero ones, in index order, span the defining ideal of the
     twisted algebra.  theta is not validated; the caller gates on it.
     """
-    RM = contract("acbd,ijac->ijbd", M.table, R.base)
-    rel = contract("jilk->ijkl", M.table) - contract("ijbd,bdkl->ijkl", RM, invert4(R.base))
-    return RelationSet(M.ctx, matrix_family(M.dim), [p for _, p in sorted(rel.entries.items())])
+    ctx, rng = M.ctx, range(1, M.dim + 1)
+    by_lower = M.table.index((0, 1))
+    R_rows, Rbar_rows = R.base.index((0, 1)), invert4(R.base).index((0, 1))
+    rels = []
+    with ctx.products():
+        for i, j in itertools.product(rng, repeat=2):
+            RM = {}  # (b, d) -> {word: (R M)_ij^bd's coefficient}
+            for (_, _, a, c), r in R_rows.get((i, j), ()):
+                for (_, _, b, d), x in by_lower.get((a, c), ()):
+                    add_terms(RM.setdefault((b, d), {}), ((w, v * r) for w, v in x.terms.items()))
+            RMR = {}  # (k, l) -> {word: -(R M Rbar)_ij^kl's coefficient}
+            for bd, acc in RM.items():
+                for (_, _, k, l), rb in Rbar_rows.get(bd, ()):
+                    add_terms(RMR.setdefault((k, l), {}), ((w, -(v * rb)) for w, v in acc.items()))
+            for k, l in itertools.product(rng, repeat=2):
+                terms = dict(M.get(j, i, l, k).terms)
+                p = NCPoly(ctx, add_terms(terms, RMR.get((k, l), {}).items()))
+                if not p.is_zero():
+                    rels.append(p)
+    return RelationSet(ctx, matrix_family(M.dim), rels)

@@ -51,6 +51,7 @@ from .errors import (
     NotGroupCoefficient,
     NotInvertible,
     SectionFailed,
+    excerpt,
 )
 from .freealg import NCPoly, RelationSet, T, e, matrix_family, row_space_compare, xi
 from .integrable import SpectralFamily
@@ -113,14 +114,6 @@ def _strip_comment(raw, lineno):
     return "".join(out).strip()
 
 
-def _excerpt(text):
-    """text quoted for an error message: whole up to 40 characters, else its
-    first 40, marked as cut, with its length."""
-    if len(text) <= 40:
-        return repr(text)
-    return "%r... (cut, %d characters)" % (text[:40], len(text))
-
-
 def _quoted(value, lineno):
     if len(value) >= 2 and value[0] == '"' and value[-1] == '"' and '"' not in value[1:-1]:
         return value[1:-1]
@@ -141,7 +134,7 @@ def _indices(toks, count, dim, lineno):
     out = []
     for t in toks:
         if not _NATURAL.fullmatch(t):
-            raise InputFormat("index %s is not a positive integer" % _excerpt(t), lineno)
+            raise InputFormat("index %s is not a positive integer" % excerpt(t), lineno)
         v = _number(t, lineno)
         if not 1 <= v <= dim:
             raise InputFormat("index %d outside dimension %d" % (v, dim), lineno)
@@ -154,7 +147,7 @@ def _expr(ctx, value, lineno):
     try:
         return ctx.parse(s)
     except NCorepError as err:
-        raise InputFormat("bad expression %s: %s" % (_excerpt(s), err), lineno)
+        raise InputFormat("bad expression %s: %s" % (excerpt(s), err), lineno)
 
 
 def _names(value, lineno, what):
@@ -163,7 +156,7 @@ def _names(value, lineno, what):
         raise InputFormat("empty %s list" % what, lineno)
     for t in toks:
         if not _NAME.match(t):
-            raise InputFormat("bad %s name %s" % (what, _excerpt(t)), lineno)
+            raise InputFormat("bad %s name %s" % (what, excerpt(t)), lineno)
     if len(set(toks)) != len(toks):
         raise InputFormat("duplicate %s name" % what, lineno)
     return toks
@@ -232,7 +225,7 @@ def parse_algebra_file(path):
                 raise InputFormat("a spectral family needs at least two labels", lineno)
             af.labels = tuple(labels)
         else:
-            raise InputFormat("unknown [algebra] field %s" % _excerpt(key), lineno)
+            raise InputFormat("unknown [algebra] field %s" % excerpt(key), lineno)
     if af.dim is None:
         raise InputFormat("[algebra] must declare dim")
     if af.params is None:
@@ -283,7 +276,7 @@ def parse_algebra_file(path):
                     raise InputFormat("expected `rel k i j = \"expr\"`", lineno)
                 if not _NATURAL.fullmatch(keys[1]):
                     raise InputFormat(
-                        "relation number %s is not an integer" % _excerpt(keys[1]), lineno
+                        "relation number %s is not an integer" % excerpt(keys[1]), lineno
                     )
                 k = _number(keys[1], lineno)
                 ij = _indices(keys[2:], 2, af.dim, lineno)
@@ -299,7 +292,7 @@ def parse_algebra_file(path):
             names = value.split()
             for n in names:
                 if n not in COMMANDS:
-                    raise InputFormat("unknown command %s in default suite" % _excerpt(n), lineno)
+                    raise InputFormat("unknown command %s in default suite" % excerpt(n), lineno)
             af.default = tuple(names)
 
     if not tens["B"]:
@@ -393,13 +386,17 @@ class Workspace:
         return self._once("bosonic", lambda: QuadraticSpace(self.ctx, self.dim, braid=self.B))
 
     def relations(self) -> RelationSet:
-        """The ideal spanned by B M - M B; InvalidTheta for an invalid theta."""
+        """The ideal spanned by B M - M B; InvalidTheta for an invalid theta.
+
+        Its basis is kept under the term order's rule key, so orient reads
+        the rules off it and the span is eliminated once per run.
+        """
 
         def make():
             bad = self.validation()["violations"]
             if bad:
                 raise InvalidTheta("twisting tensor fails %d validity identities" % len(bad))
-            return generate_ideal(self.B, self.M)
+            return generate_ideal(self.B, self.M, self.order.rule_key)
 
         return self._once("relations", make)
 
@@ -777,9 +774,9 @@ def _parse_substs(af, raw):
         name = name.strip()
         expr = expr.strip()
         if not eq or not name or not expr:
-            raise InputFormat("--subst expects NAME=EXPR, got %s" % _excerpt(item))
+            raise InputFormat("--subst expects NAME=EXPR, got %s" % excerpt(item))
         if name not in af.params:
-            raise InputFormat("--subst names unknown parameter %s" % _excerpt(name))
+            raise InputFormat("--subst names unknown parameter %s" % excerpt(name))
         out.append((name, af.ctx.parse(expr)))
     return out
 
@@ -789,7 +786,7 @@ def _parse_order(text, af):
     for tok in text.split("<"):
         m = _ORDER_TOKEN.match(tok.strip())
         if not m:
-            raise InputFormat("--order tokens look like T[i,j], got %s" % _excerpt(tok.strip()))
+            raise InputFormat("--order tokens look like T[i,j], got %s" % excerpt(tok.strip()))
         i, j = _number(m.group(1)), _number(m.group(2))
         if not (1 <= i <= af.dim and 1 <= j <= af.dim):
             raise InputFormat("--order index outside dimension %d" % af.dim)
@@ -805,7 +802,7 @@ def _resolve_input(name):
         return name
     trav = _shipped_inputs().get(name if name.endswith(".alg") else name + ".alg")
     if trav is None:
-        raise InputFormat("no input file or shipped example named %s" % _excerpt(name))
+        raise InputFormat("no input file or shipped example named %s" % excerpt(name))
     return trav
 
 

@@ -33,8 +33,24 @@ Both matrix checks read one defect of M, computed once per matrix as two
     G_ij^kl = Delta(M_ij^kl) - sum_rs M_ij^rs (x) M_rs^kl
     E_ij^kl = counit(M_ij^kl) - delta_i^k delta_j^l
 
-M is group-like exactly when G and E are empty.  The coideal check does not
-assume that.  Expand Rel = B M - M B bilinearly, with B scalar:
+M is group-like exactly when G and E are empty.  G is decided without
+expanding Delta(M) where it vanishes.  For a word w = T_a1^b1 ... T_ad^bd
+with coefficient c, Delta(c w) is the n^d pairs
+
+    (T_a1^m1 ... T_ad^md, T_m1^b1 ... T_md^bd),   m in 1..n,
+
+each with coefficient c, and distinct words or middle indices give distinct
+pairs.  So the M (x) M sum of an entry is Delta(M_ij^kl) exactly when it
+has sum_w n^|w| nonzero terms and each glues back into a word of M_ij^kl
+with an equal coefficient, letter by letter (T_i^m, T_m^j) -> T_i^j within
+one label: those terms are then a subset of Delta(M_ij^kl)'s as large as
+it.  Only an entry that fails this test has its coproduct expanded, and G
+holds the difference as before, so a group-like M expands none.  The
+letters of M are checked first, in index order, so an unknown generator
+raises as the expansion would raise it.
+
+The coideal check does not assume that M is group-like.  Expand
+Rel = B M - M B bilinearly, with B scalar:
 
     Delta(Rel_ij^kl) = sum_mn B_ij^mn Delta(M_mn^kl) - Delta(M_ij^mn) B_mn^kl
     sum_rs Rel_ij^rs (x) M_rs^kl = sum B_ij^mn M_mn^rs (x) M_rs^kl
@@ -77,6 +93,7 @@ from .freealg import (
     matrix_family,
     poly_vector,
     tensor_terms,
+    word_key,
     xi,
 )
 from .tensors import Tensor, contract, delta, invert2
@@ -140,15 +157,48 @@ def build_M(theta: Tensor, labels=None) -> MMatrix:
     return MMatrix(ctx, n, entries)
 
 
+def _is_coproduct(x: NCPoly, pairs: dict, n: int, glue: dict) -> bool:
+    """Whether the nonzero terms of pairs sum to Delta(x), decided without
+    expanding it (module docstring): there are sum_w n^|w| of them, and each
+    glues into a word of x with an equal coefficient, letter by letter
+    through glue, which maps (T_i^m, T_m^j) of one label to T_i^j."""
+    terms = [(k, c) for k, c in pairs.items() if not c.is_zero()]
+    if len(terms) != sum(n ** len(w) for w in x.terms):
+        return False
+    for (u, v), c in terms:
+        kept = x.terms.get(tuple([glue.get(ab) for ab in zip(u, v)])) if len(u) == len(v) else None
+        if kept is None or kept != c:
+            return False
+    return True
+
+
 def grouplike_defect(M: MMatrix):
     """(G, E), two (2,2) tables holding the nonzero G_ij^kl and E_ij^kl.
 
     G = Delta(M) - M (x) M holds PairPolys and E = counit(M) - identity
     Scalars; both are empty exactly when M is group-like.
+
+    Delta(M_ij^kl) is expanded only when the M (x) M sum is not it
+    (_is_coproduct).  The letters of M's entries are checked first, in
+    index order, as the coproduct would check them; past the check every
+    letter is a T of the n x n family, so glue holds every pair of M's
+    letters that glues.
     """
     ctx = M.ctx
     pres = M.pres
-    rng = range(1, M.dim + 1)
+    n = M.dim
+    rng = range(1, n + 1)
+    for _, x in sorted(M.entries.items()):
+        for w in x.terms:
+            for g in w:
+                pres._check_gen(g)
+    letters = {g for x in M.entries.values() for w in x.terms for g in w}
+    glue = {
+        (a, b): T(a.index[0], b.index[1], a.label)
+        for a in letters
+        for b in letters
+        if a.index[1] == b.index[0] and a.label == b.label
+    }
     G, E = {}, {}
     with ctx.products():
         for i, j, k, l in itertools.product(rng, repeat=4):
@@ -158,11 +208,12 @@ def grouplike_defect(M: MMatrix):
                 if left is not None and right is not None:
                     add_terms(rhs, tensor_terms(left, right))
             x = M.get(i, j, k, l)
-            lhs, rhs = pres.coproduct(x), PairPoly(ctx, rhs)
-            if lhs != rhs:
-                G[(i, j, k, l)] = lhs - rhs
+            if not _is_coproduct(x, rhs, n, glue):
+                lhs, rhs = pres.coproduct(x), PairPoly(ctx, rhs)
+                if lhs != rhs:
+                    G[(i, j, k, l)] = lhs - rhs
             E[(i, j, k, l)] = pres.counit(x) - (ctx.one if (i == k and j == l) else ctx.zero)
-    return Tensor(ctx, M.dim, 2, 2, G), Tensor(ctx, M.dim, 2, 2, E)
+    return Tensor(ctx, n, 2, 2, G), Tensor(ctx, n, 2, 2, E)
 
 
 def check_grouplike(M: MMatrix) -> bool:
@@ -195,9 +246,10 @@ def relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
     return out
 
 
-def generate_ideal(B: Tensor, M: MMatrix) -> RelationSet:
-    """Entries of B M - M B as degree-2 relations (identity parts cancel)."""
-    return RelationSet(M.ctx, matrix_family(M.dim), relation_entries(B, M).values())
+def generate_ideal(B: Tensor, M: MMatrix, key=word_key) -> RelationSet:
+    """Entries of B M - M B as degree-2 relations (identity parts cancel),
+    whose basis is kept under key."""
+    return RelationSet(M.ctx, matrix_family(M.dim), relation_entries(B, M).values(), key)
 
 
 def coideal_check(B: Tensor, M: MMatrix) -> bool:

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the quoting of user
+text in their messages."""
+
+
+def excerpt(text):
+    """text quoted for an error message: whole up to 40 characters, else its
+    first 40, marked as cut, with its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return "%r... (cut, %d characters)" % (text[:40], len(text))
 
 
 class NCorepError(Exception):

@@ -4,7 +4,8 @@ Elements are finite Scalar-combinations of words in formal generators.
 Nothing here knows about relations; quotients are handled elsewhere either
 by rewriting (rewrite module) or by linear algebra on homogeneous slices
 (SpanBasis below, the package's only exact elimination).
-A RelationSet keeps the basis of its span once built; callers only read it.
+A RelationSet keeps the basis of its span once built, under the column key
+it was given (word_key unless given); callers only read it.
 
 Generators carry a kind ("T", "e", "xi", "D", "Dbar", or any custom name),
 an integer index tuple, and an optional spectral label, so T[1,2](lam) and
@@ -369,10 +370,18 @@ def poly_vector(x: NCPoly):
 
 
 class RelationSet:
-    """A list of homogeneous degree-2 elements over a fixed generator family."""
+    """A list of homogeneous degree-2 elements over a fixed generator family.
 
-    def __init__(self, ctx: Context, family, polys):
+    key orders the columns of its kept basis (SpanBasis), word_key unless
+    given.  Ranks and membership do not depend on it; a caller that reads
+    the basis's rows passes the key it needs them under, as the Workspace
+    passes its term order's rule_key so that rewrite.orient reads the rules
+    off the one basis.
+    """
+
+    def __init__(self, ctx: Context, family, polys, key=word_key):
         self.ctx = ctx
+        self.key = key
         self._basis = None
         self.family = tuple(sorted(set(family), key=lambda g: g._sort))
         fam = set(self.family)
@@ -398,7 +407,7 @@ class RelationSet:
     def basis(self) -> SpanBasis:
         """The row-echelon basis of the span, built once and kept; read-only to callers."""
         if self._basis is None:
-            sb = SpanBasis(self.ctx)
+            sb = SpanBasis(self.ctx, self.key)
             for p in self.polys:
                 sb.add(poly_vector(p))
             self._basis = sb
@@ -417,6 +426,8 @@ def row_space_compare(a: RelationSet, b: RelationSet) -> SpanComparison:
 
     The verdict needs only ranks: a lies in b exactly when adding a to b
     leaves b's rank unchanged, so rank(a + b) = rank(b), and symmetrically.
+    The union starts from a's rows and so keeps a's key; b's rows are only
+    vectors of its span, whatever key b's basis has.
     """
     if a.family != b.family:
         raise MixedFamilies(
@@ -425,7 +436,7 @@ def row_space_compare(a: RelationSet, b: RelationSet) -> SpanComparison:
         )
     ba = a.basis()
     bb = b.basis()
-    union = SpanBasis(a.ctx)
+    union = SpanBasis(a.ctx, ba.key)
     union.rows = list(ba.rows)
     for _, row in bb.rows:
         union.add(row)

@@ -9,19 +9,34 @@ words gives the graded dimension of the quotient algebra.
 The relations have degree 2, so their span R is a space of degree-2 words,
 and orient returns its reduced row echelon basis with each row's pivot at
 its order-largest word (Bergman 1978), by freealg.SpanBasis keyed by the
-reversed order.  No other rule set for R is inter-reduced (monic rules
-whose lhs is the order-largest word and whose rhs holds no lhs): two such
-sets share their lhs, the order-largest words of R's nonzero vectors, and
-two rules with one lhs differ by a vector of R that holds no lhs, which is
-zero.  So any inter-reduction, such as the queue that re-normalized each
-relation against the rules so far, gives these rules as dicts of Scalars.
+reversed order (TermOrder.rule_key).  No other rule set for R is
+inter-reduced (monic rules whose lhs is the order-largest word and whose
+rhs holds no lhs): two such sets share their lhs, the order-largest words
+of R's nonzero vectors, and two rules with one lhs differ by a vector of R
+that holds no lhs, which is zero.  So any inter-reduction, such as the
+queue that re-normalized each relation against the rules so far, gives
+these rules as dicts of Scalars.  Ranks and membership do not depend on
+the key either, so a run keeps its relation ideal's basis under the rule
+key (Workspace.relations), and orient reads the rules off that basis: the
+span is eliminated once per run.  A basis kept under another key is
+eliminated again under the rule key.
 
 normal_form reduces each word by rewriting its leftmost redex until none is
 left.  That reduction of one word is deterministic, and normal_form is its
 linear extension, so a RewriteSystem keeps the reduction of each word it has
 reduced and reuses it.  This is exact whether or not the system is
 confluent: a kept entry is what the same reduction would compute again, and
-the rules are fixed when the system is built.
+the rules are fixed when the system is built.  An irreducible word's kept
+form is {w: one}, so where a kept coefficient is the Context's one,
+_combine adds the caller's coefficient as it is instead of multiplying it
+by one; sums are built in one dict and their zeros dropped once.
+
+confluence_check visits only the pairs of left sides that can overlap: v
+overlaps u in k letters only if v starts with u's k-th letter from the end,
+so the left sides are indexed by their first letter.  The pairs are
+visited in the order of the full loop over every pair, so the ambiguities
+come out in the same order.  Every one-step gap is reduced as normal_form
+reduces, through the system's kept forms.
 
 A multiplicative determinant can be adjoined afterwards as a pair of atomic
 symbols (the element and its inverse) together with the commutation rules it
@@ -60,6 +75,12 @@ class TermOrder:
 
     def word_key(self, word):
         return (len(word), tuple(self.rank(g) for g in word))
+
+    def rule_key(self, word):
+        """The key under which a SpanBasis pivots each row at its
+        order-largest word: negated ranks reverse the order on words of one
+        length."""
+        return tuple(-self.rank(g) for g in word)
 
 
 def matrix_order(n):
@@ -109,13 +130,14 @@ class RewriteSystem:
         word never waits on itself.
         """
         forms = self._forms
+        kept = forms.get(word)
+        if kept is not None:
+            return kept
         stack = [(word, None)]
         while stack:
             w, step = stack.pop()
             if step is not None:
-                out = {}
-                for v, c in step:
-                    add_terms(out, ((u, c * cu) for u, cu in forms[v].items()))
+                out = self._combine(step)
                 forms[w] = {u: c for u, c in out.items() if not c.is_zero()}
                 continue
             if w in forms:
@@ -131,6 +153,19 @@ class RewriteSystem:
             stack.extend((v, None) for v, _ in step if v not in forms)
         return forms[word]
 
+    def _combine(self, items):
+        """sum c * form(w) over the (word, Scalar) pairs of items, in one dict
+        with its zero sums left in.
+
+        An irreducible word's kept form is {w: one}, so where a kept
+        coefficient is the Context's one, c is added as it is.
+        """
+        one = self.ctx.one
+        out = {}
+        for w, c in items:
+            add_terms(out, ((u, c if cu is one else c * cu) for u, cu in self._form(w).items()))
+        return out
+
 
 def normal_form(poly, rs):
     """Reduce poly to an irreducible representative.
@@ -138,21 +173,24 @@ def normal_form(poly, rs):
     Each word of poly is replaced by its kept leftmost reduction; the sum is
     built in one dict and its zero coefficients dropped once.
     """
-    out = {}
-    for word, coeff in poly.terms.items():
-        add_terms(out, ((u, coeff * c) for u, c in rs._form(word).items()))
-    return NCPoly(poly.ctx, out)
+    return NCPoly(poly.ctx, rs._combine(poly.terms.items()))
 
 
 def orient(relations, order):
     """Turn a RelationSet into its inter-reduced rewrite system: each rule
-    is a row of the span's reduced echelon basis solved for its pivot, the
-    order-largest word (module docstring), since negated ranks reverse the
-    order on words of one length.  Duplicated relations collapse."""
+    is a row of the span's reduced echelon basis under order.rule_key,
+    solved for its pivot, the order-largest word (module docstring).
+
+    A RelationSet built under that key (as Workspace.relations is) hands
+    over its kept basis, so the span is eliminated once per run; any other
+    basis's rows are eliminated again under the rule key.  Duplicated
+    relations collapse."""
     ctx = relations.ctx
-    basis = SpanBasis(ctx, key=lambda w: tuple(-order.rank(g) for g in w))
-    for p in relations:
-        basis.add(p.terms)
+    basis = relations.basis()
+    if basis.key != order.rule_key:
+        rows, basis = basis.rows, SpanBasis(ctx, order.rule_key)
+        for _, row in rows:
+            basis.add(row)
     rules = {lhs: NCPoly(ctx, {w: -c for w, c in rest.items()})
              for lhs, rest in basis.reduced().items()}
     return RewriteSystem(ctx, order, rules)
@@ -165,23 +203,32 @@ def confluence_check(rs, maxdeg=3):
     where the difference is the (nonzero) gap between the two one-step
     resolutions after full reduction.  Workspace.confluence keeps the
     result per run.
+
+    The left sides v that u can overlap are found by the letter u[-k] that
+    v must start with; they are visited in the order of the rules, and each
+    pair by increasing k, so that the ambiguities keep the order of the
+    visit over every pair of left sides.
     """
     ambiguities = []
     lhss = list(rs.rules)
+    starting = {}  # letter -> [(position among the rules, v)] of the v starting with it
+    for pos, v in enumerate(lhss):
+        starting.setdefault(v[0], []).append((pos, v))
     for u in lhss:
-        for v in lhss:
-            for k in range(1, min(len(u), len(v))):
-                if u[len(u) - k :] != v[:k]:
-                    continue
-                word = u + v[k:]
-                if len(word) > maxdeg:
-                    continue
-                # rhs(u) v[k:] - u[:-k] rhs(v), the gap between the two rewrites
-                gap = {w + v[k:]: c for w, c in rs.rules[u].terms.items()}
-                add_terms(gap, ((u[: len(u) - k] + w, -c) for w, c in rs.rules[v].terms.items()))
-                diff = normal_form(NCPoly(rs.ctx, gap), rs)
-                if not diff.is_zero():
-                    ambiguities.append((word, diff))
+        meets = []
+        for k in range(1, len(u)):
+            suffix = u[len(u) - k :]
+            meets.extend((pos, k, v) for pos, v in starting.get(suffix[0], ())
+                         if k < len(v) and v[:k] == suffix and len(u) + len(v) - k <= maxdeg)
+        meets.sort(key=lambda t: t[:2])
+        for _, k, v in meets:
+            word = u + v[k:]
+            # rhs(u) v[k:] - u[:-k] rhs(v), the gap between the two rewrites
+            gap = {w + v[k:]: c for w, c in rs.rules[u].terms.items()}
+            add_terms(gap, ((u[: len(u) - k] + w, -c) for w, c in rs.rules[v].terms.items()))
+            diff = NCPoly(rs.ctx, rs._combine((w, c) for w, c in gap.items() if not c.is_zero()))
+            if not diff.is_zero():
+                ambiguities.append((word, diff))
     ambiguities.sort(key=lambda t: rs.order.word_key(t[0]))
     return {"confluent": not ambiguities, "ambiguities": ambiguities}
 

@@ -161,6 +161,7 @@ from .errors import (
     ExpressionSyntax,
     NumberTooLong,
     UnknownParameter,
+    excerpt,
 )
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -735,9 +736,17 @@ def _exquo(ctx, num, factor):
     remainder's monomials are kept sorted: a step cancels the leading term
     and changes only smaller ones, so the largest left is the next leading
     term once the monomials of cancelled terms are skipped.
+
+    f is irreducible and not a monomial, so it is coprime to every
+    monomial: num's monomial content x^low comes out before the division
+    and goes back onto the quotient.  So p^k / (p - 1) fails at its first
+    step instead of after k, though p^k + q still takes k steps.
     """
     f, lead, trail = factor
     bottom = min(num)
+    low = _common(ctx, num, bottom)
+    if low:
+        num, bottom = {e - low: v for e, v in num.items()}, bottom - low
     if _mdiv(ctx, bottom, trail) is None or num[bottom] % f[trail]:
         return None
     top_c = f[lead]
@@ -761,7 +770,7 @@ def _exquo(ctx, num, factor):
                 rest[e] = old - c * v
             else:
                 del rest[e]
-    return quo
+    return {e + low: v for e, v in quo.items()} if low else quo
 
 
 def _divide_out(ctx, num, ks, tries):
@@ -1009,7 +1018,7 @@ class _Parser:
             raise ExpressionSyntax("expression nested too deeply") from None
         kind, val, pos = self.peek()
         if kind != "end":
-            raise ExpressionSyntax("trailing input %r" % (val,), pos=pos)
+            raise ExpressionSyntax("trailing input %s" % excerpt(str(val)), pos=pos)
         return value
 
     def expr(self):
@@ -1067,7 +1076,8 @@ class _Parser:
         if kind == "name":
             if val not in self.ctx.params:
                 raise UnknownParameter(
-                    "unknown parameter %r (declared: %s)" % (val, ", ".join(self.ctx.params))
+                    "unknown parameter %s (declared: %s)"
+                    % (excerpt(val), ", ".join(self.ctx.params))
                 )
             return self.ctx.gen(val)
         if kind == "op" and val == "(":

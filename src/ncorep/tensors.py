@@ -30,19 +30,19 @@ the letters' positions, the filters and the output getter) is worked out
 once per spec and kept; the shapes of the given tensors are checked on
 every call.
 
-A table may also hold polynomials (NCPoly, PairPoly) when it is the first
-factor, so that each product is a polynomial times a Scalar:
-bialg.twisted_product_relations contracts M with R and its inverse, and
-corep.coideal_check contracts the group-like defect with B.
+A table may also hold polynomials (PairPoly) when it is the first factor,
+so that each product is a polynomial times a Scalar: corep.coideal_check
+contracts the group-like defect with B.
 
-Four sums stay written out.  The braid residual below also runs over ints
+Five sums stay written out.  The braid residual below also runs over ints
 mod P and needs the keys of zero sums.  corep.build_M's T T products, the
-M (x) M sum of corep.grouplike_defect and B M - M B in
-corep.relation_entries multiply or sum words where every entry is a
-polynomial, and through contract each product is one more object and each
-addition one more dict copy: on a 2-vCPU host, generate_ideal took
-1.8 times as long on spectral_demo and 1.4 times on the quantum GL(3)
-input, build_M about 2 times, and the 49 shipped commands 8% longer.
+M (x) M sum of corep.grouplike_defect, B M - M B in corep.relation_entries
+and R M Rbar in bialg.twisted_product_relations multiply or sum words where
+every entry is a polynomial, and through contract each product is one more
+object and each addition one more dict copy: on a 2-vCPU host,
+generate_ideal took 1.8 times as long on spectral_demo and 1.4 times on the
+quantum GL(3) input, build_M about 2 times, and the 49 shipped commands 8%
+longer; R M Rbar summed per word took half the time of the two contracts.
 
 ybe_residual reports only where the braid residual is nonzero, and where it
 can, it proves an entry nonzero by a modular image (scalars.mod_image)

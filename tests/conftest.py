@@ -14,7 +14,7 @@ from sympy import ZZ
 from sympy.polys.fields import field
 
 from ncorep.cli import Workspace, _resolve_input, parse_algebra_file
-from ncorep.bialg import LinearForm, tilde_images
+from ncorep.bialg import LinearForm, Presentation, tilde_images
 from ncorep.corep import MMatrix, QuadraticSpace, factorized_theta
 from ncorep.errors import (
     DenominatorVanishes,
@@ -23,7 +23,15 @@ from ncorep.errors import (
     NotInvertible,
     ShapeMismatch,
 )
-from ncorep.freealg import NCPoly, PairPoly, RelationSet, T, apply_hom
+from ncorep.freealg import (
+    NCPoly,
+    PairPoly,
+    RelationSet,
+    T,
+    add_terms,
+    apply_hom,
+    tensor_terms,
+)
 from ncorep.integrable import weighted_trace
 from ncorep.rewrite import RewriteSystem, normal_form
 from ncorep.scalars import POINT, PRIME, Scalar, _den, _exps, _mono
@@ -337,6 +345,88 @@ def worklist_normal_form(poly, rs, strategy="leftmost"):
         for w2, c2 in rs.rules[lhs].terms.items():
             work.append((left + w2 + right, coeff * c2))
     return out
+
+
+def reference_form(rs, word, forms):
+    """RewriteSystem._form as the package wrote it before kept forms were
+    combined without unit products: every kept coefficient is multiplied in,
+    ctx.one included.  forms is the caller's dict of kept forms, so the
+    reference shares nothing with the system's own."""
+    stack = [(word, None)]
+    while stack:
+        w, step = stack.pop()
+        if step is not None:
+            out = {}
+            for v, c in step:
+                add_terms(out, ((u, c * cu) for u, cu in forms[v].items()))
+            forms[w] = {u: c for u, c in out.items() if not c.is_zero()}
+            continue
+        if w in forms:
+            continue
+        hit = rs._redex(w)
+        if hit is None:
+            forms[w] = {w: rs.ctx.one}
+            continue
+        i, lhs = hit
+        left, right = w[:i], w[i + len(lhs) :]
+        step = [(left + v + right, c) for v, c in rs.rules[lhs].terms.items()]
+        stack.append((w, step))
+        stack.extend((v, None) for v, _ in step if v not in forms)
+    return forms[word]
+
+
+def reference_normal_form(poly, rs, forms=None):
+    """normal_form as the package wrote it then, over reference_form."""
+    forms = {} if forms is None else forms
+    out = {}
+    for word, coeff in poly.terms.items():
+        add_terms(out, ((u, coeff * c) for u, c in reference_form(rs, word, forms).items()))
+    return NCPoly(poly.ctx, out)
+
+
+def reference_confluence_check(rs, maxdeg=3):
+    """confluence_check as the package wrote it then: every ordered pair of
+    left sides and every overlap length, each gap reduced by
+    reference_normal_form."""
+    forms = {}
+    ambiguities = []
+    lhss = list(rs.rules)
+    for u in lhss:
+        for v in lhss:
+            for k in range(1, min(len(u), len(v))):
+                if u[len(u) - k :] != v[:k]:
+                    continue
+                word = u + v[k:]
+                if len(word) > maxdeg:
+                    continue
+                gap = {w + v[k:]: c for w, c in rs.rules[u].terms.items()}
+                add_terms(gap, ((u[: len(u) - k] + w, -c) for w, c in rs.rules[v].terms.items()))
+                diff = reference_normal_form(NCPoly(rs.ctx, gap), rs, forms)
+                if not diff.is_zero():
+                    ambiguities.append((word, diff))
+    ambiguities.sort(key=lambda t: rs.order.word_key(t[0]))
+    return {"confluent": not ambiguities, "ambiguities": ambiguities}
+
+
+def expanded_grouplike_defect(M: MMatrix):
+    """corep.grouplike_defect as the package wrote it before it decided
+    Delta(M) = M (x) M unexpanded: the coproduct of every entry is expanded,
+    on a Presentation of its own, and compared as a PairPoly."""
+    ctx, rng = M.ctx, range(1, M.dim + 1)
+    pres = Presentation(ctx, M.dim)
+    G, E = {}, {}
+    for i, j, k, l in itertools.product(rng, repeat=4):
+        rhs = {}
+        for r, s in itertools.product(rng, repeat=2):
+            left, right = M.entries.get((i, j, r, s)), M.entries.get((r, s, k, l))
+            if left is not None and right is not None:
+                add_terms(rhs, tensor_terms(left, right))
+        x = M.get(i, j, k, l)
+        lhs, rhs = pres.coproduct(x), PairPoly(ctx, rhs)
+        if lhs != rhs:
+            G[(i, j, k, l)] = lhs - rhs
+        E[(i, j, k, l)] = pres.counit(x) - (ctx.one if (i == k and j == l) else ctx.zero)
+    return Tensor(ctx, M.dim, 2, 2, G), Tensor(ctx, M.dim, 2, 2, E)
 
 
 def reference_orient(relations, order):

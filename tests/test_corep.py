@@ -1,10 +1,12 @@
 """Tests for twisting-tensor validity, the generated matrix and coaction checks."""
 
 import collections
+from pathlib import Path
 
 import pytest
 
 from conftest import (
+    expanded_grouplike_defect,
     flip_theta,
     from_matrix,
     identity4,
@@ -14,6 +16,7 @@ from conftest import (
 )
 from ncorep import corep, scalars
 from ncorep.bialg import Presentation, tilde_images
+from ncorep.cli import Workspace, main, parse_algebra_file
 from ncorep.corep import (
     MMatrix,
     QuadraticSpace,
@@ -27,7 +30,7 @@ from ncorep.corep import (
     homomorphism_check,
     validate_theta,
 )
-from ncorep.errors import ShapeMismatch
+from ncorep.errors import ShapeMismatch, UnknownGenerator
 from ncorep.freealg import (
     NCPoly,
     RelationSet,
@@ -40,6 +43,9 @@ from ncorep.freealg import (
 )
 from ncorep.scalars import Context
 from ncorep.tensors import Tensor
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def ctx4():
@@ -144,6 +150,70 @@ def test_grouplike_iff_valid():
     G, E = grouplike_defect(zero)
     assert G.entries == {}
     assert set(E.entries) == {(i, j, i, j) for i in (1, 2) for j in (1, 2)}
+
+
+def assert_defect_matches_the_expansion(M):
+    got, want = grouplike_defect(M), expanded_grouplike_defect(M)
+    for g, w in zip(got, want):
+        assert list(g.entries.items()) == list(w.entries.items())
+    return got[0]
+
+
+def test_defect_counts_the_pairs_of_each_coproduct():
+    # M_11^11 (x) M_11^11 = T11 (x) T11 glues into T11 T11 with its
+    # coefficient, but Delta(T11 T11) has 2^2 pairs, not one
+    ctx = ctx4()
+    word = NCPoly.term(ctx, (T(1, 1), T(1, 1)))
+    G = assert_defect_matches_the_expansion(MMatrix(ctx, 2, {(1, 1, 1, 1): word}))
+    assert len(G.get(1, 1, 1, 1).terms) == 3
+
+
+def test_defect_glues_a_column_only_to_its_row():
+    # M_11^11 (x) M_11^11 + M_11^12 (x) M_12^11 = T11 (x) T11 + T12 (x) T11:
+    # two pairs, as many as Delta(T11) has, and each reads T11 from its outer
+    # indices, but T12 (x) T11 joins column 2 to row 1
+    ctx = ctx4()
+    a, b = NCPoly.gen(ctx, T(1, 1)), NCPoly.gen(ctx, T(1, 2))
+    M = MMatrix(ctx, 2, {(1, 1, 1, 1): a, (1, 1, 1, 2): b, (1, 2, 1, 1): a})
+    G = assert_defect_matches_the_expansion(M)
+    assert set(G.get(1, 1, 1, 1).terms) == {((T(1, 2),), (T(2, 1),)), ((T(1, 2),), (T(1, 1),))}
+
+
+def test_defect_checks_every_letter_before_it_glues():
+    # T1,3 (x) T3,1 would glue into T11, but 3 is no index of a 2 x 2
+    # family: the letter check names T[1,3], the first bad letter in index
+    # order, as the expansion does
+    ctx = ctx4()
+    a, b, c = (NCPoly.gen(ctx, T(*ij)) for ij in ((1, 1), (1, 3), (3, 1)))
+    M = MMatrix(ctx, 2, {(2, 2, 1, 1): c, (1, 1, 1, 1): a, (1, 1, 2, 2): b})
+    for defect in (grouplike_defect, expanded_grouplike_defect):
+        with pytest.raises(UnknownGenerator, match=r"^T\[1,3\] outside the 2 x 2 family$"):
+            defect(M)
+
+
+def test_grouplike_matrices_expand_no_coproduct(monkeypatch):
+    # the defect decides Delta(M) = M (x) M without expanding Delta(M); the
+    # matrix of corrupt_theta.alg is not group-like, and its full report
+    # expands each word of its defective entries once, and no other word
+    expanded = collections.Counter()
+    original = Presentation.coproduct_word
+
+    def counting(pres, word):
+        expanded[word] += word not in pres._coproducts
+        return original(pres, word)
+
+    monkeypatch.setattr(Presentation, "coproduct_word", counting)
+    for name in ("qplane_qp", "qplane_qprs", "qplane_frt", "spectral_demo"):
+        assert main(["full-report", "--input", name]) in (0, 1)
+    assert main(["full-report", "--input", str(GOLDEN / "gl3_seed1.alg")]) == 0
+    assert not expanded
+    path = str(GOLDEN / "corrupt_theta.alg")
+    assert main(["full-report", "--input", path]) == 1
+    seen = dict(expanded)
+    M = Workspace(parse_algebra_file(path)).M
+    G, _ = M.defect()
+    assert G.entries and set(seen.values()) == {1}
+    assert set(seen) == {w for idx in G.entries for w in M.get(*idx).terms}
 
 
 def test_generate_ideal_rank():

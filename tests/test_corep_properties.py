@@ -4,7 +4,11 @@ A random invertible 2 x 2 table rho over QQ(q, p) gives the factorized
 twist theta_ij^kl = rho_i^l rhobar_j^k.  For each table the twist is valid,
 its matrix M is group-like, the span of B M - M B is a coideal and the
 coaction on the quantum plane of B is an algebra map.  Rescaling one entry
-of theta tests the other direction of the validity criterion.  Dense tables,
+of theta tests the other direction of the validity criterion.  The group-like
+defect, which decides Delta(M) = M (x) M without expanding Delta(M), is
+compared with the expansion on matrices edited entry by entry, so that the
+M (x) M sums miss pairs, glue wrong columns to rows or carry wrong
+coefficients.  Dense tables,
 with four nonzero entries and a determinant that is not a monomial, give
 scalars over shared non-monomial factors such as 1 - q and q^2 + 1.
 """
@@ -12,17 +16,20 @@ scalars over shared non-monomial factors such as 1 - q and q^2 + 1.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import from_matrix, sympy_element, tensor_from_entries
+from conftest import expanded_grouplike_defect, from_matrix, sympy_element, tensor_from_entries
 from ncorep.corep import (
+    MMatrix,
     QuadraticSpace,
     build_M,
     check_grouplike,
     coideal_check,
     factorized_theta,
     generate_ideal,
+    grouplike_defect,
     homomorphism_check,
     validate_theta,
 )
+from ncorep.freealg import NCPoly, T
 from ncorep.scalars import Context
 from ncorep.tensors import Tensor
 
@@ -104,3 +111,38 @@ def test_validity_matches_grouplike_after_rescaling(rho, slot, factor):
     assert valid == check_grouplike(build_M(theta))
     if factor == "1":
         assert valid
+
+
+@st.composite
+def edited_matrices(draw):
+    """M of a random table with up to three entries edited: dropped, scaled,
+    a term dropped, a word's letters transposed (T_i^j to T_j^i) or another
+    entry copied in."""
+    M = build_M(factorized_theta(draw(tables())))
+    table = dict(M.entries)
+    keys = sorted(table)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(keys))
+        x = table.get(key, NCPoly.zero(CTX))
+        edit = draw(st.sampled_from(("drop", "scale", "term", "transpose", "copy")))
+        if edit == "drop":
+            table.pop(key, None)
+        elif edit == "scale":
+            table[key] = x * CTX.parse(draw(entries))
+        elif edit == "term" and x.terms:
+            w = draw(st.sampled_from(sorted(x.terms, key=str)))
+            table[key] = NCPoly(CTX, {u: c for u, c in x.terms.items() if u != w})
+        elif edit == "transpose":
+            flip = {u: tuple(T(g.index[1], g.index[0]) for g in u) for u in x.terms}
+            table[key] = NCPoly(CTX, {flip[u]: c for u, c in x.terms.items()})
+        elif edit == "copy":
+            table[key] = table.get(draw(st.sampled_from(keys)), x)
+    return MMatrix(CTX, 2, {k: v for k, v in table.items() if not v.is_zero()})
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(edited_matrices())
+def test_defect_matches_the_expanded_coproduct(M):
+    got, want = grouplike_defect(M), expanded_grouplike_defect(M)
+    for g, w in zip(got, want):
+        assert list(g.entries.items()) == list(w.entries.items())

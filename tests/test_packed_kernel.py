@@ -12,6 +12,9 @@ substitution, which checks the powers of the value before it cancels,
 may raise only when the operands' degrees can reach the limit.
 """
 
+import re
+import time
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -197,3 +200,31 @@ def test_exponent_limit():
     with pytest.raises(ExponentTooLarge):
         ctx.parse("q^2").substitute([("q", ctx.parse("p^%d" % (LIMIT // 2)))])
     assert (below / below).is_one()
+
+
+# p^k over p - 1: a product; a sum over two such denominators whose numerator
+# p^k (1 + p) p - 1 does not divide; and a difference whose numerator
+# p^k (1 - p) it divides, to -p^k
+CONTENT_CASES = {
+    "product": lambda p, one, k: p ** k * (one / (p - one)),
+    "sum": lambda p, one, k: p ** k / (p - one) + p ** (k + 1) / (p - one),
+    "difference": lambda p, one, k: p ** k / (p - one) - p ** (k + 1) / (p - one),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTENT_CASES))
+def test_monomial_content_leaves_before_the_long_division(case):
+    # p - 1 is coprime to every monomial, so it divides the numerator without
+    # its monomial content, which goes back onto the quotient: the division
+    # no longer takes a step per power of p.  The tuple reference still does,
+    # so it is read at k = 1000, and the packed result at k = 10^6 must be
+    # its text with the exponent raised.
+    ctx, tctx = CONTEXTS[1]
+    build = CONTENT_CASES[case]
+    small = build(ctx.gen("p"), ctx.one, 1000)
+    reference = build(tuple_scalar(tctx, ctx.gen("p")), tctx.one, 1000)
+    assert_same(small, reference)
+    start = time.perf_counter()
+    big = build(ctx.gen("p"), ctx.one, 10 ** 6)
+    assert time.perf_counter() - start < 0.1
+    assert str(big) == re.sub(r"\^100(?=[01]\b)", "^100000", str(reference))

@@ -8,6 +8,13 @@ ideal and its extension by the determinant symbols.  Each system is built
 once and shared by all examples, so later examples also read forms that
 earlier ones kept.
 
+normal_form, _form and confluence_check against the versions kept in
+conftest from before kept forms were combined without unit products and
+before overlaps were found by their first letter: the same forms, and the
+same ambiguity words, in the same order, with the same residual strings, on
+random relation sets, the shipped systems under random orders and the
+multiparameter quantum GL(n) family of dims 2 and 3.
+
 orient, the reduced echelon basis of the relation span, against the queue
 that inter-reduced one relation at a time (reference_orient): random
 relation sets over the 2 x 2 matrix family, drawn as combinations of a
@@ -25,10 +32,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load, reference_orient, worklist_normal_form
+from conftest import (
+    load,
+    multiparameter_text,
+    reference_confluence_check,
+    reference_form,
+    reference_normal_form,
+    reference_orient,
+    worklist_normal_form,
+)
 from ncorep.cli import Workspace, parse_algebra_file
 from ncorep.freealg import NCPoly, RelationSet, T
-from ncorep.rewrite import TermOrder, extend_with_determinant, normal_form, orient
+from ncorep.rewrite import (
+    RewriteSystem,
+    TermOrder,
+    confluence_check,
+    extend_with_determinant,
+    normal_form,
+    orient,
+)
 from ncorep.scalars import Context
 
 COEFFS = ("1", "-2", "q", "1/p", "q^2 - 1", "p*q + 1")
@@ -70,6 +92,10 @@ def test_kept_forms_match_worklist_reduction(case):
     want = worklist_normal_form(x, rs)
     assert got.terms == want.terms
     assert str(got) == str(want)
+    assert got.terms == reference_normal_form(x, rs).terms
+    forms = {}
+    for w in x.terms:
+        assert rs._form(w) == reference_form(rs, w, forms)
 
 
 @settings(max_examples=30, deadline=None)
@@ -148,3 +174,59 @@ def test_orient_matches_the_queue_on_inputs(name, tmp_path):
     else:
         ws = load(name)
     assert_same_rules(ws.relations(), ws.order)
+
+
+def assert_same_ambiguities(rs, maxdeg=3):
+    """confluence_check against the reference, on a fresh copy of rs whose
+    kept forms start empty."""
+    got = confluence_check(RewriteSystem(rs.ctx, rs.order, rs.rules), maxdeg)
+    want = reference_confluence_check(rs, maxdeg)
+    assert got["confluent"] == want["confluent"]
+    assert [(w, str(p)) for w, p in got["ambiguities"]] == [
+        (w, str(p)) for w, p in want["ambiguities"]
+    ]
+    return got
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(relation_sets(), st.integers(2, 4))
+def test_confluence_matches_the_reference_on_random_relations(case, maxdeg):
+    relations, order = case
+    assert_same_ambiguities(orient(relations, order), maxdeg)
+
+
+@pytest.mark.parametrize("name", SYSTEMS + ("qplane_frt", "spectral_demo"))
+def test_confluence_matches_the_reference_on_shipped_systems(name):
+    out = assert_same_ambiguities(system(name))
+    # the overlaps of qplane_qprs, and of the determinant symbols with each
+    # other, do not all resolve
+    assert out["confluent"] == (name not in ("qplane_qprs", "qplane_qp+det"))
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.permutations(FAMILY), st.sampled_from(("qplane_qprs", "qplane_qp", "spectral_demo")))
+def test_confluence_matches_the_reference_under_random_orders(precedence, name):
+    order = TermOrder(precedence)
+    assert_same_ambiguities(orient(load(name).relations(), order))
+
+
+MONOMIALS = ("q", "-q", "p", "1/q", "-1/p", "q*p", "q/p", "q^2")
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(st.sampled_from((2, 3)), st.data())
+def test_confluence_matches_the_reference_on_the_multiparameter_family(
+    tmp_path_factory, n, data
+):
+    # the family is confluent under its default order; a random order gives
+    # systems that are not
+    rho = [data.draw(st.sampled_from(MONOMIALS)) for _ in range(n)]
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    t = {ij: data.draw(st.sampled_from(("t%d%d" % ij, "1", "q"))) for ij in pairs}
+    path = tmp_path_factory.mktemp("mp") / "mp.alg"
+    path.write_text(multiparameter_text(n, rho, t), encoding="utf-8")
+    ws = Workspace(parse_algebra_file(str(path)))
+    rs = ws.rewrite_system()
+    if data.draw(st.booleans()):
+        rs = orient(ws.relations(), TermOrder(data.draw(st.permutations(ws.gens))))
+    assert_same_ambiguities(rs)

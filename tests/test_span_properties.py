@@ -5,7 +5,9 @@ below is the membership comparison it replaced: it reduces every relation
 of each set against the other set's basis.  Random relation sets over the
 2 x 2 matrix family share combinations of a common pool of relations, so
 all four verdicts occur, and their coefficients carry the non-monomial
-denominators q^2 + 1 and r - 1.
+denominators q^2 + 1 and r - 1.  The verdict and the ranks do not depend on
+the key under which each side keeps its basis: word_key, or the rule key of
+a random term order, which pivots each row at its order-largest word.
 """
 
 from hypothesis import given, settings
@@ -18,7 +20,9 @@ from ncorep.freealg import (
     T,
     poly_vector,
     row_space_compare,
+    word_key,
 )
+from ncorep.rewrite import TermOrder
 from ncorep.scalars import Context
 
 CTX = Context(["q", "r"])
@@ -80,3 +84,20 @@ def test_rank_verdicts_match_membership_reference(lists):
     assert (cmp.verdict, cmp.rank_a, cmp.rank_b, cmp.rank_union) == want
     # the union is built beside the kept bases
     assert (a.rank(), b.rank()) == want[1:3]
+
+
+keys = st.one_of(
+    st.just(word_key),
+    st.permutations(FAMILY).map(lambda p: TermOrder(p).rule_key),
+)
+
+
+@bounded
+@given(relation_lists(), keys, keys)
+def test_verdicts_do_not_depend_on_the_basis_keys(lists, key_a, key_b):
+    a_polys, b_polys = lists
+    want = reference_compare(RelationSet(CTX, FAMILY, a_polys), RelationSet(CTX, FAMILY, b_polys))
+    a, b = RelationSet(CTX, FAMILY, a_polys, key_a), RelationSet(CTX, FAMILY, b_polys, key_b)
+    cmp = row_space_compare(a, b)
+    assert (cmp.verdict, cmp.rank_a, cmp.rank_b, cmp.rank_union) == want
+    assert a.basis().key is key_a and b.basis().key is key_b
