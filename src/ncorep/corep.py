@@ -91,7 +91,6 @@ from .freealg import (
     add_terms,
     e,
     matrix_family,
-    poly_vector,
     tensor_terms,
     word_key,
     xi,
@@ -307,21 +306,33 @@ class QuadraticSpace:
 def homomorphism_check(space: QuadraticSpace, M: MMatrix, relations: RelationSet) -> bool:
     """Coacting on each space relation must land in the relation ideal.
 
-    Each coordinate pair coacts through its row of M (coaction_word).  The
-    coordinate part is reduced modulo the space's own relation span; every
-    surviving matrix-coefficient must lie in the Scalar span of the given
-    degree-2 relations.
+    Coaction, reduction modulo the space's relation span and membership in
+    a span are linear, so the rows of the space's basis decide every
+    relation.  A row sum_w c_w w coacts through M's rows (coaction_word) to
+    sum_w c_w sum_v M_w^v (x) v over coordinate words v.  The space's
+    reduced basis {p: rest_p} reads a pivot word p as -rest_p, so what
+    survives at a word u that is no pivot is
+
+        R_u = sum_w c_w (M_w^u - sum_p M_w^p rest_p[u]),
+
+    summed per matrix word in one Scalar dict.  Every R_u must lie in the
+    Scalar span of the given degree-2 relations.
     """
     basis = relations.basis()
-    for p in space.relations:
-        vec = {}  # coordinate word -> {matrix word: Scalar}
-        for w, c in p.terms.items():
-            co = coaction_word(M, tuple(g.index[0] for g in w))
-            for outidx, coef in co.items():
-                word = tuple(space.coord(i) for i in outidx)
-                add_terms(vec.setdefault(word, {}), ((u, v * c) for u, v in coef.terms.items()))
-        vec = {word: NCPoly(space.ctx, terms) for word, terms in vec.items()}
-        for residual in space.relations.basis().reduce(vec).values():
-            if not basis.contains(poly_vector(residual)):
+    own = space.relations.basis()
+    reduced = own.reduced()
+    for _, row in own.rows:
+        residuals = {}  # coordinate word -> {matrix word: Scalar}
+        for w, c in row.items():
+            for outidx, coef in coaction_word(M, tuple(g.index[0] for g in w)).items():
+                v = tuple(space.coord(i) for i in outidx)
+                rest = reduced.get(v)
+                targets = ((v, c),) if rest is None else ((u, -(c * r)) for u, r in rest.items())
+                for u, f in targets:
+                    add_terms(
+                        residuals.setdefault(u, {}), ((x, a * f) for x, a in coef.terms.items())
+                    )
+        for terms in residuals.values():
+            if not basis.contains(terms):
                 return False
     return True

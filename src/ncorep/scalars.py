@@ -3,61 +3,86 @@
 Every coefficient in the package is a Scalar: a rational function over the
 rationals in a declared list of commuting parameters, sorted alphabetically.
 A polynomial is a plain dict {monomial: nonzero int}, each monomial packed
-into one int (below).  A Scalar holds its numerator as such a dict and its
-denominator as a split (c, m, ks), which stands for
+into one int (below), and its exponents may be negative: it is a Laurent
+polynomial, an element of ZZ[params^±1].  A Scalar holds its numerator N as
+such a dict and its denominator as a split (c, ks), which stands for
 
-    c * x^m * prod f_i^k_i,
+    c * prod f_i^k_i,
 
-c a positive integer, x^m a packed monomial and ks a sorted tuple of (i, k)
-pairs with k > 0 over the Context's factor base: primitive irreducible
-non-monomial polynomials f_i with positive leading coefficient in
-graded-lex order, each numbered once.  Every stored element is canonical:
-numerator and denominator are coprime in ZZ[params] (integer content
-included), and the denominator's leading coefficient is positive (c and
-every f_i lead with a positive coefficient).  Each element of QQ(params)
-has exactly one such form, and by unique factorization the split of a
-denominator is unique within a Context, so equal scalars have equal
-numerators and splits, and an operation may hand back an operand unchanged
-(multiplying by one does).  The canonical
+c a positive integer and ks a sorted tuple of (i, k) pairs with k > 0 over
+the Context's factor base: primitive irreducible non-monomial polynomials
+f_i with positive leading coefficient in graded-lex order, each numbered
+once.  A monomial is a unit of ZZ[params^±1], so it never stands in the
+denominator: 1/q is the numerator q^-1 over c = 1.  Every stored element
+is canonical: no f_i of its split divides N, the integer content of N is
+coprime to c, and c and every f_i lead with a positive coefficient.
+ZZ[params^±1] is a unique factorization domain whose units are the signed
+monomials, so each element of QQ(params) has exactly one such form, and by
+unique factorization the split of a denominator is unique within a
+Context.  Equal scalars therefore have equal numerators and splits, and an
+operation may hand back an operand unchanged (multiplying by one does).
+
+The monomial part comes back only where a polynomial is needed.  With m
+the least exponents of N that are negative, made positive (0 where none
+is), N x^m over c x^m prod f_i^k_i is the fraction of two coprime
+polynomials whose denominator leads positive; _fraction writes it out.
+str prints those two (once per Scalar: the text is kept), substitute()
+composes them, and the exponent limit below is on their degrees.  _split hands back the monomial content of a
+new denominator for the caller to move into the numerator, and _exquo
+divides N by a factor after taking out its monomial content.  The canonical
 *observable* form divides by the denominator's leading coefficient, making
-it monic, at the serialization boundary.  No floating point exists anywhere.
+it monic, at the serialization boundary.  No floating point exists
+anywhere.
 
 A monomial x^e over k parameters is the int
 
-    deg(e) << 64k | e_1 << 64(k - 1) | ... | e_k,
+    deg(e) * 2^64k + e_1 * 2^64(k - 1) + ... + e_k,
 
-the total degree in the top field and then one 64-bit field per parameter
-in sorted order, so 1 is the int 0.  Int order is then the order of
-(sum(e), e), which is graded-lex order: the sort, the leading term and the
-printed order read the int itself.  While every field stays below 2^63 no
-sum or difference carries from one field into the next, so a product of
-monomials is an int sum and a quotient an int difference.  _mdiv sets the
-top bit of every field of the dividend first, so a field of the difference
-that borrowed is one whose top bit was cleared.  The same guard bits read
-the monomial content without unpacking: adding 2^63 - 1 to a parameter's
-field sets its top bit exactly when the field is nonzero, and the AND of
-those bits over a numerator's terms and the denominator's monomial is the
-set of parameters that can cancel; only those fields are read.
+the total degree in the top field and then one signed 64-bit field per
+parameter in sorted order, so 1 is the int 0 and a monomial with no
+negative exponent packs as the plain concatenation of its fields.  While
+every field stays within +-(2^63 - 1) no sum or difference carries from one
+field into the next, so a product of monomials is an int sum, and int
+order is the order of (sum(e), e), which is graded-lex order: the sort, the
+leading term and the printed order read the int itself.  _exps decodes the
+fields by adding 2^63 to each (ctx._high), which makes every field a number
+in [0, 2^64).  The same guard bits read signs without unpacking: after that
+addition a field's top bit is set exactly when the field is not negative,
+and after adding 2^63 - 1 (ctx._ones) exactly when it is positive.  _common
+ANDs those bits over a polynomial and reads only the fields whose
+least value is not 0; _mdiv, which divides polynomial monomials in the long
+division, sets the top bit of every field of the dividend first, so a field
+of the difference that borrowed is one whose top bit was cleared.
 
-The total degree bounds every field, so the kernel keeps the degree of
-every stored monomial below 2^62 (_grow is the one check).  A product or a
-sum of two stored scalars is formed and cancelled with its fields below
-2^63, where the guard bits still work, and it raises ExponentTooLarge when
-the leading monomial of its numerator or of its denominator reaches degree
-2^62.  A power and a substitution multiply exponents, so they check the
-leading monomials of the powers before forming them; below the limit the
-product of three monomials still fits, which covers substitution's
-b^d X(a/b).  The CLI reports the error as "exponent too large".  Exponents
-are unpacked (_exps) only where text, a modular image, a composition or a
-factorization needs them one by one.
+The exponent limit is on the polynomial form: an operation raises
+ExponentTooLarge when N x^m or c x^m prod f_i^k_i reaches total degree
+2^62.  A stored scalar is below the limit, so each of its fields lies
+within +-2^62 and a product or a sum of two stored scalars is formed with
+its fields within +-2^63, where packing and guard bits still work.  The
+check stays off the per-operation path: each Scalar carries a bound, at
+least the largest |e_i| of its numerator.  A product adds the operands'
+bounds, a sum takes the larger (plus the degree of any factor it
+multiplied a numerator by), and dividing by a factor never raises one.
+Over k parameters N x^m has degree at most 2 k bound and x^m at most
+k bound, so a result whose bound is below 2^62 / 2k (ctx._safe) and whose
+factor part has degree below 2^61 is within the limit; only any other
+result has its degrees computed exactly (_limited), and its bound replaced
+by its largest |exponent|.  A power and a substitution multiply exponents,
+so they check the degrees of the powers before forming them; below the
+limit the product of three monomials still fits, which covers
+substitution's b^d X(a/b).  _limit is the one place that raises, and the
+CLI reports the error as "exponent too large".
 
 The paper's identities are contractions whose coefficients come from a
 twisting table, and their denominators are products of a few fixed factors
-(the parameters, r - 1, q^2 + 1, p - 1).  So +, -, *, / and powers keep the
-canonical form themselves, without a general polynomial gcd, and they never
-need the denominator as a polynomial except to bring two of them to a
-common one.  That polynomial is built on demand from its split and kept on
-the Context.
+(the parameters, r - 1, q^2 + 1, p - 1).  The parameters are units, so for
+the Laurent scalars (ks empty on both sides, which covers the GL(3) inputs)
+a product is the product of the numerators and a gcd of the integer
+content when c is not 1, and a sum brings both to lcm(c, c') and adds.
++, -, *, / and powers keep the canonical form themselves, without a general
+polynomial gcd, and they never need the denominator as a polynomial except
+to bring two of them to a common one.  That polynomial is built on demand
+from its split and kept on the Context.
 
 * A product adds the exponents of the two splits, a sum takes the largest.
   A numerator is coprime to its own denominator, so the only f_i that can
@@ -66,39 +91,43 @@ the Context.
   division by leading terms is exact: if f divides the numerator, every
   leading term of the running remainder is divisible by the leading term of
   f, so the first that is not proves f does not divide it, and a zero
-  remainder proves it does.
-* What is left to share is a monomial and an integer: the kernel cancels
-  the least exponents and the gcd of the integer contents.  When both
-  denominators are one term (the Laurent case) that is the whole work, and
-  the kernel takes a path that builds no factor list.
+  remainder proves it does.  Before it divides by an f of degree 1 in some
+  parameter a numerator whose degree is larger than its number of terms,
+  _exquo evaluates the numerator mod PRIME where f vanishes (that
+  parameter at f's root, the others at POINT): a nonzero value proves f
+  does not divide it, so the division never runs a step per power of a
+  large exponent to find that out.
+* What is left to share is an integer: the kernel cancels the gcd of the
+  numerator's content and c.
 * An inverse swaps numerator and denominator and fixes the sign; the old
-  numerator becomes a denominator, and only then is a polynomial split.  A
-  one-term one splits at once.  A multi-term one not met before is factored
-  once per Context, and its new irreducible factors join the base;
-  substitute() splits its new denominators the same way.  _factor takes
-  out the monomial and integer content and splits the rest itself when it
-  is linear in some parameter with an integer coefficient or constant term
-  (then it is irreducible) or quadratic in its only parameter (irreducible
-  unless its discriminant is a square, and then the product of the linear
-  factors of its rational roots).  That covers every denominator of the
-  paper's inputs (q^2 + 1, r - 1, (r - 1)^2, p - 1); anything else goes to
-  sympy's factor_list.  The split is unique, so the path does not show in
-  any result.  _factor's fallback is the only place the package imports
-  sympy, so no shipped input loads it.
-* (n/d)^k is n^k / d^k, already coprime: its split multiplies the
-  exponents, and n^k is a closed form for one term and repeated squaring
+  numerator, less its monomial content, becomes a denominator, and only
+  then is a polynomial split.  A one-term one splits at once.  A multi-term
+  one not met before is factored once per Context, and its new irreducible
+  factors join the base; substitute() splits its new denominators the same
+  way.  _factor takes out the monomial and integer content and splits the
+  rest itself when it is linear in some parameter with an integer
+  coefficient or constant term (then it is irreducible) or quadratic in its
+  only parameter (irreducible unless its discriminant is a square, and then
+  the product of the linear factors of its rational roots).  That covers
+  every denominator of the paper's inputs (q^2 + 1, r - 1, (r - 1)^2,
+  p - 1); anything else goes to sympy's factor_list.  The split is unique,
+  so the path does not show in any result.  _factor's fallback is the only
+  place the package imports sympy, so no shipped input loads it.
+* (N/d)^k is N^k / d^k, already coprime: its split multiplies the
+  exponents, and N^k is a closed form for one term and repeated squaring
   otherwise.
-* substitute() composes numerator and denominator with the value, then
-  cancels the same way: split the new denominator, divide by its factors,
-  cancel the monomial and the content.
+* substitute() composes the polynomial numerator and denominator with the
+  value, then cancels the same way: split the new denominator, divide by
+  its factors, move its monomial content into the numerator, cancel the
+  integer content.
 
-Every path returns the unique canonical form, the same that sympy's cancel
-gives, so equality, str and every report byte are those of a cancel-based
-field; str writes the terms in descending graded-lex order.  The tests
-check the kernel against sympy's field operation by operation, and against
-a kernel on exponent tuples.  A Scalar is not hashable: nothing keys a dict
-by a value, and the products() memo below keys by the stored numerator and
-split.
+Every path returns the unique canonical form, so equality, str and every
+report byte are those of a cancel-based field; str writes the terms in
+descending graded-lex order.  The tests check the kernel against sympy's
+field operation by operation, and against a kernel on exponent tuples that
+keeps the monomial part in the denominator.  A Scalar is not hashable:
+nothing keys a dict by a value, and the products() memo below keys by the
+stored numerator and split.
 
 One run reads one configuration over one parameter list, so all of its
 scalars live in one Context.  Scalars of two Context objects never mix,
@@ -132,8 +161,9 @@ evaluating it at one fixed point: the i-th parameter in sorted order goes to
 POINT[i], constants written in this module that no input, hash or clock
 chooses.  They are unrelated to each other on purpose: at a point such as
 (a, a^2, a^3, ...) the monomials p^2 and q would agree, and the image of a
-nonzero p^2 - q would be zero.  The map evaluates the numerator and the
-split (c, m, ks), and returns None when the denominator vanishes at the
+nonzero p^2 - q would be zero.  Every coordinate is invertible mod P, so a
+negative exponent is a power of an inverse.  The map evaluates N and the
+split (c, ks), and returns None when the denominator vanishes at the
 point, or when the Context has more parameters than POINT has coordinates.
 The image of each monomial met and of each factor of the base are kept on
 the Context, next to the base itself (the base only grows, so a kept image
@@ -175,6 +205,8 @@ POINT = (
 )
 
 _FIELD = (1 << 64) - 1  # one field of a packed monomial
+_SIGN = 1 << 63  # added to a field to decode it
+_LIMIT = 1 << 62  # the least total degree that raises ExponentTooLarge
 
 
 class Context:
@@ -192,26 +224,28 @@ class Context:
         self.params: tuple[str, ...] = tuple(sorted(names))
         k = len(self.params)
         # the packing (module docstring): each parameter's field offset, the
-        # degree's, the least degree that raises, and per parameter field
-        # 2^63 - 1 and the top bit; _guard adds the degree field's top bit
+        # degree's, and per parameter field 2^63 - 1 and the top bit; _guard
+        # adds the degree field's top bit; a bound below _safe needs no
+        # exponent check
         self._shifts = tuple(64 * i for i in reversed(range(k)))
         self._dshift = 64 * k
-        self._limit = 1 << (64 * k + 62)
         self._ones = sum(((1 << 63) - 1) << s for s in self._shifts)
         self._high = sum(1 << (s + 63) for s in self._shifts)
         self._guard = self._high | 1 << (self._dshift + 63)
-        self._unit = (1, 0, ())  # the split of the denominator 1
+        self._safe = _LIMIT // (2 * k)
+        self._unit = (1, ())  # the split of the denominator 1
         self._gens = {
-            n: Scalar(self, {1 << self._dshift | 1 << s: 1}, self._unit)
+            n: Scalar(self, {1 << self._dshift | 1 << s: 1}, self._unit, 1)
             for n, s in zip(self.params, self._shifts)
         }
-        self.zero = Scalar(self, {}, self._unit)
-        self.one = Scalar(self, {0: 1}, self._unit)
+        self.zero = Scalar(self, {}, self._unit, 0)
+        self.one = Scalar(self, {0: 1}, self._unit, 0)
         self._products = None  # (ident, ident) -> Scalar while a products() block is open
-        # the factor base: (f, leading monomial, trailing monomial) per factor
+        # the factor base: (f, leading monomial, trailing monomial, degree,
+        # root point or None) per factor (_factor_id)
         self._factors: list = []
         self._factor_ids: dict = {}  # frozenset(f.items()) -> its index
-        self._splits: dict = {}  # frozenset(den.items()) -> split, multi-term dens
+        self._splits: dict = {}  # frozenset(den.items()) -> (monomial, split), multi-term dens
         self._dens: dict = {}  # split with factors -> denominator polynomial
         # the modular image: the point (None past POINT's length), and the
         # image of each monomial and each base factor met so far
@@ -251,7 +285,7 @@ class Context:
         if isinstance(value, (int, Fraction)):
             # already coprime with a positive denominator
             num = {0: value.numerator} if value else {}
-            return Scalar(self, num, (value.denominator, 0, ()))
+            return Scalar(self, num, (value.denominator, ()), 0)
         raise TypeError("cannot make a Scalar from %r" % (value,))
 
     def parse(self, text: str) -> "Scalar":
@@ -265,14 +299,17 @@ def _mismatch(ctx, other):
 
 
 class Scalar:
-    """One element of QQ(params).  Immutable; all arithmetic is exact."""
+    """One element of QQ(params).  Immutable; all arithmetic is exact.
 
-    __slots__ = ("ctx", "num", "split", "_keyc", "_identc")
+    bound is at least the largest |exponent| in num (module docstring)."""
 
-    def __init__(self, ctx: Context, num: dict, split: tuple):
+    __slots__ = ("ctx", "num", "split", "bound", "_keyc", "_identc")
+
+    def __init__(self, ctx: Context, num: dict, split: tuple, bound: int):
         self.ctx = ctx
         self.num = num
         self.split = split
+        self.bound = bound
         self._keyc = None
         self._identc = None
 
@@ -307,7 +344,7 @@ class Scalar:
         return _add(self.ctx, self, other)
 
     def __neg__(self):
-        return Scalar(self.ctx, {e: -v for e, v in self.num.items()}, self.split)
+        return Scalar(self.ctx, {e: -v for e, v in self.num.items()}, self.split, self.bound)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -398,13 +435,13 @@ class Scalar:
             )
         val = ctx.scalar(value)
         shift = ctx._shifts[ctx.params.index(name)]
-        numer, denom = self.num, _den(ctx, self.split)
+        numer, denom = _fraction(ctx, self)
         # P(a/b) / Q(a/b) = P~ / Q~ with X~ = b^d X(a/b), d the larger degree
         d = max(e >> shift & _FIELD for poly in (numer, denom) for e in poly)
         if d == 0:  # the scalar does not contain the parameter
             return self
-        a_pows = _powers(ctx, val.num, d)
-        b_pows = _powers(ctx, _den(ctx, val.split), d)
+        a, b = _fraction(ctx, val)
+        a_pows, b_pows = _powers(ctx, a, d), _powers(ctx, b, d)
         num, den = (_compose(ctx, poly, shift, a_pows, b_pows) for poly in (numer, denom))
         if not den:
             raise DenominatorVanishes(
@@ -417,14 +454,14 @@ class Scalar:
     def __str__(self):
         if self._keyc is None:  # the text, written once
             ctx = self.ctx
-            c, m, ks = self.split
+            m = -_common(ctx, self.num, 0)  # x^m (module docstring)
+            den = _den(ctx, self.split)
             try:
-                if not ks and not m:  # the constant denominator c
-                    self._keyc = _poly_str(ctx, self.num, c)
+                if not m and len(den) == 1:  # the constant denominator c
+                    self._keyc = _poly_str(ctx, self.num, 0, den[0])
                 else:
-                    den = _den(ctx, self.split)
                     lead = den[max(den)]
-                    num, den = (_poly_str(ctx, p, lead) for p in (self.num, den))
+                    num, den = (_poly_str(ctx, p, m, lead) for p in (self.num, den))
                     self._keyc = "(%s)/(%s)" % (num, den)
             except ValueError:  # an int longer than str() converts
                 raise NumberTooLong("a coefficient has too many digits to print") from None
@@ -436,33 +473,35 @@ class Scalar:
 
 # -- monomials and polynomials ----------------------------------------------
 #
-# A polynomial is a dict {packed monomial: nonzero int}.  No function here
-# changes a dict it was given, so the kernel can share them.
+# A polynomial is a dict {packed monomial: nonzero int}, its exponents
+# signed.  No function here changes a dict it was given, so the kernel can
+# share them.
 
 
 def _mono(exps):
     """The packed monomial of an exponent tuple in parameter order."""
     out = sum(exps)
     for e in exps:
-        out = out << 64 | e
+        out = (out << 64) + e
     return out
 
 
 def _exps(ctx, e):
     """The exponent tuple, in parameter order, of the packed monomial e."""
-    return tuple(e >> s & _FIELD for s in ctx._shifts)
+    e += ctx._high
+    return tuple((e >> s & _FIELD) - _SIGN for s in ctx._shifts)
 
 
-def _grow(ctx, top):
-    """top, a leading monomial the kernel formed, when its total degree is
-    below 2^62; ExponentTooLarge otherwise."""
-    if top >= ctx._limit:
+def _limit(deg):
+    """ExponentTooLarge when the total degree deg of a polynomial the
+    kernel formed or is about to form reaches 2^62."""
+    if deg >= _LIMIT:
         raise ExponentTooLarge("exponent too large")
-    return top
 
 
 def _mdiv(ctx, a, b):
-    """The monomial a / b, or None when b does not divide a."""
+    """The monomial a / b, or None when b does not divide a, for monomials
+    with no negative exponent."""
     g = ctx._guard
     d = (a | g) - b
     return d ^ g if d & g == g else None
@@ -470,24 +509,30 @@ def _mdiv(ctx, a, b):
 
 def _common(ctx, poly, m):
     """The greatest monomial dividing m and every monomial of poly (or of
-    any iterable of monomials).
+    any iterable of monomials): their least exponent per parameter.
 
-    The AND of the guard bits (module docstring) gives the parameters that
-    occur in all of them; only those fields are read.
+    A field's least value is not 0 only when it is positive in all of them
+    or negative in one; the guard bits (module docstring) give those
+    parameters, and only their fields are read.
     """
-    ones = ctx._ones
-    mask = (m + ones) & ctx._high
+    ones, high = ctx._ones, ctx._high
+    positive = (m + ones) & high
+    signs = m + high
     for e in poly:
-        if not mask:
-            return 0
-        mask &= e + ones
+        positive &= e + ones
+        signs &= e + high
+    mask = (positive | ~signs) & high
+    if not mask:
+        return 0
+    biased = [e + high for e in poly]
+    biased.append(m + high)
     out = deg = 0
     for s in ctx._shifts:
         if mask >> (s + 63) & 1:
-            k = min(m >> s & _FIELD, min(e >> s & _FIELD for e in poly))
-            out |= k << s
+            k = min([b >> s & _FIELD for b in biased]) - _SIGN
+            out += k << s
             deg += k
-    return out | deg << ctx._dshift
+    return out + (deg << ctx._dshift)
 
 
 def _padd(a, b):
@@ -527,12 +572,9 @@ def _pmul(a, b):
     return {e: v for e, v in out.items() if v}
 
 
-def _ppow(ctx, a, n):
-    """a^n for n > 0: a closed form for one term, repeated squaring otherwise.
-
-    The leading monomial of a^n is n times that of a, so one check covers
-    every square and product on the way."""
-    _grow(ctx, max(a) * n)
+def _ppow(a, n):
+    """a^n for n > 0: a closed form for one term, repeated squaring
+    otherwise.  The caller checks the exponent limit first."""
     if len(a) == 1:
         ((m, c),) = a.items()
         return {m * n: c ** n}
@@ -547,9 +589,9 @@ def _ppow(ctx, a, n):
 
 
 def _powers(ctx, poly, d):
-    """[1, poly, ..., poly^d]."""
+    """[1, poly, ..., poly^d] for a polynomial with no negative exponent."""
     if poly:
-        _grow(ctx, max(poly) * d)
+        _limit((max(poly) >> ctx._dshift) * d)
     out = [ctx.one.num]
     for _ in range(d):
         out.append(_pmul(out[-1], poly))
@@ -571,6 +613,17 @@ def _compose(ctx, poly, shift, a_pows, b_pows):
     return out
 
 
+def _eval(ctx, poly, point):
+    """poly at point, mod PRIME."""
+    out = 0
+    for e, c in poly.items():
+        for a, k in zip(point, _exps(ctx, e)):
+            if k:
+                c = c * pow(a, k, PRIME) % PRIME
+        out += c
+    return out % PRIME
+
+
 # -- the field kernel -----------------------------------------------------
 #
 # The kernel takes canonical Scalars of one Context and returns canonical
@@ -584,21 +637,34 @@ def _ident(s):
     return s._identc
 
 
+def _fraction(ctx, s):
+    """The numerator and denominator of s as coprime polynomials,
+    N x^m and c x^m prod f_i^k_i (module docstring)."""
+    neg = _common(ctx, s.num, 0)  # x^-m
+    den = _den(ctx, s.split)
+    if not neg:
+        return s.num, den
+    return _pterm(s.num, -neg, 1), _pterm(den, -neg, 1)
+
+
 def _split(ctx, den):
-    """The split of a denominator with positive leading coefficient; a new
-    multi-term one is factored once per Context."""
+    """(x^m, split) for a polynomial den with positive leading coefficient:
+    den = x^m times the split's denominator.  A new multi-term den is
+    factored once per Context."""
     if len(den) == 1:
         ((m, c),) = den.items()
-        return c, m, ()
+        return m, (c, ())
     key = frozenset(den.items())
-    split = ctx._splits.get(key)
-    if split is None:
-        split = ctx._splits[key] = _factor(ctx, den)
-    return split
+    out = ctx._splits.get(key)
+    if out is None:
+        c, m, ks = _factor(ctx, den)
+        out = ctx._splits[key] = m, (c, ks)
+    return out
 
 
 def _factor(ctx, den):
-    """The split of den, which has at least two terms and a positive leading
+    """(c, m, ks), the split of den with its monomial content x^m, for den
+    with no negative exponent, at least two terms and a positive leading
     coefficient; new factors join the base.
 
     The monomial content and the integer content come out first.  What is
@@ -680,38 +746,48 @@ def _factor_id(ctx, f):
     i = ctx._factor_ids.get(key)
     if i is None:
         i = ctx._factor_ids[key] = len(ctx._factors)
-        ctx._factors.append((f, max(f), min(f)))
+        top = max(f)
+        ctx._factors.append((f, top, min(f), top >> ctx._dshift, _root_point(ctx, f)))
     return i
 
 
-def _den_lead(ctx, m, ks):
-    """The leading monomial of x^m prod f_i^k_i."""
+def _root_point(ctx, f):
+    """A point mod PRIME where f vanishes, when f has degree 1 in some
+    parameter x: x at the root of f = a x + b with the other parameters at
+    POINT, for the first such x where a is not 0 there; else None."""
+    if ctx._point is None:
+        return None
+    for i, s in enumerate(ctx._shifts):
+        x = 1 << ctx._dshift | 1 << s
+        a = {e - x: c for e, c in f.items() if e >> s & _FIELD}
+        if a and all(e >> s & _FIELD < 2 for e in f):
+            a = _poly_image(ctx, a)
+            if a:
+                b = _poly_image(ctx, {e: c for e, c in f.items() if not e >> s & _FIELD})
+                return ctx._point[:i] + (-b * pow(a, -1, PRIME) % PRIME,) + ctx._point[i + 1:]
+    return None
+
+
+def _fdeg(ctx, ks):
+    """The total degree of prod f_i^k_i."""
+    if not ks:
+        return 0
     factors = ctx._factors
-    return m + sum(k * factors[i][1] for i, k in ks) if ks else m
-
-
-def _checked(ctx, x):
-    """x, when the leading monomials of its numerator and denominator have
-    total degree below 2^62; ExponentTooLarge otherwise."""
-    _, m, ks = x.split
-    _grow(ctx, _den_lead(ctx, m, ks))
-    if x.num:
-        _grow(ctx, max(x.num))
-    return x
+    return sum(k * factors[i][3] for i, k in ks)
 
 
 def _den(ctx, split):
     """The polynomial of a split, kept on the Context when it has factors."""
-    c, m, ks = split
+    c, ks = split
     if not ks:
-        return {m: c}
+        return {0: c}
     den = ctx._dens.get(split)
     if den is None:
-        den = {m: c}
+        den = {0: c}
         for i, k in ks:
-            den = _pmul(den, _ppow(ctx, ctx._factors[i][0], k))
+            den = _pmul(den, _ppow(ctx._factors[i][0], k))
         ctx._dens[split] = den
-        ctx._splits[frozenset(den.items())] = split
+        ctx._splits[frozenset(den.items())] = 0, split
     return den
 
 
@@ -726,28 +802,33 @@ def _merge(kx, ky, op):
 
 
 def _exquo(ctx, num, factor):
-    """num / f when f divides num in ZZ[params], else None.
-
-    Long division on leading terms, stopped at the first that the leading
-    term of f does not divide (see the module docstring).  The order is
-    multiplicative, so f can divide num only if the trailing term of f
-    divides that of num, which is checked first.  The leading and trailing
-    terms of f were found once, when f joined the factor base.  The
-    remainder's monomials are kept sorted: a step cancels the leading term
-    and changes only smaller ones, so the largest left is the next leading
-    term once the monomials of cancelled terms are skipped.
+    """num / f when f divides num in ZZ[params^±1], else None.
 
     f is irreducible and not a monomial, so it is coprime to every
-    monomial: num's monomial content x^low comes out before the division
-    and goes back onto the quotient.  So p^k / (p - 1) fails at its first
-    step instead of after k, though p^k + q still takes k steps.
+    monomial: num's monomial content x^low comes out first and goes back
+    onto the quotient, which leaves a polynomial with no monomial factor.
+    When f has a root point (_root_point), a nonzero value of that
+    polynomial there proves that f does not divide it.  Otherwise long
+    division on leading terms decides, stopped at the first that the
+    leading term of f does not divide (see the module docstring).  The
+    order is multiplicative, so f can divide num only if the trailing term
+    of f divides that of num, which is checked first.  The leading and
+    trailing terms of f were found once, when f joined the factor base.
+    The remainder's monomials are kept sorted: a step cancels the leading
+    term and changes only smaller ones, so the largest left is the next
+    leading term once the monomials of cancelled terms are skipped.
     """
-    f, lead, trail = factor
+    f, lead, trail, _, root = factor
     bottom = min(num)
     low = _common(ctx, num, bottom)
     if low:
         num, bottom = {e - low: v for e, v in num.items()}, bottom - low
     if _mdiv(ctx, bottom, trail) is None or num[bottom] % f[trail]:
+        return None
+    # the probe costs a pow() per term and parameter; the division can take
+    # steps in proportion to the degree, so it runs the probe only when the
+    # degree passes the number of terms
+    if root is not None and max(num) >> ctx._dshift > len(num) and _eval(ctx, num, root):
         return None
     top_c = f[lead]
     rest, quo = dict(num), {}
@@ -790,37 +871,55 @@ def _divide_out(ctx, num, ks, tries):
     return num, tuple(left)
 
 
-def _reduce(ctx, num, c, m, ks):
-    """num / (c x^m prod f_i^k_i) in canonical form, when no f_i divides num.
+def _limited(ctx, num, ks, bound, n=1):
+    """A bound for (num / (c prod f_i^k_i))^n, num nonzero, after the
+    exponent limit is checked (module docstring): n bound when that and
+    the factor part are small, else n times num's largest |exponent|, with
+    ExponentTooLarge when N^n x^mn or the denominator reaches degree 2^62."""
+    fdeg = _fdeg(ctx, ks)
+    if bound * n < ctx._safe and fdeg * n < _LIMIT // 2:
+        return bound * n
+    neg = _common(ctx, num, 0)  # x^-m
+    high, dshift = ctx._high, ctx._dshift
+    numdeg, mdeg = (max(num) - neg + high) >> dshift, (high - neg) >> dshift
+    _limit(max(numdeg, mdeg + fdeg) * n)
+    top = _common(ctx, [-e for e in num], 0)  # minus the largest positive exponents
+    return max(_exps(ctx, -neg) + _exps(ctx, -top)) * n
 
-    What num and the denominator can still share is a monomial and an
-    integer, the least exponents and the gcd of the contents.
-    """
+
+def _reduce(ctx, num, c, ks, bound):
+    """num / (c prod f_i^k_i) in canonical form, when no f_i divides num:
+    what is left to share is the gcd of num's content and c.  bound is one
+    for num; the exponent limit is checked here."""
     if not num:
         return ctx.zero
-    g = 1 if c == 1 else gcd(c, *num.values())
-    low = _common(ctx, num, m) if m else 0
-    if g != 1 or low:
-        num = {e - low: v // g for e, v in num.items()}
-        c, m = c // g, m - low
-    return Scalar(ctx, num, (c, m, ks))
+    if c != 1:
+        g = gcd(c, *num.values())
+        if g != 1:
+            num = {e: v // g for e, v in num.items()}
+            c //= g
+    if ks or bound >= ctx._safe:
+        bound = _limited(ctx, num, ks, bound)
+    return Scalar(ctx, num, (c, ks) if c != 1 or ks else ctx._unit, bound)
 
 
 def _canonical(ctx, num, den):
-    """num / den in canonical form, for any polynomials with den nonzero."""
-    if num:
-        _grow(ctx, max(num))
-    if den[_grow(ctx, max(den))] < 0:
+    """num / den in canonical form, for polynomials with no negative
+    exponent and den nonzero."""
+    # every field of num and of den is at most its degree
+    bound = max(max(num, default=0), max(den)) >> ctx._dshift
+    _limit(bound)
+    if den[max(den)] < 0:
         num, den = {e: -v for e, v in num.items()}, {e: -v for e, v in den.items()}
-    c, m, ks = _split(ctx, den)
+    m, (c, ks) = _split(ctx, den)
     num, ks = _divide_out(ctx, num, ks, {i for i, _ in ks})
-    return _reduce(ctx, num, c, m, ks)
+    return _reduce(ctx, _pterm(num, -m, 1), c, ks, bound)
 
 
 def _mul(ctx, x, y):
     """x * y for nonzero canonical x and y."""
-    cx, mx, kx = x.split
-    cy, my, ky = y.split
+    cx, kx = x.split
+    cy, ky = y.split
     nx, ny = x.num, y.num
     if kx or ky:
         # each numerator is coprime to its own denominator, so it can share
@@ -831,8 +930,7 @@ def _mul(ctx, x, y):
         ks = _merge(kx, ky, add)
     else:
         ks = ()
-    # the operands' fields are below 2^62, so the product's stay below 2^63
-    return _checked(ctx, _reduce(ctx, _pmul(nx, ny), cx * cy, mx + my, ks))
+    return _reduce(ctx, _pmul(nx, ny), cx * cy, ks, x.bound + y.bound)
 
 
 def _add(ctx, x, y):
@@ -842,27 +940,25 @@ def _add(ctx, x, y):
     if not y.num:
         return x
     if x.split == y.split:
-        c, m, ks = x.split
+        c, ks = x.split
         num = _padd(x.num, y.num)
         if ks:
             num, ks = _divide_out(ctx, num, ks, {i for i, _ in ks})
-        return _reduce(ctx, num, c, m, ks)
-    cx, mx, kx = x.split
-    cy, my, ky = y.split
+        return _reduce(ctx, num, c, ks, max(x.bound, y.bound))
+    cx, kx = x.split
+    cy, ky = y.split
     c = lcm(cx, cy)
-    m = mx if mx == my else mx + my - _common(ctx, (my,), mx)  # the lcm
     if not kx and not ky:
-        num = _padd(_pterm(x.num, m - mx, c // cx), _pterm(y.num, m - my, c // cy))
-        return _checked(ctx, _reduce(ctx, num, c, m, ()))
+        num = _padd(_pterm(x.num, 0, c // cx), _pterm(y.num, 0, c // cy))
+        return _reduce(ctx, num, c, (), max(x.bound, y.bound))
     ks = _merge(kx, ky, max)
-    num = _padd(
-        _scale(ctx, x.num, c // cx, m - mx, _less(ks, kx)),
-        _scale(ctx, y.num, c // cy, m - my, _less(ks, ky)),
-    )
+    lx, ly = _less(ks, kx), _less(ks, ky)
+    num = _padd(_scale(ctx, x.num, c // cx, lx), _scale(ctx, y.num, c // cy, ly))
     # a factor with more weight in one denominator divides one summand and
     # not the other, so only factors of equal weight can divide the sum
     num, ks = _divide_out(ctx, num, ks, {i for i, _ in set(kx) & set(ky)})
-    return _checked(ctx, _reduce(ctx, num, c, m, ks))
+    bound = max(x.bound + _fdeg(ctx, lx), y.bound + _fdeg(ctx, ly))
+    return _reduce(ctx, num, c, ks, bound)
 
 
 def _less(ks, kx):
@@ -871,30 +967,41 @@ def _less(ks, kx):
     return tuple((i, k - have.get(i, 0)) for i, k in ks if k > have.get(i, 0))
 
 
-def _scale(ctx, num, c, m, ks):
-    """num * c x^m prod f_i^k_i."""
+def _scale(ctx, num, c, ks):
+    """num * c prod f_i^k_i."""
     if ks:
-        return _pmul(num, _den(ctx, (c, m, ks)))
-    return _pterm(num, m, c)
+        return _pmul(num, _den(ctx, (c, ks)))
+    return _pterm(num, 0, c)
 
 
 def _inverse(ctx, x):
-    """1 / x for nonzero canonical x: swap, then make the leading coefficient positive."""
-    num, den = _den(ctx, x.split), x.num
+    """1 / x for nonzero canonical x: swap, with x's monomial content moved
+    into the new numerator, then make the leading coefficient positive."""
+    den = x.num
+    # num's fields are those of the old denominator, less low's
+    bound = x.bound + _fdeg(ctx, x.split[1])
+    if len(den) == 1:  # a unit times an integer
+        ((low, v),) = den.items()
+        num = _pterm(_den(ctx, x.split), -low, 1 if v > 0 else -1)
+        return Scalar(ctx, num, (abs(v), ()) if v not in (1, -1) else ctx._unit, bound)
+    low = _common(ctx, den, next(iter(den)))
+    num = _pterm(_den(ctx, x.split), -low, 1)
+    den = _pterm(den, -low, 1)
     if den[max(den)] < 0:
         num, den = {e: -v for e, v in num.items()}, {e: -v for e, v in den.items()}
-    return Scalar(ctx, num, _split(ctx, den))
+    _, split = _split(ctx, den)  # den has no monomial content
+    return Scalar(ctx, num, split, bound)
 
 
 def _power(x, n):
-    """x^n for n > 0: a power of a coprime pair is coprime."""
+    """x^n for n > 0: a power of a coprime pair is coprime.  The limit is
+    checked before anything is formed."""
+    if not x.num:
+        return x
     ctx = x.ctx
-    c, m, ks = x.split
-    # the leading monomials of x^n are n times those of x, so both are
-    # checked before any is formed (_ppow checks the numerator's)
-    _grow(ctx, _den_lead(ctx, m, ks) * n)
-    ks = tuple((i, k * n) for i, k in ks)
-    return Scalar(ctx, _ppow(ctx, x.num, n) if x.num else x.num, (c ** n, m * n, ks))
+    c, ks = x.split
+    bound = _limited(ctx, x.num, ks, x.bound, n)
+    return Scalar(ctx, _ppow(x.num, n), (c ** n, tuple((i, k * n) for i, k in ks)), bound)
 
 
 # -- the modular image ------------------------------------------------------
@@ -906,8 +1013,8 @@ def mod_image(s):
     ctx = s.ctx
     if ctx._point is None:
         return None
-    c, m, ks = s.split
-    den = c * _mono_image(ctx, m)
+    c, ks = s.split
+    den = c
     images = ctx._factor_images
     for i, k in ks:
         while len(images) <= i:  # factors that joined the base since the last image
@@ -920,7 +1027,8 @@ def mod_image(s):
 
 
 def _mono_image(ctx, e):
-    """The monomial e at the Context's point, mod PRIME, kept on the Context."""
+    """The monomial e at the Context's point, mod PRIME, kept on the
+    Context; a negative exponent is a power of the coordinate's inverse."""
     out = ctx._mono_images.get(e)
     if out is None:
         out = 1
@@ -936,14 +1044,15 @@ def _poly_image(ctx, poly):
     return sum(c * _mono_image(ctx, e) for e, c in poly.items()) % PRIME
 
 
-def _poly_str(ctx, poly, lead):
-    """poly / lead as text, its terms in descending graded-lex order."""
+def _poly_str(ctx, poly, m, lead):
+    """poly x^m / lead as text, its terms in descending graded-lex order."""
     if not poly:
         return "0"
     texts = ctx._mono_texts
     out = ""
     for e in sorted(poly, reverse=True):
         c = poly[e] if lead == 1 else Fraction(poly[e], lead)
+        e += m
         mono = texts.get(e)
         if mono is None:
             pairs = zip(ctx.params, _exps(ctx, e))

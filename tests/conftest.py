@@ -34,7 +34,7 @@ from ncorep.freealg import (
 )
 from ncorep.integrable import weighted_trace
 from ncorep.rewrite import RewriteSystem, normal_form
-from ncorep.scalars import POINT, PRIME, Scalar, _den, _exps, _mono
+from ncorep.scalars import POINT, PRIME, Scalar, _exps, _fraction, _mono
 from ncorep.tensors import Tensor, compose, delta, invert2, invert4
 
 
@@ -107,14 +107,13 @@ def sympy_field(params):
 
 def sympy_element(s):
     """The Scalar s as an element of sympy's field, numerator and denominator
-    as s stores them.
+    as the coprime polynomials of its canonical form (scalars._fraction).
 
     sympy's field operations cancel by a polynomial gcd, so they are the
     independent reference that the scalar tests compare the kernel with.
     """
     K = sympy_field(s.ctx.params)
-    num = K.ring.from_dict(unpacked(s.ctx, s.num))
-    den = K.ring.from_dict(unpacked(s.ctx, _den(s.ctx, s.split)))
+    num, den = (K.ring.from_dict(unpacked(s.ctx, p)) for p in _fraction(s.ctx, s))
     return K.raw_new(num, den)
 
 
@@ -160,7 +159,7 @@ def named_key_str(s):
             out += " - " + t[1:] if t.startswith("-") else " + " + t
         return out
 
-    num, den = (key(unpacked(s.ctx, p)) for p in (s.num, _den(s.ctx, s.split)))
+    num, den = (key(unpacked(s.ctx, p)) for p in _fraction(s.ctx, s))
     lead = den[0][1]
     num = [(m, c / lead) for m, c in num]
     den = [(m, c / lead) for m, c in den]
@@ -875,7 +874,7 @@ def packed(ctx, poly):
 
 def tuple_scalar(tctx, s):
     """The package Scalar s as an element of the TupleContext tctx."""
-    return tk_canonical(tctx, unpacked(s.ctx, s.num), unpacked(s.ctx, _den(s.ctx, s.split)))
+    return tk_canonical(tctx, *(unpacked(s.ctx, p) for p in _fraction(s.ctx, s)))
 
 
 

@@ -1,15 +1,19 @@
-"""The packed scalar kernel against the tuple-exponent kernel it replaced.
+"""The packed Laurent scalar kernel against the tuple-exponent kernel.
 
 tests/conftest.py keeps the kernel that stored each monomial as a tuple of
-exponents (TupleContext, TupleScalar).  Scalars over one to four
-parameters, with Laurent and factor-base denominators and exponents up to
-just below the limit of total degree 2^62, go through +, -, *, /, **,
-substitute, str and mod_image in both kernels.  Each result, unpacked,
-must equal the reference's and print the same text.  A result whose
-numerator or denominator has degree 2^62 or more must raise
+exponents and kept the monomial part of a denominator there (TupleContext,
+TupleScalar).  Scalars over one to four parameters, with Laurent and
+factor-base denominators and exponents up to just below the limit of total
+degree 2^62, go through +, -, *, /, **, substitute, str and mod_image in
+both kernels.  Each result, written out as two polynomials
+(scalars._fraction), must equal the reference's and print the same text.
+A result whose numerator or denominator has degree 2^62 or more must raise
 ExponentTooLarge in the packed kernel instead, and nothing else may; a
 substitution, which checks the powers of the value before it cancels,
-may raise only when the operands' degrees can reach the limit.
+may raise only when the operands' degrees can reach the limit.  Laurent
+scalars with negative exponents in every term, monomials that cancel
+across operands and results on both sides of the exponent bound's
+threshold (Context._safe) are drawn on their own.
 """
 
 import re
@@ -22,7 +26,7 @@ from hypothesis import strategies as st
 from conftest import TupleContext, tk_den, tk_mod_image, tuple_scalar, unpacked
 from ncorep import scalars
 from ncorep.errors import DenominatorVanishes, ExponentTooLarge
-from ncorep.scalars import Context, _den, mod_image
+from ncorep.scalars import Context, _fraction, mod_image
 
 LIMIT = 2 ** 62
 NAMES = ("p", "q", "r", "s")
@@ -92,8 +96,9 @@ def too_large(t):
 def assert_same(r, t):
     """The packed r, unpacked, is the reference t."""
     ctx = r.ctx
-    assert unpacked(ctx, r.num) == t.num
-    assert unpacked(ctx, _den(ctx, r.split)) == tk_den(t.ctx, t.split)
+    num, den = _fraction(ctx, r)
+    assert unpacked(ctx, num) == t.num
+    assert unpacked(ctx, den) == tk_den(t.ctx, t.split)
     assert str(r) == str(t)
     assert mod_image(r) == tk_mod_image(t)
 
@@ -162,7 +167,7 @@ def test_int_order_is_graded_lex_order():
     assert packed == sorted(packed)
     assert [scalars._exps(ctx, m) for m in packed] == monos
     assert scalars._mono((0, 0, 0)) == 0
-    assert ctx.one.split == (1, 0, ())
+    assert ctx.one.split == (1, ())
 
 
 def test_monomial_division_detects_a_borrow():
@@ -228,3 +233,106 @@ def test_monomial_content_leaves_before_the_long_division(case):
     big = build(ctx.gen("p"), ctx.one, 10 ** 6)
     assert time.perf_counter() - start < 0.1
     assert str(big) == re.sub(r"\^100(?=[01]\b)", "^100000", str(reference))
+
+
+def laurent_monomial(names, exps):
+    return "*".join("%s^%d" % (name, e) for name, e in zip(names, exps)) or "1"
+
+
+@st.composite
+def laurent_texts(draw, n):
+    """A sum of one to three terms c x^e over the first n parameters,
+    exponents in -3..3, so each term brings its own monomial part, over an
+    optional integer and factor-base denominator."""
+    coefficients = st.integers(-6, 6).filter(bool)
+    exps = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(coefficients, exps), min_size=1, max_size=3))
+    text = " + ".join("(%d)*%s" % (c, laurent_monomial(NAMES, e)) for c, e in terms)
+    den = "%d" % draw(st.sampled_from((1, 1, 2, 3)))
+    usable = [f for f in FACTORS if all(x not in f for x in NAMES[n:])]
+    if usable and draw(st.booleans()):
+        den += "*(%s)" % draw(st.sampled_from(usable))
+    return "(%s)/(%s)" % (text, den)
+
+
+@st.composite
+def laurent_cases(draw):
+    n = draw(st.integers(1, 4))
+    exps = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    return n, draw(laurent_texts(n)), draw(laurent_texts(n)), draw(exps)
+
+
+@bounded
+@given(laurent_cases(), st.data())
+def test_laurent_scalars_match_the_tuple_kernel(case, data):
+    n, ta, tb, exps = case
+    ctx, tctx = CONTEXTS[n]
+    a, b = ctx.parse(ta), ctx.parse(tb)
+    ra, rb = tuple_scalar(tctx, a), tuple_scalar(tctx, b)
+    assert_same(a, ra)
+    assert_same(b, rb)
+    # a monomial, which cancels part of an operand's monomial part or adds
+    # to it, and the whole monomial part of a's denominator, which cancels
+    mono = ctx.parse(laurent_monomial(NAMES, exps))
+    whole = ctx.parse(laurent_monomial(NAMES, ra.split[1]))
+    for x, rx in ((a, ra), (b, rb)):
+        for m in (mono, whole):
+            rm = tuple_scalar(tctx, m)
+            check(lambda: x * m, lambda: rx * rm)
+            check(lambda: x / m, lambda: rx / rm)
+    assert (a * whole).split == a.split
+    # sums and products over different monomial denominators
+    check(lambda: a + b, lambda: ra + rb)
+    check(lambda: a - b, lambda: ra - rb)
+    check(lambda: a * b, lambda: ra * rb)
+    check(lambda: a / b, lambda: ra / rb)
+    check(lambda: b ** -2, lambda: rb ** -2)
+    # substitution of a Laurent value into a Laurent scalar
+    name = data.draw(st.sampled_from(NAMES[:n]))
+    value = data.draw(st.sampled_from((b, mono, ctx.parse("%s^-1 - 2" % name))))
+    check(lambda: a.substitute([(name, value)]), lambda: ra.substitute(name, tuple_scalar(tctx, value)))
+
+
+# one Context per parameter count, for the threshold cases below; 9 is past
+# the length of POINT, so no modular image exists there
+WIDE = {n: (Context(["x%d" % i for i in range(n)]), TupleContext(["x%d" % i for i in range(n)]))
+        for n in (1, 2, 3, 4, 9)}
+
+
+@pytest.mark.parametrize("n", sorted(WIDE))
+def test_exponent_limit_on_both_sides_of_the_bound_threshold(n):
+    # X + 1/X with all n exponents of X at b has bound b and degree 2 n b;
+    # its square has bound 2 b and degree 4 n b.  Below _safe = 2^62 // 2n
+    # no exact degree is computed; from it on, the result raises exactly
+    # when the reference reaches the limit.
+    ctx, tctx = WIDE[n]
+    safe = LIMIT // (2 * n)
+    assert ctx._safe == safe
+    for b in (safe // 2 - 1, safe // 2, safe - 1, safe, safe + 1):
+        x = ctx.parse("*".join("%s^%d" % (name, b) for name in ctx.params))
+        rx = tuple_scalar(tctx, x)
+        if too_large(rx):  # x alone reaches the limit only for large n
+            continue
+        rs = rx + tctx.one / rx
+        check(lambda: x + 1 / x, lambda: rs)
+        if too_large(rs):
+            continue
+        s = x + 1 / x
+        check(lambda: s * s, lambda: rs * rs)
+        check(lambda: s * x, lambda: rs * rx)
+        check(lambda: s / x, lambda: rs / rx)
+
+
+def test_a_large_power_over_a_linear_factor_is_decided_by_its_root():
+    # p - 1 does not divide p^3000000000 + q: at p = 1 it is 1 + q, nonzero
+    # at the point, so no step of the long division runs
+    ctx, tctx = CONTEXTS[2]
+    start = time.perf_counter()
+    x = ctx.parse("(p^3000000000 + q)/(p - 1)")
+    assert time.perf_counter() - start < 0.1
+    assert str(x) == "(p^3000000000 + q)/(p - 1)"
+    # p - 1 divides p^1000 - 1: the root proves nothing, the division runs
+    p, one = ctx.gen("p"), ctx.one
+    quotient = (p ** 1000 - one) / (p - one)
+    rp = tuple_scalar(tctx, p)
+    assert_same(quotient, (rp ** 1000 - tctx.one) / (rp - tctx.one))

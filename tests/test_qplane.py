@@ -7,14 +7,13 @@ import pytest
 
 from conftest import load, one_parameter_relations, two_parameter_relations
 from ncorep.cli import Workspace, _resolve_input, parse_algebra_file
-from ncorep.corep import poly_vector
 from ncorep.errors import (
     DenominatorVanishes,
     InputFormat,
     InvalidTheta,
     NotGroupCoefficient,
 )
-from ncorep.freealg import NCPoly, row_space_compare
+from ncorep.freealg import NCPoly, poly_vector, row_space_compare
 from ncorep.qplane import (
     cross_relations,
     determinant,

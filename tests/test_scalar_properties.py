@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import named_key_str, sympy_element, unpacked
 from ncorep.errors import DenominatorVanishes, DivisionByZero
-from ncorep.scalars import POINT, PRIME, Context, _den, _ident, mod_image
+from ncorep.scalars import POINT, PRIME, Context, _fraction, _ident, mod_image
 
 CTX = Context(["q", "p"])
 WIDE = Context(["p", "q", "r"])
@@ -206,8 +206,8 @@ def pointwise(s):
             out += c
         return out % PRIME
 
-    den = at(_den(s.ctx, s.split))
-    return at(s.num) * pow(den, -1, PRIME) % PRIME if den else None
+    num, den = (at(p) for p in _fraction(s.ctx, s))
+    return num * pow(den, -1, PRIME) % PRIME if den else None
 
 
 @bounded
