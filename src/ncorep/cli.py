@@ -768,6 +768,8 @@ def _run_suite(ws, names):
 
 
 def _parse_substs(af, raw):
+    """The --subst items as (name, expression text) pairs; the Workspace
+    reads each text once."""
     out = []
     for item in raw:
         name, eq, expr = item.partition("=")
@@ -777,7 +779,7 @@ def _parse_substs(af, raw):
             raise InputFormat("--subst expects NAME=EXPR, got %s" % excerpt(item))
         if name not in af.params:
             raise InputFormat("--subst names unknown parameter %s" % excerpt(name))
-        out.append((name, af.ctx.parse(expr)))
+        out.append((name, expr))
     return out
 
 

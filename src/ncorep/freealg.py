@@ -3,9 +3,24 @@
 Elements are finite Scalar-combinations of words in formal generators.
 Nothing here knows about relations; quotients are handled elsewhere either
 by rewriting (rewrite module) or by linear algebra on homogeneous slices
-(SpanBasis below, the package's only exact elimination).
+(SpanBasis below, the package's only elimination, over the Scalars or over
+their images mod PRIME).
 A RelationSet keeps the basis of its span once built, under the column key
 it was given (word_key unless given); callers only read it.
+
+row_space_compare decides equal spans without a second exact basis.  Let
+K be the kept basis of one side, of rank r, and p_1 ... p_n the other
+side's relations.  If every p_j reduces to zero against K, the p_j lie in
+the span of K, so their rank is at most r.  If the images of some of them
+mod PRIME (scalars.mod_image) have rank r, an r x r minor of the images'
+coefficients is nonzero.  Evaluation at the point is a ring homomorphism on
+the fractions whose denominators do not vanish there, so that minor is the
+image of the same minor of the exact coefficients, which is therefore
+nonzero, and the p_j have rank at least r.  Both together prove that the
+spans are equal and that both ranks and the rank of their union are r.  A
+zero image decides nothing, so when the image rank falls short of r, an
+image is undefined or some p_j is not a member, the comparison builds the
+union of both bases and reads its verdict from three ranks.
 
 Generators carry a kind ("T", "e", "xi", "D", "Dbar", or any custom name),
 an integer index tuple, and an optional spectral label, so T[1,2](lam) and
@@ -30,7 +45,8 @@ import collections
 from bisect import insort
 
 from .errors import MissingImage, MixedFamilies
-from .scalars import Context, Scalar
+from .modp import ModP
+from .scalars import Context, Scalar, mod_image
 
 _KIND_RANK = {"T": 0, "e": 1, "xi": 2, "D": 3, "Dbar": 4}
 
@@ -91,12 +107,16 @@ def word_key(w):
 
 
 class NCPoly:
-    """Finite Scalar-linear combination of words (tuples of Generators)."""
+    """Finite Scalar-linear combination of words (tuples of Generators).
 
-    __slots__ = ("ctx", "terms")
+    Its terms never change after __init__, so its text is written once and
+    kept."""
+
+    __slots__ = ("ctx", "terms", "_text")
 
     def __init__(self, ctx: Context, terms=None):
         self.ctx = ctx
+        self._text = None
         self.terms = {}
         if terms:
             for w, c in terms.items():
@@ -190,14 +210,13 @@ class NCPoly:
         return NotImplemented
 
     def __str__(self):
-        if not self.terms:
-            return "(0)"
-        bits = []
-        for w in sorted(self.terms, key=word_key):
-            c = self.terms[w]
-            body = " ".join(str(g) for g in w)
-            bits.append("(%s)%s" % (c, " " + body if body else ""))
-        return " + ".join(bits)
+        if self._text is None:
+            bits = []
+            for w in sorted(self.terms, key=word_key):
+                body = " ".join(str(g) for g in w)
+                bits.append("(%s)%s" % (self.terms[w], " " + body if body else ""))
+            self._text = " + ".join(bits) or "(0)"
+        return self._text
 
     __repr__ = __str__
 
@@ -303,22 +322,25 @@ class PairPoly:
     __repr__ = __str__
 
 
-# -- exact linear algebra over the scalar field ---------------------------
+# -- linear algebra over a field ---------------------------------------------
 
 
 class SpanBasis:
-    """Row-echelon span of sparse vectors with exact Scalar entries.
+    """Row-echelon span of sparse vectors over a field.
 
-    The package's only exact elimination: relation ranks and membership,
-    rewrite.orient's rules and tensors._invert's inverses.  Vectors are
-    dicts mapping columns to Scalars.  Pivoting is deterministic: the pivot
-    of a reduced vector is its smallest column under key (word_key unless
-    given), and rows are kept normalized (pivot entry 1), so ranks and
-    membership answers never depend on insertion accidents.
+    The package's only elimination: relation ranks and membership,
+    rewrite.orient's rules, tensors._invert's inverses and the modular rank
+    of row_space_compare.  The field object gives one and the operations
+    is_zero(c), neg(c), mul(a, b) and inv(c): a Context for Scalars, ModP
+    for ints mod PRIME (modp).  Vectors are dicts mapping columns to field
+    elements.  Pivoting is deterministic: the pivot of a reduced vector is
+    its smallest column under key (word_key unless given), and rows are
+    kept normalized (pivot entry one), so ranks and membership answers
+    never depend on insertion accidents.
     """
 
-    def __init__(self, ctx: Context, key=word_key):
-        self.ctx = ctx
+    def __init__(self, field, key=word_key):
+        self.field = field
         self.key = key
         self.rows = []  # (pivot, rowdict) sorted by pivot key
 
@@ -327,18 +349,15 @@ class SpanBasis:
         return len(self.rows)
 
     def reduce(self, vec):
-        """vec minus its components along the rows; a missing column is zero.
-
-        The entries of vec may be Scalars or anything a Scalar multiplies,
-        such as NCPoly coefficients.
-        """
+        """vec minus its components along the rows; a missing column is zero."""
+        field = self.field
         vec = dict(vec)
         for pivot, row in self.rows:
             f = vec.get(pivot)
-            if f is not None and not f.is_zero():
-                f = -f  # (-f) c is -(f c), negated once per row
+            if f is not None and not field.is_zero(f):
+                f = field.neg(f)  # (-f) c is -(f c), negated once per row
                 add_terms(vec, ((col, f * c) for col, c in row.items()))
-        return {c: v for c, v in vec.items() if not v.is_zero()}
+        return {c: v for c, v in vec.items() if not field.is_zero(v)}
 
     def add(self, vec):
         """Insert a vector; returns True if it enlarged the span.
@@ -349,9 +368,10 @@ class SpanBasis:
         res = self.reduce(vec)
         if not res:
             return False
+        field = self.field
         pivot = min(res, key=self.key)
-        inv = self.ctx.one / res[pivot]
-        row = {c: v * inv for c, v in res.items()}
+        inv = field.inv(res[pivot])
+        row = {c: field.mul(v, inv) for c, v in res.items()}
         insort(self.rows, (pivot, row), key=lambda r: self.key(r[0]))
         return True
 
@@ -424,16 +444,26 @@ SpanComparison = collections.namedtuple("SpanComparison", "verdict rank_a rank_b
 def row_space_compare(a: RelationSet, b: RelationSet) -> SpanComparison:
     """Compare the Scalar row spaces spanned by two degree-2 relation sets.
 
-    The verdict needs only ranks: a lies in b exactly when adding a to b
-    leaves b's rank unchanged, so rank(a + b) = rank(b), and symmetrically.
-    The union starts from a's rows and so keeps a's key; b's rows are only
-    vectors of its span, whatever key b's basis has.
+    One side's basis is kept: b's when only b has built one, else a's,
+    built here if need be.  When the other side's relations span the same
+    space as that basis, which _spans proves by membership and a modular
+    rank (module docstring), the verdict is "equal" and every rank is the
+    kept one, with no second basis built.  Otherwise the verdict comes from
+    three ranks: a lies in b exactly when adding a to b leaves b's rank
+    unchanged, so rank(a + b) = rank(b), and symmetrically.  The union
+    starts from a's rows and so keeps a's key; b's rows are only vectors of
+    its span, whatever key b's basis has.
     """
     if a.family != b.family:
         raise MixedFamilies(
             "cannot compare relation sets over different families: %s vs %s"
             % (list(map(str, a.family)), list(map(str, b.family)))
         )
+    kept, other = (b, a) if a._basis is None and b._basis is not None else (a, b)
+    basis = kept.basis()
+    if _spans(basis, other.polys):
+        r = basis.rank
+        return SpanComparison("equal", r, r, r)
     ba = a.basis()
     bb = b.basis()
     union = SpanBasis(a.ctx, ba.key)
@@ -451,3 +481,25 @@ def row_space_compare(a: RelationSet, b: RelationSet) -> SpanComparison:
     else:
         verdict = "incomparable"
     return SpanComparison(verdict, ba.rank, bb.rank, union.rank)
+
+
+def _spans(basis, polys):
+    """True when polys span the row space of basis: the images of the first
+    of them mod PRIME reach basis's rank, and each of them lies in the span.
+    False when either fails or an image is undefined (mod_image)."""
+    rank = basis.rank
+    cols = {}  # column -> its place in the order met, the image basis's key
+    images = SpanBasis(ModP, cols.__getitem__)
+    for p in polys:
+        vec = {}
+        for w, c in p.terms.items():
+            v = mod_image(c)
+            if v is None:
+                return False
+            vec[w] = v
+            cols.setdefault(w, len(cols))
+        if images.add(vec) and images.rank == rank:
+            break
+    else:
+        return False
+    return all(basis.contains(p.terms) for p in polys)

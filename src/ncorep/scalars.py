@@ -91,12 +91,13 @@ from its split and kept on the Context.
   division by leading terms is exact: if f divides the numerator, every
   leading term of the running remainder is divisible by the leading term of
   f, so the first that is not proves f does not divide it, and a zero
-  remainder proves it does.  Before it divides by an f of degree 1 in some
-  parameter a numerator whose degree is larger than its number of terms,
-  _exquo evaluates the numerator mod PRIME where f vanishes (that
-  parameter at f's root, the others at POINT): a nonzero value proves f
-  does not divide it, so the division never runs a step per power of a
-  large exponent to find that out.
+  remainder proves it does.  Before it divides a numerator whose degree is
+  larger than its number of terms, _exquo reduces it mod f in F_P[x]: x a
+  parameter whose leading coefficient in f is nonzero at POINT, the others
+  at POINT, and each x^k by square-and-multiply.  A nonzero remainder
+  proves f does not divide it, so the division never runs a step per power
+  of a large exponent to find that out; this covers q^2 + 1, which has no
+  root mod PRIME.
 * What is left to share is an integer: the kernel cancels the gcd of the
   numerator's content and c.
 * An inverse swaps numerator and denominator and fixes the sign; the old
@@ -193,12 +194,12 @@ from .errors import (
     UnknownParameter,
     excerpt,
 )
+from .modp import PRIME, first_monic, has_remainder
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# the modular image (see mod_image): the prime, and the point's coordinates,
-# the i-th for the i-th parameter in sorted order
-PRIME = 2 ** 61 - 1
+# the modular image (see mod_image): the point's coordinates mod PRIME, the
+# i-th for the i-th parameter in sorted order
 POINT = (
     1320639155411195071, 2244459267745175867, 853826613341487173, 1660378492904280224,
     1251203518435319776, 2228674534088486972, 1380598313792217160, 589235720800289267,
@@ -242,7 +243,7 @@ class Context:
         self.one = Scalar(self, {0: 1}, self._unit, 0)
         self._products = None  # (ident, ident) -> Scalar while a products() block is open
         # the factor base: (f, leading monomial, trailing monomial, degree,
-        # root point or None) per factor (_factor_id)
+        # probe or None) per factor (_factor_id, _probe)
         self._factors: list = []
         self._factor_ids: dict = {}  # frozenset(f.items()) -> its index
         self._splits: dict = {}  # frozenset(den.items()) -> (monomial, split), multi-term dens
@@ -253,6 +254,8 @@ class Context:
         self._mono_images: dict = {}
         self._factor_images: list = []
         self._mono_texts: dict = {}  # monomial -> its text in str()
+        self._mono_exps: dict = {}  # monomial -> its exponent tuple, for str()
+        self._pieces: dict = {}  # (parameter, exponent) -> its text in a monomial
 
     def __repr__(self):
         return "Context(%s)" % ", ".join(self.params)
@@ -290,6 +293,19 @@ class Context:
 
     def parse(self, text: str) -> "Scalar":
         return _Parser(self, text).parse()
+
+    # the field interface of freealg.SpanBasis
+    def is_zero(self, c):
+        return not c.num
+
+    def neg(self, c):
+        return -c
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, c):
+        return self.one / c
 
 
 def _mismatch(ctx, other):
@@ -454,7 +470,7 @@ class Scalar:
     def __str__(self):
         if self._keyc is None:  # the text, written once
             ctx = self.ctx
-            m = -_common(ctx, self.num, 0)  # x^m (module docstring)
+            m = _low(ctx, self.num)  # x^m (module docstring)
             den = _den(ctx, self.split)
             try:
                 if not m and len(den) == 1:  # the constant denominator c
@@ -613,17 +629,6 @@ def _compose(ctx, poly, shift, a_pows, b_pows):
     return out
 
 
-def _eval(ctx, poly, point):
-    """poly at point, mod PRIME."""
-    out = 0
-    for e, c in poly.items():
-        for a, k in zip(point, _exps(ctx, e)):
-            if k:
-                c = c * pow(a, k, PRIME) % PRIME
-        out += c
-    return out % PRIME
-
-
 # -- the field kernel -----------------------------------------------------
 #
 # The kernel takes canonical Scalars of one Context and returns canonical
@@ -747,25 +752,26 @@ def _factor_id(ctx, f):
     if i is None:
         i = ctx._factor_ids[key] = len(ctx._factors)
         top = max(f)
-        ctx._factors.append((f, top, min(f), top >> ctx._dshift, _root_point(ctx, f)))
+        ctx._factors.append((f, top, min(f), top >> ctx._dshift, _probe(ctx, f)))
     return i
 
 
-def _root_point(ctx, f):
-    """A point mod PRIME where f vanishes, when f has degree 1 in some
-    parameter x: x at the root of f = a x + b with the other parameters at
-    POINT, for the first such x where a is not 0 there; else None."""
+def _probe(ctx, f):
+    """(shift, fbar) for the base factor f: x the first parameter, at shift,
+    in which f has a leading coefficient nonzero at POINT, and fbar the
+    coefficients of f in F_P[x], the other parameters at POINT, made monic
+    (modp).  None when no parameter qualifies or the Context has no point."""
     if ctx._point is None:
         return None
-    for i, s in enumerate(ctx._shifts):
-        x = 1 << ctx._dshift | 1 << s
-        a = {e - x: c for e, c in f.items() if e >> s & _FIELD}
-        if a and all(e >> s & _FIELD < 2 for e in f):
-            a = _poly_image(ctx, a)
-            if a:
-                b = _poly_image(ctx, {e: c for e, c in f.items() if not e >> s & _FIELD})
-                return ctx._point[:i] + (-b * pow(a, -1, PRIME) % PRIME,) + ctx._point[i + 1:]
-    return None
+    return first_monic((s, _x_terms(ctx, f, s)) for s in ctx._shifts)
+
+
+def _x_terms(ctx, poly, s):
+    """(k, c times the rest at POINT mod PRIME) for each term c x^k rest of a
+    polynomial with no negative exponent, x the parameter at shift s."""
+    for e, c in poly.items():
+        k = e >> s & _FIELD
+        yield k, c * _mono_image(ctx, e - (k << s) - (k << ctx._dshift))
 
 
 def _fdeg(ctx, ks):
@@ -807,10 +813,12 @@ def _exquo(ctx, num, factor):
     f is irreducible and not a monomial, so it is coprime to every
     monomial: num's monomial content x^low comes out first and goes back
     onto the quotient, which leaves a polynomial with no monomial factor.
-    When f has a root point (_root_point), a nonzero value of that
-    polynomial there proves that f does not divide it.  Otherwise long
-    division on leading terms decides, stopped at the first that the
-    leading term of f does not divide (see the module docstring).  The
+    When f has a probe (_probe), a nonzero remainder of that polynomial mod
+    f in F_P[x] proves that f does not divide it: if f h = g over ZZ, then
+    the same holds with the other parameters at POINT, and f keeps its
+    degree in x there.  Otherwise long division on leading terms decides,
+    stopped at the first that the leading term of f does not divide (see
+    the module docstring).  The
     order is multiplicative, so f can divide num only if the trailing term
     of f divides that of num, which is checked first.  The leading and
     trailing terms of f were found once, when f joined the factor base.
@@ -818,17 +826,19 @@ def _exquo(ctx, num, factor):
     term and changes only smaller ones, so the largest left is the next
     leading term once the monomials of cancelled terms are skipped.
     """
-    f, lead, trail, _, root = factor
+    f, lead, trail, _, probe = factor
     bottom = min(num)
     low = _common(ctx, num, bottom)
     if low:
         num, bottom = {e - low: v for e, v in num.items()}, bottom - low
     if _mdiv(ctx, bottom, trail) is None or num[bottom] % f[trail]:
         return None
-    # the probe costs a pow() per term and parameter; the division can take
-    # steps in proportion to the degree, so it runs the probe only when the
-    # degree passes the number of terms
-    if root is not None and max(num) >> ctx._dshift > len(num) and _eval(ctx, num, root):
+    # the probe costs about log k products mod f per exponent k of x; the
+    # division can take steps in proportion to the degree, so it runs the
+    # probe only when the degree passes the number of terms
+    if probe is not None and max(num) >> ctx._dshift > len(num) and has_remainder(
+        _x_terms(ctx, num, probe[0]), probe[1]
+    ):
         return None
     top_c = f[lead]
     rest, quo = dict(num), {}
@@ -1014,6 +1024,8 @@ def mod_image(s):
     if ctx._point is None:
         return None
     c, ks = s.split
+    if c == 1 and not ks:  # a Laurent polynomial
+        return _poly_image(ctx, s.num)
     den = c
     images = ctx._factor_images
     for i, k in ks:
@@ -1040,8 +1052,38 @@ def _mono_image(ctx, e):
 
 
 def _poly_image(ctx, poly):
-    """The polynomial poly at the Context's point, mod PRIME."""
-    return sum(c * _mono_image(ctx, e) for e, c in poly.items()) % PRIME
+    """The polynomial poly at the Context's point, mod PRIME; no monomial's
+    image is 0, so a kept one is read without a call."""
+    kept = ctx._mono_images
+    return sum(c * (kept.get(e) or _mono_image(ctx, e)) for e, c in poly.items()) % PRIME
+
+
+def _kept_exps(ctx, e):
+    """The exponent tuple of the monomial e, kept on the Context."""
+    out = ctx._mono_exps[e] = _exps(ctx, e)
+    return out
+
+
+def _low(ctx, num):
+    """x^m, m the least exponents of num that are negative, made positive
+    (0 where none is): -_common(ctx, num, 0), read off the kept exponent
+    tuples of num's monomials."""
+    kept = ctx._mono_exps
+    out = deg = 0
+    for s, col in zip(ctx._shifts, zip(*[kept.get(e) or _kept_exps(ctx, e) for e in num])):
+        k = min(col)
+        if k < 0:
+            out -= k << s
+            deg -= k
+    return out + (deg << ctx._dshift)
+
+
+def _mono_text(ctx, e):
+    """The text of the monomial e, joined from its kept per-parameter pieces."""
+    pieces = ctx._pieces
+    exps = ctx._mono_exps.get(e) or _kept_exps(ctx, e)
+    return "*".join([pieces.get((n, k)) or pieces.setdefault((n, k), "%s^%d" % (n, k) if k != 1 else n)
+                     for n, k in zip(ctx.params, exps) if k])
 
 
 def _poly_str(ctx, poly, m, lead):
@@ -1055,8 +1097,7 @@ def _poly_str(ctx, poly, m, lead):
         e += m
         mono = texts.get(e)
         if mono is None:
-            pairs = zip(ctx.params, _exps(ctx, e))
-            mono = texts[e] = "*".join(n if k == 1 else "%s^%d" % (n, k) for n, k in pairs if k)
+            mono = texts[e] = _mono_text(ctx, e)
         if not mono:
             term = str(c)
         elif c == 1:

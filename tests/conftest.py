@@ -27,6 +27,7 @@ from ncorep.freealg import (
     NCPoly,
     PairPoly,
     RelationSet,
+    SpanBasis,
     T,
     add_terms,
     apply_hom,
@@ -462,6 +463,28 @@ def reference_orient(relations, order):
         for l2 in stale:
             queue.append(NCPoly.term(ctx, l2) - rules.pop(l2))
     return RewriteSystem(ctx, order, rules)
+
+
+def union_row_space_compare(a, b):
+    """freealg.row_space_compare as the package wrote it before it proved
+    equal spans by membership and a modular rank: (verdict, rank_a, rank_b,
+    rank_union) read off both exact bases and their union."""
+    ba, bb = a.basis(), b.basis()
+    union = SpanBasis(a.ctx, ba.key)
+    union.rows = list(ba.rows)
+    for _, row in bb.rows:
+        union.add(row)
+    a_in_b = union.rank == bb.rank
+    b_in_a = union.rank == ba.rank
+    if a_in_b and b_in_a:
+        verdict = "equal"
+    elif a_in_b:
+        verdict = "a_in_b"
+    elif b_in_a:
+        verdict = "b_in_a"
+    else:
+        verdict = "incomparable"
+    return verdict, ba.rank, bb.rank, union.rank
 
 
 # -- dense references ----------------------------------------------------

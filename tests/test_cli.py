@@ -441,6 +441,30 @@ def test_order_error_precedes_substitution_error(capsys):
         )
 
 
+def test_subst_names_are_checked_before_any_value_is_read(capsys):
+    # the values are strings that the Workspace reads once, so a bad name
+    # later on the line is reported before a bad expression earlier on it
+    argv = ["ybe", "--input", "qplane_qp", "--subst", "q=q +", "--subst", "z=1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "ncorep: --subst names unknown parameter 'z'\n"
+    assert main(["ybe", "--input", "qplane_qp", "--subst", "q=q +"]) == 2
+    assert capsys.readouterr().err.startswith("ncorep: ")
+
+
+def test_compare_ideals_reports_an_incomparable_span(tmp_path, capsys):
+    # no golden report reaches a verdict other than equal: with B's
+    # off-diagonal entries zero the ideal and the cross relations meet in
+    # neither direction, and the comparison builds the union
+    text = QP.replace('1 2 2 1 = "q"', '1 2 2 1 = "0"').replace('2 1 1 2 = "q"', '2 1 1 2 = "0"')
+    path = write(tmp_path, text.replace('2 1 2 1 = "1 - q^2"', '2 1 2 1 = "0"'))
+    out = tmp_path / "cmp.json"
+    assert main(["compare-ideals", "--input", path, "--json", str(out)]) == 1
+    assert "derived-vs-cross-form  FAIL" in capsys.readouterr().out
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["derived-vs-cross-form"]["artifacts"] == {"rank": 8, "verdict": "incomparable"}
+    assert checks["relation-rank"]["artifacts"] == {"entries": 8, "rank": 8}
+
+
 DIM3 = """\
 [algebra]
 dim = 3

@@ -62,8 +62,10 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # non-dunder method names that more than one package class defines; each
 # one's uses were checked by hand, since the name match cannot tell them apart
+# (is_zero, neg, mul and inv are the field interface of freealg.SpanBasis,
+# which Context and ModP both give; Scalar.inv is qplane's q.inv())
 SHARED_METHOD_NAMES = {
-    "add", "gen", "get", "is_zero", "parse", "rank", "substitute", "term",
+    "add", "gen", "get", "inv", "is_zero", "mul", "neg", "parse", "rank", "substitute", "term",
 }
 
 # method names that equal an attribute set as self.name somewhere in the

@@ -13,7 +13,10 @@ substitution, which checks the powers of the value before it cancels,
 may raise only when the operands' degrees can reach the limit.  Laurent
 scalars with negative exponents in every term, monomials that cancel
 across operands and results on both sides of the exponent bound's
-threshold (Context._safe) are drawn on their own.
+threshold (Context._safe) are drawn on their own.  The remainder probe
+that _exquo runs before a long division is checked against the tuple
+kernel's division, and the least exponents that str reads (scalars._low)
+against _common.
 """
 
 import re
@@ -23,10 +26,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import TupleContext, tk_den, tk_mod_image, tuple_scalar, unpacked
+from conftest import (
+    TupleContext,
+    tk_den,
+    tk_exquo,
+    tk_grlex,
+    tk_mod_image,
+    tuple_scalar,
+    unpacked,
+)
 from ncorep import scalars
 from ncorep.errors import DenominatorVanishes, ExponentTooLarge
-from ncorep.scalars import Context, _fraction, mod_image
+from ncorep.modp import has_remainder
+from ncorep.scalars import POINT, Context, _fraction, mod_image
 
 LIMIT = 2 ** 62
 NAMES = ("p", "q", "r", "s")
@@ -186,6 +198,9 @@ def test_common_monomial_reads_only_shared_parameters():
     poly = {m((2, 5, 0)): 1, m((3, 1, 1)): -2}
     assert scalars._common(ctx, poly, m((4, 2, 3))) == m((2, 1, 0))
     assert scalars._common(ctx, poly, m((0, 0, 7))) == 0
+    # a field negative in one monomial is read too; str no longer calls
+    # _common, so this is checked here
+    assert scalars._common(ctx, {m((-1, 2, 0)): 1, m((1, -3, 0)): 4}, 0) == m((-1, -3, 0))
     # a cancelled monomial leaves the canonical form
     assert str(ctx.parse("(p^2*q^5 - 2*p^3*q*r)/(p^4*q^2*r^3)")) == "(q^4 - 2*p*r)/(p^2*q*r^3)"
 
@@ -241,12 +256,15 @@ def laurent_monomial(names, exps):
 
 @st.composite
 def laurent_texts(draw, n):
-    """A sum of one to three terms c x^e over the first n parameters,
-    exponents in -3..3, so each term brings its own monomial part, over an
-    optional integer and factor-base denominator."""
+    """A nonzero sum of one to three terms c x^e over the first n
+    parameters, exponents in -3..3, so each term brings its own monomial
+    part, over an optional integer and factor-base denominator."""
     coefficients = st.integers(-6, 6).filter(bool)
     exps = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
-    terms = draw(st.lists(st.tuples(coefficients, exps), min_size=1, max_size=3))
+    # distinct monomials, so the terms never cancel and the scalar is nonzero
+    terms = draw(st.lists(
+        st.tuples(coefficients, exps), min_size=1, max_size=3, unique_by=lambda t: tuple(t[1])
+    ))
     text = " + ".join("(%d)*%s" % (c, laurent_monomial(NAMES, e)) for c, e in terms)
     den = "%d" % draw(st.sampled_from((1, 1, 2, 3)))
     usable = [f for f in FACTORS if all(x not in f for x in NAMES[n:])]
@@ -336,3 +354,69 @@ def test_a_large_power_over_a_linear_factor_is_decided_by_its_root():
     quotient = (p ** 1000 - one) / (p - one)
     rp = tuple_scalar(tctx, p)
     assert_same(quotient, (rp ** 1000 - tctx.one) / (rp - tctx.one))
+
+
+def test_a_large_power_over_q_squared_plus_one_is_decided_by_its_remainder():
+    # q^2 + 1 has no root mod PRIME; q^3000000000 + p mod q^2 + 1 in F_P[q]
+    # is 1 + p at the point, so no step of the long division runs
+    ctx, tctx = CONTEXTS[2]
+    start = time.perf_counter()
+    x = ctx.parse("(q^3000000000 + p)/(q^2 + 1)")
+    assert time.perf_counter() - start < 0.1
+    assert str(x) == "(q^3000000000 + p)/(q^2 + 1)"
+    # q^2 + 1 divides q^1002 + q^1000 + p q^2 + p: the division runs
+    q, p = ctx.gen("q"), ctx.gen("p")
+    quotient = (q ** 1002 + q ** 1000 + p * q ** 2 + p) / (q ** 2 + 1)
+    rq, rp = tuple_scalar(tctx, q), tuple_scalar(tctx, p)
+    assert_same(quotient, (rq ** 1002 + rq ** 1000 + rp * rq ** 2 + rp) / (rq ** 2 + tctx.one))
+
+
+# base factors for the remainder probe over (p, q); the last has degree 1 in
+# p with leading coefficient q - C, which vanishes at the point, so the
+# probe must reduce in q instead
+PROBED = ("q^2 + 1", "p - 1", "p^2 + q + 1", "p*q - 2", "q^2 + p*q + 3", "(q - %d)*p + 1" % POINT[1])
+
+
+@bounded
+@given(
+    st.sampled_from(PROBED),
+    st.lists(st.tuples(st.integers(-3, 3).filter(bool), st.integers(0, 60), st.integers(0, 60)),
+             min_size=1, max_size=3),
+    st.booleans(),
+)
+def test_remainder_probe_matches_the_tuple_divisibility(text, terms, times):
+    # a nonzero remainder of g mod f in F_P[x] proves that f does not divide
+    # g; every multiple of f has remainder zero
+    ctx, _ = CONTEXTS[2]
+    ((i, _),) = ctx.parse("1/(%s)" % text).split[1]
+    f, lead, trail, _, probe = ctx._factors[i]
+    assert probe is not None
+    if text.startswith("(q"):
+        assert probe[0] == ctx._shifts[1]
+    h = {}
+    for c, a, b in terms:
+        h = scalars._padd(h, {scalars._mono((a, b)): c})
+    if not h:
+        return
+    g = scalars._pmul(f, h) if times else h
+    tf = unpacked(ctx, f)
+    ref = tk_exquo(unpacked(ctx, g), (tf, max(tf, key=tk_grlex), min(tf, key=tk_grlex)))
+    rem = has_remainder(scalars._x_terms(ctx, g, probe[0]), probe[1])
+    if times:
+        assert ref is not None and not rem
+    elif rem:
+        assert ref is None
+
+
+@bounded
+@given(st.integers(1, 4), st.data())
+def test_least_exponents_match_the_common_monomial(n, data):
+    # the x^m of str() read off the kept exponent tuples is -_common(num, 0),
+    # on Laurent numerators and the zero numerator
+    ctx, _ = CONTEXTS[n]
+    exps = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    terms = data.draw(st.lists(st.tuples(st.integers(-3, 3).filter(bool), exps), max_size=4))
+    num = {}
+    for c, e in terms:
+        num = scalars._padd(num, {scalars._mono(e): c})
+    assert scalars._low(ctx, num) == -scalars._common(ctx, num, 0)

@@ -1,8 +1,11 @@
-"""Property test for the rank-only span comparison.
+"""Property tests for the span comparison and the modular SpanBasis.
 
-row_space_compare decides containment from three ranks.  The reference
-below is the membership comparison it replaced: it reduces every relation
-of each set against the other set's basis.  Random relation sets over the
+row_space_compare proves equal spans by membership against one kept basis
+and a modular rank, and otherwise decides containment from three ranks.
+Two references check it: the membership comparison below reduces every
+relation of each set against the other set's basis, and
+conftest.union_row_space_compare builds both bases and their union, as the
+package did before the modular rank.  Random relation sets over the
 2 x 2 matrix family share combinations of a common pool of relations, so
 all four verdicts occur, and their coefficients carry the non-monomial
 denominators q^2 + 1 and r - 1.  The verdict and the ranks do not depend on
@@ -22,8 +25,11 @@ from ncorep.freealg import (
     row_space_compare,
     word_key,
 )
+from conftest import union_row_space_compare
+from ncorep.freealg import _spans
+from ncorep.modp import ModP
 from ncorep.rewrite import TermOrder
-from ncorep.scalars import Context
+from ncorep.scalars import POINT, PRIME, Context, mod_image
 
 CTX = Context(["q", "r"])
 FAMILY = [T(i, j) for i in (1, 2) for j in (1, 2)]
@@ -41,7 +47,7 @@ polys = st.lists(st.tuples(st.sampled_from(WORDS), coefficients), min_size=1, ma
 
 
 @st.composite
-def relation_lists(draw):
+def relation_lists(draw, polys=polys, weights=weights):
     """Two relation lists: combinations of one shared pool plus a few of their own."""
     pool = draw(st.lists(polys, min_size=1, max_size=3))
 
@@ -101,3 +107,106 @@ def test_verdicts_do_not_depend_on_the_basis_keys(lists, key_a, key_b):
     cmp = row_space_compare(a, b)
     assert (cmp.verdict, cmp.rank_a, cmp.rank_b, cmp.rank_union) == want
     assert a.basis().key is key_a and b.basis().key is key_b
+
+
+# q - C is a nonzero scalar whose image is 0, and 1/(q - C) has no image:
+# its denominator vanishes at the point (C is q's coordinate)
+VANISHING = CTX.parse("q - %d" % POINT[0])
+SINGULAR = CTX.parse("1/(q - %d)" % POINT[0])
+edge_coefficients = st.one_of(coefficients, st.sampled_from([VANISHING, SINGULAR]))
+edge_weights = st.one_of(weights, st.just(VANISHING))
+edge_polys = st.lists(
+    st.tuples(st.sampled_from(WORDS), edge_coefficients), min_size=1, max_size=3
+).map(lambda terms: sum((NCPoly.term(CTX, w, c) for w, c in terms), NCPoly.zero(CTX)))
+
+
+@bounded
+@given(relation_lists(edge_polys, edge_weights), st.sampled_from(("none", "a", "b", "both")))
+def test_comparison_matches_the_union_reference(lists, kept):
+    # whichever bases are kept, and with images that vanish or are undefined
+    a_polys, b_polys = lists
+    want = union_row_space_compare(
+        RelationSet(CTX, FAMILY, a_polys), RelationSet(CTX, FAMILY, b_polys)
+    )
+    a, b = RelationSet(CTX, FAMILY, a_polys), RelationSet(CTX, FAMILY, b_polys)
+    if kept in ("a", "both"):
+        a.basis()
+    if kept in ("b", "both"):
+        b.basis()
+    assert tuple(row_space_compare(a, b)) == want
+
+
+def gens():
+    return [NCPoly.gen(CTX, g) for g in FAMILY]
+
+
+def test_full_image_rank_decides_equal_without_a_second_basis():
+    x, y, z, _ = gens()
+    a = RelationSet(CTX, FAMILY, [x * y, y * z])
+    b = RelationSet(CTX, FAMILY, [2 * (x * y) + y * z, CTX.parse("r/q") * (y * z) - x * y])
+    a.basis()
+    assert tuple(row_space_compare(a, b)) == ("equal", 2, 2, 2)
+    assert b._basis is None
+    # b's basis is kept and the first side's is not: that side's relations
+    # are the ones tested
+    b.basis()
+    c = RelationSet(CTX, FAMILY, [y * z, x * y])
+    assert tuple(row_space_compare(c, b)) == ("equal", 2, 2, 2)
+    assert c._basis is None
+
+
+def test_images_of_lower_rank_fall_back_to_the_union():
+    # x y + (q - C) y z and x y have rank 2, their images rank 1
+    x, y, z, _ = gens()
+    a = RelationSet(CTX, FAMILY, [x * y, y * z])
+    b = RelationSet(CTX, FAMILY, [x * y + VANISHING * (y * z), x * y])
+    assert not _spans(a.basis(), b.polys)
+    assert tuple(row_space_compare(a, b)) == ("equal", 2, 2, 2)
+    assert b._basis is not None
+
+
+def test_an_undefined_image_falls_back_to_the_union():
+    x, y, z, _ = gens()
+    a = RelationSet(CTX, FAMILY, [x * y, y * z])
+    b = RelationSet(CTX, FAMILY, [x * y + SINGULAR * (y * z), y * z])
+    assert mod_image(SINGULAR) is None
+    assert not _spans(a.basis(), b.polys)
+    assert tuple(row_space_compare(a, b)) == ("equal", 2, 2, 2)
+
+
+def test_a_lower_exact_rank_is_not_equal():
+    # 3 x y and 6 x y: one direction, whose pivot entry is not 1
+    x, y, z, _ = gens()
+    a = RelationSet(CTX, FAMILY, [x * y, y * z])
+    b = RelationSet(CTX, FAMILY, [3 * (x * y), 6 * (x * y)])
+    a.basis()
+    assert tuple(row_space_compare(a, b)) == ("b_in_a", 2, 1, 2)
+
+
+def test_every_relation_must_be_a_member():
+    # z x and x y reach the kept rank mod PRIME, but z x is not in the span
+    x, y, z, _ = gens()
+    a = RelationSet(CTX, FAMILY, [x * y, y * z])
+    b = RelationSet(CTX, FAMILY, [z * x, x * y, y * z])
+    a.basis()
+    assert tuple(row_space_compare(a, b)) == ("a_in_b", 2, 3, 3)
+
+
+@bounded
+@given(relation_lists(), keys)
+def test_the_image_of_the_reduced_basis_is_the_reduced_basis_of_the_images(lists, key):
+    # when the images have the exact rank and every entry of the exact
+    # reduced basis has an image, the two reduced bases agree mod PRIME
+    exact, image = SpanBasis(CTX, key), SpanBasis(ModP, key)
+    for p in lists[0] + lists[1]:
+        exact.add(p.terms)
+        image.add({w: mod_image(c) for w, c in p.terms.items()})
+    assert image.rank <= exact.rank
+    assert all(0 <= v < PRIME for _, row in image.rows for v in row.values())
+    if image.rank != exact.rank:
+        return
+    want = {p: {w: mod_image(c) for w, c in rest.items()} for p, rest in exact.reduced().items()}
+    if any(v is None for rest in want.values() for v in rest.values()):
+        return
+    got = {p: {w: v % PRIME for w, v in rest.items()} for p, rest in image.reduced().items()}
+    assert got == {p: {w: v for w, v in rest.items() if v} for p, rest in want.items()}
