@@ -5,9 +5,8 @@ The coordinate bialgebra of n x n quantum matrices carries
     coproduct   T_i^j  |->  sum_k T_i^k (x) T_k^j
     counit      T_i^j  |->  delta_i^j
 
-extended multiplicatively to words; a Presentation keeps the coproduct
-of each word it expands.  Scalar-valued forms on pairs of elements are
-stored through their generator-pair table, a 4-index tensor
+extended multiplicatively to words.  Scalar-valued forms on pairs of
+elements are stored through their generator-pair table, a 4-index tensor
 
     base[(i, j, k, l)] = f(T_i^k (x) T_j^l),
 
@@ -62,15 +61,11 @@ from .tensors import Tensor, compose, contract, delta, invert4, swap_lower
 
 
 class Presentation:
-    """The n x n matrix coordinate family with its coalgebra maps.
-
-    The coproduct of each word is computed once and kept; callers only read it.
-    """
+    """The n x n matrix coordinate family with its coalgebra maps."""
 
     def __init__(self, ctx, dim):
         self.ctx = ctx
         self.dim = dim
-        self._coproducts = {}
 
     def _check_gen(self, g):
         if g.kind != "T" or len(g.index) != 2:
@@ -79,16 +74,12 @@ class Presentation:
             raise UnknownGenerator("%s outside the %d x %d family" % (g, self.dim, self.dim))
 
     def coproduct_word(self, word) -> PairPoly:
-        out = self._coproducts.get(word)
-        if out is not None:
-            return out
         out = PairPoly.unit(self.ctx)
         one, rng = self.ctx.one, range(1, self.dim + 1)
         for g in word:
             self._check_gen(g)
             (i, j), lab = g.index, g.label
             out = out * PairPoly(self.ctx, {((T(i, k, lab),), (T(k, j, lab),)): one for k in rng})
-        self._coproducts[word] = out
         return out
 
     def coproduct(self, x: NCPoly) -> PairPoly:
@@ -180,11 +171,10 @@ def cocycle_check(phi: LinearForm):
     """
     base = phi.base
     invert4(base)  # NotInvertible when phi cannot be convolution-inverted
-    with base.ctx.products():
-        left = contract("akrm,bmst->abkrst", base, base)
-        right = contract("icmt,mbrs->bcirst", base, base)
-        lhs = contract("abkrst,ijab->ijkrst", left, base)
-        rhs = contract("bcirst,jkbc->ijkrst", right, base)
+    left = contract("akrm,bmst->abkrst", base, base)
+    right = contract("icmt,mbrs->bcirst", base, base)
+    lhs = contract("abkrst,ijab->ijkrst", left, base)
+    rhs = contract("bcirst,jkbc->ijkrst", right, base)
     residuals = dict(sorted((lhs - rhs).entries.items()))
     return {"holds": not residuals, "residuals": residuals}
 
@@ -220,22 +210,22 @@ def twisted_product_relations(R: LinearForm, M) -> RelationSet:
     twisted algebra.  theta is not validated; the caller gates on it.
     """
     ctx, rng = M.ctx, range(1, M.dim + 1)
-    by_lower = M.table.index((0, 1))
+    by_lower = M.index((0, 1))
     R_rows, Rbar_rows = R.base.index((0, 1)), invert4(R.base).index((0, 1))
     rels = []
-    with ctx.products():
-        for i, j in itertools.product(rng, repeat=2):
-            RM = {}  # (b, d) -> {word: (R M)_ij^bd's coefficient}
-            for (_, _, a, c), r in R_rows.get((i, j), ()):
-                for (_, _, b, d), x in by_lower.get((a, c), ()):
-                    add_terms(RM.setdefault((b, d), {}), ((w, v * r) for w, v in x.terms.items()))
-            RMR = {}  # (k, l) -> {word: -(R M Rbar)_ij^kl's coefficient}
-            for bd, acc in RM.items():
-                for (_, _, k, l), rb in Rbar_rows.get(bd, ()):
-                    add_terms(RMR.setdefault((k, l), {}), ((w, -(v * rb)) for w, v in acc.items()))
-            for k, l in itertools.product(rng, repeat=2):
-                terms = dict(M.get(j, i, l, k).terms)
-                p = NCPoly(ctx, add_terms(terms, RMR.get((k, l), {}).items()))
-                if not p.is_zero():
-                    rels.append(p)
+    for i, j in itertools.product(rng, repeat=2):
+        RM = {}  # (b, d) -> {word: (R M)_ij^bd's coefficient}
+        for (_, _, a, c), r in R_rows.get((i, j), ()):
+            for (_, _, b, d), x in by_lower.get((a, c), ()):
+                add_terms(RM.setdefault((b, d), {}), ((w, v * r) for w, v in x.terms.items()))
+        RMR = {}  # (k, l) -> {word: -(R M Rbar)_ij^kl's coefficient}
+        for bd, acc in RM.items():
+            for (_, _, k, l), rb in Rbar_rows.get(bd, ()):
+                add_terms(RMR.setdefault((k, l), {}), ((w, -(v * rb)) for w, v in acc.items()))
+        for k, l in itertools.product(rng, repeat=2):
+            x = M.entries.get((j, i, l, k))
+            terms = {} if x is None else dict(x.terms)
+            p = NCPoly(ctx, add_terms(terms, RMR.get((k, l), {}).items()))
+            if not p.is_zero():
+                rels.append(p)
     return RelationSet(ctx, matrix_family(M.dim), rels)

@@ -26,6 +26,7 @@ import sys
 from importlib import resources
 
 from .bialg import (
+    Presentation,
     braid_form,
     character_pair_form,
     cocycle_check,
@@ -40,6 +41,7 @@ from .corep import (
     coideal_check,
     factorized_theta,
     generate_ideal,
+    grouplike_defect,
     homomorphism_check,
     validate_theta,
 )
@@ -324,11 +326,11 @@ class Workspace:
     substitution.  The bindings are applied once to each parsed table (B,
     B', rho or the raw theta entries, the space relations), and theta is
     built once from the substituted table.  Each derivation (the twist's
-    validation and generator images, the matrix M, the even space, the
-    relation ideal, the oriented system and its overlap analysis, the
-    determinant, the character pair form and its cocycle check) is
-    computed on first use and kept; one that raised raises the same error
-    at every later use.
+    validation and generator images, the matrix M and its group-like
+    defect, the even space, the relation ideal, the oriented system and its
+    overlap analysis, the determinant, the character pair form and its
+    cocycle check) is computed on first use and kept; one that raised
+    raises the same error at every later use.
     """
 
     def __init__(self, af, bindings=(), order=None, max_degree=3):
@@ -380,6 +382,10 @@ class Workspace:
         """The coefficient matrix, built whether or not theta is valid."""
         return self._once("M", lambda: build_M(self.theta))
 
+    def defect(self):
+        """grouplike_defect of M: (G, E), both empty when M is group-like."""
+        return self._once("defect", lambda: grouplike_defect(self.M))
+
     @property
     def bosonic(self):
         """The even coordinate space that B braids."""
@@ -416,7 +422,9 @@ class Workspace:
 
     def pair_form(self):
         """The form counit (x) rho of the character table."""
-        return self._once("pair_form", lambda: character_pair_form(self.M.pres, self.rho))
+        return self._once(
+            "pair_form", lambda: character_pair_form(Presentation(self.ctx, self.dim), self.rho)
+        )
 
     def cocycle(self):
         """cocycle_check of the character pair form."""
@@ -505,7 +513,7 @@ def _merge(rep, prefix, sub):
 def _validate_theta(ws, rep):
     res = ws.validation()
     _twist_record(rep, res)
-    grp = check_grouplike(ws.M)
+    grp = check_grouplike(ws.defect())
     rep.add(
         "matrix-grouplike",
         "coproduct splits the matrix entrywise and the counit gives the identity",
@@ -545,7 +553,7 @@ def _relations(ws, rep):
     rep.add(
         "coideal",
         "the relation ideal regenerates under the coproduct",
-        passfail(coideal_check(ws.B, ws.M)),
+        passfail(coideal_check(ws.B, ws.defect())),
     )
     rep.add(
         "comodule-algebra",
@@ -585,7 +593,8 @@ def _det(ws, rep):
         artifacts={"determinant": det},
     )
     f = _pair_reduction_factor(ws.space, 2, 1)
-    ok = f is not None and det == ws.M.get(1, 2, 1, 2) + f * ws.M.get(1, 2, 2, 1)
+    M, zero = ws.M.entries, NCPoly.zero(ws.ctx)
+    ok = f is not None and det == M.get((1, 2, 1, 2), zero) + f * M.get((1, 2, 2, 1), zero)
     rep.add(
         "matrix-form",
         "coefficient equals the exchange-weighted matrix pair",

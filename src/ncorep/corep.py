@@ -14,20 +14,21 @@ each a tensors.contract spec set against a delta term:
 
 theta is a plain (2,2) Tensor, like the exchange tensor B; validate_theta
 returns its violations as data, and a run (cli.Workspace) keeps that
-result, as it keeps M.  A valid theta makes
+result, as it keeps M and M's defect.  A valid theta makes
 
     M_ij^kl = T_i^k theta_jn^lm T_m^n
 
 a group-like matrix, and the span of (B M - M B) a coideal whose quotient
-coacts on the underlying quadratic algebra.  M is built once, and it is
-the one table of twisted products: the coordinate x_j that crosses T_i^k
-is twisted once, so row (i, j) of M is the coaction of the word x_i x_j,
+coacts on the underlying quadratic algebra.  M is a (2,2) Tensor of
+NCPolys, built once, and it is the one table of twisted products: the
+coordinate x_j that crosses T_i^k is twisted once, so row (i, j) of M is
+the coaction of the word x_i x_j,
 
     x_i x_j  |->  sum_kl M_ij^kl (x) x_k x_l,
 
 and bialg.twisted_product_relations reads the same table as m_theta.
 
-Both matrix checks read one defect of M, computed once per matrix as two
+Both matrix checks read one defect of M, computed once per run as two
 (2,2) tables, G of PairPolys and E of Scalars:
 
     G_ij^kl = Delta(M_ij^kl) - sum_rs M_ij^rs (x) M_rs^kl
@@ -47,7 +48,10 @@ one label: those terms are then a subset of Delta(M_ij^kl)'s as large as
 it.  Only an entry that fails this test has its coproduct expanded, and G
 holds the difference as before, so a group-like M expands none.  The
 letters of M are checked first, in index order, so an unknown generator
-raises as the expansion would raise it.
+raises as the expansion would raise it.  The M (x) M sum multiplies the
+same coefficients many times over, since build_M puts each theta entry
+into every word that uses it: each pair of coefficient objects is
+multiplied once, kept under the pair's ids while M holds both objects.
 
 The coideal check does not assume that M is group-like.  Expand
 Rel = B M - M B bilinearly, with B scalar:
@@ -91,7 +95,6 @@ from .freealg import (
     add_terms,
     e,
     matrix_family,
-    tensor_terms,
     word_key,
     xi,
 )
@@ -115,29 +118,9 @@ def validate_theta(t: Tensor):
     return {"valid": not violations, "violations": violations}
 
 
-class MMatrix:
-    """The n^2 x n^2 matrix of degree-2 words generated by a twisting tensor."""
-
-    def __init__(self, ctx, dim, entries):
-        self.ctx = ctx
-        self.dim = dim
-        self.table = Tensor(ctx, dim, 2, 2, entries)
-        self.entries = self.table.entries  # (i,j,k,l) -> NCPoly, the table's own dict
-        self.pres = Presentation(ctx, dim)  # its coproduct memo serves every check on M
-        self._defect = None
-
-    def defect(self):
-        """grouplike_defect(self), computed once."""
-        if self._defect is None:
-            self._defect = grouplike_defect(self)
-        return self._defect
-
-    def get(self, i, j, k, l) -> NCPoly:
-        return self.entries.get((i, j, k, l), NCPoly.zero(self.ctx))
-
-
-def build_M(theta: Tensor, labels=None) -> MMatrix:
-    """M_ij^kl = T_i^k theta_jn^lm T_m^n, optionally with a spectral label pair.
+def build_M(theta: Tensor, labels=None) -> Tensor:
+    """M_ij^kl = T_i^k theta_jn^lm T_m^n, optionally with a spectral label
+    pair, as a (2,2) Tensor of NCPolys.
 
     theta is not validated; a caller that needs a valid one reads
     validate_theta first.
@@ -153,7 +136,7 @@ def build_M(theta: Tensor, labels=None) -> MMatrix:
             entries[(i, j, k, l)] = NCPoly(
                 ctx, {(T(i, k, lab1), T(m, nn, lab2)): c for (_, nn, _, m), c in group}
             )
-    return MMatrix(ctx, n, entries)
+    return Tensor(ctx, n, 2, 2, entries)
 
 
 def _is_coproduct(x: NCPoly, pairs: dict, n: int, glue: dict) -> bool:
@@ -171,7 +154,19 @@ def _is_coproduct(x: NCPoly, pairs: dict, n: int, glue: dict) -> bool:
     return True
 
 
-def grouplike_defect(M: MMatrix):
+def _tensor_terms(x: NCPoly, y: NCPoly, products: dict):
+    """freealg.tensor_terms(x, y), each product a b kept in products under
+    the ids of a and b."""
+    for u, a in x.terms.items():
+        for v, b in y.terms.items():
+            key = (id(a), id(b))
+            c = products.get(key)
+            if c is None:
+                c = products[key] = a * b
+            yield (u, v), c
+
+
+def grouplike_defect(M: Tensor):
     """(G, E), two (2,2) tables holding the nonzero G_ij^kl and E_ij^kl.
 
     G = Delta(M) - M (x) M holds PairPolys and E = counit(M) - identity
@@ -181,11 +176,13 @@ def grouplike_defect(M: MMatrix):
     (_is_coproduct).  The letters of M's entries are checked first, in
     index order, as the coproduct would check them; past the check every
     letter is a T of the n x n family, so glue holds every pair of M's
-    letters that glues.
+    letters that glues.  Each product of two coefficients is computed once
+    per call (_tensor_terms, module docstring).
     """
     ctx = M.ctx
-    pres = M.pres
     n = M.dim
+    pres = Presentation(ctx, n)
+    zero = NCPoly.zero(ctx)
     rng = range(1, n + 1)
     for _, x in sorted(M.entries.items()):
         for w in x.terms:
@@ -198,29 +195,29 @@ def grouplike_defect(M: MMatrix):
         for b in letters
         if a.index[1] == b.index[0] and a.label == b.label
     }
-    G, E = {}, {}
-    with ctx.products():
-        for i, j, k, l in itertools.product(rng, repeat=4):
-            rhs = {}
-            for r, s in itertools.product(rng, repeat=2):
-                left, right = M.entries.get((i, j, r, s)), M.entries.get((r, s, k, l))
-                if left is not None and right is not None:
-                    add_terms(rhs, tensor_terms(left, right))
-            x = M.get(i, j, k, l)
-            if not _is_coproduct(x, rhs, n, glue):
-                lhs, rhs = pres.coproduct(x), PairPoly(ctx, rhs)
-                if lhs != rhs:
-                    G[(i, j, k, l)] = lhs - rhs
-            E[(i, j, k, l)] = pres.counit(x) - (ctx.one if (i == k and j == l) else ctx.zero)
+    G, E, products = {}, {}, {}
+    for i, j, k, l in itertools.product(rng, repeat=4):
+        rhs = {}
+        for r, s in itertools.product(rng, repeat=2):
+            left, right = M.entries.get((i, j, r, s)), M.entries.get((r, s, k, l))
+            if left is not None and right is not None:
+                add_terms(rhs, _tensor_terms(left, right, products))
+        x = M.entries.get((i, j, k, l), zero)
+        if not _is_coproduct(x, rhs, n, glue):
+            lhs, rhs = pres.coproduct(x), PairPoly(ctx, rhs)
+            if lhs != rhs:
+                G[(i, j, k, l)] = lhs - rhs
+        E[(i, j, k, l)] = pres.counit(x) - (ctx.one if (i == k and j == l) else ctx.zero)
     return Tensor(ctx, n, 2, 2, G), Tensor(ctx, n, 2, 2, E)
 
 
-def check_grouplike(M: MMatrix) -> bool:
-    """Delta(M) = M (x) M entrywise together with counit(M) = identity."""
-    return not any(d.entries for d in M.defect())
+def check_grouplike(defect) -> bool:
+    """Delta(M) = M (x) M entrywise together with counit(M) = identity,
+    read off M's defect (G, E)."""
+    return not any(d.entries for d in defect)
 
 
-def relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
+def relation_entries(B: Tensor, M: Tensor, M_second: Tensor = None) -> dict:
     """The entries (B M - M_second B)_ij^kl keyed by (i, j, k, l) in lexicographic order.
 
     M_second defaults to M; the spectral variant passes the label-swapped matrix.
@@ -245,13 +242,13 @@ def relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
     return out
 
 
-def generate_ideal(B: Tensor, M: MMatrix, key=word_key) -> RelationSet:
+def generate_ideal(B: Tensor, M: Tensor, key=word_key) -> RelationSet:
     """Entries of B M - M B as degree-2 relations (identity parts cancel),
     whose basis is kept under key."""
     return RelationSet(M.ctx, matrix_family(M.dim), relation_entries(B, M).values(), key)
 
 
-def coideal_check(B: Tensor, M: MMatrix) -> bool:
+def coideal_check(B: Tensor, defect) -> bool:
     """The relation matrix Rel = B M - M B satisfies
 
         Delta(Rel_ij^kl) = sum_rs Rel_ij^rs (x) M_rs^kl + sum_rs M_ij^rs (x) Rel_rs^kl
@@ -260,17 +257,15 @@ def coideal_check(B: Tensor, M: MMatrix) -> bool:
     The two residuals are B G - G B and B E - E B for M's defect (G, E);
     the module docstring derives them for any M, group-like or not.
     """
-    with M.ctx.products():
-        return all(
-            contract("mnkl,ijmn->ijkl", d, B) == contract("ijmn,mnkl->ijkl", d, B)
-            for d in M.defect()
-        )
+    return all(
+        contract("mnkl,ijmn->ijkl", d, B) == contract("ijmn,mnkl->ijkl", d, B) for d in defect
+    )
 
 
-def coaction_word(M: MMatrix, pair):
+def coaction_word(M: Tensor, pair):
     """Coaction of the coordinate word x_i x_j, pair = (i, j): {(k, l): M_ij^kl}
     over the nonzero entries of M's row (i, j), in index order."""
-    return {idx[2:]: x for idx, x in M.table.index((0, 1)).get(pair, ())}
+    return {idx[2:]: x for idx, x in M.index((0, 1)).get(pair, ())}
 
 
 class QuadraticSpace:
@@ -303,7 +298,7 @@ class QuadraticSpace:
         self.relations = RelationSet(ctx, [mk(i) for i in range(1, dim + 1)], rels)
 
 
-def homomorphism_check(space: QuadraticSpace, M: MMatrix, relations: RelationSet) -> bool:
+def homomorphism_check(space: QuadraticSpace, M: Tensor, relations: RelationSet) -> bool:
     """Coacting on each space relation must land in the relation ideal.
 
     Coaction, reduction modulo the space's relation span and membership in

@@ -102,10 +102,6 @@ class SectionFailed(NCorepError):
 class InputFormat(NCorepError):
     """Malformed algebra input file."""
 
-    def __init__(self, message, line=None, col=None):
-        loc = ""
-        if line is not None:
-            loc = " (line %d%s)" % (line, "" if col is None else ", col %d" % col)
-        super().__init__(message + loc)
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else "%s (line %d)" % (message, line))
         self.line = line
-        self.col = col

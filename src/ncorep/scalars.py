@@ -127,24 +127,12 @@ report byte are those of a cancel-based field; str writes the terms in
 descending graded-lex order.  The tests check the kernel against sympy's
 field operation by operation, and against a kernel on exponent tuples that
 keeps the monomial part in the denominator.  A Scalar is not hashable:
-nothing keys a dict by a value, and the products() memo below keys by the
-stored numerator and split.
+nothing keys a dict by a value.
 
 One run reads one configuration over one parameter list, so all of its
 scalars live in one Context.  Scalars of two Context objects never mix,
 even over the same parameters: every operation on two of them, ==
 included, raises ContextMismatch.
-
-The paper's identities multiply the same pair of scalars many times within
-one check.  Inside ``with ctx.products():`` each distinct pair is multiplied
-once: the product is kept in a dict on the Context keyed by the two
-operands' numerators and splits.  Because every element is canonical, equal
-keys are equal values, so the memo is exact.  The dict lives only as long
-as the outermost block (a nested block reuses it) and is dropped on exit,
-also when the block raises.  It is opened around single checks, not
-sections or reports: on the four-parameter full-report a report-wide memo
-raised peak memory by about 10% and a per-section one by about 3%, a
-per-check one by under 1%.
 
 The expression grammar accepted by parse() is deliberately small:
 
@@ -177,7 +165,6 @@ computing them.
 
 from __future__ import annotations
 
-import contextlib
 import re
 from bisect import insort
 from fractions import Fraction
@@ -241,7 +228,6 @@ class Context:
         }
         self.zero = Scalar(self, {}, self._unit, 0)
         self.one = Scalar(self, {0: 1}, self._unit, 0)
-        self._products = None  # (ident, ident) -> Scalar while a products() block is open
         # the factor base: (f, leading monomial, trailing monomial, degree,
         # probe or None) per factor (_factor_id, _probe)
         self._factors: list = []
@@ -264,18 +250,6 @@ class Context:
         if name not in self._gens:
             raise UnknownParameter("parameter %r not declared (have %s)" % (name, list(self.params)))
         return self._gens[name]
-
-    @contextlib.contextmanager
-    def products(self):
-        """Multiply each distinct pair of this context's scalars once inside the block."""
-        if self._products is not None:
-            yield
-            return
-        self._products = {}
-        try:
-            yield
-        finally:
-            self._products = None
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, string expression, or Scalar of this Context."""
@@ -319,7 +293,7 @@ class Scalar:
 
     bound is at least the largest |exponent| in num (module docstring)."""
 
-    __slots__ = ("ctx", "num", "split", "bound", "_keyc", "_identc")
+    __slots__ = ("ctx", "num", "split", "bound", "_keyc")
 
     def __init__(self, ctx: Context, num: dict, split: tuple, bound: int):
         self.ctx = ctx
@@ -327,7 +301,6 @@ class Scalar:
         self.split = split
         self.bound = bound
         self._keyc = None
-        self._identc = None
 
     # -- basic predicates ------------------------------------------------
 
@@ -382,14 +355,7 @@ class Scalar:
             return other
         if not self.num or other.is_one():
             return self
-        memo = ctx._products
-        if memo is None:
-            return _mul(ctx, self, other)
-        key = (_ident(self), _ident(other))
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = _mul(ctx, self, other)
-        return out
+        return _mul(ctx, self, other)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -633,13 +599,6 @@ def _compose(ctx, poly, shift, a_pows, b_pows):
 #
 # The kernel takes canonical Scalars of one Context and returns canonical
 # Scalars of it.
-
-
-def _ident(s):
-    """s's numerator and split as one hashable key, kept on s."""
-    if s._identc is None:
-        s._identc = (frozenset(s.num.items()), s.split)
-    return s._identc
 
 
 def _fraction(ctx, s):
@@ -958,9 +917,6 @@ def _add(ctx, x, y):
     cx, kx = x.split
     cy, ky = y.split
     c = lcm(cx, cy)
-    if not kx and not ky:
-        num = _padd(_pterm(x.num, 0, c // cx), _pterm(y.num, 0, c // cy))
-        return _reduce(ctx, num, c, (), max(x.bound, y.bound))
     ks = _merge(kx, ky, max)
     lx, ly = _less(ks, kx), _less(ks, ky)
     num = _padd(_scale(ctx, x.num, c // cx, lx), _scale(ctx, y.num, c // cy, ly))

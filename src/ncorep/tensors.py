@@ -77,7 +77,8 @@ from operator import itemgetter
 
 from .errors import NotInvertible, ShapeMismatch
 from .freealg import SpanBasis, add_terms
-from .scalars import PRIME, Context, mod_image
+from .modp import ModP
+from .scalars import Context, mod_image
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"  # index names for compose's spec
 
@@ -189,14 +190,13 @@ def contract(spec: str, a: Tensor, b: Tensor = None) -> Tensor:
         raise ShapeMismatch("%r gives a result of odd length" % spec)
     # a single factor is contracted with the unit of no indices
     groups = {(): [((), a.ctx.one)]} if b is None else b.index(b_key)
-    with a.ctx.products():
-        terms = add_terms({}, (
-            (pick(idx), x * y)
-            for i, x in a.entries.items()
-            for j, y in groups.get(tuple(i[p] for p in key), ())
-            for idx in (i + j,)
-            if not same or all(idx[p] == idx[q] for p, q in same)
-        ))
+    terms = add_terms({}, (
+        (pick(idx), x * y)
+        for i, x in a.entries.items()
+        for j, y in groups.get(tuple(i[p] for p in key), ())
+        for idx in (i + j,)
+        if not same or all(idx[p] == idx[q] for p, q in same)
+    ))
     return Tensor(a.ctx, a.dim, half, half, terms)
 
 
@@ -256,12 +256,13 @@ def ybe_residual(a: Tensor) -> list:
     out = []
     image = _by_lower(a, mod_image)
     if image is not None:
-        res = _braid_rows(image, rows, 1)
-        open_rows = {key[:3] for key, v in res.items() if not v % PRIME}
+        res = _braid_rows(image, rows, ModP)
+        open_rows = {key[:3] for key, v in res.items() if ModP.is_zero(v)}
         out = [key for key in res if key[:3] not in open_rows]
         rows = sorted(open_rows)
-    res = _braid_rows(_by_lower(a, lambda v: v), rows, a.ctx.one)
-    out.extend(key for key, v in res.items() if not v.is_zero())
+    ctx = a.ctx
+    res = _braid_rows(_by_lower(a, lambda v: v), rows, ctx)
+    out.extend(key for key, v in res.items() if not ctx.is_zero(v))
     return sorted(out)
 
 
@@ -280,15 +281,16 @@ def _by_lower(a, value):
     return out
 
 
-def _braid_rows(groups, rows, one):
+def _braid_rows(groups, rows, field):
     """Rows I in rows of A12 A23 A12 - A23 A12 A23 as {I + K: value}.
 
     groups holds A's entries by lower pair (_by_lower), as Scalars or as
-    their images (ints, reduced by the caller), and one is the unit of the
-    same kind.  Each row starts as e_I and is contracted on its own.  Sums
-    that come to zero keep their key, so the keys are the same over both.
+    their images, and field is their field object: the Context, or
+    modp.ModP for images, whose sums are left unreduced.  Each row starts
+    as e_I, field.one at I + I, and is contracted on its own.  Sums that
+    come to zero keep their key, so the keys are the same over both.
     """
-    lhs = rhs = {row + row: one for row in rows}
+    lhs = rhs = {row + row: field.one for row in rows}
     for leg in (0, 1, 0):  # A12 A23 A12 and A23 A12 A23
         lhs, rhs = _on_legs(groups, lhs, leg), _on_legs(groups, rhs, 1 - leg)
     return add_terms(lhs, ((key, -v) for key, v in rhs.items()))

@@ -15,7 +15,7 @@ from sympy.polys.fields import field
 
 from ncorep.cli import Workspace, _resolve_input, parse_algebra_file
 from ncorep.bialg import LinearForm, Presentation, tilde_images
-from ncorep.corep import MMatrix, QuadraticSpace, factorized_theta
+from ncorep.corep import QuadraticSpace, factorized_theta
 from ncorep.errors import (
     DenominatorVanishes,
     InputFormat,
@@ -408,7 +408,12 @@ def reference_confluence_check(rs, maxdeg=3):
     return {"confluent": not ambiguities, "ambiguities": ambiguities}
 
 
-def expanded_grouplike_defect(M: MMatrix):
+def entry(M: Tensor, *idx) -> NCPoly:
+    """M's entry at idx, the zero polynomial where M has none."""
+    return M.entries.get(idx, NCPoly.zero(M.ctx))
+
+
+def expanded_grouplike_defect(M: Tensor):
     """corep.grouplike_defect as the package wrote it before it decided
     Delta(M) = M (x) M unexpanded: the coproduct of every entry is expanded,
     on a Presentation of its own, and compared as a PairPoly."""
@@ -421,7 +426,7 @@ def expanded_grouplike_defect(M: MMatrix):
             left, right = M.entries.get((i, j, r, s)), M.entries.get((r, s, k, l))
             if left is not None and right is not None:
                 add_terms(rhs, tensor_terms(left, right))
-        x = M.get(i, j, k, l)
+        x = entry(M, i, j, k, l)
         lhs, rhs = pres.coproduct(x), PairPoly(ctx, rhs)
         if lhs != rhs:
             G[(i, j, k, l)] = lhs - rhs
@@ -598,7 +603,7 @@ def dense_validate_theta(t: Tensor):
     return {"valid": not violations, "violations": violations}
 
 
-def dense_build_M(t: Tensor, labels=None) -> MMatrix:
+def dense_build_M(t: Tensor, labels=None) -> Tensor:
     ctx = t.ctx
     lab1, lab2 = labels if labels is not None else (None, None)
     rng = range(1, t.dim + 1)
@@ -612,27 +617,27 @@ def dense_build_M(t: Tensor, labels=None) -> MMatrix:
                     acc = acc + NCPoly.term(ctx, (T(i, k, lab1), T(m, nn, lab2)), c)
         if not acc.is_zero():
             entries[(i, j, k, l)] = acc
-    return MMatrix(ctx, t.dim, entries)
+    return Tensor(ctx, t.dim, 2, 2, entries)
 
 
-def dense_check_grouplike(M: MMatrix) -> bool:
-    pres = M.pres
+def dense_check_grouplike(M: Tensor) -> bool:
+    pres = Presentation(M.ctx, M.dim)
     rng = range(1, M.dim + 1)
     for i, j, k, l in itertools.product(rng, repeat=4):
-        lhs = pres.coproduct(M.get(i, j, k, l))
+        lhs = pres.coproduct(entry(M, i, j, k, l))
         rhs = PairPoly(M.ctx)
         for r in rng:
             for s in rng:
-                rhs = rhs + PairPoly.tensor(M.get(i, j, r, s), M.get(r, s, k, l))
+                rhs = rhs + PairPoly.tensor(entry(M, i, j, r, s), entry(M, r, s, k, l))
         if lhs != rhs:
             return False
-        eps = pres.counit(M.get(i, j, k, l))
+        eps = pres.counit(entry(M, i, j, k, l))
         if eps != (M.ctx.one if (i == k and j == l) else M.ctx.zero):
             return False
     return True
 
 
-def dense_relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> dict:
+def dense_relation_entries(B: Tensor, M: Tensor, M_second: Tensor = None) -> dict:
     M_second = M if M_second is None else M_second
     rng = range(1, M.dim + 1)
     entries = {}
@@ -642,24 +647,24 @@ def dense_relation_entries(B: Tensor, M: MMatrix, M_second: MMatrix = None) -> d
             for nn in rng:
                 c1 = B.get(i, j, m, nn)
                 if not c1.is_zero():
-                    acc = acc + c1 * M.get(m, nn, k, l)
+                    acc = acc + c1 * entry(M, m, nn, k, l)
                 c2 = B.get(m, nn, k, l)
                 if not c2.is_zero():
-                    acc = acc - c2 * M_second.get(i, j, m, nn)
+                    acc = acc - c2 * entry(M_second, i, j, m, nn)
         entries[(i, j, k, l)] = acc
     return entries
 
 
-def dense_coideal_check(B: Tensor, M: MMatrix) -> bool:
-    pres = M.pres
+def dense_coideal_check(B: Tensor, M: Tensor) -> bool:
+    pres = Presentation(M.ctx, M.dim)
     rng = range(1, M.dim + 1)
     rel = dense_relation_entries(B, M)
     for (i, j, k, l), r in rel.items():
         rhs = PairPoly(M.ctx)
         for a in rng:
             for b in rng:
-                rhs = rhs + PairPoly.tensor(rel[(i, j, a, b)], M.get(a, b, k, l))
-                rhs = rhs + PairPoly.tensor(M.get(i, j, a, b), rel[(a, b, k, l)])
+                rhs = rhs + PairPoly.tensor(rel[(i, j, a, b)], entry(M, a, b, k, l))
+                rhs = rhs + PairPoly.tensor(entry(M, i, j, a, b), rel[(a, b, k, l)])
         if pres.coproduct(r) != rhs or not pres.counit(r).is_zero():
             return False
     return True

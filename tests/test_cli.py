@@ -21,7 +21,6 @@ from ncorep.cli import (
     main,
     parse_algebra_file,
 )
-from ncorep.corep import MMatrix
 from ncorep.errors import ExpressionSyntax, InputFormat, NCorepError
 from ncorep.freealg import RelationSet
 from ncorep.rewrite import RewriteSystem
@@ -533,10 +532,9 @@ def test_full_report_derives_each_once(monkeypatch):
             if getattr(m, name, None) is original:
                 monkeypatch.setattr(m, name, wrapper)
 
-    # a derivation built once hands back the same object at every call, and
-    # one presentation serves the whole report; every result is held, so no
-    # id is reused during the report.  M's defect is read by validate-theta
-    # and by relations.
+    # a derivation built once hands back the same object at every call;
+    # every result is held, so no id is reused during the report.  M's
+    # defect is read by validate-theta and by relations.
     results = collections.defaultdict(list)
 
     def same_object(method, key):
@@ -554,7 +552,9 @@ def test_full_report_derives_each_once(monkeypatch):
     monkeypatch.setattr(
         RelationSet, "basis", same_object(RelationSet.basis, lambda rels: ("basis", rels)),
     )
-    monkeypatch.setattr(MMatrix, "defect", same_object(MMatrix.defect, lambda M: ("defect", M)))
+    monkeypatch.setattr(
+        Workspace, "defect", same_object(Workspace.defect, lambda ws: ("defect", ws)),
+    )
 
     # each word meets a rule lookup once per system; a system's rules are
     # fixed when it is built

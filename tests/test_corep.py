@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    entry,
     expanded_grouplike_defect,
     flip_theta,
     from_matrix,
@@ -18,7 +19,6 @@ from ncorep import corep, scalars
 from ncorep.bialg import Presentation, tilde_images
 from ncorep.cli import Workspace, main, parse_algebra_file
 from ncorep.corep import (
-    MMatrix,
     QuadraticSpace,
     build_M,
     check_grouplike,
@@ -110,9 +110,9 @@ def test_build_M_entries():
     M = build_M(th)
     a = NCPoly.gen(ctx, T(1, 1))
     dt = apply_hom(NCPoly.gen(ctx, T(2, 2)), tilde_images(th))
-    assert M.get(1, 2, 1, 2) == a * dt
-    for (i, j, k, l), entry in M.entries.items():
-        assert {len(w) for w in entry.terms} == {2}
+    assert entry(M, 1, 2, 1, 2) == a * dt
+    for x in M.entries.values():
+        assert {len(w) for w in x.terms} == {2}
 
 
 def test_build_M_flip():
@@ -123,15 +123,15 @@ def test_build_M_flip():
             for k in (1, 2):
                 for l in (1, 2):
                     want = NCPoly.gen(ctx, T(i, k)) * NCPoly.gen(ctx, T(j, l))
-                    assert M.get(i, j, k, l) == want
+                    assert entry(M, i, j, k, l) == want
 
 
 def test_build_M_spectral_labels():
     ctx = ctx4()
     th = factorized_theta(rho_full(ctx))
     M = build_M(th, labels=("lam", "mu"))
-    for entry in M.entries.values():
-        for w in entry.terms:
+    for x in M.entries.values():
+        for w in x.terms:
             assert len(w) == 2
             assert w[0].label == "lam"
             assert w[1].label == "mu"
@@ -140,14 +140,13 @@ def test_build_M_spectral_labels():
 def test_grouplike_iff_valid():
     ctx = ctx4()
     th = factorized_theta(rho_full(ctx))
-    assert check_grouplike(build_M(th))
-    assert check_grouplike(build_M(flip_theta(ctx, 2)))
-    assert not check_grouplike(build_M(corrupted_theta(ctx)))
+    assert check_grouplike(grouplike_defect(build_M(th)))
+    assert check_grouplike(grouplike_defect(build_M(flip_theta(ctx, 2))))
+    assert not check_grouplike(grouplike_defect(build_M(corrupted_theta(ctx))))
     # the zero tensor satisfies the coassociativity identity and fails only
     # the counit one: M = 0 has Delta(M) = M (x) M but counit(M) = 0
-    zero = build_M(Tensor(ctx, 2, 2, 2, {}))
-    assert not check_grouplike(zero)
-    G, E = grouplike_defect(zero)
+    G, E = grouplike_defect(build_M(Tensor(ctx, 2, 2, 2, {})))
+    assert not check_grouplike((G, E))
     assert G.entries == {}
     assert set(E.entries) == {(i, j, i, j) for i in (1, 2) for j in (1, 2)}
 
@@ -164,7 +163,7 @@ def test_defect_counts_the_pairs_of_each_coproduct():
     # coefficient, but Delta(T11 T11) has 2^2 pairs, not one
     ctx = ctx4()
     word = NCPoly.term(ctx, (T(1, 1), T(1, 1)))
-    G = assert_defect_matches_the_expansion(MMatrix(ctx, 2, {(1, 1, 1, 1): word}))
+    G = assert_defect_matches_the_expansion(Tensor(ctx, 2, 2, 2, {(1, 1, 1, 1): word}))
     assert len(G.get(1, 1, 1, 1).terms) == 3
 
 
@@ -174,7 +173,7 @@ def test_defect_glues_a_column_only_to_its_row():
     # indices, but T12 (x) T11 joins column 2 to row 1
     ctx = ctx4()
     a, b = NCPoly.gen(ctx, T(1, 1)), NCPoly.gen(ctx, T(1, 2))
-    M = MMatrix(ctx, 2, {(1, 1, 1, 1): a, (1, 1, 1, 2): b, (1, 2, 1, 1): a})
+    M = Tensor(ctx, 2, 2, 2, {(1, 1, 1, 1): a, (1, 1, 1, 2): b, (1, 2, 1, 1): a})
     G = assert_defect_matches_the_expansion(M)
     assert set(G.get(1, 1, 1, 1).terms) == {((T(1, 2),), (T(2, 1),)), ((T(1, 2),), (T(1, 1),))}
 
@@ -185,7 +184,7 @@ def test_defect_checks_every_letter_before_it_glues():
     # order, as the expansion does
     ctx = ctx4()
     a, b, c = (NCPoly.gen(ctx, T(*ij)) for ij in ((1, 1), (1, 3), (3, 1)))
-    M = MMatrix(ctx, 2, {(2, 2, 1, 1): c, (1, 1, 1, 1): a, (1, 1, 2, 2): b})
+    M = Tensor(ctx, 2, 2, 2, {(2, 2, 1, 1): c, (1, 1, 1, 1): a, (1, 1, 2, 2): b})
     for defect in (grouplike_defect, expanded_grouplike_defect):
         with pytest.raises(UnknownGenerator, match=r"^T\[1,3\] outside the 2 x 2 family$"):
             defect(M)
@@ -194,12 +193,13 @@ def test_defect_checks_every_letter_before_it_glues():
 def test_grouplike_matrices_expand_no_coproduct(monkeypatch):
     # the defect decides Delta(M) = M (x) M without expanding Delta(M); the
     # matrix of corrupt_theta.alg is not group-like, and its full report
-    # expands each word of its defective entries once, and no other word
+    # expands the words of its defective entries, each once per entry that
+    # holds it, and no other word
     expanded = collections.Counter()
     original = Presentation.coproduct_word
 
     def counting(pres, word):
-        expanded[word] += word not in pres._coproducts
+        expanded[word] += 1
         return original(pres, word)
 
     monkeypatch.setattr(Presentation, "coproduct_word", counting)
@@ -210,10 +210,10 @@ def test_grouplike_matrices_expand_no_coproduct(monkeypatch):
     path = str(GOLDEN / "corrupt_theta.alg")
     assert main(["full-report", "--input", path]) == 1
     seen = dict(expanded)
-    M = Workspace(parse_algebra_file(path)).M
-    G, _ = M.defect()
-    assert G.entries and set(seen.values()) == {1}
-    assert set(seen) == {w for idx in G.entries for w in M.get(*idx).terms}
+    ws = Workspace(parse_algebra_file(path))
+    G, _ = ws.defect()
+    assert G.entries
+    assert seen == collections.Counter(w for idx in G.entries for w in entry(ws.M, *idx).terms)
 
 
 def test_generate_ideal_rank():
@@ -264,12 +264,12 @@ def test_coideal_check():
     ctx = ctx4()
     B = braid(ctx)
     th = factorized_theta(rho_full(ctx))
-    assert coideal_check(B, build_M(th))
-    assert coideal_check(B, build_M(flip_theta(ctx, 2)))
+    assert coideal_check(B, grouplike_defect(build_M(th)))
+    assert coideal_check(B, grouplike_defect(build_M(flip_theta(ctx, 2))))
     # the residuals are B G - G B and B E - E B for M's defect (G, E): a
     # matrix that is not group-like fails with the braid, and passes with a
     # multiple of the identity, which commutes with any defect
-    bad = build_M(corrupted_theta(ctx))
+    bad = grouplike_defect(build_M(corrupted_theta(ctx)))
     assert not check_grouplike(bad)
     assert not coideal_check(B, bad)
     scaled = Tensor(ctx, 2, 2, 2, {k: ctx.gen("q") for k in identity4(ctx, 2).entries})
@@ -281,19 +281,18 @@ def test_coideal_check_reads_the_counit_defect():
     # C is a matrix whose only defect is E; the braid mixes the pair (1, 2)
     # that C keeps with the pair (2, 1) that it kills, and the identity does not
     ctx = ctx4()
-    C = MMatrix(ctx, 2, {(1, 2, 1, 2): NCPoly.one(ctx)})
+    C = Tensor(ctx, 2, 2, 2, {(1, 2, 1, 2): NCPoly.one(ctx)})
     G, E = grouplike_defect(C)
     assert G.entries == {} and len(E.entries) == 3
-    assert not coideal_check(braid(ctx), C)
-    assert coideal_check(identity4(ctx, 2), C)
+    assert not coideal_check(braid(ctx), (G, E))
+    assert coideal_check(identity4(ctx, 2), (G, E))
 
 
 def test_coideal_check_reads_only_the_defect(monkeypatch):
-    # once M's defect is known, the check expands no coproduct and does not
-    # rebuild the relation entries
+    # the check reads the defect it is given: it expands no coproduct and
+    # does not rebuild the relation entries
     ctx = ctx4()
-    bad = build_M(corrupted_theta(ctx))
-    bad.defect()
+    bad = grouplike_defect(build_M(corrupted_theta(ctx)))
 
     def fail(*args):
         raise AssertionError("coideal_check recomputed what the defect holds")
@@ -325,7 +324,7 @@ def test_coaction_pair_matches_M():
             assert out == reference_coaction_word(th, (i, j))
             assert list(out) == sorted(out)
             for (k, l), coef in out.items():
-                assert coef == M.get(i, j, k, l)
+                assert coef == entry(M, i, j, k, l)
 
 
 def test_coaction_coassociative_pairs():
@@ -411,24 +410,22 @@ def test_homomorphism_check_dropped_relation():
 
 
 def test_checks_multiply_each_scalar_pair_once(monkeypatch):
-    # the field kernel's product behind Scalar.__mul__ sees each pair once per
-    # check; each check gets its own matrix, so each computes M's defect itself
-    ws = load("qplane_qprs")
+    # build_M puts each theta entry into every word that uses it, so the
+    # M (x) M sum meets the same pair of coefficient objects many times; the
+    # field kernel's product behind Scalar.__mul__ sees each pair once, and
+    # the defect is the one the expansion gives
+    M = build_M(load("qplane_qprs").theta)
     seen = collections.Counter()
     original = scalars._mul
 
     def counting(ctx, f, g):
-        # a Scalar is unhashable; its numerator and split identify it
-        seen[(scalars._ident(f), scalars._ident(g))] += 1
+        # M holds every coefficient for the whole call, so ids identify them
+        seen[(id(f), id(g))] += 1
         return original(ctx, f, g)
 
     monkeypatch.setattr(scalars, "_mul", counting)
-    checks = (
-        lambda: check_grouplike(build_M(ws.theta)),
-        lambda: coideal_check(ws.B, build_M(ws.theta)),
-    )
-    for check in checks:
-        seen.clear()
-        check()
-        assert seen
-        assert max(seen.values()) == 1
+    G, E = grouplike_defect(M)
+    assert seen and max(seen.values()) == 1
+    monkeypatch.setattr(scalars, "_mul", original)
+    want = expanded_grouplike_defect(M)
+    assert (G.entries, E.entries) == (want[0].entries, want[1].entries) == ({}, {})

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from conftest import expanded_grouplike_defect, from_matrix, sympy_element, tensor_from_entries
 from ncorep.corep import (
-    MMatrix,
     QuadraticSpace,
     build_M,
     check_grouplike,
@@ -82,8 +81,9 @@ def assert_coacting_grouplike(rho):
     theta = factorized_theta(rho)
     M = build_M(theta)
     assert validate_theta(theta)["valid"]
-    assert check_grouplike(M)
-    assert coideal_check(B, M)
+    defect = grouplike_defect(M)
+    assert check_grouplike(defect)
+    assert coideal_check(B, defect)
     assert homomorphism_check(SPACE, M, generate_ideal(B, M))
 
 
@@ -108,7 +108,7 @@ def test_validity_matches_grouplike_after_rescaling(rho, slot, factor):
     scaled[key] = scaled[key] * CTX.parse(factor)
     theta = Tensor(CTX, 2, 2, 2, scaled)
     valid = validate_theta(theta)["valid"]
-    assert valid == check_grouplike(build_M(theta))
+    assert valid == check_grouplike(grouplike_defect(build_M(theta)))
     if factor == "1":
         assert valid
 
@@ -137,7 +137,7 @@ def edited_matrices(draw):
             table[key] = NCPoly(CTX, {flip[u]: c for u, c in x.terms.items()})
         elif edit == "copy":
             table[key] = table.get(draw(st.sampled_from(keys)), x)
-    return MMatrix(CTX, 2, {k: v for k, v in table.items() if not v.is_zero()})
+    return Tensor(CTX, 2, 2, 2, {k: v for k, v in table.items() if not v.is_zero()})
 
 
 @settings(max_examples=40, deadline=None, database=None)

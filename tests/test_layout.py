@@ -65,7 +65,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # (is_zero, neg, mul and inv are the field interface of freealg.SpanBasis,
 # which Context and ModP both give; Scalar.inv is qplane's q.inv())
 SHARED_METHOD_NAMES = {
-    "add", "gen", "get", "inv", "is_zero", "mul", "neg", "parse", "rank", "substitute", "term",
+    "add", "gen", "inv", "is_zero", "mul", "neg", "parse", "rank", "substitute", "term",
 }
 
 # method names that equal an attribute set as self.name somewhere in the

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load, one_parameter_relations, two_parameter_relations
+from conftest import entry, load, one_parameter_relations, two_parameter_relations
 from ncorep.cli import Workspace, _resolve_input, parse_algebra_file
 from ncorep.errors import (
     DenominatorVanishes,
@@ -71,7 +71,7 @@ def test_determinant_full_vs_matrix_pair():
     ws = load("qplane_qprs")
     ctx = ws.ctx
     det = determinant(ws)
-    mform = ws.M.get(1, 2, 1, 2) - ctx.gen("q") * ws.M.get(1, 2, 2, 1)
+    mform = entry(ws.M, 1, 2, 1, 2) - ctx.gen("q") * entry(ws.M, 1, 2, 2, 1)
     assert det == mform
     # the four-term shape only appears after reduction by the relations
     a, b, c, d = (NCPoly.gen(ctx, g) for g in ws.gens)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_ybe_residual, load
 from ncorep.bialg import braid_form, twist_R
+from ncorep.modp import ModP
 from ncorep.scalars import POINT, PRIME, Context, mod_image
 from ncorep.tensors import Tensor, _braid_rows, _by_lower, swap_lower, ybe_residual
 
@@ -67,8 +68,8 @@ def row_kinds(a):
     nonzero image, 'mixed' when some do, 'zero' when none does."""
     rows = {}
     lows = list(itertools.product(range(1, a.dim + 1), repeat=3))
-    for key, v in sorted(_braid_rows(_by_lower(a, mod_image), lows, 1).items()):
-        rows.setdefault(key[:3], []).append(v % PRIME != 0)
+    for key, v in sorted(_braid_rows(_by_lower(a, mod_image), lows, ModP).items()):
+        rows.setdefault(key[:3], []).append(not ModP.is_zero(v))
     return [
         "decided" if all(nonzero) else "mixed" if any(nonzero) else "zero"
         for nonzero in rows.values()
