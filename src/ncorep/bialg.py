@@ -5,8 +5,10 @@ The coordinate bialgebra of n x n quantum matrices carries
     coproduct   T_i^j  |->  sum_k T_i^k (x) T_k^j
     counit      T_i^j  |->  delta_i^j
 
-extended multiplicatively to words.  Scalar-valued forms on pairs of
-elements are stored through their generator-pair table, a 4-index tensor
+extended multiplicatively to words; the determinant symbols D and Dbar
+that rewrite.extend_with_determinant adjoins are group-like, with counit 1.
+Scalar-valued forms on pairs of elements are stored through their
+generator-pair table, an order-2 tensor
 
     base[(i, j, k, l)] = f(T_i^k (x) T_j^l),
 
@@ -36,9 +38,10 @@ The character form phi_ij^kl = delta_i^k rho_j^l is "ik,jl->ijkl", the
 R-matrix of a braid tensor "jikl->ijkl" (tensors.swap_lower), and phibar_21
 in twist_R the transposition "ijkl->jilk" of the inverse table.
 
-The twisted product m_theta(T_i^k (x) T_j^l) = T_i^k theta_jn^lm T_m^n is the
-matrix M that corep.build_M builds, so twisted_product_relations reads M's
-table and computes no product of words itself:
+The twisted product m_theta(T_i^k (x) T_j^l) = T_i^k theta_jn^lm T_m^n, T_i^k
+times the image of T_j^l under tilde_images, is the matrix M that
+corep.build_M builds, so twisted_product_relations reads M's table and
+computes no product of words itself:
 
     m_theta(T_j^l (x) T_i^k)                 = M_ji^lk
     sum_ac R_ij^ac m_theta(T_a^b (x) T_c^d)  = (R M)_ij^bd
@@ -89,12 +92,13 @@ class Presentation:
         return PairPoly(self.ctx, out)
 
     def counit_word(self, word):
-        c = self.ctx.one
         for g in word:
+            if g.kind in ("D", "Dbar"):
+                continue  # group-like: counit 1
             self._check_gen(g)
             if g.index[0] != g.index[1]:
                 return self.ctx.zero
-        return c
+        return self.ctx.one
 
     def counit(self, x: NCPoly):
         acc = self.ctx.zero
@@ -187,13 +191,15 @@ def twist_R(R: LinearForm, phi: LinearForm) -> Tensor:
     return compose(phibar21, compose(R.base, phi.base))
 
 
-def tilde_images(theta: Tensor):
-    """Generator images of the twisting endomorphism: T_i^j |-> theta_im^jn T_n^m."""
-    n = theta.dim
+def tilde_images(theta: Tensor, label=None):
+    """Generator images of the twisting endomorphism, T_i^j |-> theta_im^jn T_n^m,
+    every generator carrying label."""
     by_ij = theta.index((0, 2))
     return {
-        T(i, j): NCPoly(theta.ctx, {(T(nn, m),): c for (_, m, _, nn), c in by_ij.get((i, j), ())})
-        for i, j in itertools.product(range(1, n + 1), repeat=2)
+        T(i, j, label): NCPoly(
+            theta.ctx, {(T(nn, m, label),): c for (_, m, _, nn), c in by_ij.get((i, j), ())}
+        )
+        for i, j in itertools.product(range(1, theta.dim + 1), repeat=2)
     }
 
 

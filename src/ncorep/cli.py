@@ -301,13 +301,13 @@ def parse_algebra_file(path):
         raise InputFormat("missing or empty [B] section")
     if not rho and not thent:
         raise InputFormat("[theta] must give a character table or entries")
-    af.B = Tensor(af.ctx, af.dim, 2, 2, tens["B"])
+    af.B = Tensor(af.ctx, af.dim, 2, tens["B"])
     if tens["Bprime"]:
-        af.Bprime = Tensor(af.ctx, af.dim, 2, 2, tens["Bprime"])
+        af.Bprime = Tensor(af.ctx, af.dim, 2, tens["Bprime"])
     if rho:
-        af.rho = Tensor(af.ctx, af.dim, 1, 1, rho)
+        af.rho = Tensor(af.ctx, af.dim, 1, rho)
     else:
-        af.theta_entries = Tensor(af.ctx, af.dim, 2, 2, thent)
+        af.theta_entries = Tensor(af.ctx, af.dim, 2, thent)
     mk = xi if af.parity == "grassmann" else e
     for k in sorted(space_rows):
         coeffs = sorted(space_rows[k].items())
@@ -498,8 +498,13 @@ def _word(w):
     return " ".join(str(g) for g in w)
 
 
-def _rule_strings(rs):
-    return ["%s -> %s" % (_word(lhs), rhs) for lhs, rhs in rs.rule_list()]
+def _add_rules(rep, rs):
+    rep.add(
+        "oriented-rules",
+        "reduced rewriting presentation of the ideal",
+        "info",
+        artifacts={"rules": ["%s -> %s" % (_word(lhs), rhs) for lhs, rhs in rs.rule_list()]},
+    )
 
 
 def _merge(rep, prefix, sub):
@@ -566,12 +571,7 @@ def _relations(ws, rep):
         "info",
         artifacts={"rank": ideal.rank(), "entries": len(ideal)},
     )
-    rep.add(
-        "oriented-rules",
-        "reduced rewriting presentation of the ideal",
-        "info",
-        artifacts={"rules": _rule_strings(ws.rewrite_system())},
-    )
+    _add_rules(rep, ws.rewrite_system())
     return rep
 
 
@@ -612,12 +612,7 @@ def _det(ws, rep):
 @section("normal-form", "rewriting soundness", gated=True)
 def _normal_form(ws, rep):
     rs = ws.rewrite_system()
-    rep.add(
-        "oriented-rules",
-        "reduced rewriting presentation of the ideal",
-        "info",
-        artifacts={"rules": _rule_strings(rs)},
-    )
+    _add_rules(rep, rs)
     bad = []
     for p in ws.relations():
         nf = normal_form(p, rs)

@@ -12,14 +12,14 @@ each a tensors.contract spec set against a delta term:
       "ijpl,pkrs->ijkrsl"           "js,ikrl->ijkrsl"
     sum_n theta_jn^kn = delta_j^k   "jnkn->jk"
 
-theta is a plain (2,2) Tensor, like the exchange tensor B; validate_theta
+theta is a plain order-2 Tensor, like the exchange tensor B; validate_theta
 returns its violations as data, and a run (cli.Workspace) keeps that
 result, as it keeps M and M's defect.  A valid theta makes
 
     M_ij^kl = T_i^k theta_jn^lm T_m^n
 
 a group-like matrix, and the span of (B M - M B) a coideal whose quotient
-coacts on the underlying quadratic algebra.  M is a (2,2) Tensor of
+coacts on the underlying quadratic algebra.  M is an order-2 Tensor of
 NCPolys, built once, and it is the one table of twisted products: the
 coordinate x_j that crosses T_i^k is twisted once, so row (i, j) of M is
 the coaction of the word x_i x_j,
@@ -29,7 +29,7 @@ the coaction of the word x_i x_j,
 and bialg.twisted_product_relations reads the same table as m_theta.
 
 Both matrix checks read one defect of M, computed once per run as two
-(2,2) tables, G of PairPolys and E of Scalars:
+order-2 tables, G of PairPolys and E of Scalars:
 
     G_ij^kl = Delta(M_ij^kl) - sum_rs M_ij^rs (x) M_rs^kl
     E_ij^kl = counit(M_ij^kl) - delta_i^k delta_j^l
@@ -85,7 +85,7 @@ the terms changes a sum.  The outer loops keep their index order.
 
 import itertools
 
-from .bialg import Presentation
+from .bialg import Presentation, tilde_images
 from .errors import ShapeMismatch
 from .freealg import (
     NCPoly,
@@ -120,7 +120,8 @@ def validate_theta(t: Tensor):
 
 def build_M(theta: Tensor, labels=None) -> Tensor:
     """M_ij^kl = T_i^k theta_jn^lm T_m^n, optionally with a spectral label
-    pair, as a (2,2) Tensor of NCPolys.
+    pair, as an order-2 Tensor of NCPolys: T_i^k (label one) times the image
+    of T_j^l under theta (bialg.tilde_images, label two).
 
     theta is not validated; a caller that needs a valid one reads
     validate_theta first.
@@ -128,15 +129,14 @@ def build_M(theta: Tensor, labels=None) -> Tensor:
     ctx = theta.ctx
     n = theta.dim
     lab1, lab2 = labels if labels is not None else (None, None)
+    images = tilde_images(theta, lab2)
     entries = {}
-    by_jl = theta.index((0, 2))
     for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
-        group = by_jl.get((j, l))
-        if group:  # the words T_i^k T_m^n of one entry are distinct
-            entries[(i, j, k, l)] = NCPoly(
-                ctx, {(T(i, k, lab1), T(m, nn, lab2)): c for (_, nn, _, m), c in group}
-            )
-    return Tensor(ctx, n, 2, 2, entries)
+        head = (T(i, k, lab1),)
+        entries[(i, j, k, l)] = NCPoly(
+            ctx, {head + w: c for w, c in images[T(j, l, lab2)].terms.items()}
+        )
+    return Tensor(ctx, n, 2, entries)
 
 
 def _is_coproduct(x: NCPoly, pairs: dict, n: int, glue: dict) -> bool:
@@ -155,8 +155,8 @@ def _is_coproduct(x: NCPoly, pairs: dict, n: int, glue: dict) -> bool:
 
 
 def _tensor_terms(x: NCPoly, y: NCPoly, products: dict):
-    """freealg.tensor_terms(x, y), each product a b kept in products under
-    the ids of a and b."""
+    """The terms ((u, v), a b) of x (x) y, for x = sum a u and y = sum b v,
+    each product a b kept in products under the ids of a and b."""
     for u, a in x.terms.items():
         for v, b in y.terms.items():
             key = (id(a), id(b))
@@ -167,7 +167,7 @@ def _tensor_terms(x: NCPoly, y: NCPoly, products: dict):
 
 
 def grouplike_defect(M: Tensor):
-    """(G, E), two (2,2) tables holding the nonzero G_ij^kl and E_ij^kl.
+    """(G, E), two order-2 tables holding the nonzero G_ij^kl and E_ij^kl.
 
     G = Delta(M) - M (x) M holds PairPolys and E = counit(M) - identity
     Scalars; both are empty exactly when M is group-like.
@@ -208,7 +208,7 @@ def grouplike_defect(M: Tensor):
             if lhs != rhs:
                 G[(i, j, k, l)] = lhs - rhs
         E[(i, j, k, l)] = pres.counit(x) - (ctx.one if (i == k and j == l) else ctx.zero)
-    return Tensor(ctx, n, 2, 2, G), Tensor(ctx, n, 2, 2, E)
+    return Tensor(ctx, n, 2, G), Tensor(ctx, n, 2, E)
 
 
 def check_grouplike(defect) -> bool:
@@ -223,7 +223,7 @@ def relation_entries(B: Tensor, M: Tensor, M_second: Tensor = None) -> dict:
     M_second defaults to M; the spectral variant passes the label-swapped matrix.
     """
     dim = M.dim
-    if B.dim != dim or B.nlower != 2 or B.nupper != 2:
+    if (B.dim, B.k) != (dim, 2):
         raise ShapeMismatch("braid tensor shape does not match the matrix")
     second = (M_second or M).entries
     rows, cols = B.index((0, 1)), B.index((2, 3))

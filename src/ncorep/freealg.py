@@ -251,11 +251,6 @@ def add_terms(out, items):
     return out
 
 
-def tensor_terms(x: NCPoly, y: NCPoly):
-    """The terms ((u, v), a b) of x (x) y, for x = sum a u and y = sum b v."""
-    return (((w1, w2), c1 * c2) for w1, c1 in x.terms.items() for w2, c2 in y.terms.items())
-
-
 class PairPoly:
     """Element of (free algebra) tensor (free algebra): Scalar combos of word pairs."""
 
@@ -278,7 +273,8 @@ class PairPoly:
 
     @classmethod
     def tensor(cls, x: NCPoly, y: NCPoly):
-        return cls(x.ctx, add_terms({}, tensor_terms(x, y)))
+        """x (x) y: the terms ((u, v), a b) for x = sum a u and y = sum b v."""
+        return cls(x.ctx, {(u, v): a * b for u, a in x.terms.items() for v, b in y.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -385,10 +381,6 @@ class SpanBasis:
         return {p: self.reduce((c, v) for c, v in row.items() if c != p) for p, row in self.rows}
 
 
-def poly_vector(x: NCPoly):
-    return dict(x.terms)
-
-
 class RelationSet:
     """A list of homogeneous degree-2 elements over a fixed generator family.
 
@@ -429,7 +421,7 @@ class RelationSet:
         if self._basis is None:
             sb = SpanBasis(self.ctx, self.key)
             for p in self.polys:
-                sb.add(poly_vector(p))
+                sb.add(p.terms)
             self._basis = sb
         return self._basis
 

@@ -14,7 +14,7 @@ tensor: the integrability section runs only on a valid one.
 
 from .corep import build_M, relation_entries
 from .errors import AnsatzFailed
-from .freealg import NCPoly, RelationSet, T, add_terms, matrix_family, poly_vector
+from .freealg import NCPoly, RelationSet, T, add_terms, matrix_family
 from .report import Report, passfail
 from .tensors import Tensor, contract, delta, invert4
 
@@ -119,7 +119,7 @@ class SpectralFamily:
             Binv, ident, data["entries"], (lam, mu),
         )
         rels = data["relations"]
-        member = rels.basis().contains(poly_vector(commutator))
+        member = rels.basis().contains(commutator.terms)
         rep.add(
             "commutator-in-relation-span",
             "trace commutator lies in the scalar span of the relation entries",

@@ -1,17 +1,20 @@
 """Dense-indexed tensors of Scalars and the braid-equation machinery.
 
-A Tensor has a fixed number of lower and upper indices, each running
-1..dim.  The composition convention throughout the package contracts the
-upper indices of the left factor against the lower indices of the right
-factor, in order:
+Every table of the package is an endomorphism of a tensor power of the
+coordinate space, so a Tensor has one order k: k lower indices followed by
+k upper ones, each running 1..dim.  The exchange tensor, the twist, the
+R-matrix, the pair forms and M with its defect have order 2, a character
+table order 1, the cocycle contractions order 3.  The composition
+convention throughout the package contracts the upper indices of the left
+factor against the lower indices of the right factor, in order:
 
     (A x B)_{ij}^{rs} = sum_{kl} A_{ij}^{kl} B_{kl}^{rs}
 
-A (k,k) tensor is the dim^k x dim^k matrix with row I its lower indices
-and column K its upper ones: compose is the matrix product, and invert4
-and invert2 read the inverse off the reduced echelon form of [A | 1],
-which freealg.SpanBasis computes.  Conversion between the two index
-conventions in use for solutions of the quantum Yang-Baxter equation
+A tensor of order k is the dim^k x dim^k matrix with row I its lower
+indices and column K its upper ones: compose is the matrix product, and
+invert4 and invert2 read the inverse off the reduced echelon form of
+[A | 1], which freealg.SpanBasis computes.  Conversion between the two
+index conventions in use for solutions of the quantum Yang-Baxter equation
 (braid form vs R-form) is the explicit swap_lower operation, never an
 implicit relabeling.
 
@@ -20,14 +23,14 @@ einsum in index letters: contract("akrm,bmst->abkrst", phi, phi) is
 sum_m phi_ak^rm phi_bm^st.  Each factor has a letter per index, lower ones
 first; a repeated letter is an equality filter, a letter missing after the
 arrow is summed over, and the result's first half of letters is lower, its
-second half upper.  Every package tensor has as many upper indices as
-lower ones, so a result of odd length is a ShapeMismatch.  Only nonzero
-entries are stored and visited: index(positions) groups the second
-factor's entries by the letters it shares with the first, and the result
-is summed once through add_terms, its keys in the order they are met.  The
-specs are a fixed set of strings, so what a spec alone determines (_plan:
-the letters' positions, the filters and the output getter) is worked out
-once per spec and kept; the shapes of the given tensors are checked on
+second half upper, so a result of odd length is a ShapeMismatch, and so is
+a factor whose order does not fit its letters.  Only nonzero entries are
+stored and visited: index(positions) groups the second factor's entries by
+the letters it shares with the first, and the result is summed once
+through add_terms, its keys in the order they are met.  The specs are a
+fixed set of strings, so what a spec alone determines (_plan: the letters'
+positions, the filters and the output getter) is worked out once per spec
+and kept; the orders and dimensions of the given tensors are checked on
 every call.
 
 A table may also hold polynomials (PairPoly) when it is the first factor,
@@ -84,35 +87,25 @@ LETTERS = "abcdefghijklmnopqrstuvwxyz"  # index names for compose's spec
 
 
 class Tensor:
-    __slots__ = ("ctx", "dim", "nlower", "nupper", "entries", "_groups", "_inverse")
+    __slots__ = ("ctx", "dim", "k", "entries", "_groups", "_inverse")
 
-    def __init__(self, ctx: Context, dim: int, nlower: int, nupper: int, entries=None):
+    def __init__(self, ctx: Context, dim: int, k: int, entries=None):
         self.ctx = ctx
         self.dim = dim
-        self.nlower = nlower
-        self.nupper = nupper
+        self.k = k
         entries = entries or {}
-        arity, rng = nlower + nupper, set(range(1, dim + 1))
+        arity, rng = 2 * k, set(range(1, dim + 1))
         if any(len(i) != arity for i in entries) or not set().union(*entries) <= rng:
             for idx in entries:  # names the first bad index
-                self._check_idx(idx)
+                _check_index(idx, arity, dim)
         self.entries = {tuple(idx): v for idx, v in entries.items() if not v.is_zero()}
         self._groups = {}
         self._inverse = None  # kept by invert4
 
-    def _check_idx(self, idx):
-        if len(idx) != self.nlower + self.nupper:
-            raise ShapeMismatch(
-                "index %r has wrong arity for (%d,%d) tensor" % (idx, self.nlower, self.nupper)
-            )
-        for i in idx:
-            if not 1 <= i <= self.dim:
-                raise ShapeMismatch("index %r out of range 1..%d" % (idx, self.dim))
-
     def get(self, *idx):
         v = self.entries.get(idx)
         if v is None:  # only a valid index can hit, so only a miss is checked
-            self._check_idx(idx)
+            _check_index(idx, 2 * self.k, self.dim)
             return self.ctx.zero
         return v
 
@@ -131,29 +124,22 @@ class Tensor:
                 groups.setdefault(tuple(idx[p] for p in positions), []).append((idx, v))
         return groups
 
-    def same_shape(self, other):
-        return (
-            self.dim == other.dim
-            and self.nlower == other.nlower
-            and self.nupper == other.nupper
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Tensor)
-            and self.same_shape(other)
+            and (self.dim, self.k) == (other.dim, other.k)
             and self.entries == other.entries
         )
 
     def __sub__(self, other):
-        if not self.same_shape(other):
+        if (self.dim, self.k) != (other.dim, other.k):
             raise ShapeMismatch("cannot subtract tensors of different shapes")
         out = add_terms(dict(self.entries), ((idx, -v) for idx, v in other.entries.items()))
-        return Tensor(self.ctx, self.dim, self.nlower, self.nupper, out)
+        return Tensor(self.ctx, self.dim, self.k, out)
 
     def substitute(self, bindings):
         return Tensor(
-            self.ctx, self.dim, self.nlower, self.nupper,
+            self.ctx, self.dim, self.k,
             {idx: v.substitute(bindings) for idx, v in self.entries.items()},
         )
 
@@ -165,13 +151,21 @@ class Tensor:
         body = ", ".join(
             "%s: %s" % (",".join(map(str, idx)), v) for idx, v in sorted(self.entries.items())
         )
-        return "Tensor(%d;%d,%d){%s}" % (self.dim, self.nlower, self.nupper, body)
+        return "Tensor(%d;%d,%d){%s}" % (self.dim, self.k, self.k, body)
 
     __repr__ = __str__
 
 
+def _check_index(idx, arity, dim):
+    if len(idx) != arity:
+        raise ShapeMismatch("index %r has wrong arity for an order-%d tensor" % (idx, arity // 2))
+    for i in idx:
+        if not 1 <= i <= dim:
+            raise ShapeMismatch("index %r out of range 1..%d" % (idx, dim))
+
+
 def delta(ctx, dim):
-    return Tensor(ctx, dim, 1, 1, {(i, i): ctx.one for i in range(1, dim + 1)})
+    return Tensor(ctx, dim, 1, {(i, i): ctx.one for i in range(1, dim + 1)})
 
 
 def contract(spec: str, a: Tensor, b: Tensor = None) -> Tensor:
@@ -180,10 +174,10 @@ def contract(spec: str, a: Tensor, b: Tensor = None) -> Tensor:
     "jnkn->jk" is the trace sum_n a_jn^kn, "ijkl->jilk" a transposition and
     "il,jk->ijkl" an outer product (module docstring).
     """
-    names, key, b_key, same, pick, half = _plan(spec)
+    names, key, b_key, same, pick, k = _plan(spec)
     factors = (a,) if b is None else (a, b)
     if len(names) != len(factors) or any(
-        len(name) != t.nlower + t.nupper or t.dim != a.dim for name, t in zip(names, factors)
+        len(name) != 2 * t.k or t.dim != a.dim for name, t in zip(names, factors)
     ):
         raise ShapeMismatch("%r does not fit the given tensors" % spec)
     if pick is None:
@@ -197,7 +191,7 @@ def contract(spec: str, a: Tensor, b: Tensor = None) -> Tensor:
         for idx in (i + j,)
         if not same or all(idx[p] == idx[q] for p, q in same)
     ))
-    return Tensor(a.ctx, a.dim, half, half, terms)
+    return Tensor(a.ctx, a.dim, k, terms)
 
 
 @functools.cache
@@ -205,7 +199,7 @@ def _plan(spec):
     """What contract reads from spec alone, once per spec string: the factor
     names, the positions in a's and in b's index of the letters they share,
     the equality filters, the output getter (None for an odd output) and
-    the output's number of lower indices."""
+    the output's order."""
     inputs, out = spec.split("->")
     names = inputs.split(",")
     # letters by position in a's index followed by b's
@@ -219,24 +213,19 @@ def _plan(spec):
 
 
 def compose(a: Tensor, b: Tensor) -> Tensor:
-    """Contract all upper indices of a against all lower indices of b, in order."""
-    if a.dim != b.dim or a.nupper != b.nlower or a.nlower != b.nupper:
-        raise ShapeMismatch(
-            "cannot compose (%d,%d) with (%d,%d)" % (a.nlower, a.nupper, b.nlower, b.nupper)
-        )
-    i, k = a.nlower, a.nupper
-    lower, mid, upper = LETTERS[:i], LETTERS[i:i + k], LETTERS[i + k:2 * i + k]
+    """Contract all upper indices of a against all lower indices of b, in
+    order; contract checks that b has a's order and dimension."""
+    k = a.k
+    lower, mid, upper = LETTERS[:k], LETTERS[k:2 * k], LETTERS[2 * k:3 * k]
     return contract("%s%s,%s%s->%s%s" % (lower, mid, mid, upper, lower, upper), a, b)
 
 
 def swap_lower(a: Tensor) -> Tensor:
-    """Exchange the two lower indices of a 4-index tensor.
+    """Exchange the two lower indices of an order-2 tensor.
 
     This is the conversion between the braid-form and R-form conventions
     for Yang-Baxter solutions: R_{ij}^{kl} = B_{ji}^{kl}.
     """
-    if a.nlower != 2 or a.nupper != 2:
-        raise ShapeMismatch("swap_lower needs a (2,2) tensor")
     return contract("jikl->ijkl", a)
 
 
@@ -250,8 +239,8 @@ def ybe_residual(a: Tensor) -> list:
     of them when an entry's denominator vanishes at the point, are computed
     exactly (see the module docstring).
     """
-    if a.nlower != 2 or a.nupper != 2:
-        raise ShapeMismatch("ybe_residual needs a (2,2) tensor")
+    if a.k != 2:
+        raise ShapeMismatch("ybe_residual needs an order-2 tensor")
     rows = list(itertools.product(range(1, a.dim + 1), repeat=3))
     out = []
     image = _by_lower(a, mod_image)
@@ -306,11 +295,11 @@ def _on_legs(groups, vecs, leg):
 
 
 def _invert(a: Tensor, k) -> Tensor:
-    """The inverse of a (k,k) tensor.  Row I of [A | 1] holds A_I^K at column
-    (0,) + K and 1 at (1,) + I, so the A columns key lowest, and a pivot in
-    the identity part means A is singular."""
-    if a.nlower != k or a.nupper != k:
-        raise ShapeMismatch("invert%d needs a (%d,%d) tensor" % (2 * k, k, k))
+    """The inverse of a tensor of order k.  Row I of [A | 1] holds A_I^K at
+    column (0,) + K and 1 at (1,) + I, so the A columns key lowest, and a
+    pivot in the identity part means A is singular."""
+    if a.k != k:
+        raise ShapeMismatch("invert%d needs an order-%d tensor" % (2 * k, k))
     basis = SpanBasis(a.ctx, key=lambda col: col)
     rows = a.index(range(k))
     for lower in itertools.product(range(1, a.dim + 1), repeat=k):
@@ -319,11 +308,11 @@ def _invert(a: Tensor, k) -> Tensor:
     if basis.rows[-1][0][0]:
         raise NotInvertible("matrix is singular over the scalar field")
     solved = basis.reduced().items()
-    return Tensor(a.ctx, a.dim, k, k, {i[1:] + j[1:]: v for i, r in solved for j, v in r.items()})
+    return Tensor(a.ctx, a.dim, k, {i[1:] + j[1:]: v for i, r in solved for j, v in r.items()})
 
 
 def invert4(a: Tensor) -> Tensor:
-    """Inverse of a 4-index tensor under the composition convention.
+    """Inverse of an order-2 tensor under the composition convention.
 
     Computed once per tensor and kept on it, like its index groups: a tensor
     is never changed after __init__, and an inversion that raised keeps
@@ -335,5 +324,5 @@ def invert4(a: Tensor) -> Tensor:
 
 
 def invert2(a: Tensor) -> Tensor:
-    """Inverse of a 2-index tensor (a matrix M_i^k)."""
+    """Inverse of an order-1 tensor (a matrix M_i^k)."""
     return _invert(a, 1)

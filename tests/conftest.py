@@ -31,7 +31,6 @@ from ncorep.freealg import (
     T,
     add_terms,
     apply_hom,
-    tensor_terms,
 )
 from ncorep.integrable import weighted_trace
 from ncorep.rewrite import RewriteSystem, normal_form
@@ -96,7 +95,7 @@ def read_over(ctx, x):
         return NCPoly(ctx, {w: read_over(ctx, c) for w, c in x.terms.items()})
     if isinstance(x, Tensor):
         entries = {k: read_over(ctx, c) for k, c in x.entries.items()}
-        return Tensor(ctx, x.dim, x.nlower, x.nupper, entries)
+        return Tensor(ctx, x.dim, x.k, entries)
     return RelationSet(ctx, x.family, [read_over(ctx, p) for p in x])
 
 
@@ -222,27 +221,27 @@ def multiparameter_text(n, rho, t):
     return "\n".join(lines) + "\n"
 
 
-def tensor_from_entries(ctx, dim, nlower, nupper, items):
-    """items: iterable of (index_tuple, scalar-like)."""
+def tensor_from_entries(ctx, dim, k, items):
+    """The order-k tensor of items, an iterable of (index_tuple, scalar-like)."""
     out = {}
     for idx, val in items:
         idx = tuple(idx)
         if idx in out:
             raise ShapeMismatch("duplicate tensor entry at %r" % (idx,))
         out[idx] = ctx.scalar(val)
-    return Tensor(ctx, dim, nlower, nupper, out)
+    return Tensor(ctx, dim, k, out)
 
 
 def to_matrix(a: Tensor):
-    """A (2,2) tensor as a dim^2 x dim^2 nested list, row (i,j) lex, column (k,l) lex."""
-    if a.nlower != 2 or a.nupper != 2:
-        raise ShapeMismatch("to_matrix needs a (2,2) tensor")
+    """An order-2 tensor as a dim^2 x dim^2 nested list, row (i,j) lex, column (k,l) lex."""
+    if a.k != 2:
+        raise ShapeMismatch("to_matrix needs an order-2 tensor")
     pairs = list(itertools.product(range(1, a.dim + 1), repeat=2))
     return [[a.get(i, j, k, l) for (k, l) in pairs] for (i, j) in pairs]
 
 
 def from_matrix(ctx, dim, rows) -> Tensor:
-    """The (2,2) tensor of a dim^2 x dim^2 nested list of scalar-likes, laid
+    """The order-2 tensor of a dim^2 x dim^2 nested list of scalar-likes, laid
     out as to_matrix lays it out."""
     pairs = list(itertools.product(range(1, dim + 1), repeat=2))
     if len(rows) != len(pairs) or any(len(r) != len(pairs) for r in rows):
@@ -252,18 +251,18 @@ def from_matrix(ctx, dim, rows) -> Tensor:
         for r, (i, j) in enumerate(pairs)
         for c, (k, l) in enumerate(pairs)
     }
-    return Tensor(ctx, dim, 2, 2, out)
+    return Tensor(ctx, dim, 2, out)
 
 
 def identity4(ctx, dim):
     rng = range(1, dim + 1)
-    return Tensor(ctx, dim, 2, 2, {(i, j, i, j): ctx.one for i in rng for j in rng})
+    return Tensor(ctx, dim, 2, {(i, j, i, j): ctx.one for i in rng for j in rng})
 
 
 def flip_theta(ctx, n) -> Tensor:
     """The untwisted coaction's twist: theta_ij^kl = delta_i^l delta_j^k."""
     rng = range(1, n + 1)
-    return Tensor(ctx, n, 2, 2, {(i, j, j, i): ctx.one for i in rng for j in rng})
+    return Tensor(ctx, n, 2, {(i, j, j, i): ctx.one for i in rng for j in rng})
 
 
 def apply_antihom(x: NCPoly, images: dict) -> NCPoly:
@@ -425,13 +424,14 @@ def expanded_grouplike_defect(M: Tensor):
         for r, s in itertools.product(rng, repeat=2):
             left, right = M.entries.get((i, j, r, s)), M.entries.get((r, s, k, l))
             if left is not None and right is not None:
-                add_terms(rhs, tensor_terms(left, right))
+                pairs = (((u, v), a * b) for u, a in left.terms.items() for v, b in right.terms.items())
+                add_terms(rhs, pairs)
         x = entry(M, i, j, k, l)
         lhs, rhs = pres.coproduct(x), PairPoly(ctx, rhs)
         if lhs != rhs:
             G[(i, j, k, l)] = lhs - rhs
         E[(i, j, k, l)] = pres.counit(x) - (ctx.one if (i == k and j == l) else ctx.zero)
-    return Tensor(ctx, M.dim, 2, 2, G), Tensor(ctx, M.dim, 2, 2, E)
+    return Tensor(ctx, M.dim, 2, G), Tensor(ctx, M.dim, 2, E)
 
 
 def reference_orient(relations, order):
@@ -526,13 +526,13 @@ def invert_matrix(ctx, rows):
 
 
 def dense_invert(a: Tensor) -> Tensor:
-    """The inverse of a (k,k) tensor through invert_matrix: rows and columns
-    are the lower and upper index tuples in lexicographic order."""
-    k = a.nlower
+    """The inverse of a tensor through invert_matrix: rows and columns are
+    the lower and upper index tuples in lexicographic order."""
+    k = a.k
     keys = list(itertools.product(range(1, a.dim + 1), repeat=k))
     inv = invert_matrix(a.ctx, [[a.get(*(i + j)) for j in keys] for i in keys])
     entries = {i + j: inv[r][c] for r, i in enumerate(keys) for c, j in enumerate(keys)}
-    return Tensor(a.ctx, a.dim, k, k, entries)
+    return Tensor(a.ctx, a.dim, k, entries)
 
 
 def dense_contract(spec, a: Tensor, b: Tensor = None) -> Tensor:
@@ -550,7 +550,7 @@ def dense_contract(spec, a: Tensor, b: Tensor = None) -> Tensor:
             term = term * t.get(*(at[c] for c in name))
         key = tuple(at[c] for c in out)
         entries[key] = entries[key] + term if key in entries else term
-    return Tensor(a.ctx, a.dim, len(out) // 2, len(out) // 2, entries)
+    return Tensor(a.ctx, a.dim, len(out) // 2, entries)
 
 
 def dense_weighted_trace(t: Tensor) -> Tensor:
@@ -563,7 +563,7 @@ def dense_weighted_trace(t: Tensor) -> Tensor:
                 acc = acc + t.get(s, j, s, l)
             if not acc.is_zero():
                 entries[(j, l)] = acc
-    return Tensor(t.ctx, n, 1, 1, entries)
+    return Tensor(t.ctx, n, 1, entries)
 
 
 def dense_weight_commutation_holds(B: Tensor, w: Tensor) -> bool:
@@ -617,7 +617,7 @@ def dense_build_M(t: Tensor, labels=None) -> Tensor:
                     acc = acc + NCPoly.term(ctx, (T(i, k, lab1), T(m, nn, lab2)), c)
         if not acc.is_zero():
             entries[(i, j, k, l)] = acc
-    return Tensor(ctx, t.dim, 2, 2, entries)
+    return Tensor(ctx, t.dim, 2, entries)
 
 
 def dense_check_grouplike(M: Tensor) -> bool:
@@ -694,7 +694,7 @@ def dense_character_pair_form(pres, rho: Tensor) -> LinearForm:
                 c = rho.get(j, l)
                 if not c.is_zero():
                     entries[(i, j, i, l)] = c
-    return LinearForm(pres, Tensor(pres.ctx, pres.dim, 2, 2, entries))
+    return LinearForm(pres, Tensor(pres.ctx, pres.dim, 2, entries))
 
 
 def dense_cocycle_check(phi: LinearForm):
@@ -747,10 +747,10 @@ def dense_compose(a: Tensor, b: Tensor) -> Tensor:
     out = {}
     for aidx, av in a.entries.items():
         for bidx, bv in b.entries.items():
-            if bidx[: b.nlower] == aidx[a.nlower:]:
-                idx = aidx[: a.nlower] + bidx[b.nlower:]
+            if bidx[: b.k] == aidx[a.k:]:
+                idx = aidx[: a.k] + bidx[b.k:]
                 out[idx] = out[idx] + av * bv if idx in out else av * bv
-    return Tensor(a.ctx, a.dim, a.nlower, b.nupper, out)
+    return Tensor(a.ctx, a.dim, a.k, out)
 
 
 def dense_contracted_relation(Binv: Tensor, w: Tensor, entries: dict, labels):
@@ -775,12 +775,12 @@ def dense_contracted_relation(Binv: Tensor, w: Tensor, entries: dict, labels):
 
 
 def leg_embed(a: Tensor, legs) -> Tensor:
-    """Embed a (2,2) tensor into a (3,3) tensor acting on the named legs.
+    """Embed an order-2 tensor into an order-3 tensor acting on the named legs.
 
     legs is one of (1,2), (2,3), (1,3); the remaining leg carries the
     identity."""
-    if a.nlower != 2 or a.nupper != 2:
-        raise ShapeMismatch("leg_embed needs a (2,2) tensor")
+    if a.k != 2:
+        raise ShapeMismatch("leg_embed needs an order-2 tensor")
     legs = tuple(legs)
     if legs not in {(1, 2), (2, 3), (1, 3)}:
         raise ShapeMismatch("legs must be (1,2), (2,3) or (1,3), got %r" % (legs,))
@@ -794,11 +794,11 @@ def leg_embed(a: Tensor, legs) -> Tensor:
             upper[legs[0] - 1], upper[legs[1] - 1] = k1, k2
             lower[spectator - 1] = upper[spectator - 1] = m
             out[tuple(lower) + tuple(upper)] = v
-    return Tensor(a.ctx, a.dim, 3, 3, out)
+    return Tensor(a.ctx, a.dim, 3, out)
 
 
 def dense_ybe_residual(a: Tensor) -> Tensor:
-    """The braid residual A12 A23 A12 - A23 A12 A23 as a whole exact (3,3)
+    """The braid residual A12 A23 A12 - A23 A12 A23 as a whole exact order-3
     tensor, composed from leg-embedded copies of A, as the package computed
     it before ybe_residual worked row by row over modular images."""
     a12 = leg_embed(a, (1, 2))
@@ -806,7 +806,7 @@ def dense_ybe_residual(a: Tensor) -> Tensor:
     out = dict(compose(compose(a12, a23), a12).entries)
     for idx, v in compose(compose(a23, a12), a23).entries.items():
         out[idx] = out[idx] - v if idx in out else -v
-    return Tensor(a.ctx, a.dim, 3, 3, out)
+    return Tensor(a.ctx, a.dim, 3, out)
 
 
 # -- the tuple-exponent scalar kernel ---------------------------------------

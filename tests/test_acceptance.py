@@ -35,7 +35,7 @@ from ncorep.corep import (
     validate_theta,
 )
 from ncorep.errors import DenominatorVanishes
-from ncorep.freealg import NCPoly, RelationSet, T, poly_vector, row_space_compare
+from ncorep.freealg import NCPoly, RelationSet, T, row_space_compare
 from ncorep.integrable import (
     spectral_relations,
     weight_commutation_holds,
@@ -57,7 +57,7 @@ LIMIT = (("r", "0"), ("s", "0"))
 
 def corrupted_theta(ctx):
     # the flip with one crossing rescaled; breaks both validity identities
-    return tensor_from_entries(ctx, 2, 2, 2, [
+    return tensor_from_entries(ctx, 2, 2, [
         ((1, 1, 1, 1), "1"), ((1, 2, 2, 1), "1"),
         ((2, 1, 1, 2), "q"), ((2, 2, 2, 2), "1"),
     ])
@@ -108,7 +108,7 @@ def test_c04_determinant_four_term_form_and_two_parameter_limit():
     # equality holds in the quotient: the free-algebra difference is an
     # explicit combination of the quadratic relations
     diff = ws.determinant() - four
-    assert ws.relations().basis().contains(poly_vector(diff))
+    assert ws.relations().basis().contains(diff.terms)
     lim = load("qplane_qprs", *LIMIT)
     a, b, c, d = (NCPoly.gen(lim.ctx, g) for g in lim.gens)
     assert lim.determinant() == a * d - lim.ctx.parse("q/p") * (b * c)

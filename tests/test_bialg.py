@@ -20,6 +20,7 @@ from ncorep.errors import (
     UnknownGenerator,
 )
 from ncorep.freealg import NCPoly, PairPoly, T, e
+from ncorep.rewrite import DET, DETBAR
 from ncorep.scalars import Context
 from ncorep.tensors import (
     Tensor,
@@ -51,13 +52,13 @@ def abcd(ctx):
 
 
 def rho_full(ctx):
-    return tensor_from_entries(ctx, 2, 1, 1, [
+    return tensor_from_entries(ctx, 2, 1, [
         ((1, 1), "1"), ((1, 2), "r/s"), ((2, 1), "-s/p"), ((2, 2), "(1 - r)/p"),
     ])
 
 
 def rho_limit(ctx):
-    return tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "1"), ((2, 2), "1/p")])
+    return tensor_from_entries(ctx, 2, 1, [((1, 1), "1"), ((2, 2), "1/p")])
 
 
 def test_coproduct_generator():
@@ -116,6 +117,19 @@ def test_counit():
     assert pres.counit(a) == ctx.one
     assert pres.counit(NCPoly.one(ctx)) == ctx.one
     assert pres.counit(a * d - d * a).is_zero()
+
+
+def test_counit_of_the_determinant_symbols():
+    # D and Dbar, adjoined for the antipode, are group-like: counit 1
+    ctx, pres = setup()
+    q = ctx.gen("q")
+    assert pres.counit_word((DET,)) == ctx.one
+    assert pres.counit_word((DETBAR, T(1, 1), DET, T(2, 2), DETBAR)) == ctx.one
+    assert pres.counit_word((DET, T(1, 2), DETBAR)).is_zero()
+    x = NCPoly(ctx, {(DETBAR, T(2, 2)): q, (DET,): ctx.one, (T(2, 1), DET): q})
+    assert pres.counit(x) == q + ctx.one
+    with pytest.raises(UnknownGenerator):
+        pres.counit_word((DET, e(1)))
 
 
 def test_counit_axiom():
@@ -246,7 +260,7 @@ def test_convolution_associative():
 def test_convolution_presentation_mismatch():
     ctx, pres = setup()
     other = Presentation(Context(["q"]), 2)
-    ident = tensor_from_entries(other.ctx, 2, 1, 1, [((1, 1), "1"), ((2, 2), "1")])
+    ident = tensor_from_entries(other.ctx, 2, 1, [((1, 1), "1"), ((2, 2), "1")])
     with pytest.raises(PresentationMismatch):
         twist_R(braid_form(pres, braid(ctx)), character_pair_form(other, ident))
 
@@ -255,7 +269,7 @@ def test_form_inverse_singular():
     ctx, pres = setup()
     R = braid_form(pres, braid(ctx))
     with pytest.raises(NotInvertible):
-        twist_R(R, LinearForm(pres, Tensor(ctx, 2, 2, 2, {})))
+        twist_R(R, LinearForm(pres, Tensor(ctx, 2, 2, {})))
 
 
 def test_cocycle_character_forms():
@@ -265,7 +279,7 @@ def test_cocycle_character_forms():
         out = cocycle_check(phi)
         assert out["holds"]
         assert out["residuals"] == {}
-    ident = tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "1"), ((2, 2), "1")])
+    ident = tensor_from_entries(ctx, 2, 1, [((1, 1), "1"), ((2, 2), "1")])
     assert cocycle_check(character_pair_form(pres, ident))["holds"]
 
 
@@ -275,7 +289,7 @@ def test_cocycle_residuals_of_a_perturbed_character_form():
     base = character_pair_form(pres, rho_full(ctx)).base
     entries = dict(base.entries)
     entries[(1, 2, 2, 1)] = ctx.gen("q")
-    out = cocycle_check(LinearForm(pres, Tensor(ctx, 2, 2, 2, entries)))
+    out = cocycle_check(LinearForm(pres, Tensor(ctx, 2, 2, entries)))
     res = out["residuals"]
     assert not out["holds"]
     assert len(res) == 24
@@ -286,7 +300,7 @@ def test_cocycle_residuals_of_a_perturbed_character_form():
 
 def test_cocycle_requires_invertible():
     ctx, pres = setup()
-    phi = LinearForm(pres, Tensor(ctx, 2, 2, 2, {(1, 1, 1, 1): ctx.one}))
+    phi = LinearForm(pres, Tensor(ctx, 2, 2, {(1, 1, 1, 1): ctx.one}))
     with pytest.raises(NotInvertible):
         cocycle_check(phi)
 
@@ -294,7 +308,7 @@ def test_cocycle_requires_invertible():
 def test_twist_trivial():
     ctx, pres = setup()
     R = braid_form(pres, braid(ctx))
-    ident = tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "1"), ((2, 2), "1")])
+    ident = tensor_from_entries(ctx, 2, 1, [((1, 1), "1"), ((2, 2), "1")])
     assert twist_R(R, character_pair_form(pres, ident)) == R.base
 
 

@@ -61,7 +61,7 @@ def tables(draw):
     if draw(st.booleans()):
         rows.reverse()
     return tensor_from_entries(
-        CTX, 2, 1, 1, [((i, j), rows[i - 1][j - 1]) for i, j in INDICES]
+        CTX, 2, 1, [((i, j), rows[i - 1][j - 1]) for i, j in INDICES]
     )
 
 
@@ -73,7 +73,7 @@ def dense_tables(draw):
     fe = sympy_element(det)
     assume(len(fe.numer) > 1 or len(fe.denom) > 1)
     return tensor_from_entries(
-        CTX, 2, 1, 1, [((i, j), rows[i - 1][j - 1]) for i, j in INDICES]
+        CTX, 2, 1, [((i, j), rows[i - 1][j - 1]) for i, j in INDICES]
     )
 
 
@@ -106,7 +106,7 @@ def test_validity_matches_grouplike_after_rescaling(rho, slot, factor):
     key = sorted(t.entries)[slot % len(t.entries)]
     scaled = dict(t.entries)
     scaled[key] = scaled[key] * CTX.parse(factor)
-    theta = Tensor(CTX, 2, 2, 2, scaled)
+    theta = Tensor(CTX, 2, 2, scaled)
     valid = validate_theta(theta)["valid"]
     assert valid == check_grouplike(grouplike_defect(build_M(theta)))
     if factor == "1":
@@ -137,7 +137,7 @@ def edited_matrices(draw):
             table[key] = NCPoly(CTX, {flip[u]: c for u, c in x.terms.items()})
         elif edit == "copy":
             table[key] = table.get(draw(st.sampled_from(keys)), x)
-    return Tensor(CTX, 2, 2, 2, {k: v for k, v in table.items() if not v.is_zero()})
+    return Tensor(CTX, 2, 2, {k: v for k, v in table.items() if not v.is_zero()})
 
 
 @settings(max_examples=40, deadline=None, database=None)

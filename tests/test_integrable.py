@@ -90,7 +90,7 @@ def test_weighted_trace_identity_for_factorized_and_flip():
 
 def test_weighted_trace_element_shape():
     ctx = Context(["q", "p", "r", "s"])
-    w = Tensor(ctx, 2, 1, 1, {(1, 1): ctx.one, (2, 2): ctx.parse("p")})
+    w = Tensor(ctx, 2, 1, {(1, 1): ctx.one, (2, 2): ctx.parse("p")})
     elt = weighted_trace_element(w, "lam")
     expect = NCPoly.gen(ctx, T(1, 1, "lam")) + ctx.parse("p") * NCPoly.gen(
         ctx, T(2, 2, "lam")
@@ -101,7 +101,7 @@ def test_weighted_trace_element_shape():
 def test_weight_commutation_negative():
     ws = load("qplane_qprs")
     ctx = ws.ctx
-    w_bad = Tensor(ctx, 2, 1, 1, {(1, 1): ctx.one, (2, 2): ctx.parse("2")})
+    w_bad = Tensor(ctx, 2, 1, {(1, 1): ctx.one, (2, 2): ctx.parse("2")})
     assert weight_commutation_holds(ws.B, w_bad) is False
     assert weight_commutation_holds(ws.B, delta(ctx, 2)) is True
 

@@ -21,7 +21,6 @@ from ncorep.freealg import (
     RelationSet,
     SpanBasis,
     T,
-    poly_vector,
     row_space_compare,
     word_key,
 )
@@ -62,12 +61,12 @@ def relation_lists(draw, polys=polys, weights=weights):
 def reference_compare(a, b):
     """(verdict, rank_a, rank_b, rank_union) by membership of each relation."""
     ba, bb = a.basis(), b.basis()
-    a_out = [p for p in a.polys if not bb.contains(poly_vector(p))]
-    b_out = [p for p in b.polys if not ba.contains(poly_vector(p))]
+    a_out = [p for p in a.polys if not bb.contains(p.terms)]
+    b_out = [p for p in b.polys if not ba.contains(p.terms)]
     union = SpanBasis(a.ctx)
     union.rows = list(ba.rows)
     for p in b.polys:
-        union.add(poly_vector(p))
+        union.add(p.terms)
     if not a_out and not b_out:
         verdict = "equal"
     elif not a_out:

@@ -53,7 +53,7 @@ def symmetrized_flip(ctx):
 
 def test_entry_access_and_shape():
     ctx = Context(["q"])
-    t = tensor_from_entries(ctx, 2, 1, 1, [((1, 2), "q")])
+    t = tensor_from_entries(ctx, 2, 1, [((1, 2), "q")])
     assert t.get(1, 2) == ctx.gen("q")
     assert t.get(2, 1).is_zero()
     with pytest.raises(ShapeMismatch):
@@ -64,7 +64,7 @@ def test_entry_access_and_shape():
         t.get(3, 1)
     # get validates only a miss: on a tensor that stores every in-range
     # index, a bad index must still raise
-    full = Tensor(ctx, 2, 1, 1, {(i, k): ctx.one for i in (1, 2) for k in (1, 2)})
+    full = Tensor(ctx, 2, 1, {(i, k): ctx.one for i in (1, 2) for k in (1, 2)})
     for bad in ((1,), (1, 1, 1), (0, 1), (1, 3), (3, 3)):
         with pytest.raises(ShapeMismatch):
             full.get(*bad)
@@ -73,12 +73,12 @@ def test_entry_access_and_shape():
 def test_duplicate_entry_rejected():
     ctx = Context(["q"])
     with pytest.raises(ShapeMismatch):
-        tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "1"), ((1, 1), "2")])
+        tensor_from_entries(ctx, 2, 1, [((1, 1), "1"), ((1, 1), "2")])
 
 
 def test_zero_entries_dropped():
     ctx = Context(["q"])
-    t = tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "q - q")])
+    t = tensor_from_entries(ctx, 2, 1, [((1, 1), "q - q")])
     assert t.entries == {}
     assert t.entry_list() == []
 
@@ -89,7 +89,7 @@ def test_linear_ops():
     # a Tensor's one entrywise map is substitute, whose result drops the
     # entries that became zero and keeps the others; its one linear operation
     # is -, which drops the entries that cancel
-    a = tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "1"), ((1, 2), "q"), ((2, 2), "q - 1")])
+    a = tensor_from_entries(ctx, 2, 1, [((1, 1), "1"), ((1, 2), "q"), ((2, 2), "q - 1")])
     assert (a - a).entries == {}
     assert (a - delta(ctx, 2)).entries == {(1, 2): q, (2, 2): q - 2}
     with pytest.raises(ShapeMismatch):
@@ -127,12 +127,32 @@ def test_results_have_as_many_upper_indices_as_lower():
         contract("ijkl->ijk", b)
     with pytest.raises(ShapeMismatch):
         contract("ijk->ijk", b)  # a letter for each index of each factor
-    # a (2,1) tensor composed with a (1,1) one would be a (2,1) tensor
-    a = Tensor(ctx, 2, 2, 1, {(1, 2, 1): ctx.one})
+
+
+def test_an_order_mismatch_raises():
+    ctx = Context(["q"])
+    b, d = braid_q(ctx), delta(ctx, 2)
+    empty = Tensor(ctx, 2, 1)  # no entries, so only its order can disagree
+    for x, y in ((b, d), (d, b), (b, empty), (empty, b)):
+        with pytest.raises(ShapeMismatch):
+            compose(x, y)
+        with pytest.raises(ShapeMismatch):
+            x - y
+        assert x != y
+    for spec, x, y in (("ijkl,klmn->ijmn", b, d), ("ij,jk->ik", d, b), ("ij,jk->ik", empty, b)):
+        with pytest.raises(ShapeMismatch):  # a factor's letters do not fit its order
+            contract(spec, x, y)
     with pytest.raises(ShapeMismatch):
-        compose(a, delta(ctx, 2))
-    b = Tensor(ctx, 2, 1, 2, {(1, 2, 2): ctx.one})
-    assert compose(a, b).entries == {(1, 2, 2, 2): ctx.one}
+        contract("ij->ij", b)
+    for x, k in ((b, 1), (d, 2), (empty, 2)):
+        with pytest.raises(ShapeMismatch):
+            _invert(x, k)
+    for order_two_only in (swap_lower, ybe_residual):
+        with pytest.raises(ShapeMismatch):
+            order_two_only(d)
+    with pytest.raises(ShapeMismatch):
+        Tensor(ctx, 2, 2, {(1, 1): ctx.one})
+    assert Tensor(ctx, 3, 1) != empty  # same order, other dimension
 
 
 def test_delta_and_identity():
@@ -171,7 +191,7 @@ def test_braid_satisfies_ybe():
 
 def test_flip_satisfies_ybe():
     ctx = Context(["q"])
-    flip = tensor_from_entries(ctx, 2, 2, 2, [
+    flip = tensor_from_entries(ctx, 2, 2, [
         ((1, 1, 1, 1), "1"), ((1, 2, 2, 1), "1"),
         ((2, 1, 1, 2), "1"), ((2, 2, 2, 2), "1"),
     ])
@@ -220,7 +240,7 @@ SMALL = ("1", "-1", "2", "q")  # a dense 9 x 9 inverse over VALUES takes seconds
 
 @st.composite
 def square_tensors(draw):
-    """A (1,1) or (2,2) tensor of dim 2 or 3, sparse or dense, often singular.
+    """An order-1 or order-2 tensor of dim 2 or 3, sparse or dense, often singular.
 
     A dense draw fills every entry; a sparse one leaves each entry out with
     probability about one half.  Half of the draws are made singular: one
@@ -247,7 +267,7 @@ def square_tensors(draw):
     elif singular == "empty":
         for j in keys:
             entries.pop(dst + j, None)
-    return Tensor(CTX, dim, k, k, entries)
+    return Tensor(CTX, dim, k, entries)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -257,12 +277,12 @@ def test_invert_matches_the_dense_reference(a):
         want = dense_invert(a)
     except NotInvertible:
         with pytest.raises(NotInvertible):
-            _invert(a, a.nlower)
+            _invert(a, a.k)
         return
-    got = _invert(a, a.nlower)
+    got = _invert(a, a.k)
     assert got == want
     assert got.entry_list() == want.entry_list()
-    if a.nlower == 2:
+    if a.k == 2:
         assert compose(a, got) == identity4(CTX, a.dim)
 
 
@@ -272,9 +292,9 @@ def test_singular_tables_do_not_invert():
     b = from_matrix(ctx, 2, [
         ["1", "q", "0", "0"], ["0", "1", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "1", "1"],
     ])
-    for a in (b, tensor_from_entries(ctx, 2, 1, 1, [((1, 1), "q"), ((2, 1), "1")])):
+    for a in (b, tensor_from_entries(ctx, 2, 1, [((1, 1), "q"), ((2, 1), "1")])):
         with pytest.raises(NotInvertible):
-            _invert(a, a.nlower)
+            _invert(a, a.k)
     with pytest.raises(NotInvertible):
         invert4(b)
     with pytest.raises(ShapeMismatch):
@@ -293,7 +313,7 @@ def test_invert4_roundtrip():
 
 def test_invert2_roundtrip():
     ctx = Context(["q", "p", "r", "s"])
-    rho = tensor_from_entries(ctx, 2, 1, 1, [
+    rho = tensor_from_entries(ctx, 2, 1, [
         ((1, 1), "1"), ((1, 2), "r/s"),
         ((2, 1), "-s/p"), ((2, 2), "(1 - r)/p"),
     ])
@@ -313,7 +333,7 @@ def test_substitute_entrywise():
     ctx = Context(["q"])
     b = braid_q(ctx)
     b1 = b.substitute([("q", 1)])
-    flip_plus = tensor_from_entries(ctx, 2, 2, 2, [
+    flip_plus = tensor_from_entries(ctx, 2, 2, [
         ((1, 1, 1, 1), "1"), ((1, 2, 2, 1), "1"),
         ((2, 1, 1, 2), "1"), ((2, 2, 2, 2), "1"),
     ])

@@ -41,7 +41,7 @@ def hecke(n, q):
 
 
 def table(n, rnd):
-    """A (2,2) table: a braid solution (a weighted flip or the Hecke tensor,
+    """An order-2 table: a braid solution (a weighted flip or the Hecke tensor,
     conjugated by a diagonal change of basis) or nothing, then a few entries
     set to pool values."""
     kind = rnd.randrange(3)
@@ -60,7 +60,7 @@ def table(n, rnd):
     for _ in range(rnd.randrange(4 if kind < 2 else 12)):
         idx = tuple(rnd.randint(1, n) for _ in range(4))
         entries[idx] = CTX.parse(rnd.choice(POOL))
-    return Tensor(CTX, n, 2, 2, entries)
+    return Tensor(CTX, n, 2, entries)
 
 
 def row_kinds(a):
@@ -103,14 +103,14 @@ def test_fixed_tables_have_every_kind_of_row():
     # do not, and some rows hold keys of both kinds
     entries = hecke(2, CTX.gen("q"))
     entries[(1, 2, 1, 2)] = CTX.parse("1/(q^2 + 1)")
-    a = Tensor(CTX, 2, 2, 2, entries)
+    a = Tensor(CTX, 2, 2, entries)
     assert {"decided", "mixed", "zero"} <= set(row_kinds(a))
     assert matches_reference(a)
     # the image of -1 is PRIME - 1, so the sum that cancels in row (1, 1, 2)
     # is PRIME before it is reduced
     x = CTX.parse("q^2/(q^2 + 1)")
     entries = {(1, 2, 2, 1): x, (1, 2, 2, 2): 1, (1, 2, 2, 3): -1, (1, 3, 2, 1): x, (2, 2, 3, 2): "q"}
-    a = Tensor(CTX, 3, 2, 2, {idx: CTX.scalar(v) for idx, v in entries.items()})
+    a = Tensor(CTX, 3, 2, {idx: CTX.scalar(v) for idx, v in entries.items()})
     assert row_kinds(a)[0] == "mixed" and matches_reference(a)
     for seed in range(6):
         assert matches_reference(table(3, random.Random(seed)))
@@ -124,11 +124,11 @@ def test_vanishing_denominator_computes_every_row_exactly():
     assert mod_image(bad) is None
     rng = range(1, 3)
     entries = {(i, j, j, i): bad if i < j else CTX.parse("q - %d" % POINT[1]) for i in rng for j in rng}
-    a = Tensor(CTX, 2, 2, 2, entries)
+    a = Tensor(CTX, 2, 2, entries)
     assert _by_lower(a, mod_image) is None
     assert ybe_residual(a) == [] == sorted(dense_ybe_residual(a).entries)
     entries[(1, 2, 1, 2)] = bad * bad
-    a = Tensor(CTX, 2, 2, 2, entries)
+    a = Tensor(CTX, 2, 2, entries)
     assert ybe_residual(a) != [] and matches_reference(a)
 
 
